@@ -18,13 +18,14 @@
 //!
 //! * real wall-clock throughput (depends on how many host cores this
 //!   machine actually has), and
-//! * **modelled scaling** — per-shard *busy* nanoseconds are measured on
-//!   the worker threads themselves; `max(busy)` across shards is the
-//!   parallel makespan on a machine with one core per shard, and
-//!   `makespan(1 shard) / makespan(T shards)` is the machine-independent
-//!   warm-throughput scaling figure recorded in `BENCH_fig8.json`
-//!   (DESIGN.md §9; same philosophy as the virtual-time methodology of
-//!   DESIGN.md §4 — report the model, not the host's scheduler).
+//! * **modelled scaling** — per-shard *busy* nanoseconds are the wall time
+//!   callers spent inside each shard's gate; `max(busy)` across shards is
+//!   the parallel makespan, and `makespan(1 shard) / makespan(T shards)`
+//!   is the scaling figure recorded in `BENCH_fig8.json` (DESIGN.md §9).
+//!   It is wall time, not CPU time (`cpu_time_accounting: false`): with
+//!   fewer cores than client threads it also counts time a caller sat
+//!   descheduled inside the gate, so — like measured wall scaling — its
+//!   floor is asserted only on hosts with a core per shard.
 //!
 //! The sweep also *verifies* serving semantics: per-session results,
 //! per-class meters and fuel of the sharded run are asserted bit-identical
@@ -143,10 +144,10 @@ fn balanced_names(svc: &ShardedService, sessions: usize, threads: usize) -> Vec<
     names
 }
 
-/// Warm calls per pipelined batch: amortises the cross-thread hand-off
-/// (and, on boxes with fewer cores than shards, scheduler noise inside
-/// the measured busy windows) without giving up inter-session
-/// interleaving on each shard.
+/// Warm calls per pipelined batch: amortises the gate acquisition (and,
+/// on boxes with fewer cores than shards, scheduler noise inside the
+/// measured busy windows) without giving up inter-session interleaving
+/// on each shard.
 const BATCH: usize = 8;
 
 /// `calls` warm calls per session owned by one client (pipelined in
@@ -795,37 +796,28 @@ fn main() {
     let max_wall_scaling = max_point.throughput() / base_throughput;
     let host_cores = std::thread::available_parallelism().map_or(1, usize::from);
 
-    // Modelled-scaling floor: only meaningful where busy_ns is real
-    // per-thread CPU time (Linux); the wall-clock fallback absorbs
-    // scheduler preemption once shards outnumber cores, which would fail
-    // the floor on a small non-Linux box even though serving is correct.
-    let cpu_time_accounting = std::path::Path::new("/proc/thread-self/schedstat").exists();
-    if !cpu_time_accounting {
-        println!(
-            "warning: no per-thread CPU-time accounting on this platform \
-             (/proc/thread-self/schedstat missing); busy_ns fell back to \
-             wall clock and the modelled-scaling floor was NOT asserted"
-        );
-    } else if max_point.threads >= 8 {
-        assert!(
-            max_scaling >= 3.0,
-            "modelled warm-throughput scaling at {} threads is {max_scaling:.2}x (< 3x)",
-            max_point.threads
-        );
-    }
+    // `ShardStats::busy_ns` is wall time inside the gate by definition,
+    // never thread CPU time; recorded so readers of BENCH_fig8.json know
+    // what the modelled makespan is made of.
+    let cpu_time_accounting = false;
 
-    // Measured wall-clock floor: only asserted when the host actually has
-    // a core per shard — on smaller machines the shards time-slice and
-    // wall throughput physically cannot scale, which is exactly the
-    // modelled-vs-measured distinction recorded in BENCH_fig8.json
-    // (DESIGN.md §9). `TWINE_WALL_SCALING_FLOOR` overrides the default
-    // floor of 4.0 (CI uses a conservative 2.5 to absorb runner noise).
+    // Both scaling floors are asserted only when the host has a core per
+    // shard. On smaller machines the client threads time-slice: wall
+    // throughput physically cannot scale, and busy_ns absorbs the time a
+    // caller sat descheduled inside a gate (DESIGN.md §9).
+    // `TWINE_WALL_SCALING_FLOOR` overrides the default measured floor of
+    // 4.0 (CI uses a conservative 2.5 to absorb runner noise).
     let wall_floor: f64 = std::env::var("TWINE_WALL_SCALING_FLOOR")
         .ok()
         .and_then(|s| s.parse().ok())
         .unwrap_or(4.0);
     let wall_scaling_asserted = max_point.threads >= 8 && host_cores >= max_point.threads;
     if wall_scaling_asserted {
+        assert!(
+            max_scaling >= 3.0,
+            "modelled warm-throughput scaling at {} threads is {max_scaling:.2}x (< 3x)",
+            max_point.threads
+        );
         assert!(
             max_wall_scaling >= wall_floor,
             "measured wall-clock scaling at {} threads is {max_wall_scaling:.2}x \
@@ -835,8 +827,8 @@ fn main() {
     } else if max_point.threads >= 8 {
         println!(
             "warning: host has {host_cores} core(s) for {} shards; measured \
-             wall-clock scaling ({max_wall_scaling:.2}x) NOT asserted — see \
-             modelled scaling ({max_scaling:.2}x) for the per-core figure",
+             wall-clock scaling ({max_wall_scaling:.2}x) and modelled scaling \
+             ({max_scaling:.2}x) NOT asserted",
             max_point.threads
         );
     }

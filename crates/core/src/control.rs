@@ -60,12 +60,13 @@ pub struct ControlPlane {
     /// (baseline-constituent instructions). Overridable per session.
     pub deadline: Option<u64>,
     /// Enable epoch preemption: an invocation survives this many epoch
-    /// bumps before yielding with `DeadlineExceeded`. Shard workers bump
-    /// the shared epoch once per processed command, and an optional ticker
+    /// bumps before yielding with `DeadlineExceeded`. Every command
+    /// entering a shard bumps the shared epoch once, and an optional ticker
     /// (`epoch_interval_ms`) bumps it on wall-clock time.
     pub epoch_slack: Option<u64>,
-    /// Bound each shard's command queue to this depth; invoke/open
-    /// commands that find the queue full are rejected with
+    /// Bound each shard's command queue — the callers waiting at its gate,
+    /// not counting the one running — to this depth; invoke/open commands
+    /// that find the queue full are rejected with
     /// [`crate::TwineError::Overloaded`] instead of queueing unboundedly.
     pub queue_depth: Option<usize>,
     /// Per-tenant cap on in-flight commands across the sharded service

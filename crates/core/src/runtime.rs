@@ -412,9 +412,11 @@ impl TwineBuilder {
     }
 
     /// Create the enclave and a multi-threaded [`crate::ShardedService`]:
-    /// `threads` worker shards partitioning the session namespace while
-    /// sharing this one enclave, one host-function table and one module
-    /// cache (see DESIGN.md §9).
+    /// `threads` shards partitioning the session namespace while sharing
+    /// this one enclave, one host-function table and one module cache.
+    /// The service spawns no threads — each call runs on its caller's
+    /// thread, one caller per shard at a time — so `threads` is how many
+    /// client threads can be served in parallel (see DESIGN.md §9).
     #[must_use]
     pub fn build_sharded(self, threads: usize) -> crate::ShardedService {
         crate::ShardedService::from_builder(self, threads)

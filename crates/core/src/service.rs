@@ -59,7 +59,7 @@ type CacheSlot = Arc<OnceLock<Result<Arc<CompiledModule>, ModuleError>>>;
 /// `Arc<CompiledModule>` across all sessions of a service.
 ///
 /// Thread-safe with interior mutability (`&self` everywhere): the sharded
-/// service hands one `Arc<ModuleCache>` to every worker. The map lock is
+/// service hands one `Arc<ModuleCache>` to every shard. The map lock is
 /// held only for slot bookkeeping — compilation itself runs *outside* it,
 /// so two shards compiling **different** modules proceed in parallel,
 /// while racers on the **same** key serialise on the per-key [`OnceLock`]

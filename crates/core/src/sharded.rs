@@ -1,35 +1,49 @@
-//! The sharded, multi-threaded service: N worker threads, each owning a
-//! [`TwineService`] shard, all inside **one** simulated enclave
+//! The sharded, multi-threaded service: N shards, each a [`TwineService`]
+//! behind a FIFO-fair gate, all inside **one** simulated enclave
 //! (DESIGN.md §9).
 //!
 //! The Twine follow-up runtime serves many tenants from one long-lived
 //! enclave; a single-threaded service caps that at one core. This module
-//! partitions the *session namespace* across worker threads by stable
-//! session-key hash, while every expensive immutable artifact stays
-//! shared: the enclave (clock, EPC pool, boundary counters), the
-//! host-function [`Linker`](twine_wasm::Linker), the content-addressed
-//! [`ModuleCache`], and the EPC-slot allocator. Per-session mutable state
-//! (the `Instance`, its `WasiCtx`, the frame arena) is **single-owner**:
-//! it lives on exactly one shard thread and is never locked.
+//! partitions the *session namespace* across shards by stable session-key
+//! hash, while every expensive immutable artifact stays shared: the
+//! enclave (clock, EPC pool, boundary counters), the host-function
+//! [`Linker`](twine_wasm::Linker), the content-addressed [`ModuleCache`],
+//! and the EPC-slot allocator.
+//!
+//! # Caller-runs
+//!
+//! In SGX an ECALL executes on the *calling* thread, which enters the
+//! enclave through a TCS slot. A shard is modelled the same way: there
+//! are no service threads, every command runs on the thread that issued
+//! it, and the shard's gate admits one caller at a time. Per-session
+//! mutable state (the `Instance`, its `WasiCtx`, the frame arena) is
+//! therefore still **single-owner** — only the caller inside the gate
+//! touches it. Concurrency comes from many caller threads addressing
+//! different shards.
+//!
+//! The gate is a ticket lock, not a bare mutex: a caller takes the next
+//! ticket on arrival and enters when every earlier ticket has left, so
+//! commands run in arrival order and no caller can barge ahead of one
+//! that has waited longer. A command that panics unwinds through its own
+//! caller and leaves the shard *failed*: every later call to that shard
+//! returns a typed [`TwineError::Session`] at once, other shards keep
+//! serving.
 //!
 //! # Determinism
 //!
-//! Commands for one session always route to the same shard and are
-//! processed in channel FIFO order, so a client that issues its calls for
-//! a given session sequentially observes exactly the per-session ordering
-//! of a single-threaded service. Everything a session computes depends
-//! only on its own state: results, traps, per-class meters and fuel are
+//! Commands for one session always route to the same shard and run in
+//! ticket (arrival) order, so a client that issues its calls for a given
+//! session sequentially observes exactly the per-session ordering of a
+//! single-threaded service. Everything a session computes depends only on
+//! its own state: results, traps, per-class meters and fuel are
 //! **bit-identical** to a single-threaded replay of the same per-session
 //! call sequence (the `concurrent_serving` differential suite enforces
 //! this). Only *globally shared counters* — virtual-clock cycles, EPC
 //! fault counts, boundary stats — depend on cross-shard interleaving.
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::mpsc::{
-    channel, sync_channel, Receiver, RecvTimeoutError, Sender, SyncSender, TrySendError,
-};
-use std::sync::{Arc, Mutex};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -39,9 +53,6 @@ use twine_wasm::Value;
 
 use crate::control::{ControlPlane, ControlStats};
 use crate::runtime::{Overload, RunReport, TwineBuilder, TwineError};
-
-/// Reply payload of an invoke command (report present iff requested).
-type InvokeReply = Result<(Option<RunReport>, Vec<Value>), TwineError>;
 use crate::service::{ModuleCache, SessionStats, SessionTemplate, TwineService};
 
 /// Per-shard serving counters, for load inspection and the `fig8_serving
@@ -52,206 +63,85 @@ pub struct ShardStats {
     pub sessions: usize,
     /// Invocations (including `run`s) served by this shard.
     pub invocations: u64,
-    /// Nanoseconds this shard spent *processing* commands (excludes idle
-    /// waiting on its queue). On Linux this is the worker thread's actual
-    /// CPU time (`/proc/thread-self/schedstat`), so it stays accurate even
-    /// when the host has fewer cores than shards and the scheduler
-    /// time-slices them; elsewhere it falls back to wall-clock spent
-    /// inside command processing. On a machine with one core per shard,
+    /// Wall-clock nanoseconds callers spent *inside* this shard's gate
+    /// (excludes waiting for a turn). Wall time, not CPU time: a caller
+    /// descheduled while inside still counts, so the figure is only a
+    /// per-core cost where the host has a core per client thread. There,
     /// `max(busy_ns)` across shards models the parallel makespan of the
     /// served work — the modelled-scaling figure of `fig8_serving
     /// --threads` (DESIGN.md §9).
     pub busy_ns: u64,
 }
 
-/// This thread's cumulative on-CPU nanoseconds (Linux:
-/// `/proc/thread-self/schedstat`, first field; computed precisely at read
-/// time by the kernel). `None` where unavailable.
-fn thread_cpu_ns() -> Option<u64> {
-    let s = std::fs::read_to_string("/proc/thread-self/schedstat").ok()?;
-    s.split_whitespace().next()?.parse().ok()
+/// What a gate guards: one shard's service and its serving counters.
+struct Shard {
+    svc: TwineService,
+    /// Callers blocked on [`Gate::turn`] (each holds a later ticket).
+    parked: usize,
+    invocations: u64,
+    busy_ns: u64,
 }
 
-/// One request to a shard worker. Every variant carries a reply sender of
-/// the **unified** [`Reply`] type: the public API is synchronous per
-/// caller, concurrency comes from many caller threads addressing disjoint
-/// shards.
-///
-/// Replies travel over a per-client-thread channel that is **reused
-/// across calls** (see [`with_reply_channel`]). PR 5 allocated a fresh
-/// mpsc channel pair per request; at serving rates that was two shared
-/// allocations and two atomics of channel setup per call, paid on every
-/// warm invocation from every client — measurable allocator and cache
-/// traffic once many shards ran hot (ROADMAP open item 1). A batch
-/// ([`Cmd::InvokeBatch`]) crosses the queue once in each direction for
-/// its whole run of calls.
-enum Cmd {
-    Open {
-        name: String,
-        wasm: Vec<u8>,
-        reply: Sender<Reply>,
-    },
-    Invoke {
-        name: String,
-        func: String,
-        args: Vec<Value>,
-        want_report: bool,
-        reply: Sender<Reply>,
-    },
-    InvokeBatch {
-        name: String,
-        func: String,
-        args_list: Vec<Vec<Value>>,
-        reply: Sender<Reply>,
-    },
-    Reset {
-        name: String,
-        reply: Sender<Reply>,
-    },
-    SetFuel {
-        name: String,
-        fuel: Option<u64>,
-        reply: Sender<Reply>,
-    },
-    SetDeadline {
-        name: String,
-        deadline: Option<u64>,
-        reply: Sender<Reply>,
-    },
-    Park {
-        name: String,
-        reply: Sender<Reply>,
-    },
-    ControlStats {
-        reply: Sender<Reply>,
-    },
-    Watermark {
-        name: String,
-        reply: Sender<Reply>,
-    },
-    Close {
-        name: String,
-        reply: Sender<Reply>,
-    },
-    Stats {
-        name: String,
-        reply: Sender<Reply>,
-    },
-    Parked {
-        name: String,
-        reply: Sender<Reply>,
-    },
-    Module {
-        name: String,
-        reply: Sender<Reply>,
-    },
-    ShardStats {
-        reply: Sender<Reply>,
-    },
-    DbOpen {
-        name: String,
-        reply: Sender<Reply>,
-    },
-    DbExec {
-        name: String,
-        sql: String,
-        reply: Sender<Reply>,
-    },
-    DbQuery {
-        name: String,
-        sql: String,
-        reply: Sender<Reply>,
-    },
-    DbBatch {
-        name: String,
-        stmts: Vec<String>,
-        reply: Sender<Reply>,
-    },
-    DbPark {
-        name: String,
-        reply: Sender<Reply>,
-    },
-    DbClose {
-        name: String,
-        reply: Sender<Reply>,
-    },
-    DbParked {
-        name: String,
-        reply: Sender<Reply>,
-    },
-    DbStmtStats {
-        name: String,
-        reply: Sender<Reply>,
-    },
-    DbTables {
-        name: String,
-        reply: Sender<Reply>,
-    },
+/// FIFO-fair entry to one shard (a shard is a TCS: one caller inside at a
+/// time). `quota.rs`'s isolation bound and DESIGN.md §9's determinism
+/// argument both rest on arrival order, which a bare `Mutex` does not
+/// give — a releasing thread may re-acquire ahead of a sleeping waiter.
+struct Gate {
+    /// Next ticket to hand out; the order of `fetch_add`s *is* the
+    /// arrival order.
+    next: AtomicU64,
+    /// Tickets that have left the gate; the holder of ticket `served` is
+    /// the one allowed inside. Written and compared only under `shard`'s
+    /// lock, which orders those accesses; the unlocked read in
+    /// [`Gate::ticket`] is an admission estimate. It publishes no data, so
+    /// `Relaxed` suffices everywhere.
+    served: AtomicU64,
+    /// Wakes parked callers when `served` advances.
+    turn: Condvar,
+    /// Poisoned ⇔ a command panicked inside: the shard has failed.
+    shard: Mutex<Shard>,
 }
 
-/// A shard worker's answer to one [`Cmd`] (variants mirror the commands).
-enum Reply {
-    Open(Result<SessionStats, TwineError>),
-    Invoke(InvokeReply),
-    InvokeBatch(Result<Vec<Vec<Value>>, TwineError>),
-    Unit(Result<(), TwineError>),
-    Watermark(Option<u64>),
-    Close(Option<Box<dyn FsBackend>>),
-    Stats(Option<SessionStats>),
-    Parked(Option<bool>),
-    Module(Option<Arc<twine_wasm::compile::CompiledModule>>),
-    ShardStats(ShardStats),
-    Control(ControlStats),
-    DbAffected(Result<u64, TwineError>),
-    DbRows(Result<Vec<twine_sqldb::value::Row>, TwineError>),
-    DbClose(Option<twine_sqldb::SharedBackend>),
-    DbParked(Option<bool>),
-    DbStmtStats(Option<twine_sqldb::db::StmtCacheStats>),
-    DbTables(Result<Vec<String>, TwineError>),
-}
-
-/// A shard's command queue sender: unbounded by default, bounded when the
-/// control plane sets [`ControlPlane::queue_depth`].
-enum ShardTx {
-    Unbounded(Sender<Cmd>),
-    Bounded(SyncSender<Cmd>),
-}
-
-/// Why a non-blocking send did not enqueue.
-enum SendAttempt {
-    Full,
-    Disconnected,
-}
-
-impl ShardTx {
-    /// Blocking send — for control/introspection commands, which are never
-    /// load-shed. Workers always drain their queue, so on a full bounded
-    /// queue this waits briefly instead of deadlocking.
-    fn send(&self, cmd: Cmd) -> Result<(), ()> {
-        match self {
-            ShardTx::Unbounded(tx) => tx.send(cmd).map_err(|_| ()),
-            ShardTx::Bounded(tx) => tx.send(cmd).map_err(|_| ()),
-        }
+impl Gate {
+    /// Take the next ticket. With a `depth`, refuse (`None`) when that
+    /// many callers are already waiting behind the one inside.
+    fn ticket(&self, depth: Option<usize>) -> Option<u64> {
+        let Some(depth) = depth else {
+            return Some(self.next.fetch_add(1, Ordering::Relaxed));
+        };
+        self.next
+            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |n| {
+                // One caller inside plus the waiters. `served` may have
+                // passed a stale `n`; the exchange then fails and retries.
+                let inside = n.saturating_sub(self.served.load(Ordering::Relaxed));
+                (inside <= depth.max(1) as u64).then_some(n + 1)
+            })
+            .ok()
     }
+}
 
-    /// Non-blocking send — for load-bearing commands (open/invoke/batch):
-    /// a full bounded queue rejects (backpressure) instead of queueing
-    /// unboundedly.
-    fn try_send(&self, cmd: Cmd) -> Result<(), SendAttempt> {
-        match self {
-            ShardTx::Unbounded(tx) => tx.send(cmd).map_err(|_| SendAttempt::Disconnected),
-            ShardTx::Bounded(tx) => tx.try_send(cmd).map_err(|e| match e {
-                TrySendError::Full(_) => SendAttempt::Full,
-                TrySendError::Disconnected(_) => SendAttempt::Disconnected,
-            }),
+/// A caller's turn inside a gate. Leaving (normally or by unwinding)
+/// passes the turn on; the lock guard drops last, so a panic has poisoned
+/// the mutex by the time a woken waiter re-acquires it.
+struct Turn<'a> {
+    gate: &'a Gate,
+    entered: Instant,
+    shard: MutexGuard<'a, Shard>,
+}
+
+impl Drop for Turn<'_> {
+    fn drop(&mut self) {
+        self.shard.busy_ns += self.entered.elapsed().as_nanos() as u64;
+        self.gate.served.fetch_add(1, Ordering::Relaxed);
+        if self.shard.parked > 0 {
+            self.gate.turn.notify_all();
         }
     }
 }
 
 /// RAII decrement of a tenant's in-flight count (see
-/// [`ControlPlane::max_in_flight`]). Held by the caller across the
-/// send → recv round trip, so the count covers queued *and* executing
-/// commands.
+/// [`ControlPlane::max_in_flight`]). Held by the caller across its whole
+/// call, so the count covers waiting *and* executing commands.
 struct InFlightGuard<'a> {
     map: &'a Mutex<HashMap<String, u64>>,
     name: String,
@@ -269,28 +159,14 @@ impl Drop for InFlightGuard<'_> {
     }
 }
 
-/// Run `f` with this thread's reusable reply channel. One channel pair per
-/// client thread for its lifetime, instead of one per call: requests are
-/// strictly sequential per thread (send → block on recv), so the channel
-/// is empty between calls. Stale replies can only exist if a previous call
-/// panicked between send and recv — drained defensively before reuse.
-fn with_reply_channel<R>(f: impl FnOnce(&Sender<Reply>, &Receiver<Reply>) -> R) -> R {
-    thread_local! {
-        static REPLY: (Sender<Reply>, Receiver<Reply>) = channel();
-    }
-    REPLY.with(|(tx, rx)| {
-        while rx.try_recv().is_ok() {}
-        f(tx, rx)
-    })
-}
-
 /// A multi-threaded, sharded Twine service: named sessions partitioned
-/// across worker threads by session-key hash, sharing one enclave, one
+/// across gated shards by session-key hash, sharing one enclave, one
 /// linker and one module cache.
 ///
 /// The handle is `Send + Sync`: any number of client threads may call it
-/// concurrently. Calls for the *same* session issued sequentially by one
-/// client keep single-threaded semantics exactly (see the module docs).
+/// concurrently, and each call runs on its caller's thread. Calls for the
+/// *same* session issued sequentially by one client keep single-threaded
+/// semantics exactly (see the module docs).
 ///
 /// ```
 /// use twine_core::TwineBuilder;
@@ -306,8 +182,7 @@ fn with_reply_channel<R>(f: impl FnOnce(&Sender<Reply>, &Receiver<Reply>) -> R) 
 /// assert_eq!(out[0], Value::I32(42));
 /// ```
 pub struct ShardedService {
-    shards: Vec<ShardTx>,
-    workers: Vec<JoinHandle<()>>,
+    shards: Vec<Gate>,
     enclave: Arc<Enclave>,
     cache: Arc<ModuleCache>,
     control: ControlPlane,
@@ -319,13 +194,12 @@ pub struct ShardedService {
     in_flight: Mutex<HashMap<String, u64>>,
     queue_rejections: AtomicU64,
     inflight_rejections: AtomicU64,
-    /// Wall-clock epoch ticker: dropping the sender wakes and ends it.
-    ticker: Option<(Sender<()>, JoinHandle<()>)>,
+    /// Wall-clock epoch ticker — the only thread the service owns.
+    ticker: Option<(Arc<AtomicBool>, JoinHandle<()>)>,
 }
 
 impl ShardedService {
-    pub(crate) fn from_builder(b: TwineBuilder, threads: usize) -> Self {
-        let threads = threads.max(1);
+    pub(crate) fn from_builder(b: TwineBuilder, shards: usize) -> Self {
         let enclave = b.launch_enclave();
         let profiler = b
             .with_profiler
@@ -343,66 +217,61 @@ impl ShardedService {
             control.pool_slots_per_module.unwrap_or(0),
         ));
 
-        let mut shards = Vec::with_capacity(threads);
-        let mut workers = Vec::with_capacity(threads);
-        for i in 0..threads {
-            let (tx, rx) = match control.queue_depth {
-                Some(d) => {
-                    let (t, r) = sync_channel(d.max(1));
-                    (ShardTx::Bounded(t), r)
-                }
-                None => {
-                    let (t, r) = channel();
-                    (ShardTx::Unbounded(t), r)
-                }
-            };
-            let shard = TwineService::shard(
-                Arc::clone(&enclave),
-                b.processor.clone(),
-                Arc::clone(&linker),
-                Arc::clone(&cache),
-                Arc::clone(&epc_slots),
-                tpl.clone(),
-                profiler.clone(),
-                control.clone(),
-                Arc::clone(&epoch),
-                Arc::clone(&pool),
-            );
-            // Workers advance the shared epoch once per processed command
-            // (only when epoch preemption is armed): a busy fleet of shards
-            // preempts long invocations without any wall-clock dependence.
-            let epoch_bump = control.epoch_slack.is_some().then(|| Arc::clone(&epoch));
-            workers.push(
-                std::thread::Builder::new()
-                    .name(format!("twine-shard-{i}"))
-                    .spawn(move || shard_main(shard, &rx, epoch_bump))
-                    .expect("spawn shard worker"),
-            );
-            shards.push(tx);
-        }
+        let shards = (0..shards.max(1))
+            .map(|_| Gate {
+                next: AtomicU64::new(0),
+                served: AtomicU64::new(0),
+                turn: Condvar::new(),
+                shard: Mutex::new(Shard {
+                    svc: TwineService::shard(
+                        Arc::clone(&enclave),
+                        b.processor.clone(),
+                        Arc::clone(&linker),
+                        Arc::clone(&cache),
+                        Arc::clone(&epc_slots),
+                        tpl.clone(),
+                        profiler.clone(),
+                        control.clone(),
+                        Arc::clone(&epoch),
+                        Arc::clone(&pool),
+                    ),
+                    parked: 0,
+                    invocations: 0,
+                    busy_ns: 0,
+                }),
+            })
+            .collect();
         // Optional wall-clock ticker: protects even a single busy shard
-        // from a runaway guest (worker bumps only land *between* commands).
+        // from a runaway guest (per-command bumps only land *between*
+        // commands).
         let ticker = match (control.epoch_slack, control.epoch_interval_ms) {
             (Some(_), Some(ms)) => {
-                let (stop_tx, stop_rx) = channel::<()>();
-                let ep = Arc::clone(&epoch);
+                let interval = Duration::from_millis(ms.max(1));
+                let stop = Arc::new(AtomicBool::new(false));
+                let (stopped, ep) = (Arc::clone(&stop), Arc::clone(&epoch));
                 let h = std::thread::Builder::new()
                     .name("twine-epoch-ticker".into())
                     .spawn(move || {
-                        while let Err(RecvTimeoutError::Timeout) =
-                            stop_rx.recv_timeout(Duration::from_millis(ms.max(1)))
-                        {
-                            ep.fetch_add(1, Ordering::Relaxed);
+                        let mut due = Instant::now() + interval;
+                        while !stopped.load(Ordering::SeqCst) {
+                            // `park_timeout` may return early (spuriously,
+                            // or unparked by `Drop`): re-check both.
+                            match due.checked_duration_since(Instant::now()) {
+                                Some(left) if !left.is_zero() => std::thread::park_timeout(left),
+                                _ => {
+                                    ep.fetch_add(1, Ordering::Relaxed);
+                                    due += interval;
+                                }
+                            }
                         }
                     })
                     .expect("spawn epoch ticker");
-                Some((stop_tx, h))
+                Some((stop, h))
             }
             _ => None,
         };
         Self {
             shards,
-            workers,
             enclave,
             cache,
             control,
@@ -414,7 +283,7 @@ impl ShardedService {
         }
     }
 
-    /// Number of shards (worker threads).
+    /// Number of shards.
     #[must_use]
     pub fn shard_count(&self) -> usize {
         self.shards.len()
@@ -447,54 +316,84 @@ impl ShardedService {
         &self.cache
     }
 
-    /// Send one command to `shard` over this client thread's reusable
-    /// reply channel and wait for the worker's answer. Blocking enqueue —
-    /// control/introspection commands are never load-shed.
-    fn send(
+    /// Run `f` inside `shard`'s gate, on this thread, once every command
+    /// that arrived earlier has left it.
+    ///
+    /// `depth` is `Some` for load-bearing commands (open/invoke/batch/SQL)
+    /// under [`ControlPlane::queue_depth`]: when that many callers already
+    /// wait, reject with [`TwineError::Overloaded`] instead of waiting —
+    /// typed backpressure the caller may retry on. Control/introspection
+    /// commands pass `None` and are never load-shed.
+    fn enter<R>(
         &self,
         shard: usize,
-        make: impl FnOnce(Sender<Reply>) -> Cmd,
-    ) -> Result<Reply, TwineError> {
-        with_reply_channel(|tx, rx| {
-            self.shards[shard]
-                .send(make(tx.clone()))
-                .map_err(|()| TwineError::Session("shard worker terminated".into()))?;
-            rx.recv()
-                .map_err(|_| TwineError::Session("shard worker terminated".into()))
-        })
+        depth: Option<usize>,
+        f: impl FnOnce(&mut Shard) -> R,
+    ) -> Result<R, TwineError> {
+        let gate = &self.shards[shard];
+        let failed = || {
+            TwineError::Session(format!(
+                "shard {shard} failed: a command panicked inside it"
+            ))
+        };
+        // Checked before ticketing: on a failed shard nobody advances
+        // `served`, so the waiter count only grows.
+        if gate.shard.is_poisoned() {
+            return Err(failed());
+        }
+        let Some(ticket) = gate.ticket(depth) else {
+            self.queue_rejections.fetch_add(1, Ordering::Relaxed);
+            return Err(TwineError::Overloaded(Overload::QueueFull {
+                shard,
+                depth: depth.unwrap_or(0),
+            }));
+        };
+        let mut guard = gate.shard.lock().map_err(|_| failed())?;
+        while gate.served.load(Ordering::Relaxed) != ticket {
+            guard.parked += 1;
+            guard = gate.turn.wait(guard).map_err(|_| failed())?;
+            guard.parked -= 1;
+        }
+        // With epoch preemption armed, every command advances the shared
+        // epoch: cross-shard traffic preempts a long invocation without
+        // any wall-clock dependence (deterministic tests bump by hand
+        // instead).
+        if self.control.epoch_slack.is_some() {
+            self.epoch.fetch_add(1, Ordering::Relaxed);
+        }
+        let mut turn = Turn {
+            gate,
+            entered: Instant::now(),
+            shard: guard,
+        };
+        Ok(f(&mut turn.shard))
     }
 
-    /// [`send`](Self::send) for load-bearing commands (open/invoke/batch):
-    /// when the shard queue is bounded and full, reject with
-    /// [`TwineError::Overloaded`] instead of blocking — typed
-    /// backpressure the caller may retry on.
-    fn send_load(
+    /// [`enter`](Self::enter) for a control/introspection command on the
+    /// shard owning `name`.
+    fn admin<R>(
         &self,
-        shard: usize,
-        make: impl FnOnce(Sender<Reply>) -> Cmd,
-    ) -> Result<Reply, TwineError> {
-        with_reply_channel(|tx, rx| {
-            match self.shards[shard].try_send(make(tx.clone())) {
-                Ok(()) => {}
-                Err(SendAttempt::Full) => {
-                    self.queue_rejections.fetch_add(1, Ordering::Relaxed);
-                    return Err(TwineError::Overloaded(Overload::QueueFull {
-                        shard,
-                        depth: self.control.queue_depth.unwrap_or(0),
-                    }));
-                }
-                Err(SendAttempt::Disconnected) => {
-                    return Err(TwineError::Session("shard worker terminated".into()));
-                }
-            }
-            rx.recv()
-                .map_err(|_| TwineError::Session("shard worker terminated".into()))
-        })
+        name: &str,
+        f: impl FnOnce(&mut TwineService) -> R,
+    ) -> Result<R, TwineError> {
+        self.enter(self.shard_of(name), None, |s| f(&mut s.svc))
+    }
+
+    /// [`enter`](Self::enter) for a warm-path command on `session`:
+    /// counted against the tenant's in-flight cap, load-shed on a full
+    /// queue.
+    fn call<R>(
+        &self,
+        session: &str,
+        f: impl FnOnce(&mut Shard) -> Result<R, TwineError>,
+    ) -> Result<R, TwineError> {
+        let _guard = self.acquire_in_flight(session)?;
+        self.enter(self.shard_of(session), self.control.queue_depth, f)?
     }
 
     /// Count `name` against its tenant in-flight cap, if one is
     /// configured. The returned guard releases the slot when the caller's
-    /// round trip completes (any exit path).
+    /// call completes (any exit path).
     fn acquire_in_flight(&self, name: &str) -> Result<Option<InFlightGuard<'_>>, TwineError> {
         let Some(max) = self.control.max_in_flight else {
             return Ok(None);
@@ -521,14 +420,9 @@ impl ShardedService {
     /// Open a named session on the shard owning `name` (cold path). See
     /// [`TwineService::open_session`].
     pub fn open_session(&self, name: &str, wasm: &[u8]) -> Result<SessionStats, TwineError> {
-        match self.send_load(self.shard_of(name), |reply| Cmd::Open {
-            name: name.to_string(),
-            wasm: wasm.to_vec(),
-            reply,
-        })? {
-            Reply::Open(r) => r,
-            _ => unreachable!("shard protocol mismatch"),
-        }
+        self.enter(self.shard_of(name), self.control.queue_depth, |s| {
+            s.svc.open_session(name, wasm).cloned()
+        })?
     }
 
     /// Invoke an exported function on a session (warm path). See
@@ -539,8 +433,10 @@ impl ShardedService {
         func: &str,
         args: &[Value],
     ) -> Result<Vec<Value>, TwineError> {
-        self.invoke_inner(session, func, args, false)
-            .map(|(_, values)| values)
+        self.call(session, |s| {
+            s.invocations += 1;
+            s.svc.invoke(session, func, args)
+        })
     }
 
     /// [`invoke`](Self::invoke), also returning the per-invocation
@@ -551,84 +447,51 @@ impl ShardedService {
         func: &str,
         args: &[Value],
     ) -> Result<(RunReport, Vec<Value>), TwineError> {
-        self.invoke_inner(session, func, args, true)
-            .map(|(report, values)| (report.expect("report requested"), values))
+        self.call(session, |s| {
+            s.invocations += 1;
+            s.svc.invoke_with_report(session, func, args)
+        })
     }
 
-    /// Invoke the same export several times in one shard round trip — the
-    /// pipelined warm path. A batch is processed in order on the session's
-    /// shard (semantically identical to that many sequential
-    /// [`invoke`](Self::invoke)s), but pays the cross-thread hand-off once
-    /// per batch instead of once per call; high-throughput clients use this
-    /// to amortise queueing exactly as Twine's single-ECALL design
-    /// amortises the enclave boundary. Returns each call's results, in
-    /// order; the first trap aborts the remainder of the batch.
+    /// Invoke the same export several times in one gate acquisition — the
+    /// pipelined warm path. A batch runs in order on the session's shard
+    /// (semantically identical to that many sequential
+    /// [`invoke`](Self::invoke)s), but takes one ticket, waits for one
+    /// turn and counts as one in-flight command for the whole run, and no
+    /// other caller's command can interleave with it. Returns each call's
+    /// results, in order; the first trap aborts the remainder of the
+    /// batch.
     pub fn invoke_batch(
         &self,
         session: &str,
         func: &str,
         args_list: Vec<Vec<Value>>,
     ) -> Result<Vec<Vec<Value>>, TwineError> {
-        let _guard = self.acquire_in_flight(session)?;
-        match self.send_load(self.shard_of(session), |reply| Cmd::InvokeBatch {
-            name: session.to_string(),
-            func: func.to_string(),
-            args_list,
-            reply,
-        })? {
-            Reply::InvokeBatch(r) => r,
-            _ => unreachable!("shard protocol mismatch"),
-        }
+        self.call(session, |s| {
+            let mut out = Vec::with_capacity(args_list.len());
+            for args in &args_list {
+                s.invocations += 1;
+                out.push(s.svc.invoke(session, func, args)?);
+            }
+            Ok(out)
+        })
     }
 
     /// Run a session's WASI `_start` export.
     pub fn run(&self, session: &str) -> Result<RunReport, TwineError> {
-        self.invoke_inner(session, "_start", &[], true)
-            .map(|(report, _)| report.expect("report requested"))
-    }
-
-    fn invoke_inner(
-        &self,
-        session: &str,
-        func: &str,
-        args: &[Value],
-        want_report: bool,
-    ) -> InvokeReply {
-        let _guard = self.acquire_in_flight(session)?;
-        match self.send_load(self.shard_of(session), |reply| Cmd::Invoke {
-            name: session.to_string(),
-            func: func.to_string(),
-            args: args.to_vec(),
-            want_report,
-            reply,
-        })? {
-            Reply::Invoke(r) => r,
-            _ => unreachable!("shard protocol mismatch"),
-        }
+        self.invoke_with_report(session, "_start", &[])
+            .map(|(report, _)| report)
     }
 
     /// Recycle a session to its post-instantiation state. See
     /// [`TwineService::reset_session`].
     pub fn reset_session(&self, name: &str) -> Result<(), TwineError> {
-        match self.send(self.shard_of(name), |reply| Cmd::Reset {
-            name: name.to_string(),
-            reply,
-        })? {
-            Reply::Unit(r) => r,
-            _ => unreachable!("shard protocol mismatch"),
-        }
+        self.admin(name, |svc| svc.reset_session(name))?
     }
 
     /// Override one session's per-invocation fuel budget.
     pub fn set_session_fuel(&self, name: &str, fuel: Option<u64>) -> Result<(), TwineError> {
-        match self.send(self.shard_of(name), |reply| Cmd::SetFuel {
-            name: name.to_string(),
-            fuel,
-            reply,
-        })? {
-            Reply::Unit(r) => r,
-            _ => unreachable!("shard protocol mismatch"),
-        }
+        self.admin(name, |svc| svc.set_session_fuel(name, fuel))?
     }
 
     /// Override one session's per-invocation preemption deadline. See
@@ -638,31 +501,18 @@ impl ShardedService {
         name: &str,
         deadline: Option<u64>,
     ) -> Result<(), TwineError> {
-        match self.send(self.shard_of(name), |reply| Cmd::SetDeadline {
-            name: name.to_string(),
-            deadline,
-            reply,
-        })? {
-            Reply::Unit(r) => r,
-            _ => unreachable!("shard protocol mismatch"),
-        }
+        self.admin(name, |svc| svc.set_session_deadline(name, deadline))?
     }
 
     /// Park a session (seal its state out of the enclave and release its
     /// EPC pages). See [`TwineService::park_session`].
     pub fn park_session(&self, name: &str) -> Result<(), TwineError> {
-        match self.send(self.shard_of(name), |reply| Cmd::Park {
-            name: name.to_string(),
-            reply,
-        })? {
-            Reply::Unit(r) => r,
-            _ => unreachable!("shard protocol mismatch"),
-        }
+        self.admin(name, |svc| svc.park_session(name))?
     }
 
     /// Bump the shared preemption epoch by hand (see
-    /// [`ControlPlane::epoch_slack`]); shard workers and the optional
-    /// wall-clock ticker bump it automatically.
+    /// [`ControlPlane::epoch_slack`]); every command entering a shard and
+    /// the optional wall-clock ticker bump it automatically.
     pub fn bump_epoch(&self) {
         self.epoch.fetch_add(1, Ordering::Relaxed);
     }
@@ -673,7 +523,7 @@ impl ShardedService {
     pub fn control_stats(&self) -> ControlStats {
         let mut total = ControlStats::default();
         for i in 0..self.shards.len() {
-            if let Ok(Reply::Control(s)) = self.send(i, |reply| Cmd::ControlStats { reply }) {
+            if let Ok(s) = self.enter(i, None, |s| s.svc.control_stats()) {
                 total.merge(&s);
             }
         }
@@ -691,109 +541,62 @@ impl ShardedService {
     /// The trusted-clock watermark of a session.
     #[must_use]
     pub fn session_clock_watermark(&self, name: &str) -> Option<u64> {
-        match self.send(self.shard_of(name), |reply| Cmd::Watermark {
-            name: name.to_string(),
-            reply,
-        }) {
-            Ok(Reply::Watermark(r)) => r,
-            Ok(_) => unreachable!("shard protocol mismatch"),
-            Err(_) => None,
-        }
+        self.admin(name, |svc| svc.session_clock_watermark(name))
+            .ok()?
     }
 
     /// The compiled module backing a session. Pointer-identical across
     /// every session (on every shard) opened over the same Wasm bytes —
     /// the compile-once contract the `compile_race` suite asserts.
     #[must_use]
-    pub fn session_module(
-        &self,
-        name: &str,
-    ) -> Option<Arc<twine_wasm::compile::CompiledModule>> {
-        match self.send(self.shard_of(name), |reply| Cmd::Module {
-            name: name.to_string(),
-            reply,
-        }) {
-            Ok(Reply::Module(r)) => r,
-            Ok(_) => unreachable!("shard protocol mismatch"),
-            Err(_) => None,
-        }
+    pub fn session_module(&self, name: &str) -> Option<Arc<twine_wasm::compile::CompiledModule>> {
+        self.admin(name, |svc| svc.session_module(name).cloned())
+            .ok()?
     }
 
     /// Whether a session is currently parked (sealed out of the enclave).
-    /// `None` when no session of that name exists or its shard is gone.
+    /// `None` when no session of that name exists or its shard has failed.
     /// See [`TwineService::session_parked`].
     #[must_use]
     pub fn session_parked(&self, name: &str) -> Option<bool> {
-        match self.send(self.shard_of(name), |reply| Cmd::Parked {
-            name: name.to_string(),
-            reply,
-        }) {
-            Ok(Reply::Parked(r)) => r,
-            Ok(_) => unreachable!("shard protocol mismatch"),
-            Err(_) => None,
-        }
+        self.admin(name, |svc| svc.session_parked(name)).ok()?
     }
 
     /// Bookkeeping for one session.
     #[must_use]
     pub fn session_stats(&self, name: &str) -> Option<SessionStats> {
-        match self.send(self.shard_of(name), |reply| Cmd::Stats {
-            name: name.to_string(),
-            reply,
-        }) {
-            Ok(Reply::Stats(r)) => r,
-            Ok(_) => unreachable!("shard protocol mismatch"),
-            Err(_) => None,
-        }
+        self.admin(name, |svc| svc.session_stats(name).cloned())
+            .ok()?
     }
 
-    /// Close a session, returning its file-system backend (the per-session
-    /// state is `Send`, so it crosses back from the worker thread).
+    /// Close a session, returning its file-system backend.
     ///
     /// `Ok(None)` means no session of that name exists; `Err` means the
-    /// owning shard worker has terminated — distinguished so an embedder
-    /// persisting a tenant's protected files on close cannot mistake a
-    /// dead shard for "nothing to save" and silently drop file state.
+    /// owning shard has failed — distinguished so an embedder persisting a
+    /// tenant's protected files on close cannot mistake a failed shard for
+    /// "nothing to save" and silently drop file state.
     ///
     /// # Errors
-    /// [`TwineError::Session`] if the shard worker is gone.
-    pub fn close_session(
-        &self,
-        name: &str,
-    ) -> Result<Option<Box<dyn FsBackend>>, TwineError> {
-        match self.send(self.shard_of(name), |reply| Cmd::Close {
-            name: name.to_string(),
-            reply,
-        })? {
-            Reply::Close(r) => Ok(r),
-            _ => unreachable!("shard protocol mismatch"),
-        }
+    /// [`TwineError::Session`] if the shard has failed.
+    pub fn close_session(&self, name: &str) -> Result<Option<Box<dyn FsBackend>>, TwineError> {
+        self.admin(name, |svc| svc.close_session(name))
     }
 
     /// Open a named database session on the shard owning `name` (cold
     /// path). See [`TwineService::db_open_session`].
     pub fn db_open_session(&self, name: &str) -> Result<(), TwineError> {
-        match self.send_load(self.shard_of(name), |reply| Cmd::DbOpen {
-            name: name.to_string(),
-            reply,
-        })? {
-            Reply::Unit(r) => r,
-            _ => unreachable!("shard protocol mismatch"),
-        }
+        self.enter(self.shard_of(name), self.control.queue_depth, |s| {
+            s.svc.db_open_session(name)
+        })?
     }
 
     /// Execute one SQL statement on a session's database (warm path).
     /// See [`TwineService::db_execute`].
     pub fn db_execute(&self, name: &str, sql: &str) -> Result<u64, TwineError> {
-        let _guard = self.acquire_in_flight(name)?;
-        match self.send_load(self.shard_of(name), |reply| Cmd::DbExec {
-            name: name.to_string(),
-            sql: sql.to_string(),
-            reply,
-        })? {
-            Reply::DbAffected(r) => r,
-            _ => unreachable!("shard protocol mismatch"),
-        }
+        self.call(name, |s| {
+            s.invocations += 1;
+            s.svc.db_execute(name, sql)
+        })
     }
 
     /// Execute one SQL statement and return its result rows. See
@@ -803,112 +606,62 @@ impl ShardedService {
         name: &str,
         sql: &str,
     ) -> Result<Vec<twine_sqldb::value::Row>, TwineError> {
-        let _guard = self.acquire_in_flight(name)?;
-        match self.send_load(self.shard_of(name), |reply| Cmd::DbQuery {
-            name: name.to_string(),
-            sql: sql.to_string(),
-            reply,
-        })? {
-            Reply::DbRows(r) => r,
-            _ => unreachable!("shard protocol mismatch"),
-        }
+        self.call(name, |s| {
+            s.invocations += 1;
+            s.svc.db_query(name, sql)
+        })
     }
 
-    /// Execute a batch of statements in one shard round trip (the
+    /// Execute a batch of statements in one gate acquisition (the
     /// transactional warm path: wrap the batch in BEGIN/COMMIT entries to
     /// run it as one database transaction). Counts as one in-flight
     /// command, like [`invoke_batch`](Self::invoke_batch). See
     /// [`TwineService::db_execute_batch`].
-    pub fn db_execute_batch(
-        &self,
-        name: &str,
-        stmts: Vec<String>,
-    ) -> Result<u64, TwineError> {
-        let _guard = self.acquire_in_flight(name)?;
-        match self.send_load(self.shard_of(name), |reply| Cmd::DbBatch {
-            name: name.to_string(),
-            stmts,
-            reply,
-        })? {
-            Reply::DbAffected(r) => r,
-            _ => unreachable!("shard protocol mismatch"),
-        }
+    pub fn db_execute_batch(&self, name: &str, stmts: Vec<String>) -> Result<u64, TwineError> {
+        self.call(name, |s| {
+            s.invocations += stmts.len() as u64;
+            s.svc.db_execute_batch(name, &stmts)
+        })
     }
 
     /// Names of the tables in a session's database schema. See
     /// [`TwineService::db_table_names`].
     pub fn db_table_names(&self, name: &str) -> Result<Vec<String>, TwineError> {
-        let _guard = self.acquire_in_flight(name)?;
-        match self.send_load(self.shard_of(name), |reply| Cmd::DbTables {
-            name: name.to_string(),
-            reply,
-        })? {
-            Reply::DbTables(r) => r,
-            _ => unreachable!("shard protocol mismatch"),
-        }
+        self.call(name, |s| s.svc.db_table_names(name))
     }
 
     /// Park a database session (close its connection, seal its manifest,
     /// release its EPC pages). See [`TwineService::db_park_session`].
     pub fn db_park_session(&self, name: &str) -> Result<(), TwineError> {
-        match self.send(self.shard_of(name), |reply| Cmd::DbPark {
-            name: name.to_string(),
-            reply,
-        })? {
-            Reply::Unit(r) => r,
-            _ => unreachable!("shard protocol mismatch"),
-        }
+        self.admin(name, |svc| svc.db_park_session(name))?
     }
 
     /// Whether a database session is currently parked. See
     /// [`TwineService::db_session_parked`].
     #[must_use]
     pub fn db_session_parked(&self, name: &str) -> Option<bool> {
-        match self.send(self.shard_of(name), |reply| Cmd::DbParked {
-            name: name.to_string(),
-            reply,
-        }) {
-            Ok(Reply::DbParked(r)) => r,
-            Ok(_) => unreachable!("shard protocol mismatch"),
-            Err(_) => None,
-        }
+        self.admin(name, |svc| svc.db_session_parked(name)).ok()?
     }
 
     /// Cumulative plan-cache counters for one database session. See
     /// [`TwineService::db_stmt_cache_stats`].
     #[must_use]
-    pub fn db_stmt_cache_stats(
-        &self,
-        name: &str,
-    ) -> Option<twine_sqldb::db::StmtCacheStats> {
-        match self.send(self.shard_of(name), |reply| Cmd::DbStmtStats {
-            name: name.to_string(),
-            reply,
-        }) {
-            Ok(Reply::DbStmtStats(r)) => r,
-            Ok(_) => unreachable!("shard protocol mismatch"),
-            Err(_) => None,
-        }
+    pub fn db_stmt_cache_stats(&self, name: &str) -> Option<twine_sqldb::db::StmtCacheStats> {
+        self.admin(name, |svc| svc.db_stmt_cache_stats(name)).ok()?
     }
 
     /// Close a database session, returning its protected backend (the
     /// tenant's database survives the session). Semantics mirror
     /// [`close_session`](Self::close_session): `Ok(None)` = no such
-    /// session, `Err` = dead shard worker.
+    /// session, `Err` = failed shard.
     ///
     /// # Errors
-    /// [`TwineError::Session`] if the shard worker is gone.
+    /// [`TwineError::Session`] if the shard has failed.
     pub fn db_close_session(
         &self,
         name: &str,
     ) -> Result<Option<twine_sqldb::SharedBackend>, TwineError> {
-        match self.send(self.shard_of(name), |reply| Cmd::DbClose {
-            name: name.to_string(),
-            reply,
-        })? {
-            Reply::DbClose(r) => Ok(r),
-            _ => unreachable!("shard protocol mismatch"),
-        }
+        self.admin(name, |svc| svc.db_close_session(name))
     }
 
     /// Open sessions (live + parked) across all shards.
@@ -917,36 +670,29 @@ impl ShardedService {
         self.shard_stats().iter().map(|s| s.sessions).sum()
     }
 
-    /// Per-shard serving counters (indexed by shard).
+    /// Per-shard serving counters (indexed by shard; all-zero for a
+    /// failed shard).
     #[must_use]
     pub fn shard_stats(&self) -> Vec<ShardStats> {
         (0..self.shards.len())
-            .map(
-                |i| match self.send(i, |reply| Cmd::ShardStats { reply }) {
-                    Ok(Reply::ShardStats(s)) => s,
-                    Ok(_) => unreachable!("shard protocol mismatch"),
-                    Err(_) => ShardStats::default(),
-                },
-            )
+            .map(|i| {
+                self.enter(i, None, |s| ShardStats {
+                    sessions: s.svc.session_count() + s.svc.db_session_count(),
+                    invocations: s.invocations,
+                    busy_ns: s.busy_ns,
+                })
+                .unwrap_or_default()
+            })
             .collect()
     }
 }
 
 impl Drop for ShardedService {
     fn drop(&mut self) {
-        // Dropping the stop sender wakes the epoch ticker's recv_timeout
-        // immediately; join it before the epoch Arc's last strong owner
-        // could matter.
-        if let Some((stop_tx, h)) = self.ticker.take() {
-            drop(stop_tx);
+        if let Some((stop, h)) = self.ticker.take() {
+            stop.store(true, Ordering::SeqCst);
+            h.thread().unpark();
             let _ = h.join();
-        }
-        // Closing the command channels ends each worker's recv loop; join
-        // so sessions (and their protected files) are dropped before the
-        // enclave handle goes away.
-        self.shards.clear();
-        for w in self.workers.drain(..) {
-            let _ = w.join();
         }
     }
 }
@@ -961,170 +707,5 @@ fn fnv1a(bytes: &[u8]) -> u64 {
     h
 }
 
-/// The worker loop: single owner of this shard's sessions. Processes its
-/// queue in FIFO order until every handle to the service is dropped.
-fn shard_main(mut shard: TwineService, rx: &Receiver<Cmd>, epoch_bump: Option<Arc<AtomicU64>>) {
-    let mut invocations = 0u64;
-    // Wall-clock fallback accumulator; superseded by thread CPU time when
-    // the platform provides it (see `ShardStats::busy_ns`).
-    let mut wall_busy_ns = 0u64;
-    let cpu0 = thread_cpu_ns();
-    while let Ok(cmd) = rx.recv() {
-        // With epoch preemption armed, every processed command advances
-        // the shared epoch: cross-shard traffic preempts a long invocation
-        // without any wall-clock dependence (deterministic tests bump by
-        // hand instead).
-        if let Some(ep) = &epoch_bump {
-            ep.fetch_add(1, Ordering::Relaxed);
-        }
-        let t0 = Instant::now();
-        match cmd {
-            Cmd::Open { name, wasm, reply } => {
-                let r = shard.open_session(&name, &wasm).cloned();
-                let _ = reply.send(Reply::Open(r));
-            }
-            Cmd::Invoke {
-                name,
-                func,
-                args,
-                want_report,
-                reply,
-            } => {
-                invocations += 1;
-                let r = if want_report {
-                    shard
-                        .invoke_with_report(&name, &func, &args)
-                        .map(|(report, values)| (Some(report), values))
-                } else {
-                    shard.invoke(&name, &func, &args).map(|values| (None, values))
-                };
-                let _ = reply.send(Reply::Invoke(r));
-            }
-            Cmd::InvokeBatch {
-                name,
-                func,
-                args_list,
-                reply,
-            } => {
-                let mut run = || -> Result<Vec<Vec<Value>>, TwineError> {
-                    let mut out = Vec::with_capacity(args_list.len());
-                    for args in &args_list {
-                        invocations += 1;
-                        out.push(shard.invoke(&name, &func, args)?);
-                    }
-                    Ok(out)
-                };
-                let _ = reply.send(Reply::InvokeBatch(run()));
-            }
-            Cmd::Reset { name, reply } => {
-                let _ = reply.send(Reply::Unit(shard.reset_session(&name)));
-            }
-            Cmd::SetFuel { name, fuel, reply } => {
-                let _ = reply.send(Reply::Unit(shard.set_session_fuel(&name, fuel)));
-            }
-            Cmd::SetDeadline {
-                name,
-                deadline,
-                reply,
-            } => {
-                let _ = reply.send(Reply::Unit(shard.set_session_deadline(&name, deadline)));
-            }
-            Cmd::Park { name, reply } => {
-                let _ = reply.send(Reply::Unit(shard.park_session(&name)));
-            }
-            Cmd::ControlStats { reply } => {
-                let _ = reply.send(Reply::Control(shard.control_stats()));
-            }
-            Cmd::Watermark { name, reply } => {
-                let _ = reply.send(Reply::Watermark(shard.session_clock_watermark(&name)));
-            }
-            Cmd::Close { name, reply } => {
-                let _ = reply.send(Reply::Close(shard.close_session(&name)));
-            }
-            Cmd::Stats { name, reply } => {
-                let _ = reply.send(Reply::Stats(shard.session_stats(&name).cloned()));
-            }
-            Cmd::Parked { name, reply } => {
-                let _ = reply.send(Reply::Parked(shard.session_parked(&name)));
-            }
-            Cmd::Module { name, reply } => {
-                let _ = reply.send(Reply::Module(shard.session_module(&name).map(Arc::clone)));
-            }
-            Cmd::ShardStats { reply } => {
-                let busy_ns = cpu0
-                    .and_then(|c0| Some(thread_cpu_ns()? - c0))
-                    .unwrap_or(wall_busy_ns);
-                let _ = reply.send(Reply::ShardStats(ShardStats {
-                    sessions: shard.session_count() + shard.db_session_count(),
-                    invocations,
-                    busy_ns,
-                }));
-            }
-            Cmd::DbOpen { name, reply } => {
-                let _ = reply.send(Reply::Unit(shard.db_open_session(&name)));
-            }
-            Cmd::DbExec { name, sql, reply } => {
-                invocations += 1;
-                let _ = reply.send(Reply::DbAffected(shard.db_execute(&name, &sql)));
-            }
-            Cmd::DbQuery { name, sql, reply } => {
-                invocations += 1;
-                let _ = reply.send(Reply::DbRows(shard.db_query(&name, &sql)));
-            }
-            Cmd::DbBatch { name, stmts, reply } => {
-                invocations += stmts.len() as u64;
-                let _ = reply.send(Reply::DbAffected(shard.db_execute_batch(&name, &stmts)));
-            }
-            Cmd::DbPark { name, reply } => {
-                let _ = reply.send(Reply::Unit(shard.db_park_session(&name)));
-            }
-            Cmd::DbClose { name, reply } => {
-                let _ = reply.send(Reply::DbClose(shard.db_close_session(&name)));
-            }
-            Cmd::DbParked { name, reply } => {
-                let _ = reply.send(Reply::DbParked(shard.db_session_parked(&name)));
-            }
-            Cmd::DbStmtStats { name, reply } => {
-                let _ = reply.send(Reply::DbStmtStats(shard.db_stmt_cache_stats(&name)));
-            }
-            Cmd::DbTables { name, reply } => {
-                let _ = reply.send(Reply::DbTables(shard.db_table_names(&name)));
-            }
-        }
-        wall_busy_ns += t0.elapsed().as_nanos() as u64;
-    }
-}
-
 #[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn fnv_is_stable() {
-        // Pinned values: shard placement must never change across builds.
-        assert_eq!(fnv1a(b""), 0xcbf2_9ce4_8422_2325);
-        assert_eq!(fnv1a(b"tenant-0"), fnv1a(b"tenant-0"));
-        assert_ne!(fnv1a(b"tenant-0"), fnv1a(b"tenant-1"));
-    }
-
-    #[test]
-    fn routing_is_deterministic_and_total() {
-        let svc = TwineBuilder::new().build_sharded(4);
-        for name in ["a", "b", "session-42", "zzz"] {
-            let s = svc.shard_of(name);
-            assert!(s < 4);
-            assert_eq!(s, svc.shard_of(name));
-        }
-    }
-
-    #[test]
-    fn unknown_session_errors() {
-        let svc = TwineBuilder::new().build_sharded(2);
-        assert!(matches!(
-            svc.invoke("ghost", "f", &[]),
-            Err(TwineError::Session(_))
-        ));
-        assert!(svc.session_stats("ghost").is_none());
-        assert!(svc.close_session("ghost").expect("shard alive").is_none());
-    }
-}
+mod tests;

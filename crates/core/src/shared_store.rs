@@ -6,8 +6,9 @@ use std::sync::{Arc, Mutex};
 use twine_pfs::{MemStorage, PfsError, UntrustedStorage, NODE_SIZE};
 
 /// A clonable handle to one file's untrusted node array. `Arc<Mutex<…>>`
-/// so a session's protected files are `Send` — the sharded service moves
-/// per-session backends onto worker threads and hands them back on close.
+/// so a session's protected files are `Send` — in the sharded service
+/// successive callers (different threads) use a session's backend, and
+/// close hands it to whichever thread asked.
 #[derive(Clone, Default)]
 pub struct SharedStorage(Arc<Mutex<MemStorage>>);
 

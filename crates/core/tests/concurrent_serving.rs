@@ -400,9 +400,17 @@ fn battery_8_shards_is_bit_identical_to_single_threaded() {
 
 #[test]
 fn battery_more_clients_than_shards() {
-    // Clients outnumber shards: several client threads enqueue into the
-    // same shard concurrently; per-session ordering must still hold.
+    // Clients outnumber shards: several client threads wait at the same
+    // shard's gate concurrently; per-session ordering must still hold.
     assert_battery_matches(2, 6, 12, 6);
+}
+
+#[test]
+fn battery_four_clients_contend_for_one_shard() {
+    // Every command from all four clients passes through one gate. Client
+    // 0 owns both order-encoding stateful sessions: its results are the
+    // oracle's only if no call of its own sequence was reordered.
+    assert_battery_matches(1, 4, 8, 40);
 }
 
 /// A pipelined batch is semantically identical to the same calls issued

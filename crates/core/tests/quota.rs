@@ -19,7 +19,7 @@
 //!   are all armed.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Barrier};
 
 use twine_core::{ControlPlane, Overload, ShardedService, TwineBuilder, TwineError};
 use twine_wasm::types::Value;
@@ -298,9 +298,14 @@ fn noisy_tenant_cannot_push_victim_p99_past_one_quantum() {
     svc.open_session("victim", &stateful_wasm()).expect("open victim");
 
     let stop = Arc::new(AtomicBool::new(false));
+    // The victim samples only once the noisy tenant's first call has
+    // returned: which thread gets a core first must not decide whether
+    // the two ever overlap.
+    let noisy_running = Arc::new(Barrier::new(2));
     let noisy = {
         let svc = Arc::clone(&svc);
         let stop = Arc::clone(&stop);
+        let noisy_running = Arc::clone(&noisy_running);
         std::thread::spawn(move || {
             let mut preempted = 0u64;
             let mut i = 0i32;
@@ -311,10 +316,14 @@ fn noisy_tenant_cannot_push_victim_p99_past_one_quantum() {
                     Ok(_) => {}
                     Err(e) => panic!("noisy tenant saw unexpected error: {e}"),
                 }
+                if i == 1 {
+                    noisy_running.wait();
+                }
             }
             preempted
         })
     };
+    noisy_running.wait();
 
     let clock = svc.clock();
     let mut latencies: Vec<u64> = (0..SAMPLES)

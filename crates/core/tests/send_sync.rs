@@ -1,7 +1,7 @@
 //! Static thread-safety assertions (ISSUE 5 satellite): the shared,
 //! immutable artifacts of the engine core must be `Send + Sync`, and the
-//! per-session state must at least be `Send` (single-owner, movable onto a
-//! shard worker thread).
+//! per-session state must at least be `Send` (single-owner: used by
+//! whichever caller thread is inside its shard's gate).
 //!
 //! These are *compile-time* tests: reintroducing an `Rc`, `RefCell` or
 //! `Cell` anywhere inside one of these types makes this file fail to
@@ -42,10 +42,10 @@ fn supporting_shared_state_is_send_and_sync() {
 
 #[test]
 fn per_session_state_is_send() {
-    // Single-owner per shard: needs `Send` (moves onto a worker thread and
-    // can be handed back on close), deliberately *not* `Sync` — a session
-    // is never shared between threads, so nothing forces locks onto its
-    // hot path.
+    // Single-owner per shard: needs `Send` (successive callers inside the
+    // shard's gate are different threads, and close hands state back),
+    // deliberately *not* `Sync` — a session is never shared between
+    // threads at the same time, so nothing forces locks onto its hot path.
     assert_send::<Instance>();
     assert_send::<WasiCtx>();
     assert_send::<TwineService>();

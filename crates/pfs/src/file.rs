@@ -62,7 +62,7 @@ pub struct PfsOptions {
     /// Node-cache capacity.
     pub cache_nodes: usize,
     /// Enclave whose boundary (and clock) the file I/O crosses. `Arc` so a
-    /// protected file — session state — can live on any worker thread of a
+    /// protected file — session state — can be used from any thread of a
     /// multi-threaded service while sharing the one enclave.
     pub enclave: Option<Arc<Enclave>>,
     /// Optional §V-F profiler.
@@ -553,6 +553,13 @@ impl<S: UntrustedStorage> SgxFile<S> {
         let entry = self.read_parent_entry(kind)?;
         while self.cache.is_full() {
             self.evict_one()?;
+            // Writing back a dirty victim updates its entry in its parent,
+            // and loads that parent if need be. When the parent is `phys`,
+            // it is cached now — holding the child's new entry — and must
+            // not be loaded a second time over it.
+            if self.cache.contains(phys) {
+                return Ok(());
+            }
         }
         let (mut pt, mut ct) = self.cache.alloc_bufs();
         if self.opts.mode == PfsMode::Intel {

@@ -37,7 +37,7 @@ fn new_page() -> PageBuf {
 
 /// Observation hook: `(page_id, is_write)` for every cache miss/flush —
 /// the seam the EPC simulator and I/O accounting attach to. `Send` so a
-/// connection (hook included) can live on a service worker thread.
+/// connection (hook included) can be used by successive caller threads.
 pub type PageHook = Box<dyn FnMut(PageId, bool) + Send>;
 
 struct CacheSlot {

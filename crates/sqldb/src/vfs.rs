@@ -13,7 +13,7 @@ use crate::{DbError, DbResult};
 /// An open random-access file.
 ///
 /// `Send` so a [`crate::Connection`] (and thus a whole tenant database)
-/// can live on a service worker thread and move back on close.
+/// can be used by successive caller threads and move out on close.
 pub trait VfsFile: Send {
     /// Read exactly `buf.len()` bytes at `offset`; short reads are zero-
     /// filled (SQLite's convention for reads past EOF).

@@ -12,8 +12,8 @@ use crate::rights::Rights;
 /// Twine's trusted layer, or over the host FS in the untrusted layer).
 ///
 /// `Send` (like [`FsBackend`]) so a whole [`WasiCtx`] — and with it a
-/// persistent session — is `Send`: sessions of the sharded service live on
-/// worker threads and can be handed back to the embedder on close.
+/// persistent session — is `Send`: sessions of the sharded service are run
+/// by their callers' threads and handed back to the embedder on close.
 pub trait WasiFile: Send {
     /// Read at the current position.
     fn read(&mut self, buf: &mut [u8]) -> WasiResult<usize>;
@@ -214,7 +214,7 @@ impl WasiCtx {
 
     /// Replace the clock source (Twine's trusted layer installs an
     /// OCALL-backed clock with a monotonicity guard, §IV-C). `Send` so the
-    /// context — session state — can live on a service worker thread.
+    /// context — session state — can be used by successive caller threads.
     pub fn set_clock(&mut self, clock: Box<dyn FnMut() -> u64 + Send>) {
         self.clock = clock;
     }

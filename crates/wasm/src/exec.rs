@@ -83,7 +83,7 @@ impl std::error::Error for Trap {}
 /// accesses. The SGX simulator implements this to model EPC paging.
 ///
 /// `Send` so an [`Instance`] carrying a sink stays `Send` — sessions of a
-/// sharded service live on (and may migrate between) worker threads.
+/// sharded service are run by whichever caller thread invokes them.
 pub trait PageSink: Send {
     /// Called when execution touches a page different from the previous one.
     fn touch(&mut self, page: u64);
