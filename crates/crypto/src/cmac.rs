@@ -4,6 +4,7 @@
 //! uses a CMAC-based KDF); the simulator mirrors that in [`crate::kdf`].
 
 use crate::aes::Aes;
+use crate::xor_in_place;
 
 /// AES-128 CMAC context.
 pub struct Cmac {
@@ -12,15 +13,18 @@ pub struct Cmac {
     k2: [u8; 16],
 }
 
-/// Left-shift a 128-bit big-endian value by one bit.
-fn shl1(b: &[u8; 16]) -> ([u8; 16], bool) {
+/// Double a 128-bit big-endian value in GF(2¹²⁸) (SP 800-38B subkey
+/// generation): shift left by one bit and, if a bit fell off the top, fold
+/// it back in as `0x87` — by mask, not by branch: the value is secret.
+fn dbl(b: &[u8; 16]) -> [u8; 16] {
     let mut out = [0u8; 16];
     let mut carry = 0u8;
     for i in (0..16).rev() {
         out[i] = (b[i] << 1) | carry;
         carry = b[i] >> 7;
     }
-    (out, carry != 0)
+    out[15] ^= 0x87 & carry.wrapping_neg();
+    out
 }
 
 impl Cmac {
@@ -28,15 +32,8 @@ impl Cmac {
     #[must_use]
     pub fn new(key: &[u8; 16]) -> Self {
         let aes = Aes::new_128(key);
-        let l = aes.encrypt_block_copy(&[0u8; 16]);
-        let (mut k1, msb) = shl1(&l);
-        if msb {
-            k1[15] ^= 0x87;
-        }
-        let (mut k2, msb) = shl1(&k1);
-        if msb {
-            k2[15] ^= 0x87;
-        }
+        let k1 = dbl(&aes.encrypt_block_copy(&[0u8; 16]));
+        let k2 = dbl(&k1);
         Self { aes, k1, k2 }
     }
 
@@ -47,10 +44,8 @@ impl Cmac {
         let complete = msg.len() == n_blocks * 16 && !msg.is_empty();
         let mut x = [0u8; 16];
         // All blocks but the last.
-        for i in 0..n_blocks - 1 {
-            for j in 0..16 {
-                x[j] ^= msg[i * 16 + j];
-            }
+        for block in msg[..(n_blocks - 1) * 16].chunks_exact(16) {
+            xor_in_place(&mut x, block);
             self.aes.encrypt_block(&mut x);
         }
         // Last block, masked with K1 (complete) or padded and masked with K2.
@@ -58,19 +53,13 @@ impl Cmac {
         let tail = &msg[(n_blocks - 1) * 16..];
         if complete {
             last.copy_from_slice(tail);
-            for (l, k) in last.iter_mut().zip(&self.k1) {
-                *l ^= k;
-            }
+            xor_in_place(&mut last, &self.k1);
         } else {
             last[..tail.len()].copy_from_slice(tail);
             last[tail.len()] = 0x80;
-            for (l, k) in last.iter_mut().zip(&self.k2) {
-                *l ^= k;
-            }
+            xor_in_place(&mut last, &self.k2);
         }
-        for (xb, l) in x.iter_mut().zip(&last) {
-            *xb ^= l;
-        }
+        xor_in_place(&mut x, &last);
         self.aes.encrypt_block(&mut x);
         x
     }

@@ -9,20 +9,34 @@
 //! MACs attestation reports. None of the sanctioned external crates provide
 //! cryptography, so everything here is implemented from first principles:
 //!
-//! * [`aes`] — AES-128/AES-256 block cipher (FIPS-197).
-//! * [`gcm`] — Galois/Counter Mode authenticated encryption (SP 800-38D).
+//! * [`aes`] — AES-128/AES-256 block cipher (FIPS-197), bitsliced: four
+//!   blocks per pass, the S-box a Boolean circuit.
+//! * [`gcm`] — Galois/Counter Mode authenticated encryption (SP 800-38D),
+//!   GHASH by carry-less multiplication out of integer multiplies.
 //! * [`ccm`] — Counter with CBC-MAC mode (SP 800-38C).
 //! * [`sha256`] — SHA-256 (FIPS-180-4).
 //! * [`hmac`] — HMAC-SHA-256 (RFC 2104).
 //! * [`cmac`] — AES-CMAC (SP 800-38B), used by real SGX key derivation.
 //! * [`kdf`] — the sealing/report key-derivation scheme of the simulator.
 //!
-//! These implementations favour clarity and auditability over raw speed, but
-//! they are table-driven and fast enough that the encryption cost measured by
-//! the benchmark harness is a *real* cost, not a modelled constant.
+//! The encryption cost measured by the benchmark harness is a *real* cost,
+//! not a modelled constant: every sealed node, park image and manifest goes
+//! through one AES core (the only one in the crate; a byte-wise table
+//! implementation survives as the `#[cfg(test)]` oracle it is compared
+//! against).
 //!
-//! They are **not** hardened against timing side channels; the paper scopes
-//! side-channel attacks out of its threat model (§IV-A) and so do we.
+//! **Timing.** What is constant-time by construction: the AES core (no
+//! table, no branch or memory index that depends on key, state or
+//! plaintext — key schedule included), GHASH, and therefore AES-GCM,
+//! AES-CCM and AES-CMAC on top of them; tag comparison ([`ct_eq`]).
+//! SHA-256 and HMAC have no secret-dependent branches or indices either.
+//! What is *not* claimed: that integer multiplication takes
+//! operand-independent time on every CPU (GHASH relies on it; it holds on
+//! the x86-64 and AArch64 cores this runs on); that the compiler keeps it so
+//! (nothing here is checked at the instruction level); that keys are wiped
+//! from memory; or anything about other channels. The paper scopes
+//! side-channel attacks out of its threat model (§IV-A) — on its hardware
+//! the cipher is AES-NI, which is what a table-free core stands in for.
 //!
 //! **Dependency graph**: leaf crate (no `twine-*` dependencies). Consumed
 //! by `twine-sgx` (sealing-key derivation), `twine-pfs` (per-node AEAD) and
@@ -37,6 +51,8 @@ pub mod cmac;
 pub mod gcm;
 pub mod hmac;
 pub mod kdf;
+#[cfg(test)]
+mod oracle;
 pub mod sha256;
 
 pub use aes::Aes;
@@ -62,7 +78,8 @@ impl core::fmt::Display for AuthError {
 
 impl std::error::Error for AuthError {}
 
-/// Constant-time-ish comparison of two byte slices.
+/// Comparison of two byte slices in time that depends on their lengths
+/// only.
 ///
 /// Used for tag verification; avoids early-exit on the first differing byte.
 #[must_use]
@@ -75,6 +92,14 @@ pub fn ct_eq(a: &[u8], b: &[u8]) -> bool {
         diff |= x ^ y;
     }
     diff == 0
+}
+
+/// `dst[i] ^= src[i]` over the shorter of the two.
+#[inline]
+pub(crate) fn xor_in_place(dst: &mut [u8], src: &[u8]) {
+    for (d, s) in dst.iter_mut().zip(src) {
+        *d ^= s;
+    }
 }
 
 /// Convert a hex string (used throughout the test suites) into bytes.

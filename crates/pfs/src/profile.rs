@@ -71,7 +71,7 @@ struct Inner {
 /// counters and the enclave's virtual clock, so profiling and timing agree.
 ///
 /// Weights translate this build's software costs into the paper testbed's
-/// hardware costs: e.g. our portable software AES-GCM runs ~50× slower than
+/// hardware costs: e.g. our portable software AES-GCM runs ~20× slower than
 /// AES-NI, while `memset` of enclave pages is *more* expensive on real SGX
 /// (every write goes through the memory-encryption engine). The raw
 /// (unweighted) measurements stay available through [`Self::raw_snapshot`].
@@ -109,11 +109,21 @@ impl PfsProfiler {
     ///   is several times dearer than on plain DRAM;
     /// * `Ocall` ×1 — already modelled in cycles, not measured;
     /// * `ReadOps` ×4 — edge-routine copies also cross the MEE;
-    /// * `Crypto` ×0.02 — portable software AES → AES-NI (~50× faster);
+    /// * `Crypto` ×0.048 — portable software AES-GCM → AES-NI. The weight
+    ///   multiplies *measured* time, so it is tied to the speed of
+    ///   `twine-crypto`: it was 0.02 (~50×) for the byte-wise table AES
+    ///   with Shoup GHASH, and the bitsliced core that replaced it seals
+    ///   the same 4 KiB node under a fresh key 2.4× faster (alternating
+    ///   calls of the two on the reference host: 59–81 → 24–35 µs, ratio
+    ///   2.33–2.51 for seal and open alike), so a measured second now
+    ///   stands for 2.4× the AES-NI work: 0.02 × 2.4. Anything that changes
+    ///   the cipher's speed again has to move this weight by the same
+    ///   factor, or Figs. 4/5/7 drift with the implementation instead of
+    ///   with the system they model;
     /// * `Other` ×1.
     #[must_use]
     pub fn sgx_hardware_weights() -> [f64; NUM_CATEGORIES] {
-        [6.0, 1.0, 4.0, 0.02, 1.0]
+        [6.0, 1.0, 4.0, 0.048, 1.0]
     }
 
     /// Time a closure, attributing its (weighted) duration to `cat`.

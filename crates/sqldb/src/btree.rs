@@ -609,29 +609,41 @@ pub fn table_get(pager: &mut Pager, root: PageId, rowid: i64) -> DbResult<Option
     }
 }
 
-/// Delete `rowid`; returns whether it existed. Leaves may underflow (no
-/// rebalancing — freed space is reused by later inserts).
+/// Delete `rowid`; returns whether it existed.
+///
+/// Nodes are never merged or rebalanced — a leaf may run down to a single
+/// cell and is refilled by later inserts in its key range — but a leaf the
+/// delete *empties* is unlinked from its parent and its page returned to
+/// the freelist, and so is every ancestor that loses its last child
+/// (`unlink_emptied`). Without that, keys that only ever grow (a FIFO
+/// queue, an auto-increment table under churn) leave a trail of empty
+/// leaves behind and the file grows without bound. Cursors hold page ids:
+/// none may be open across a delete ([`Cursor`] asserts it).
 pub fn table_delete(pager: &mut Pager, root: PageId, rowid: i64) -> DbResult<bool> {
+    let mut path = Vec::new();
     let mut page = root;
     loop {
         let mut node = load(pager, page)?;
         match &mut node {
             Node::TableLeaf { cells } => {
-                return match cells.binary_search_by_key(&rowid, |c| c.rowid) {
-                    Ok(i) => {
-                        if cells[i].overflow_len > 0 {
-                            let of = cells[i].overflow;
-                            free_overflow(pager, of)?;
-                        }
-                        cells.remove(i);
-                        store(pager, page, &node)?;
-                        Ok(true)
-                    }
-                    Err(_) => Ok(false),
+                let Ok(i) = cells.binary_search_by_key(&rowid, |c| c.rowid) else {
+                    return Ok(false);
                 };
+                if cells[i].overflow_len > 0 {
+                    let of = cells[i].overflow;
+                    free_overflow(pager, of)?;
+                }
+                cells.remove(i);
+                if cells.is_empty() && !path.is_empty() {
+                    unlink_emptied(pager, &path, page, &node)?;
+                } else {
+                    store(pager, page, &node)?;
+                }
+                return Ok(true);
             }
             Node::TableInterior { children, keys } => {
                 let idx = keys.partition_point(|k| *k < rowid);
+                path.push((page, idx));
                 page = children[idx];
             }
             _ => return Err(DbError::Storage("not a table tree".into())),
@@ -640,28 +652,73 @@ pub fn table_delete(pager: &mut Pager, root: PageId, rowid: i64) -> DbResult<boo
 }
 
 /// Delete an exact key from an index tree; returns whether it existed.
+/// Emptied leaves are unlinked and freed as in [`table_delete`].
 pub fn index_delete(pager: &mut Pager, root: PageId, key: &[u8]) -> DbResult<bool> {
+    let mut path = Vec::new();
     let mut page = root;
     loop {
         let mut node = load(pager, page)?;
         match &mut node {
             Node::IndexLeaf { keys } => {
-                return match keys.binary_search_by(|k| k.as_slice().cmp(key)) {
-                    Ok(i) => {
-                        keys.remove(i);
-                        store(pager, page, &node)?;
-                        Ok(true)
-                    }
-                    Err(_) => Ok(false),
+                let Ok(i) = keys.binary_search_by(|k| k.as_slice().cmp(key)) else {
+                    return Ok(false);
                 };
+                keys.remove(i);
+                if keys.is_empty() && !path.is_empty() {
+                    unlink_emptied(pager, &path, page, &node)?;
+                } else {
+                    store(pager, page, &node)?;
+                }
+                return Ok(true);
             }
             Node::IndexInterior { children, keys } => {
                 let idx = keys.partition_point(|k| k.as_slice() < key);
+                path.push((page, idx));
                 page = children[idx];
             }
             _ => return Err(DbError::Storage("not an index tree".into())),
         }
     }
+}
+
+/// `page` — reached from the root through `path`, a list of (interior
+/// page, child index taken) — has just lost its last entry: free it and
+/// drop it from its parent, together with the separator that bounded it
+/// (the last separator when it was the unbounded last child). A parent
+/// left without children goes the same way, up to the root, whose page id
+/// is referenced from the catalog and must stay: it becomes `empty_leaf`.
+fn unlink_emptied(
+    pager: &mut Pager,
+    path: &[(PageId, usize)],
+    mut page: PageId,
+    empty_leaf: &Node,
+) -> DbResult<()> {
+    fn remove_child<K>(children: &mut Vec<PageId>, keys: &mut Vec<K>, idx: usize) {
+        children.remove(idx);
+        if !keys.is_empty() {
+            keys.remove(idx.min(keys.len() - 1));
+        }
+    }
+    for &(parent, idx) in path.iter().rev() {
+        pager.free_page(page)?;
+        let mut node = load(pager, parent)?;
+        let childless = match &mut node {
+            Node::TableInterior { children, keys } => {
+                remove_child(children, keys, idx);
+                children.is_empty()
+            }
+            Node::IndexInterior { children, keys } => {
+                remove_child(children, keys, idx);
+                children.is_empty()
+            }
+            _ => return Err(DbError::Storage("leaf on the path to a leaf".into())),
+        };
+        if !childless {
+            return store(pager, parent, &node);
+        }
+        page = parent;
+    }
+    store(pager, page, empty_leaf)
 }
 
 /// Largest rowid in the table (for auto-increment).
@@ -710,25 +767,42 @@ pub struct Cursor {
     stack: Vec<(PageId, usize)>,
     /// Current decoded leaf and position.
     leaf: Option<(PageId, Node, usize)>,
+    /// [`Pager::pages_freed`] when the cursor was opened. The stack and
+    /// the decoded leaf name pages by id; a page freed since (an emptied
+    /// leaf, a replaced overflow chain) may already hold something else.
+    pages_freed_at_open: u64,
 }
 
 impl Cursor {
-    /// Cursor positioned at the first entry.
-    pub fn first(pager: &mut Pager, root: PageId) -> DbResult<Self> {
-        let mut c = Self {
+    fn open(pager: &Pager) -> Self {
+        Self {
             stack: Vec::new(),
             leaf: None,
-        };
+            pages_freed_at_open: pager.pages_freed(),
+        }
+    }
+
+    /// Statement execution collects its target rowids before it deletes or
+    /// replaces anything, so no cursor is ever moved or read after a page
+    /// was freed under it. Every page access of a cursor checks that.
+    fn assert_no_page_freed_since_open(&self, pager: &Pager) {
+        assert_eq!(
+            pager.pages_freed(),
+            self.pages_freed_at_open,
+            "B-tree cursor used after a page was freed under it"
+        );
+    }
+
+    /// Cursor positioned at the first entry.
+    pub fn first(pager: &mut Pager, root: PageId) -> DbResult<Self> {
+        let mut c = Self::open(pager);
         c.descend_leftmost(pager, root)?;
         Ok(c)
     }
 
     /// Cursor positioned at the first table entry with `rowid ≥ target`.
     pub fn seek_rowid(pager: &mut Pager, root: PageId, target: i64) -> DbResult<Self> {
-        let mut c = Self {
-            stack: Vec::new(),
-            leaf: None,
-        };
+        let mut c = Self::open(pager);
         let mut page = root;
         loop {
             let node = load(pager, page)?;
@@ -754,10 +828,7 @@ impl Cursor {
 
     /// Cursor positioned at the first index key ≥ `target`.
     pub fn seek_key(pager: &mut Pager, root: PageId, target: &[u8]) -> DbResult<Self> {
-        let mut c = Self {
-            stack: Vec::new(),
-            leaf: None,
-        };
+        let mut c = Self::open(pager);
         let mut page = root;
         loop {
             let node = load(pager, page)?;
@@ -813,6 +884,7 @@ impl Cursor {
 
     /// Move to the first entry of the next non-empty leaf.
     fn advance_leaf(&mut self, pager: &mut Pager) -> DbResult<()> {
+        self.assert_no_page_freed_since_open(pager);
         self.leaf = None;
         while let Some((page, idx)) = self.stack.pop() {
             let node = load(pager, page)?;
@@ -869,6 +941,7 @@ impl Cursor {
     pub fn table_entry(&self, pager: &mut Pager) -> DbResult<(i64, Vec<u8>)> {
         match &self.leaf {
             Some((_, Node::TableLeaf { cells }, idx)) if *idx < cells.len() => {
+                self.assert_no_page_freed_since_open(pager);
                 let cell = &cells[*idx];
                 Ok((cell.rowid, cell_payload(pager, cell)?))
             }
@@ -1102,6 +1175,201 @@ mod tests {
         let again = create_table_tree(&mut p).unwrap();
         assert!(again <= before, "reused a freed page");
         assert_eq!(p.page_count(), before);
+    }
+
+    /// Walk the tree: no empty leaf below the root, no childless interior
+    /// node, `children.len() == keys.len() + 1`. Returns the pages reached.
+    fn assert_no_empty_node_below_root(p: &mut Pager, root: PageId) -> usize {
+        let mut pages = 0;
+        let mut todo = vec![root];
+        while let Some(page) = todo.pop() {
+            pages += 1;
+            match load(p, page).unwrap() {
+                Node::TableLeaf { cells } => assert!(page == root || !cells.is_empty(), "empty leaf {page}"),
+                Node::IndexLeaf { keys } => assert!(page == root || !keys.is_empty(), "empty leaf {page}"),
+                Node::TableInterior { children, keys } => {
+                    assert_eq!(children.len(), keys.len() + 1, "page {page}");
+                    todo.extend(children);
+                }
+                Node::IndexInterior { children, keys } => {
+                    assert_eq!(children.len(), keys.len() + 1, "page {page}");
+                    todo.extend(children);
+                }
+            }
+        }
+        pages
+    }
+
+    fn scan_rowids(p: &mut Pager, root: PageId) -> Vec<i64> {
+        let mut out = Vec::new();
+        let mut c = Cursor::first(p, root).unwrap();
+        while c.valid() {
+            out.push(c.table_entry(p).unwrap().0);
+            c.next(p).unwrap();
+        }
+        out
+    }
+
+    /// The `sql_write` pattern that used to grow the file by half a page
+    /// per transaction: a table of constant size whose keys only move up
+    /// (rewrite one row, append `max + 1`, delete `min`), on a file-backed
+    /// pager, one transaction per step.
+    #[test]
+    fn fifo_churn_does_not_grow_the_file() {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(19);
+        let mut p = Pager::open_file(Box::new(crate::vfs::MemVfs::new()), "fifo.db").unwrap();
+        p.begin().unwrap();
+        let root = create_table_tree(&mut p).unwrap();
+        let row = |i: i64| vec![(i % 251) as u8; 1000];
+        let (mut min, mut max) = (0i64, 2000i64);
+        for i in min..max {
+            table_insert(&mut p, root, i, &row(i)).unwrap();
+        }
+        p.commit().unwrap();
+        let pages_at_start = p.page_count();
+        let mut freelist_max = 0;
+        for _ in 0..20_000 {
+            p.begin().unwrap();
+            let hit = rng.gen_range(min..max);
+            table_insert(&mut p, root, hit, &row(hit + 1)).unwrap();
+            table_insert(&mut p, root, max, &row(max)).unwrap();
+            assert!(table_delete(&mut p, root, min).unwrap());
+            p.commit().unwrap();
+            min += 1;
+            max += 1;
+            freelist_max = freelist_max.max(p.freelist_len());
+        }
+        assert!(
+            p.page_count() <= pages_at_start + 8,
+            "file grew from {pages_at_start} to {} pages",
+            p.page_count()
+        );
+        assert!(freelist_max <= 8, "freelist reached {freelist_max} pages");
+        assert_eq!(p.stats.leaked_pages, 0);
+        assert_eq!(scan_rowids(&mut p, root), (min..max).collect::<Vec<_>>());
+        let reachable = assert_no_empty_node_below_root(&mut p, root);
+        // Header page + tree + freelist account for the whole file.
+        assert_eq!(1 + reachable + p.freelist_len(), p.page_count() as usize);
+    }
+
+    #[test]
+    fn delete_everything_then_reinsert_does_not_grow_the_file() {
+        let mut p = mem_pager();
+        let root = create_table_tree(&mut p).unwrap();
+        let iroot = create_index_tree(&mut p).unwrap();
+        let key = |i: i64| format!("key-{i:06}-{}", "x".repeat(40)).into_bytes();
+        for i in 0..3000i64 {
+            table_insert(&mut p, root, i, &[7u8; 300]).unwrap();
+            index_insert(&mut p, iroot, key(i)).unwrap();
+        }
+        let full = p.page_count();
+        for round in 0..3 {
+            // Front to back, back to front, then from the middle out.
+            let order: Vec<i64> = match round {
+                0 => (0..3000).collect(),
+                1 => (0..3000).rev().collect(),
+                _ => (0..1500).flat_map(|i| [1500 + i, 1499 - i]).collect(),
+            };
+            for i in order {
+                assert!(table_delete(&mut p, root, i).unwrap());
+                assert!(index_delete(&mut p, iroot, &key(i)).unwrap());
+            }
+            // Only the two roots are left: empty leaves under their old ids.
+            assert_eq!(assert_no_empty_node_below_root(&mut p, root), 1);
+            assert_eq!(assert_no_empty_node_below_root(&mut p, iroot), 1);
+            assert!(!Cursor::first(&mut p, root).unwrap().valid());
+            assert!(!Cursor::first(&mut p, iroot).unwrap().valid());
+            assert_eq!(table_max_rowid(&mut p, root).unwrap(), None);
+            // Header page + two roots + freelist account for every page.
+            assert_eq!(3 + p.freelist_len(), p.page_count() as usize, "round {round}");
+            for i in 0..3000i64 {
+                table_insert(&mut p, root, i, &[7u8; 300]).unwrap();
+                index_insert(&mut p, iroot, key(i)).unwrap();
+            }
+            assert!(p.page_count() <= full, "round {round}: {} > {full}", p.page_count());
+        }
+    }
+
+    /// A seeded insert/delete mix against a `BTreeMap`, with deletes in
+    /// runs so that leaves and whole subtrees empty: scan order, point
+    /// lookups and the shape invariant hold after every step.
+    #[test]
+    fn insert_delete_mix_matches_model_and_keeps_no_empty_leaf() {
+        use rand::{Rng, SeedableRng};
+        use std::collections::BTreeMap;
+        let mut rng = rand::rngs::StdRng::seed_from_u64(0xB7EE);
+        let mut p = mem_pager();
+        let root = create_table_tree(&mut p).unwrap();
+        let mut model: BTreeMap<i64, Vec<u8>> = BTreeMap::new();
+        for step in 0..1500 {
+            let at = rng.gen_range(0..400i64);
+            if rng.gen_range(0..100) < 45 {
+                // Insert a run of fat rows (a handful fill a leaf).
+                for rowid in at..at + rng.gen_range(1..12) {
+                    let payload = vec![rng.gen::<u8>(); rng.gen_range(1..900)];
+                    table_insert(&mut p, root, rowid, &payload).unwrap();
+                    model.insert(rowid, payload);
+                }
+            } else {
+                for rowid in at..at + rng.gen_range(1..40) {
+                    let existed = table_delete(&mut p, root, rowid).unwrap();
+                    assert_eq!(existed, model.remove(&rowid).is_some(), "step {step} rowid {rowid}");
+                }
+            }
+            assert_no_empty_node_below_root(&mut p, root);
+            assert_eq!(scan_rowids(&mut p, root), model.keys().copied().collect::<Vec<_>>(), "step {step}");
+            assert_eq!(table_max_rowid(&mut p, root).unwrap(), model.keys().next_back().copied());
+            let probe = rng.gen_range(0..440i64);
+            assert_eq!(table_get(&mut p, root, probe).unwrap(), model.get(&probe).cloned(), "step {step}");
+        }
+    }
+
+    #[test]
+    fn rollback_restores_freed_leaves() {
+        let vfs = crate::vfs::MemVfs::new();
+        let mut p = Pager::open_file(Box::new(vfs), "rb.db").unwrap();
+        p.begin().unwrap();
+        let root = create_table_tree(&mut p).unwrap();
+        for i in 0..600i64 {
+            table_insert(&mut p, root, i, &[(i % 200) as u8; 500]).unwrap();
+        }
+        p.commit().unwrap();
+        let (pages, free) = (p.page_count(), p.freelist_len());
+
+        p.begin().unwrap();
+        for i in 100..500i64 {
+            assert!(table_delete(&mut p, root, i).unwrap());
+        }
+        assert!(p.freelist_len() > free + 40, "the deletes freed whole leaves");
+        // Reuse some of the freed pages before giving up on the transaction.
+        for i in 1000..1050i64 {
+            table_insert(&mut p, root, i, &[9u8; 500]).unwrap();
+        }
+        p.rollback().unwrap();
+
+        assert_eq!((p.page_count(), p.freelist_len()), (pages, free));
+        assert_no_empty_node_below_root(&mut p, root);
+        assert_eq!(scan_rowids(&mut p, root), (0..600).collect::<Vec<_>>());
+        for i in (0..600i64).step_by(7) {
+            assert_eq!(table_get(&mut p, root, i).unwrap().unwrap(), vec![(i % 200) as u8; 500]);
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "cursor used after a page was freed")]
+    fn cursor_moved_across_a_leaf_freeing_delete_is_caught() {
+        let mut p = mem_pager();
+        let root = create_table_tree(&mut p).unwrap();
+        for i in 0..200i64 {
+            table_insert(&mut p, root, i, &[1u8; 500]).unwrap();
+        }
+        let mut c = Cursor::first(&mut p, root).unwrap();
+        // Empty the first leaves under the cursor, then move it.
+        for i in 0..50i64 {
+            table_delete(&mut p, root, i).unwrap();
+        }
+        while c.next(&mut p).unwrap() {}
     }
 
     #[test]

@@ -90,6 +90,8 @@ pub struct Pager {
     /// trunk chain); disjoint from `freelist` and never handed out by
     /// `allocate` until `plan_spill` returns them.
     freelist_trunks: Vec<PageId>,
+    /// See [`Self::pages_freed`].
+    pages_freed: u64,
     in_txn: bool,
     journaled: HashSet<PageId>,
     txn_start_n_pages: u32,
@@ -145,6 +147,7 @@ impl Pager {
             n_pages: 0,
             freelist: Vec::new(),
             freelist_trunks: Vec::new(),
+            pages_freed: 0,
             in_txn: false,
             journaled: HashSet::new(),
             txn_start_n_pages: 0,
@@ -495,7 +498,17 @@ impl Pager {
             self.ensure_journal()?;
         }
         self.freelist.push(id);
+        self.pages_freed += 1;
         Ok(())
+    }
+
+    /// How many times [`Self::free_page`] has succeeded on this pager. It
+    /// only ever grows (a rollback does not take it back), so two equal
+    /// readings mean every page id held in between still names the page
+    /// it named.
+    #[must_use]
+    pub fn pages_freed(&self) -> u64 {
+        self.pages_freed
     }
 
     /// Free pages currently tracked (header + overflow chain).
