@@ -11,14 +11,16 @@
 use std::sync::Arc;
 use std::time::Instant;
 
+use twine_core::PfsBackend;
 use twine_pfs::{PfsCategory, PfsMode, PfsProfiler};
 use twine_sgx::clock::CPU_HZ;
 use twine_sgx::{Enclave, EnclaveBuilder, Processor, SgxMode, SimClock};
+use twine_sqldb::backend_vfs::BackendVfs;
 use twine_sqldb::vfs::MemVfs;
 use twine_sqldb::{Connection, DbResult};
 
 use crate::model::{db_compute_factor, ExecMode};
-use crate::pfs_vfs::{LklVfs, PfsVfs};
+use crate::pfs_vfs::LklVfs;
 
 /// Which stack runs the database.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -171,7 +173,9 @@ impl VariantDb {
                 Connection::open(Box::new(MemVfs::new()), "bench.db").expect("open mem vfs")
             }
             (DbVariant::Twine, DbStorage::File) => {
-                let vfs = PfsVfs::new(enclave.clone(), pfs_mode, 48, profiler.clone());
+                // The adapter the serving plane's DB sessions use.
+                let backend = PfsBackend::new(enclave.clone(), pfs_mode, 48, profiler.clone());
+                let vfs = BackendVfs::new(Box::new(backend));
                 Connection::open(Box::new(vfs), "bench.db").expect("open pfs vfs")
             }
             (DbVariant::SgxLkl, DbStorage::File) => {

@@ -10,8 +10,10 @@
 //!   WAMR (Wasm outside the enclave), Twine (Wasm inside + protected FS)
 //!   and an SGX-LKL-style library-OS baseline, each over in-memory or
 //!   file storage.
-//! * [`pfs_vfs`] — the SQLite-VFS-over-protected-FS adapter (the paper's
-//!   `test_demovfs` → WASI → IPFS chain collapsed to its essence).
+//! * [`pfs_vfs`] — the SGX-LKL-style disk-image VFS. (Twine's own
+//!   SQLite-VFS-over-protected-FS path — the paper's `test_demovfs` → WASI
+//!   → IPFS chain — is `twine_sqldb::backend_vfs::BackendVfs` over
+//!   `twine_core::PfsBackend`, shared with the serving plane.)
 //! * [`costs`] — Table III cost factors (compile/launch times, artifact
 //!   sizes).
 //!
@@ -19,7 +21,7 @@
 //! see DESIGN.md §4 for the methodology.
 //!
 //! **Dependency graph**: sits atop `twine-core`, `twine-sqldb`, `twine-pfs`,
-//! `twine-sgx`, `twine-crypto` and `twine-wasm` — it prices their metered
+//! `twine-sgx` and `twine-wasm` — it prices their metered
 //! event streams. Consumed by `twine-bench`. Paper anchor: §V.
 
 #![forbid(unsafe_code)]

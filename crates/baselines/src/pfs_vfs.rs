@@ -1,166 +1,16 @@
-//! SQLite-VFS adapters: the database's file I/O routed through (a) the
-//! protected file system (Twine's trusted path) or (b) an SGX-LKL-style
-//! encrypted disk image with an in-enclave file cache.
+//! SQLite-VFS adapters. Twine's trusted path — the database's file I/O
+//! routed through the protected file system — is the composition
+//! `BackendVfs` over `PfsBackend`, the same adapter the serving plane's
+//! database sessions use (so Fig. 4 and the serving plane measure the same
+//! code); what lives here is the baseline it is compared against: an
+//! SGX-LKL-style encrypted disk image with an in-enclave file cache.
 
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 
-use twine_core::shared_store::SharedStorage;
-use twine_pfs::{PfsMode, PfsOptions, PfsProfiler, SgxFile};
 use twine_sgx::Enclave;
 use twine_sqldb::vfs::{FileMap, Vfs, VfsFile};
 use twine_sqldb::{DbError, DbResult};
-
-fn pfs_err(e: &twine_pfs::PfsError) -> DbError {
-    DbError::Storage(e.to_string())
-}
-
-/// VFS whose files are Intel-Protected-FS files (Twine's database path:
-/// SQLite VFS → WASI fd ops → IPFS, collapsed into one adapter).
-pub struct PfsVfs {
-    enclave: Option<Arc<Enclave>>,
-    mode: PfsMode,
-    cache_nodes: usize,
-    profiler: Option<PfsProfiler>,
-    files: Arc<Mutex<HashMap<String, SharedStorage>>>,
-}
-
-impl PfsVfs {
-    /// New protected VFS.
-    #[must_use]
-    pub fn new(
-        enclave: Option<Arc<Enclave>>,
-        mode: PfsMode,
-        cache_nodes: usize,
-        profiler: Option<PfsProfiler>,
-    ) -> Self {
-        Self {
-            enclave,
-            mode,
-            cache_nodes,
-            profiler,
-            files: Arc::new(Mutex::new(HashMap::new())),
-        }
-    }
-
-    fn key_for(&self, name: &str) -> [u8; 16] {
-        match &self.enclave {
-            Some(e) => e.get_key(twine_crypto_kdf_name(), name.as_bytes()),
-            None => {
-                let d = twine_pfs_digest(name);
-                d[..16].try_into().expect("16")
-            }
-        }
-    }
-
-    fn options(&self) -> PfsOptions {
-        PfsOptions {
-            mode: self.mode,
-            cache_nodes: self.cache_nodes,
-            enclave: self.enclave.clone(),
-            profiler: self.profiler.clone(),
-            journal: false,
-        }
-    }
-
-    /// Total ciphertext bytes on untrusted storage.
-    #[must_use]
-    pub fn stored_bytes(&self) -> u64 {
-        self.files
-            .lock().unwrap()
-            .values()
-            .map(SharedStorage::stored_bytes)
-            .sum()
-    }
-}
-
-fn twine_crypto_kdf_name() -> twine_crypto::kdf::KeyName {
-    twine_crypto::kdf::KeyName::ProtectedFs
-}
-
-fn twine_pfs_digest(name: &str) -> [u8; 32] {
-    twine_crypto::sha256::Sha256::digest(name.as_bytes())
-}
-
-struct PfsVfsFile {
-    inner: SgxFile<SharedStorage>,
-}
-
-impl VfsFile for PfsVfsFile {
-    fn read_at(&mut self, offset: u64, buf: &mut [u8]) -> DbResult<()> {
-        buf.fill(0);
-        let size = self.inner.size();
-        if offset >= size {
-            return Ok(());
-        }
-        self.inner.seek(offset).map_err(|e| pfs_err(&e))?;
-        let want = buf.len().min((size - offset) as usize);
-        self.inner
-            .read(&mut buf[..want])
-            .map_err(|e| pfs_err(&e))?;
-        Ok(())
-    }
-
-    fn write_at(&mut self, offset: u64, data: &[u8]) -> DbResult<()> {
-        // sgx_fseek cannot pass EOF: extend first (the paper's §IV-E
-        // null-byte extension), then seek and write.
-        if offset > self.inner.size() {
-            self.inner.set_size(offset).map_err(|e| pfs_err(&e))?;
-        }
-        self.inner.seek(offset).map_err(|e| pfs_err(&e))?;
-        self.inner.write(data).map_err(|e| pfs_err(&e))?;
-        Ok(())
-    }
-
-    fn truncate(&mut self, size: u64) -> DbResult<()> {
-        self.inner.set_size(size).map_err(|e| pfs_err(&e))
-    }
-
-    fn sync(&mut self) -> DbResult<()> {
-        self.inner.flush().map_err(|e| pfs_err(&e))
-    }
-
-    fn size(&mut self) -> DbResult<u64> {
-        Ok(self.inner.size())
-    }
-}
-
-impl Drop for PfsVfsFile {
-    fn drop(&mut self) {
-        let _ = self.inner.flush();
-    }
-}
-
-impl Vfs for PfsVfs {
-    fn open(&mut self, name: &str) -> DbResult<Box<dyn VfsFile>> {
-        let key = self.key_for(name);
-        let known = self.files.lock().unwrap().contains_key(name);
-        let storage = self
-            .files
-            .lock().unwrap()
-            .entry(name.to_string())
-            .or_default()
-            .clone();
-        let inner = if known {
-            SgxFile::open(storage, key, self.options()).map_err(|e| pfs_err(&e))?
-        } else {
-            SgxFile::create(storage, key, self.options()).map_err(|e| pfs_err(&e))?
-        };
-        Ok(Box::new(PfsVfsFile { inner }))
-    }
-
-    fn delete(&mut self, name: &str) -> DbResult<()> {
-        self.files
-            .lock().unwrap()
-            .remove(name)
-            .map(|_| ())
-            .ok_or_else(|| DbError::Storage(format!("delete: no such file {name}")))
-    }
-
-    fn exists(&mut self, name: &str) -> bool {
-        self.files.lock().unwrap().contains_key(name)
-    }
-}
 
 // ---------------------------------------------------------------------
 // SGX-LKL-style disk image
@@ -300,12 +150,19 @@ impl Vfs for LklVfs {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use twine_core::PfsBackend;
+    use twine_pfs::PfsMode;
+    use twine_sqldb::backend_vfs::BackendVfs;
     use twine_sqldb::Connection;
+
+    /// Twine's pager→PFS path, as `db_variants` and the DB sessions build it.
+    fn pfs_vfs(mode: PfsMode) -> BackendVfs {
+        BackendVfs::new(Box::new(PfsBackend::new(None, mode, 48, None)))
+    }
 
     #[test]
     fn db_over_pfs_vfs_roundtrips() {
-        let vfs = PfsVfs::new(None, PfsMode::Intel, 48, None);
-        let mut db = Connection::open(Box::new(vfs), "enc.db").unwrap();
+        let mut db = Connection::open(Box::new(pfs_vfs(PfsMode::Intel)), "enc.db").unwrap();
         db.execute("CREATE TABLE t(a INTEGER PRIMARY KEY, b TEXT)").unwrap();
         db.execute("BEGIN").unwrap();
         for i in 0..200 {
@@ -324,22 +181,16 @@ mod tests {
 
     #[test]
     fn pfs_vfs_reopen_persists() {
-        let vfs = PfsVfs::new(None, PfsMode::Optimised, 48, None);
-        let files = vfs.files.clone();
+        let vfs = pfs_vfs(PfsMode::Optimised);
+        let backend = vfs.shared();
         {
             let mut db = Connection::open(Box::new(vfs), "p.db").unwrap();
             db.execute("CREATE TABLE t(a INTEGER PRIMARY KEY)").unwrap();
             db.execute("INSERT INTO t VALUES (7)").unwrap();
             db.close().unwrap();
         }
-        // New VFS handle sharing the same storage map.
-        let vfs2 = PfsVfs {
-            enclave: None,
-            mode: PfsMode::Optimised,
-            cache_nodes: 48,
-            profiler: None,
-            files,
-        };
+        // New VFS handle over the same backend.
+        let vfs2 = BackendVfs::from_shared(backend);
         let mut db = Connection::open(Box::new(vfs2), "p.db").unwrap();
         assert_eq!(
             db.query_scalar("SELECT count(*) FROM t").unwrap(),

@@ -150,7 +150,7 @@ fn run_tenant(
             // the next statement restores the session transparently.
             conn.flush().expect("flush before park");
             svc.db_park_session(name).expect("park");
-            assert_eq!(svc.db_session_parked(name), Some(true), "tenant {name} not parked");
+            assert_eq!(svc.session_parked(name), Some(true), "tenant {name} not parked");
         }
     }
     let tables = conn.table_names().expect("table names");

@@ -8,92 +8,67 @@
 //! [`FsChoice::ProtectedInMemory`](crate::FsChoice) every database byte is
 //! sealed by `twine-pfs` before it leaves the enclave), and the database
 //! opened through [`BackendVfs`] stores its pages *and its rollback
-//! journal* in that backend. Because the database is backend state, the
-//! session lifecycle carries it for free:
+//! journal* in that backend.
 //!
-//! * **Warm statements** reuse a live [`Connection`] with its per-session
-//!   prepared-statement cache — repeated SQL text does zero parser work
-//!   (the replanning fix; counters surface in
-//!   [`ControlStats::stmt_cache_hits`](crate::ControlStats)).
-//! * **Park/evict** closes the connection (flushing every page into the
-//!   backend), seals a *manifest* of the backend's database files (format
-//!   byte 4, freshness-wrapped when a durable store is configured) and
-//!   releases the session's EPC pages. DB sessions ride the same LRU
-//!   pressure policy as Wasm sessions.
-//! * **Restore** re-runs the inward transfer + unseal (with the bounded
-//!   retry policy; a hard unseal failure quarantines the session) and
-//!   reopens the connection over the retained backend — bit-identical to
-//!   never having been parked, including crash recovery through the
-//!   database's own journal if a park was cut short.
-//! * **Durable parks / recover** write the sealed manifest through the
-//!   rollback-protected [`DurableParkStore`](crate::DurableParkStore);
-//!   after a simulated enclave restart, [`TwineService::recover`]
-//!   rebuilds the backend from the manifest's file images and re-admits
-//!   the session parked.
+//! A DB session is a session like any other: it lives in the service's one
+//! session table and goes through the one park → seal → restore →
+//! quarantine → recover pipeline of `service.rs` (DESIGN.md §10). This
+//! module holds only what is particular to the kind:
+//!
+//! * the **live state** — a [`Connection`] with its per-session
+//!   prepared-statement cache, so repeated SQL text does zero parser work
+//!   (counters surface in
+//!   [`ControlStats::stmt_cache_hits`](crate::ControlStats));
+//! * the **image** — a *manifest* of the backend's database files (format
+//!   byte 4), taken after committing whatever the connection still holds;
+//! * **rehydration** — reopening a connection over the retained backend,
+//!   which is authoritative for the data (the unsealed manifest proves the
+//!   park-time image, and with it any durable record, is intact);
+//! * **recovery** — after a simulated enclave restart, rebuilding a fresh
+//!   backend from the manifest's file images.
 
-use std::sync::atomic::Ordering;
 use std::sync::{Arc, Mutex};
 
 use twine_sgx::Enclave;
 use twine_sqldb::backend_vfs::BackendVfs;
 use twine_sqldb::db::StmtCacheStats;
 use twine_sqldb::value::Row;
-use twine_sqldb::{Connection, SharedBackend};
-use twine_wasi::Errno;
+use twine_sqldb::vfs::Vfs;
+use twine_sqldb::{Connection, DbError, SharedBackend};
+use twine_wasi::FsBackend;
 
-use crate::runtime::{
-    make_backend, with_retries, TwineError, RETRY_BACKOFF_CYCLES, RETRY_MAX,
-};
-use crate::service::TwineService;
+use crate::runtime::TwineError;
+use crate::service::{no_session, Live, Parked, ParkedBody, SessionSlot, SlotState, TwineService};
 
-/// Park-image format byte for a DB-session manifest (1 = full snapshot,
-/// 2 = pooled delta, 3 = freshness wrapper — all owned by `service.rs`).
+/// Park-image format byte for a DB-session manifest (told apart from the
+/// other three by `service::decode_image`).
 pub(crate) const DB_MANIFEST_FORMAT: u8 = 4;
 
 /// File name of the tenant database inside its private backend namespace.
 const DB_FILE: &str = "tenant.db";
 
-/// `(path, bytes)` image of every file in a parked session's backend.
-type ManifestFiles = Vec<(String, Vec<u8>)>;
-
-/// One tenant database session: a private protected backend holding the
-/// database, plus the live connection (absent while parked).
-pub(crate) struct DbSession {
+/// What a database session keeps whether live or sealed out.
+pub(crate) struct DbCommon {
     /// The session's private backend; the database and its journal live
     /// here, protected by the PFS layer like any session file.
-    pub(crate) backend: SharedBackend,
-    /// Live connection with its prepared-statement cache; `None` parked.
-    pub(crate) conn: Option<Connection>,
+    backend: SharedBackend,
     /// Path of the database file inside the backend namespace.
-    pub(crate) db_path: String,
-    /// First EPC page of this session's private page range (the pager's
-    /// page hook touches `epc_base_page + db_page`).
-    pub(crate) epc_base_page: u64,
-    /// LRU use sequence, shared with Wasm sessions' eviction policy.
-    pub(crate) last_use: u64,
-    /// Sealed park manifest retained while parked; verified (inward
-    /// transfer + unseal) on restore.
-    pub(crate) sealed: Option<Vec<u8>>,
+    db_path: String,
     /// Plan-cache counters folded from connections closed by earlier
     /// parks (each park closes the connection; its counters fold here so
     /// per-session totals survive eviction cycles).
-    pub(crate) folded_stmt: StmtCacheStats,
-    /// Statements prepared on behalf of this session.
-    pub(crate) statements: u64,
-    /// Quarantine reason, when the park manifest failed to unseal beyond
-    /// the retry budget.
-    pub(crate) quarantined: Option<String>,
+    folded_stmt: StmtCacheStats,
 }
 
-impl DbSession {
-    /// Whether this session currently holds a live connection.
-    pub(crate) fn is_live(&self) -> bool {
-        self.conn.is_some() && self.quarantined.is_none()
-    }
+/// One live tenant database: the connection, with its page cache and
+/// prepared-statement cache, over the session's private backend.
+pub(crate) struct DbSession {
+    conn: Connection,
+    common: DbCommon,
 }
 
-fn db_err(op: &str, path: &str, e: Errno) -> TwineError {
-    TwineError::Db(format!("{op} {path}: {e:?}"))
+fn db_err(e: DbError) -> TwineError {
+    TwineError::Db(e.to_string())
 }
 
 /// Sum two plan-cache counter snapshots fieldwise.
@@ -103,6 +78,137 @@ fn add_stmt(a: StmtCacheStats, b: StmtCacheStats) -> StmtCacheStats {
         misses: a.misses + b.misses,
         parses: a.parses + b.parses,
         evictions: a.evictions + b.evictions,
+    }
+}
+
+impl DbSession {
+    /// Open a connection over a session backend and wire its pager page
+    /// hook into the session's private EPC range (a database page cached
+    /// inside the enclave is EPC residency, exactly like guest memory).
+    /// Hands the backend back on failure.
+    pub(crate) fn connect(
+        enclave: &Arc<Enclave>,
+        common: DbCommon,
+        epc_base_page: u64,
+    ) -> Result<Self, (TwineError, DbCommon)> {
+        let vfs = BackendVfs::from_shared(common.backend.clone());
+        let mut conn = match Connection::open(Box::new(vfs), &common.db_path) {
+            Ok(conn) => conn,
+            Err(e) => return Err((db_err(e), common)),
+        };
+        let epc = enclave.epc();
+        conn.set_page_hook(Some(Box::new(move |page, _write| {
+            epc.touch(epc_base_page + u64::from(page));
+        })));
+        Ok(Self { conn, common })
+    }
+
+    /// Bring the database to rest: commit whatever the connection still
+    /// holds, so that the backend alone is the database. Also returns the
+    /// EPC pages of the session's private range the pager's cache may hold
+    /// resident (+1 for the header page the hook also touches via page id
+    /// offsets).
+    pub(crate) fn settle(&mut self) -> (u64, Result<(), TwineError>) {
+        let pages = u64::from(self.conn.page_count()) + 1;
+        let flushed = self.conn.flush();
+        (pages, flushed.map_err(db_err))
+    }
+
+    /// The park image: the manifest of the backend's files. The connection
+    /// stays open — a park that fails later leaves the session serving
+    /// from it.
+    pub(crate) fn manifest(&self) -> Result<Vec<u8>, TwineError> {
+        DbManifest::encode(&self.common.backend, &self.common.db_path)
+    }
+
+    /// Seal-out: drop the connection, folding its plan-cache counters into
+    /// the session so per-tenant totals survive eviction.
+    pub(crate) fn into_parked(self) -> DbCommon {
+        DbCommon {
+            folded_stmt: add_stmt(self.common.folded_stmt, self.conn.stmt_cache_stats()),
+            ..self.common
+        }
+    }
+}
+
+/// The decoded park image of a DB session: every file of its backend
+/// namespace (the database itself and, if a park interrupted a
+/// transaction, its rollback journal) with its full contents.
+pub(crate) struct DbManifest {
+    db_path: String,
+    files: Vec<(String, Vec<u8>)>,
+}
+
+impl DbManifest {
+    /// Encode the manifest of `backend`: format byte 4, the database path,
+    /// then every database file read back through the backend.
+    fn encode(backend: &SharedBackend, db_path: &str) -> Result<Vec<u8>, TwineError> {
+        let mut vfs = BackendVfs::from_shared(backend.clone());
+        let mut files: Vec<(String, Vec<u8>)> = Vec::new();
+        for path in [db_path.to_string(), format!("{db_path}-journal")] {
+            if !vfs.exists(&path) {
+                continue;
+            }
+            let mut f = vfs.open(&path).map_err(db_err)?;
+            let mut data = vec![0u8; f.size().map_err(db_err)? as usize];
+            f.read_at(0, &mut data).map_err(db_err)?;
+            files.push((path, data));
+        }
+        let mut out = vec![DB_MANIFEST_FORMAT];
+        out.extend_from_slice(&(db_path.len() as u32).to_le_bytes());
+        out.extend_from_slice(db_path.as_bytes());
+        out.extend_from_slice(&(files.len() as u32).to_le_bytes());
+        for (path, data) in files {
+            out.extend_from_slice(&(path.len() as u32).to_le_bytes());
+            out.extend_from_slice(path.as_bytes());
+            out.extend_from_slice(&(data.len() as u64).to_le_bytes());
+            out.extend_from_slice(&data);
+        }
+        Ok(out)
+    }
+
+    /// Decode what follows the format byte. `None` on any structural
+    /// corruption.
+    pub(crate) fn decode(mut rest: &[u8]) -> Option<Self> {
+        /// Split the next `n` bytes off the front of `b`.
+        fn take<'a>(b: &mut &'a [u8], n: usize) -> Option<&'a [u8]> {
+            let (head, tail) = b.split_at_checked(n)?;
+            *b = tail;
+            Some(head)
+        }
+        fn take_u32(b: &mut &[u8]) -> Option<usize> {
+            Some(u32::from_le_bytes(take(b, 4)?.try_into().ok()?) as usize)
+        }
+        fn take_str(b: &mut &[u8]) -> Option<String> {
+            let len = take_u32(b)?;
+            String::from_utf8(take(b, len)?.to_vec()).ok()
+        }
+        let db_path = take_str(&mut rest)?;
+        let mut files = Vec::new();
+        for _ in 0..take_u32(&mut rest)? {
+            let path = take_str(&mut rest)?;
+            let len = u64::from_le_bytes(take(&mut rest, 8)?.try_into().ok()?);
+            files.push((path, take(&mut rest, usize::try_from(len).ok()?)?.to_vec()));
+        }
+        Some(Self { db_path, files })
+    }
+
+    /// Rebuild a sealed-out DB session from its durable image: write the
+    /// manifest's files into a fresh protected `backend` — the session's
+    /// first statement then reopens the database bit-identical to the
+    /// durably parked state.
+    pub(crate) fn rebuild(self, backend: Box<dyn FsBackend>) -> Result<DbCommon, TwineError> {
+        let mut vfs = BackendVfs::new(backend);
+        for (path, data) in &self.files {
+            let mut f = vfs.open(path).map_err(db_err)?;
+            f.write_at(0, data).map_err(db_err)?;
+            f.sync().map_err(db_err)?;
+        }
+        Ok(DbCommon {
+            backend: vfs.shared(),
+            db_path: self.db_path,
+            folded_stmt: StmtCacheStats::default(),
+        })
     }
 }
 
@@ -119,59 +225,19 @@ impl TwineService {
     /// [`TwineError::Session`] if the name is taken;
     /// [`TwineError::Db`] if the database cannot be initialised.
     pub fn db_open_session(&mut self, name: &str) -> Result<(), TwineError> {
-        if self.sessions.contains_key(name) || self.db_sessions.contains_key(name) {
-            return Err(TwineError::Session(format!(
-                "session {name:?} already exists"
-            )));
-        }
-        let backend: SharedBackend = Arc::new(Mutex::new(make_backend(
-            self.tpl.fs,
-            &self.enclave,
-            self.tpl.pfs_mode,
-            self.tpl.pfs_cache_nodes,
-            self.profiler.clone(),
-        )));
-        let db_path = format!("{}/{}", self.tpl.preopen, DB_FILE);
-        let slot = self.epc_slots.fetch_add(1, Ordering::Relaxed);
-        let epc_base_page = (slot + 1) << 32;
-        let conn = Self::db_connect(&self.enclave, &backend, &db_path, epc_base_page)?;
-        self.use_seq += 1;
-        self.db_sessions.insert(
-            name.to_string(),
-            DbSession {
-                backend,
-                conn: Some(conn),
-                db_path,
-                epc_base_page,
-                last_use: self.use_seq,
-                sealed: None,
-                folded_stmt: StmtCacheStats::default(),
-                statements: 0,
-                quarantined: None,
-            },
-        );
+        self.check_name_free(name)?;
+        let common = DbCommon {
+            backend: Arc::new(Mutex::new(self.new_backend())),
+            db_path: format!("{}/{}", self.shared.tpl.preopen, DB_FILE),
+            folded_stmt: StmtCacheStats::default(),
+        };
+        let epc_base_page = self.take_epc_range();
+        let session =
+            DbSession::connect(&self.shared.enclave, common, epc_base_page).map_err(|(e, _)| e)?;
+        self.admit(name, epc_base_page, SlotState::Live(Live::Db(session)));
         // A fresh DB session counts against the same eviction budget.
         self.enforce_pressure(Some(name));
         Ok(())
-    }
-
-    /// Open a connection over a session backend and wire its pager page
-    /// hook into the session's private EPC range (a database page cached
-    /// inside the enclave is EPC residency, exactly like guest memory).
-    fn db_connect(
-        enclave: &Arc<Enclave>,
-        backend: &SharedBackend,
-        db_path: &str,
-        epc_base_page: u64,
-    ) -> Result<Connection, TwineError> {
-        let vfs = BackendVfs::from_shared(backend.clone());
-        let mut conn = Connection::open(Box::new(vfs), db_path)
-            .map_err(|e| TwineError::Db(e.to_string()))?;
-        let epc = enclave.epc();
-        conn.set_page_hook(Some(Box::new(move |page, _write| {
-            epc.touch(epc_base_page + u64::from(page));
-        })));
-        Ok(conn)
     }
 
     /// Execute one SQL statement on a session's database (warm path:
@@ -183,10 +249,7 @@ impl TwineService {
     /// [`TwineError::Quarantined`] for a damaged parked session,
     /// [`TwineError::Db`] for a statement the database rejects.
     pub fn db_execute(&mut self, name: &str, sql: &str) -> Result<u64, TwineError> {
-        self.db_ensure_live(name)?;
-        self.db_run(name, |conn| {
-            conn.execute(sql).map(|r| r.affected)
-        })
+        self.db_run(name, |conn| conn.execute(sql).map(|r| r.affected))
     }
 
     /// Execute one SQL statement and return its result rows.
@@ -194,7 +257,6 @@ impl TwineService {
     /// # Errors
     /// As [`db_execute`](Self::db_execute).
     pub fn db_query(&mut self, name: &str, sql: &str) -> Result<Vec<Row>, TwineError> {
-        self.db_ensure_live(name)?;
         self.db_run(name, |conn| conn.execute(sql).map(|r| r.rows))
     }
 
@@ -211,7 +273,6 @@ impl TwineService {
         name: &str,
         stmts: &[String],
     ) -> Result<u64, TwineError> {
-        self.db_ensure_live(name)?;
         self.db_run(name, |conn| {
             let mut affected = 0u64;
             for sql in stmts {
@@ -227,7 +288,6 @@ impl TwineService {
     /// # Errors
     /// As [`db_execute`](Self::db_execute).
     pub fn db_table_names(&mut self, name: &str) -> Result<Vec<String>, TwineError> {
-        self.db_ensure_live(name)?;
         self.db_run(name, |conn| {
             let mut tables: Vec<String> = conn.schema().tables.keys().cloned().collect();
             tables.sort();
@@ -235,443 +295,77 @@ impl TwineService {
         })
     }
 
-    /// Run `f` on the session's live connection, folding the plan-cache
-    /// counter deltas into the control-plane stats.
+    /// Run `f` on the session's connection — restoring the session first
+    /// if it is parked — and fold the plan-cache counter deltas into the
+    /// control-plane stats.
     fn db_run<T>(
         &mut self,
         name: &str,
         f: impl FnOnce(&mut Connection) -> twine_sqldb::DbResult<T>,
     ) -> Result<T, TwineError> {
-        let sess = self
-            .db_sessions
+        self.use_seq += 1;
+        let slot = self
+            .sessions
             .get_mut(name)
-            .expect("db_ensure_live leaves the session present");
-        let conn = sess
-            .conn
-            .as_mut()
-            .expect("db_ensure_live leaves the session live");
-        let before = conn.stmt_cache_stats();
-        let out = f(conn);
-        let after = conn.stmt_cache_stats();
-        let prepared = (after.hits + after.misses) - (before.hits + before.misses);
-        sess.statements += prepared;
+            .filter(|s| s.is_db())
+            .ok_or_else(|| no_session(name))?;
+        slot.last_use = self.use_seq;
+        // A restore re-admits a live session (and its page cache): under
+        // a live-session budget someone else may have to park.
+        if self.ensure_live(name)? {
+            self.enforce_pressure(Some(name));
+        }
+        let Some(SessionSlot {
+            state: SlotState::Live(Live::Db(sess)),
+            ..
+        }) = self.sessions.get_mut(name)
+        else {
+            unreachable!("ensure_live leaves the session live");
+        };
+        let before = sess.conn.stmt_cache_stats();
+        let out = f(&mut sess.conn);
+        let after = sess.conn.stmt_cache_stats();
         self.control_stats.stmt_cache_hits += after.hits - before.hits;
         self.control_stats.stmt_cache_misses += after.misses - before.misses;
-        self.control_stats.db_statements += prepared;
-        out.map_err(|e| TwineError::Db(e.to_string()))
+        self.control_stats.db_statements +=
+            (after.hits + after.misses) - (before.hits + before.misses);
+        out.map_err(db_err)
     }
 
-    /// Restore a parked DB session to live (bumps LRU; no-op when
-    /// already live): the sealed manifest crosses back into the enclave
-    /// and is unsealed (integrity check under the bounded retry policy —
-    /// a hard failure quarantines the session), then the connection is
-    /// reopened over the retained backend.
-    fn db_ensure_live(&mut self, name: &str) -> Result<(), TwineError> {
-        self.use_seq += 1;
-        let use_seq = self.use_seq;
-        let (sealed, backend, db_path, epc_base_page, live, quarantined) = {
-            let sess = self
-                .db_sessions
-                .get_mut(name)
-                .ok_or_else(|| TwineError::Session(format!("no session named {name:?}")))?;
-            sess.last_use = use_seq;
-            (
-                sess.sealed.clone(),
-                sess.backend.clone(),
-                sess.db_path.clone(),
-                sess.epc_base_page,
-                sess.conn.is_some(),
-                sess.quarantined.clone(),
-            )
-        };
-        if let Some(reason) = quarantined {
-            return Err(TwineError::Quarantined {
-                session: name.to_string(),
-                reason,
-            });
-        }
-        if live {
-            return Ok(());
-        }
-        if let Some(sealed) = &sealed {
-            // Inward transfer of the manifest (idempotent; retried on
-            // injected faults).
-            let mut retries = 0u64;
-            let transfer = with_retries(&self.enclave, &mut retries, |attempt| {
-                self.enclave.try_ocall(attempt, sealed.len() as u64, || ())
-            });
-            self.control_stats.retries += retries;
-            transfer.map_err(TwineError::Sgx)?;
-            // Unseal to validate integrity. The backend is authoritative
-            // for the data; what the unseal proves is that the park-time
-            // manifest (and thus the durable record, when one exists) is
-            // intact. A hard failure quarantines the session.
-            let mut retries = 0u64;
-            let unsealed = {
-                let mut attempt = 0u32;
-                loop {
-                    match self
-                        .enclave
-                        .ecall(|| self.enclave.try_unseal(attempt, sealed))
-                    {
-                        Ok(b) => break Ok(b),
-                        Err(e) if e.is_transient() && attempt + 1 < RETRY_MAX => {
-                            attempt += 1;
-                            retries += 1;
-                            self.enclave
-                                .clock()
-                                .add_cycles(RETRY_BACKOFF_CYCLES << attempt);
-                        }
-                        Err(e) => break Err(e),
-                    }
-                }
-            };
-            self.control_stats.retries += retries;
-            match unsealed {
-                Ok(bytes) => {
-                    let (_tag, payload) = Self::unwrap_freshness(&bytes);
-                    if Self::decode_db_manifest(payload).is_none() {
-                        let reason = "parked DB manifest is corrupt".to_string();
-                        self.db_quarantine(name, &reason);
-                        return Err(TwineError::Quarantined {
-                            session: name.to_string(),
-                            reason,
-                        });
-                    }
-                }
-                Err(e) => {
-                    let reason = format!("parked DB manifest failed to unseal: {e}");
-                    self.db_quarantine(name, &reason);
-                    return Err(TwineError::Quarantined {
-                        session: name.to_string(),
-                        reason,
-                    });
-                }
-            }
-            self.control_stats.unsealed_bytes += sealed.len() as u64;
-        }
-        let conn = Self::db_connect(&self.enclave, &backend, &db_path, epc_base_page)?;
-        self.control_stats.restores += 1;
-        let sess = self
-            .db_sessions
-            .get_mut(name)
-            .expect("session checked present above");
-        sess.conn = Some(conn);
-        // The restore re-admitted a live session (and its page cache):
-        // under a live-session budget someone else may have to park.
-        self.enforce_pressure(Some(name));
-        Ok(())
-    }
-
-    fn db_quarantine(&mut self, name: &str, reason: &str) {
-        self.control_stats.quarantines += 1;
-        if let Some(sess) = self.db_sessions.get_mut(name) {
-            sess.quarantined = Some(reason.to_string());
-        }
-    }
-
-    /// Park a DB session: close the connection (every dirty page flushes
-    /// into the protected backend), seal a manifest of the database files
-    /// (freshness-wrapped when a durable store is configured, then
-    /// written through the rollback-protected record file), and release
-    /// the session's EPC pages. Idempotent on an already-parked session.
+    /// Park a DB session: [`park_session`](Self::park_session) under the
+    /// name this API had when database sessions had a lifecycle of their
+    /// own — it forwards, nothing else.
     ///
     /// # Errors
-    /// [`TwineError::Session`] for an unknown name; [`TwineError::Sgx`]
-    /// if sealing/transfer faults outlast the retry budget (the database
-    /// itself is already safe in the backend — only the manifest, and
-    /// with it the durable record, is missing).
+    /// As [`park_session`](Self::park_session).
     pub fn db_park_session(&mut self, name: &str) -> Result<(), TwineError> {
-        let (conn, backend, db_path, epc_base_page) = {
-            let sess = match self.db_sessions.get_mut(name) {
-                None => {
-                    return Err(TwineError::Session(format!("no session named {name:?}")));
-                }
-                Some(s) => s,
-            };
-            let Some(conn) = sess.conn.take() else {
-                // Already parked (or quarantined, i.e. sealed out too).
-                return Ok(());
-            };
-            // The close below drops the connection's counters; fold them
-            // into the session so per-tenant totals survive eviction.
-            sess.folded_stmt = add_stmt(sess.folded_stmt, conn.stmt_cache_stats());
-            (
-                conn,
-                sess.backend.clone(),
-                sess.db_path.clone(),
-                sess.epc_base_page,
-            )
-        };
-        let db_pages = u64::from(conn.page_count());
-        // Close flushes every cached page through the VFS into the
-        // backend; from here the backend alone is the database. If the
-        // close itself fails the session stays parked — the database's
-        // rollback journal makes the next reopen recover consistently.
-        conn.close().map_err(|e| TwineError::Db(e.to_string()))?;
-        let manifest = Self::encode_db_manifest(&backend, &db_path)?;
-        let durable = self.control.durable_parks.clone();
-        let tag = durable.as_ref().map(|d| d.peek(name) + 1);
-        let bytes = Self::wrap_freshness(tag, manifest);
-        // Seal under the bounded-retry policy, like a Wasm-session park.
-        let mut retries = 0u64;
-        let sealed = with_retries(&self.enclave, &mut retries, |attempt| {
-            self.enclave.ecall(|| self.enclave.try_seal(attempt, &bytes))
-        });
-        self.control_stats.retries += retries;
-        let sealed = sealed.map_err(TwineError::Sgx)?;
-        // The sealed manifest crosses the boundary outward.
-        let mut retries = 0u64;
-        let transfer = with_retries(&self.enclave, &mut retries, |attempt| {
-            self.enclave.try_ocall(attempt, sealed.len() as u64, || ())
-        });
-        self.control_stats.retries += retries;
-        transfer.map_err(TwineError::Sgx)?;
-        // Durable write-through: record first, counter bump second (the
-        // same crash window the Wasm park path tolerates).
-        if let Some(store) = &durable {
-            store
-                .write_record(name, self.record_key(), &[], &sealed)
-                .map_err(|e| {
-                    TwineError::Session(format!("durable park of {name:?} failed: {e}"))
-                })?;
-            store.bump(name);
-        }
-        // Release the pages the pager's cache had resident (+1 for the
-        // header page the hook also touches via page id offsets).
-        self.enclave
-            .epc()
-            .discard_range(epc_base_page, db_pages + 1);
-        self.control_stats.parks += 1;
-        self.control_stats.sealed_bytes += sealed.len() as u64;
-        if let Some(sess) = self.db_sessions.get_mut(name) {
-            sess.sealed = Some(sealed);
-        }
-        Ok(())
+        self.park_session(name)
     }
 
     /// Close a DB session (live or parked), returning its backend so the
     /// embedder can persist or migrate the tenant's protected database.
     /// Retires any durable record (a replay is then rejected as stale).
     pub fn db_close_session(&mut self, name: &str) -> Option<SharedBackend> {
-        let sess = self.db_sessions.remove(name)?;
-        if let Some(store) = &self.control.durable_parks {
-            store.remove_record(name);
-            store.bump(name);
+        match self.close(name, true)? {
+            ParkedBody::Db(common) => Some(common.backend),
+            ParkedBody::Wasm(..) => unreachable!("close checked the kind"),
         }
-        if let Some(conn) = sess.conn {
-            let db_pages = u64::from(conn.page_count());
-            let _ = conn.close();
-            self.enclave
-                .epc()
-                .discard_range(sess.epc_base_page, db_pages + 1);
-        }
-        Some(sess.backend)
-    }
-
-    /// Number of open DB sessions (live + parked).
-    #[must_use]
-    pub fn db_session_count(&self) -> usize {
-        self.db_sessions.len()
-    }
-
-    /// Number of live (unparked) DB sessions.
-    #[must_use]
-    pub fn live_db_session_count(&self) -> usize {
-        self.db_sessions.values().filter(|s| s.is_live()).count()
-    }
-
-    /// Number of parked (connection closed, manifest sealed) DB sessions.
-    #[must_use]
-    pub fn parked_db_session_count(&self) -> usize {
-        self.db_sessions
-            .values()
-            .filter(|s| s.conn.is_none() && s.quarantined.is_none())
-            .count()
-    }
-
-    /// Whether a DB session is currently parked.
-    #[must_use]
-    pub fn db_session_parked(&self, name: &str) -> Option<bool> {
-        self.db_sessions.get(name).map(|s| s.conn.is_none())
-    }
-
-    /// Whether a DB session is quarantined (its park manifest failed to
-    /// restore).
-    #[must_use]
-    pub fn db_session_quarantined(&self, name: &str) -> Option<bool> {
-        self.db_sessions.get(name).map(|s| s.quarantined.is_some())
-    }
-
-    /// Names of the open DB sessions (unordered; includes parked).
-    #[must_use]
-    pub fn db_session_names(&self) -> Vec<&str> {
-        self.db_sessions.keys().map(String::as_str).collect()
     }
 
     /// Cumulative plan-cache counters for one DB session, surviving
     /// park/restore cycles (counters of closed connections fold in).
     #[must_use]
     pub fn db_stmt_cache_stats(&self, name: &str) -> Option<StmtCacheStats> {
-        self.db_sessions.get(name).map(|s| {
-            s.conn
-                .as_ref()
-                .map_or(s.folded_stmt, |c| add_stmt(s.folded_stmt, c.stmt_cache_stats()))
-        })
-    }
-
-    /// Encode the park manifest: format byte 4, the database path, then
-    /// every database file (the database itself and, if a park interrupted
-    /// a transaction, its rollback journal) with its full contents read
-    /// back through the backend.
-    fn encode_db_manifest(
-        backend: &SharedBackend,
-        db_path: &str,
-    ) -> Result<Vec<u8>, TwineError> {
-        let mut out = vec![DB_MANIFEST_FORMAT];
-        out.extend_from_slice(&(db_path.len() as u32).to_le_bytes());
-        out.extend_from_slice(db_path.as_bytes());
-        let paths = [db_path.to_string(), format!("{db_path}-journal")];
-        let mut files: Vec<(String, Vec<u8>)> = Vec::new();
-        {
-            let mut b = backend.lock().unwrap();
-            for path in &paths {
-                if !b.exists(path) {
-                    continue;
-                }
-                let mut f = b
-                    .open(path, false, false)
-                    .map_err(|e| db_err("open", path, e))?;
-                let size = f.size().map_err(|e| db_err("size", path, e))?;
-                f.seek(0).map_err(|e| db_err("seek", path, e))?;
-                let mut data = vec![0u8; size as usize];
-                let mut done = 0;
-                while done < data.len() {
-                    let n = f
-                        .read(&mut data[done..])
-                        .map_err(|e| db_err("read", path, e))?;
-                    if n == 0 {
-                        break;
-                    }
-                    done += n;
-                }
-                files.push((path.clone(), data));
+        match &self.sessions.get(name)?.state {
+            SlotState::Live(Live::Db(sess)) => Some(add_stmt(
+                sess.common.folded_stmt,
+                sess.conn.stmt_cache_stats(),
+            )),
+            SlotState::Parked(Parked { body: ParkedBody::Db(common), .. })
+            | SlotState::Quarantined(Parked { body: ParkedBody::Db(common), .. }, _) => {
+                Some(common.folded_stmt)
             }
+            _ => None,
         }
-        out.extend_from_slice(&(files.len() as u32).to_le_bytes());
-        for (path, data) in files {
-            out.extend_from_slice(&(path.len() as u32).to_le_bytes());
-            out.extend_from_slice(path.as_bytes());
-            out.extend_from_slice(&(data.len() as u64).to_le_bytes());
-            out.extend_from_slice(&data);
-        }
-        Ok(out)
     }
-
-    /// Decode a park manifest into `(db_path, files)`. `None` on any
-    /// structural corruption.
-    fn decode_db_manifest(payload: &[u8]) -> Option<(String, ManifestFiles)> {
-        let rest = payload.strip_prefix(&[DB_MANIFEST_FORMAT])?;
-        let (path_len, rest) = read_u32(rest)?;
-        let (db_path, mut rest) = read_str(rest, path_len as usize)?;
-        let (count, r) = read_u32(rest)?;
-        rest = r;
-        let mut files = Vec::new();
-        for _ in 0..count {
-            let (plen, r) = read_u32(rest)?;
-            let (path, r) = read_str(r, plen as usize)?;
-            let (dlen, r) = read_u64(r)?;
-            if r.len() < dlen as usize {
-                return None;
-            }
-            let (data, r) = r.split_at(dlen as usize);
-            files.push((path, data.to_vec()));
-            rest = r;
-        }
-        Some((db_path, files))
-    }
-
-    /// Rebuild a DB session from a durable park record (dispatched by
-    /// [`TwineService::recover`] on format byte 4): write the manifest's
-    /// file images into a fresh protected backend and re-admit the
-    /// session **parked** — its first statement reopens the database
-    /// bit-identical to the durably parked state.
-    pub(crate) fn db_recover_record(
-        &mut self,
-        name: &str,
-        payload: &[u8],
-        sealed: Vec<u8>,
-    ) -> Result<(), TwineError> {
-        let (db_path, files) = Self::decode_db_manifest(payload).ok_or_else(|| {
-            TwineError::Session(format!("durable DB record for {name:?} is corrupt"))
-        })?;
-        let backend: SharedBackend = Arc::new(Mutex::new(make_backend(
-            self.tpl.fs,
-            &self.enclave,
-            self.tpl.pfs_mode,
-            self.tpl.pfs_cache_nodes,
-            self.profiler.clone(),
-        )));
-        {
-            let mut b = backend.lock().unwrap();
-            for (path, data) in &files {
-                let mut f = b
-                    .open(path, true, true)
-                    .map_err(|e| db_err("create", path, e))?;
-                let mut done = 0;
-                while done < data.len() {
-                    let n = f
-                        .write(&data[done..])
-                        .map_err(|e| db_err("write", path, e))?;
-                    if n == 0 {
-                        return Err(TwineError::Db(format!("short write on {path}")));
-                    }
-                    done += n;
-                }
-                f.sync().map_err(|e| db_err("sync", path, e))?;
-            }
-        }
-        let slot = self.epc_slots.fetch_add(1, Ordering::Relaxed);
-        let epc_base_page = (slot + 1) << 32;
-        self.use_seq += 1;
-        self.db_sessions.insert(
-            name.to_string(),
-            DbSession {
-                backend,
-                conn: None,
-                db_path,
-                epc_base_page,
-                last_use: self.use_seq,
-                sealed: Some(sealed),
-                folded_stmt: StmtCacheStats::default(),
-                statements: 0,
-                quarantined: None,
-            },
-        );
-        Ok(())
-    }
-}
-
-fn read_u32(b: &[u8]) -> Option<(u32, &[u8])> {
-    if b.len() < 4 {
-        return None;
-    }
-    let (n, rest) = b.split_at(4);
-    Some((u32::from_le_bytes(n.try_into().unwrap()), rest))
-}
-
-fn read_u64(b: &[u8]) -> Option<(u64, &[u8])> {
-    if b.len() < 8 {
-        return None;
-    }
-    let (n, rest) = b.split_at(8);
-    Some((u64::from_le_bytes(n.try_into().unwrap()), rest))
-}
-
-fn read_str(b: &[u8], len: usize) -> Option<(String, &[u8])> {
-    if b.len() < len {
-        return None;
-    }
-    let (s, rest) = b.split_at(len);
-    Some((String::from_utf8(s.to_vec()).ok()?, rest))
 }

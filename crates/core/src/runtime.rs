@@ -175,16 +175,9 @@ pub struct TwineBuilder {
     pub(crate) sgx_mode: SgxMode,
     pub(crate) epc_limit_pages: usize,
     pub(crate) heap_bytes: u64,
-    pub(crate) pfs_mode: PfsMode,
-    pub(crate) pfs_cache_nodes: usize,
-    pub(crate) fs: FsChoice,
-    pub(crate) preopen: String,
-    pub(crate) rights: Rights,
+    pub(crate) tpl: SessionTemplate,
     pub(crate) processor: Processor,
-    pub(crate) args: Vec<String>,
-    pub(crate) env: Vec<(String, String)>,
     pub(crate) with_profiler: bool,
-    pub(crate) fuel: Option<u64>,
     pub(crate) exec_tier: ExecTier,
     pub(crate) control: crate::ControlPlane,
     pub(crate) faults: Option<Arc<twine_sgx::FaultPlan>>,
@@ -204,16 +197,18 @@ impl TwineBuilder {
             sgx_mode: SgxMode::Hardware,
             epc_limit_pages: twine_sgx::costs::epc_usable_pages() as usize,
             heap_bytes: 64 << 20,
-            pfs_mode: PfsMode::Intel,
-            pfs_cache_nodes: twine_pfs::DEFAULT_CACHE_NODES,
-            fs: FsChoice::ProtectedInMemory,
-            preopen: "/data".to_string(),
-            rights: Rights::all(),
+            tpl: SessionTemplate {
+                fs: FsChoice::ProtectedInMemory,
+                pfs_mode: PfsMode::Intel,
+                pfs_cache_nodes: twine_pfs::DEFAULT_CACHE_NODES,
+                preopen: "/data".to_string(),
+                rights: Rights::all(),
+                args: vec!["app.wasm".to_string()],
+                env: Vec::new(),
+                fuel: None,
+            },
             processor: Processor::new(0),
-            args: vec!["app.wasm".to_string()],
-            env: Vec::new(),
             with_profiler: false,
-            fuel: None,
             exec_tier: ExecTier::default(),
             control: crate::ControlPlane::default(),
             faults: None,
@@ -244,43 +239,43 @@ impl TwineBuilder {
     /// Protected-FS mode: stock Intel or §V-F optimised.
     #[must_use]
     pub fn pfs_mode(mut self, mode: PfsMode) -> Self {
-        self.pfs_mode = mode;
+        self.tpl.pfs_mode = mode;
         self
     }
 
     /// Protected-FS node cache capacity.
     #[must_use]
     pub fn pfs_cache_nodes(mut self, nodes: usize) -> Self {
-        self.pfs_cache_nodes = nodes;
+        self.tpl.pfs_cache_nodes = nodes;
         self
     }
 
     /// File-system choice.
     #[must_use]
     pub fn fs(mut self, fs: FsChoice) -> Self {
-        self.fs = fs;
+        self.tpl.fs = fs;
         self
     }
 
     /// Preopened directory name and rights (the WASI sandbox).
     #[must_use]
     pub fn preopen(mut self, dir: &str, rights: Rights) -> Self {
-        self.preopen = dir.to_string();
-        self.rights = rights;
+        self.tpl.preopen = dir.to_string();
+        self.tpl.rights = rights;
         self
     }
 
     /// Guest argv.
     #[must_use]
     pub fn args(mut self, args: &[&str]) -> Self {
-        self.args = args.iter().map(ToString::to_string).collect();
+        self.tpl.args = args.iter().map(ToString::to_string).collect();
         self
     }
 
     /// Guest environment.
     #[must_use]
     pub fn env(mut self, env: &[(&str, &str)]) -> Self {
-        self.env = env
+        self.tpl.env = env
             .iter()
             .map(|(k, v)| (k.to_string(), v.to_string()))
             .collect();
@@ -304,7 +299,7 @@ impl TwineBuilder {
     /// Bound guest execution (defence against runaway guests).
     #[must_use]
     pub fn fuel(mut self, fuel: u64) -> Self {
-        self.fuel = Some(fuel);
+        self.tpl.fuel = Some(fuel);
         self
     }
 
@@ -374,32 +369,15 @@ impl TwineBuilder {
     /// on each call.
     #[must_use]
     pub fn build(self) -> TwineRuntime {
-        let enclave = self.launch_enclave();
-        let profiler = self
-            .with_profiler
-            .then(|| PfsProfiler::new(enclave.clock().clone()));
-        let backend = make_backend(
-            self.fs,
-            &enclave,
-            self.pfs_mode,
-            self.pfs_cache_nodes,
-            profiler.clone(),
-        );
+        let (enclave, profiler) = self.launch();
+        let backend = make_backend(&self.tpl, &enclave, profiler.clone());
         TwineRuntime {
             enclave,
             linker: Arc::new(base_linker()),
             clock_watermark: Arc::new(AtomicU64::new(0)),
-            processor: self.processor,
-            fs: self.fs,
-            pfs_mode: self.pfs_mode,
-            pfs_cache_nodes: self.pfs_cache_nodes,
-            preopen: self.preopen,
-            rights: self.rights,
-            args: self.args,
-            env: self.env,
+            tpl: self.tpl,
             profiler,
             backend: Some(backend),
-            fuel: self.fuel,
             exec_tier: self.exec_tier,
         }
     }
@@ -408,7 +386,7 @@ impl TwineBuilder {
     /// named, persistent sessions (see DESIGN.md §7).
     #[must_use]
     pub fn build_service(self) -> crate::TwineService {
-        crate::TwineService::from_builder(self)
+        crate::TwineService::new(crate::service::Shared::from_builder(self), true)
     }
 
     /// Create the enclave and a multi-threaded [`crate::ShardedService`]:
@@ -422,8 +400,9 @@ impl TwineBuilder {
         crate::ShardedService::from_builder(self, threads)
     }
 
-    /// Launch the simulated enclave described by this builder.
-    pub(crate) fn launch_enclave(&self) -> Arc<Enclave> {
+    /// Launch the simulated enclave described by this builder, with the
+    /// §V-F PFS profiler on its clock when one was asked for.
+    pub(crate) fn launch(&self) -> (Arc<Enclave>, Option<PfsProfiler>) {
         let mut builder = EnclaveBuilder::new(TWINE_RUNTIME_IMAGE)
             .heap_bytes(self.heap_bytes)
             .mode(self.sgx_mode)
@@ -431,7 +410,11 @@ impl TwineBuilder {
         if let Some(plan) = &self.faults {
             builder = builder.faults(Arc::clone(plan));
         }
-        Arc::new(builder.build(&self.processor))
+        let enclave = Arc::new(builder.build(&self.processor));
+        let profiler = self
+            .with_profiler
+            .then(|| PfsProfiler::new(enclave.clock().clone()));
+        (enclave, profiler)
     }
 }
 
@@ -450,18 +433,34 @@ pub(crate) fn base_linker() -> Linker {
 /// launch costs are comparable.
 pub const TWINE_RUNTIME_IMAGE: &[u8] = &[0x54; 567 * 1024];
 
+/// The per-run / per-session construction template a builder configures
+/// once: which file system a guest sees and how its WASI environment
+/// looks. Applied by the one-shot runtime to every run and by a service
+/// (every shard of a [`crate::ShardedService`]) to every new session.
+/// Plain data, `Clone + Send`.
+#[derive(Clone)]
+pub(crate) struct SessionTemplate {
+    pub(crate) fs: FsChoice,
+    pub(crate) pfs_mode: PfsMode,
+    pub(crate) pfs_cache_nodes: usize,
+    pub(crate) preopen: String,
+    pub(crate) rights: Rights,
+    pub(crate) args: Vec<String>,
+    pub(crate) env: Vec<(String, String)>,
+    pub(crate) fuel: Option<u64>,
+}
+
+/// A fresh, empty file-system backend of the template's choosing.
 pub(crate) fn make_backend(
-    fs: FsChoice,
+    tpl: &SessionTemplate,
     enclave: &Arc<Enclave>,
-    pfs_mode: PfsMode,
-    cache_nodes: usize,
     profiler: Option<PfsProfiler>,
 ) -> Box<dyn FsBackend> {
-    match fs {
+    match tpl.fs {
         FsChoice::ProtectedInMemory => Box::new(PfsBackend::new(
             Some(enclave.clone()),
-            pfs_mode,
-            cache_nodes,
+            tpl.pfs_mode,
+            tpl.pfs_cache_nodes,
             profiler,
         )),
         FsChoice::UntrustedHost => Box::new(HostBackend::new(Some(enclave.clone()))),
@@ -577,17 +576,9 @@ pub struct TwineRuntime {
     /// CAS loop, so the guarantee survives sharing across threads (the old
     /// `Cell` silently allowed non-monotonic reads once shared).
     clock_watermark: Arc<AtomicU64>,
-    processor: Processor,
-    fs: FsChoice,
-    pfs_mode: PfsMode,
-    pfs_cache_nodes: usize,
-    preopen: String,
-    rights: Rights,
-    args: Vec<String>,
-    env: Vec<(String, String)>,
+    tpl: SessionTemplate,
     profiler: Option<PfsProfiler>,
     backend: Option<Box<dyn FsBackend>>,
-    fuel: Option<u64>,
     exec_tier: ExecTier,
 }
 
@@ -601,7 +592,7 @@ impl TwineRuntime {
     /// The simulated processor.
     #[must_use]
     pub fn processor(&self) -> &Processor {
-        &self.processor
+        self.enclave.processor()
     }
 
     /// The virtual clock (includes launch cost already).
@@ -666,30 +657,17 @@ impl TwineRuntime {
         // A one-shot run is a transient session: fresh WasiCtx over the
         // runtime's persistent backend, instantiated against the shared
         // host-function table built at `build()` time.
-        let backend = self.backend.take().unwrap_or_else(|| {
-            make_backend(
-                self.fs,
-                &self.enclave,
-                self.pfs_mode,
-                self.pfs_cache_nodes,
-                self.profiler.clone(),
-            )
-        });
-        let ctx = build_wasi_ctx(
-            backend,
-            &self.preopen,
-            self.rights,
-            &self.args,
-            &self.env,
-            &self.enclave,
-            &self.clock_watermark,
-        );
+        let backend = self
+            .backend
+            .take()
+            .unwrap_or_else(|| make_backend(&self.tpl, &self.enclave, self.profiler.clone()));
+        let ctx = build_wasi_ctx(backend, &self.tpl, &self.enclave, &self.clock_watermark);
 
         let mut instance = match Instance::instantiate_shared(
             Arc::clone(&app.compiled),
             &self.linker,
             Box::new(ctx),
-            self.fuel,
+            self.tpl.fuel,
         ) {
             Ok(i) => i,
             Err((e, host_data)) => {
@@ -697,12 +675,12 @@ impl TwineRuntime {
                 // protected files survive a failed instantiation instead of
                 // silently being replaced by an empty backend on the next run.
                 if let Ok(ctx) = host_data.downcast::<WasiCtx>() {
-                    self.backend = Some(wasi_backend_into_box(*ctx));
+                    self.backend = Some(ctx.into_backend());
                 }
                 return Err(TwineError::Module(e));
             }
         };
-        instance.fuel = self.fuel;
+        instance.fuel = self.tpl.fuel;
         instance.set_page_sink(Some(Box::new(EpcSink::new(self.enclave.epc(), 1 << 32))));
         // Report the invocation only: instantiation work (a start function,
         // if any) is not part of the run's meter — the same per-invocation
@@ -716,7 +694,7 @@ impl TwineRuntime {
             Err(t) => {
                 // Preserve backend for subsequent runs even on trap.
                 if let Some(ctx) = instance.into_state::<WasiCtx>() {
-                    self.backend = Some(wasi_backend_into_box(ctx));
+                    self.backend = Some(ctx.into_backend());
                 }
                 return Err(TwineError::Trap(t));
             }
@@ -736,7 +714,7 @@ impl TwineRuntime {
             report.stdout = ctx.stdout.clone();
             report.stderr = ctx.stderr.clone();
             report.wasi_calls = ctx.call_count;
-            self.backend = Some(wasi_backend_into_box(ctx));
+            self.backend = Some(ctx.into_backend());
         }
         Ok((report, values))
     }
@@ -750,16 +728,13 @@ impl TwineRuntime {
 /// differential contract of `tests/session_semantics.rs` depends on it).
 pub(crate) fn build_wasi_ctx(
     backend: Box<dyn FsBackend>,
-    preopen: &str,
-    rights: Rights,
-    args: &[String],
-    env: &[(String, String)],
+    tpl: &SessionTemplate,
     enclave: &Arc<Enclave>,
     watermark: &Arc<AtomicU64>,
 ) -> WasiCtx {
-    let mut ctx = WasiCtx::new(backend, preopen, rights);
-    ctx.args = args.to_vec();
-    ctx.env = env.to_vec();
+    let mut ctx = WasiCtx::new(backend, &tpl.preopen, tpl.rights);
+    ctx.args = tpl.args.clone();
+    ctx.env = tpl.env.clone();
     install_trusted_clock(&mut ctx, enclave, watermark);
     ctx
 }
@@ -918,12 +893,6 @@ pub(crate) fn diff_epc(now: EpcStats, before: EpcStats) -> EpcStats {
         faults: now.faults - before.faults,
         evictions: now.evictions - before.evictions,
     }
-}
-
-// WasiCtx owns its backend; this helper moves it back out after a run so
-// protected files persist for the lifetime of the runtime.
-pub(crate) fn wasi_backend_into_box(ctx: WasiCtx) -> Box<dyn FsBackend> {
-    ctx.into_backend()
 }
 
 /// Register the `env` math imports the MiniC toolchain uses (libm stand-in,

@@ -25,25 +25,27 @@
 //! budget, its own file-system backend, and its own trusted-clock
 //! monotonicity watermark that persists across invocations (§IV-C).
 
+use std::any::Any;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
 use twine_crypto::kdf::KeyName;
 use twine_crypto::Sha256;
-use twine_pfs::{PfsMode, PfsProfiler};
-use twine_sgx::{Enclave, FaultKind, Processor, SimClock};
-use twine_wasi::{FsBackend, Rights, WasiCtx};
+use twine_pfs::PfsProfiler;
+use twine_sgx::{Enclave, FaultKind, Processor, SgxError, SimClock};
+use twine_wasi::{FsBackend, WasiCtx};
 use twine_wasm::compile::CompiledModule;
 use twine_wasm::{
     ExecTier, Instance, InstanceSnapshot, Linker, ModuleError, SnapshotDelta, Trap, Value,
 };
 
 use crate::control::{ControlPlane, ControlStats, RateState};
+use crate::dbsession::{DbCommon, DbManifest, DbSession, DB_MANIFEST_FORMAT};
 use crate::pool::InstancePool;
 use crate::runtime::{
-    base_linker, build_wasi_ctx, invoke_in_enclave, make_backend, wasi_backend_into_box, with_retries,
-    EpcSink, FsChoice, Overload, RunReport, TwineBuilder, TwineError, RETRY_BACKOFF_CYCLES, RETRY_MAX,
+    base_linker, build_wasi_ctx, invoke_in_enclave, make_backend, with_retries,
+    EpcSink, Overload, RunReport, SessionTemplate, TwineBuilder, TwineError,
 };
 
 /// One cache slot: a [`OnceLock`] so that when many threads race to open
@@ -276,11 +278,11 @@ pub struct SessionStats {
     pub invocations: u64,
 }
 
-/// Session state that survives parking: everything except the live
+/// Wasm-session state that survives parking: everything except the live
 /// [`Instance`] (whose guest-visible state travels through the sealed
 /// snapshot) and the `WasiCtx` (which moves between the instance's host
 /// data and the parked slot).
-struct SessionCommon {
+pub(crate) struct SessionCommon {
     /// Keeps the compiled module alive and shared; also handy for tests
     /// asserting that sessions share one cache entry.
     compiled: Arc<CompiledModule>,
@@ -304,9 +306,6 @@ struct SessionCommon {
     /// plane's; overridable per session).
     deadline: Option<u64>,
     stats: SessionStats,
-    /// LRU use sequence (bumped on open/invoke/reset): the eviction policy
-    /// parks the live session with the smallest value.
-    last_use: u64,
     /// Fuel-rate token-bucket state (persists across parking, so a tenant
     /// cannot launder its debt through an eviction cycle).
     rate: RateState,
@@ -316,85 +315,272 @@ struct SessionCommon {
     wasm: Option<Arc<Vec<u8>>>,
 }
 
-/// One live tenant: a persistent instance + WASI context inside the
+/// One live Wasm tenant: a persistent instance + WASI context inside the
 /// service's enclave.
 pub(crate) struct Session {
     instance: Instance,
     common: SessionCommon,
 }
 
-/// One parked tenant: guest state sealed out of the enclave, EPC pages
-/// released. The WASI context (with the tenant's protected files) stays
-/// with the service — files are independently protected by the PFS layer;
-/// what the seal protects is the *guest memory image*.
-pub(crate) struct ParkedSession {
-    /// `seal(InstanceSnapshot::to_bytes)` of the state at park time.
-    sealed: Vec<u8>,
-    ctx: WasiCtx,
-    common: SessionCommon,
+/// A live session of either kind. Wasm and database sessions differ in
+/// what runs (an instance vs. a connection) and in what their park image
+/// holds; everything else — the table, the lifecycle, the eviction policy —
+/// is shared.
+// Variant sizes differ by design, here and in `SlotState`: a live slot
+// keeps the whole `Session` inline and hot (one invoke = one map lookup,
+// no extra chase), and a shard holds at most `max_live_sessions` of them.
+#[allow(clippy::large_enum_variant)]
+pub(crate) enum Live {
+    Wasm(Session),
+    Db(DbSession),
 }
 
-/// A session-table slot: live or parked.
-// Variant sizes differ by design: a live slot keeps the whole `Session`
-// inline and hot (one invoke = one map lookup, no extra chase), and a
-// shard holds at most `max_live_sessions` of them.
+impl Live {
+    /// Bring the session to rest — fold a Wasm session's buffered page
+    /// transitions into the EPC model, commit what a database connection
+    /// still holds — and report how many pages of its private EPC range it
+    /// may hold resident, whether or not coming to rest succeeded.
+    fn settle(&mut self) -> (u64, Result<(), TwineError>) {
+        match self {
+            Live::Wasm(s) => {
+                s.instance.flush_page_sink();
+                // 4 KiB granularity, the same the page sink touches in.
+                let mem_bytes = s.instance.memory().map_or(0, |m| m.size_bytes() as u64);
+                (mem_bytes.div_ceil(4096), Ok(()))
+            }
+            Live::Db(d) => d.settle(),
+        }
+    }
+
+    /// The session's plaintext park image, taken at rest: pooled Wasm
+    /// sessions image an O(dirty pages) delta against the module's shared
+    /// base image (format 2), unpooled ones the full snapshot (format 1),
+    /// databases their file manifest (format 4).
+    fn image(&self) -> Result<Vec<u8>, TwineError> {
+        match self {
+            Live::Wasm(s) if s.common.pooled => {
+                Ok(s.instance.snapshot_delta(&s.common.base_snapshot).to_bytes())
+            }
+            Live::Wasm(s) => Ok(s.instance.snapshot().to_bytes()),
+            Live::Db(d) => d.manifest(),
+        }
+    }
+
+    /// The full-snapshot image a pooled Wasm session falls back to when
+    /// sealing its delta faults; `None` for sessions with nothing smaller
+    /// than their image to fall back from.
+    fn fallback_image(&self) -> Option<Vec<u8>> {
+        match self {
+            Live::Wasm(s) if s.common.pooled => Some(s.instance.snapshot().to_bytes()),
+            _ => None,
+        }
+    }
+
+    /// The module bytes a durable park record embeds next to the sealed
+    /// image (a database session has none; its manifest is self-contained).
+    /// `None` when the session cannot be parked durably.
+    fn durable_module(&self) -> Option<&[u8]> {
+        match self {
+            Live::Wasm(s) => s.common.wasm.as_deref().map(Vec::as_slice),
+            Live::Db(_) => Some(&[]),
+        }
+    }
+}
+
+/// What stays with the service while a session's image is sealed out.
 #[allow(clippy::large_enum_variant)]
-pub(crate) enum SessionSlot {
-    Live(Session),
-    Parked(ParkedSession),
+pub(crate) enum ParkedBody {
+    /// The WASI context (with the tenant's protected files) — files are
+    /// independently protected by the PFS layer; what the seal protects is
+    /// the *guest memory image*.
+    Wasm(WasiCtx, SessionCommon),
+    /// The tenant's backend: the database *is* backend state.
+    Db(DbCommon),
+}
+
+/// One sealed-out tenant: its image has left the enclave encrypted and
+/// integrity-bound, its EPC pages are released.
+pub(crate) struct Parked {
+    /// `seal` of the image taken at park time (DESIGN.md §11).
+    pub(crate) sealed: Vec<u8>,
+    pub(crate) body: ParkedBody,
+}
+
+/// The three states of the session lifecycle (DESIGN.md §10). A live slot
+/// has no sealed image and a sealed-out one has no instance or connection,
+/// by construction.
+#[allow(clippy::large_enum_variant)]
+pub(crate) enum SlotState {
+    Live(Live),
+    Parked(Parked),
     /// A parked session whose image could not be restored (unsealing kept
-    /// failing beyond the retry budget). The sealed state and WASI context
-    /// are preserved — nothing is lost, and a fixed blob could in
-    /// principle be re-adopted — but invocations are rejected typed
+    /// failing beyond the retry budget). The sealed state and the tenant's
+    /// files are preserved — nothing is lost, and a fixed blob could in
+    /// principle be re-adopted — but calls are rejected typed
     /// ([`TwineError::Quarantined`]) instead of crashing the service or
     /// serving corrupt state.
-    Quarantined(ParkedSession, String),
+    Quarantined(Parked, String),
+}
+
+/// A session-table slot: one tenant of either kind, in one of the three
+/// lifecycle states.
+pub(crate) struct SessionSlot {
+    /// LRU use sequence (bumped on open and on every call): the eviction
+    /// policy parks the live session with the smallest value.
+    pub(crate) last_use: u64,
+    /// First page of the session's private EPC range.
+    pub(crate) epc_base_page: u64,
+    pub(crate) state: SlotState,
 }
 
 impl SessionSlot {
-    fn common(&self) -> &SessionCommon {
-        match self {
-            SessionSlot::Live(s) => &s.common,
-            SessionSlot::Parked(p) => &p.common,
-            SessionSlot::Quarantined(p, _) => &p.common,
+    fn is_live(&self) -> bool {
+        matches!(self.state, SlotState::Live(_))
+    }
+
+    pub(crate) fn is_db(&self) -> bool {
+        self.wasm().is_none()
+    }
+
+    /// The Wasm-session state in this slot, live or sealed out; `None`
+    /// for a database session.
+    fn wasm(&self) -> Option<&SessionCommon> {
+        match &self.state {
+            SlotState::Live(Live::Wasm(s)) => Some(&s.common),
+            SlotState::Live(Live::Db(_)) => None,
+            SlotState::Parked(p) | SlotState::Quarantined(p, _) => match &p.body {
+                ParkedBody::Wasm(_, common) => Some(common),
+                ParkedBody::Db(_) => None,
+            },
         }
     }
 
-    fn common_mut(&mut self) -> &mut SessionCommon {
-        match self {
-            SessionSlot::Live(s) => &mut s.common,
-            SessionSlot::Parked(p) => &mut p.common,
-            SessionSlot::Quarantined(p, _) => &mut p.common,
+    fn wasm_mut(&mut self) -> Option<&mut SessionCommon> {
+        match &mut self.state {
+            SlotState::Live(Live::Wasm(s)) => Some(&mut s.common),
+            SlotState::Live(Live::Db(_)) => None,
+            SlotState::Parked(p) | SlotState::Quarantined(p, _) => match &mut p.body {
+                ParkedBody::Wasm(_, common) => Some(common),
+                ParkedBody::Db(_) => None,
+            },
         }
     }
 }
 
-/// The per-session construction template a builder configures once and a
-/// service (or every shard of a [`crate::ShardedService`]) applies to each
-/// new session. Plain data, `Clone + Send`.
+pub(crate) fn no_session(name: &str) -> TwineError {
+    TwineError::Session(format!("no session named {name:?}"))
+}
+
+/// Format byte of the durable freshness wrapper around a park image.
+const FRESHNESS_FORMAT: u8 = 3;
+
+/// A decoded park image (DESIGN.md §11).
+enum Image {
+    /// Format 1: a full instance snapshot (unpooled Wasm park, or the
+    /// fallback of a pooled one).
+    Full(InstanceSnapshot),
+    /// Format 2: a delta against the module's shared base image.
+    Delta(SnapshotDelta),
+    /// Format 4: a database session's file manifest.
+    Db(DbManifest),
+}
+
+/// Prefix `inner` with the durable freshness wrapper (format byte 3 +
+/// monotonic tag); identity when no durable store is configured.
+fn wrap_freshness(tag: Option<u64>, inner: Vec<u8>) -> Vec<u8> {
+    match tag {
+        None => inner,
+        Some(tag) => {
+            let mut out = Vec::with_capacity(inner.len() + 9);
+            out.push(FRESHNESS_FORMAT);
+            out.extend_from_slice(&tag.to_le_bytes());
+            out.extend_from_slice(&inner);
+            out
+        }
+    }
+}
+
+/// Decode an unsealed park image into its freshness tag (if wrapped) and
+/// typed payload — the one place the four format bytes are told apart.
+/// `None` on any structural corruption.
+fn decode_image(bytes: &[u8]) -> Option<(Option<u64>, Image)> {
+    let (tag, payload) = match bytes.split_first() {
+        Some((&FRESHNESS_FORMAT, rest)) => {
+            let (tag, inner) = rest.split_at_checked(8)?;
+            (Some(u64::from_le_bytes(tag.try_into().ok()?)), inner)
+        }
+        _ => (None, bytes),
+    };
+    let image = match *payload.first()? {
+        1 => Image::Full(InstanceSnapshot::from_bytes(payload)?),
+        2 => Image::Delta(SnapshotDelta::from_bytes(payload)?),
+        DB_MANIFEST_FORMAT => Image::Db(DbManifest::decode(&payload[1..])?),
+        _ => return None,
+    };
+    Some((tag, image))
+}
+
+/// Recover the tenant's WASI context from an instance's host data.
+fn into_ctx(host_data: Box<dyn Any + Send>) -> WasiCtx {
+    *host_data
+        .downcast::<WasiCtx>()
+        .expect("service sessions hold a WasiCtx")
+}
+
+fn corrupt_image(name: &str) -> TwineError {
+    TwineError::Session(format!("session {name:?}: corrupt parked image"))
+}
+
+/// What a standalone service owns and the shards of a
+/// [`crate::ShardedService`] share: the one enclave, the immutable
+/// artifacts built once per service, and the allocators that must never
+/// hand two shards the same thing.
 #[derive(Clone)]
-pub(crate) struct SessionTemplate {
-    pub(crate) fs: FsChoice,
-    pub(crate) pfs_mode: PfsMode,
-    pub(crate) pfs_cache_nodes: usize,
-    pub(crate) preopen: String,
-    pub(crate) rights: Rights,
-    pub(crate) args: Vec<String>,
-    pub(crate) env: Vec<(String, String)>,
-    pub(crate) fuel: Option<u64>,
+pub(crate) struct Shared {
+    pub(crate) enclave: Arc<Enclave>,
+    /// The WASI + libm host-function table.
+    linker: Arc<Linker>,
+    pub(crate) cache: Arc<ModuleCache>,
+    /// Allocator of private EPC slots; slot `n` covers pages
+    /// `[(n+1) << 32, ...)`. Shared so shards never hand two sessions
+    /// aliasing ranges.
+    epc_slots: Arc<AtomicU64>,
+    /// Per-session construction template (from the builder).
+    pub(crate) tpl: SessionTemplate,
+    profiler: Option<PfsProfiler>,
+    /// Control-plane policy (eviction, preemption, admission). Defaults
+    /// are all-off: a default service behaves exactly like before the
+    /// control plane existed.
+    pub(crate) control: ControlPlane,
+    /// Epoch counter for asynchronous preemption.
+    pub(crate) epoch: Arc<AtomicU64>,
+    /// Pre-instantiated base-state slots (DESIGN.md §11). Capacity 0 when
+    /// pooling is off — every `put` then drops the instance. One pool for
+    /// the whole fleet: a slot parked by one shard warms another shard's
+    /// cold open (instances carry no shard-local state).
+    pool: Arc<InstancePool>,
 }
 
-impl SessionTemplate {
-    pub(crate) fn from_builder(b: &TwineBuilder) -> Self {
+impl Shared {
+    /// Launch the enclave `b` describes and build everything its service
+    /// shares.
+    pub(crate) fn from_builder(b: TwineBuilder) -> Self {
+        let (enclave, profiler) = b.launch();
+        let cache = Arc::new(ModuleCache::new(b.exec_tier));
+        cache.set_capacity(b.control.module_cache_capacity);
+        let pool = Arc::new(InstancePool::new(
+            b.control.pool_slots_per_module.unwrap_or(0),
+        ));
         Self {
-            fs: b.fs,
-            pfs_mode: b.pfs_mode,
-            pfs_cache_nodes: b.pfs_cache_nodes,
-            preopen: b.preopen.clone(),
-            rights: b.rights,
-            args: b.args.clone(),
-            env: b.env.clone(),
-            fuel: b.fuel,
+            enclave,
+            linker: Arc::new(base_linker()),
+            cache,
+            epc_slots: Arc::new(AtomicU64::new(0)),
+            tpl: b.tpl,
+            profiler,
+            control: b.control,
+            epoch: Arc::new(AtomicU64::new(0)),
+            pool,
         }
     }
 }
@@ -419,37 +605,14 @@ impl SessionTemplate {
 /// assert_eq!(out[0], Value::I32(42));
 /// ```
 pub struct TwineService {
-    pub(crate) enclave: Arc<Enclave>,
-    processor: Processor,
-    linker: Arc<Linker>,
-    cache: Arc<ModuleCache>,
+    pub(crate) shared: Shared,
+    /// The one session table: Wasm sessions and tenant database sessions
+    /// (DESIGN.md §13) share a name space, the lifecycle and the LRU
+    /// eviction policy. Shard-local, single-owner.
     pub(crate) sessions: HashMap<String, SessionSlot>,
-    /// Tenant database sessions (DESIGN.md §13): each owns a private
-    /// protected backend holding its database, served through the same
-    /// park/evict/restore lifecycle as Wasm sessions. Disjoint namespace
-    /// check with `sessions` at open.
-    pub(crate) db_sessions: HashMap<String, crate::dbsession::DbSession>,
-    /// Shared allocator of private EPC slots; slot `n` covers pages
-    /// `[(n+1) << 32, ...)`. Shared (`Arc`) so the shards of a
-    /// [`crate::ShardedService`] never hand two sessions aliasing ranges.
-    pub(crate) epc_slots: Arc<AtomicU64>,
-    /// Per-session construction template (from the builder).
-    pub(crate) tpl: SessionTemplate,
-    pub(crate) profiler: Option<PfsProfiler>,
-    /// Control-plane policy (eviction, preemption, admission). Defaults
-    /// are all-off: a default service behaves exactly like before the
-    /// control plane existed.
-    pub(crate) control: ControlPlane,
-    /// Shared epoch counter for asynchronous preemption; one counter is
-    /// shared by every shard of a [`crate::ShardedService`].
-    epoch: Arc<AtomicU64>,
     /// Monotonic use sequence feeding the LRU eviction policy.
     pub(crate) use_seq: u64,
     pub(crate) control_stats: ControlStats,
-    /// Pre-instantiated base-state slots (DESIGN.md §11); shared across
-    /// the shards of a [`crate::ShardedService`]. Capacity 0 when pooling
-    /// is off — every `put` then drops the instance.
-    pool: Arc<InstancePool>,
     /// Whether `control_stats` fills the enclave-global `faults_injected`
     /// gauge. True for a standalone service; false for the shards of a
     /// [`crate::ShardedService`] (the handle fills it exactly once after
@@ -459,89 +622,35 @@ pub struct TwineService {
 }
 
 impl TwineService {
-    pub(crate) fn from_builder(b: TwineBuilder) -> Self {
-        let enclave = b.launch_enclave();
-        let profiler = b
-            .with_profiler
-            .then(|| PfsProfiler::new(enclave.clock().clone()));
-        let tpl = SessionTemplate::from_builder(&b);
-        let cache = Arc::new(ModuleCache::new(b.exec_tier));
-        cache.set_capacity(b.control.module_cache_capacity);
-        let pool = Arc::new(InstancePool::new(
-            b.control.pool_slots_per_module.unwrap_or(0),
-        ));
+    /// A service — standalone, or one shard of a
+    /// [`crate::ShardedService`] — over `shared`, with its own session
+    /// table.
+    pub(crate) fn new(shared: Shared, standalone: bool) -> Self {
         Self {
-            enclave,
-            processor: b.processor,
-            linker: Arc::new(base_linker()),
-            cache,
+            shared,
             sessions: HashMap::new(),
-            db_sessions: HashMap::new(),
-            epc_slots: Arc::new(AtomicU64::new(0)),
-            tpl,
-            profiler,
-            control: b.control,
-            epoch: Arc::new(AtomicU64::new(0)),
             use_seq: 0,
             control_stats: ControlStats::default(),
-            pool,
-            fill_faults: true,
-        }
-    }
-
-    /// One shard of a [`crate::ShardedService`]: a full `TwineService` over
-    /// **shared** immutable artifacts — the one enclave, the one
-    /// host-function table, the one module cache, the one EPC-slot
-    /// allocator and the one epoch counter — with its own (shard-local,
-    /// single-owner) session map.
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn shard(
-        enclave: Arc<Enclave>,
-        processor: Processor,
-        linker: Arc<Linker>,
-        cache: Arc<ModuleCache>,
-        epc_slots: Arc<AtomicU64>,
-        tpl: SessionTemplate,
-        profiler: Option<PfsProfiler>,
-        control: ControlPlane,
-        epoch: Arc<AtomicU64>,
-        pool: Arc<InstancePool>,
-    ) -> Self {
-        Self {
-            enclave,
-            processor,
-            linker,
-            cache,
-            sessions: HashMap::new(),
-            db_sessions: HashMap::new(),
-            epc_slots,
-            tpl,
-            profiler,
-            control,
-            epoch,
-            use_seq: 0,
-            control_stats: ControlStats::default(),
-            pool,
-            fill_faults: false,
+            fill_faults: standalone,
         }
     }
 
     /// The enclave hosting every session.
     #[must_use]
     pub fn enclave(&self) -> &Arc<Enclave> {
-        &self.enclave
+        &self.shared.enclave
     }
 
     /// The simulated processor.
     #[must_use]
     pub fn processor(&self) -> &Processor {
-        &self.processor
+        self.shared.enclave.processor()
     }
 
     /// The virtual clock (shared by all sessions; includes launch cost).
     #[must_use]
     pub fn clock(&self) -> &SimClock {
-        self.enclave.clock()
+        self.shared.enclave.clock()
     }
 
     /// The content-addressed module cache (thread-safe: eviction policy
@@ -549,10 +658,11 @@ impl TwineService {
     /// after a wave of [`close_session`](Self::close_session)s).
     #[must_use]
     pub fn module_cache(&self) -> &ModuleCache {
-        &self.cache
+        &self.shared.cache
     }
 
-    /// Number of open sessions (live + parked).
+    /// Number of open sessions of either kind (live, parked or
+    /// quarantined).
     #[must_use]
     pub fn session_count(&self) -> usize {
         self.sessions.len()
@@ -561,10 +671,7 @@ impl TwineService {
     /// Number of live (unparked) sessions.
     #[must_use]
     pub fn live_session_count(&self) -> usize {
-        self.sessions
-            .values()
-            .filter(|s| matches!(s, SessionSlot::Live(_)))
-            .count()
+        self.sessions.values().filter(|s| s.is_live()).count()
     }
 
     /// Number of parked (sealed-out) sessions.
@@ -572,16 +679,17 @@ impl TwineService {
     pub fn parked_session_count(&self) -> usize {
         self.sessions
             .values()
-            .filter(|s| matches!(s, SessionSlot::Parked(_)))
+            .filter(|s| matches!(s.state, SlotState::Parked(_)))
             .count()
     }
 
-    /// Whether a session is currently parked.
+    /// Whether a session is currently parked. A quarantined session is
+    /// not: it is sealed out, but no call will restore it.
     #[must_use]
     pub fn session_parked(&self, name: &str) -> Option<bool> {
         self.sessions
             .get(name)
-            .map(|s| matches!(s, SessionSlot::Parked(_)))
+            .map(|s| matches!(s.state, SlotState::Parked(_)))
     }
 
     /// Control-plane counters, with the live/parked gauges filled in at
@@ -590,13 +698,12 @@ impl TwineService {
     #[must_use]
     pub fn control_stats(&self) -> ControlStats {
         let mut stats = ControlStats {
-            live_sessions: (self.live_session_count() + self.live_db_session_count()) as u64,
-            parked_sessions: (self.parked_session_count() + self.parked_db_session_count())
-                as u64,
+            live_sessions: self.live_session_count() as u64,
+            parked_sessions: self.parked_session_count() as u64,
             ..self.control_stats
         };
         if self.fill_faults {
-            if let Some(plan) = self.enclave.fault_plan() {
+            if let Some(plan) = self.shared.enclave.fault_plan() {
                 stats.faults_injected = plan.total_injected();
             }
         }
@@ -609,14 +716,14 @@ impl TwineService {
     pub fn session_quarantined(&self, name: &str) -> Option<bool> {
         self.sessions
             .get(name)
-            .map(|s| matches!(s, SessionSlot::Quarantined(..)))
+            .map(|s| matches!(s.state, SlotState::Quarantined(..)))
     }
 
     /// Number of pre-instantiated base-state slots currently parked in the
     /// instance pool (across all modules; shared across shards).
     #[must_use]
     pub fn pooled_slot_count(&self) -> usize {
-        self.pool.len()
+        self.shared.pool.len()
     }
 
     /// Bump the shared preemption epoch (see
@@ -624,46 +731,53 @@ impl TwineService {
     /// with a smaller slack than the bumps it has survived yields with
     /// [`Trap::DeadlineExceeded`] at its next control transfer.
     pub fn bump_epoch(&self) {
-        self.epoch.fetch_add(1, Ordering::Relaxed);
+        self.shared.epoch.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Names of the open sessions (unordered; includes parked).
+    /// Names of the open sessions of either kind (unordered; includes
+    /// parked).
     #[must_use]
     pub fn session_names(&self) -> Vec<&str> {
         self.sessions.keys().map(String::as_str).collect()
     }
 
-    /// Bookkeeping for one session.
+    /// Bookkeeping for one Wasm session.
     #[must_use]
     pub fn session_stats(&self, name: &str) -> Option<&SessionStats> {
-        self.sessions.get(name).map(|s| &s.common().stats)
+        Some(&self.sessions.get(name)?.wasm()?.stats)
     }
 
     /// The compiled module backing a session (shared across sessions with
     /// identical Wasm bytes).
     #[must_use]
     pub fn session_module(&self, name: &str) -> Option<&Arc<CompiledModule>> {
-        self.sessions.get(name).map(|s| &s.common().compiled)
+        Some(&self.sessions.get(name)?.wasm()?.compiled)
+    }
+
+    /// The Wasm-session state behind `name` (a database session has none).
+    fn wasm_mut(&mut self, name: &str) -> Result<&mut SessionCommon, TwineError> {
+        self.sessions
+            .get_mut(name)
+            .and_then(SessionSlot::wasm_mut)
+            .ok_or_else(|| no_session(name))
     }
 
     /// Check a pre-instantiated slot out of the pool, validating it first:
     /// a slot flagged by the fault plan's pool-corruption schedule, or one
-    /// genuinely carrying residual dirty pages, is discarded (counted and
-    /// logged) instead of being handed to a tenant — the caller falls back
-    /// to a fresh instantiation, which is semantically identical.
+    /// genuinely carrying residual dirty pages, is discarded (counted in
+    /// [`ControlStats::pool_discards`]) instead of being handed to a
+    /// tenant — the caller falls back to a fresh instantiation, which is
+    /// semantically identical.
     fn pool_checkout(&mut self, module_key: &[u8; 32]) -> Option<Instance> {
         let mut attempt = 0u32;
-        while let Some(slot) = self.pool.take(module_key) {
+        while let Some(slot) = self.shared.pool.take(module_key) {
             let injected = self
+                .shared
                 .enclave
                 .fault_plan()
                 .is_some_and(|p| p.should_fire(FaultKind::PoolCorrupt, attempt));
             if injected || slot.dirty_page_count() != 0 {
                 self.control_stats.pool_discards += 1;
-                eprintln!(
-                    "twine-core: discarding corrupt pool slot for module {:02x}{:02x}{:02x}{:02x}…",
-                    module_key[0], module_key[1], module_key[2], module_key[3]
-                );
                 attempt += 1;
                 continue;
             }
@@ -675,35 +789,135 @@ impl TwineService {
     /// The key protecting durable park-record files: derived from the
     /// processor + measurement (like sealing), so a restarted enclave of
     /// the same identity re-derives it and a different enclave cannot.
-    pub(crate) fn record_key(&self) -> [u8; 16] {
-        self.enclave.get_key(KeyName::Seal, b"park-records")
+    fn record_key(&self) -> [u8; 16] {
+        self.shared.enclave.get_key(KeyName::Seal, b"park-records")
     }
 
-    /// Prefix `inner` with the durable freshness wrapper (format byte 3 +
-    /// monotonic tag); identity when no durable store is configured.
-    pub(crate) fn wrap_freshness(tag: Option<u64>, inner: Vec<u8>) -> Vec<u8> {
-        match tag {
-            None => inner,
-            Some(tag) => {
-                let mut out = Vec::with_capacity(inner.len() + 9);
-                out.push(3u8);
-                out.extend_from_slice(&tag.to_le_bytes());
-                out.extend_from_slice(&inner);
-                out
+    pub(crate) fn check_name_free(&self, name: &str) -> Result<(), TwineError> {
+        if self.sessions.contains_key(name) {
+            return Err(TwineError::Session(format!(
+                "session {name:?} already exists"
+            )));
+        }
+        Ok(())
+    }
+
+    /// A fresh private file-system backend from the service's template.
+    pub(crate) fn new_backend(&self) -> Box<dyn FsBackend> {
+        let shared = &self.shared;
+        make_backend(&shared.tpl, &shared.enclave, shared.profiler.clone())
+    }
+
+    /// A fresh WASI context over a fresh backend, with its trusted-clock
+    /// watermark.
+    fn new_ctx(&self) -> (WasiCtx, Arc<AtomicU64>) {
+        let watermark = Arc::new(AtomicU64::new(0));
+        let (tpl, enclave) = (&self.shared.tpl, &self.shared.enclave);
+        (build_wasi_ctx(self.new_backend(), tpl, enclave, &watermark), watermark)
+    }
+
+    /// Reserve the next private EPC page range; returns its first page.
+    pub(crate) fn take_epc_range(&self) -> u64 {
+        (self.shared.epc_slots.fetch_add(1, Ordering::Relaxed) + 1) << 32
+    }
+
+    /// Enter a new session into the table, most recently used.
+    pub(crate) fn admit(&mut self, name: &str, epc_base_page: u64, state: SlotState) {
+        self.use_seq += 1;
+        let prev = self.sessions.insert(
+            name.to_string(),
+            SessionSlot {
+                last_use: self.use_seq,
+                epc_base_page,
+                state,
+            },
+        );
+        debug_assert!(prev.is_none(), "session names are checked free before admission");
+    }
+
+    /// The parking-proof half of a new Wasm session.
+    fn session_common(
+        &self,
+        (compiled, module_key, cache_hit): (Arc<CompiledModule>, [u8; 32], bool),
+        wasm: &[u8],
+        base_snapshot: Arc<InstanceSnapshot>,
+        pooled: bool,
+        watermark: Arc<AtomicU64>,
+        epc_base_page: u64,
+    ) -> SessionCommon {
+        SessionCommon {
+            compiled,
+            base_snapshot,
+            pooled,
+            watermark,
+            fuel: self.shared.tpl.fuel,
+            deadline: self.shared.control.deadline,
+            stats: SessionStats {
+                module_key,
+                wasm_bytes: wasm.len(),
+                cache_hit,
+                epc_base_page,
+                invocations: 0,
+            },
+            rate: RateState::default(),
+            wasm: self
+                .shared
+                .control
+                .durable_parks
+                .is_some()
+                .then(|| Arc::new(wasm.to_vec())),
+        }
+    }
+
+    /// Instantiate `compiled` over the tenant's `ctx`. The fuel budget
+    /// applies to the start function too: tenant-supplied instantiation
+    /// code cannot run unmetered.
+    fn instantiate(
+        &self,
+        compiled: &Arc<CompiledModule>,
+        ctx: WasiCtx,
+    ) -> Result<Instance, (ModuleError, Box<dyn Any + Send>)> {
+        let shared = &self.shared;
+        Instance::instantiate_shared(Arc::clone(compiled), &shared.linker, Box::new(ctx), shared.tpl.fuel)
+    }
+
+    /// An instance of a poolable module at its base state, holding the
+    /// tenant's `ctx`: a pool slot if one is parked — it is already at the
+    /// base image with a clean dirty bitmap and meter (reset on its way
+    /// in), and holds a placeholder `Box<()>` — else a fresh instantiation
+    /// (deterministic: poolable modules have no start function).
+    fn base_instance(
+        &mut self,
+        compiled: &Arc<CompiledModule>,
+        module_key: &[u8; 32],
+        ctx: WasiCtx,
+    ) -> Result<Instance, (ModuleError, Box<dyn Any + Send>)> {
+        match self.pool_checkout(module_key) {
+            Some(mut slot) => {
+                self.control_stats.pool_hits += 1;
+                drop(slot.replace_host_data(Box::new(ctx)));
+                Ok(slot)
+            }
+            None => {
+                self.control_stats.pool_misses += 1;
+                self.instantiate(compiled, ctx)
             }
         }
     }
 
-    /// Split a parked image into its freshness tag (if wrapped) and inner
-    /// snapshot/delta payload.
-    pub(crate) fn unwrap_freshness(bytes: &[u8]) -> (Option<u64>, &[u8]) {
-        match bytes.split_first() {
-            Some((3, rest)) if rest.len() >= 8 => {
-                let (tag, inner) = rest.split_at(8);
-                (Some(u64::from_le_bytes(tag.try_into().unwrap())), inner)
-            }
-            _ => (None, bytes),
-        }
+    /// A module that cannot be instantiated must not stay compiled on its
+    /// account: roll back the cache entry if this failed open was the only
+    /// user, so repeated hostile opens (e.g. trapping start functions)
+    /// cannot grow enclave memory session-lessly.
+    fn failed_open(
+        &self,
+        compiled: Arc<CompiledModule>,
+        module_key: &[u8; 32],
+        e: ModuleError,
+    ) -> TwineError {
+        drop(compiled);
+        self.shared.cache.evict_if_unreferenced(module_key);
+        TwineError::Module(e)
     }
 
     /// Open a named session: resolve `wasm` through the module cache
@@ -716,85 +930,35 @@ impl TwineService {
     /// [`TwineError::Session`] if the name is taken;
     /// [`TwineError::Module`] on decode/validate/instantiate failure.
     pub fn open_session(&mut self, name: &str, wasm: &[u8]) -> Result<&SessionStats, TwineError> {
-        if self.sessions.contains_key(name) || self.db_sessions.contains_key(name) {
-            return Err(TwineError::Session(format!(
-                "session {name:?} already exists"
-            )));
-        }
-        let (compiled, module_key, cache_hit) =
-            self.cache.get_or_compile(wasm).map_err(TwineError::Module)?;
+        self.check_name_free(name)?;
+        let (compiled, module_key, cache_hit) = self
+            .shared
+            .cache
+            .get_or_compile(wasm)
+            .map_err(TwineError::Module)?;
         // Copy into reserved memory: charge the boundary copy (one ECALL,
         // exactly like `TwineRuntime::load_wasm`).
-        self.enclave.ecall(|| {
-            self.enclave.clock().add_cycles(wasm.len() as u64 / 4);
+        let enclave = &self.shared.enclave;
+        enclave.ecall(|| {
+            enclave.clock().add_cycles(wasm.len() as u64 / 4);
         });
-
-        let backend = make_backend(
-            self.tpl.fs,
-            &self.enclave,
-            self.tpl.pfs_mode,
-            self.tpl.pfs_cache_nodes,
-            self.profiler.clone(),
-        );
-        let watermark = Arc::new(AtomicU64::new(0));
-        let ctx = build_wasi_ctx(
-            backend,
-            &self.tpl.preopen,
-            self.tpl.rights,
-            &self.tpl.args,
-            &self.tpl.env,
-            &self.enclave,
-            &watermark,
-        );
+        let (ctx, watermark) = self.new_ctx();
 
         // The pooling fast path (DESIGN.md §11): a poolable module's open
         // checks a pre-instantiated base-state slot out of the pool instead
         // of instantiating, when one is available.
-        let pooled = self.control.pool_slots_per_module.is_some() && compiled.poolable();
-        let mut instance = match pooled.then(|| self.pool_checkout(&module_key)).flatten() {
-            Some(mut slot) => {
-                self.control_stats.pool_hits += 1;
-                // The slot parks with a placeholder `Box<()>`; hand it the
-                // tenant's context. It is already at the base image with a
-                // clean dirty bitmap and meter (reset on its way in).
-                drop(slot.replace_host_data(Box::new(ctx)));
-                slot.fuel = self.tpl.fuel;
-                slot
-            }
-            None => {
-                if pooled {
-                    self.control_stats.pool_misses += 1;
-                }
-                // The fuel budget applies to the start function too:
-                // tenant-supplied instantiation code cannot run unmetered.
-                match Instance::instantiate_shared(
-                    Arc::clone(&compiled),
-                    &self.linker,
-                    Box::new(ctx),
-                    self.tpl.fuel,
-                ) {
-                    Ok(i) => i,
-                    Err((e, _ctx)) => {
-                        // Roll back the cache entry if this failed open was
-                        // the only user, so repeated hostile opens (e.g.
-                        // trapping start functions) cannot grow enclave
-                        // memory session-lessly.
-                        drop(compiled);
-                        self.cache.evict_if_unreferenced(&module_key);
-                        return Err(TwineError::Module(e));
-                    }
-                }
-            }
+        let pooled = self.shared.control.pool_slots_per_module.is_some() && compiled.poolable();
+        let instance = if pooled {
+            self.base_instance(&compiled, &module_key, ctx)
+        } else {
+            self.instantiate(&compiled, ctx)
         };
-        let slot = self.epc_slots.fetch_add(1, Ordering::Relaxed);
-        let epc_base_page = (slot + 1) << 32;
-        instance.set_page_sink(Some(Box::new(EpcSink::new(
-            self.enclave.epc(),
-            epc_base_page,
-        ))));
-        if self.control.epoch_slack.is_some() {
-            instance.set_epoch(Some(Arc::clone(&self.epoch)));
-        }
+        let mut instance = match instance {
+            Ok(instance) => instance,
+            Err((e, _ctx)) => return Err(self.failed_open(compiled, &module_key, e)),
+        };
+        let epc_base_page = self.take_epc_range();
+        self.attach(&mut instance, epc_base_page);
         // Pooled sessions share one base image per (module, tier) — captured
         // by whichever open got there first (any racer would capture
         // identical bytes: poolable modules instantiate deterministically).
@@ -812,40 +976,28 @@ impl TwineService {
         // invocation report: every invocation starts from a clean meter.
         instance.meter.reset();
 
-        self.use_seq += 1;
-        let session = Session {
-            instance,
-            common: SessionCommon {
-                compiled,
-                base_snapshot: snapshot,
-                pooled,
-                watermark,
-                fuel: self.tpl.fuel,
-                deadline: self.control.deadline,
-                stats: SessionStats {
-                    module_key,
-                    wasm_bytes: wasm.len(),
-                    cache_hit,
-                    epc_base_page,
-                    invocations: 0,
-                },
-                last_use: self.use_seq,
-                rate: RateState::default(),
-                wasm: self
-                    .control
-                    .durable_parks
-                    .is_some()
-                    .then(|| Arc::new(wasm.to_vec())),
-            },
-        };
-        let prev = self
-            .sessions
-            .insert(name.to_string(), SessionSlot::Live(session));
-        debug_assert!(prev.is_none(), "session name was checked free above");
+        let module = (compiled, module_key, cache_hit);
+        let common =
+            self.session_common(module, wasm, snapshot, pooled, watermark, epc_base_page);
+        let session = Session { instance, common };
+        self.admit(name, epc_base_page, SlotState::Live(Live::Wasm(session)));
         // A fresh session counts against the eviction budget: park LRU
         // peers (never the newcomer) if this open pushed past it.
         self.enforce_pressure(Some(name));
-        Ok(&self.sessions[name].common().stats)
+        Ok(self.session_stats(name).expect("admitted above"))
+    }
+
+    /// Wire a live instance into the enclave: its page touches fold into
+    /// the session's private EPC range, and it watches the shared epoch
+    /// when epoch preemption is armed.
+    fn attach(&self, instance: &mut Instance, epc_base_page: u64) {
+        instance.set_page_sink(Some(Box::new(EpcSink::new(
+            self.shared.enclave.epc(),
+            epc_base_page,
+        ))));
+        if self.shared.control.epoch_slack.is_some() {
+            instance.set_epoch(Some(Arc::clone(&self.shared.epoch)));
+        }
     }
 
     /// Invoke an exported function on a session — the *warm* path: no
@@ -896,17 +1048,16 @@ impl TwineService {
     ) -> Result<(Option<RunReport>, Vec<Value>), TwineError> {
         // Admission first — a rate-capped tenant is rejected *before* any
         // restore work, so it cannot force seal traffic while throttled.
-        let now_cycles = self.enclave.clock().cycles();
+        let now_cycles = self.shared.enclave.clock().cycles();
         self.use_seq += 1;
-        let use_seq = self.use_seq;
         {
-            let common = self
+            let slot = self
                 .sessions
                 .get_mut(session)
-                .ok_or_else(|| TwineError::Session(format!("no session named {session:?}")))?
-                .common_mut();
-            common.last_use = use_seq;
-            if let Some(rate) = self.control.fuel_rate {
+                .ok_or_else(|| no_session(session))?;
+            slot.last_use = self.use_seq;
+            let common = slot.wasm_mut().ok_or_else(|| no_session(session))?;
+            if let Some(rate) = self.shared.control.fuel_rate {
                 if !common.rate.admit(rate, now_cycles) {
                     self.control_stats.rate_rejections += 1;
                     return Err(TwineError::Overloaded(Overload::RateLimited {
@@ -920,13 +1071,17 @@ impl TwineService {
         // invocation only (restore cost lands on the shared clock).
         self.ensure_live(session)?;
         let epoch_deadline = self
+            .shared
             .control
             .epoch_slack
-            .map(|s| self.epoch.load(Ordering::Relaxed).saturating_add(s));
+            .map(|s| self.shared.epoch.load(Ordering::Relaxed).saturating_add(s));
 
-        let sess = match self.sessions.get_mut(session) {
-            Some(SessionSlot::Live(s)) => s,
-            _ => unreachable!("ensure_live leaves the session live"),
+        let Some(SessionSlot {
+            state: SlotState::Live(Live::Wasm(sess)),
+            ..
+        }) = self.sessions.get_mut(session)
+        else {
+            unreachable!("ensure_live leaves the session live");
         };
         // Recycle per-run state; everything else is warm reuse.
         sess.instance.meter.reset();
@@ -937,9 +1092,9 @@ impl TwineService {
         }
         sess.instance.state::<WasiCtx>().reset_for_invocation();
 
-        let outcome = invoke_in_enclave(&self.enclave, &mut sess.instance, func, args);
+        let outcome = invoke_in_enclave(&self.shared.enclave, &mut sess.instance, func, args);
         self.control_stats.retries += outcome.retries;
-        if self.control.fuel_rate.is_some() {
+        if self.shared.control.fuel_rate.is_some() {
             sess.common.rate.charge(outcome.meter.total());
         }
         let result = match outcome.values {
@@ -996,333 +1151,300 @@ impl TwineService {
         result
     }
 
-    /// Park a live session: flush its page sink, snapshot its guest state,
-    /// **seal** the image (it leaves the enclave, so it leaves encrypted
-    /// and integrity-bound — accounted as boundary traffic like a
-    /// protected-file write) and release its EPC pages. Idempotent on an
-    /// already-parked session. The next invoke restores it warm,
-    /// bit-identical to never having been parked.
-    pub fn park_session(&mut self, name: &str) -> Result<(), TwineError> {
-        match self.sessions.get(name) {
-            None => {
-                return Err(TwineError::Session(format!("no session named {name:?}")));
-            }
-            // A quarantined session is already sealed out of the enclave;
-            // parking it again is a no-op, like an ordinary parked one.
-            Some(SessionSlot::Parked(_) | SessionSlot::Quarantined(..)) => return Ok(()),
-            Some(SessionSlot::Live(_)) => {}
-        }
-        let Some(SessionSlot::Live(sess)) = self.sessions.remove(name) else {
-            unreachable!("matched Live above");
-        };
-        let Session {
-            mut instance,
-            common,
-        } = sess;
-        instance.flush_page_sink();
-        let mem_bytes = instance.memory().map_or(0, |m| m.size_bytes() as u64);
-        // Pooled sessions seal an O(dirty pages) delta against the module's
-        // shared base image (format version 2); everything else seals the
-        // full snapshot exactly as before pooling existed (version 1). The
-        // restore path dispatches on the version byte after unsealing.
-        // With a durable store, the image is additionally wrapped with a
-        // monotonic freshness tag (format byte 3) before sealing.
-        let durable = self.control.durable_parks.clone();
-        let tag = durable.as_ref().map(|d| d.peek(name) + 1);
-        let mut used_fallback = false;
-        let mut bytes = Self::wrap_freshness(
-            tag,
-            if common.pooled {
-                instance.snapshot_delta(&common.base_snapshot).to_bytes()
-            } else {
-                instance.snapshot().to_bytes()
-            },
-        );
-        // Seal under the bounded-retry policy. A pooled park whose delta
-        // seal faults degrades gracefully: the first retry switches to the
-        // full image — more boundary traffic, never data loss. A hard
-        // failure reinstates the live session untouched.
+    /// Move a sealed image across the enclave boundary (outward at park,
+    /// inward at restore and recovery). An idempotent transfer: a faulted
+    /// OCALL is simply re-issued, under the bounded-retry policy.
+    fn transfer(&mut self, sealed: &[u8]) -> Result<(), TwineError> {
+        let enclave = &self.shared.enclave;
         let mut retries = 0u64;
-        let sealed = {
-            let mut attempt = 0u32;
-            loop {
-                match self.enclave.ecall(|| self.enclave.try_seal(attempt, &bytes)) {
-                    Ok(s) => break Ok(s),
-                    Err(e) if e.is_transient() && attempt + 1 < RETRY_MAX => {
-                        if common.pooled && !used_fallback {
-                            used_fallback = true;
-                            self.control_stats.fallback_parks += 1;
-                            bytes = Self::wrap_freshness(tag, instance.snapshot().to_bytes());
-                        }
-                        attempt += 1;
-                        retries += 1;
-                        self.enclave.clock().add_cycles(RETRY_BACKOFF_CYCLES << attempt);
-                    }
-                    Err(e) => break Err(e),
-                }
-            }
-        };
-        self.control_stats.retries += retries;
-        let reinstate_live = |svc: &mut Self, instance: Instance, common: SessionCommon| {
-            svc.sessions
-                .insert(name.to_string(), SessionSlot::Live(Session { instance, common }));
-        };
-        let sealed = match sealed {
-            Ok(s) => s,
-            Err(e) => {
-                reinstate_live(self, instance, common);
-                return Err(TwineError::Sgx(e));
-            }
-        };
-        // The sealed image crosses the boundary outward (an idempotent
-        // transfer: a faulted OCALL is simply re-issued).
-        let mut retries = 0u64;
-        let transfer = with_retries(&self.enclave, &mut retries, |attempt| {
-            self.enclave.try_ocall(attempt, sealed.len() as u64, || ())
+        let transfer = with_retries(enclave, &mut retries, |attempt| {
+            enclave.try_ocall(attempt, sealed.len() as u64, || ())
         });
         self.control_stats.retries += retries;
-        if let Err(e) = transfer {
-            reinstate_live(self, instance, common);
-            return Err(TwineError::Sgx(e));
-        }
+        transfer.map_err(TwineError::Sgx)
+    }
+
+    /// Unseal an image that has crossed back into the enclave, under the
+    /// bounded-retry policy: an injected corruption of the inward copy
+    /// heals on a re-read; a genuinely tampered blob does not.
+    fn unseal(&mut self, sealed: &[u8]) -> Result<Vec<u8>, SgxError> {
+        let enclave = &self.shared.enclave;
+        let mut retries = 0u64;
+        let unsealed = with_retries(enclave, &mut retries, |attempt| {
+            enclave.ecall(|| enclave.try_unseal(attempt, sealed))
+        });
+        self.control_stats.retries += retries;
+        unsealed
+    }
+
+    /// Park a live session of either kind: take its image, **seal** it (it
+    /// leaves the enclave, so it leaves encrypted and integrity-bound —
+    /// accounted as boundary traffic like a protected-file write), write it
+    /// through to the durable store if one is configured, and release the
+    /// session's EPC pages. Idempotent on a session that is already sealed
+    /// out. The next call restores it warm, bit-identical to never having
+    /// been parked.
+    ///
+    /// # Errors
+    /// [`TwineError::Session`] for an unknown name or a failed durable
+    /// write, [`TwineError::Sgx`] if sealing or the transfer faults beyond
+    /// the retry budget, [`TwineError::Db`] if a database cannot be
+    /// committed. Whatever the error, the session is left live and
+    /// servable, and nothing of it has been released.
+    pub fn park_session(&mut self, name: &str) -> Result<(), TwineError> {
+        let (name, mut slot) = self
+            .sessions
+            .remove_entry(name)
+            .ok_or_else(|| no_session(name))?;
+        let result;
+        (slot.state, result) = match slot.state {
+            SlotState::Live(mut live) => match self.seal_out(&name, slot.epc_base_page, &mut live) {
+                Ok(sealed) => {
+                    let body = self.retire(live);
+                    (SlotState::Parked(Parked { sealed, body }), Ok(()))
+                }
+                Err(e) => (SlotState::Live(live), Err(e)),
+            },
+            // A parked session is already sealed out of the enclave, and so
+            // is a quarantined one: parking it again is a no-op.
+            sealed_out => (sealed_out, Ok(())),
+        };
+        self.sessions.insert(name, slot);
+        result
+    }
+
+    /// The fallible half of a park, written once for both kinds: settle →
+    /// image → freshness wrap → seal → outward transfer → durable write +
+    /// counter bump → EPC discard → counters. `live` is only read until the
+    /// discard, so an `Err` from any earlier stage leaves it untouched.
+    fn seal_out(
+        &mut self,
+        name: &str,
+        epc_base_page: u64,
+        live: &mut Live,
+    ) -> Result<Vec<u8>, TwineError> {
+        let (pages, settled) = live.settle();
+        settled?;
+        let image = live.image()?;
+        // With a durable store, the image is wrapped with a monotonic
+        // freshness tag (format byte 3) before sealing.
+        let durable = self.shared.control.durable_parks.clone();
+        let tag = durable.as_ref().map(|d| d.peek(name) + 1);
+        let mut bytes = wrap_freshness(tag, image);
+        // Seal under the bounded-retry policy. A pooled park whose delta
+        // seal faults degrades gracefully: the first retry switches to the
+        // full image — more boundary traffic, never data loss.
+        let enclave = &self.shared.enclave;
+        let stats = &mut self.control_stats;
+        let mut delta = matches!(&*live, Live::Wasm(s) if s.common.pooled);
+        let mut retries = 0u64;
+        let sealed = with_retries(enclave, &mut retries, |attempt| {
+            if attempt == 1 {
+                if let Some(full) = live.fallback_image() {
+                    delta = false;
+                    stats.fallback_parks += 1;
+                    bytes = wrap_freshness(tag, full);
+                }
+            }
+            enclave.ecall(|| enclave.try_seal(attempt, &bytes))
+        });
+        stats.retries += retries;
+        let sealed = sealed.map_err(TwineError::Sgx)?;
+        self.transfer(&sealed)?;
         // Durable write-through: journalled record first, counter bump
         // second — recovery accepts `tag >= counter`, so a crash between
         // the two still recovers the record just written.
-        if let (Some(store), Some(wasm)) = (&durable, &common.wasm) {
-            if let Err(e) = store.write_record(name, self.record_key(), wasm, &sealed) {
-                reinstate_live(self, instance, common);
-                return Err(TwineError::Session(format!(
-                    "durable park of {name:?} failed: {e}"
-                )));
-            }
+        if let (Some(store), Some(module)) = (&durable, live.durable_module()) {
+            store
+                .write_record(name, self.record_key(), module, &sealed)
+                .map_err(|e| {
+                    TwineError::Session(format!("durable park of {name:?} failed: {e}"))
+                })?;
             store.bump(name);
         }
-        // Release the session's resident EPC pages (4 KiB granularity, the
-        // same the page sink touches in).
-        self.enclave
-            .epc()
-            .discard_range(common.stats.epc_base_page, mem_bytes.div_ceil(4096));
+        self.shared.enclave.epc().discard_range(epc_base_page, pages);
         self.control_stats.parks += 1;
         self.control_stats.sealed_bytes += sealed.len() as u64;
-        let ctx = if common.pooled {
-            // Recycle the instance itself: O(dirty pages) reset back to the
-            // base image, then into the pool, where the next open (or delta
-            // restore) of the same module checks it out — no allocation, no
-            // data-segment replay.
-            instance.reset_to_image(&common.base_snapshot);
-            instance.set_page_sink(None);
-            instance.set_epoch(None);
-            let ctx = *instance
-                .replace_host_data(Box::new(()))
-                .downcast::<WasiCtx>()
-                .expect("service sessions hold a WasiCtx");
-            self.pool.put(common.stats.module_key, instance);
-            ctx
-        } else {
-            instance
-                .into_state::<WasiCtx>()
-                .expect("service sessions hold a WasiCtx")
-        };
-        if common.pooled && !used_fallback {
+        if delta {
             self.control_stats.delta_sealed_bytes += sealed.len() as u64;
         }
-        self.sessions.insert(
-            name.to_string(),
-            SessionSlot::Parked(ParkedSession {
-                sealed,
-                ctx,
-                common,
-            }),
-        );
-        Ok(())
+        Ok(sealed)
     }
 
-    /// Restore a parked session to live (no-op when already live): the
-    /// sealed image crosses back into the enclave, is unsealed and
-    /// rehydrated into a fresh instance at the same EPC base range. On any
-    /// failure the parked slot is reinstated untouched.
-    fn ensure_live(&mut self, name: &str) -> Result<(), TwineError> {
-        match self.sessions.get(name) {
-            None => {
-                return Err(TwineError::Session(format!("no session named {name:?}")));
+    /// Second half of a park: give up what only a live session holds and
+    /// keep what its sealed-out slot needs.
+    fn retire(&mut self, live: Live) -> ParkedBody {
+        match live {
+            Live::Wasm(Session { instance, common }) => {
+                ParkedBody::Wasm(self.recycle(instance, &common), common)
             }
-            Some(SessionSlot::Live(_)) => return Ok(()),
-            Some(SessionSlot::Quarantined(_, reason)) => {
+            Live::Db(session) => ParkedBody::Db(session.into_parked()),
+        }
+    }
+
+    /// Part a Wasm session's instance from its WASI context. A pooled
+    /// instance is recycled: O(dirty pages) reset back to the base image,
+    /// then into the pool, where the next open (or delta restore) of the
+    /// same module checks it out — no allocation, no data-segment replay.
+    fn recycle(&mut self, mut instance: Instance, common: &SessionCommon) -> WasiCtx {
+        if !common.pooled {
+            return into_ctx(instance.replace_host_data(Box::new(())));
+        }
+        instance.reset_to_image(&common.base_snapshot);
+        instance.set_page_sink(None);
+        instance.set_epoch(None);
+        let ctx = into_ctx(instance.replace_host_data(Box::new(())));
+        self.shared.pool.put(common.stats.module_key, instance);
+        ctx
+    }
+
+    /// Restore a parked session of either kind to live; `Ok(false)` when
+    /// it already is. The sealed image crosses back into the enclave, is
+    /// unsealed, decoded and rehydrated at the same EPC base range. A
+    /// failure of the transfer or of the rehydration leaves the slot
+    /// parked, untouched; an image that will not unseal within the retry
+    /// budget — or a genuinely tampered blob — **quarantines** the
+    /// session: its sealed state and files are preserved, but it is typed
+    /// out of service instead of crashing it.
+    pub(crate) fn ensure_live(&mut self, name: &str) -> Result<bool, TwineError> {
+        match self.sessions.get(name).map(|s| &s.state) {
+            None => return Err(no_session(name)),
+            Some(SlotState::Live(_)) => return Ok(false),
+            Some(SlotState::Quarantined(_, reason)) => {
                 return Err(TwineError::Quarantined {
                     session: name.to_string(),
                     reason: reason.clone(),
                 });
             }
-            Some(SessionSlot::Parked(_)) => {}
+            Some(SlotState::Parked(_)) => {}
         }
-        let Some(SessionSlot::Parked(parked)) = self.sessions.remove(name) else {
+        let Some((name, mut slot)) = self.sessions.remove_entry(name) else {
             unreachable!("matched Parked above");
         };
-        let ParkedSession {
-            sealed,
-            ctx,
-            common,
-        } = parked;
-        // The sealed image crosses the boundary inward (idempotent
-        // transfer, retried on injected faults).
-        let mut retries = 0u64;
-        let transfer = with_retries(&self.enclave, &mut retries, |attempt| {
-            self.enclave.try_ocall(attempt, sealed.len() as u64, || ())
-        });
-        let reinstate = |svc: &mut Self, ctx: WasiCtx, common: SessionCommon, sealed: Vec<u8>| {
-            svc.sessions.insert(
-                name.to_string(),
-                SessionSlot::Parked(ParkedSession {
-                    sealed,
-                    ctx,
-                    common,
-                }),
-            );
+        let SlotState::Parked(parked) = slot.state else {
+            unreachable!("matched Parked above");
         };
-        if let Err(e) = transfer {
-            self.control_stats.retries += retries;
-            reinstate(self, ctx, common, sealed);
-            return Err(TwineError::Sgx(e));
+        let (state, result) = self.restore(&name, slot.epc_base_page, parked);
+        slot.state = state;
+        self.sessions.insert(name, slot);
+        result.map(|()| true)
+    }
+
+    /// The restore pipeline, written once for both kinds: inward transfer
+    /// → unseal → quarantine on hard failure → decode → kind-specific
+    /// rehydration → counters. Returns the slot's next state.
+    fn restore(
+        &mut self,
+        name: &str,
+        epc_base_page: u64,
+        parked: Parked,
+    ) -> (SlotState, Result<(), TwineError>) {
+        if let Err(e) = self.transfer(&parked.sealed) {
+            return (SlotState::Parked(parked), Err(e));
         }
-        // Unseal under the bounded-retry policy: an injected corruption of
-        // the inward copy heals on a re-read. If unsealing still fails —
-        // retries exhausted, or a genuinely tampered blob — the session is
-        // *quarantined*: its sealed state and files are preserved, but it
-        // is typed out of service instead of crashing it.
-        let unsealed = {
-            let mut attempt = 0u32;
-            loop {
-                match self.enclave.ecall(|| self.enclave.try_unseal(attempt, &sealed)) {
-                    Ok(b) => break Ok(b),
-                    Err(e) if e.is_transient() && attempt + 1 < RETRY_MAX => {
-                        attempt += 1;
-                        retries += 1;
-                        self.enclave.clock().add_cycles(RETRY_BACKOFF_CYCLES << attempt);
-                    }
-                    Err(e) => break Err(e),
-                }
-            }
-        };
-        self.control_stats.retries += retries;
-        let bytes = match unsealed {
-            Ok(b) => b,
+        let bytes = match self.unseal(&parked.sealed) {
+            Ok(bytes) => bytes,
             Err(e) => {
                 let reason = format!("parked image failed to unseal: {e}");
                 self.control_stats.quarantines += 1;
-                self.sessions.insert(
-                    name.to_string(),
-                    SessionSlot::Quarantined(
-                        ParkedSession {
-                            sealed,
-                            ctx,
-                            common,
-                        },
-                        reason.clone(),
-                    ),
-                );
-                return Err(TwineError::Quarantined {
+                let err = TwineError::Quarantined {
                     session: name.to_string(),
-                    reason,
-                });
+                    reason: reason.clone(),
+                };
+                return (SlotState::Quarantined(parked, reason), Err(err));
             }
         };
-        // Strip the durable freshness wrapper if present (warm restores
-        // never leave the service's custody, so the tag is not re-checked
-        // here — recover() is where freshness gates admission), then
-        // dispatch on the image format version: 2 = delta against the
-        // module's shared base image (pooled park), 1 = full snapshot.
-        let (_tag, payload) = Self::unwrap_freshness(&bytes);
-        let mut instance = if payload.first() == Some(&2) {
-            let Some(delta) = SnapshotDelta::from_bytes(payload) else {
-                reinstate(self, ctx, common, sealed);
-                return Err(TwineError::Session(format!(
-                    "session {name:?}: corrupt parked image"
-                )));
-            };
-            // Obtain an instance at the base state: a pool slot if one is
-            // parked (likely the very slot this session recycled), else a
-            // fresh instantiation (deterministic — poolable modules have no
-            // start function).
-            let mut instance = match self.pool_checkout(&common.stats.module_key) {
-                Some(mut slot) => {
-                    self.control_stats.pool_hits += 1;
-                    drop(slot.replace_host_data(Box::new(ctx)));
-                    slot
-                }
-                None => {
-                    self.control_stats.pool_misses += 1;
-                    match Instance::instantiate_shared(
-                        Arc::clone(&common.compiled),
-                        &self.linker,
-                        Box::new(ctx),
-                        None,
-                    ) {
-                        Ok(mut i) => {
-                            i.clear_dirty();
-                            i.meter.reset();
-                            i
-                        }
-                        Err((e, host_data)) => {
-                            let ctx = *host_data.downcast::<WasiCtx>().expect("wasi ctx");
-                            reinstate(self, ctx, common, sealed);
-                            return Err(TwineError::Module(e));
-                        }
-                    }
-                }
-            };
-            self.control_stats.dirty_pages_restored += delta.page_count() as u64;
-            if !instance.apply_delta(&delta) {
-                let ctx = *instance
-                    .replace_host_data(Box::new(()))
-                    .downcast::<WasiCtx>()
-                    .expect("wasi ctx");
-                reinstate(self, ctx, common, sealed);
-                return Err(TwineError::Session(format!(
-                    "session {name:?}: parked delta does not fit its module"
-                )));
-            }
-            instance
-        } else {
-            let Some(snap) = InstanceSnapshot::from_bytes(payload) else {
-                reinstate(self, ctx, common, sealed);
-                return Err(TwineError::Session(format!(
-                    "session {name:?}: corrupt parked image"
-                )));
-            };
-            match Instance::from_snapshot(
-                Arc::clone(&common.compiled),
-                &self.linker,
-                &snap,
-                Box::new(ctx),
-            ) {
-                Ok(i) => i,
-                Err((e, host_data)) => {
-                    let ctx = *host_data.downcast::<WasiCtx>().expect("wasi ctx");
-                    reinstate(self, ctx, common, sealed);
-                    return Err(TwineError::Module(e));
-                }
-            }
+        // Warm restores never leave the service's custody, so a freshness
+        // tag is not re-checked here — recover() is where freshness gates
+        // admission.
+        let Some((_tag, image)) = decode_image(&bytes) else {
+            return (SlotState::Parked(parked), Err(corrupt_image(name)));
         };
-        instance.set_page_sink(Some(Box::new(EpcSink::new(
-            self.enclave.epc(),
-            common.stats.epc_base_page,
-        ))));
-        if self.control.epoch_slack.is_some() {
-            instance.set_epoch(Some(Arc::clone(&self.epoch)));
+        let sealed_bytes = parked.sealed.len() as u64;
+        let (state, result) = self.rehydrate(name, epc_base_page, parked, image);
+        if result.is_ok() {
+            self.control_stats.restores += 1;
+            self.control_stats.unsealed_bytes += sealed_bytes;
         }
-        self.control_stats.restores += 1;
-        self.control_stats.unsealed_bytes += sealed.len() as u64;
-        self.sessions
-            .insert(name.to_string(), SessionSlot::Live(Session { instance, common }));
-        Ok(())
+        (state, result)
+    }
+
+    /// Bring a sealed-out session back to life from its decoded image —
+    /// the kind-specific step of a restore. Returns the slot's next state:
+    /// live, or parked as it was.
+    fn rehydrate(
+        &mut self,
+        name: &str,
+        epc_base_page: u64,
+        Parked { sealed, body }: Parked,
+        image: Image,
+    ) -> (SlotState, Result<(), TwineError>) {
+        let parked = |body, e| (SlotState::Parked(Parked { sealed, body }), Err(e));
+        let (common, instance) = match (body, image) {
+            // The backend is authoritative for the data; what the unsealed
+            // manifest proves is that the park-time image (and thus the
+            // durable record, when one exists) is intact.
+            (ParkedBody::Db(common), Image::Db(_)) => {
+                return match DbSession::connect(&self.shared.enclave, common, epc_base_page) {
+                    Ok(session) => (SlotState::Live(Live::Db(session)), Ok(())),
+                    Err((e, common)) => parked(ParkedBody::Db(common), e),
+                };
+            }
+            (ParkedBody::Wasm(ctx, common), Image::Full(snap)) => {
+                let instance = Instance::from_snapshot(
+                    Arc::clone(&common.compiled),
+                    &self.shared.linker,
+                    &snap,
+                    Box::new(ctx),
+                );
+                (common, instance.map_err(|(e, ctx)| (TwineError::Module(e), ctx)))
+            }
+            (ParkedBody::Wasm(ctx, common), Image::Delta(delta)) => {
+                let instance = self.instance_from_delta(name, ctx, &common, &delta);
+                (common, instance)
+            }
+            // Not an image this kind of session parks.
+            (body, _) => return parked(body, corrupt_image(name)),
+        };
+        match instance {
+            Ok(mut instance) => {
+                self.attach(&mut instance, epc_base_page);
+                (SlotState::Live(Live::Wasm(Session { instance, common })), Ok(()))
+            }
+            Err((e, ctx)) => parked(ParkedBody::Wasm(into_ctx(ctx), common), e),
+        }
+    }
+
+    /// A base-state instance patched with a pooled session's `delta` and
+    /// holding the tenant's `ctx`, which is handed back (as host data) on
+    /// failure.
+    fn instance_from_delta(
+        &mut self,
+        name: &str,
+        ctx: WasiCtx,
+        common: &SessionCommon,
+        delta: &SnapshotDelta,
+    ) -> Result<Instance, (TwineError, Box<dyn Any + Send>)> {
+        let mut instance = self
+            .base_instance(&common.compiled, &common.stats.module_key, ctx)
+            .map_err(|(e, ctx)| (TwineError::Module(e), ctx))?;
+        instance.clear_dirty();
+        instance.meter.reset();
+        self.control_stats.dirty_pages_restored += delta.page_count() as u64;
+        if !instance.apply_delta(delta) {
+            let reason = format!("session {name:?}: parked delta does not fit its module");
+            let ctx = instance.replace_host_data(Box::new(()));
+            return Err((TwineError::Session(reason), ctx));
+        }
+        Ok(instance)
     }
 
     /// Whether EPC residency exceeds the configured park watermark.
     fn epc_over_watermark(&self) -> bool {
-        let Some(frac) = self.control.epc_park_watermark else {
+        let Some(frac) = self.shared.control.epc_park_watermark else {
             return false;
         };
-        let epc = self.enclave.epc();
+        let epc = self.shared.enclave.epc();
         let limit = epc.limit_pages();
         if limit == 0 {
             return false;
@@ -1334,7 +1456,10 @@ impl TwineService {
 
     /// Whether the eviction policy wants fewer live sessions right now.
     fn over_pressure(&self, live: usize) -> bool {
-        self.control.max_live_sessions.is_some_and(|max| live > max)
+        self.shared
+            .control
+            .max_live_sessions
+            .is_some_and(|max| live > max)
             || self.epc_over_watermark()
     }
 
@@ -1348,37 +1473,23 @@ impl TwineService {
         // pre-instantiated slots are freed *before* any live tenant is
         // parked — spare warm capacity is the cheapest memory to give back.
         if self.epc_over_watermark() {
-            self.pool.drain();
+            self.shared.pool.drain();
         }
         loop {
-            let live = self.live_session_count() + self.live_db_session_count();
+            let live = self.live_session_count();
             if live == 0 || !self.over_pressure(live) {
                 return;
             }
             // One LRU policy across both session kinds: the victim is the
             // least-recently-used live session, Wasm or database.
-            let wasm_victim = self
+            let victim = self
                 .sessions
                 .iter()
-                .filter(|(n, s)| {
-                    matches!(s, SessionSlot::Live(_)) && exclude != Some(n.as_str())
-                })
-                .min_by_key(|(_, s)| s.common().last_use)
-                .map(|(n, s)| (n.clone(), s.common().last_use));
-            let db_victim = self
-                .db_sessions
-                .iter()
-                .filter(|(n, d)| d.is_live() && exclude != Some(n.as_str()))
-                .min_by_key(|(_, d)| d.last_use)
-                .map(|(n, d)| (n.clone(), d.last_use));
-            let parked = match (wasm_victim, db_victim) {
-                (Some((w, wu)), Some((_, du))) if wu <= du => self.park_session(&w).is_ok(),
-                (_, Some((d, _))) => self.db_park_session(&d).is_ok(),
-                (Some((w, _)), None) => self.park_session(&w).is_ok(),
-                // Only the excluded session is live: nothing to park.
-                (None, None) => return,
-            };
-            if !parked {
+                .filter(|(n, s)| s.is_live() && exclude != Some(n.as_str()))
+                .min_by_key(|(_, s)| s.last_use)
+                .map(|(n, _)| n.clone());
+            // `None`: only the excluded session is live, nothing to park.
+            if victim.is_none_or(|v| self.park_session(&v).is_err()) {
                 return;
             }
         }
@@ -1391,13 +1502,18 @@ impl TwineService {
     /// and the trusted-clock watermark persist (files survive; the clock
     /// stays monotonic).
     pub fn reset_session(&mut self, name: &str) -> Result<(), TwineError> {
+        self.wasm_mut(name)?;
         self.ensure_live(name)?;
         self.use_seq += 1;
-        let use_seq = self.use_seq;
-        let Some(SessionSlot::Live(sess)) = self.sessions.get_mut(name) else {
+        let Some(SessionSlot {
+            last_use,
+            state: SlotState::Live(Live::Wasm(sess)),
+            ..
+        }) = self.sessions.get_mut(name)
+        else {
             unreachable!("ensure_live leaves the session live");
         };
-        sess.common.last_use = use_seq;
+        *last_use = self.use_seq;
         sess.instance.reset_to_image(&sess.common.base_snapshot);
         sess.instance.state::<WasiCtx>().reset_for_invocation();
         Ok(())
@@ -1406,11 +1522,7 @@ impl TwineService {
     /// Override the per-invocation fuel budget of one session (defaults to
     /// the builder's fuel).
     pub fn set_session_fuel(&mut self, name: &str, fuel: Option<u64>) -> Result<(), TwineError> {
-        let slot = self
-            .sessions
-            .get_mut(name)
-            .ok_or_else(|| TwineError::Session(format!("no session named {name:?}")))?;
-        slot.common_mut().fuel = fuel;
+        self.wasm_mut(name)?.fuel = fuel;
         Ok(())
     }
 
@@ -1424,11 +1536,7 @@ impl TwineService {
         name: &str,
         deadline: Option<u64>,
     ) -> Result<(), TwineError> {
-        let slot = self
-            .sessions
-            .get_mut(name)
-            .ok_or_else(|| TwineError::Session(format!("no session named {name:?}")))?;
-        slot.common_mut().deadline = deadline;
+        self.wasm_mut(name)?.deadline = deadline;
         Ok(())
     }
 
@@ -1436,9 +1544,40 @@ impl TwineService {
     /// value handed to the guest; 0 if the guest never read the clock).
     #[must_use]
     pub fn session_clock_watermark(&self, name: &str) -> Option<u64> {
-        self.sessions
-            .get(name)
-            .map(|s| s.common().watermark.load(Ordering::Relaxed))
+        Some(self.sessions.get(name)?.wasm()?.watermark.load(Ordering::Relaxed))
+    }
+
+    /// Close a session of the asked-for kind, live or sealed out, and
+    /// return what it would keep while parked — which holds the tenant's
+    /// backend. Retires the durable record and bumps the session's
+    /// monotonic counter: a replay of the removed record now carries a
+    /// stale tag and recover() rejects it.
+    pub(crate) fn close(&mut self, name: &str, db: bool) -> Option<ParkedBody> {
+        if self.sessions.get(name)?.is_db() != db {
+            return None;
+        }
+        let slot = self.sessions.remove(name)?;
+        if let Some(store) = &self.shared.control.durable_parks {
+            store.remove_record(name);
+            store.bump(name);
+        }
+        Some(match slot.state {
+            // Release the session's EPC pages: a closed tenant must not
+            // keep pinning residency. Settled first, so buffered page
+            // transitions (and a database's open transaction) land before
+            // the discard, not after. A pooled instance goes back to the
+            // pool: the next open of its module skips instantiation.
+            SlotState::Live(mut live) => {
+                let (pages, _) = live.settle();
+                self.shared.enclave.epc().discard_range(slot.epc_base_page, pages);
+                self.retire(live)
+            }
+            // A parked session's pages were already discarded at park time.
+            // A quarantined session likewise still has its backend — the
+            // tenant's protected files were never part of the damaged
+            // sealed image.
+            SlotState::Parked(parked) | SlotState::Quarantined(parked, _) => parked.body,
+        })
     }
 
     /// Close a session (live or parked), returning its file-system backend
@@ -1446,59 +1585,23 @@ impl TwineService {
     /// files. The cached compiled module stays in the cache for future
     /// sessions — reclaim orphaned entries with
     /// [`module_cache().evict_unreferenced()`](ModuleCache::evict_unreferenced).
+    /// (A database session closes through
+    /// [`db_close_session`](Self::db_close_session), which hands back the
+    /// shared handle its connection used.)
     pub fn close_session(&mut self, name: &str) -> Option<Box<dyn FsBackend>> {
-        let slot = self.sessions.remove(name)?;
-        // Retire the durable record and bump the session's monotonic
-        // counter: a replay of the removed record now carries a stale tag
-        // and recover() rejects it.
-        if let Some(store) = &self.control.durable_parks {
-            store.remove_record(name);
-            store.bump(name);
-        }
-        match slot {
-            SessionSlot::Live(mut sess) => {
-                // Release the session's EPC pages: a closed tenant must not
-                // keep pinning residency. Flush first so buffered page
-                // transitions fold before the discard, not after.
-                sess.instance.flush_page_sink();
-                let mem_bytes = sess.instance.memory().map_or(0, |m| m.size_bytes() as u64);
-                self.enclave.epc().discard_range(
-                    sess.common.stats.epc_base_page,
-                    mem_bytes.div_ceil(4096),
-                );
-                if sess.common.pooled {
-                    // Recycle the instance into the pool: the next open of
-                    // this module skips instantiation entirely.
-                    let mut instance = sess.instance;
-                    instance.reset_to_image(&sess.common.base_snapshot);
-                    instance.set_page_sink(None);
-                    instance.set_epoch(None);
-                    let ctx = *instance
-                        .replace_host_data(Box::new(()))
-                        .downcast::<WasiCtx>()
-                        .expect("service sessions hold a WasiCtx");
-                    self.pool.put(sess.common.stats.module_key, instance);
-                    return Some(wasi_backend_into_box(ctx));
-                }
-                sess.instance
-                    .into_state::<WasiCtx>()
-                    .map(wasi_backend_into_box)
-            }
-            // A parked session's pages were already discarded at park time;
-            // its WASI context is right here. Closing a quarantined session
-            // likewise returns its backend — the tenant's protected files
-            // were never part of the damaged sealed image.
-            SessionSlot::Parked(parked) | SessionSlot::Quarantined(parked, _) => {
-                Some(wasi_backend_into_box(parked.ctx))
-            }
+        match self.close(name, false)? {
+            ParkedBody::Wasm(ctx, _) => Some(ctx.into_backend()),
+            ParkedBody::Db(_) => unreachable!("close checked the kind"),
         }
     }
 
     /// Rebuild the session table from the durable park store after a
     /// (simulated) enclave crash/restart: for every durable record, verify
     /// journal integrity, unseal the image, check its freshness tag
-    /// against the processor monotonic counter, recompile the module and
-    /// re-admit the session **parked** — its first invoke restores it
+    /// against the processor monotonic counter, rebuild what the session
+    /// keeps while sealed out (a Wasm session's module is recompiled, a
+    /// database session's backend rewritten from its manifest) and
+    /// re-admit the session **parked** — its first call restores it
     /// bit-identical to the state it durably parked with.
     ///
     /// Freshness: a record whose tag is `>= counter` is accepted (a crash
@@ -1506,14 +1609,14 @@ impl TwineService {
     /// ahead) and the counter fast-forwards; a *stale* tag is a
     /// rollback/replay and fails typed with [`TwineError::Rollback`].
     ///
-    /// Protected files are **not** recovered — they live in per-session
-    /// backend storage outside the park image; a recovered session starts
-    /// with a fresh backend, exactly like a new open.
+    /// A Wasm session's protected files are **not** recovered — they live
+    /// in per-session backend storage outside the park image; a recovered
+    /// session starts with a fresh backend, exactly like a new open.
     ///
     /// Returns the recovered session names (sorted — recovery order is
     /// deterministic).
     pub fn recover(&mut self) -> Result<Vec<String>, TwineError> {
-        let Some(store) = self.control.durable_parks.clone() else {
+        let Some(store) = self.shared.control.durable_parks.clone() else {
             return Err(TwineError::Session(
                 "recover() requires ControlPlane::durable_parks".to_string(),
             ));
@@ -1521,7 +1624,7 @@ impl TwineService {
         let key = self.record_key();
         let mut recovered = Vec::new();
         for name in store.session_names() {
-            if self.sessions.contains_key(&name) || self.db_sessions.contains_key(&name) {
+            if self.sessions.contains_key(&name) {
                 continue;
             }
             let (wasm, sealed) = store.read_record(&name, key).map_err(|e| {
@@ -1530,17 +1633,13 @@ impl TwineService {
             // The sealed image crosses back into the enclave; unseal it to
             // validate integrity and read the freshness tag. Transient
             // (injected) faults are retried like any warm restore.
-            let mut retries = 0u64;
-            with_retries(&self.enclave, &mut retries, |attempt| {
-                self.enclave.try_ocall(attempt, sealed.len() as u64, || ())
-            })
-            .map_err(TwineError::Sgx)?;
-            let bytes = with_retries(&self.enclave, &mut retries, |attempt| {
-                self.enclave.ecall(|| self.enclave.try_unseal(attempt, &sealed))
-            })
-            .map_err(TwineError::Sgx)?;
-            self.control_stats.retries += retries;
-            let (tag, payload) = Self::unwrap_freshness(&bytes);
+            self.transfer(&sealed)?;
+            let bytes = self.unseal(&sealed).map_err(TwineError::Sgx)?;
+            let Some((tag, image)) = decode_image(&bytes) else {
+                return Err(TwineError::Session(format!(
+                    "durable record for {name:?} is corrupt"
+                )));
+            };
             let Some(tag) = tag else {
                 return Err(TwineError::Session(format!(
                     "durable record for {name:?} lacks a freshness tag"
@@ -1556,93 +1655,53 @@ impl TwineService {
                 });
             }
             store.fast_forward(&name, tag);
-            // Format byte 4: a database-session manifest. Rebuild the
-            // tenant's protected backend from the manifest's file images
-            // and re-admit the DB session parked — its first statement
-            // reopens the database bit-identical to the parked state.
-            if payload.first() == Some(&crate::dbsession::DB_MANIFEST_FORMAT) {
-                self.db_recover_record(&name, payload, sealed)?;
-                self.control_stats.recovered_sessions += 1;
-                recovered.push(name);
-                continue;
-            }
-            let pooled = payload.first() == Some(&2);
-
-            let (compiled, module_key, cache_hit) =
-                self.cache.get_or_compile(&wasm).map_err(TwineError::Module)?;
-            let backend = make_backend(
-                self.tpl.fs,
-                &self.enclave,
-                self.tpl.pfs_mode,
-                self.tpl.pfs_cache_nodes,
-                self.profiler.clone(),
-            );
-            let watermark = Arc::new(AtomicU64::new(0));
-            let ctx = build_wasi_ctx(
-                backend,
-                &self.tpl.preopen,
-                self.tpl.rights,
-                &self.tpl.args,
-                &self.tpl.env,
-                &self.enclave,
-                &watermark,
-            );
-            // A throwaway instantiation re-derives the base snapshot the
-            // restore path patches against (deterministic: same module,
-            // same data segments — and for pooled modules the shared base
-            // image is captured once per (module, tier) anyway).
-            let fresh = match Instance::instantiate_shared(
-                Arc::clone(&compiled),
-                &self.linker,
-                Box::new(ctx),
-                self.tpl.fuel,
-            ) {
-                Ok(i) => i,
-                Err((e, _ctx)) => {
-                    self.cache.evict_if_unreferenced(&module_key);
-                    return Err(TwineError::Module(e));
-                }
+            let epc_base_page = self.take_epc_range();
+            let body = match image {
+                Image::Db(manifest) => ParkedBody::Db(manifest.rebuild(self.new_backend())?),
+                Image::Full(_) => self.recover_wasm(&wasm, false, epc_base_page)?,
+                Image::Delta(_) => self.recover_wasm(&wasm, true, epc_base_page)?,
             };
-            let base_snapshot = if pooled {
-                Arc::clone(compiled.base_image_or_init(|| fresh.snapshot()))
-            } else {
-                Arc::new(fresh.snapshot())
-            };
-            let ctx = fresh
-                .into_state::<WasiCtx>()
-                .expect("recover instantiates with a WasiCtx");
-            let slot = self.epc_slots.fetch_add(1, Ordering::Relaxed);
-            let epc_base_page = (slot + 1) << 32;
-            self.use_seq += 1;
-            let common = SessionCommon {
-                compiled,
-                base_snapshot,
-                pooled,
-                watermark,
-                fuel: self.tpl.fuel,
-                deadline: self.control.deadline,
-                stats: SessionStats {
-                    module_key,
-                    wasm_bytes: wasm.len(),
-                    cache_hit,
-                    epc_base_page,
-                    invocations: 0,
-                },
-                last_use: self.use_seq,
-                rate: RateState::default(),
-                wasm: Some(Arc::new(wasm)),
-            };
-            self.sessions.insert(
-                name.clone(),
-                SessionSlot::Parked(ParkedSession {
-                    sealed,
-                    ctx,
-                    common,
-                }),
-            );
+            self.admit(&name, epc_base_page, SlotState::Parked(Parked { sealed, body }));
             self.control_stats.recovered_sessions += 1;
             recovered.push(name);
         }
         Ok(recovered)
+    }
+
+    /// What a recovered Wasm session keeps while sealed out: its module
+    /// (recompiled from the record's bytes, or shared through the cache),
+    /// a fresh WASI context, and the base snapshot its image restores
+    /// against — a delta image (`pooled`) patches the module's shared one.
+    fn recover_wasm(
+        &mut self,
+        wasm: &[u8],
+        pooled: bool,
+        epc_base_page: u64,
+    ) -> Result<ParkedBody, TwineError> {
+        let module = self
+            .shared
+            .cache
+            .get_or_compile(wasm)
+            .map_err(TwineError::Module)?;
+        let (ctx, watermark) = self.new_ctx();
+        // A throwaway instantiation re-derives the base snapshot the
+        // restore path patches against (deterministic: same module,
+        // same data segments — and for pooled modules the shared base
+        // image is captured once per (module, tier) anyway).
+        let fresh = match self.instantiate(&module.0, ctx) {
+            Ok(fresh) => fresh,
+            Err((e, _ctx)) => return Err(self.failed_open(module.0, &module.1, e)),
+        };
+        let base_snapshot = if pooled {
+            Arc::clone(module.0.base_image_or_init(|| fresh.snapshot()))
+        } else {
+            Arc::new(fresh.snapshot())
+        };
+        let ctx = fresh
+            .into_state::<WasiCtx>()
+            .expect("recover instantiates with a WasiCtx");
+        let common =
+            self.session_common(module, wasm, base_snapshot, pooled, watermark, epc_base_page);
+        Ok(ParkedBody::Wasm(ctx, common))
     }
 }

@@ -53,7 +53,7 @@ use twine_wasm::Value;
 
 use crate::control::{ControlPlane, ControlStats};
 use crate::runtime::{Overload, RunReport, TwineBuilder, TwineError};
-use crate::service::{ModuleCache, SessionStats, SessionTemplate, TwineService};
+use crate::service::{ModuleCache, SessionStats, Shared, TwineService};
 
 /// Per-shard serving counters, for load inspection and the `fig8_serving
 /// --threads` harness.
@@ -183,12 +183,10 @@ impl Drop for InFlightGuard<'_> {
 /// ```
 pub struct ShardedService {
     shards: Vec<Gate>,
-    enclave: Arc<Enclave>,
-    cache: Arc<ModuleCache>,
-    control: ControlPlane,
-    /// Shared preemption epoch (one counter across all shards; see
-    /// [`ControlPlane::epoch_slack`]).
-    epoch: Arc<AtomicU64>,
+    /// What every shard shares: the enclave, the module cache, the
+    /// control-plane policy, the preemption epoch (one counter across all
+    /// shards; see [`ControlPlane::epoch_slack`]).
+    shared: Shared,
     /// Per-tenant in-flight command counts (only consulted when
     /// [`ControlPlane::max_in_flight`] is set).
     in_flight: Mutex<HashMap<String, u64>>,
@@ -200,47 +198,21 @@ pub struct ShardedService {
 
 impl ShardedService {
     pub(crate) fn from_builder(b: TwineBuilder, shards: usize) -> Self {
-        let enclave = b.launch_enclave();
-        let profiler = b
-            .with_profiler
-            .then(|| twine_pfs::PfsProfiler::new(enclave.clock().clone()));
-        let linker = Arc::new(crate::runtime::base_linker());
-        let cache = Arc::new(ModuleCache::new(b.exec_tier));
-        let control = b.control.clone();
-        cache.set_capacity(control.module_cache_capacity);
-        let epc_slots = Arc::new(AtomicU64::new(0));
-        let epoch = Arc::new(AtomicU64::new(0));
-        let tpl = SessionTemplate::from_builder(&b);
-        // One pool for the whole fleet: a slot parked by one shard warms
-        // another shard's cold open (instances carry no shard-local state).
-        let pool = Arc::new(crate::pool::InstancePool::new(
-            control.pool_slots_per_module.unwrap_or(0),
-        ));
-
+        let shared = Shared::from_builder(b);
         let shards = (0..shards.max(1))
             .map(|_| Gate {
                 next: AtomicU64::new(0),
                 served: AtomicU64::new(0),
                 turn: Condvar::new(),
                 shard: Mutex::new(Shard {
-                    svc: TwineService::shard(
-                        Arc::clone(&enclave),
-                        b.processor.clone(),
-                        Arc::clone(&linker),
-                        Arc::clone(&cache),
-                        Arc::clone(&epc_slots),
-                        tpl.clone(),
-                        profiler.clone(),
-                        control.clone(),
-                        Arc::clone(&epoch),
-                        Arc::clone(&pool),
-                    ),
+                    svc: TwineService::new(shared.clone(), false),
                     parked: 0,
                     invocations: 0,
                     busy_ns: 0,
                 }),
             })
             .collect();
+        let control: &ControlPlane = &shared.control;
         // Optional wall-clock ticker: protects even a single busy shard
         // from a runaway guest (per-command bumps only land *between*
         // commands).
@@ -248,7 +220,7 @@ impl ShardedService {
             (Some(_), Some(ms)) => {
                 let interval = Duration::from_millis(ms.max(1));
                 let stop = Arc::new(AtomicBool::new(false));
-                let (stopped, ep) = (Arc::clone(&stop), Arc::clone(&epoch));
+                let (stopped, ep) = (Arc::clone(&stop), Arc::clone(&shared.epoch));
                 let h = std::thread::Builder::new()
                     .name("twine-epoch-ticker".into())
                     .spawn(move || {
@@ -272,10 +244,7 @@ impl ShardedService {
         };
         Self {
             shards,
-            enclave,
-            cache,
-            control,
-            epoch,
+            shared,
             in_flight: Mutex::new(HashMap::new()),
             queue_rejections: AtomicU64::new(0),
             inflight_rejections: AtomicU64::new(0),
@@ -301,19 +270,19 @@ impl ShardedService {
     /// The enclave hosting every shard's sessions.
     #[must_use]
     pub fn enclave(&self) -> &Arc<Enclave> {
-        &self.enclave
+        &self.shared.enclave
     }
 
     /// The shared virtual clock (all shards charge it).
     #[must_use]
     pub fn clock(&self) -> &SimClock {
-        self.enclave.clock()
+        self.shared.enclave.clock()
     }
 
     /// The content-addressed module cache shared by all shards.
     #[must_use]
     pub fn module_cache(&self) -> &ModuleCache {
-        &self.cache
+        &self.shared.cache
     }
 
     /// Run `f` inside `shard`'s gate, on this thread, once every command
@@ -358,8 +327,8 @@ impl ShardedService {
         // epoch: cross-shard traffic preempts a long invocation without
         // any wall-clock dependence (deterministic tests bump by hand
         // instead).
-        if self.control.epoch_slack.is_some() {
-            self.epoch.fetch_add(1, Ordering::Relaxed);
+        if self.shared.control.epoch_slack.is_some() {
+            self.shared.epoch.fetch_add(1, Ordering::Relaxed);
         }
         let mut turn = Turn {
             gate,
@@ -388,14 +357,14 @@ impl ShardedService {
         f: impl FnOnce(&mut Shard) -> Result<R, TwineError>,
     ) -> Result<R, TwineError> {
         let _guard = self.acquire_in_flight(session)?;
-        self.enter(self.shard_of(session), self.control.queue_depth, f)?
+        self.enter(self.shard_of(session), self.shared.control.queue_depth, f)?
     }
 
     /// Count `name` against its tenant in-flight cap, if one is
     /// configured. The returned guard releases the slot when the caller's
     /// call completes (any exit path).
     fn acquire_in_flight(&self, name: &str) -> Result<Option<InFlightGuard<'_>>, TwineError> {
-        let Some(max) = self.control.max_in_flight else {
+        let Some(max) = self.shared.control.max_in_flight else {
             return Ok(None);
         };
         let mut m = self.in_flight.lock().unwrap();
@@ -420,7 +389,7 @@ impl ShardedService {
     /// Open a named session on the shard owning `name` (cold path). See
     /// [`TwineService::open_session`].
     pub fn open_session(&self, name: &str, wasm: &[u8]) -> Result<SessionStats, TwineError> {
-        self.enter(self.shard_of(name), self.control.queue_depth, |s| {
+        self.enter(self.shard_of(name), self.shared.control.queue_depth, |s| {
             s.svc.open_session(name, wasm).cloned()
         })?
     }
@@ -514,7 +483,7 @@ impl ShardedService {
     /// [`ControlPlane::epoch_slack`]); every command entering a shard and
     /// the optional wall-clock ticker bump it automatically.
     pub fn bump_epoch(&self) {
-        self.epoch.fetch_add(1, Ordering::Relaxed);
+        self.shared.epoch.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Control-plane counters summed across every shard, plus the
@@ -532,7 +501,7 @@ impl ShardedService {
         // The fault-injection gauge is enclave-global (the plan is shared
         // by every shard); fill it exactly once at the handle instead of
         // summing one full copy per shard.
-        if let Some(plan) = self.enclave.fault_plan() {
+        if let Some(plan) = self.shared.enclave.fault_plan() {
             total.faults_injected = plan.total_injected();
         }
         total
@@ -585,7 +554,7 @@ impl ShardedService {
     /// Open a named database session on the shard owning `name` (cold
     /// path). See [`TwineService::db_open_session`].
     pub fn db_open_session(&self, name: &str) -> Result<(), TwineError> {
-        self.enter(self.shard_of(name), self.control.queue_depth, |s| {
+        self.enter(self.shard_of(name), self.shared.control.queue_depth, |s| {
             s.svc.db_open_session(name)
         })?
     }
@@ -630,17 +599,10 @@ impl ShardedService {
         self.call(name, |s| s.svc.db_table_names(name))
     }
 
-    /// Park a database session (close its connection, seal its manifest,
-    /// release its EPC pages). See [`TwineService::db_park_session`].
+    /// Park a database session: [`park_session`](Self::park_session)
+    /// under its older name — it forwards, nothing else.
     pub fn db_park_session(&self, name: &str) -> Result<(), TwineError> {
-        self.admin(name, |svc| svc.db_park_session(name))?
-    }
-
-    /// Whether a database session is currently parked. See
-    /// [`TwineService::db_session_parked`].
-    #[must_use]
-    pub fn db_session_parked(&self, name: &str) -> Option<bool> {
-        self.admin(name, |svc| svc.db_session_parked(name)).ok()?
+        self.park_session(name)
     }
 
     /// Cumulative plan-cache counters for one database session. See
@@ -677,7 +639,7 @@ impl ShardedService {
         (0..self.shards.len())
             .map(|i| {
                 self.enter(i, None, |s| ShardStats {
-                    sessions: s.svc.session_count() + s.svc.db_session_count(),
+                    sessions: s.svc.session_count(),
                     invocations: s.invocations,
                     busy_ns: s.busy_ns,
                 })

@@ -357,17 +357,23 @@ impl<S: UntrustedStorage> SgxFile<S> {
 
     fn flush_plain(&mut self) -> Result<(), PfsError> {
         // Deepest first: data nodes, then L2, then L1 — parents absorb the
-        // children's fresh (key, tag) entries before being flushed.
+        // children's fresh (key, tag) entries before being flushed. Within
+        // a kind, by physical index: `dirty_nodes` iterates a `HashMap`,
+        // and node keys derive from a per-file counter, so any other order
+        // makes the stored image differ from run to run.
         loop {
             let mut dirty = self.cache.dirty_nodes();
             if dirty.is_empty() {
                 break;
             }
-            dirty.sort_by_key(|&phys| match classify(phys) {
-                NodeKind::Data(_) => 0,
-                NodeKind::L2(_) => 1,
-                NodeKind::L1(_) => 2,
-                NodeKind::Meta => 3,
+            dirty.sort_by_key(|&phys| {
+                let rank = match classify(phys) {
+                    NodeKind::Data(_) => 0,
+                    NodeKind::L2(_) => 1,
+                    NodeKind::L1(_) => 2,
+                    NodeKind::Meta => 3,
+                };
+                (rank, phys)
             });
             let phys = dirty[0];
             let (_, mut node) = self.cache.remove(phys).expect("dirty node cached");

@@ -254,12 +254,19 @@ impl Connection {
             .ok_or_else(|| DbError::Schema("query returned no rows".into()))
     }
 
-    /// Flush everything to storage (close).
-    pub fn close(mut self) -> DbResult<()> {
+    /// Flush everything to storage — committing a transaction still open —
+    /// and keep the connection, with its caches, usable.
+    pub fn flush(&mut self) -> DbResult<()> {
         if self.explicit_txn {
             self.pager.commit()?;
+            self.explicit_txn = false;
         }
         self.pager.flush()
+    }
+
+    /// Flush everything to storage (close).
+    pub fn close(mut self) -> DbResult<()> {
+        self.flush()
     }
 }
 

@@ -7,13 +7,18 @@
 //! cargo run --release --example secure_database
 //! ```
 
-use twine::baselines::pfs_vfs::PfsVfs;
+use twine::core::PfsBackend;
 use twine::pfs::PfsMode;
+use twine::sqldb::backend_vfs::BackendVfs;
 use twine::sqldb::{Connection, SqlValue};
 
+/// A protected VFS: every database page is encrypted + Merkle-verified.
+fn protected_vfs() -> BackendVfs {
+    BackendVfs::new(Box::new(PfsBackend::new(None, PfsMode::Optimised, 48, None)))
+}
+
 fn main() {
-    // A protected VFS: every database page is encrypted + Merkle-verified.
-    let vfs = PfsVfs::new(None, PfsMode::Optimised, 48, None);
+    let vfs = protected_vfs();
     let mut db = Connection::open(Box::new(vfs), "patients.db").expect("open");
 
     db.execute(
@@ -56,7 +61,7 @@ fn main() {
 
     // What the untrusted host actually sees: ciphertext only. A fresh
     // protected VFS demonstrates the property directly.
-    let probe = PfsVfs::new(None, PfsMode::Optimised, 48, None);
+    let probe = protected_vfs();
     let mut db2 = Connection::open(Box::new(probe), "probe.db").expect("open probe");
     db2.execute("CREATE TABLE s(v TEXT)").expect("ct");
     db2.execute("INSERT INTO s VALUES ('THE-SECRET-DIAGNOSIS')").expect("ins");
