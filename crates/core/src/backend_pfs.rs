@@ -219,21 +219,23 @@ mod tests {
 
     #[test]
     fn storage_holds_only_ciphertext() {
-        let mut b = backend();
-        {
-            let mut f = b.open("/d/s", true, false).unwrap();
-            f.write(b"THE-SECRET-SENTINEL-VALUE").unwrap();
-            f.sync().unwrap();
+        for mode in [PfsMode::Intel, PfsMode::Optimised] {
+            let mut b = PfsBackend::new(None, mode, DEFAULT_CACHE_NODES, None);
+            {
+                let mut f = b.open("/d/s", true, false).unwrap();
+                f.write(b"THE-SECRET-SENTINEL-VALUE").unwrap();
+                f.sync().unwrap();
+            }
+            let storage = b.storage_of("/d/s").unwrap();
+            let leaked = storage.with_inner(|m| {
+                let snap = m.snapshot();
+                snap.into_iter().flatten().any(|n| {
+                    n.windows(25).any(|w| w == b"THE-SECRET-SENTINEL-VALUE")
+                })
+            });
+            assert!(!leaked, "{mode:?}");
+            assert!(storage.stored_bytes() > 0, "{mode:?}");
         }
-        let storage = b.storage_of("/d/s").unwrap();
-        let leaked = storage.with_inner(|m| {
-            let snap = m.snapshot();
-            snap.into_iter().flatten().any(|n| {
-                n.windows(25).any(|w| w == b"THE-SECRET-SENTINEL-VALUE")
-            })
-        });
-        assert!(!leaked);
-        assert!(storage.stored_bytes() > 0);
     }
 
     #[test]

@@ -13,57 +13,35 @@
 //!    next invoke restores them warm, bit-identical to never having left.
 //! 2. **Preemption** — one guest must not monopolise a shard. A
 //!    per-invocation deadline (in fuel units, i.e. baseline-constituent
-//!    instructions) and/or a shared epoch counter stop a runaway
-//!    invocation with exact metering, surfaced as
+//!    instructions) stops a runaway invocation with exact metering,
+//!    surfaced as
 //!    [`Trap::DeadlineExceeded`](twine_wasm::Trap::DeadlineExceeded).
-//! 3. **Admission control** — bounded per-shard queues, per-tenant
-//!    in-flight caps and fuel-rate buckets reject excess load *typed*
+//! 3. **Admission control** — bounded per-shard queues and per-tenant
+//!    in-flight caps reject excess load *typed*
 //!    ([`TwineError::Overloaded`](crate::TwineError)) instead of queueing
 //!    it unboundedly.
 //!
 //! Everything here is plain data; the mechanisms live in
 //! `service.rs`/`sharded.rs` (policy) and `twine-wasm`'s dispatch loops
-//! (deadline/epoch).
-
-/// Per-tenant fuel-rate cap: a token bucket over *virtual time*. A session
-/// accrues `fuel_per_mcycle` units of allowance per million virtual-clock
-/// cycles; every invocation's retired instructions add to its debt. An
-/// invocation is rejected ([`crate::TwineError::Overloaded`]) while the
-/// outstanding debt exceeds `burst`.
-///
-/// Virtual-time based, so the policy is about the *modelled* machine: a
-/// tenant that burns simulated cycles is throttled no matter how fast the
-/// host executes the simulation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct FuelRate {
-    /// Allowance accrued per 1e6 virtual cycles.
-    pub fuel_per_mcycle: u64,
-    /// Maximum outstanding debt before invocations are rejected.
-    pub burst: u64,
-}
+//! (deadline).
 
 /// Control-plane configuration, set once on the
 /// [`TwineBuilder`](crate::TwineBuilder) and applied by every
 /// [`TwineService`](crate::TwineService) / shard. All knobs default to
 /// `None` — the control plane is fully opt-in and a default-configured
-/// service behaves exactly as before it existed.
+/// service behaves exactly as before it existed. Every knob is set by a
+/// test or bench that fails without it
+/// (`tests/options_have_customers.rs`).
 #[derive(Debug, Clone, Default)]
 pub struct ControlPlane {
     /// Park least-recently-used sessions beyond this many live (unparked)
     /// sessions per service/shard.
     pub max_live_sessions: Option<usize>,
-    /// Park LRU sessions while EPC residency exceeds this fraction of the
-    /// EPC page budget (e.g. `0.9` parks once the pool is 90% full). The
-    /// pressure signal is the enclave's lock-free resident-page mirror.
-    pub epc_park_watermark: Option<f64>,
-    /// Default per-invocation preemption deadline, in fuel units
-    /// (baseline-constituent instructions). Overridable per session.
+    /// Per-invocation preemption deadline, in fuel units
+    /// (baseline-constituent instructions). Unlike fuel, exceeding it is
+    /// a scheduler yield, not a tenant fault — guest state is kept, not
+    /// wiped.
     pub deadline: Option<u64>,
-    /// Enable epoch preemption: an invocation survives this many epoch
-    /// bumps before yielding with `DeadlineExceeded`. Every command
-    /// entering a shard bumps the shared epoch once, and an optional ticker
-    /// (`epoch_interval_ms`) bumps it on wall-clock time.
-    pub epoch_slack: Option<u64>,
     /// Bound each shard's command queue — the callers waiting at its gate,
     /// not counting the one running — to this depth; invoke/open commands
     /// that find the queue full are rejected with
@@ -73,24 +51,16 @@ pub struct ControlPlane {
     /// (an `invoke_batch` counts as one). Excess calls are rejected with
     /// [`crate::TwineError::Overloaded`].
     pub max_in_flight: Option<u64>,
-    /// Per-tenant fuel-rate token bucket (see [`FuelRate`]).
-    pub fuel_rate: Option<FuelRate>,
     /// Evict unreferenced module-cache entries whenever the cache holds
     /// more than this many compiled modules (wired to the same pressure
     /// enforcement as session parking).
     pub module_cache_capacity: Option<usize>,
-    /// Spawn a wall-clock epoch ticker bumping the shared epoch counter
-    /// every this many milliseconds (only meaningful with `epoch_slack`;
-    /// protects even a single busy shard from a runaway guest).
-    pub epoch_interval_ms: Option<u64>,
     /// Keep up to this many pre-instantiated instance slots per (module,
     /// tier) in an instance pool shared by every shard of the service.
     /// With a pool, opening a session over known bytes (and
     /// restoring a parked one) becomes a slot checkout plus an
     /// O(dirty-pages) patch, and parking seals only the delta against the
-    /// module's shared base image instead of the full memory image. Slots
-    /// are drained whenever EPC residency crosses `epc_park_watermark` —
-    /// idle pre-instantiated capacity is the first casualty of pressure.
+    /// module's shared base image instead of the full memory image.
     /// `None` (the default) disables pooling entirely: every park seals
     /// the full image, byte-compatible with the pre-pool control plane.
     pub pool_slots_per_module: Option<usize>,
@@ -123,10 +93,8 @@ pub struct ControlStats {
     pub sealed_bytes: u64,
     /// Bytes of sealed session state read back in for restores.
     pub unsealed_bytes: u64,
-    /// Invocations stopped by the deadline/epoch preemption policy.
+    /// Invocations stopped by the deadline preemption policy.
     pub deadline_preemptions: u64,
-    /// Invocations rejected by the per-tenant fuel-rate bucket.
-    pub rate_rejections: u64,
     /// Commands rejected because a bounded shard queue was full
     /// (handle-level; always 0 on a single `TwineService`).
     pub queue_rejections: u64,
@@ -140,7 +108,7 @@ pub struct ControlStats {
     /// Pool-eligible opens/restores served from a pre-instantiated slot.
     pub pool_hits: u64,
     /// Pool-eligible opens/restores that had to instantiate fresh (pool
-    /// empty, drained by pressure, or slot not yet returned).
+    /// empty, or slot not yet returned).
     pub pool_misses: u64,
     /// 4 KiB pages patched onto base-state instances by delta restores.
     pub dirty_pages_restored: u64,
@@ -190,56 +158,56 @@ impl ControlStats {
     /// Sum counters (gauges included — the sharded aggregate's gauges are
     /// the across-shard totals).
     pub fn merge(&mut self, other: &ControlStats) {
-        self.parks += other.parks;
-        self.restores += other.restores;
-        self.sealed_bytes += other.sealed_bytes;
-        self.unsealed_bytes += other.unsealed_bytes;
-        self.deadline_preemptions += other.deadline_preemptions;
-        self.rate_rejections += other.rate_rejections;
-        self.queue_rejections += other.queue_rejections;
-        self.inflight_rejections += other.inflight_rejections;
-        self.live_sessions += other.live_sessions;
-        self.parked_sessions += other.parked_sessions;
-        self.pool_hits += other.pool_hits;
-        self.pool_misses += other.pool_misses;
-        self.dirty_pages_restored += other.dirty_pages_restored;
-        self.delta_sealed_bytes += other.delta_sealed_bytes;
-        self.faults_injected += other.faults_injected;
-        self.retries += other.retries;
-        self.fallback_parks += other.fallback_parks;
-        self.quarantines += other.quarantines;
-        self.pool_discards += other.pool_discards;
-        self.recovered_sessions += other.recovered_sessions;
-        self.rollback_rejected += other.rollback_rejected;
-        self.db_statements += other.db_statements;
-        self.stmt_cache_hits += other.stmt_cache_hits;
-        self.stmt_cache_misses += other.stmt_cache_misses;
-    }
-}
-
-/// Per-session fuel-rate bucket state (virtual-time token bucket).
-#[derive(Debug, Clone, Copy, Default)]
-pub(crate) struct RateState {
-    /// Outstanding debt in fuel units.
-    pub(crate) debt: u64,
-    /// Virtual-clock cycles at the last admission check.
-    pub(crate) last_cycles: u64,
-}
-
-impl RateState {
-    /// Refill allowance for the elapsed virtual time, then report whether
-    /// an invocation may be admitted under `rate`.
-    pub(crate) fn admit(&mut self, rate: FuelRate, now_cycles: u64) -> bool {
-        let dt = now_cycles.saturating_sub(self.last_cycles);
-        let allowance = dt.saturating_mul(rate.fuel_per_mcycle) / 1_000_000;
-        self.debt = self.debt.saturating_sub(allowance);
-        self.last_cycles = now_cycles;
-        self.debt <= rate.burst
-    }
-
-    /// Charge retired work to the bucket.
-    pub(crate) fn charge(&mut self, fuel_spent: u64) {
-        self.debt = self.debt.saturating_add(fuel_spent);
+        // Destructured without `..`: a counter added to the struct and not
+        // to the sum below does not compile.
+        let ControlStats {
+            parks,
+            restores,
+            sealed_bytes,
+            unsealed_bytes,
+            deadline_preemptions,
+            queue_rejections,
+            inflight_rejections,
+            live_sessions,
+            parked_sessions,
+            pool_hits,
+            pool_misses,
+            dirty_pages_restored,
+            delta_sealed_bytes,
+            faults_injected,
+            retries,
+            fallback_parks,
+            quarantines,
+            pool_discards,
+            recovered_sessions,
+            rollback_rejected,
+            db_statements,
+            stmt_cache_hits,
+            stmt_cache_misses,
+        } = *other;
+        self.parks += parks;
+        self.restores += restores;
+        self.sealed_bytes += sealed_bytes;
+        self.unsealed_bytes += unsealed_bytes;
+        self.deadline_preemptions += deadline_preemptions;
+        self.queue_rejections += queue_rejections;
+        self.inflight_rejections += inflight_rejections;
+        self.live_sessions += live_sessions;
+        self.parked_sessions += parked_sessions;
+        self.pool_hits += pool_hits;
+        self.pool_misses += pool_misses;
+        self.dirty_pages_restored += dirty_pages_restored;
+        self.delta_sealed_bytes += delta_sealed_bytes;
+        self.faults_injected += faults_injected;
+        self.retries += retries;
+        self.fallback_parks += fallback_parks;
+        self.quarantines += quarantines;
+        self.pool_discards += pool_discards;
+        self.recovered_sessions += recovered_sessions;
+        self.rollback_rejected += rollback_rejected;
+        self.db_statements += db_statements;
+        self.stmt_cache_hits += stmt_cache_hits;
+        self.stmt_cache_misses += stmt_cache_misses;
     }
 }
 
@@ -247,38 +215,46 @@ impl RateState {
 mod tests {
     use super::*;
 
-    #[test]
-    fn rate_bucket_refills_with_virtual_time() {
-        let rate = FuelRate {
-            fuel_per_mcycle: 1_000,
-            burst: 500,
+    /// Field `k` (in declaration order) set to `m * k`: every field distinct
+    /// and non-zero, so a merge line that is missing or reads the wrong
+    /// field shows up as a wrong sum.
+    fn distinct(m: u64) -> ControlStats {
+        let mut k = 0;
+        let mut n = || {
+            k += 1;
+            m * k
         };
-        let mut rs = RateState::default();
-        assert!(rs.admit(rate, 0));
-        rs.charge(1_000);
-        // Debt 1000 > burst 500: rejected until time passes.
-        assert!(!rs.admit(rate, 0));
-        // 400k cycles -> 400 allowance: debt 600, still over burst.
-        assert!(!rs.admit(rate, 400_000));
-        // Another 200k cycles -> 200 more: debt 400 <= burst.
-        assert!(rs.admit(rate, 600_000));
+        ControlStats {
+            parks: n(),
+            restores: n(),
+            sealed_bytes: n(),
+            unsealed_bytes: n(),
+            deadline_preemptions: n(),
+            queue_rejections: n(),
+            inflight_rejections: n(),
+            live_sessions: n(),
+            parked_sessions: n(),
+            pool_hits: n(),
+            pool_misses: n(),
+            dirty_pages_restored: n(),
+            delta_sealed_bytes: n(),
+            faults_injected: n(),
+            retries: n(),
+            fallback_parks: n(),
+            quarantines: n(),
+            pool_discards: n(),
+            recovered_sessions: n(),
+            rollback_rejected: n(),
+            db_statements: n(),
+            stmt_cache_hits: n(),
+            stmt_cache_misses: n(),
+        }
     }
 
     #[test]
     fn merge_sums_all_counters() {
-        let mut a = ControlStats {
-            parks: 1,
-            restores: 2,
-            ..ControlStats::default()
-        };
-        let b = ControlStats {
-            parks: 10,
-            queue_rejections: 3,
-            ..ControlStats::default()
-        };
-        a.merge(&b);
-        assert_eq!(a.parks, 11);
-        assert_eq!(a.restores, 2);
-        assert_eq!(a.queue_rejections, 3);
+        let mut a = distinct(1);
+        a.merge(&distinct(1_000));
+        assert_eq!(a, distinct(1_001));
     }
 }

@@ -61,7 +61,7 @@ pub mod shared_store;
 
 pub use backend_host::HostBackend;
 pub use backend_pfs::PfsBackend;
-pub use control::{ControlPlane, ControlStats, FuelRate};
+pub use control::{ControlPlane, ControlStats};
 pub use durable::DurableParkStore;
 pub use provision::{ApplicationProvider, EncryptedApp};
 pub use runtime::{FsChoice, Overload, RunReport, TwineApp, TwineBuilder, TwineError, TwineRuntime};

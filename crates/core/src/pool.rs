@@ -59,16 +59,6 @@ impl InstancePool {
         true
     }
 
-    /// Drop every pooled slot (EPC-pressure coupling: pre-instantiated
-    /// idle capacity goes before live tenants are parked). Returns how
-    /// many slots were freed.
-    pub(crate) fn drain(&self) -> usize {
-        let mut slots = self.slots.lock().unwrap();
-        let n = slots.values().map(Vec::len).sum();
-        slots.clear();
-        n
-    }
-
     /// Total slots currently parked in the pool.
     pub(crate) fn len(&self) -> usize {
         self.slots.lock().unwrap().values().map(Vec::len).sum()

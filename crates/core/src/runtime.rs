@@ -3,7 +3,7 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use twine_pfs::{PfsMode, PfsProfiler};
+use twine_pfs::PfsMode;
 use twine_sgx::{Enclave, EnclaveBuilder, EpcStats, Processor, SgxError, SgxMode, SimClock};
 use twine_wasi::abi::PROC_EXIT_TRAP;
 use twine_wasi::{register_wasi, Errno, FsBackend, Rights, WasiCtx, WasiFile};
@@ -31,7 +31,7 @@ pub enum FsChoice {
 /// [`TwineError::Overloaded`]. Every variant is backpressure (the caller
 /// may retry later), but they name different resources, so a client can
 /// react differently to a full shard queue (spread load) than to its own
-/// rate bucket (slow down).
+/// in-flight cap (wait for a reply).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Overload {
     /// A bounded shard command queue was full.
@@ -48,11 +48,6 @@ pub enum Overload {
         /// The configured cap.
         max: u64,
     },
-    /// The tenant's fuel-rate token bucket is over its burst allowance.
-    RateLimited {
-        /// Session/tenant name.
-        tenant: String,
-    },
 }
 
 impl core::fmt::Display for Overload {
@@ -63,9 +58,6 @@ impl core::fmt::Display for Overload {
             }
             Overload::InFlight { tenant, max } => {
                 write!(f, "tenant {tenant:?} at in-flight cap ({max})")
-            }
-            Overload::RateLimited { tenant } => {
-                write!(f, "tenant {tenant:?} over fuel-rate burst")
             }
         }
     }
@@ -90,7 +82,7 @@ pub enum TwineError {
     /// servable — DB errors are per-statement, not fatal.
     Db(String),
     /// Admission control rejected the call: a bounded shard queue was
-    /// full, or a per-tenant in-flight or fuel-rate cap was exceeded.
+    /// full, or a per-tenant in-flight cap was exceeded.
     /// Backpressure, not failure — the caller may retry later (see
     /// [`Overload`] for which resource pushed back).
     Overloaded(Overload),
@@ -177,7 +169,6 @@ pub struct TwineBuilder {
     pub(crate) heap_bytes: u64,
     pub(crate) tpl: SessionTemplate,
     pub(crate) processor: Processor,
-    pub(crate) with_profiler: bool,
     pub(crate) exec_tier: ExecTier,
     pub(crate) control: crate::ControlPlane,
     pub(crate) faults: Option<Arc<twine_sgx::FaultPlan>>,
@@ -200,7 +191,6 @@ impl TwineBuilder {
             tpl: SessionTemplate {
                 fs: FsChoice::ProtectedInMemory,
                 pfs_mode: PfsMode::Intel,
-                pfs_cache_nodes: twine_pfs::DEFAULT_CACHE_NODES,
                 preopen: "/data".to_string(),
                 rights: Rights::all(),
                 args: vec!["app.wasm".to_string()],
@@ -208,7 +198,6 @@ impl TwineBuilder {
                 fuel: None,
             },
             processor: Processor::new(0),
-            with_profiler: false,
             exec_tier: ExecTier::default(),
             control: crate::ControlPlane::default(),
             faults: None,
@@ -240,13 +229,6 @@ impl TwineBuilder {
     #[must_use]
     pub fn pfs_mode(mut self, mode: PfsMode) -> Self {
         self.tpl.pfs_mode = mode;
-        self
-    }
-
-    /// Protected-FS node cache capacity.
-    #[must_use]
-    pub fn pfs_cache_nodes(mut self, nodes: usize) -> Self {
-        self.tpl.pfs_cache_nodes = nodes;
         self
     }
 
@@ -289,13 +271,6 @@ impl TwineBuilder {
         self
     }
 
-    /// Enable the §V-F PFS profiler.
-    #[must_use]
-    pub fn profile_pfs(mut self) -> Self {
-        self.with_profiler = true;
-        self
-    }
-
     /// Bound guest execution (defence against runaway guests).
     #[must_use]
     pub fn fuel(mut self, fuel: u64) -> Self {
@@ -309,14 +284,6 @@ impl TwineBuilder {
     #[must_use]
     pub fn control_plane(mut self, control: crate::ControlPlane) -> Self {
         self.control = control;
-        self
-    }
-
-    /// Convenience: set the default per-invocation preemption deadline (in
-    /// fuel units) without building a whole [`crate::ControlPlane`].
-    #[must_use]
-    pub fn deadline(mut self, deadline: u64) -> Self {
-        self.control.deadline = Some(deadline);
         self
     }
 
@@ -352,10 +319,11 @@ impl TwineBuilder {
         self
     }
 
-    /// Select the engine's execution tier: the baseline dispatch or the
-    /// fused-superinstruction IR (default). Both are semantically and
-    /// metering-identical; the fused tier is faster in wall-clock terms,
-    /// so virtual-time results are tier-independent.
+    /// Select the engine's execution tier: the baseline dispatch, the
+    /// fused-superinstruction IR, or register-allocated three-address code
+    /// (default). All are semantically and metering-identical; the later
+    /// tiers are only faster in wall-clock terms, so virtual-time results
+    /// are tier-independent.
     #[must_use]
     pub fn exec_tier(mut self, tier: ExecTier) -> Self {
         self.exec_tier = tier;
@@ -369,14 +337,13 @@ impl TwineBuilder {
     /// on each call.
     #[must_use]
     pub fn build(self) -> TwineRuntime {
-        let (enclave, profiler) = self.launch();
-        let backend = make_backend(&self.tpl, &enclave, profiler.clone());
+        let enclave = self.launch();
+        let backend = make_backend(&self.tpl, &enclave);
         TwineRuntime {
             enclave,
             linker: Arc::new(base_linker()),
             clock_watermark: Arc::new(AtomicU64::new(0)),
             tpl: self.tpl,
-            profiler,
             backend: Some(backend),
             exec_tier: self.exec_tier,
         }
@@ -400,9 +367,8 @@ impl TwineBuilder {
         crate::ShardedService::from_builder(self, threads)
     }
 
-    /// Launch the simulated enclave described by this builder, with the
-    /// §V-F PFS profiler on its clock when one was asked for.
-    pub(crate) fn launch(&self) -> (Arc<Enclave>, Option<PfsProfiler>) {
+    /// Launch the simulated enclave described by this builder.
+    pub(crate) fn launch(&self) -> Arc<Enclave> {
         let mut builder = EnclaveBuilder::new(TWINE_RUNTIME_IMAGE)
             .heap_bytes(self.heap_bytes)
             .mode(self.sgx_mode)
@@ -410,11 +376,7 @@ impl TwineBuilder {
         if let Some(plan) = &self.faults {
             builder = builder.faults(Arc::clone(plan));
         }
-        let enclave = Arc::new(builder.build(&self.processor));
-        let profiler = self
-            .with_profiler
-            .then(|| PfsProfiler::new(enclave.clock().clone()));
-        (enclave, profiler)
+        Arc::new(builder.build(&self.processor))
     }
 }
 
@@ -442,7 +404,6 @@ pub const TWINE_RUNTIME_IMAGE: &[u8] = &[0x54; 567 * 1024];
 pub(crate) struct SessionTemplate {
     pub(crate) fs: FsChoice,
     pub(crate) pfs_mode: PfsMode,
-    pub(crate) pfs_cache_nodes: usize,
     pub(crate) preopen: String,
     pub(crate) rights: Rights,
     pub(crate) args: Vec<String>,
@@ -451,17 +412,13 @@ pub(crate) struct SessionTemplate {
 }
 
 /// A fresh, empty file-system backend of the template's choosing.
-pub(crate) fn make_backend(
-    tpl: &SessionTemplate,
-    enclave: &Arc<Enclave>,
-    profiler: Option<PfsProfiler>,
-) -> Box<dyn FsBackend> {
+pub(crate) fn make_backend(tpl: &SessionTemplate, enclave: &Arc<Enclave>) -> Box<dyn FsBackend> {
     match tpl.fs {
         FsChoice::ProtectedInMemory => Box::new(PfsBackend::new(
             Some(enclave.clone()),
             tpl.pfs_mode,
-            tpl.pfs_cache_nodes,
-            profiler,
+            twine_pfs::DEFAULT_CACHE_NODES,
+            None,
         )),
         FsChoice::UntrustedHost => Box::new(HostBackend::new(Some(enclave.clone()))),
         FsChoice::Disabled => Box::new(NoFs),
@@ -577,7 +534,6 @@ pub struct TwineRuntime {
     /// `Cell` silently allowed non-monotonic reads once shared).
     clock_watermark: Arc<AtomicU64>,
     tpl: SessionTemplate,
-    profiler: Option<PfsProfiler>,
     backend: Option<Box<dyn FsBackend>>,
     exec_tier: ExecTier,
 }
@@ -599,12 +555,6 @@ impl TwineRuntime {
     #[must_use]
     pub fn clock(&self) -> &SimClock {
         self.enclave.clock()
-    }
-
-    /// The PFS profiler, when enabled.
-    #[must_use]
-    pub fn pfs_profiler(&self) -> Option<&PfsProfiler> {
-        self.profiler.as_ref()
     }
 
     /// Load a Wasm binary: decode, validate, AoT-compile (all performed on
@@ -660,7 +610,7 @@ impl TwineRuntime {
         let backend = self
             .backend
             .take()
-            .unwrap_or_else(|| make_backend(&self.tpl, &self.enclave, self.profiler.clone()));
+            .unwrap_or_else(|| make_backend(&self.tpl, &self.enclave));
         let ctx = build_wasi_ctx(backend, &self.tpl, &self.enclave, &self.clock_watermark);
 
         let mut instance = match Instance::instantiate_shared(

@@ -32,7 +32,6 @@ use std::sync::{Arc, Mutex, OnceLock};
 
 use twine_crypto::kdf::KeyName;
 use twine_crypto::Sha256;
-use twine_pfs::PfsProfiler;
 use twine_sgx::{Enclave, FaultKind, Processor, SgxError, SimClock};
 use twine_wasi::{FsBackend, WasiCtx};
 use twine_wasm::compile::CompiledModule;
@@ -40,12 +39,12 @@ use twine_wasm::{
     ExecTier, Instance, InstanceSnapshot, Linker, ModuleError, SnapshotDelta, Trap, Value,
 };
 
-use crate::control::{ControlPlane, ControlStats, RateState};
+use crate::control::{ControlPlane, ControlStats};
 use crate::dbsession::{DbCommon, DbManifest, DbSession, DB_MANIFEST_FORMAT};
 use crate::pool::InstancePool;
 use crate::runtime::{
     base_linker, build_wasi_ctx, invoke_in_enclave, make_backend, with_retries,
-    EpcSink, Overload, RunReport, SessionTemplate, TwineBuilder, TwineError,
+    EpcSink, RunReport, SessionTemplate, TwineBuilder, TwineError,
 };
 
 /// One cache slot: a [`OnceLock`] so that when many threads race to open
@@ -302,13 +301,7 @@ pub(crate) struct SessionCommon {
     /// invocations, [`TwineService::reset_session`] and park/restore.
     watermark: Arc<AtomicU64>,
     fuel: Option<u64>,
-    /// Per-invocation preemption deadline (defaults to the control
-    /// plane's; overridable per session).
-    deadline: Option<u64>,
     stats: SessionStats,
-    /// Fuel-rate token-bucket state (persists across parking, so a tenant
-    /// cannot launder its debt through an eviction cycle).
-    rate: RateState,
     /// The delivered Wasm bytes, kept only when a durable park store is
     /// configured: the durable record embeds them so
     /// [`TwineService::recover`] can recompile after a restart.
@@ -547,13 +540,10 @@ pub(crate) struct Shared {
     epc_slots: Arc<AtomicU64>,
     /// Per-session construction template (from the builder).
     pub(crate) tpl: SessionTemplate,
-    profiler: Option<PfsProfiler>,
     /// Control-plane policy (eviction, preemption, admission). Defaults
     /// are all-off: a default service behaves exactly like before the
     /// control plane existed.
     pub(crate) control: ControlPlane,
-    /// Epoch counter for asynchronous preemption.
-    pub(crate) epoch: Arc<AtomicU64>,
     /// Pre-instantiated base-state slots (DESIGN.md §11). Capacity 0 when
     /// pooling is off — every `put` then drops the instance. One pool for
     /// the whole fleet: a slot parked by one shard warms another shard's
@@ -565,7 +555,7 @@ impl Shared {
     /// Launch the enclave `b` describes and build everything its service
     /// shares.
     pub(crate) fn from_builder(b: TwineBuilder) -> Self {
-        let (enclave, profiler) = b.launch();
+        let enclave = b.launch();
         let cache = Arc::new(ModuleCache::new(b.exec_tier));
         cache.set_capacity(b.control.module_cache_capacity);
         let pool = Arc::new(InstancePool::new(
@@ -577,9 +567,7 @@ impl Shared {
             cache,
             epc_slots: Arc::new(AtomicU64::new(0)),
             tpl: b.tpl,
-            profiler,
             control: b.control,
-            epoch: Arc::new(AtomicU64::new(0)),
             pool,
         }
     }
@@ -726,14 +714,6 @@ impl TwineService {
         self.shared.pool.len()
     }
 
-    /// Bump the shared preemption epoch (see
-    /// [`ControlPlane::epoch_slack`]): every in-flight invocation armed
-    /// with a smaller slack than the bumps it has survived yields with
-    /// [`Trap::DeadlineExceeded`] at its next control transfer.
-    pub fn bump_epoch(&self) {
-        self.shared.epoch.fetch_add(1, Ordering::Relaxed);
-    }
-
     /// Names of the open sessions of either kind (unordered; includes
     /// parked).
     #[must_use]
@@ -804,8 +784,7 @@ impl TwineService {
 
     /// A fresh private file-system backend from the service's template.
     pub(crate) fn new_backend(&self) -> Box<dyn FsBackend> {
-        let shared = &self.shared;
-        make_backend(&shared.tpl, &shared.enclave, shared.profiler.clone())
+        make_backend(&self.shared.tpl, &self.shared.enclave)
     }
 
     /// A fresh WASI context over a fresh backend, with its trusted-clock
@@ -851,7 +830,6 @@ impl TwineService {
             pooled,
             watermark,
             fuel: self.shared.tpl.fuel,
-            deadline: self.shared.control.deadline,
             stats: SessionStats {
                 module_key,
                 wasm_bytes: wasm.len(),
@@ -859,7 +837,6 @@ impl TwineService {
                 epc_base_page,
                 invocations: 0,
             },
-            rate: RateState::default(),
             wasm: self
                 .shared
                 .control
@@ -988,16 +965,12 @@ impl TwineService {
     }
 
     /// Wire a live instance into the enclave: its page touches fold into
-    /// the session's private EPC range, and it watches the shared epoch
-    /// when epoch preemption is armed.
+    /// the session's private EPC range.
     fn attach(&self, instance: &mut Instance, epc_base_page: u64) {
         instance.set_page_sink(Some(Box::new(EpcSink::new(
             self.shared.enclave.epc(),
             epc_base_page,
         ))));
-        if self.shared.control.epoch_slack.is_some() {
-            instance.set_epoch(Some(Arc::clone(&self.shared.epoch)));
-        }
     }
 
     /// Invoke an exported function on a session — the *warm* path: no
@@ -1046,35 +1019,19 @@ impl TwineService {
         args: &[Value],
         build_report: bool,
     ) -> Result<(Option<RunReport>, Vec<Value>), TwineError> {
-        // Admission first — a rate-capped tenant is rejected *before* any
-        // restore work, so it cannot force seal traffic while throttled.
-        let now_cycles = self.shared.enclave.clock().cycles();
         self.use_seq += 1;
-        {
-            let slot = self
-                .sessions
-                .get_mut(session)
-                .ok_or_else(|| no_session(session))?;
-            slot.last_use = self.use_seq;
-            let common = slot.wasm_mut().ok_or_else(|| no_session(session))?;
-            if let Some(rate) = self.shared.control.fuel_rate {
-                if !common.rate.admit(rate, now_cycles) {
-                    self.control_stats.rate_rejections += 1;
-                    return Err(TwineError::Overloaded(Overload::RateLimited {
-                        tenant: session.to_string(),
-                    }));
-                }
-            }
+        let slot = self
+            .sessions
+            .get_mut(session)
+            .ok_or_else(|| no_session(session))?;
+        slot.last_use = self.use_seq;
+        if slot.is_db() {
+            return Err(no_session(session));
         }
         // Restore a parked session warm. Done before `invoke_in_enclave`
         // captures its cycle baseline, so the invocation report covers the
         // invocation only (restore cost lands on the shared clock).
         self.ensure_live(session)?;
-        let epoch_deadline = self
-            .shared
-            .control
-            .epoch_slack
-            .map(|s| self.shared.epoch.load(Ordering::Relaxed).saturating_add(s));
 
         let Some(SessionSlot {
             state: SlotState::Live(Live::Wasm(sess)),
@@ -1086,17 +1043,11 @@ impl TwineService {
         // Recycle per-run state; everything else is warm reuse.
         sess.instance.meter.reset();
         sess.instance.fuel = sess.common.fuel;
-        sess.instance.deadline = sess.common.deadline;
-        if let Some(d) = epoch_deadline {
-            sess.instance.epoch_deadline = d;
-        }
+        sess.instance.deadline = self.shared.control.deadline;
         sess.instance.state::<WasiCtx>().reset_for_invocation();
 
         let outcome = invoke_in_enclave(&self.shared.enclave, &mut sess.instance, func, args);
         self.control_stats.retries += outcome.retries;
-        if self.shared.control.fuel_rate.is_some() {
-            sess.common.rate.charge(outcome.meter.total());
-        }
         let result = match outcome.values {
             Ok(values) => {
                 sess.common.stats.invocations += 1;
@@ -1292,7 +1243,6 @@ impl TwineService {
         }
         instance.reset_to_image(&common.base_snapshot);
         instance.set_page_sink(None);
-        instance.set_epoch(None);
         let ctx = into_ctx(instance.replace_host_data(Box::new(())));
         self.shared.pool.put(common.stats.module_key, instance);
         ctx
@@ -1439,47 +1389,15 @@ impl TwineService {
         Ok(instance)
     }
 
-    /// Whether EPC residency exceeds the configured park watermark.
-    fn epc_over_watermark(&self) -> bool {
-        let Some(frac) = self.shared.control.epc_park_watermark else {
-            return false;
-        };
-        let epc = self.shared.enclave.epc();
-        let limit = epc.limit_pages();
-        if limit == 0 {
-            return false;
-        }
-        #[allow(clippy::cast_precision_loss)]
-        let threshold = (limit as f64 * frac).max(0.0) as usize;
-        epc.resident_pages() > threshold
-    }
-
-    /// Whether the eviction policy wants fewer live sessions right now.
-    fn over_pressure(&self, live: usize) -> bool {
-        self.shared
-            .control
-            .max_live_sessions
-            .is_some_and(|max| live > max)
-            || self.epc_over_watermark()
-    }
-
-    /// Park least-recently-used live sessions while the eviction policy
-    /// reports pressure (live count over budget, or EPC residency over the
-    /// watermark). `exclude` protects the session currently being served —
-    /// eviction never races the in-flight invoke.
+    /// Park least-recently-used live sessions while more than
+    /// [`ControlPlane::max_live_sessions`] are live. `exclude` protects the
+    /// session currently being served — eviction never races the in-flight
+    /// invoke.
     pub(crate) fn enforce_pressure(&mut self, exclude: Option<&str>) {
-        // Pool capacity rides the same pressure signal the eviction policy
-        // uses: when EPC residency crosses the watermark, idle
-        // pre-instantiated slots are freed *before* any live tenant is
-        // parked — spare warm capacity is the cheapest memory to give back.
-        if self.epc_over_watermark() {
-            self.shared.pool.drain();
-        }
-        loop {
-            let live = self.live_session_count();
-            if live == 0 || !self.over_pressure(live) {
-                return;
-            }
+        let Some(max) = self.shared.control.max_live_sessions else {
+            return;
+        };
+        while self.live_session_count() > max {
             // One LRU policy across both session kinds: the victim is the
             // least-recently-used live session, Wasm or database.
             let victim = self
@@ -1523,20 +1441,6 @@ impl TwineService {
     /// the builder's fuel).
     pub fn set_session_fuel(&mut self, name: &str, fuel: Option<u64>) -> Result<(), TwineError> {
         self.wasm_mut(name)?.fuel = fuel;
-        Ok(())
-    }
-
-    /// Override the per-invocation preemption deadline of one session
-    /// (defaults to [`ControlPlane::deadline`]). Like fuel, the deadline
-    /// is denominated in baseline-constituent instructions; unlike fuel,
-    /// exceeding it is a scheduler yield, not a tenant fault — guest state
-    /// is kept, not wiped.
-    pub fn set_session_deadline(
-        &mut self,
-        name: &str,
-        deadline: Option<u64>,
-    ) -> Result<(), TwineError> {
-        self.wasm_mut(name)?.deadline = deadline;
         Ok(())
     }
 

@@ -42,16 +42,15 @@
 //! fault counts, boundary stats — depend on cross-shard interleaving.
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
-use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use twine_sgx::{Enclave, SimClock};
 use twine_wasi::FsBackend;
 use twine_wasm::Value;
 
-use crate::control::{ControlPlane, ControlStats};
+use crate::control::ControlStats;
 use crate::runtime::{Overload, RunReport, TwineBuilder, TwineError};
 use crate::service::{ModuleCache, SessionStats, Shared, TwineService};
 
@@ -140,8 +139,8 @@ impl Drop for Turn<'_> {
 }
 
 /// RAII decrement of a tenant's in-flight count (see
-/// [`ControlPlane::max_in_flight`]). Held by the caller across its whole
-/// call, so the count covers waiting *and* executing commands.
+/// [`crate::ControlPlane::max_in_flight`]). Held by the caller across its
+/// whole call, so the count covers waiting *and* executing commands.
 struct InFlightGuard<'a> {
     map: &'a Mutex<HashMap<String, u64>>,
     name: String,
@@ -184,16 +183,13 @@ impl Drop for InFlightGuard<'_> {
 pub struct ShardedService {
     shards: Vec<Gate>,
     /// What every shard shares: the enclave, the module cache, the
-    /// control-plane policy, the preemption epoch (one counter across all
-    /// shards; see [`ControlPlane::epoch_slack`]).
+    /// control-plane policy.
     shared: Shared,
     /// Per-tenant in-flight command counts (only consulted when
-    /// [`ControlPlane::max_in_flight`] is set).
+    /// [`crate::ControlPlane::max_in_flight`] is set).
     in_flight: Mutex<HashMap<String, u64>>,
     queue_rejections: AtomicU64,
     inflight_rejections: AtomicU64,
-    /// Wall-clock epoch ticker — the only thread the service owns.
-    ticker: Option<(Arc<AtomicBool>, JoinHandle<()>)>,
 }
 
 impl ShardedService {
@@ -212,43 +208,12 @@ impl ShardedService {
                 }),
             })
             .collect();
-        let control: &ControlPlane = &shared.control;
-        // Optional wall-clock ticker: protects even a single busy shard
-        // from a runaway guest (per-command bumps only land *between*
-        // commands).
-        let ticker = match (control.epoch_slack, control.epoch_interval_ms) {
-            (Some(_), Some(ms)) => {
-                let interval = Duration::from_millis(ms.max(1));
-                let stop = Arc::new(AtomicBool::new(false));
-                let (stopped, ep) = (Arc::clone(&stop), Arc::clone(&shared.epoch));
-                let h = std::thread::Builder::new()
-                    .name("twine-epoch-ticker".into())
-                    .spawn(move || {
-                        let mut due = Instant::now() + interval;
-                        while !stopped.load(Ordering::SeqCst) {
-                            // `park_timeout` may return early (spuriously,
-                            // or unparked by `Drop`): re-check both.
-                            match due.checked_duration_since(Instant::now()) {
-                                Some(left) if !left.is_zero() => std::thread::park_timeout(left),
-                                _ => {
-                                    ep.fetch_add(1, Ordering::Relaxed);
-                                    due += interval;
-                                }
-                            }
-                        }
-                    })
-                    .expect("spawn epoch ticker");
-                Some((stop, h))
-            }
-            _ => None,
-        };
         Self {
             shards,
             shared,
             in_flight: Mutex::new(HashMap::new()),
             queue_rejections: AtomicU64::new(0),
             inflight_rejections: AtomicU64::new(0),
-            ticker,
         }
     }
 
@@ -289,10 +254,10 @@ impl ShardedService {
     /// that arrived earlier has left it.
     ///
     /// `depth` is `Some` for load-bearing commands (open/invoke/batch/SQL)
-    /// under [`ControlPlane::queue_depth`]: when that many callers already
-    /// wait, reject with [`TwineError::Overloaded`] instead of waiting —
-    /// typed backpressure the caller may retry on. Control/introspection
-    /// commands pass `None` and are never load-shed.
+    /// under [`crate::ControlPlane::queue_depth`]: when that many callers
+    /// already wait, reject with [`TwineError::Overloaded`] instead of
+    /// waiting — typed backpressure the caller may retry on.
+    /// Control/introspection commands pass `None` and are never load-shed.
     fn enter<R>(
         &self,
         shard: usize,
@@ -322,13 +287,6 @@ impl ShardedService {
             guard.parked += 1;
             guard = gate.turn.wait(guard).map_err(|_| failed())?;
             guard.parked -= 1;
-        }
-        // With epoch preemption armed, every command advances the shared
-        // epoch: cross-shard traffic preempts a long invocation without
-        // any wall-clock dependence (deterministic tests bump by hand
-        // instead).
-        if self.shared.control.epoch_slack.is_some() {
-            self.shared.epoch.fetch_add(1, Ordering::Relaxed);
         }
         let mut turn = Turn {
             gate,
@@ -463,27 +421,10 @@ impl ShardedService {
         self.admin(name, |svc| svc.set_session_fuel(name, fuel))?
     }
 
-    /// Override one session's per-invocation preemption deadline. See
-    /// [`TwineService::set_session_deadline`].
-    pub fn set_session_deadline(
-        &self,
-        name: &str,
-        deadline: Option<u64>,
-    ) -> Result<(), TwineError> {
-        self.admin(name, |svc| svc.set_session_deadline(name, deadline))?
-    }
-
     /// Park a session (seal its state out of the enclave and release its
     /// EPC pages). See [`TwineService::park_session`].
     pub fn park_session(&self, name: &str) -> Result<(), TwineError> {
         self.admin(name, |svc| svc.park_session(name))?
-    }
-
-    /// Bump the shared preemption epoch by hand (see
-    /// [`ControlPlane::epoch_slack`]); every command entering a shard and
-    /// the optional wall-clock ticker bump it automatically.
-    pub fn bump_epoch(&self) {
-        self.shared.epoch.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Control-plane counters summed across every shard, plus the
@@ -646,16 +587,6 @@ impl ShardedService {
                 .unwrap_or_default()
             })
             .collect()
-    }
-}
-
-impl Drop for ShardedService {
-    fn drop(&mut self) {
-        if let Some((stop, h)) = self.ticker.take() {
-            stop.store(true, Ordering::SeqCst);
-            h.thread().unpark();
-            let _ = h.join();
-        }
     }
 }
 

@@ -1,6 +1,7 @@
 //! Unit tests of the shard gate (they need the private `enter`).
 
 use super::*;
+use crate::ControlPlane;
 use std::sync::Barrier;
 
 #[test]

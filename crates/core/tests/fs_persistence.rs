@@ -5,6 +5,7 @@
 //! backend, leaving the next run an empty protected FS).
 
 use twine_core::{FsChoice, TwineBuilder, TwineError};
+use twine_pfs::PfsMode;
 use twine_wasm::encode::encode;
 use twine_wasm::instr::{Instr, LoadKind, MemArg};
 use twine_wasm::types::{FuncType, Limits, ValType, Value};
@@ -156,6 +157,40 @@ fn files_written_in_run1_readable_in_run2() {
     let (report, values) = twine.invoke_with_report(&reader, "go", &[]).unwrap();
     assert_eq!(values[0], Value::I32(0), "reader errno");
     assert_eq!(report.stdout, PAYLOAD, "payload survives across runs");
+}
+
+/// §V-F: the stock Intel protected FS and the optimised one are two
+/// implementations of one contract. The write → close → reopen → read guest
+/// sees the same bytes under both; what differs is what the paper optimised
+/// — the optimised mode decrypts straight from the untrusted buffer, so
+/// reading the file back copies fewer bytes across the enclave boundary.
+/// (That the untrusted side holds only ciphertext in both modes is checked
+/// where the storage can be reached: `backend_pfs`'s unit tests.)
+#[test]
+fn both_pfs_modes_persist_the_same_bytes() {
+    let read_back = |mode: PfsMode| {
+        let mut twine = TwineBuilder::new()
+            .fs(FsChoice::ProtectedInMemory)
+            .pfs_mode(mode)
+            .build();
+        let writer = twine.load_wasm(&writer_wasm("state.bin", PAYLOAD, false)).unwrap();
+        let reader = twine.load_wasm(&reader_wasm("state.bin", PAYLOAD.len())).unwrap();
+        assert_eq!(twine.invoke(&writer, "go", &[]).unwrap()[0], Value::I32(0));
+
+        let copied_before = twine.enclave().stats().boundary_bytes;
+        let (report, values) = twine.invoke_with_report(&reader, "go", &[]).unwrap();
+        assert_eq!(values[0], Value::I32(0), "reader errno under {mode:?}");
+        let copied = twine.enclave().stats().boundary_bytes - copied_before;
+        (report.stdout, copied)
+    };
+    let (intel_bytes, intel_copied) = read_back(PfsMode::Intel);
+    let (optimised_bytes, optimised_copied) = read_back(PfsMode::Optimised);
+    assert_eq!(intel_bytes, PAYLOAD);
+    assert_eq!(optimised_bytes, PAYLOAD);
+    assert!(
+        optimised_copied < intel_copied,
+        "optimised read-back copied {optimised_copied} B, Intel {intel_copied} B"
+    );
 }
 
 #[test]

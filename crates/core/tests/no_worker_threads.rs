@@ -7,7 +7,7 @@
 
 #![cfg(target_os = "linux")]
 
-use twine_core::TwineBuilder;
+use twine_core::{ControlPlane, DurableParkStore, TwineBuilder};
 use twine_wasm::types::Value;
 
 fn threads() -> usize {
@@ -19,19 +19,37 @@ fn threads() -> usize {
 #[test]
 fn sharded_service_spawns_no_threads() {
     let before = threads();
-    let svc = TwineBuilder::new().build_sharded(8);
+    // Every control-plane option on (no `..`: a new option has to be set
+    // here too), so no policy is exempt from the guarantee.
+    let control = ControlPlane {
+        max_live_sessions: Some(1),
+        deadline: Some(1_000_000),
+        queue_depth: Some(64),
+        max_in_flight: Some(4),
+        module_cache_capacity: Some(4),
+        pool_slots_per_module: Some(2),
+        durable_parks: Some(DurableParkStore::new()),
+    };
+    let svc = TwineBuilder::new().control_plane(control).build_sharded(8);
     assert_eq!(svc.shard_count(), 8);
     assert_eq!(threads(), before, "build_sharded(8) spawned threads");
 
     let wasm = twine_minicc::compile_to_bytes("int sq(int x) { return x * x; }").unwrap();
-    for i in 0..16 {
-        let name = format!("tenant-{i}");
-        svc.open_session(&name, &wasm).unwrap();
-        assert_eq!(
-            svc.invoke(&name, "sq", &[Value::I32(i)]).unwrap(),
-            [Value::I32(i * i)]
-        );
+    // Second round: most tenants were parked by a later open and restore.
+    for round in 0..2 {
+        for i in 0..16 {
+            let name = format!("tenant-{i}");
+            if round == 0 {
+                svc.open_session(&name, &wasm).unwrap();
+            }
+            assert_eq!(
+                svc.invoke(&name, "sq", &[Value::I32(i)]).unwrap(),
+                [Value::I32(i * i)]
+            );
+        }
     }
+    let stats = svc.control_stats();
+    assert!(stats.parks > 0 && stats.restores > 0 && stats.pool_hits > 0, "{stats:?}");
     assert_eq!(threads(), before, "serving spawned threads");
     drop(svc);
     assert_eq!(threads(), before);

@@ -8,7 +8,6 @@
 
 use std::any::Any;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use crate::compile::{BranchTarget, CompiledModule};
@@ -46,9 +45,9 @@ pub enum Trap {
     IndirectTypeMismatch,
     /// The configured fuel budget ran out.
     OutOfFuel,
-    /// The per-invocation deadline expired (instruction deadline or an
-    /// epoch bump by the embedder). Distinct from [`Trap::OutOfFuel`] so a
-    /// control plane can tell "tenant exhausted its paid budget" from
+    /// The per-invocation deadline expired. Distinct from
+    /// [`Trap::OutOfFuel`] so a control plane can tell "tenant exhausted
+    /// its paid budget" from
     /// "scheduler preempted the invocation": the former is the guest's
     /// fault, the latter is service policy.
     DeadlineExceeded,
@@ -282,13 +281,6 @@ pub struct Instance {
     /// regardless of scheduling). Embedders typically re-arm this before
     /// every invocation; like fuel, it is decremented by retired work.
     pub deadline: Option<u64>,
-    /// Shared epoch counter for asynchronous preemption (wasmtime-style).
-    /// Checked at control-transfer boundaries; `None` = never checked.
-    epoch: Option<Arc<AtomicU64>>,
-    /// Absolute epoch value at which execution yields with
-    /// [`Trap::DeadlineExceeded`]. Re-armed by the embedder per
-    /// invocation (`current epoch + slack`).
-    pub epoch_deadline: u64,
     page_sink: Option<Box<dyn PageSink>>,
     /// Reusable frame/operand arena (see [`FrameArena`]).
     arena: FrameArena,
@@ -710,8 +702,6 @@ impl Instance {
             meter: Meter::new(),
             fuel,
             deadline: None,
-            epoch: None,
-            epoch_deadline: 0,
             page_sink: None,
             arena: FrameArena::default(),
         };
@@ -734,7 +724,7 @@ impl Instance {
     /// parked session's unsealed [`InstanceSnapshot`] comes back exactly as
     /// it was parked, bit-identical to an instance that was never evicted.
     ///
-    /// Fuel, deadline, epoch and page sink start unset; the embedder
+    /// Fuel, deadline and page sink start unset; the embedder
     /// re-attaches its own (they are service state, not guest state).
     ///
     /// # Errors
@@ -761,24 +751,9 @@ impl Instance {
             meter: Meter::new(),
             fuel: None,
             deadline: None,
-            epoch: None,
-            epoch_deadline: 0,
             page_sink: None,
             arena: FrameArena::default(),
         })
-    }
-
-    /// Attach (or clear) the shared epoch counter used for asynchronous
-    /// preemption. While attached, the dispatch loops compare it against
-    /// [`Instance::epoch_deadline`] at control-transfer boundaries (branch
-    /// back-edges, region entries) and yield with
-    /// [`Trap::DeadlineExceeded`] once `epoch >= epoch_deadline`. All work
-    /// retired before the yield is metered exactly; unlike the instruction
-    /// deadline, *where* the yield lands depends on when another thread
-    /// bumps the counter, so epoch preemption is deliberately not part of
-    /// the bit-identical differential contract.
-    pub fn set_epoch(&mut self, epoch: Option<Arc<AtomicU64>>) {
-        self.epoch = epoch;
     }
 
     /// Record the current memory image, globals and table so this instance
@@ -1206,8 +1181,6 @@ impl Instance {
     ) -> Result<(), Trap> {
         let code = Arc::clone(&self.code);
         let n_imports = code.module.num_imported_funcs() as usize;
-        let epoch = self.epoch.clone();
-        let epoch_deadline = self.epoch_deadline;
         let FrameArena { locals, frames, .. } = arena;
         let mut last_page: u64 = u64::MAX;
 
@@ -1245,26 +1218,10 @@ impl Instance {
                     }
                 }};
             }
-            // Asynchronous preemption: at control-transfer boundaries (the
-            // only places a loop can sustain itself) compare the shared
-            // epoch against the invocation's deadline. The transfer op
-            // itself has already retired and been metered, so the stop
-            // leaves exact accounting; a never-attached epoch costs one
-            // predictable never-taken test per transfer.
-            macro_rules! epoch_check {
-                () => {
-                    if let Some(ep) = epoch.as_ref() {
-                        if ep.load(Ordering::Relaxed) >= epoch_deadline {
-                            return Err(Trap::DeadlineExceeded);
-                        }
-                    }
-                };
-            }
             // Take a resolved branch: shuffle the operand stack and jump.
             macro_rules! take_branch {
                 ($bt:expr) => {{
                     let bt = $bt;
-                    epoch_check!();
                     do_branch(opds, ob, bt);
                     pc = bt.target as usize;
                     continue;
@@ -1331,15 +1288,13 @@ impl Instance {
                         take_branch!(bt);
                     }
                     LowOp::Jump(t) => {
-                        epoch_check!();
-                        pc = *t as usize;
+                            pc = *t as usize;
                         continue;
                     }
                     LowOp::JumpIfZero(t) => {
                         let cond = pop!();
                         if cond as u32 == 0 {
-                            epoch_check!();
-                            pc = *t as usize;
+                                    pc = *t as usize;
                             continue;
                         }
                     }
@@ -1830,8 +1785,6 @@ impl Instance {
     ) -> Result<(), Trap> {
         let code = Arc::clone(&self.code);
         let n_imports = code.module.num_imported_funcs() as usize;
-        let epoch = self.epoch.clone();
-        let epoch_deadline = self.epoch_deadline;
         let FrameArena {
             regs,
             reg_frames: frames,
@@ -1879,16 +1832,6 @@ impl Instance {
             // the whole region.
             macro_rules! charge {
                 () => {{
-                    // Asynchronous preemption check: region entry is the
-                    // reg tier's control-transfer boundary. The previous
-                    // region retired in full (its last op is the transfer
-                    // that brought us here) and the new region has not been
-                    // charged yet, so yielding here leaves exact accounting.
-                    if let Some(ep) = epoch.as_ref() {
-                        if ep.load(Ordering::Relaxed) >= epoch_deadline {
-                            return Err(Trap::DeadlineExceeded);
-                        }
-                    }
                     let li = block_of[pc] as usize - 1;
                     let batched = if !FUELLED {
                         true

@@ -189,8 +189,9 @@ impl Module {
             .any(|i| matches!(i.desc, ImportDesc::Memory(_)))
     }
 
-    /// Validate and compile this module for the default (fused) execution
-    /// tier — shorthand for [`crate::CompiledModule::compile`].
+    /// Validate and compile this module for the default execution tier
+    /// ([`crate::ExecTier::Reg`]) — shorthand for
+    /// [`crate::CompiledModule::compile`].
     pub fn into_compiled(self) -> Result<crate::CompiledModule, crate::ModuleError> {
         crate::CompiledModule::compile(self)
     }

@@ -7,16 +7,7 @@
 //! rollback is exact, an application that persists its progress can be
 //! preempted any number of times and still converge to the *same* final
 //! state as one uninterrupted run.
-//!
-//! The **epoch** mechanism is asynchronous by design (where the yield
-//! lands depends on when another thread bumps the counter), so it is
-//! deliberately *not* part of the cross-tier bit-identity contract; what
-//! is asserted instead: it traps as `DeadlineExceeded` at a control
-//! transfer, every retired instruction is metered exactly (fuel spent ==
-//! meter total), and a preempted guest resumes to the correct final state
-//! once the deadline is re-armed.
 
-use std::sync::atomic::AtomicU64;
 use std::sync::Arc;
 
 use proptest::prelude::*;
@@ -437,65 +428,4 @@ proptest! {
         let (_, _, values) = &per_tier[0];
         prop_assert_eq!(values, uninterrupted.result.as_ref().unwrap());
     }
-}
-
-// ---------------------------------------------------------------------
-// Epoch preemption (asynchronous; exactness, not cross-tier identity)
-// ---------------------------------------------------------------------
-
-#[test]
-fn epoch_preemption_traps_exactly_and_resumes() {
-    let module = resumable_module(12);
-    for &tier in &ALL_TIERS {
-        let code = Arc::new(module.clone().into_compiled_tier(tier).expect("compile"));
-        let mut inst =
-            Instance::instantiate(Arc::clone(&code), Linker::new(), Box::new(())).expect("inst");
-        let full = inst.invoke("f", &[]).expect("uninterrupted")[0];
-
-        // Fresh instance, epoch already past its deadline: the invocation
-        // must yield at its first control transfer with exact metering.
-        let epoch = Arc::new(AtomicU64::new(7));
-        let mut inst =
-            Instance::instantiate(code, Linker::new(), Box::new(())).expect("inst");
-        inst.set_epoch(Some(Arc::clone(&epoch)));
-        inst.epoch_deadline = 7; // epoch >= deadline: preempt at once
-        inst.fuel = Some(1_000_000);
-        assert_eq!(inst.invoke("f", &[]), Err(Trap::DeadlineExceeded), "{tier}");
-        assert_eq!(
-            Some(1_000_000 - inst.meter.total()),
-            inst.fuel,
-            "every retired instruction is fuel-accounted at the epoch yield on {tier}"
-        );
-
-        // Re-arm and finish: persisted progress plus the remaining
-        // iterations give exactly the uninterrupted result.
-        inst.epoch_deadline = u64::MAX;
-        inst.meter.reset();
-        inst.fuel = None;
-        let out = inst.invoke("f", &[]).expect("resumes");
-        assert_eq!(out[0], full, "epoch preemption lost state on {tier}");
-    }
-}
-
-#[test]
-fn epoch_bump_mid_session_preempts_next_invocation() {
-    let module = resumable_module(6);
-    let code = Arc::new(
-        module
-            .into_compiled_tier(ExecTier::Reg)
-            .expect("compile"),
-    );
-    let epoch = Arc::new(AtomicU64::new(0));
-    let mut inst = Instance::instantiate(code, Linker::new(), Box::new(())).expect("inst");
-    inst.set_epoch(Some(Arc::clone(&epoch)));
-    inst.epoch_deadline = 1; // one bump of slack
-    let r = inst.invoke("f", &[]);
-    assert!(r.is_ok(), "no bump: runs to completion");
-    // Another thread (here: the test) bumps the shared counter past the
-    // armed slack; the next invocation yields at its first check.
-    epoch.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-    assert_eq!(inst.invoke("f", &[]), Err(Trap::DeadlineExceeded));
-    // Detaching the epoch disarms preemption entirely.
-    inst.set_epoch(None);
-    assert!(inst.invoke("f", &[]).is_ok());
 }

@@ -237,3 +237,112 @@ fn figure3_invariants() {
         assert!(twine / native < 20.0, "{}: twine {twine} within band", run.name);
     }
 }
+
+/// The WASI environment of an unmodified application (§IV-C): the argv and
+/// environment the embedder configures reach the guest through
+/// `args_get` / `environ_get`, in a one-shot run and in a session alike —
+/// both build their WASI context from the builder's one template.
+#[test]
+fn guest_sees_configured_args_and_env() {
+    use twine::wasm::instr::{IBinOp, Instr, IntWidth, LoadKind, MemArg, StoreKind};
+    use twine::wasm::types::{FuncType, Limits, ValType};
+
+    // Guest memory: 0 argc, 4 argv bytes, 8 envc, 12 environ bytes,
+    // 16.. argv pointers, 64.. environ pointers, 128.. two iovecs,
+    // 144 nwritten, 256.. argv strings, 512.. environ strings.
+    // `go()` echoes both string buffers (NUL-terminated entries) to stdout
+    // and returns `argc * 256 + envc`.
+    let mut b = twine::wasm::ModuleBuilder::new();
+    let sizes_or_get = || FuncType::new(vec![ValType::I32; 2], vec![ValType::I32]);
+    let import = |b: &mut twine::wasm::ModuleBuilder, name, ty| {
+        b.import_func(twine::wasi::WASI_MODULE, name, ty)
+    };
+    let args_sizes_get = import(&mut b, "args_sizes_get", sizes_or_get());
+    let args_get = import(&mut b, "args_get", sizes_or_get());
+    let environ_sizes_get = import(&mut b, "environ_sizes_get", sizes_or_get());
+    let environ_get = import(&mut b, "environ_get", sizes_or_get());
+    let fd_write = import(
+        &mut b,
+        "fd_write",
+        FuncType::new(vec![ValType::I32; 4], vec![ValType::I32]),
+    );
+    b.memory(Limits::at_least(1));
+    let i32c = |v: i32| Instr::Const(Value::I32(v));
+    let call2 = |f: u32, a: i32, b: i32| [i32c(a), i32c(b), Instr::Call(f), Instr::Drop];
+    let load = |at: i32| [i32c(at), Instr::Load(LoadKind::I32, MemArg::offset(0))];
+    let store = Instr::Store(StoreKind::I32, MemArg::offset(0));
+    let mut body = Vec::new();
+    body.extend(call2(args_sizes_get, 0, 4));
+    body.extend(call2(args_get, 16, 256));
+    body.extend(call2(environ_sizes_get, 8, 12));
+    body.extend(call2(environ_get, 64, 512));
+    // iovec 0 = {256, argv bytes}, iovec 1 = {512, environ bytes}.
+    body.extend([i32c(128), i32c(256), store.clone(), i32c(132)]);
+    body.extend(load(4));
+    body.extend([store.clone(), i32c(136), i32c(512), store.clone(), i32c(140)]);
+    body.extend(load(12));
+    body.push(store);
+    body.extend([i32c(1), i32c(128), i32c(2), i32c(144), Instr::Call(fd_write), Instr::Drop]);
+    body.extend(load(0));
+    body.extend([i32c(256), Instr::IBinop(IntWidth::W32, IBinOp::Mul)]);
+    body.extend(load(8));
+    body.push(Instr::IBinop(IntWidth::W32, IBinOp::Add));
+    let go = b.add_func(FuncType::new(vec![], vec![ValType::I32]), vec![], body);
+    b.export_func("go", go);
+    let wasm = twine::wasm::encode::encode(&b.build());
+
+    let configured = || {
+        TwineBuilder::new()
+            .heap_bytes(1 << 20)
+            .args(&["speedtest1", "--size=25"])
+            .env(&[("TWINE_TENANT", "acme"), ("TZ", "UTC")])
+    };
+    let want_stdout = b"speedtest1\0--size=25\0TWINE_TENANT=acme\0TZ=UTC\0";
+
+    let mut rt = configured().build();
+    let app = rt.load_wasm(&wasm).unwrap();
+    let (report, out) = rt.invoke_with_report(&app, "go", &[]).unwrap();
+    assert_eq!(out[0], Value::I32(2 * 256 + 2), "argc, envc");
+    assert_eq!(report.stdout, want_stdout, "every argv and environ entry, in order");
+
+    let mut svc = configured().build_service();
+    svc.open_session("tenant", &wasm).unwrap();
+    let (report, out) = svc.invoke_with_report("tenant", "go", &[]).unwrap();
+    assert_eq!(out[0], Value::I32(2 * 256 + 2));
+    assert_eq!(report.stdout, want_stdout, "a session sees the same environment");
+
+    // The defaults are what the builder documents: one argv entry, no env.
+    let mut rt = TwineBuilder::new().heap_bytes(1 << 20).build();
+    let app = rt.load_wasm(&wasm).unwrap();
+    let (report, out) = rt.invoke_with_report(&app, "go", &[]).unwrap();
+    assert_eq!(out[0], Value::I32(256), "default argc 1, envc 0");
+    assert_eq!(report.stdout, b"app.wasm\0");
+}
+
+/// Figure 6's contrast: SGX simulation mode runs the same guest to the
+/// same output with the same retired-instruction mix, and is cheaper only
+/// in what the hardware charges for — transitions and EPC paging.
+#[test]
+fn simulation_mode_changes_cost_not_behaviour() {
+    use twine::polybench::kernels::{source_for, Scale};
+    use twine::sgx::SgxMode;
+
+    let source = source_for("gemm", Scale::Mini)
+        + "\ndouble run() { init(); kernel(); return checksum(); }\n";
+    let wasm = twine::minicc::compile_to_bytes(&source).unwrap();
+    let run = |mode: SgxMode| {
+        let mut rt = TwineBuilder::new().heap_bytes(1 << 20).sgx_mode(mode).build();
+        assert_eq!(rt.enclave().mode(), mode);
+        let app = rt.load_wasm(&wasm).unwrap();
+        let (report, out) = rt.invoke_with_report(&app, "run", &[]).unwrap();
+        (report, out, rt.clock().cycles())
+    };
+    let (hw, hw_out, hw_total) = run(SgxMode::Hardware);
+    let (sim, sim_out, sim_total) = run(SgxMode::Simulation);
+    assert_eq!(hw_out, sim_out, "checksum");
+    assert_eq!(hw.stdout, sim.stdout);
+    assert_eq!(hw.meter, sim.meter, "per-class meter");
+    assert!(hw.meter.total() > 0);
+    assert!(sim.cycles < hw.cycles, "invocation: {} !< {}", sim.cycles, hw.cycles);
+    assert!(sim_total < hw_total, "launch + load + run: {sim_total} !< {hw_total}");
+}
