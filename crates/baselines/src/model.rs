@@ -8,11 +8,12 @@
 //! locality, not from per-kernel constants.
 //!
 //! These tables are keyed by `twine_wasm::meter::InstrClass` and are
-//! **execution-tier invariant**: the engine's fused-superinstruction tier
-//! (`twine_wasm::lower`) meters every constituent instruction of a fused
-//! window under its original class, so the per-class counts fed into
-//! [`kernel_seconds`] — and hence every Figure 3 number — are bit-identical
-//! whichever tier actually executed the kernel (DESIGN.md §6).
+//! **execution-tier invariant**: the engine's register tier
+//! (`twine_wasm::regalloc`, over the fused IR of `twine_wasm::lower`)
+//! meters every constituent instruction of a fused window under its
+//! original class, so the per-class counts fed into [`kernel_seconds`] —
+//! and hence every Figure 3 number — are bit-identical whichever tier
+//! actually executed the kernel (DESIGN.md §6, §8).
 
 use twine_sgx::clock::CPU_HZ;
 use twine_wasm::meter::{Meter, NUM_CLASSES};

@@ -6,9 +6,11 @@
 //! models (DESIGN.md §4). `--mem-sweep` additionally reports the EPC
 //! behaviour of the memory-hungry kernels the paper singles out
 //! (deriche/lu/ludcmp, §V-B). `--tiers` runs every kernel on both
-//! execution tiers (baseline dispatch vs fused superinstructions),
-//! verifies the metered virtual-time streams are bit-identical, and
-//! reports the wall-clock delta.
+//! executors (the reference interpreter vs the register tier), verifies
+//! the metered virtual-time streams are bit-identical, and reports the
+//! wall-clock delta.
+
+#![forbid(unsafe_code)]
 
 use twine_baselines::model::{kernel_seconds, ExecMode};
 use twine_bench::{arg_value, has_flag, write_csv};
@@ -75,11 +77,11 @@ fn main() {
     }
 }
 
-/// Execute every kernel on all three tiers, check that the metered
-/// virtual-time inputs (per-class counts, bytes, page transitions) are
-/// bit-identical, and report the wall-clock speedups. Writes both the
-/// human CSV (`results/fig3_tier_wallclock.csv`) and the machine-readable
-/// perf trajectory (`BENCH_fig3.json` at the workspace root, DESIGN.md §8).
+/// Execute every kernel on both tiers, check that the metered virtual-time
+/// inputs (per-class counts, bytes, page transitions) are bit-identical,
+/// and report the wall-clock speedup. Writes both the human CSV
+/// (`results/fig3_tier_wallclock.csv`) and the machine-readable perf
+/// trajectory (`BENCH_fig3.json` at the workspace root, DESIGN.md §8).
 #[allow(clippy::too_many_lines)]
 fn tier_comparison(scale: Scale) {
     use std::time::Instant;
@@ -88,18 +90,17 @@ fn tier_comparison(scale: Scale) {
     use twine_wasm::meter::InstrClass;
     use twine_wasm::ExecTier;
 
-    const TIERS: [ExecTier; 3] = [ExecTier::Baseline, ExecTier::Fused, ExecTier::Reg];
+    const TIERS: [ExecTier; 2] = [ExecTier::Baseline, ExecTier::Reg];
 
-    println!("\nExecution tiers: baseline dispatch vs fused vs register-allocated");
+    println!("\nExecution tiers: reference interpreter vs register-allocated");
     println!(
-        "{:<16} {:>10} {:>10} {:>10} {:>9} {:>9}  {:>10}",
-        "kernel", "base_ms", "fused_ms", "reg_ms", "fus/base", "reg/fus", "ops"
+        "{:<16} {:>10} {:>10} {:>9}  {:>10} {:>10}",
+        "kernel", "base_ms", "reg_ms", "reg/base", "base_ops", "reg_ops"
     );
     let mut rows = Vec::new();
     let mut json_kernels = Vec::new();
-    // Geometric means of: fused over baseline, reg over baseline, reg over
-    // fused.
-    let mut log_sums = [0.0f64; 3];
+    // Geometric mean of reg over baseline.
+    let mut log_sum = 0.0f64;
     let kernels = all_kernels(scale);
     for k in &kernels {
         let compiled: Vec<_> = TIERS
@@ -107,7 +108,7 @@ fn tier_comparison(scale: Scale) {
             .map(|t| compile_kernel(k, *t).unwrap_or_else(|e| panic!("{e}")))
             .collect();
         // One untimed warm-up run per tier, then the minimum of three
-        // timed runs: all tiers face the same cache/allocator state and
+        // timed runs: both tiers face the same cache/allocator state and
         // scheduler jitter on a single sample cannot skew the CSV.
         let time_min = |ck: &twine_polybench::CompiledKernel| {
             run_compiled(ck).unwrap_or_else(|e| panic!("{e}"));
@@ -120,93 +121,71 @@ fn tier_comparison(scale: Scale) {
             }
             (best, last.expect("three runs"))
         };
-        let timed: Vec<_> = compiled.iter().map(time_min).collect();
-        let (rb, secs) = (&timed[0].1, [timed[0].0, timed[1].0, timed[2].0]);
+        let (base_s, rb) = time_min(&compiled[0]);
+        let (reg_s, run) = time_min(&compiled[1]);
 
         // The whole point of the design: virtual time must be unchanged.
-        for (tier, (_, run)) in TIERS.iter().zip(timed.iter()).skip(1) {
+        assert_eq!(
+            rb.checksum.to_bits(),
+            run.checksum.to_bits(),
+            "{} (reg): checksum diverged from baseline",
+            k.name
+        );
+        for c in InstrClass::all() {
             assert_eq!(
-                rb.checksum.to_bits(),
-                run.checksum.to_bits(),
-                "{} ({tier}): checksum diverged from baseline",
-                k.name
-            );
-            for c in InstrClass::all() {
-                assert_eq!(
-                    rb.meter.count(c),
-                    run.meter.count(c),
-                    "{} ({tier}): metered class {c:?} diverged from baseline",
-                    k.name
-                );
-            }
-            assert_eq!(
-                rb.meter.bytes_accessed,
-                run.meter.bytes_accessed,
-                "{} ({tier})",
-                k.name
-            );
-            assert_eq!(
-                rb.meter.page_transitions,
-                run.meter.page_transitions,
-                "{} ({tier})",
+                rb.meter.count(c),
+                run.meter.count(c),
+                "{} (reg): metered class {c:?} diverged from baseline",
                 k.name
             );
         }
+        assert_eq!(
+            rb.meter.bytes_accessed, run.meter.bytes_accessed,
+            "{} (reg)",
+            k.name
+        );
+        assert_eq!(
+            rb.meter.page_transitions, run.meter.page_transitions,
+            "{} (reg)",
+            k.name
+        );
 
-        let fused_speedup = secs[0] / secs[1];
-        let reg_speedup = secs[0] / secs[2];
-        let reg_over_fused = secs[1] / secs[2];
-        for (sum, s) in log_sums
-            .iter_mut()
-            .zip([fused_speedup, reg_speedup, reg_over_fused])
-        {
-            *sum += s.ln();
-        }
+        let reg_speedup = base_s / reg_s;
+        log_sum += reg_speedup.ln();
+        let base_ops = compiled[0].code.code_size_lowered_ops();
+        let reg_ops = compiled[1].code.code_size_lowered_ops();
         println!(
-            "{:<16} {:>10.2} {:>10.2} {:>10.2} {:>8.2}x {:>8.2}x  {:>10}",
+            "{:<16} {:>10.2} {:>10.2} {:>8.2}x  {:>10} {:>10}",
             k.name,
-            secs[0] * 1e3,
-            secs[1] * 1e3,
-            secs[2] * 1e3,
-            fused_speedup,
-            reg_over_fused,
-            compiled[1].code.code_size_lowered_ops()
+            base_s * 1e3,
+            reg_s * 1e3,
+            reg_speedup,
+            base_ops,
+            reg_ops
         );
         rows.push(format!(
-            "{},{:.6},{:.6},{:.6},{:.4},{:.4},{},{}",
-            k.name,
-            secs[0],
-            secs[1],
-            secs[2],
-            fused_speedup,
-            reg_over_fused,
-            compiled[0].code.code_size_lowered_ops(),
-            compiled[1].code.code_size_lowered_ops()
+            "{},{:.6},{:.6},{:.4},{},{}",
+            k.name, base_s, reg_s, reg_speedup, base_ops, reg_ops
         ));
         json_kernels.push(format!(
             concat!(
                 "    {{\"name\": \"{}\", \"wall_seconds\": {{\"baseline\": {:.6}, ",
-                "\"fused\": {:.6}, \"reg\": {:.6}}}, \"meter_total\": {}, ",
+                "\"reg\": {:.6}}}, \"meter_total\": {}, ",
                 "\"page_transitions\": {}}}"
             ),
             k.name,
-            secs[0],
-            secs[1],
-            secs[2],
+            base_s,
+            reg_s,
             rb.meter.total(),
             rb.meter.page_transitions
         ));
     }
-    let n = kernels.len() as f64;
-    let geo: Vec<f64> = log_sums.iter().map(|s| (s / n).exp()).collect();
-    println!(
-        "\ngeomean wall-clock speedups: fused/baseline {:.2}x, reg/baseline {:.2}x, reg/fused {:.2}x",
-        geo[0], geo[1], geo[2]
-    );
-    println!("virtual cycle streams: bit-identical across all three tiers (verified per kernel)");
+    let geo = (log_sum / kernels.len() as f64).exp();
+    println!("\ngeomean wall-clock speedup: reg/baseline {geo:.2}x");
+    println!("virtual cycle streams: bit-identical across both tiers (verified per kernel)");
     write_csv(
         "fig3_tier_wallclock.csv",
-        "kernel,baseline_seconds,fused_seconds,reg_seconds,fused_speedup,reg_over_fused_speedup,baseline_ops,fused_ops",
+        "kernel,baseline_seconds,reg_seconds,reg_speedup,baseline_ops,reg_ops",
         &rows,
     );
     write_bench_json(
@@ -214,19 +193,16 @@ fn tier_comparison(scale: Scale) {
         &format!(
             concat!(
                 "{{\n  \"bench\": \"fig3_polybench\",\n  \"scale\": \"{}\",\n",
-                "  \"tiers\": [\"baseline\", \"fused\", \"reg\"],\n",
+                "  \"tiers\": [\"baseline\", \"reg\"],\n",
                 "  \"meters_identical\": true,\n  \"kernels\": [\n{}\n  ],\n",
-                "  \"geomean_speedup\": {{\"fused_over_baseline\": {:.4}, ",
-                "\"reg_over_baseline\": {:.4}, \"reg_over_fused\": {:.4}}}\n}}\n"
+                "  \"geomean_speedup\": {{\"reg_over_baseline\": {:.4}}}\n}}\n"
             ),
             match scale {
                 Scale::Mini => "mini",
                 Scale::Small => "small",
             },
             json_kernels.join(",\n"),
-            geo[0],
-            geo[1],
-            geo[2]
+            geo
         ),
     );
 }

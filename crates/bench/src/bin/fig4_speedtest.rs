@@ -26,6 +26,8 @@
 //! Results land in `BENCH_fig4.json` at the workspace root (schema in
 //! DESIGN.md §13; checked by CI) next to the fig3/fig8 artefacts.
 
+#![forbid(unsafe_code)]
+
 use std::sync::{Arc, Barrier};
 use std::time::Instant;
 

@@ -9,6 +9,8 @@
 //! *relative* position. Use `--full --epc-mib 93` for the paper's exact
 //! parameters.
 
+#![forbid(unsafe_code)]
+
 use rand::SeedableRng;
 use twine_baselines::{DbStorage, DbVariant, VariantDb};
 use twine_bench::{arg_value, has_flag, write_csv};

@@ -2,6 +2,8 @@
 //! in-file database — insertion, sequential and random reading, normalised
 //! to Twine hardware mode.
 
+#![forbid(unsafe_code)]
+
 use rand::SeedableRng;
 use twine_baselines::{DbStorage, DbVariant, VariantDb};
 use twine_bench::{arg_value, write_csv};

@@ -2,6 +2,8 @@
 //! system, stock Intel IPFS vs the paper's §V-F optimised version
 //! (no redundant memset, zero-copy OCALL reads + AES-CCM).
 
+#![forbid(unsafe_code)]
+
 use rand::SeedableRng;
 use twine_baselines::{DbStorage, DbVariant, VariantDb};
 use twine_bench::{arg_value, write_csv};

@@ -68,12 +68,14 @@
 //!
 //! [`FaultPlan`]: twine_sgx::FaultPlan
 
+#![forbid(unsafe_code)]
+
 use std::sync::{Arc, Barrier};
 use std::time::Instant;
 
 use twine_bench::{arg_value, has_flag, write_bench_json, write_csv};
 use twine_core::{ControlPlane, ControlStats, ShardedService, TwineBuilder};
-use twine_wasm::{ExecTier, Value};
+use twine_wasm::Value;
 
 const GUEST_SRC: &str = r"
     int slots[256];
@@ -936,7 +938,7 @@ fn main() {
         "BENCH_fig8.json",
         &format!(
             concat!(
-                "{{\n  \"bench\": \"fig8_serving\",\n  \"exec_tier\": \"{}\",\n",
+                "{{\n  \"bench\": \"fig8_serving\",\n  \"exec_tier\": \"reg\",\n",
                 "  \"sessions\": {},\n  \"calls\": {},\n",
                 "  \"host_cores\": {},\n",
                 "  \"cpu_time_accounting\": {},\n",
@@ -953,7 +955,6 @@ fn main() {
                 "    \"points\": [\n{}\n    ]\n  }},\n",
                 "  \"churn_axis\": {}\n}}\n"
             ),
-            ExecTier::default(),
             sessions,
             calls,
             host_cores,

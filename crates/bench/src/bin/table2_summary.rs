@@ -1,6 +1,8 @@
 //! Table II: normalised run time of the technologies, split into the
 //! below-EPC and above-EPC regimes (derived from the Figure 5 sweep).
 
+#![forbid(unsafe_code)]
+
 use rand::SeedableRng;
 use twine_baselines::{DbStorage, DbVariant, VariantDb};
 use twine_bench::{arg_value, write_csv};

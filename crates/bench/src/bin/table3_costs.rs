@@ -3,6 +3,8 @@
 //! toolchain costs this environment cannot run use the paper's values
 //! (marked `[paper]`).
 
+#![forbid(unsafe_code)]
+
 use std::time::Instant;
 
 use twine_baselines::costs::{table3a, table3b};

@@ -55,8 +55,8 @@ pub struct ControlPlane {
     /// more than this many compiled modules (wired to the same pressure
     /// enforcement as session parking).
     pub module_cache_capacity: Option<usize>,
-    /// Keep up to this many pre-instantiated instance slots per (module,
-    /// tier) in an instance pool shared by every shard of the service.
+    /// Keep up to this many pre-instantiated instance slots per module in
+    /// an instance pool shared by every shard of the service.
     /// With a pool, opening a session over known bytes (and
     /// restoring a parked one) becomes a slot checkout plus an
     /// O(dirty-pages) patch, and parking seals only the delta against the

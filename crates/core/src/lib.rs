@@ -40,7 +40,7 @@
 //! whole guest application; all host interaction happens through WASI.
 //!
 //! **Dependency graph**: the integration crate — composes `twine-wasm`
-//! (engine + [`ExecTier`]), `twine-wasi` (ABI), `twine-pfs`/`twine-sgx`
+//! (engine), `twine-wasi` (ABI), `twine-pfs`/`twine-sgx`
 //! (trusted fs inside the simulated enclave) and `twine-minicc` (doctests).
 //! Consumed by `twine-baselines` and `twine-bench`. Paper anchor: §IV.
 
@@ -68,4 +68,3 @@ pub use runtime::{FsChoice, Overload, RunReport, TwineApp, TwineBuilder, TwineEr
 pub use service::{ModuleCache, SessionStats, TwineService};
 pub use sharded::{ShardStats, ShardedService};
 pub use twine_sqldb::db::StmtCacheStats;
-pub use twine_wasm::ExecTier;

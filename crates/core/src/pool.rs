@@ -22,8 +22,7 @@ use std::sync::Mutex;
 use twine_wasm::Instance;
 
 /// A bounded pool of base-state instances, keyed by module content
-/// address (already tier-domain-separated by
-/// [`ModuleCache::content_key`](crate::ModuleCache::content_key)).
+/// address ([`ModuleCache::content_key`](crate::ModuleCache::content_key)).
 pub(crate) struct InstancePool {
     slots: Mutex<HashMap<[u8; 32], Vec<Instance>>>,
     /// Max slots retained per module key; 0 = pooling disabled (every

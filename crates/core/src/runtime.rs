@@ -9,7 +9,7 @@ use twine_wasi::abi::PROC_EXIT_TRAP;
 use twine_wasi::{register_wasi, Errno, FsBackend, Rights, WasiCtx, WasiFile};
 use twine_wasm::compile::CompiledModule;
 use twine_wasm::types::{FuncType, ValType};
-use twine_wasm::{ExecTier, Instance, Linker, Meter, ModuleError, PageSink, Trap, Value};
+use twine_wasm::{Instance, Linker, Meter, ModuleError, PageSink, Trap, Value};
 
 use crate::backend_host::HostBackend;
 use crate::backend_pfs::PfsBackend;
@@ -169,7 +169,6 @@ pub struct TwineBuilder {
     pub(crate) heap_bytes: u64,
     pub(crate) tpl: SessionTemplate,
     pub(crate) processor: Processor,
-    pub(crate) exec_tier: ExecTier,
     pub(crate) control: crate::ControlPlane,
     pub(crate) faults: Option<Arc<twine_sgx::FaultPlan>>,
 }
@@ -198,7 +197,6 @@ impl TwineBuilder {
                 fuel: None,
             },
             processor: Processor::new(0),
-            exec_tier: ExecTier::default(),
             control: crate::ControlPlane::default(),
             faults: None,
         }
@@ -296,7 +294,7 @@ impl TwineBuilder {
     }
 
     /// Convenience: enable instance pooling with up to `n` pre-instantiated
-    /// slots per (module, tier). Session opens and post-evict restores of
+    /// slots per module. Session opens and post-evict restores of
     /// poolable modules become slot checkout + O(dirty pages) patching, and
     /// parks seal only the delta against the module's shared base image.
     /// See [`ControlPlane::pool_slots_per_module`](crate::ControlPlane).
@@ -319,17 +317,6 @@ impl TwineBuilder {
         self
     }
 
-    /// Select the engine's execution tier: the baseline dispatch, the
-    /// fused-superinstruction IR, or register-allocated three-address code
-    /// (default). All are semantically and metering-identical; the later
-    /// tiers are only faster in wall-clock terms, so virtual-time results
-    /// are tier-independent.
-    #[must_use]
-    pub fn exec_tier(mut self, tier: ExecTier) -> Self {
-        self.exec_tier = tier;
-        self
-    }
-
     /// Create the enclave and runtime (charges launch cycles).
     ///
     /// The WASI + libm host-function table is built **once** here and shared
@@ -345,7 +332,6 @@ impl TwineBuilder {
             clock_watermark: Arc::new(AtomicU64::new(0)),
             tpl: self.tpl,
             backend: Some(backend),
-            exec_tier: self.exec_tier,
         }
     }
 
@@ -535,7 +521,6 @@ pub struct TwineRuntime {
     clock_watermark: Arc<AtomicU64>,
     tpl: SessionTemplate,
     backend: Option<Box<dyn FsBackend>>,
-    exec_tier: ExecTier,
 }
 
 impl TwineRuntime {
@@ -561,7 +546,7 @@ impl TwineRuntime {
     /// the already-delivered bytes) and map it into the enclave's reserved
     /// memory (§IV-B). One ECALL.
     pub fn load_wasm(&mut self, wasm: &[u8]) -> Result<TwineApp, TwineError> {
-        let compiled = CompiledModule::from_bytes_with_tier(wasm, self.exec_tier)?;
+        let compiled = CompiledModule::from_bytes(wasm)?;
         // Copy into reserved memory: charge the boundary copy.
         self.enclave.ecall(|| {
             self.enclave.clock().add_cycles(wasm.len() as u64 / 4);

@@ -35,9 +35,7 @@ use twine_crypto::Sha256;
 use twine_sgx::{Enclave, FaultKind, Processor, SgxError, SimClock};
 use twine_wasi::{FsBackend, WasiCtx};
 use twine_wasm::compile::CompiledModule;
-use twine_wasm::{
-    ExecTier, Instance, InstanceSnapshot, Linker, ModuleError, SnapshotDelta, Trap, Value,
-};
+use twine_wasm::{Instance, InstanceSnapshot, Linker, ModuleError, SnapshotDelta, Trap, Value};
 
 use crate::control::{ControlPlane, ControlStats};
 use crate::dbsession::{DbCommon, DbManifest, DbSession, DB_MANIFEST_FORMAT};
@@ -56,7 +54,7 @@ use crate::runtime::{
 type CacheSlot = Arc<OnceLock<Result<Arc<CompiledModule>, ModuleError>>>;
 
 /// A content-addressed cache of compiled modules: identical Wasm bytes
-/// (under the same execution tier) compile once and share one
+/// compile once (for the register tier) and share one
 /// `Arc<CompiledModule>` across all sessions of a service.
 ///
 /// Thread-safe with interior mutability (`&self` everywhere): the sharded
@@ -65,8 +63,8 @@ type CacheSlot = Arc<OnceLock<Result<Arc<CompiledModule>, ModuleError>>>;
 /// so two shards compiling **different** modules proceed in parallel,
 /// while racers on the **same** key serialise on the per-key [`OnceLock`]
 /// and compile exactly once.
+#[derive(Default)]
 pub struct ModuleCache {
-    tier: ExecTier,
     entries: Mutex<HashMap<[u8; 32], CacheSlot>>,
     hits: AtomicU64,
     misses: AtomicU64,
@@ -79,17 +77,10 @@ pub struct ModuleCache {
 }
 
 impl ModuleCache {
-    /// Empty cache compiling for `tier`.
+    /// Empty, unbounded cache.
     #[must_use]
-    pub fn new(tier: ExecTier) -> Self {
-        Self {
-            tier,
-            entries: Mutex::new(HashMap::new()),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            capacity: AtomicUsize::new(0),
-            capacity_evictions: AtomicU64::new(0),
-        }
+    pub fn new() -> Self {
+        Self::default()
     }
 
     /// Bound the cache: once more than `cap` distinct modules are held,
@@ -107,17 +98,14 @@ impl ModuleCache {
         self.capacity_evictions.load(Ordering::Relaxed)
     }
 
-    /// The content address of `wasm` under `tier`: SHA-256 over a
-    /// tier-domain-separated encoding of the bytes. Two tiers never share an
-    /// entry (their lowered code differs even though semantics agree).
+    /// The content address of `wasm`: SHA-256 over the register tier's
+    /// domain byte (`2`) followed by the bytes. Keeping the byte keeps
+    /// every key (as reported in [`SessionStats::module_key`])
+    /// bit-identical to the keys of earlier releases.
     #[must_use]
-    pub fn content_key(wasm: &[u8], tier: ExecTier) -> [u8; 32] {
+    pub fn content_key(wasm: &[u8]) -> [u8; 32] {
         let mut h = Sha256::new();
-        h.update(&[match tier {
-            ExecTier::Baseline => 0u8,
-            ExecTier::Fused => 1u8,
-            ExecTier::Reg => 2u8,
-        }]);
+        h.update(&[2u8]);
         h.update(wasm);
         h.finalize()
     }
@@ -134,7 +122,7 @@ impl ModuleCache {
         &self,
         wasm: &[u8],
     ) -> Result<(Arc<CompiledModule>, [u8; 32], bool), ModuleError> {
-        let key = Self::content_key(wasm, self.tier);
+        let key = Self::content_key(wasm);
         let slot = {
             let mut map = self.entries.lock().unwrap();
             let slot = Arc::clone(map.entry(key).or_default());
@@ -156,7 +144,7 @@ impl ModuleCache {
         let outcome = slot
             .get_or_init(|| {
                 compiled_here = true;
-                CompiledModule::from_bytes_with_tier(wasm, self.tier).map(Arc::new)
+                CompiledModule::from_bytes(wasm).map(Arc::new)
             })
             .clone();
         match outcome {
@@ -288,8 +276,8 @@ pub(crate) struct SessionCommon {
     /// Post-instantiation state (data segments applied, start function run)
     /// for pool-recycling via [`TwineService::reset_session`] and
     /// post-trap recovery. For pooled sessions this is the module's
-    /// **shared** base image (one `Arc` per (module, tier), not one clone
-    /// per session); the session's dirty bitmap is re-based against it at
+    /// **shared** base image (one `Arc` per module, not one clone per
+    /// session); the session's dirty bitmap is re-based against it at
     /// open, so resets and park deltas touch only dirty pages.
     base_snapshot: Arc<InstanceSnapshot>,
     /// Whether this session rides the pooling/memory-image fast path:
@@ -556,7 +544,7 @@ impl Shared {
     /// shares.
     pub(crate) fn from_builder(b: TwineBuilder) -> Self {
         let enclave = b.launch();
-        let cache = Arc::new(ModuleCache::new(b.exec_tier));
+        let cache = Arc::new(ModuleCache::new());
         cache.set_capacity(b.control.module_cache_capacity);
         let pool = Arc::new(InstancePool::new(
             b.control.pool_slots_per_module.unwrap_or(0),
@@ -936,7 +924,7 @@ impl TwineService {
         };
         let epc_base_page = self.take_epc_range();
         self.attach(&mut instance, epc_base_page);
-        // Pooled sessions share one base image per (module, tier) — captured
+        // Pooled sessions share one base image per module — captured
         // by whichever open got there first (any racer would capture
         // identical bytes: poolable modules instantiate deterministically).
         // Unpooled sessions keep a private copy, exactly as before pooling.
@@ -1591,7 +1579,7 @@ impl TwineService {
         // A throwaway instantiation re-derives the base snapshot the
         // restore path patches against (deterministic: same module,
         // same data segments — and for pooled modules the shared base
-        // image is captured once per (module, tier) anyway).
+        // image is captured once per module anyway).
         let fresh = match self.instantiate(&module.0, ctx) {
             Ok(fresh) => fresh,
             Err((e, _ctx)) => return Err(self.failed_open(module.0, &module.1, e)),

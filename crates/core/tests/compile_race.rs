@@ -1,6 +1,6 @@
 //! Compile-once under contention (ISSUE 5 satellite): many threads
 //! concurrently opening sessions over identical Wasm bytes must compile
-//! exactly once per (content hash, tier), and every session must share the
+//! exactly once per content hash, and every session must share the
 //! **same** `Arc<CompiledModule>` (pointer equality) — including when the
 //! racers arrive mid-compile.
 
@@ -8,7 +8,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Barrier};
 
 use twine_core::{ModuleCache, TwineBuilder};
-use twine_wasm::{ExecTier, Value};
+use twine_wasm::Value;
 
 fn guest(src: &str) -> Vec<u8> {
     twine_minicc::compile_to_bytes(src).expect("guest compiles")
@@ -20,7 +20,7 @@ fn guest(src: &str) -> Vec<u8> {
 #[test]
 fn barrier_race_compiles_once_per_key() {
     let wasm = Arc::new(guest("int f(int x) { return x * x + 1; }"));
-    let cache = Arc::new(ModuleCache::new(ExecTier::default()));
+    let cache = Arc::new(ModuleCache::new());
     let threads = 8;
     let rounds = 8;
     for round in 0..rounds {
@@ -64,7 +64,7 @@ fn barrier_race_compiles_once_per_key() {
 /// wrong count.
 #[test]
 fn distinct_modules_compile_once_each() {
-    let cache = Arc::new(ModuleCache::new(ExecTier::default()));
+    let cache = Arc::new(ModuleCache::new());
     let sources: Vec<Arc<Vec<u8>>> = (0..4)
         .map(|i| Arc::new(guest(&format!("int f(int x) {{ return x + {i}; }}"))))
         .collect();
@@ -95,20 +95,20 @@ fn distinct_modules_compile_once_each() {
     assert_eq!(cache.hits(), 12);
 }
 
-/// Tier domain separation survives concurrency: the same bytes under two
-/// tiers are two cache keys and two compiles.
+/// A module's cache key is SHA-256 over the register tier's domain byte
+/// and the bytes: pinned to the value the key has always had, and equal
+/// to the key `get_or_compile` reports.
 #[test]
-fn tiers_never_share_entries() {
+fn content_key_is_pinned() {
     let wasm = guest("int g(int x) { return 3 * x; }");
-    for tier in [ExecTier::Baseline, ExecTier::Fused, ExecTier::Reg] {
-        let cache = ModuleCache::new(tier);
-        let (_, key, _) = cache.get_or_compile(&wasm).unwrap();
-        assert_eq!(key, ModuleCache::content_key(&wasm, tier));
-    }
-    assert_ne!(
-        ModuleCache::content_key(&wasm, ExecTier::Baseline),
-        ModuleCache::content_key(&wasm, ExecTier::Reg)
+    let key = ModuleCache::content_key(&wasm);
+    let hex: String = key.iter().map(|b| format!("{b:02x}")).collect();
+    assert_eq!(
+        hex,
+        "b7387004eab593eef3815a8057a5eda1dffc0103e1a00311ea7b6c4a75814214"
     );
+    let (_, served, _) = ModuleCache::new().get_or_compile(&wasm).unwrap();
+    assert_eq!(served, key);
 }
 
 /// A compile failure is observed by every racer of that attempt but is
@@ -116,7 +116,7 @@ fn tiers_never_share_entries() {
 /// under the same cache) and a later open compiles fresh.
 #[test]
 fn failed_compiles_are_not_cached() {
-    let cache = Arc::new(ModuleCache::new(ExecTier::default()));
+    let cache = Arc::new(ModuleCache::new());
     let junk = Arc::new(vec![0xde, 0xad, 0xbe, 0xef, 0x00, 0x01]);
     let barrier = Arc::new(Barrier::new(4));
     let handles: Vec<_> = (0..4)
@@ -192,7 +192,7 @@ fn sharded_sessions_share_one_module() {
 fn capacity_bounds_cache_under_churn() {
     const CAP: usize = 4;
     const CHURN: usize = 40;
-    let cache = ModuleCache::new(ExecTier::default());
+    let cache = ModuleCache::new();
     cache.set_capacity(Some(CAP));
     for i in 0..CHURN {
         let wasm = guest(&format!("int f(int x) {{ return x * {} + 1; }}", i + 2));
@@ -220,7 +220,7 @@ fn capacity_bounds_cache_under_churn() {
 #[test]
 fn referenced_modules_survive_capacity_pressure() {
     const HELD: usize = 5;
-    let cache = ModuleCache::new(ExecTier::default());
+    let cache = ModuleCache::new();
     cache.set_capacity(Some(2));
     let sources: Vec<Vec<u8>> = (0..HELD)
         .map(|i| guest(&format!("int keep(int x) {{ return x + {i}; }}")))

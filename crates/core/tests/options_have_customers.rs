@@ -74,7 +74,6 @@ fn customers() -> Vec<String> {
         "tests",
         "examples",
         "crates/bench",
-        "crates/core/benches",
         "crates/core/src/sharded/tests.rs",
         "twine_bench/src",
     ] {

@@ -5,7 +5,7 @@
 //! indistinguishable from a freshly instantiated one.
 //!
 //! Follows the differential style of
-//! `crates/wasm/tests/fused_differential.rs`: diverse guest programs ×
+//! `crates/wasm/tests/tier_differential.rs`: diverse guest programs ×
 //! proptest-driven inputs, comparing every observable.
 
 use std::sync::Arc;

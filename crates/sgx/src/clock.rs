@@ -32,8 +32,8 @@ pub const CPU_HZ: u64 = 3_800_000_000;
 /// paging, sealed I/O — charges cycles here, and every figure reports
 /// [`SimClock::elapsed`] rather than host wall-clock, which keeps runs
 /// deterministic and hardware-independent. Wall-clock optimisations (e.g.
-/// the fused execution tier in `twine-wasm::lower`) are required to leave
-/// these counts bit-identical.
+/// the register execution tier in `twine-wasm::regalloc`) are required to
+/// leave these counts bit-identical.
 #[derive(Clone, Default)]
 pub struct SimClock {
     cycles: Arc<StripedU64>,

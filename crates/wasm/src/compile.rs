@@ -8,7 +8,7 @@
 //! simple dispatch loop with no decoding or label searching at run time.
 
 use crate::instr::{Instr, LoadKind, StoreKind};
-use crate::lower::{lower_func, ExecTier, LowFunc};
+use crate::lower::{fuse, ExecTier};
 use crate::meter::InstrClass;
 use crate::regalloc::{regalloc_func, RegFunc};
 use crate::module::Module;
@@ -153,18 +153,14 @@ pub struct CompiledModule {
     pub module: Module,
     /// Compiled local functions (indexed after imported functions).
     pub funcs: Vec<CompiledFunc>,
-    /// Which execution tier `lowered` was produced for.
+    /// Which executor runs this module: the reference interpreter over
+    /// `funcs`, or the register tier over `reg`.
     pub tier: ExecTier,
-    /// Per-function lowered code the stack tiers dispatch on (parallel to
-    /// `funcs`; see [`crate::lower`]). Empty on the register tier: the
-    /// fused IR only feeds [`crate::regalloc`] during compilation and is
-    /// dropped afterwards — the engine dispatches on `reg`.
-    pub lowered: Vec<LowFunc>,
     /// Per-function register code (parallel to `funcs`; empty unless the
     /// tier is [`ExecTier::Reg`] — see [`crate::regalloc`]).
     pub reg: Vec<RegFunc>,
     /// Shared post-instantiation base image, captured at most once per
-    /// (module, tier) by the first instantiation that wants one (see
+    /// compiled module by the first instantiation that wants one (see
     /// [`CompiledModule::base_image_or_init`]). Only meaningful for
     /// [poolable](CompiledModule::poolable) modules, where the
     /// post-instantiation state is a pure function of the module bytes and
@@ -180,11 +176,11 @@ impl CompiledModule {
         Self::compile_with_tier(module, ExecTier::default())
     }
 
-    /// Validate and compile a module, selecting the execution tier: the
-    /// baseline one-op-per-instruction dispatch, the fused
-    /// superinstruction IR, or the register-allocated three-address code.
-    /// All tiers have identical semantics and metering; the tier only
-    /// changes wall-clock dispatch cost.
+    /// Validate and compile a module, selecting the executor: the
+    /// reference interpreter (one dispatch per flattened op) or the
+    /// register-allocated three-address code. Both have identical
+    /// semantics and metering; the tier only changes wall-clock dispatch
+    /// cost.
     pub fn compile_with_tier(module: Module, tier: ExecTier) -> Result<Self, ModuleError> {
         crate::validate::validate(&module)?;
         let mut funcs = Vec::with_capacity(module.funcs.len());
@@ -194,12 +190,13 @@ impl CompiledModule {
             c.type_idx = f.type_idx;
             funcs.push(c);
         }
-        let mut lowered: Vec<LowFunc> = funcs.iter().map(|f| lower_func(f, tier)).collect();
         let reg = if tier == ExecTier::Reg {
+            // The fused IR is only the register allocator's input: each
+            // function's is dropped as soon as its register code exists,
+            // so no cached `Arc<CompiledModule>` carries it.
             let mut reg: Vec<RegFunc> = funcs
                 .iter()
-                .zip(lowered.iter())
-                .map(|(f, low)| regalloc_func(&module, f, low))
+                .map(|f| regalloc_func(&module, f, &fuse(f)))
                 .collect();
             // Lay the per-function charge regions out in one module-wide
             // index space for the engine's region-hit counters.
@@ -208,11 +205,6 @@ impl CompiledModule {
                 rf.region_base = base;
                 base += rf.blocks.len() as u32;
             }
-            // The fused IR was only the register allocator's input; the
-            // engine dispatches on `reg`. Dropping it halves the code-side
-            // memory every cached `Arc<CompiledModule>` holds for the
-            // lifetime of a serving cache.
-            lowered = Vec::new();
             reg
         } else {
             Vec::new()
@@ -221,7 +213,6 @@ impl CompiledModule {
             module,
             funcs,
             tier,
-            lowered,
             reg,
             base_image: OnceLock::new(),
         })
@@ -270,21 +261,20 @@ impl CompiledModule {
 
     /// Total number of flattened ops across all functions (a code-size
     /// proxy reported by the Table III harness). Tier-independent: this
-    /// counts the baseline form, not the fused IR.
+    /// counts the reference interpreter's form, not the register code.
     #[must_use]
     pub fn code_size_ops(&self) -> usize {
         self.funcs.iter().map(|f| f.ops.len()).sum()
     }
 
-    /// Total number of lowered ops actually dispatched by the engine
-    /// (equals [`Self::code_size_ops`] on the baseline tier, smaller on
-    /// the fused and register tiers).
+    /// Total number of ops the engine dispatches for this module: equals
+    /// [`Self::code_size_ops`] on the reference interpreter, and counts
+    /// the (fewer) register ops on the register tier.
     #[must_use]
     pub fn code_size_lowered_ops(&self) -> usize {
-        if self.tier == ExecTier::Reg {
-            self.reg.iter().map(|f| f.ops.len()).sum()
-        } else {
-            self.lowered.iter().map(|f| f.ops.len()).sum()
+        match self.tier {
+            ExecTier::Baseline => self.code_size_ops(),
+            ExecTier::Reg => self.reg.iter().map(|f| f.ops.len()).sum(),
         }
     }
 }
@@ -748,8 +738,6 @@ mod tests {
         assert_eq!(cm.tier, ExecTier::Reg);
         assert!(cm.code_size_lowered_ops() < cm.code_size_ops());
         assert_eq!(cm.reg.len(), cm.funcs.len());
-        // The fused IR is consumed by the register allocator, not kept.
-        assert!(cm.lowered.is_empty());
     }
 
     #[test]
@@ -757,11 +745,8 @@ mod tests {
         use crate::lower::ExecTier;
         let mut b = ModuleBuilder::new();
         b.add_func(FuncType::new(vec![], vec![]), vec![], vec![Instr::Nop]);
-        let m = b.build();
-        for tier in [ExecTier::Baseline, ExecTier::Fused] {
-            let cm = CompiledModule::compile_with_tier(m.clone(), tier).unwrap();
-            assert!(cm.reg.is_empty());
-        }
+        let cm = CompiledModule::compile_with_tier(b.build(), ExecTier::Baseline).unwrap();
+        assert!(cm.reg.is_empty());
     }
 
     #[test]

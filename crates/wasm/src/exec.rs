@@ -10,10 +10,10 @@ use std::any::Any;
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use crate::compile::{BranchTarget, CompiledModule};
+use crate::compile::{BranchTarget, CompiledModule, Op};
 use crate::instr::{FBinOp, FRelOp, FUnOp, FloatWidth, IBinOp, IRelOp, IUnOp, IntWidth};
 use crate::instr::{CvtOp, LoadKind, StoreKind};
-use crate::lower::{ExecTier, LowOp};
+use crate::lower::ExecTier;
 use crate::memory::Memory;
 use crate::meter::Meter;
 use crate::module::ImportDesc;
@@ -204,11 +204,12 @@ struct RegFrame {
 /// ever grow to the high-water mark of the instance's workload.
 #[derive(Default)]
 struct FrameArena {
-    /// Operand stack of the stack tiers (also carries args/results).
+    /// Operand stack of the reference interpreter (also carries
+    /// args/results).
     opds: Vec<u64>,
-    /// Locals slab of the stack tiers.
+    /// Locals slab of the reference interpreter.
     locals: Vec<u64>,
-    /// Call frames of the stack tiers.
+    /// Call frames of the reference interpreter.
     frames: Vec<Frame>,
     /// The register slab (all frames of one invocation, overlapped).
     regs: Vec<u64>,
@@ -1017,9 +1018,9 @@ impl Instance {
         }
         let run = self.run(func_idx as usize - n_imports, &mut opds);
         let out = run.map(|()| collect_results(&opds, &ty.results));
-        // The operand vector is the stack tiers' full operand stack and
-        // grows with guest behaviour — put it back and let the arena's
-        // one retention policy decide what to keep.
+        // The operand vector is the reference interpreter's full operand
+        // stack and grows with guest behaviour — put it back and let the
+        // arena's one retention policy decide what to keep.
         self.arena.opds = opds;
         self.arena.shrink_to_cap();
         out
@@ -1066,12 +1067,12 @@ impl Instance {
     // The dispatch loop
     // ------------------------------------------------------------------
     //
-    // Executes the lowered IR of `crate::lower`. Both tiers flow through
-    // this one loop: the baseline tier's code is a 1:1 image of the
-    // flattened ops, the fused tier's code packs superinstructions. Each
-    // lowered op carries an `OpCost` — the ordered metering classes of its
-    // constituent baseline instructions — so fuel and the meter advance
-    // exactly as if every constituent had been dispatched individually.
+    // `run` is the one entry both executors share: it owns fuel, deadline
+    // and meter bookkeeping and hands the frame arena to the register
+    // tier's loop (`run_reg`) or to the reference interpreter
+    // (`run_inner`), which dispatches each function's flattened `ops`
+    // one at a time — one metering class and one unit of fuel per op, the
+    // stream the register tier must reproduce.
 
     fn run(&mut self, entry_func: usize, opds: &mut Vec<u64>) -> Result<(), Trap> {
         // Hot-loop bookkeeping lives in locals (a counts array and a fuel
@@ -1082,7 +1083,7 @@ impl Instance {
         // put back afterwards, preserving its grown capacity.
         //
         // The preemption deadline rides on the fuel machinery instead of
-        // adding a second budget check to three dispatch loops: execution
+        // adding a second budget check to both dispatch loops: execution
         // runs against min(fuel, deadline), the one budget the loops
         // already decrement with exact partial metering and reg-tier
         // rollback. Afterwards the retired amount is subtracted from both
@@ -1170,6 +1171,10 @@ impl Instance {
         }
     }
 
+    // Out of line: no serving path runs the reference interpreter, and
+    // inlined it would sit inside `invoke_index`, which every warm call of
+    // the register tier enters.
+    #[inline(never)]
     #[allow(clippy::too_many_lines)]
     fn run_inner(
         &mut self,
@@ -1189,9 +1194,8 @@ impl Instance {
         'frames: loop {
             let frame = *frames.last().expect("active frame");
             let func = &code.funcs[frame.func];
-            let low = &code.lowered[frame.func];
-            let ops = &low.ops;
-            let costs = &low.costs;
+            let ops = &func.ops;
+            let classes = &func.classes;
             let mut pc = frame.pc;
             let lb = frame.locals_base;
             let ob = frame.opd_base;
@@ -1227,78 +1231,41 @@ impl Instance {
                     continue;
                 }};
             }
-            // Load `$kind` from `$addr` (+static offset), push the value.
-            macro_rules! do_load {
-                ($kind:expr, $off:expr, $addr:expr) => {{
-                    let addr: u32 = $addr;
-                    let kind = $kind;
-                    touch_page!(addr, $off);
-                    let mem = self.memory.as_ref().expect("validated memory");
-                    let v = load_value(mem, kind, addr, $off).ok_or(Trap::MemOutOfBounds)?;
-                    self.meter.bytes_accessed += kind.width() as u64;
-                    opds.push(v);
-                }};
-            }
-            // Store `$v` as `$kind` at `$addr` (+static offset).
-            macro_rules! do_store {
-                ($kind:expr, $off:expr, $addr:expr, $v:expr) => {{
-                    let addr: u32 = $addr;
-                    let kind = $kind;
-                    touch_page!(addr, $off);
-                    let mem = self.memory.as_mut().expect("validated memory");
-                    store_value(mem, kind, addr, $off, $v).ok_or(Trap::MemOutOfBounds)?;
-                    self.meter.bytes_accessed += kind.width() as u64;
-                }};
-            }
 
             loop {
-                let cost = &costs[pc];
-                let n_constituents = cost.len as usize;
                 if let Some(fuel) = fuel_slot.as_mut() {
-                    let need = u64::from(cost.len);
-                    if *fuel < need {
-                        // Replicate the baseline tier exactly: the first
-                        // `fuel` constituents retire (and are metered)
-                        // before the budget runs dry. None of them has
-                        // externally observable effects (fusion invariant).
-                        let have = *fuel as usize;
-                        for c in &cost.classes[..have] {
-                            counts[c.index()] += 1;
-                        }
-                        *fuel = 0;
+                    if *fuel == 0 {
                         return Err(Trap::OutOfFuel);
                     }
-                    *fuel -= need;
+                    *fuel -= 1;
                 }
-                for c in &cost.classes[..n_constituents] {
-                    counts[c.index()] += 1;
-                }
+                counts[classes[pc].index()] += 1;
                 match &ops[pc] {
-                    LowOp::Unreachable => return Err(Trap::Unreachable),
-                    LowOp::Br(bt) => take_branch!(bt),
-                    LowOp::BrIf(bt) => {
+                    Op::Unreachable => return Err(Trap::Unreachable),
+                    Op::Br(bt) => take_branch!(bt),
+                    Op::BrIf(bt) => {
                         let cond = pop!();
                         if cond as u32 != 0 {
                             take_branch!(bt);
                         }
                     }
-                    LowOp::BrTable(table) => {
+                    Op::BrTable(table) => {
                         let idx = pop!() as u32 as usize;
                         let bt = table.get(idx).unwrap_or_else(|| table.last().expect("default"));
                         take_branch!(bt);
                     }
-                    LowOp::Jump(t) => {
-                            pc = *t as usize;
+                    Op::Jump(t) => {
+                        pc = *t as usize;
                         continue;
                     }
-                    LowOp::JumpIfZero(t) => {
+                    Op::JumpIfZero(t) => {
                         let cond = pop!();
                         if cond as u32 == 0 {
-                                    pc = *t as usize;
+                            pc = *t as usize;
                             continue;
                         }
                     }
-                    LowOp::Return | LowOp::End => {
+                    Op::Return | Op::End => {
                         let n_results = func.n_results;
                         let from = opds.len() - n_results;
                         for k in 0..n_results {
@@ -1312,7 +1279,7 @@ impl Instance {
                         }
                         continue 'frames;
                     }
-                    LowOp::Call(g) => {
+                    Op::Call(g) => {
                         let g = *g as usize;
                         if g < n_imports {
                             self.call_host(g, opds)?;
@@ -1322,7 +1289,7 @@ impl Instance {
                             continue 'frames;
                         }
                     }
-                    LowOp::CallIndirect(type_idx) => {
+                    Op::CallIndirect(type_idx) => {
                         let idx = pop!() as u32 as usize;
                         let g = self
                             .table
@@ -1346,34 +1313,40 @@ impl Instance {
                             continue 'frames;
                         }
                     }
-                    LowOp::Drop => {
+                    Op::Drop => {
                         pop!();
                     }
-                    LowOp::Select => {
+                    Op::Select => {
                         let c = pop!() as u32;
                         let v2 = pop!();
                         let v1 = pop!();
                         opds.push(if c != 0 { v1 } else { v2 });
                     }
-                    LowOp::LocalGet(i) => opds.push(locals[lb + *i as usize]),
-                    LowOp::LocalSet(i) => locals[lb + *i as usize] = pop!(),
-                    LowOp::LocalTee(i) => locals[lb + *i as usize] = top!(),
-                    LowOp::GlobalGet(i) => opds.push(self.globals[*i as usize]),
-                    LowOp::GlobalSet(i) => self.globals[*i as usize] = pop!(),
-                    LowOp::Load(kind, off) => {
+                    Op::LocalGet(i) => opds.push(locals[lb + *i as usize]),
+                    Op::LocalSet(i) => locals[lb + *i as usize] = pop!(),
+                    Op::LocalTee(i) => locals[lb + *i as usize] = top!(),
+                    Op::GlobalGet(i) => opds.push(self.globals[*i as usize]),
+                    Op::GlobalSet(i) => self.globals[*i as usize] = pop!(),
+                    Op::Load(kind, off) => {
                         let addr = pop!() as u32;
-                        do_load!(*kind, *off, addr);
+                        touch_page!(addr, *off);
+                        let mem = self.memory.as_ref().expect("validated memory");
+                        opds.push(load_value(mem, *kind, addr, *off).ok_or(Trap::MemOutOfBounds)?);
+                        self.meter.bytes_accessed += kind.width() as u64;
                     }
-                    LowOp::Store(kind, off) => {
+                    Op::Store(kind, off) => {
                         let v = pop!();
                         let addr = pop!() as u32;
-                        do_store!(*kind, *off, addr, v);
+                        touch_page!(addr, *off);
+                        let mem = self.memory.as_mut().expect("validated memory");
+                        store_value(mem, *kind, addr, *off, v).ok_or(Trap::MemOutOfBounds)?;
+                        self.meter.bytes_accessed += kind.width() as u64;
                     }
-                    LowOp::MemorySize => {
+                    Op::MemorySize => {
                         let mem = self.memory.as_ref().expect("validated memory");
                         opds.push(u64::from(mem.size_pages()));
                     }
-                    LowOp::MemoryGrow => {
+                    Op::MemoryGrow => {
                         let delta = pop!() as u32;
                         let mem = self.memory.as_mut().expect("validated memory");
                         let r = match mem.grow(delta) {
@@ -1382,7 +1355,7 @@ impl Instance {
                         };
                         opds.push(r as u32 as u64);
                     }
-                    LowOp::MemoryCopy => {
+                    Op::MemoryCopy => {
                         let len = pop!() as u32;
                         let src = pop!() as u32;
                         let dst = pop!() as u32;
@@ -1390,7 +1363,7 @@ impl Instance {
                         mem.copy_within(dst, src, len).ok_or(Trap::MemOutOfBounds)?;
                         self.meter.bytes_accessed += u64::from(len) * 2;
                     }
-                    LowOp::MemoryFill => {
+                    Op::MemoryFill => {
                         let len = pop!() as u32;
                         let val = pop!() as u32 as u8;
                         let dst = pop!() as u32;
@@ -1398,335 +1371,42 @@ impl Instance {
                         mem.fill(dst, val, len).ok_or(Trap::MemOutOfBounds)?;
                         self.meter.bytes_accessed += u64::from(len);
                     }
-                    LowOp::Const(bits) => opds.push(*bits),
-                    LowOp::ITestEqz(w) => {
+                    Op::Const(bits) => opds.push(*bits),
+                    Op::ITestEqz(w) => {
                         let v = pop!();
                         opds.push(u64::from(is_zero(*w, v)));
                     }
-                    LowOp::IUnop(w, op) => {
+                    Op::IUnop(w, op) => {
                         let v = pop!();
                         opds.push(iunop(*w, *op, v));
                     }
-                    LowOp::IBinop(w, op) => {
+                    Op::IBinop(w, op) => {
                         let b = pop!();
                         let a = pop!();
                         opds.push(ibinop(*w, *op, a, b)?);
                     }
-                    LowOp::IRelop(w, op) => {
+                    Op::IRelop(w, op) => {
                         let b = pop!();
                         let a = pop!();
                         opds.push(u64::from(irelop(*w, *op, a, b)));
                     }
-                    LowOp::FUnop(w, op) => {
+                    Op::FUnop(w, op) => {
                         let v = pop!();
                         opds.push(funop(*w, *op, v));
                     }
-                    LowOp::FBinop(w, op) => {
+                    Op::FBinop(w, op) => {
                         let b = pop!();
                         let a = pop!();
                         opds.push(fbinop(*w, *op, a, b));
                     }
-                    LowOp::FRelop(w, op) => {
+                    Op::FRelop(w, op) => {
                         let b = pop!();
                         let a = pop!();
                         opds.push(u64::from(frelop(*w, *op, a, b)));
                     }
-                    LowOp::Cvt(op) => {
+                    Op::Cvt(op) => {
                         let v = pop!();
                         opds.push(cvt(*op, v)?);
-                    }
-
-                    // ---- fused ALU forms ---------------------------------
-                    LowOp::LocalsIBinop { w, op, a, b } => {
-                        let x = locals[lb + *a as usize];
-                        let y = locals[lb + *b as usize];
-                        opds.push(ibinop(*w, *op, x, y)?);
-                    }
-                    LowOp::LocalsFBinop { w, op, a, b } => {
-                        let x = locals[lb + *a as usize];
-                        let y = locals[lb + *b as usize];
-                        opds.push(fbinop(*w, *op, x, y));
-                    }
-                    LowOp::LocalConstIBinop { w, op, local, rhs } => {
-                        let x = locals[lb + *local as usize];
-                        opds.push(ibinop(*w, *op, x, *rhs)?);
-                    }
-                    LowOp::LocalConstFBinop { w, op, local, rhs } => {
-                        let x = locals[lb + *local as usize];
-                        opds.push(fbinop(*w, *op, x, *rhs));
-                    }
-                    LowOp::ConstIBinop { w, op, rhs } => {
-                        let a = pop!();
-                        opds.push(ibinop(*w, *op, a, *rhs)?);
-                    }
-                    LowOp::ConstFBinop { w, op, rhs } => {
-                        let a = pop!();
-                        opds.push(fbinop(*w, *op, a, *rhs));
-                    }
-                    LowOp::LocalIBinop { w, op, local } => {
-                        let a = pop!();
-                        opds.push(ibinop(*w, *op, a, locals[lb + *local as usize])?);
-                    }
-                    LowOp::LocalFBinop { w, op, local } => {
-                        let a = pop!();
-                        opds.push(fbinop(*w, *op, a, locals[lb + *local as usize]));
-                    }
-                    LowOp::LocalConstIBinopSet {
-                        w,
-                        op,
-                        src,
-                        rhs,
-                        dst,
-                    } => {
-                        let x = locals[lb + *src as usize];
-                        locals[lb + *dst as usize] = ibinop(*w, *op, x, *rhs)?;
-                    }
-                    LowOp::ConstLocalSet { bits, dst } => {
-                        locals[lb + *dst as usize] = *bits;
-                    }
-                    LowOp::LocalConstLocalIBinop2 {
-                        w,
-                        op1,
-                        op2,
-                        a,
-                        rhs,
-                        b,
-                    } => {
-                        let x = locals[lb + *a as usize];
-                        let y = locals[lb + *b as usize];
-                        let inner = ibinop(*w, *op1, x, *rhs)?;
-                        opds.push(ibinop(*w, *op2, inner, y)?);
-                    }
-                    LowOp::FBinop2 { w1, op1, w2, op2 } => {
-                        let b = pop!();
-                        let a = pop!();
-                        let inner = fbinop(*w1, *op1, a, b);
-                        let c = pop!();
-                        opds.push(fbinop(*w2, *op2, c, inner));
-                    }
-                    LowOp::IBinopLocalSet { w, op, dst } => {
-                        let b = pop!();
-                        let a = pop!();
-                        locals[lb + *dst as usize] = ibinop(*w, *op, a, b)?;
-                    }
-                    LowOp::FBinopLocalSet { w, op, dst } => {
-                        let b = pop!();
-                        let a = pop!();
-                        locals[lb + *dst as usize] = fbinop(*w, *op, a, b);
-                    }
-                    LowOp::LocalSetLocalGet { set, get } => {
-                        locals[lb + *set as usize] = pop!();
-                        opds.push(locals[lb + *get as usize]);
-                    }
-
-                    // ---- fused memory forms ------------------------------
-                    LowOp::ConstLoad { addr, kind, offset } => {
-                        do_load!(*kind, *offset, *addr as u32);
-                    }
-                    LowOp::LocalLoad {
-                        local,
-                        kind,
-                        offset,
-                    } => {
-                        let addr = locals[lb + *local as usize] as u32;
-                        do_load!(*kind, *offset, addr);
-                    }
-                    LowOp::TeeLoad {
-                        local,
-                        kind,
-                        offset,
-                    } => {
-                        let addr = pop!();
-                        locals[lb + *local as usize] = addr;
-                        do_load!(*kind, *offset, addr as u32);
-                    }
-                    LowOp::ConstIBinopLoad {
-                        w,
-                        op,
-                        rhs,
-                        kind,
-                        offset,
-                    } => {
-                        let a = pop!();
-                        let addr = ibinop(*w, *op, a, *rhs)? as u32;
-                        do_load!(*kind, *offset, addr);
-                    }
-                    LowOp::LocalIBinopLoad {
-                        w,
-                        op,
-                        local,
-                        kind,
-                        offset,
-                    } => {
-                        let a = pop!();
-                        let addr = ibinop(*w, *op, a, locals[lb + *local as usize])? as u32;
-                        do_load!(*kind, *offset, addr);
-                    }
-                    LowOp::IBinopLoad {
-                        w,
-                        op,
-                        kind,
-                        offset,
-                    } => {
-                        let b = pop!();
-                        let a = pop!();
-                        let addr = ibinop(*w, *op, a, b)? as u32;
-                        do_load!(*kind, *offset, addr);
-                    }
-                    LowOp::StoreConst { bits, kind, offset } => {
-                        let addr = pop!() as u32;
-                        do_store!(*kind, *offset, addr, *bits);
-                    }
-                    LowOp::StoreLocal {
-                        local,
-                        kind,
-                        offset,
-                    } => {
-                        let addr = pop!() as u32;
-                        do_store!(*kind, *offset, addr, locals[lb + *local as usize]);
-                    }
-                    LowOp::ConstFBinopStore {
-                        w,
-                        op,
-                        rhs,
-                        kind,
-                        offset,
-                    } => {
-                        let a = pop!();
-                        let v = fbinop(*w, *op, a, *rhs);
-                        let addr = pop!() as u32;
-                        do_store!(*kind, *offset, addr, v);
-                    }
-                    LowOp::LocalFBinopStore {
-                        w,
-                        op,
-                        local,
-                        kind,
-                        offset,
-                    } => {
-                        let a = pop!();
-                        let v = fbinop(*w, *op, a, locals[lb + *local as usize]);
-                        let addr = pop!() as u32;
-                        do_store!(*kind, *offset, addr, v);
-                    }
-                    LowOp::FBinopStore {
-                        w,
-                        op,
-                        kind,
-                        offset,
-                    } => {
-                        let b = pop!();
-                        let a = pop!();
-                        let v = fbinop(*w, *op, a, b);
-                        let addr = pop!() as u32;
-                        do_store!(*kind, *offset, addr, v);
-                    }
-                    LowOp::IBinopStore {
-                        w,
-                        op,
-                        kind,
-                        offset,
-                    } => {
-                        let b = pop!();
-                        let a = pop!();
-                        let v = ibinop(*w, *op, a, b)?;
-                        let addr = pop!() as u32;
-                        do_store!(*kind, *offset, addr, v);
-                    }
-
-                    // ---- fused compare-and-branch forms ------------------
-                    LowOp::CmpBrIf { w, op, bt } => {
-                        let b = pop!();
-                        let a = pop!();
-                        if irelop(*w, *op, a, b) {
-                            take_branch!(bt);
-                        }
-                    }
-                    LowOp::CmpEqzBrIf { w, op, bt } => {
-                        let b = pop!();
-                        let a = pop!();
-                        if !irelop(*w, *op, a, b) {
-                            take_branch!(bt);
-                        }
-                    }
-                    LowOp::EqzBrIf { w, bt } => {
-                        let v = pop!();
-                        if is_zero(*w, v) {
-                            take_branch!(bt);
-                        }
-                    }
-                    LowOp::CmpJumpIfNot { w, op, target } => {
-                        let b = pop!();
-                        let a = pop!();
-                        if !irelop(*w, *op, a, b) {
-                            pc = *target as usize;
-                            continue;
-                        }
-                    }
-                    LowOp::LocalConstCmpBrIf {
-                        w,
-                        op,
-                        local,
-                        rhs,
-                        bt,
-                    } => {
-                        let x = locals[lb + *local as usize];
-                        if irelop(*w, *op, x, *rhs) {
-                            take_branch!(bt);
-                        }
-                    }
-                    LowOp::LocalConstCmpEqzBrIf {
-                        w,
-                        op,
-                        local,
-                        rhs,
-                        bt,
-                    } => {
-                        let x = locals[lb + *local as usize];
-                        if !irelop(*w, *op, x, *rhs) {
-                            take_branch!(bt);
-                        }
-                    }
-                    LowOp::LocalsCmpBrIf { w, op, a, b, bt } => {
-                        let x = locals[lb + *a as usize];
-                        let y = locals[lb + *b as usize];
-                        if irelop(*w, *op, x, y) {
-                            take_branch!(bt);
-                        }
-                    }
-                    LowOp::LocalsCmpEqzBrIf { w, op, a, b, bt } => {
-                        let x = locals[lb + *a as usize];
-                        let y = locals[lb + *b as usize];
-                        if !irelop(*w, *op, x, y) {
-                            take_branch!(bt);
-                        }
-                    }
-                    LowOp::LocalConstCmpJumpIfNot {
-                        w,
-                        op,
-                        local,
-                        rhs,
-                        target,
-                    } => {
-                        let x = locals[lb + *local as usize];
-                        if !irelop(*w, *op, x, *rhs) {
-                            pc = *target as usize;
-                            continue;
-                        }
-                    }
-                    LowOp::LocalsCmpJumpIfNot {
-                        w,
-                        op,
-                        a,
-                        b,
-                        target,
-                    } => {
-                        let x = locals[lb + *a as usize];
-                        let y = locals[lb + *b as usize];
-                        if !irelop(*w, *op, x, y) {
-                            pc = *target as usize;
-                            continue;
-                        }
                     }
                 }
                 pc += 1;

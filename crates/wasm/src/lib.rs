@@ -9,10 +9,10 @@
 //! ```text
 //! .wasm bytes ──decode──▶ Module ──validate──▶ CompiledModule (flattened,
 //!      ▲                                        jump-resolved "AoT" code)
-//!      │ encode                                     │ lower (per ExecTier)
-//! ModuleBuilder (used by twine-minicc,              ▼
-//! the Clang/LLVM stand-in)               fused-superinstruction IR
-//!                                                   │
+//!      │ encode                                     │ ExecTier::Reg (default):
+//! ModuleBuilder (used by twine-minicc,              │   fuse ─▶ regalloc
+//! the Clang/LLVM stand-in)                          │ ExecTier::Baseline:
+//!                                                   │   flattened ops as is
 //!                                                   ▼
 //!                                            Instance::invoke
 //! ```
@@ -25,23 +25,27 @@
 //!   functional analogue of WAMR's `wamrc` ahead-of-time compiler: it is run
 //!   *before* the module enters the enclave, and the enclave only executes
 //!   pre-compiled code (the paper's Twine contains no interpreter, §IV-B).
-//! * [`lower`] — the second AoT stage: rewrites the flattened stream into a
-//!   fused-superinstruction IR (selected by [`ExecTier`]) whose metering is
-//!   bit-identical to the baseline while dispatch overhead drops.
-//! * [`regalloc`] — the third AoT stage (default tier): maps the fused
-//!   IR's operand-stack traffic onto a flat virtual-register frame of
-//!   three-address superinstructions, with per-basic-block fuel/metering
-//!   batching — still bit-identical virtual time (DESIGN.md §8).
-//! * [`exec`] — the execution engine with per-class instruction metering and
-//!   a page-touch hook that drives the SGX EPC simulator.
+//! * [`lower`] — the second AoT stage of the register tier: fuses the
+//!   flattened stream into superinstructions whose metering records
+//!   ([`lower::OpCost`]) keep virtual time bit-identical. The fused IR is
+//!   the register allocator's input only; nothing executes it.
+//! * [`regalloc`] — the third AoT stage: maps the fused IR's operand-stack
+//!   traffic onto a flat virtual-register frame of three-address
+//!   superinstructions, with per-basic-block fuel/metering batching —
+//!   still bit-identical virtual time (DESIGN.md §8).
+//! * [`exec`] — the two executors, selected by [`ExecTier`]: the register
+//!   tier every serving path runs, and the reference interpreter over the
+//!   flattened ops that every differential uses as its oracle. Both meter
+//!   per instruction class and feed a page-touch hook that drives the SGX
+//!   EPC simulator.
 //! * [`memory`] — sandboxed linear memory.
 //!
 //! Because no offline toolchain can produce native x86 from Wasm here, the
 //! engine *executes* compiled code by dispatch, and execution **time** for
 //! benchmarking is derived from the metered instruction stream via the cost
 //! models in `twine-baselines` (see DESIGN.md §4). Functional semantics are
-//! real and extensively tested. The [`lower`] tier keeps that metering
-//! bit-identical while cutting real dispatch cost (DESIGN.md §6).
+//! real and extensively tested. The register tier keeps that metering
+//! bit-identical while cutting real dispatch cost (DESIGN.md §6, §8).
 //!
 //! **Dependency graph**: leaf crate (no `twine-*` dependencies). Consumed
 //! by `twine-minicc` (module emission), `twine-wasi` (host-function

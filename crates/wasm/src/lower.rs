@@ -1,14 +1,11 @@
-//! Post-validation lowering to the fused-superinstruction IR — the second
-//! execution tier of the engine.
+//! Post-validation fusion into superinstructions — the register
+//! allocator's input.
 //!
 //! The [`crate::compile`] pass produces linear, jump-resolved [`Op`] code in
-//! which every Wasm instruction is still dispatched individually. That is
-//! faithful but slow: each retired instruction pays the full
-//! fetch/meter/match overhead of the dispatch loop, the classic
-//! interpreter-dispatch tax the paper's AoT pipeline exists to avoid
-//! (§IV-B). This module rewrites that stream into a compact IR whose
-//! *superinstructions* fuse the short idiomatic sequences that dominate hot
-//! loops:
+//! which every Wasm instruction is still a separate op; the reference
+//! interpreter ([`ExecTier::Baseline`]) dispatches it exactly that way. This
+//! module rewrites that stream into a compact IR whose *superinstructions*
+//! fuse the short idiomatic sequences that dominate hot loops:
 //!
 //! * `const` + binop, `local.get` + binop and `local.get local.get` binop
 //!   triples (operand fetch folded into the ALU op);
@@ -18,21 +15,23 @@
 //!   and their `jump-if-zero` (structured `if`) forms;
 //! * address/value computations folded into loads and stores.
 //!
+//! The fused IR is never executed: [`crate::regalloc`] consumes it during
+//! compilation, one register op per fused op, and it is dropped afterwards.
 //! Branch targets, already resolved to op indices by the compiler, are
-//! remapped to the fused index space, so the executed IR keeps direct jumps
-//! with no label search at run time.
+//! remapped to the fused index space, so the register code keeps direct
+//! jumps with no label search at run time.
 //!
 //! ## Virtual time is preserved exactly
 //!
 //! The whole Figure 3 methodology (DESIGN.md §4) prices *metered
 //! instruction-class streams*, so fusion must not change what the meter
-//! sees. Every lowered op therefore carries an [`OpCost`]: the ordered
+//! sees. Every fused op therefore carries an [`OpCost`]: the ordered
 //! metering classes of its constituent baseline instructions, taken verbatim
 //! from the per-instruction-class table ([`Op::class`]) that `meter.rs`
-//! buckets by. Executing a superinstruction bumps all of its constituent
+//! buckets by. Retiring a superinstruction bumps all of its constituent
 //! classes and consumes one fuel unit per constituent, so cycle counts,
 //! fuel accounting and [`crate::meter::Meter`] totals are bit-identical to
-//! the baseline tier while wall-clock dispatch overhead drops.
+//! the reference interpreter.
 //!
 //! Fusion windows never extend across a branch target (nothing may jump
 //! into the middle of a superinstruction), and an instruction that can trap
@@ -41,26 +40,24 @@
 //! are free of externally observable effects (they touch only the operand
 //! stack and locals, which are discarded when a trap aborts the
 //! invocation), a trap or out-of-fuel stop inside a superinstruction is
-//! indistinguishable from the baseline tier's behaviour.
+//! indistinguishable from the reference interpreter's behaviour.
 
 use crate::compile::{BranchTarget, CompiledFunc, Op};
-use crate::instr::{FBinOp, IBinOp, IRelOp, IntWidth};
-use crate::instr::{CvtOp, FRelOp, FUnOp, FloatWidth, IUnOp, LoadKind, StoreKind};
+use crate::instr::{FBinOp, FloatWidth, IBinOp, IRelOp, IntWidth, LoadKind, StoreKind};
 use crate::meter::InstrClass;
 
-/// Which dispatch code the engine executes for a compiled module.
+/// Which executor runs a compiled module.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ExecTier {
-    /// One lowered op per baseline [`Op`] — the reference tier.
+    /// The reference interpreter: dispatches the compiled [`Op`] stream one
+    /// op at a time, one metering class and one unit of fuel per op. The
+    /// oracle every differential compares the register tier against.
     Baseline,
-    /// Fused superinstructions: identical semantics and metering, fewer
-    /// dispatch iterations.
-    Fused,
     /// Register-allocated three-address code (default): the fused IR's
     /// operand-stack traffic is mapped onto a flat virtual-register frame
     /// by [`crate::regalloc`], and fuel/metering are charged per basic
     /// block instead of per op. Semantics and virtual-time metering stay
-    /// bit-identical to both other tiers.
+    /// bit-identical to the reference interpreter.
     #[default]
     Reg,
 }
@@ -69,7 +66,6 @@ impl core::fmt::Display for ExecTier {
     fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
         match self {
             ExecTier::Baseline => write!(f, "baseline"),
-            ExecTier::Fused => write!(f, "fused"),
             ExecTier::Reg => write!(f, "reg"),
         }
     }
@@ -79,14 +75,15 @@ impl core::fmt::Display for ExecTier {
 /// pass emits.
 pub const MAX_FUSED_WIDTH: usize = 5;
 
-/// Metering record of one lowered op: the ordered [`InstrClass`]es of its
-/// constituent baseline instructions. Executing the op bumps each class
-/// once and consumes `len` fuel, exactly as the baseline tier would.
+/// Metering record of one fused op: the ordered [`InstrClass`]es of its
+/// constituent baseline instructions. Retiring the op bumps each class
+/// once and consumes `len` fuel, exactly as the reference interpreter
+/// would.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct OpCost {
     /// Constituent classes, in baseline execution order (`classes[..len]`).
     pub classes: [InstrClass; MAX_FUSED_WIDTH],
-    /// Number of constituent baseline instructions (1 for pass-through).
+    /// Number of constituent baseline instructions (1 for an unfused op).
     pub len: u8,
 }
 
@@ -104,44 +101,12 @@ impl OpCost {
     }
 }
 
-/// A lowered instruction: either a pass-through of one baseline [`Op`] or a
-/// fused superinstruction covering several.
+/// A fused-IR instruction: either one baseline [`Op`] left unfused or a
+/// superinstruction covering several.
 #[derive(Debug, Clone, PartialEq)]
-#[allow(missing_docs)] // pass-through variants mirror `Op` 1:1
 pub enum LowOp {
-    // ---- pass-through of the baseline instruction set -------------------
-    Unreachable,
-    Br(BranchTarget),
-    BrIf(BranchTarget),
-    BrTable(Box<[BranchTarget]>),
-    Jump(u32),
-    JumpIfZero(u32),
-    Return,
-    Call(u32),
-    CallIndirect(u32),
-    Drop,
-    Select,
-    LocalGet(u32),
-    LocalSet(u32),
-    LocalTee(u32),
-    GlobalGet(u32),
-    GlobalSet(u32),
-    Load(LoadKind, u32),
-    Store(StoreKind, u32),
-    MemorySize,
-    MemoryGrow,
-    MemoryCopy,
-    MemoryFill,
-    Const(u64),
-    ITestEqz(IntWidth),
-    IUnop(IntWidth, IUnOp),
-    IBinop(IntWidth, IBinOp),
-    IRelop(IntWidth, IRelOp),
-    FUnop(FloatWidth, FUnOp),
-    FBinop(FloatWidth, FBinOp),
-    FRelop(FloatWidth, FRelOp),
-    Cvt(CvtOp),
-    End,
+    /// A baseline op no fusion pattern matched (branch targets remapped).
+    Op(Op),
 
     // ---- fused ALU forms ------------------------------------------------
     /// `local.get a; local.get b; binop` — push `binop(local[a], local[b])`.
@@ -557,13 +522,13 @@ pub enum LowOp {
     },
 }
 
-/// A function body in the lowered IR, parallel to its [`CompiledFunc`]
+/// A function body in the fused IR, parallel to its [`CompiledFunc`]
 /// (frame metadata — params/locals/results — stays on the compiled form).
 #[derive(Debug, Clone)]
 pub struct LowFunc {
-    /// Lowered code.
+    /// Fused code.
     pub ops: Vec<LowOp>,
-    /// Metering record per lowered op (parallel to `ops`).
+    /// Metering record per fused op (parallel to `ops`).
     pub costs: Vec<OpCost>,
 }
 
@@ -584,61 +549,6 @@ pub fn ibinop_traps(op: IBinOp) -> bool {
         op,
         IBinOp::DivS | IBinOp::DivU | IBinOp::RemS | IBinOp::RemU
     )
-}
-
-/// Lower one compiled function for the given tier. The register tier
-/// shares the fused lowering: [`crate::regalloc`] consumes the fused IR and
-/// rewrites its operand-stack traffic into frame slots, one
-/// [`crate::regalloc::RegOp`] per fused op.
-#[must_use]
-pub fn lower_func(f: &CompiledFunc, tier: ExecTier) -> LowFunc {
-    match tier {
-        ExecTier::Baseline => passthrough(f),
-        ExecTier::Fused | ExecTier::Reg => fuse(f),
-    }
-}
-
-fn passthrough_op(op: &Op) -> LowOp {
-    match op {
-        Op::Unreachable => LowOp::Unreachable,
-        Op::Br(bt) => LowOp::Br(*bt),
-        Op::BrIf(bt) => LowOp::BrIf(*bt),
-        Op::BrTable(t) => LowOp::BrTable(t.clone()),
-        Op::Jump(t) => LowOp::Jump(*t),
-        Op::JumpIfZero(t) => LowOp::JumpIfZero(*t),
-        Op::Return => LowOp::Return,
-        Op::Call(f) => LowOp::Call(*f),
-        Op::CallIndirect(t) => LowOp::CallIndirect(*t),
-        Op::Drop => LowOp::Drop,
-        Op::Select => LowOp::Select,
-        Op::LocalGet(i) => LowOp::LocalGet(*i),
-        Op::LocalSet(i) => LowOp::LocalSet(*i),
-        Op::LocalTee(i) => LowOp::LocalTee(*i),
-        Op::GlobalGet(i) => LowOp::GlobalGet(*i),
-        Op::GlobalSet(i) => LowOp::GlobalSet(*i),
-        Op::Load(k, off) => LowOp::Load(*k, *off),
-        Op::Store(k, off) => LowOp::Store(*k, *off),
-        Op::MemorySize => LowOp::MemorySize,
-        Op::MemoryGrow => LowOp::MemoryGrow,
-        Op::MemoryCopy => LowOp::MemoryCopy,
-        Op::MemoryFill => LowOp::MemoryFill,
-        Op::Const(b) => LowOp::Const(*b),
-        Op::ITestEqz(w) => LowOp::ITestEqz(*w),
-        Op::IUnop(w, o) => LowOp::IUnop(*w, *o),
-        Op::IBinop(w, o) => LowOp::IBinop(*w, *o),
-        Op::IRelop(w, o) => LowOp::IRelop(*w, *o),
-        Op::FUnop(w, o) => LowOp::FUnop(*w, *o),
-        Op::FBinop(w, o) => LowOp::FBinop(*w, *o),
-        Op::FRelop(w, o) => LowOp::FRelop(*w, *o),
-        Op::Cvt(o) => LowOp::Cvt(*o),
-        Op::End => LowOp::End,
-    }
-}
-
-fn passthrough(f: &CompiledFunc) -> LowFunc {
-    let ops = f.ops.iter().map(passthrough_op).collect();
-    let costs = f.classes.iter().map(|c| OpCost::of(&[*c])).collect();
-    LowFunc { ops, costs }
 }
 
 /// Mark every op index that is the destination of some branch or jump.
@@ -1088,7 +998,11 @@ fn try_fuse(ops: &[Op], pc: usize, avail: usize) -> Option<(LowOp, usize)> {
     None
 }
 
-fn fuse(f: &CompiledFunc) -> LowFunc {
+/// Fuse one compiled function into superinstructions — the input
+/// [`crate::regalloc::regalloc_func`] maps onto frame slots, one
+/// [`crate::regalloc::RegOp`] per fused op.
+#[must_use]
+pub fn fuse(f: &CompiledFunc) -> LowFunc {
     let n = f.ops.len();
     let is_target = mark_targets(&f.ops);
     let mut ops: Vec<LowOp> = Vec::with_capacity(n);
@@ -1112,7 +1026,7 @@ fn fuse(f: &CompiledFunc) -> LowFunc {
             pc += len;
         } else {
             costs.push(OpCost::of(&f.classes[pc..=pc]));
-            ops.push(passthrough_op(&f.ops[pc]));
+            ops.push(LowOp::Op(f.ops[pc].clone()));
             pc += 1;
         }
     }
@@ -1126,8 +1040,7 @@ fn fuse(f: &CompiledFunc) -> LowFunc {
     };
     for op in &mut ops {
         match op {
-            LowOp::Br(bt)
-            | LowOp::BrIf(bt)
+            LowOp::Op(Op::Br(bt) | Op::BrIf(bt))
             | LowOp::CmpBrIf { bt, .. }
             | LowOp::CmpEqzBrIf { bt, .. }
             | LowOp::EqzBrIf { bt, .. }
@@ -1135,13 +1048,12 @@ fn fuse(f: &CompiledFunc) -> LowFunc {
             | LowOp::LocalConstCmpEqzBrIf { bt, .. }
             | LowOp::LocalsCmpBrIf { bt, .. }
             | LowOp::LocalsCmpEqzBrIf { bt, .. } => remap(&mut bt.target),
-            LowOp::BrTable(table) => {
+            LowOp::Op(Op::BrTable(table)) => {
                 for bt in table.iter_mut() {
                     remap(&mut bt.target);
                 }
             }
-            LowOp::Jump(t)
-            | LowOp::JumpIfZero(t)
+            LowOp::Op(Op::Jump(t) | Op::JumpIfZero(t))
             | LowOp::CmpJumpIfNot { target: t, .. }
             | LowOp::LocalConstCmpJumpIfNot { target: t, .. }
             | LowOp::LocalsCmpJumpIfNot { target: t, .. } => remap(t),
@@ -1194,18 +1106,10 @@ mod tests {
     }
 
     #[test]
-    fn baseline_tier_is_identity() {
-        let cm = compile_body(counted_loop_body(), vec![]);
-        let low = lower_func(&cm.funcs[0], ExecTier::Baseline);
-        assert_eq!(low.ops.len(), cm.funcs[0].ops.len());
-        assert!(low.costs.iter().all(|c| c.len == 1));
-    }
-
-    #[test]
     fn fused_tier_shrinks_a_counted_loop() {
         let cm = compile_body(counted_loop_body(), vec![]);
         let base = &cm.funcs[0];
-        let low = lower_func(base, ExecTier::Fused);
+        let low = fuse(base);
         assert!(
             low.ops.len() < base.ops.len(),
             "no fusion: {} vs {}",
@@ -1228,7 +1132,7 @@ mod tests {
     #[test]
     fn fused_latch_target_points_at_loop_head() {
         let cm = compile_body(counted_loop_body(), vec![]);
-        let low = lower_func(&cm.funcs[0], ExecTier::Fused);
+        let low = fuse(&cm.funcs[0]);
         let latch = low
             .ops
             .iter()
@@ -1248,7 +1152,7 @@ mod tests {
     fn classes_are_preserved_as_a_multiset() {
         let cm = compile_body(counted_loop_body(), vec![]);
         let base = &cm.funcs[0];
-        let low = lower_func(base, ExecTier::Fused);
+        let low = fuse(base);
         let mut base_counts = [0u64; crate::meter::NUM_CLASSES];
         for c in &base.classes {
             base_counts[c.index()] += 1;
@@ -1278,14 +1182,14 @@ mod tests {
             Instr::Drop,
         ];
         let cm = compile_body(body, vec![]);
-        let low = lower_func(&cm.funcs[0], ExecTier::Fused);
+        let low = fuse(&cm.funcs[0]);
         // The br_if target must resolve to a real lowered op (debug_assert
         // in `fuse` already guards the MAX case; check structure here).
         let bt = low
             .ops
             .iter()
             .find_map(|op| match op {
-                LowOp::EqzBrIf { bt, .. } | LowOp::BrIf(bt) => Some(*bt),
+                LowOp::EqzBrIf { bt, .. } | LowOp::Op(Op::BrIf(bt)) => Some(*bt),
                 _ => None,
             })
             .expect("br_if survives");
@@ -1307,7 +1211,7 @@ mod tests {
             Instr::LocalSet(1),
         ];
         let cm = compile_body(body, vec![]);
-        let low = lower_func(&cm.funcs[0], ExecTier::Fused);
+        let low = fuse(&cm.funcs[0]);
         assert!(low
             .ops
             .iter()
@@ -1336,7 +1240,7 @@ mod tests {
             Instr::Store(StoreKind::I32, MemArg::offset(0)),
         ];
         let cm = compile_body(body, vec![]);
-        let low = lower_func(&cm.funcs[0], ExecTier::Fused);
+        let low = fuse(&cm.funcs[0]);
         assert!(low
             .ops
             .iter()
@@ -1358,7 +1262,7 @@ mod tests {
             Instr::Store(StoreKind::F64, MemArg::offset(0)),
         ];
         let cm = compile_body(body, vec![]);
-        let low = lower_func(&cm.funcs[0], ExecTier::Fused);
+        let low = fuse(&cm.funcs[0]);
         assert!(low
             .ops
             .iter()

@@ -1,9 +1,10 @@
-//! Register allocation over the fused IR — the third execution tier.
+//! Register allocation over the fused IR — the register tier, the
+//! executor every serving path runs.
 //!
-//! The stack tiers ([`crate::lower`]) still move every operand through a
-//! `Vec` push/pop pair, and the dispatch loop pays a fuel branch plus a
-//! per-constituent metering loop on every superinstruction. This pass
-//! removes all three costs on straight-line code, the wasm3-style
+//! The reference interpreter ([`crate::lower::ExecTier::Baseline`]) moves
+//! every operand through a `Vec` push/pop pair and pays a fuel branch plus
+//! a metering update on every op. This pass removes all three costs on
+//! straight-line code, the wasm3-style
 //! register-interpreter design the runtime survey identifies as the
 //! fastest non-JIT tier:
 //!
@@ -45,7 +46,7 @@
 //! [`crate::lower`] (every baseline instruction metered exactly once)
 //! holds by construction.
 
-use crate::compile::{BranchTarget, CompiledFunc};
+use crate::compile::{BranchTarget, CompiledFunc, Op};
 use crate::instr::{CvtOp, FBinOp, FRelOp, FUnOp, FloatWidth, IBinOp, IRelOp, IUnOp, IntWidth};
 use crate::instr::{LoadKind, StoreKind};
 use crate::lower::{LowFunc, LowOp, OpCost};
@@ -177,13 +178,14 @@ pub struct BlockMeter {
     pub classes: Box<[(u8, u32)]>,
 }
 
-/// A function body in the register tier, parallel to its fused [`LowFunc`]
-/// (same op indices, same branch-target space, same per-op costs).
+/// A function body in the register tier, parallel to the fused [`LowFunc`]
+/// it was allocated from (same op indices, same branch-target space, same
+/// per-op costs).
 #[derive(Debug, Clone)]
 pub struct RegFunc {
     /// Register code, one op per fused op.
     pub ops: Vec<RegOp>,
-    /// Metering record per op (identical to the fused tier's).
+    /// Metering record per op (the fused op's [`OpCost`], verbatim).
     pub costs: Vec<OpCost>,
     /// Frame size in slots: locals plus the maximum operand-stack depth.
     pub n_slots: u32,
@@ -205,17 +207,17 @@ pub struct RegFunc {
 fn stack_effect(op: &LowOp) -> (u32, u32) {
     use LowOp as L;
     match op {
-        L::Drop
-        | L::LocalSet(_)
-        | L::GlobalSet(_)
+        L::Op(Op::Drop)
+        | L::Op(Op::LocalSet(_))
+        | L::Op(Op::GlobalSet(_))
         | L::StoreConst { .. }
         | L::StoreLocal { .. }
         | L::IBinopLoad { .. } => (1, 0),
-        L::Select => (3, 1),
-        L::LocalGet(_)
-        | L::GlobalGet(_)
-        | L::MemorySize
-        | L::Const(_)
+        L::Op(Op::Select) => (3, 1),
+        L::Op(Op::LocalGet(_))
+        | L::Op(Op::GlobalGet(_))
+        | L::Op(Op::MemorySize)
+        | L::Op(Op::Const(_))
         | L::LocalsIBinop { .. }
         | L::LocalsFBinop { .. }
         | L::LocalConstIBinop { .. }
@@ -223,15 +225,13 @@ fn stack_effect(op: &LowOp) -> (u32, u32) {
         | L::LocalConstLocalIBinop2 { .. }
         | L::ConstLoad { .. }
         | L::LocalLoad { .. } => (0, 1),
-        L::LocalTee(_)
-        | L::LocalConstIBinopSet { .. }
-        | L::ConstLocalSet { .. } => (0, 0),
-        L::Load(..)
-        | L::MemoryGrow
-        | L::ITestEqz(_)
-        | L::IUnop(..)
-        | L::FUnop(..)
-        | L::Cvt(_)
+        L::Op(Op::LocalTee(_)) | L::LocalConstIBinopSet { .. } | L::ConstLocalSet { .. } => (0, 0),
+        L::Op(Op::Load(..))
+        | L::Op(Op::MemoryGrow)
+        | L::Op(Op::ITestEqz(_))
+        | L::Op(Op::IUnop(..))
+        | L::Op(Op::FUnop(..))
+        | L::Op(Op::Cvt(_))
         | L::ConstIBinop { .. }
         | L::ConstFBinop { .. }
         | L::LocalIBinop { .. }
@@ -240,29 +240,27 @@ fn stack_effect(op: &LowOp) -> (u32, u32) {
         | L::TeeLoad { .. }
         | L::ConstIBinopLoad { .. }
         | L::LocalIBinopLoad { .. } => (1, 1),
-        L::Store(..) | L::IBinopLocalSet { .. } | L::FBinopLocalSet { .. } => (2, 0),
-        L::MemoryCopy
-        | L::MemoryFill
+        L::Op(Op::Store(..)) | L::IBinopLocalSet { .. } | L::FBinopLocalSet { .. } => (2, 0),
+        L::Op(Op::MemoryCopy)
+        | L::Op(Op::MemoryFill)
         | L::FBinopStore { .. }
         | L::IBinopStore { .. } => (3, 0),
-        L::IBinop(..) | L::IRelop(..) | L::FBinop(..) | L::FRelop(..) | L::FBinop2 { .. } => {
-            match op {
-                L::FBinop2 { .. } => (3, 1),
-                _ => (2, 1),
-            }
-        }
+        L::Op(Op::IBinop(..) | Op::IRelop(..) | Op::FBinop(..) | Op::FRelop(..)) => (2, 1),
+        L::FBinop2 { .. } => (3, 1),
         L::ConstFBinopStore { .. } | L::LocalFBinopStore { .. } => (2, 0),
         // Control ops never reach this function.
-        L::Unreachable
-        | L::Br(_)
-        | L::BrIf(_)
-        | L::BrTable(_)
-        | L::Jump(_)
-        | L::JumpIfZero(_)
-        | L::Return
-        | L::End
-        | L::Call(_)
-        | L::CallIndirect(_)
+        L::Op(
+            Op::Unreachable
+            | Op::Br(_)
+            | Op::BrIf(_)
+            | Op::BrTable(_)
+            | Op::Jump(_)
+            | Op::JumpIfZero(_)
+            | Op::Return
+            | Op::End
+            | Op::Call(_)
+            | Op::CallIndirect(_),
+        )
         | L::CmpBrIf { .. }
         | L::CmpEqzBrIf { .. }
         | L::EqzBrIf { .. }
@@ -280,17 +278,18 @@ fn stack_effect(op: &LowOp) -> (u32, u32) {
 fn ends_block(op: &LowOp) -> bool {
     matches!(
         op,
-        LowOp::Unreachable
-            | LowOp::Br(_)
-            | LowOp::BrIf(_)
-            | LowOp::BrTable(_)
-            | LowOp::Jump(_)
-            | LowOp::JumpIfZero(_)
-            | LowOp::Return
-            | LowOp::End
-            | LowOp::Call(_)
-            | LowOp::CallIndirect(_)
-            | LowOp::CmpBrIf { .. }
+        LowOp::Op(
+            Op::Unreachable
+                | Op::Br(_)
+                | Op::BrIf(_)
+                | Op::BrTable(_)
+                | Op::Jump(_)
+                | Op::JumpIfZero(_)
+                | Op::Return
+                | Op::End
+                | Op::Call(_)
+                | Op::CallIndirect(_)
+        ) | LowOp::CmpBrIf { .. }
             | LowOp::CmpEqzBrIf { .. }
             | LowOp::EqzBrIf { .. }
             | LowOp::CmpJumpIfNot { .. }
@@ -330,12 +329,12 @@ pub fn regalloc_func(module: &Module, f: &CompiledFunc, low: &LowFunc) -> RegFun
         let mut table_succs: Vec<(u32, u32)> = Vec::new();
         use LowOp as L;
         let rop = match &low.ops[pc] {
-            L::Unreachable => RegOp::Unreachable,
-            L::Br(bt) => {
+            L::Op(Op::Unreachable) => RegOp::Unreachable,
+            L::Op(Op::Br(bt)) => {
                 succs[0] = Some((bt.target, RegBranch::dest_depth(bt)));
                 RegOp::Br(RegBranch::new(bt, d, nl))
             }
-            L::BrIf(bt) => {
+            L::Op(Op::BrIf(bt)) => {
                 succs[0] = Some((bt.target, RegBranch::dest_depth(bt)));
                 succs[1] = Some((pc as u32 + 1, d - 1));
                 RegOp::BrIf {
@@ -343,7 +342,7 @@ pub fn regalloc_func(module: &Module, f: &CompiledFunc, low: &LowFunc) -> RegFun
                     br: RegBranch::new(bt, d - 1, nl),
                 }
             }
-            L::BrTable(table) => {
+            L::Op(Op::BrTable(table)) => {
                 let regs: Vec<RegBranch> = table
                     .iter()
                     .map(|bt| {
@@ -356,11 +355,11 @@ pub fn regalloc_func(module: &Module, f: &CompiledFunc, low: &LowFunc) -> RegFun
                     table: regs.into_boxed_slice(),
                 }
             }
-            L::Jump(t) => {
+            L::Op(Op::Jump(t)) => {
                 succs[0] = Some((*t, d));
                 RegOp::Jump(*t)
             }
-            L::JumpIfZero(t) => {
+            L::Op(Op::JumpIfZero(t)) => {
                 succs[0] = Some((*t, d - 1));
                 succs[1] = Some((pc as u32 + 1, d - 1));
                 RegOp::JumpIfZero {
@@ -368,14 +367,14 @@ pub fn regalloc_func(module: &Module, f: &CompiledFunc, low: &LowFunc) -> RegFun
                     target: *t,
                 }
             }
-            L::Return | L::End => {
+            L::Op(Op::Return | Op::End) => {
                 let nr = f.n_results as u32;
                 RegOp::Ret {
                     from: s(d - nr),
                     n: f.n_results as u8,
                 }
             }
-            L::Call(g) => {
+            L::Op(Op::Call(g)) => {
                 let ty = module.func_type(*g).expect("validated call");
                 let (np, nr) = (ty.params.len() as u32, ty.results.len() as u32);
                 succs[0] = Some((pc as u32 + 1, d - np + nr));
@@ -384,7 +383,7 @@ pub fn regalloc_func(module: &Module, f: &CompiledFunc, low: &LowFunc) -> RegFun
                     base: s(d - np),
                 }
             }
-            L::CallIndirect(type_idx) => {
+            L::Op(Op::CallIndirect(type_idx)) => {
                 let ty = &module.types[*type_idx as usize];
                 let (np, nr) = (ty.params.len() as u32, ty.results.len() as u32);
                 succs[0] = Some((pc as u32 + 1, d - 1 - np + nr));
@@ -394,100 +393,100 @@ pub fn regalloc_func(module: &Module, f: &CompiledFunc, low: &LowFunc) -> RegFun
                     base: s(d - 1 - np),
                 }
             }
-            L::Drop => RegOp::Nop,
-            L::Select => RegOp::Select {
+            L::Op(Op::Drop) => RegOp::Nop,
+            L::Op(Op::Select) => RegOp::Select {
                 dst: s(d - 3),
                 a: s(d - 3),
                 b: s(d - 2),
                 cond: s(d - 1),
             },
-            L::LocalGet(i) => RegOp::Copy { dst: s(d), src: *i },
-            L::LocalSet(i) | L::LocalTee(i) => RegOp::Copy {
+            L::Op(Op::LocalGet(i)) => RegOp::Copy { dst: s(d), src: *i },
+            L::Op(Op::LocalSet(i) | Op::LocalTee(i)) => RegOp::Copy {
                 dst: *i,
                 src: s(d - 1),
             },
-            L::GlobalGet(i) => RegOp::GlobalGet { dst: s(d), idx: *i },
-            L::GlobalSet(i) => RegOp::GlobalSet {
+            L::Op(Op::GlobalGet(i)) => RegOp::GlobalGet { dst: s(d), idx: *i },
+            L::Op(Op::GlobalSet(i)) => RegOp::GlobalSet {
                 src: s(d - 1),
                 idx: *i,
             },
-            L::Load(kind, off) => RegOp::Load {
+            L::Op(Op::Load(kind, off)) => RegOp::Load {
                 kind: *kind,
                 offset: *off,
                 dst: s(d - 1),
                 addr: s(d - 1),
             },
-            L::Store(kind, off) => RegOp::Store {
+            L::Op(Op::Store(kind, off)) => RegOp::Store {
                 kind: *kind,
                 offset: *off,
                 addr: s(d - 2),
                 val: s(d - 1),
             },
-            L::MemorySize => RegOp::MemorySize { dst: s(d) },
-            L::MemoryGrow => RegOp::MemoryGrow {
+            L::Op(Op::MemorySize) => RegOp::MemorySize { dst: s(d) },
+            L::Op(Op::MemoryGrow) => RegOp::MemoryGrow {
                 dst: s(d - 1),
                 delta: s(d - 1),
             },
-            L::MemoryCopy => RegOp::MemoryCopy {
+            L::Op(Op::MemoryCopy) => RegOp::MemoryCopy {
                 dst: s(d - 3),
                 src: s(d - 2),
                 len: s(d - 1),
             },
-            L::MemoryFill => RegOp::MemoryFill {
+            L::Op(Op::MemoryFill) => RegOp::MemoryFill {
                 dst: s(d - 3),
                 val: s(d - 2),
                 len: s(d - 1),
             },
-            L::Const(bits) => RegOp::Const {
+            L::Op(Op::Const(bits)) => RegOp::Const {
                 dst: s(d),
                 bits: *bits,
             },
-            L::ITestEqz(w) => RegOp::Eqz {
+            L::Op(Op::ITestEqz(w)) => RegOp::Eqz {
                 w: *w,
                 dst: s(d - 1),
                 src: s(d - 1),
             },
-            L::IUnop(w, op) => RegOp::IUnop {
-                w: *w,
-                op: *op,
-                dst: s(d - 1),
-                src: s(d - 1),
-            },
-            L::IBinop(w, op) => RegOp::IBinop {
-                w: *w,
-                op: *op,
-                dst: s(d - 2),
-                a: s(d - 2),
-                b: s(d - 1),
-            },
-            L::IRelop(w, op) => RegOp::IRelop {
-                w: *w,
-                op: *op,
-                dst: s(d - 2),
-                a: s(d - 2),
-                b: s(d - 1),
-            },
-            L::FUnop(w, op) => RegOp::FUnop {
+            L::Op(Op::IUnop(w, op)) => RegOp::IUnop {
                 w: *w,
                 op: *op,
                 dst: s(d - 1),
                 src: s(d - 1),
             },
-            L::FBinop(w, op) => RegOp::FBinop {
+            L::Op(Op::IBinop(w, op)) => RegOp::IBinop {
                 w: *w,
                 op: *op,
                 dst: s(d - 2),
                 a: s(d - 2),
                 b: s(d - 1),
             },
-            L::FRelop(w, op) => RegOp::FRelop {
+            L::Op(Op::IRelop(w, op)) => RegOp::IRelop {
                 w: *w,
                 op: *op,
                 dst: s(d - 2),
                 a: s(d - 2),
                 b: s(d - 1),
             },
-            L::Cvt(op) => RegOp::Cvt {
+            L::Op(Op::FUnop(w, op)) => RegOp::FUnop {
+                w: *w,
+                op: *op,
+                dst: s(d - 1),
+                src: s(d - 1),
+            },
+            L::Op(Op::FBinop(w, op)) => RegOp::FBinop {
+                w: *w,
+                op: *op,
+                dst: s(d - 2),
+                a: s(d - 2),
+                b: s(d - 1),
+            },
+            L::Op(Op::FRelop(w, op)) => RegOp::FRelop {
+                w: *w,
+                op: *op,
+                dst: s(d - 2),
+                a: s(d - 2),
+                b: s(d - 1),
+            },
+            L::Op(Op::Cvt(op)) => RegOp::Cvt {
                 op: *op,
                 dst: s(d - 1),
                 src: s(d - 1),
@@ -862,7 +861,9 @@ pub fn regalloc_func(module: &Module, f: &CompiledFunc, low: &LowFunc) -> RegFun
         };
         // Non-control ops fall through to pc + 1 with their net effect.
         let is_fallthrough_only = succs[0].is_none() && table_succs.is_empty();
-        if is_fallthrough_only && !matches!(&low.ops[pc], L::Unreachable | L::Return | L::End) {
+        if is_fallthrough_only
+            && !matches!(&low.ops[pc], L::Op(Op::Unreachable | Op::Return | Op::End))
+        {
             let (pops, pushes) = stack_effect(&low.ops[pc]);
             succs[0] = Some((pc as u32 + 1, d - pops + pushes));
         }
@@ -900,8 +901,7 @@ pub fn regalloc_func(module: &Module, f: &CompiledFunc, low: &LowFunc) -> RegFun
             leader[pc + 1] = true;
         }
         match op {
-            LowOp::Br(bt)
-            | LowOp::BrIf(bt)
+            LowOp::Op(Op::Br(bt) | Op::BrIf(bt))
             | LowOp::CmpBrIf { bt, .. }
             | LowOp::CmpEqzBrIf { bt, .. }
             | LowOp::EqzBrIf { bt, .. }
@@ -909,13 +909,12 @@ pub fn regalloc_func(module: &Module, f: &CompiledFunc, low: &LowFunc) -> RegFun
             | LowOp::LocalConstCmpEqzBrIf { bt, .. }
             | LowOp::LocalsCmpBrIf { bt, .. }
             | LowOp::LocalsCmpEqzBrIf { bt, .. } => leader[bt.target as usize] = true,
-            LowOp::BrTable(table) => {
+            LowOp::Op(Op::BrTable(table)) => {
                 for bt in table.iter() {
                     leader[bt.target as usize] = true;
                 }
             }
-            LowOp::Jump(t)
-            | LowOp::JumpIfZero(t)
+            LowOp::Op(Op::Jump(t) | Op::JumpIfZero(t))
             | LowOp::CmpJumpIfNot { target: t, .. }
             | LowOp::LocalConstCmpJumpIfNot { target: t, .. }
             | LowOp::LocalsCmpJumpIfNot { target: t, .. } => leader[*t as usize] = true,
@@ -1017,8 +1016,8 @@ mod tests {
     fn reg_code_is_parallel_to_fused() {
         let cm = compile_reg(counted_loop_body(), vec![]);
         let rf = &cm.reg[0];
-        // Re-derive the fused lowering (the compiled module drops it).
-        let low = crate::lower::lower_func(&cm.funcs[0], ExecTier::Fused);
+        // Re-derive the fused IR (the compiled module drops it).
+        let low = crate::lower::fuse(&cm.funcs[0]);
         assert_eq!(rf.ops.len(), low.ops.len());
         assert_eq!(rf.costs.len(), low.costs.len());
         assert_eq!(rf.costs, low.costs, "metering records carry over verbatim");

@@ -1,30 +1,39 @@
-//! Differential property tests: the fused-superinstruction tier must be
-//! observably identical to the baseline tier — same results, same traps,
-//! same metered instruction-class counts, same bytes/page accounting and
-//! same fuel consumption — on randomly generated straight-line and
-//! loop-bearing modules.
+//! Differential property tests for the fusion pass (`twine_wasm::lower`).
 //!
-//! This is the executable statement of the lowering pass's contract
-//! (`twine_wasm::lower`): fusion may only change wall-clock dispatch cost,
-//! never anything the virtual-time methodology (DESIGN.md §4) can see.
+//! The fused-superinstruction IR is no longer executed on its own: it is
+//! the register allocator's input, one register op per fused op. Its
+//! contract — fusion may only change dispatch cost, never anything the
+//! virtual-time methodology (DESIGN.md §4) can see — is therefore checked
+//! in two halves on randomly generated straight-line and loop-bearing
+//! modules:
+//!
+//! * statically, on the fused IR itself: the fused costs replay the
+//!   compiled function's metering-class stream verbatim and in order, no
+//!   branch lands inside a fused window, only a window's last constituent
+//!   may trap, and the register code is parallel to the fused IR (same op
+//!   count, same per-op costs);
+//! * dynamically, through the tier built from it: the register tier is
+//!   observably identical to the reference interpreter — same results,
+//!   traps, metered class counts, bytes/page accounting and fuel.
 
 use std::sync::Arc;
 
 use proptest::prelude::*;
 
+use twine_wasm::compile::{CompiledFunc, Op};
 use twine_wasm::instr::{BlockType, IBinOp, IRelOp, Instr, IntWidth, LoadKind, MemArg, StoreKind};
-use twine_wasm::lower::ExecTier;
+use twine_wasm::lower::{fuse, ibinop_traps, ExecTier};
 use twine_wasm::meter::InstrClass;
 use twine_wasm::types::{FuncType, Limits, ValType, Value};
-use twine_wasm::{Instance, Linker, Meter, ModuleBuilder, Trap};
+use twine_wasm::{CompiledModule, Instance, Linker, Meter, ModuleBuilder, Trap};
 
 const N_LOCALS: u32 = 4;
 
 /// Build a stack-safe straight-line i32 body from raw choice pairs. The
-/// interpreter below tracks the operand depth so every emitted sequence
-/// validates; selectors that are invalid at the current depth are skipped.
-/// Writes go to locals `min_writable..N_LOCALS` so a surrounding loop can
-/// protect its counter (local 0) from being clobbered.
+/// generator tracks the operand depth so every emitted sequence validates;
+/// selectors that are invalid at the current depth are skipped. Writes go
+/// to locals `min_writable..N_LOCALS` so a surrounding loop can protect its
+/// counter (local 0) from being clobbered.
 fn straightline_from(choices: &[(u8, i32)], min_writable: u32) -> Vec<Instr> {
     let wr = |v: i32| min_writable + v as u32 % (N_LOCALS - min_writable);
     let mut body = Vec::new();
@@ -104,11 +113,6 @@ fn straightline_from(choices: &[(u8, i32)], min_writable: u32) -> Vec<Instr> {
     body
 }
 
-/// Straight-line body free to write any local (no enclosing loop).
-fn straightline(choices: &[(u8, i32)]) -> Vec<Instr> {
-    straightline_from(choices, 0)
-}
-
 /// Wrap a net-zero body in a counted loop: `l0 = n; do { body; l0 -= 1 }
 /// while (l0 > 0)`, exercising the fused loop step and latch forms.
 fn counted_loop(n: i32, inner: Vec<Instr>, eqz_latch: bool) -> Vec<Instr> {
@@ -157,17 +161,82 @@ fn build_module(body: Vec<Instr>) -> twine_wasm::Module {
     b.build()
 }
 
+/// Every op index some branch or jump of `f` lands on.
+fn branch_targets(f: &CompiledFunc) -> Vec<u32> {
+    let mut t = Vec::new();
+    for op in &f.ops {
+        match op {
+            Op::Br(bt) | Op::BrIf(bt) => t.push(bt.target),
+            Op::BrTable(table) => t.extend(table.iter().map(|bt| bt.target)),
+            Op::Jump(to) | Op::JumpIfZero(to) => t.push(*to),
+            _ => {}
+        }
+    }
+    t
+}
+
+/// Can this compiled op trap (as opposed to only touching the operand
+/// stack and locals)?
+fn may_trap(op: &Op) -> bool {
+    match op {
+        Op::IBinop(_, b) => ibinop_traps(*b),
+        Op::Load(..) | Op::Store(..) | Op::Unreachable => true,
+        _ => false,
+    }
+}
+
+/// Assert the fusion pass's static contract on every function of `code`,
+/// which must be compiled for the register tier.
+fn assert_fusion_conserves(code: &CompiledModule) {
+    assert_eq!(code.tier, ExecTier::Reg);
+    assert_eq!(code.reg.len(), code.funcs.len());
+    for (f, rf) in code.funcs.iter().zip(&code.reg) {
+        let low = fuse(f);
+        assert_eq!(low.ops.len(), low.costs.len());
+        assert!(low.ops.len() <= f.ops.len(), "fusion grew the code");
+        assert_eq!(low.covered_ops(), f.ops.len(), "constituents not conserved");
+
+        // The fused costs, concatenated, are the compiled class stream.
+        let replay: Vec<InstrClass> = low
+            .costs
+            .iter()
+            .flat_map(|c| c.classes[..c.len as usize].iter().copied())
+            .collect();
+        assert_eq!(replay, f.classes, "fused metering stream diverged");
+
+        // Windows: no branch lands inside one, and only the last
+        // constituent may trap.
+        let targets = branch_targets(f);
+        let mut start = 0usize;
+        for c in &low.costs {
+            let end = start + c.len as usize;
+            for pc in start + 1..end {
+                assert!(
+                    !targets.contains(&(pc as u32)),
+                    "branch into the interior of fused window {start}..{end}"
+                );
+            }
+            for op in &f.ops[start..end - 1] {
+                assert!(!may_trap(op), "{op:?} fused before the end of {start}..{end}");
+            }
+            start = end;
+        }
+
+        // The register code is allocated one op per fused op and retires
+        // each fused op's cost verbatim.
+        assert_eq!(rf.ops.len(), low.ops.len());
+        assert_eq!(rf.costs, low.costs);
+    }
+}
+
 struct TierRun {
     result: Result<Vec<Value>, Trap>,
     meter: Meter,
     fuel_left: Option<u64>,
 }
 
-fn run_tier(module: &twine_wasm::Module, tier: ExecTier, fuel: Option<u64>) -> TierRun {
-    let code = module.clone().into_compiled_tier(tier).expect("validated module");
-    assert_eq!(code.tier, tier);
-    let mut inst =
-        Instance::instantiate(Arc::new(code), Linker::new(), Box::new(())).expect("instantiate");
+fn run_code(code: Arc<CompiledModule>, fuel: Option<u64>) -> TierRun {
+    let mut inst = Instance::instantiate(code, Linker::new(), Box::new(())).expect("instantiate");
     inst.fuel = fuel;
     let result = inst.invoke("f", &[]);
     TierRun {
@@ -177,22 +246,33 @@ fn run_tier(module: &twine_wasm::Module, tier: ExecTier, fuel: Option<u64>) -> T
     }
 }
 
-/// Assert the two tiers are observably identical on `module`.
+/// Assert the fusion contract statically, then assert the register tier —
+/// the executor built from the fused IR — is observably identical to the
+/// reference interpreter on `module`.
 fn assert_tiers_agree(module: &twine_wasm::Module, fuel: Option<u64>) {
-    let base = run_tier(module, ExecTier::Baseline, fuel);
-    let fused = run_tier(module, ExecTier::Fused, fuel);
-    assert_eq!(base.result, fused.result, "results/traps diverged");
+    let reg_code = module
+        .clone()
+        .into_compiled_tier(ExecTier::Reg)
+        .expect("validated module");
+    assert_fusion_conserves(&reg_code);
+    let base_code = module
+        .clone()
+        .into_compiled_tier(ExecTier::Baseline)
+        .expect("validated module");
+    let base = run_code(Arc::new(base_code), fuel);
+    let reg = run_code(Arc::new(reg_code), fuel);
+    assert_eq!(base.result, reg.result, "results/traps diverged");
     for c in InstrClass::all() {
         assert_eq!(
             base.meter.count(c),
-            fused.meter.count(c),
+            reg.meter.count(c),
             "metered count diverged for class {c:?}"
         );
     }
-    assert_eq!(base.meter.total(), fused.meter.total());
-    assert_eq!(base.meter.bytes_accessed, fused.meter.bytes_accessed);
-    assert_eq!(base.meter.page_transitions, fused.meter.page_transitions);
-    assert_eq!(base.fuel_left, fused.fuel_left, "fuel accounting diverged");
+    assert_eq!(base.meter.total(), reg.meter.total());
+    assert_eq!(base.meter.bytes_accessed, reg.meter.bytes_accessed);
+    assert_eq!(base.meter.page_transitions, reg.meter.page_transitions);
+    assert_eq!(base.fuel_left, reg.fuel_left, "fuel accounting diverged");
 }
 
 proptest! {
@@ -204,7 +284,7 @@ proptest! {
     fn straightline_tiers_agree(
         choices in proptest::collection::vec((any::<u8>(), any::<i32>()), 0..60)
     ) {
-        let module = build_module(straightline(&choices));
+        let module = build_module(straightline_from(&choices, 0));
         assert_tiers_agree(&module, None);
     }
 
@@ -215,7 +295,7 @@ proptest! {
         choices in proptest::collection::vec((any::<u8>(), any::<i32>()), 0..60),
         fuel in 0u64..120
     ) {
-        let module = build_module(straightline(&choices));
+        let module = build_module(straightline_from(&choices, 0));
         assert_tiers_agree(&module, Some(fuel));
     }
 
@@ -244,49 +324,5 @@ proptest! {
     ) {
         let module = build_module(counted_loop(n, straightline_from(&choices, 1), eqz_latch));
         assert_tiers_agree(&module, Some(fuel));
-    }
-}
-
-/// Deterministic regression: a hand-written module hitting every fused
-/// compare-and-branch shape plus a trapping division, under both tiers.
-#[test]
-fn latch_and_trap_shapes_agree() {
-    // acc = 0; for (i = 8; i > 0; i--) acc += i; then acc / (acc - acc)
-    // traps with DivByZero on both tiers at the same metered point.
-    let body = vec![
-        Instr::Const(Value::I32(8)),
-        Instr::LocalSet(0),
-        Instr::Loop(
-            BlockType::Empty,
-            vec![
-                Instr::LocalGet(1),
-                Instr::LocalGet(0),
-                Instr::IBinop(IntWidth::W32, IBinOp::Add),
-                Instr::LocalSet(1),
-                Instr::LocalGet(0),
-                Instr::Const(Value::I32(1)),
-                Instr::IBinop(IntWidth::W32, IBinOp::Sub),
-                Instr::LocalSet(0),
-                Instr::LocalGet(0),
-                Instr::Const(Value::I32(0)),
-                Instr::IRelop(IntWidth::W32, IRelOp::GtS),
-                Instr::BrIf(0),
-            ],
-        ),
-        Instr::LocalGet(1),
-        Instr::Const(Value::I32(0)),
-        Instr::IBinop(IntWidth::W32, IBinOp::DivS),
-        Instr::Drop,
-    ];
-    let module = build_module(body);
-    let base = run_tier(&module, ExecTier::Baseline, None);
-    let fused = run_tier(&module, ExecTier::Fused, None);
-    assert_eq!(base.result, Err(Trap::DivByZero));
-    assert_eq!(fused.result, Err(Trap::DivByZero));
-    assert_eq!(base.meter.total(), fused.meter.total());
-    // 8+7+...+1 = 36 was accumulated before the trap on both tiers: the
-    // traps fire at the same architectural point.
-    for c in InstrClass::all() {
-        assert_eq!(base.meter.count(c), fused.meter.count(c), "{c:?}");
     }
 }

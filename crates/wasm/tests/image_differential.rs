@@ -1,5 +1,5 @@
 //! Differential property tests for the memory-image fast path (DESIGN.md
-//! §11): on random modules with random write patterns, across all three
+//! §11): on random modules with random write patterns, across both
 //! execution tiers,
 //!
 //! 1. `reset_to_image` (O(dirty pages)) must leave the instance
@@ -28,7 +28,7 @@ use twine_wasm::{Instance, InstanceSnapshot, Linker, ModuleBuilder, SnapshotDelt
 
 const N_LOCALS: u32 = 4;
 const N_GLOBALS: u32 = 2;
-const ALL_TIERS: [ExecTier; 3] = [ExecTier::Baseline, ExecTier::Fused, ExecTier::Reg];
+const ALL_TIERS: [ExecTier; 2] = [ExecTier::Baseline, ExecTier::Reg];
 
 /// Stack-safe straight-line body over locals, globals and a two-page
 /// memory. Loads and stores are masked to the initial 128 KiB so they

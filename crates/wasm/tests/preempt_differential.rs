@@ -2,7 +2,7 @@
 //! the per-invocation **deadline** rides the fuel machinery, so a
 //! deadline-preempted invocation must leave *bit-identical* state — trap
 //! kind, per-class meters, memory/globals image, fuel and deadline
-//! remainders — across the Baseline, Fused and Reg execution tiers, at
+//! remainders — across the Baseline and Reg execution tiers, at
 //! **every** deadline below a program's full cost. And because the
 //! rollback is exact, an application that persists its progress can be
 //! preempted any number of times and still converge to the *same* final
@@ -19,7 +19,7 @@ use twine_wasm::types::{FuncType, Limits, ValType, Value};
 use twine_wasm::{Instance, Linker, Meter, ModuleBuilder, Trap};
 
 const N_LOCALS: u32 = 4;
-const ALL_TIERS: [ExecTier; 3] = [ExecTier::Baseline, ExecTier::Fused, ExecTier::Reg];
+const ALL_TIERS: [ExecTier; 2] = [ExecTier::Baseline, ExecTier::Reg];
 
 // ---------------------------------------------------------------------
 // Generators (same family as tier_differential.rs, kept independent)
@@ -201,7 +201,7 @@ fn run_budgeted(
     )
 }
 
-/// Assert all three tiers leave identical observable state for the given
+/// Assert both tiers leave identical observable state for the given
 /// budgets, and return the baseline state.
 fn assert_tiers_agree(
     codes: &[Arc<twine_wasm::compile::CompiledModule>],
@@ -233,7 +233,7 @@ proptest! {
 
     /// Exhaustive deadline sweep: for a random loop-bearing program,
     /// every deadline below the full cost preempts with
-    /// `DeadlineExceeded`, leaving bit-identical state across all three
+    /// `DeadlineExceeded`, leaving bit-identical state across both
     /// tiers — and that state equals the out-of-fuel state at the same
     /// budget (the deadline *is* the fuel machinery, only the trap label
     /// differs). At and above full cost the run completes untouched.

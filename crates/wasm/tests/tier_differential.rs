@@ -1,9 +1,8 @@
-//! Three-way differential property tests: the fused-superinstruction tier
-//! and the register-allocated tier must be observably identical to the
-//! baseline tier — same results, same traps, same metered
-//! instruction-class counts, same bytes/page accounting and same fuel
-//! consumption — on randomly generated straight-line and loop-bearing
-//! modules, at every fuel budget.
+//! Differential property tests: the register-allocated tier must be
+//! observably identical to the reference interpreter (the baseline tier) —
+//! same results, same traps, same metered instruction-class counts, same
+//! bytes/page accounting and same fuel consumption — on randomly generated
+//! straight-line and loop-bearing modules, at every fuel budget.
 //!
 //! This is the executable statement of the register tier's contract
 //! (`twine_wasm::regalloc`, DESIGN.md §8): register allocation and
@@ -24,12 +23,13 @@ use twine_wasm::types::{FuncType, Limits, ValType, Value};
 use twine_wasm::{Instance, Linker, Meter, ModuleBuilder, Trap};
 
 const N_LOCALS: u32 = 4;
-const ALL_TIERS: [ExecTier; 3] = [ExecTier::Baseline, ExecTier::Fused, ExecTier::Reg];
+const ALL_TIERS: [ExecTier; 2] = [ExecTier::Baseline, ExecTier::Reg];
 
-/// Build a stack-safe straight-line i32 body from raw choice pairs (same
-/// generator family as `fused_differential.rs`, kept independent so the
-/// suites evolve separately). Writes go to locals `min_writable..N_LOCALS`
-/// so a surrounding loop can protect its counter (local 0).
+/// Build a stack-safe straight-line i32 body from raw choice pairs. The
+/// generator tracks the operand depth so every emitted sequence validates;
+/// selectors that are invalid at the current depth are skipped. Writes go
+/// to locals `min_writable..N_LOCALS` so a surrounding loop can protect its
+/// counter (local 0).
 fn straightline_from(choices: &[(u8, i32)], min_writable: u32) -> Vec<Instr> {
     let wr = |v: i32| min_writable + v as u32 % (N_LOCALS - min_writable);
     let mut body = Vec::new();
@@ -107,8 +107,8 @@ fn straightline_from(choices: &[(u8, i32)], min_writable: u32) -> Vec<Instr> {
     body
 }
 
-/// Wrap a net-zero body in a counted loop, exercising the fused/register
-/// loop step and latch forms.
+/// Wrap a net-zero body in a counted loop, exercising the register tier's
+/// fused loop step and latch forms.
 fn counted_loop(n: i32, inner: Vec<Instr>, eqz_latch: bool) -> Vec<Instr> {
     let mut loop_body = inner;
     loop_body.push(Instr::LocalGet(0));
@@ -177,36 +177,29 @@ fn run_tier(module: &twine_wasm::Module, tier: ExecTier, fuel: Option<u64>) -> T
     }
 }
 
-/// Assert all three tiers are observably identical on `module`.
+/// Assert the register tier is observably identical to the reference
+/// interpreter on `module`.
 fn assert_tiers_agree(module: &twine_wasm::Module, fuel: Option<u64>) {
     let base = run_tier(module, ExecTier::Baseline, fuel);
-    for tier in [ExecTier::Fused, ExecTier::Reg] {
-        let other = run_tier(module, tier, fuel);
+    let reg = run_tier(module, ExecTier::Reg, fuel);
+    assert_eq!(
+        base.result, reg.result,
+        "results/traps diverged (fuel {fuel:?})"
+    );
+    for c in InstrClass::all() {
         assert_eq!(
-            base.result, other.result,
-            "results/traps diverged on {tier} (fuel {fuel:?})"
-        );
-        for c in InstrClass::all() {
-            assert_eq!(
-                base.meter.count(c),
-                other.meter.count(c),
-                "metered count diverged for class {c:?} on {tier} (fuel {fuel:?})"
-            );
-        }
-        assert_eq!(base.meter.total(), other.meter.total(), "{tier}");
-        assert_eq!(
-            base.meter.bytes_accessed, other.meter.bytes_accessed,
-            "{tier}"
-        );
-        assert_eq!(
-            base.meter.page_transitions, other.meter.page_transitions,
-            "{tier}"
-        );
-        assert_eq!(
-            base.fuel_left, other.fuel_left,
-            "fuel accounting diverged on {tier} (budget {fuel:?})"
+            base.meter.count(c),
+            reg.meter.count(c),
+            "metered count diverged for class {c:?} (fuel {fuel:?})"
         );
     }
+    assert_eq!(base.meter.total(), reg.meter.total());
+    assert_eq!(base.meter.bytes_accessed, reg.meter.bytes_accessed);
+    assert_eq!(base.meter.page_transitions, reg.meter.page_transitions);
+    assert_eq!(
+        base.fuel_left, reg.fuel_left,
+        "fuel accounting diverged (budget {fuel:?})"
+    );
 }
 
 proptest! {
@@ -339,13 +332,11 @@ fn calls_under_fuel_sweep_agree() {
     }
 }
 
-/// Deterministic regression: a mid-region trap (division by zero) must
-/// roll the register tier's batched charge back to exactly the baseline's
-/// partially-metered stream — at every fuel budget too.
-#[test]
-fn mid_region_trap_rollback_is_exact() {
-    // acc = 0; for (i = 8; i > 0; i--) acc += i; then acc / (acc - acc)
-    let body = vec![
+/// `acc = 0; for (i = 8; i > 0; i--) acc += i;` then `acc / 0`: every
+/// compare-and-branch latch shape the fusion pass recognises, ending in a
+/// trapping division after 8+7+…+1 = 36 has been accumulated.
+fn sum_then_divide_by_zero() -> twine_wasm::Module {
+    build_module(vec![
         Instr::Const(Value::I32(8)),
         Instr::LocalSet(0),
         Instr::Loop(
@@ -369,13 +360,28 @@ fn mid_region_trap_rollback_is_exact() {
         Instr::Const(Value::I32(0)),
         Instr::IBinop(IntWidth::W32, IBinOp::DivS),
         Instr::Drop,
-    ];
-    let module = build_module(body);
-    for tier in [ExecTier::Fused, ExecTier::Reg] {
+    ])
+}
+
+/// Deterministic regression: the hand-written latch shapes plus a trapping
+/// division trap on every tier, at the same architectural point and with
+/// the same metered stream.
+#[test]
+fn latch_and_trap_shapes_agree() {
+    let module = sum_then_divide_by_zero();
+    for tier in ALL_TIERS {
         let run = run_tier(&module, tier, None);
         assert_eq!(run.result, Err(Trap::DivByZero), "{tier}");
     }
     assert_tiers_agree(&module, None);
+}
+
+/// Deterministic regression: a mid-region trap (division by zero) must
+/// roll the register tier's batched charge back to exactly the baseline's
+/// partially-metered stream — at every fuel budget.
+#[test]
+fn mid_region_trap_rollback_is_exact() {
+    let module = sum_then_divide_by_zero();
     let full = run_tier(&module, ExecTier::Baseline, None).meter.total();
     for fuel in 0..=(full + 1) {
         assert_tiers_agree(&module, Some(fuel));

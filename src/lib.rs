@@ -8,6 +8,8 @@
 //! the system inventory, the virtual-time methodology and the execution
 //! tiers of the Wasm engine.
 
+#![forbid(unsafe_code)]
+
 pub use twine_baselines as baselines;
 pub use twine_core as core;
 pub use twine_crypto as crypto;
