@@ -7,8 +7,21 @@
 //! (the same `make_backend` product a Wasm session gets — for the default
 //! [`FsChoice::ProtectedInMemory`](crate::FsChoice) every database byte is
 //! sealed by `twine-pfs` before it leaves the enclave), and the database
-//! opened through [`BackendVfs`] stores its pages *and its rollback
-//! journal* in that backend.
+//! file lives in that backend, reached through [`BackendVfs`].
+//!
+//! The database's **rollback journal** does not: a [`SessionVfs`] serves
+//! it from a [`MemVfs`] in enclave memory, owned by the connection. The
+//! pager journals exactly as it does over any VFS (pre-images on first
+//! touch, the count + `sync` commit point, replay on `ROLLBACK` or a
+//! failed statement or commit, delete at commit); only the file's home
+//! differs. Its plaintext never leaves the enclave, and each write
+//! transaction seals one protected file — the database's dirty nodes, their
+//! Merkle path and its meta node, once — instead of two. The journal
+//! guards against no crash a session survives in the backend: every
+//! session backend lives in process memory and dies with the enclave,
+//! after which `recover()` rebuilds the database from its sealed park
+//! manifest, and a crash inside the database file's own protected-FS flush
+//! leaves that file failing authentication with or without a journal.
 //!
 //! A DB session is a session like any other: it lives in the service's one
 //! session table and goes through the one park → seal → restore →
@@ -19,7 +32,7 @@
 //!   prepared-statement cache, so repeated SQL text does zero parser work
 //!   (counters surface in
 //!   [`ControlStats::stmt_cache_hits`](crate::ControlStats));
-//! * the **image** — a *manifest* of the backend's database files (format
+//! * the **image** — a *manifest* of the backend's database file (format
 //!   byte 4), taken after committing whatever the connection still holds;
 //! * **rehydration** — reopening a connection over the retained backend,
 //!   which is authoritative for the data (the unsealed manifest proves the
@@ -33,8 +46,8 @@ use twine_sgx::Enclave;
 use twine_sqldb::backend_vfs::BackendVfs;
 use twine_sqldb::db::StmtCacheStats;
 use twine_sqldb::value::Row;
-use twine_sqldb::vfs::Vfs;
-use twine_sqldb::{Connection, DbError, SharedBackend};
+use twine_sqldb::vfs::{MemVfs, Vfs, VfsFile};
+use twine_sqldb::{journal_path, Connection, DbError, DbResult, SharedBackend};
 use twine_wasi::FsBackend;
 
 use crate::runtime::TwineError;
@@ -49,8 +62,10 @@ const DB_FILE: &str = "tenant.db";
 
 /// What a database session keeps whether live or sealed out.
 pub(crate) struct DbCommon {
-    /// The session's private backend; the database and its journal live
-    /// here, protected by the PFS layer like any session file.
+    /// The session's private backend; the database file lives here,
+    /// protected by the PFS layer like any session file. (The rollback
+    /// journal of an open transaction lives in the live connection's
+    /// [`SessionVfs`], and a settled session has none.)
     backend: SharedBackend,
     /// Path of the database file inside the backend namespace.
     db_path: String,
@@ -71,6 +86,39 @@ fn db_err(e: DbError) -> TwineError {
     TwineError::Db(e.to_string())
 }
 
+/// The namespace a DB session's connection sees: the database file in the
+/// session's protected backend, its rollback journal in enclave memory
+/// (module docs).
+struct SessionVfs {
+    backend: BackendVfs,
+    journal_path: String,
+    journal: MemVfs,
+}
+
+impl SessionVfs {
+    fn home_of(&mut self, name: &str) -> &mut dyn Vfs {
+        if name == self.journal_path {
+            &mut self.journal
+        } else {
+            &mut self.backend
+        }
+    }
+}
+
+impl Vfs for SessionVfs {
+    fn open(&mut self, name: &str) -> DbResult<Box<dyn VfsFile>> {
+        self.home_of(name).open(name)
+    }
+
+    fn delete(&mut self, name: &str) -> DbResult<()> {
+        self.home_of(name).delete(name)
+    }
+
+    fn exists(&mut self, name: &str) -> bool {
+        self.home_of(name).exists(name)
+    }
+}
+
 /// Sum two plan-cache counter snapshots fieldwise.
 fn add_stmt(a: StmtCacheStats, b: StmtCacheStats) -> StmtCacheStats {
     StmtCacheStats {
@@ -82,16 +130,21 @@ fn add_stmt(a: StmtCacheStats, b: StmtCacheStats) -> StmtCacheStats {
 }
 
 impl DbSession {
-    /// Open a connection over a session backend and wire its pager page
-    /// hook into the session's private EPC range (a database page cached
-    /// inside the enclave is EPC residency, exactly like guest memory).
-    /// Hands the backend back on failure.
+    /// Open a connection over a session backend — its journal in enclave
+    /// memory, through a [`SessionVfs`] — and wire its pager page hook into
+    /// the session's private EPC range (a database page cached inside the
+    /// enclave is EPC residency, exactly like guest memory). Hands the
+    /// backend back on failure.
     pub(crate) fn connect(
         enclave: &Arc<Enclave>,
         common: DbCommon,
         epc_base_page: u64,
     ) -> Result<Self, (TwineError, DbCommon)> {
-        let vfs = BackendVfs::from_shared(common.backend.clone());
+        let vfs = SessionVfs {
+            backend: BackendVfs::from_shared(common.backend.clone()),
+            journal_path: journal_path(&common.db_path),
+            journal: MemVfs::new(),
+        };
         let mut conn = match Connection::open(Box::new(vfs), &common.db_path) {
             Ok(conn) => conn,
             Err(e) => return Err((db_err(e), common)),
@@ -104,7 +157,8 @@ impl DbSession {
     }
 
     /// Bring the database to rest: commit whatever the connection still
-    /// holds, so that the backend alone is the database. Also returns the
+    /// holds — or roll it back if that commit fails — so that the backend
+    /// alone is the database and no journal exists. Also returns the
     /// EPC pages of the session's private range the pager's cache may hold
     /// resident (+1 for the header page the hook also touches via page id
     /// offsets).
@@ -114,9 +168,9 @@ impl DbSession {
         (pages, flushed.map_err(db_err))
     }
 
-    /// The park image: the manifest of the backend's files. The connection
-    /// stays open — a park that fails later leaves the session serving
-    /// from it.
+    /// The park image: the manifest of the backend's database file. The
+    /// connection stays open — a park that fails later leaves the session
+    /// serving from it.
     pub(crate) fn manifest(&self) -> Result<Vec<u8>, TwineError> {
         DbManifest::encode(&self.common.backend, &self.common.db_path)
     }
@@ -131,9 +185,11 @@ impl DbSession {
     }
 }
 
-/// The decoded park image of a DB session: every file of its backend
-/// namespace (the database itself and, if a park interrupted a
-/// transaction, its rollback journal) with its full contents.
+/// The decoded park image of a DB session: files of its backend namespace
+/// with their full contents. A park images the database file alone; the
+/// format keeps a file list so that records written while the rollback
+/// journal lived in the backend (listed when one existed) still decode and
+/// rebuild.
 pub(crate) struct DbManifest {
     db_path: String,
     files: Vec<(String, Vec<u8>)>,
@@ -141,29 +197,21 @@ pub(crate) struct DbManifest {
 
 impl DbManifest {
     /// Encode the manifest of `backend`: format byte 4, the database path,
-    /// then every database file read back through the backend.
+    /// then a one-entry file list holding the database file read back
+    /// through the backend.
     fn encode(backend: &SharedBackend, db_path: &str) -> Result<Vec<u8>, TwineError> {
-        let mut vfs = BackendVfs::from_shared(backend.clone());
-        let mut files: Vec<(String, Vec<u8>)> = Vec::new();
-        for path in [db_path.to_string(), format!("{db_path}-journal")] {
-            if !vfs.exists(&path) {
-                continue;
-            }
-            let mut f = vfs.open(&path).map_err(db_err)?;
-            let mut data = vec![0u8; f.size().map_err(db_err)? as usize];
-            f.read_at(0, &mut data).map_err(db_err)?;
-            files.push((path, data));
-        }
+        let mut f = BackendVfs::from_shared(backend.clone())
+            .open(db_path)
+            .map_err(db_err)?;
+        let mut data = vec![0u8; f.size().map_err(db_err)? as usize];
+        f.read_at(0, &mut data).map_err(db_err)?;
+        let path = [&(db_path.len() as u32).to_le_bytes()[..], db_path.as_bytes()].concat();
         let mut out = vec![DB_MANIFEST_FORMAT];
-        out.extend_from_slice(&(db_path.len() as u32).to_le_bytes());
-        out.extend_from_slice(db_path.as_bytes());
-        out.extend_from_slice(&(files.len() as u32).to_le_bytes());
-        for (path, data) in files {
-            out.extend_from_slice(&(path.len() as u32).to_le_bytes());
-            out.extend_from_slice(path.as_bytes());
-            out.extend_from_slice(&(data.len() as u64).to_le_bytes());
-            out.extend_from_slice(&data);
-        }
+        out.extend_from_slice(&path);
+        out.extend_from_slice(&1u32.to_le_bytes());
+        out.extend_from_slice(&path);
+        out.extend_from_slice(&(data.len() as u64).to_le_bytes());
+        out.extend_from_slice(&data);
         Ok(out)
     }
 

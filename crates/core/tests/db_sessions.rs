@@ -17,9 +17,10 @@
 //!   without the chaos fault plan armed at every trust-boundary
 //!   crossing.
 //!
-//! Plus crash recovery: a durably-parked DB session survives a simulated
-//! enclave restart through [`TwineService::recover`] with its rows
-//! intact.
+//! Plus write transactions — one costs a pinned number of OCALLs, and a
+//! rolled-back one leaves no trace, also across a park — and crash
+//! recovery: a durably-parked DB session survives a simulated enclave
+//! restart through [`TwineService::recover`] with its rows intact.
 
 use std::sync::Arc;
 
@@ -413,6 +414,117 @@ fn point_reads_cost_the_same_after_park_and_restore() {
         "2 000 point reads took {never_parked} ns before the first park \
          and {restored} ns after a restore"
     );
+}
+
+// ---------------------------------------------------------------------
+// Write transactions: boundary cost and rollback
+// ---------------------------------------------------------------------
+
+/// Rows in the write-transaction tests' table.
+const ROWS: i64 = 200;
+
+/// A session `t` holding `kv(a INTEGER PRIMARY KEY, tag TEXT, b TEXT)`
+/// with a unique index on `tag` and rows `0..ROWS` of about a kilobyte
+/// each — the shape of `twine_bench`'s `sql_write`, smaller.
+fn write_session() -> TwineService {
+    let mut svc = TwineBuilder::new().build_service();
+    svc.db_open_session("t").expect("open");
+    svc.db_execute_batch(
+        "t",
+        &[
+            "CREATE TABLE kv(a INTEGER PRIMARY KEY, tag TEXT, b TEXT)".into(),
+            "CREATE UNIQUE INDEX kv_tag ON kv(tag)".into(),
+        ],
+    )
+    .expect("ddl");
+    let rows: Vec<String> = (0..ROWS).map(row_values).collect();
+    for chunk in rows.chunks(25) {
+        svc.db_execute("t", &format!("INSERT INTO kv VALUES {}", chunk.join(", ")))
+            .expect("populate");
+    }
+    svc
+}
+
+/// The `VALUES` tuple of row `a`.
+fn row_values(a: i64) -> String {
+    format!("({a}, 't{a}', '{a:04}{}')", "x".repeat(1000))
+}
+
+/// `count(*)`/`min`/`max` of `kv`, then a sample of full rows.
+fn table_state(svc: &mut TwineService) -> Vec<Row> {
+    let mut state = svc
+        .db_query("t", "SELECT count(*), min(a), max(a) FROM kv")
+        .expect("shape");
+    for a in [0, 1, 37, 100, 150, ROWS - 1] {
+        state.extend(
+            svc.db_query("t", &format!("SELECT a, tag, b FROM kv WHERE a = {a}"))
+                .expect("sample"),
+        );
+    }
+    state
+}
+
+/// One `sql_write`-shaped transaction on the 200-row table.
+fn write_transaction() -> Vec<String> {
+    vec![
+        "BEGIN".into(),
+        format!("UPDATE kv SET b = '{}' WHERE a = 100", "y".repeat(1000)),
+        format!("INSERT INTO kv VALUES {}", row_values(ROWS)),
+        "DELETE FROM kv WHERE a = 0".into(),
+        "COMMIT".into(),
+    ]
+}
+
+/// One write transaction costs exactly this many OCALLs: the protected
+/// file system moves the database's nodes across the boundary — the dirty
+/// data nodes, their Merkle path and the meta node sealed once at the
+/// commit, plus whatever its node cache misses on the way — one OCALL per
+/// node. The rollback journal lives in enclave memory and costs none. Any
+/// change to how many nodes a transaction seals moves this number.
+#[test]
+fn write_transaction_ocalls_are_pinned() {
+    let mut svc = write_session();
+    let before = svc.enclave().stats().ocalls;
+    let affected = svc.db_execute_batch("t", &write_transaction()).expect("transaction");
+    let ocalls = svc.enclave().stats().ocalls - before;
+    assert_eq!(affected, 3);
+    assert_eq!(ocalls, 13, "OCALLs for one write transaction");
+    let shape = svc.db_query("t", "SELECT count(*), min(a), max(a) FROM kv").expect("shape");
+    assert_eq!(shape, vec![vec![SqlValue::Int(ROWS), SqlValue::Int(1), SqlValue::Int(ROWS)]]);
+}
+
+/// A rolled-back transaction leaves no trace — neither an explicit
+/// `ROLLBACK` nor a multi-row `INSERT` whose last row violates a unique
+/// index — in the rows read back, and none after a park/restore cycle
+/// either (the park images the backend, so undone pages must not have
+/// reached it).
+#[test]
+fn rollbacks_leave_no_trace() {
+    let mut svc = write_session();
+    let pre = table_state(&mut svc);
+
+    let mut rolled_back = write_transaction();
+    *rolled_back.last_mut().expect("COMMIT") = "ROLLBACK".into();
+    svc.db_execute_batch("t", &rolled_back).expect("rolled-back transaction");
+    assert_eq!(table_state(&mut svc), pre, "explicit ROLLBACK");
+
+    let clash = format!(
+        "INSERT INTO kv VALUES {}, {}, (999, 't37', 'clash')",
+        row_values(ROWS),
+        row_values(ROWS + 1)
+    );
+    let err = svc.db_execute("t", &clash).expect_err("the last row violates kv_tag");
+    assert!(err.to_string().contains("constraint"), "{err}");
+    assert_eq!(table_state(&mut svc), pre, "failed multi-row INSERT");
+
+    svc.db_park_session("t").expect("park");
+    assert_eq!(svc.session_parked("t"), Some(true));
+    assert_eq!(table_state(&mut svc), pre, "after park and restore");
+
+    // Nothing is left half-done: the rolled-back transaction now commits.
+    svc.db_execute_batch("t", &write_transaction()).expect("transaction");
+    let shape = svc.db_query("t", "SELECT count(*), min(a), max(a) FROM kv").expect("shape");
+    assert_eq!(shape, vec![vec![SqlValue::Int(ROWS), SqlValue::Int(1), SqlValue::Int(ROWS)]]);
 }
 
 // ---------------------------------------------------------------------

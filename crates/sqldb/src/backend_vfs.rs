@@ -4,9 +4,11 @@
 //! This is the layering that puts a tenant database *inside* its session:
 //! a service session owns a `twine-pfs` backend (every byte sealed before
 //! it leaves the enclave), and the database opened through [`BackendVfs`]
-//! stores its pages — and its rollback journal — in that same backend. The
-//! session's park/evict/restore and durable-park paths then carry the
-//! database automatically, because the database *is* backend state.
+//! stores its pages in that same backend. The session's park/evict/restore
+//! and durable-park paths then carry the database automatically, because
+//! the database *is* backend state. Used on its own, [`BackendVfs`] keeps
+//! the rollback journal in the backend too; `twine-core`'s DB sessions
+//! route the journal ([`crate::journal_path`]) to enclave memory instead.
 
 use std::sync::{Arc, Mutex};
 

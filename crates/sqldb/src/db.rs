@@ -190,18 +190,14 @@ impl Connection {
                 if !self.explicit_txn {
                     return Err(DbError::Unsupported("COMMIT outside transaction".into()));
                 }
-                self.pager.commit()?;
-                self.explicit_txn = false;
+                self.commit()?;
                 Ok(ExecResult::default())
             }
             Stmt::Rollback => {
                 if !self.explicit_txn {
                     return Err(DbError::Unsupported("ROLLBACK outside transaction".into()));
                 }
-                self.pager.rollback()?;
-                self.explicit_txn = false;
-                // The rolled-back transaction may have changed the schema.
-                self.schema = schema::load_schema(&mut self.pager)?;
+                self.roll_back()?;
                 Ok(ExecResult::default())
             }
             Stmt::Pragma { name, value } => {
@@ -228,16 +224,35 @@ impl Connection {
         self.pager.begin()?;
         match execute(&mut self.pager, &mut self.schema, stmt) {
             Ok(r) => {
-                self.pager.commit()?;
+                self.commit()?;
                 Ok(r)
             }
             Err(e) => {
-                self.pager.rollback()?;
-                // Roll back any in-memory schema changes too.
-                self.schema = schema::load_schema(&mut self.pager)?;
+                self.roll_back()?;
                 Err(e)
             }
         }
+    }
+
+    /// Commit the open transaction. A commit that fails is rolled back
+    /// (SQLite does the same on an I/O error) and its error returned: the
+    /// connection never stays inside a half-committed transaction, so the
+    /// next statement starts from the pre-transaction state.
+    fn commit(&mut self) -> DbResult<()> {
+        self.explicit_txn = false;
+        let committed = self.pager.commit();
+        if committed.is_err() {
+            self.roll_back()?;
+        }
+        committed
+    }
+
+    /// Roll back the open transaction, in-memory schema changes included.
+    fn roll_back(&mut self) -> DbResult<()> {
+        self.explicit_txn = false;
+        self.pager.rollback()?;
+        self.schema = schema::load_schema(&mut self.pager)?;
+        Ok(())
     }
 
     /// Execute and return just the rows.
@@ -254,12 +269,12 @@ impl Connection {
             .ok_or_else(|| DbError::Schema("query returned no rows".into()))
     }
 
-    /// Flush everything to storage — committing a transaction still open —
-    /// and keep the connection, with its caches, usable.
+    /// Flush everything to storage — committing a transaction still open,
+    /// or rolling it back if that commit fails — and keep the connection,
+    /// with its caches, usable.
     pub fn flush(&mut self) -> DbResult<()> {
         if self.explicit_txn {
-            self.pager.commit()?;
-            self.explicit_txn = false;
+            self.commit()?;
         }
         self.pager.flush()
     }

@@ -56,6 +56,7 @@ pub mod vfs;
 
 pub use backend_vfs::{BackendVfs, SharedBackend};
 pub use db::{Connection, StmtCacheStats};
+pub use pager::journal_path;
 pub use speedtest::SqlExecutor;
 pub use value::SqlValue;
 pub use vfs::{MemVfs, Vfs, VfsFile};

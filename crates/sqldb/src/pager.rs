@@ -35,6 +35,14 @@ fn new_page() -> PageBuf {
     vec![0u8; PAGE_SIZE].into_boxed_slice().try_into().expect("size")
 }
 
+/// The rollback journal's file name for the database named `db` — the one
+/// place the name is made, for the pager and for any [`Vfs`] that serves
+/// the journal from somewhere other than the database file's home.
+#[must_use]
+pub fn journal_path(db: &str) -> String {
+    format!("{db}-journal")
+}
+
 /// Observation hook: `(page_id, is_write)` for every cache miss/flush —
 /// the seam the EPC simulator and I/O accounting attach to. `Send` so a
 /// connection (hook included) can be used by successive caller threads.
@@ -110,9 +118,10 @@ impl Pager {
         p
     }
 
-    /// File-backed database named `name` on `vfs` (journal: `{name}-journal`).
+    /// File-backed database named `name` on `vfs` (journal:
+    /// [`journal_path`]`(name)`).
     pub fn open_file(mut vfs: Box<dyn Vfs>, name: &str) -> DbResult<Self> {
-        let journal_name = format!("{name}-journal");
+        let journal_name = journal_path(name);
         let hot_journal = vfs.exists(&journal_name);
         let file = vfs.open(name)?;
         let mut p = Self::base(Some(file), Some(vfs), journal_name);
