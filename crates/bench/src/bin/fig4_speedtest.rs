@@ -151,7 +151,7 @@ fn run_tenant(
             // (connection closed, manifest sealed, EPC pages released) —
             // the next statement restores the session transparently.
             conn.flush().expect("flush before park");
-            svc.db_park_session(name).expect("park");
+            svc.park_session(name).expect("park");
             assert_eq!(svc.session_parked(name), Some(true), "tenant {name} not parked");
         }
     }

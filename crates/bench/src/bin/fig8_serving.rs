@@ -62,7 +62,7 @@
 //! aborts, EPC spikes and corrupt pool slots are injected at
 //! trust-boundary crossings while the churn workload runs. Every call must
 //! still succeed (the chaos differential suite proves guest-visible
-//! semantics are untouched); the fault/retry/fallback tallies land in the
+//! semantics are untouched); the fault/retry/discard tallies land in the
 //! `churn_axis` of `BENCH_fig8.json` and the throughput floor relaxes to
 //! `TWINE_CHAOS_CHURN_FLOOR`.
 //!
@@ -456,19 +456,6 @@ fn run_churn(
     assert_eq!(svc.session_count(), 0, "every churned session expired");
     if pool.is_some() {
         assert!(stats.pool_hits > 0, "pooled churn must recycle slots: {stats:?}");
-        if faults.is_none() {
-            assert!(
-                stats.delta_sealed_bytes == stats.sealed_bytes,
-                "poolable guest: every park seals a delta: {stats:?}"
-            );
-        } else {
-            // Under faults a seal failure mid-delta degrades that park to
-            // a full image by design, so delta traffic is only a subset.
-            assert!(
-                stats.delta_sealed_bytes <= stats.sealed_bytes,
-                "delta traffic cannot exceed total seal traffic: {stats:?}"
-            );
-        }
     }
     if faults.is_some() {
         assert!(
@@ -742,22 +729,18 @@ fn main() {
         );
         if o.pool.is_some() {
             println!(
-                "  pool: {:.0}% hit rate ({} hits / {} misses), {} dirty pages \
-                 restored, delta seal traffic {:.2} MiB",
+                "  pool: {:.0}% hit rate ({} hits / {} misses), {} dirty pages restored",
                 o.pool_hit_rate() * 100.0,
                 o.stats.pool_hits,
                 o.stats.pool_misses,
                 o.stats.dirty_pages_restored,
-                o.stats.delta_sealed_bytes as f64 / (1 << 20) as f64
             );
         }
         if o.faults.is_some() {
             println!(
-                "  chaos: {} faults injected, {} retries, {} fallback parks, \
-                 {} pool discards, {} quarantines",
+                "  chaos: {} faults injected, {} retries, {} pool discards, {} quarantines",
                 o.stats.faults_injected,
                 o.stats.retries,
-                o.stats.fallback_parks,
                 o.stats.pool_discards,
                 o.stats.quarantines
             );
@@ -776,7 +759,7 @@ fn main() {
                 o.throughput()
             );
         } else if o.pool.is_some() {
-            // Under injected faults the retry backoffs and fallback parks
+            // Under injected faults the retry backoffs and pool discards
             // cost real work; hold a separate, softer floor so a chaos
             // regression (e.g. an accidental retry storm) still trips CI.
             let floor: f64 = std::env::var("TWINE_CHAOS_CHURN_FLOOR")
@@ -898,9 +881,9 @@ fn main() {
                     "    \"sealed_bytes\": {}, \"unsealed_bytes\": {},\n",
                     "    \"pool_enabled\": {}, \"pool_slots_per_module\": {},\n",
                     "    \"pool_hits\": {}, \"pool_misses\": {}, \"pool_hit_rate\": {:.4},\n",
-                    "    \"dirty_pages_restored\": {}, \"delta_sealed_bytes\": {},\n",
+                    "    \"dirty_pages_restored\": {},\n",
                     "    \"faults_enabled\": {}, \"fault_seed\": {},\n",
-                    "    \"faults_injected\": {}, \"retries\": {}, \"fallback_parks\": {},\n",
+                    "    \"faults_injected\": {}, \"retries\": {},\n",
                     "    \"pool_discards\": {}, \"quarantines\": {}\n  }}"
                 ),
                 o.sessions,
@@ -923,12 +906,10 @@ fn main() {
                 o.stats.pool_misses,
                 o.pool_hit_rate(),
                 o.stats.dirty_pages_restored,
-                o.stats.delta_sealed_bytes,
                 o.faults.is_some(),
                 o.faults.map_or_else(|| "null".to_string(), |s| s.to_string()),
                 o.stats.faults_injected,
                 o.stats.retries,
-                o.stats.fallback_parks,
                 o.stats.pool_discards,
                 o.stats.quarantines,
             )

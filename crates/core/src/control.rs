@@ -57,12 +57,11 @@ pub struct ControlPlane {
     pub module_cache_capacity: Option<usize>,
     /// Keep up to this many pre-instantiated instance slots per module in
     /// an instance pool shared by every shard of the service.
-    /// With a pool, opening a session over known bytes (and
-    /// restoring a parked one) becomes a slot checkout plus an
-    /// O(dirty-pages) patch, and parking seals only the delta against the
-    /// module's shared base image instead of the full memory image.
-    /// `None` (the default) disables pooling entirely: every park seals
-    /// the full image, byte-compatible with the pre-pool control plane.
+    /// With a pool, opening a session over known bytes (and restoring a
+    /// parked one) becomes a slot checkout instead of an instantiation
+    /// (or a rehydration of the base image). `None` (the default) disables
+    /// pooling: instances are dropped, not recycled. Either way a park
+    /// seals the same delta image.
     pub pool_slots_per_module: Option<usize>,
     /// Durable park store: when set, every park additionally writes the
     /// sealed image through to rollback-protected untrusted storage (a
@@ -110,11 +109,8 @@ pub struct ControlStats {
     /// Pool-eligible opens/restores that had to instantiate fresh (pool
     /// empty, or slot not yet returned).
     pub pool_misses: u64,
-    /// 4 KiB pages patched onto base-state instances by delta restores.
+    /// 4 KiB pages patched onto base-state instances by Wasm restores.
     pub dirty_pages_restored: u64,
-    /// Bytes of sealed **delta** images written out (also counted in
-    /// `sealed_bytes`; the gap between the two is full-image traffic).
-    pub delta_sealed_bytes: u64,
     /// Faults fired by an installed [`FaultPlan`](twine_sgx::FaultPlan)
     /// across the whole enclave (gauge, read from the plan; a sharded
     /// aggregate fills it once at the handle, not per shard).
@@ -122,9 +118,6 @@ pub struct ControlStats {
     /// Boundary crossings retried after a transient injected fault
     /// (ECALL/OCALL/seal/unseal attempts beyond the first).
     pub retries: u64,
-    /// Pooled parks that fell back to sealing the full image because the
-    /// delta seal kept faulting (graceful degradation, never data loss).
-    pub fallback_parks: u64,
     /// Sessions quarantined because their parked image could not be
     /// restored (unseal kept failing): state preserved, invocations
     /// rejected typed instead of crashing the service.
@@ -173,10 +166,8 @@ impl ControlStats {
             pool_hits,
             pool_misses,
             dirty_pages_restored,
-            delta_sealed_bytes,
             faults_injected,
             retries,
-            fallback_parks,
             quarantines,
             pool_discards,
             recovered_sessions,
@@ -197,10 +188,8 @@ impl ControlStats {
         self.pool_hits += pool_hits;
         self.pool_misses += pool_misses;
         self.dirty_pages_restored += dirty_pages_restored;
-        self.delta_sealed_bytes += delta_sealed_bytes;
         self.faults_injected += faults_injected;
         self.retries += retries;
-        self.fallback_parks += fallback_parks;
         self.quarantines += quarantines;
         self.pool_discards += pool_discards;
         self.recovered_sessions += recovered_sessions;
@@ -237,10 +226,8 @@ mod tests {
             pool_hits: n(),
             pool_misses: n(),
             dirty_pages_restored: n(),
-            delta_sealed_bytes: n(),
             faults_injected: n(),
             retries: n(),
-            fallback_parks: n(),
             quarantines: n(),
             pool_discards: n(),
             recovered_sessions: n(),

@@ -382,7 +382,8 @@ impl TwineService {
 
     /// Park a DB session: [`park_session`](Self::park_session) under the
     /// name this API had when database sessions had a lifecycle of their
-    /// own — it forwards, nothing else.
+    /// own. It forwards, nothing else, and stays only because the
+    /// `twine_bench` benchmark package calls it.
     ///
     /// # Errors
     /// As [`park_session`](Self::park_session).

@@ -274,16 +274,17 @@ pub(crate) struct SessionCommon {
     /// asserting that sessions share one cache entry.
     compiled: Arc<CompiledModule>,
     /// Post-instantiation state (data segments applied, start function run)
-    /// for pool-recycling via [`TwineService::reset_session`] and
-    /// post-trap recovery. For pooled sessions this is the module's
+    /// for [`TwineService::reset_session`], post-trap recovery and the
+    /// base of every restore. For a poolable module this is the module's
     /// **shared** base image (one `Arc` per module, not one clone per
-    /// session); the session's dirty bitmap is re-based against it at
-    /// open, so resets and park deltas touch only dirty pages.
+    /// session) and park deltas are taken against it; the session's dirty
+    /// bitmap is re-based against it at open, so resets and park deltas
+    /// touch only dirty pages. A module with a start function keeps a
+    /// private copy, and its parks carry every page.
     base_snapshot: Arc<InstanceSnapshot>,
-    /// Whether this session rides the pooling/memory-image fast path:
-    /// `base_snapshot` is the module's shared base image, parks seal
-    /// O(dirty pages) deltas against it, and the instance recycles through
-    /// the pool. Decided once at open (pooling enabled ∧ module poolable).
+    /// Whether the session's instance recycles through the pool (pooling
+    /// enabled ∧ module poolable). Decided once at open; it changes what
+    /// a restore starts from, never what crosses the boundary.
     pooled: bool,
     /// Trusted-clock monotonicity watermark (§IV-C), persistent across
     /// invocations, [`TwineService::reset_session`] and park/restore.
@@ -333,27 +334,18 @@ impl Live {
         }
     }
 
-    /// The session's plaintext park image, taken at rest: pooled Wasm
-    /// sessions image an O(dirty pages) delta against the module's shared
-    /// base image (format 2), unpooled ones the full snapshot (format 1),
-    /// databases their file manifest (format 4).
+    /// The session's plaintext park image, taken at rest: a Wasm session
+    /// images a delta (format 2) — O(dirty pages) against its module's
+    /// shared base image, or every page when the module has a start
+    /// function and so no base a restarted enclave could rebuild — and a
+    /// database its file manifest (format 4).
     fn image(&self) -> Result<Vec<u8>, TwineError> {
         match self {
-            Live::Wasm(s) if s.common.pooled => {
+            Live::Wasm(s) if s.common.compiled.poolable() => {
                 Ok(s.instance.snapshot_delta(&s.common.base_snapshot).to_bytes())
             }
-            Live::Wasm(s) => Ok(s.instance.snapshot().to_bytes()),
+            Live::Wasm(s) => Ok(s.instance.full_delta().to_bytes()),
             Live::Db(d) => d.manifest(),
-        }
-    }
-
-    /// The full-snapshot image a pooled Wasm session falls back to when
-    /// sealing its delta faults; `None` for sessions with nothing smaller
-    /// than their image to fall back from.
-    fn fallback_image(&self) -> Option<Vec<u8>> {
-        match self {
-            Live::Wasm(s) if s.common.pooled => Some(s.instance.snapshot().to_bytes()),
-            _ => None,
         }
     }
 
@@ -457,11 +449,8 @@ const FRESHNESS_FORMAT: u8 = 3;
 
 /// A decoded park image (DESIGN.md §11).
 enum Image {
-    /// Format 1: a full instance snapshot (unpooled Wasm park, or the
-    /// fallback of a pooled one).
-    Full(InstanceSnapshot),
-    /// Format 2: a delta against the module's shared base image.
-    Delta(SnapshotDelta),
+    /// Format 2: a Wasm session's delta against its base state.
+    Wasm(SnapshotDelta),
     /// Format 4: a database session's file manifest.
     Db(DbManifest),
 }
@@ -482,7 +471,7 @@ fn wrap_freshness(tag: Option<u64>, inner: Vec<u8>) -> Vec<u8> {
 }
 
 /// Decode an unsealed park image into its freshness tag (if wrapped) and
-/// typed payload — the one place the four format bytes are told apart.
+/// typed payload — the one place the three format bytes are told apart.
 /// `None` on any structural corruption.
 fn decode_image(bytes: &[u8]) -> Option<(Option<u64>, Image)> {
     let (tag, payload) = match bytes.split_first() {
@@ -493,8 +482,7 @@ fn decode_image(bytes: &[u8]) -> Option<(Option<u64>, Image)> {
         _ => (None, bytes),
     };
     let image = match *payload.first()? {
-        1 => Image::Full(InstanceSnapshot::from_bytes(payload)?),
-        2 => Image::Delta(SnapshotDelta::from_bytes(payload)?),
+        2 => Image::Wasm(SnapshotDelta::from_bytes(payload)?),
         DB_MANIFEST_FORMAT => Image::Db(DbManifest::decode(&payload[1..])?),
         _ => return None,
     };
@@ -802,20 +790,25 @@ impl TwineService {
         debug_assert!(prev.is_none(), "session names are checked free before admission");
     }
 
+    /// Whether sessions of `compiled` recycle their instances through the
+    /// pool: pooling is on and the module instantiates deterministically.
+    fn pools(&self, compiled: &CompiledModule) -> bool {
+        self.shared.control.pool_slots_per_module.is_some() && compiled.poolable()
+    }
+
     /// The parking-proof half of a new Wasm session.
     fn session_common(
         &self,
         (compiled, module_key, cache_hit): (Arc<CompiledModule>, [u8; 32], bool),
         wasm: &[u8],
         base_snapshot: Arc<InstanceSnapshot>,
-        pooled: bool,
         watermark: Arc<AtomicU64>,
         epc_base_page: u64,
     ) -> SessionCommon {
         SessionCommon {
+            pooled: self.pools(&compiled),
             compiled,
             base_snapshot,
-            pooled,
             watermark,
             fuel: self.shared.tpl.fuel,
             stats: SessionStats {
@@ -912,8 +905,7 @@ impl TwineService {
         // The pooling fast path (DESIGN.md §11): a poolable module's open
         // checks a pre-instantiated base-state slot out of the pool instead
         // of instantiating, when one is available.
-        let pooled = self.shared.control.pool_slots_per_module.is_some() && compiled.poolable();
-        let instance = if pooled {
+        let instance = if self.pools(&compiled) {
             self.base_instance(&compiled, &module_key, ctx)
         } else {
             self.instantiate(&compiled, ctx)
@@ -924,15 +916,7 @@ impl TwineService {
         };
         let epc_base_page = self.take_epc_range();
         self.attach(&mut instance, epc_base_page);
-        // Pooled sessions share one base image per module — captured
-        // by whichever open got there first (any racer would capture
-        // identical bytes: poolable modules instantiate deterministically).
-        // Unpooled sessions keep a private copy, exactly as before pooling.
-        let snapshot = if pooled {
-            Arc::clone(compiled.base_image_or_init(|| instance.snapshot()))
-        } else {
-            Arc::new(instance.snapshot())
-        };
+        let snapshot = base_snapshot(&compiled, &instance);
         // Re-base the dirty bitmap: from here on it over-approximates the
         // pages differing from `snapshot`, which is what makes
         // O(dirty-pages) resets and park deltas sound.
@@ -942,8 +926,7 @@ impl TwineService {
         instance.meter.reset();
 
         let module = (compiled, module_key, cache_hit);
-        let common =
-            self.session_common(module, wasm, snapshot, pooled, watermark, epc_base_page);
+        let common = self.session_common(module, wasm, snapshot, watermark, epc_base_page);
         let session = Session { instance, common };
         self.admit(name, epc_base_page, SlotState::Live(Live::Wasm(session)));
         // A fresh session counts against the eviction budget: park LRU
@@ -1169,25 +1152,15 @@ impl TwineService {
         // freshness tag (format byte 3) before sealing.
         let durable = self.shared.control.durable_parks.clone();
         let tag = durable.as_ref().map(|d| d.peek(name) + 1);
-        let mut bytes = wrap_freshness(tag, image);
-        // Seal under the bounded-retry policy. A pooled park whose delta
-        // seal faults degrades gracefully: the first retry switches to the
-        // full image — more boundary traffic, never data loss.
+        let bytes = wrap_freshness(tag, image);
+        // Seal under the bounded-retry policy: a faulted seal retries the
+        // same bytes.
         let enclave = &self.shared.enclave;
-        let stats = &mut self.control_stats;
-        let mut delta = matches!(&*live, Live::Wasm(s) if s.common.pooled);
         let mut retries = 0u64;
         let sealed = with_retries(enclave, &mut retries, |attempt| {
-            if attempt == 1 {
-                if let Some(full) = live.fallback_image() {
-                    delta = false;
-                    stats.fallback_parks += 1;
-                    bytes = wrap_freshness(tag, full);
-                }
-            }
             enclave.ecall(|| enclave.try_seal(attempt, &bytes))
         });
-        stats.retries += retries;
+        self.control_stats.retries += retries;
         let sealed = sealed.map_err(TwineError::Sgx)?;
         self.transfer(&sealed)?;
         // Durable write-through: journalled record first, counter bump
@@ -1204,9 +1177,6 @@ impl TwineService {
         self.shared.enclave.epc().discard_range(epc_base_page, pages);
         self.control_stats.parks += 1;
         self.control_stats.sealed_bytes += sealed.len() as u64;
-        if delta {
-            self.control_stats.delta_sealed_bytes += sealed.len() as u64;
-        }
         Ok(sealed)
     }
 
@@ -1223,8 +1193,8 @@ impl TwineService {
 
     /// Part a Wasm session's instance from its WASI context. A pooled
     /// instance is recycled: O(dirty pages) reset back to the base image,
-    /// then into the pool, where the next open (or delta restore) of the
-    /// same module checks it out — no allocation, no data-segment replay.
+    /// then into the pool, where the next open (or restore) of the same
+    /// module checks it out — no allocation, no data-segment replay.
     fn recycle(&mut self, mut instance: Instance, common: &SessionCommon) -> WasiCtx {
         if !common.pooled {
             return into_ctx(instance.replace_host_data(Box::new(())));
@@ -1328,16 +1298,7 @@ impl TwineService {
                     Err((e, common)) => parked(ParkedBody::Db(common), e),
                 };
             }
-            (ParkedBody::Wasm(ctx, common), Image::Full(snap)) => {
-                let instance = Instance::from_snapshot(
-                    Arc::clone(&common.compiled),
-                    &self.shared.linker,
-                    &snap,
-                    Box::new(ctx),
-                );
-                (common, instance.map_err(|(e, ctx)| (TwineError::Module(e), ctx)))
-            }
-            (ParkedBody::Wasm(ctx, common), Image::Delta(delta)) => {
+            (ParkedBody::Wasm(ctx, common), Image::Wasm(delta)) => {
                 let instance = self.instance_from_delta(name, ctx, &common, &delta);
                 (common, instance)
             }
@@ -1353,9 +1314,10 @@ impl TwineService {
         }
     }
 
-    /// A base-state instance patched with a pooled session's `delta` and
-    /// holding the tenant's `ctx`, which is handed back (as host data) on
-    /// failure.
+    /// A base-state instance patched with a session's `delta` and holding
+    /// the tenant's `ctx`, which is handed back (as host data) on failure.
+    /// The base is a pool slot for a pooled session, else the session's
+    /// base snapshot rehydrated.
     fn instance_from_delta(
         &mut self,
         name: &str,
@@ -1363,9 +1325,13 @@ impl TwineService {
         common: &SessionCommon,
         delta: &SnapshotDelta,
     ) -> Result<Instance, (TwineError, Box<dyn Any + Send>)> {
-        let mut instance = self
-            .base_instance(&common.compiled, &common.stats.module_key, ctx)
-            .map_err(|(e, ctx)| (TwineError::Module(e), ctx))?;
+        let base = if common.pooled {
+            self.base_instance(&common.compiled, &common.stats.module_key, ctx)
+        } else {
+            let (code, linker) = (Arc::clone(&common.compiled), &self.shared.linker);
+            Instance::from_snapshot(code, linker, &common.base_snapshot, Box::new(ctx))
+        };
+        let mut instance = base.map_err(|(e, ctx)| (TwineError::Module(e), ctx))?;
         instance.clear_dirty();
         instance.meter.reset();
         self.control_stats.dirty_pages_restored += delta.page_count() as u64;
@@ -1550,8 +1516,7 @@ impl TwineService {
             let epc_base_page = self.take_epc_range();
             let body = match image {
                 Image::Db(manifest) => ParkedBody::Db(manifest.rebuild(self.new_backend())?),
-                Image::Full(_) => self.recover_wasm(&wasm, false, epc_base_page)?,
-                Image::Delta(_) => self.recover_wasm(&wasm, true, epc_base_page)?,
+                Image::Wasm(_) => self.recover_wasm(&wasm, epc_base_page)?,
             };
             self.admit(&name, epc_base_page, SlotState::Parked(Parked { sealed, body }));
             self.control_stats.recovered_sessions += 1;
@@ -1562,38 +1527,42 @@ impl TwineService {
 
     /// What a recovered Wasm session keeps while sealed out: its module
     /// (recompiled from the record's bytes, or shared through the cache),
-    /// a fresh WASI context, and the base snapshot its image restores
-    /// against — a delta image (`pooled`) patches the module's shared one.
-    fn recover_wasm(
-        &mut self,
-        wasm: &[u8],
-        pooled: bool,
-        epc_base_page: u64,
-    ) -> Result<ParkedBody, TwineError> {
+    /// a fresh WASI context, and the base snapshot its delta restores
+    /// onto.
+    fn recover_wasm(&mut self, wasm: &[u8], epc_base_page: u64) -> Result<ParkedBody, TwineError> {
         let module = self
             .shared
             .cache
             .get_or_compile(wasm)
             .map_err(TwineError::Module)?;
         let (ctx, watermark) = self.new_ctx();
-        // A throwaway instantiation re-derives the base snapshot the
-        // restore path patches against (deterministic: same module,
-        // same data segments — and for pooled modules the shared base
-        // image is captured once per module anyway).
+        // A throwaway instantiation re-derives the base snapshot: for a
+        // poolable module the same bytes as before the restart (and shared
+        // once per module anyway); for one with a start function a fresh
+        // post-start state, which the park image — carrying every page —
+        // overwrites whole.
         let fresh = match self.instantiate(&module.0, ctx) {
             Ok(fresh) => fresh,
             Err((e, _ctx)) => return Err(self.failed_open(module.0, &module.1, e)),
         };
-        let base_snapshot = if pooled {
-            Arc::clone(module.0.base_image_or_init(|| fresh.snapshot()))
-        } else {
-            Arc::new(fresh.snapshot())
-        };
+        let base = base_snapshot(&module.0, &fresh);
         let ctx = fresh
             .into_state::<WasiCtx>()
             .expect("recover instantiates with a WasiCtx");
-        let common =
-            self.session_common(module, wasm, base_snapshot, pooled, watermark, epc_base_page);
+        let common = self.session_common(module, wasm, base, watermark, epc_base_page);
         Ok(ParkedBody::Wasm(ctx, common))
+    }
+}
+
+/// The post-instantiation state of `instance`, which has just been
+/// instantiated from `compiled`: the module's shared base image when
+/// instantiation is deterministic (whichever session got there first
+/// captured it; any racer would capture identical bytes), else a private
+/// copy.
+fn base_snapshot(compiled: &CompiledModule, instance: &Instance) -> Arc<InstanceSnapshot> {
+    if compiled.poolable() {
+        Arc::clone(compiled.base_image_or_init(|| instance.snapshot()))
+    } else {
+        Arc::new(instance.snapshot())
     }
 }

@@ -140,19 +140,20 @@ impl Drop for Turn<'_> {
 
 /// RAII decrement of a tenant's in-flight count (see
 /// [`crate::ControlPlane::max_in_flight`]). Held by the caller across its
-/// whole call, so the count covers waiting *and* executing commands.
+/// whole call, so the count covers waiting *and* executing commands; it
+/// borrows the caller's session name rather than copying it.
 struct InFlightGuard<'a> {
     map: &'a Mutex<HashMap<String, u64>>,
-    name: String,
+    name: &'a str,
 }
 
 impl Drop for InFlightGuard<'_> {
     fn drop(&mut self) {
         let mut m = self.map.lock().unwrap();
-        if let Some(n) = m.get_mut(&self.name) {
+        if let Some(n) = m.get_mut(self.name) {
             *n -= 1;
             if *n == 0 {
-                m.remove(&self.name);
+                m.remove(self.name);
             }
         }
     }
@@ -320,27 +321,33 @@ impl ShardedService {
 
     /// Count `name` against its tenant in-flight cap, if one is
     /// configured. The returned guard releases the slot when the caller's
-    /// call completes (any exit path).
-    fn acquire_in_flight(&self, name: &str) -> Result<Option<InFlightGuard<'_>>, TwineError> {
+    /// call completes (any exit path). Only a tenant's first concurrent
+    /// call allocates, for the map key it inserts.
+    fn acquire_in_flight<'a>(
+        &'a self,
+        name: &'a str,
+    ) -> Result<Option<InFlightGuard<'a>>, TwineError> {
         let Some(max) = self.shared.control.max_in_flight else {
             return Ok(None);
         };
         let mut m = self.in_flight.lock().unwrap();
-        let n = m.entry(name.to_string()).or_insert(0);
-        if *n >= max {
-            if *n == 0 {
-                m.remove(name);
-            }
+        let n = m.get(name).copied().unwrap_or(0);
+        if n >= max {
             self.inflight_rejections.fetch_add(1, Ordering::Relaxed);
             return Err(TwineError::Overloaded(Overload::InFlight {
                 tenant: name.to_string(),
                 max,
             }));
         }
-        *n += 1;
+        match m.get_mut(name) {
+            Some(n) => *n += 1,
+            None => {
+                m.insert(name.to_string(), 1);
+            }
+        }
         Ok(Some(InFlightGuard {
             map: &self.in_flight,
-            name: name.to_string(),
+            name,
         }))
     }
 
@@ -538,12 +545,6 @@ impl ShardedService {
     /// [`TwineService::db_table_names`].
     pub fn db_table_names(&self, name: &str) -> Result<Vec<String>, TwineError> {
         self.call(name, |s| s.svc.db_table_names(name))
-    }
-
-    /// Park a database session: [`park_session`](Self::park_session)
-    /// under its older name — it forwards, nothing else.
-    pub fn db_park_session(&self, name: &str) -> Result<(), TwineError> {
-        self.park_session(name)
     }
 
     /// Cumulative plan-cache counters for one database session. See

@@ -10,9 +10,9 @@
 //! seal volumes) but must never change anything a tenant can observe —
 //! results, traps, stdout, WASI call counts, retired-instruction meters,
 //! remaining fuel. The runtime absorbs faults by bounded retry with
-//! virtual-time backoff, by falling back from delta parks to full-image
-//! parks, and by discarding corrupt pool slots; none of that is allowed
-//! to leak into guest semantics.
+//! virtual-time backoff (a faulted seal is retried on the same bytes) and
+//! by discarding corrupt pool slots; none of that is allowed to leak into
+//! guest semantics.
 //!
 //! The second half of the suite covers crash recovery: durably-parked
 //! sessions survive a simulated enclave crash (`drop` the service, rebuild
@@ -297,9 +297,7 @@ fn run_oracle(plan: &Plan) -> Vec<Vec<Event>> {
 
 /// The differential: faulted sharded churn vs unfaulted oracle, and the
 /// fault machinery actually exercised (injections happened, retries
-/// happened) without any guest-visible divergence. Deliberately does NOT
-/// assert `delta_sealed_bytes == sealed_bytes`: a seal fault mid-delta
-/// degrades that park to a full image by design.
+/// happened) without any guest-visible divergence.
 fn assert_chaos_matches(shards: usize, clients: usize, seed: u64) -> twine_core::ControlStats {
     // Enough tenants that shards hold several sessions each — the
     // eviction budget of 1 then forces continuous park/restore churn.

@@ -425,9 +425,9 @@ fn assert_churn_matches(shards: usize, clients: usize, seed: u64) -> twine_core:
     assert_churn_matches_with(shards, clients, seed, None)
 }
 
-/// The same differential with instance pooling enabled: parks seal only
-/// the delta against the shared base image and restores patch a pooled
-/// slot — none of which may be observable in any tenant's event stream.
+/// The same differential with instance pooling enabled: restores patch a
+/// pooled slot instead of a rehydrated base image — none of which may be
+/// observable in any tenant's event stream.
 fn assert_churn_matches_pooled(
     shards: usize,
     clients: usize,
@@ -438,17 +438,9 @@ fn assert_churn_matches_pooled(
         stats.pool_hits > 0,
         "budget-1 churn must recycle pooled slots: {stats:?}"
     );
-    assert!(
-        stats.delta_sealed_bytes > 0 && stats.delta_sealed_bytes <= stats.sealed_bytes,
-        "pooled parks seal deltas, counted inside sealed_bytes: {stats:?}"
-    );
     // Every guest here is poolable (minicc emits no start function), so
-    // every park crossed the boundary as a delta, and deltas of these
-    // small working sets are far below the 64 KiB+ full images.
-    assert_eq!(
-        stats.delta_sealed_bytes, stats.sealed_bytes,
-        "all tenants are poolable, so all seal traffic is delta traffic"
-    );
+    // every park seals a delta against the shared base image, far below
+    // the 64 KiB+ of a whole memory.
     assert!(
         stats.parks == 0 || stats.sealed_bytes / stats.parks < 64 * 1024,
         "mean sealed park must be smaller than one full memory image: {stats:?}"
@@ -548,39 +540,31 @@ fn pooled_churn_8_shards_bit_identical_to_unbounded_replay() {
     assert_churn_matches_pooled(8, 4, 0x5eed_1008);
 }
 
-/// Pooled and unpooled runs of the same plan must produce the same
-/// per-tenant event streams as each other (both are already checked
-/// against the unbounded oracle; this pins the seal-traffic relation
-/// between the two modes on identical work).
+/// The pool decides whether instances are recycled, never what crosses
+/// the boundary: pooled and unpooled runs of the same plan, on one shard
+/// driven by one client (so the eviction order is identical), produce the
+/// same events, the same parks and the same sealed bytes.
 #[test]
-fn pooled_seal_traffic_is_a_fraction_of_full_image_traffic() {
+fn pooled_and_unpooled_parks_seal_the_same_bytes() {
     let plan = build_plan(9, 120, 0x5eed_2002);
-    let control_full = ControlPlane {
+    let unpooled = ControlPlane {
         max_live_sessions: Some(1),
         ..ControlPlane::default()
     };
-    let control_pooled = ControlPlane {
+    let pooled = ControlPlane {
         pool_slots_per_module: Some(4),
-        ..control_full.clone()
+        ..unpooled.clone()
     };
-    let (seq_full, full) = run_churn_sharded(&plan, 4, 3, &control_full);
-    let (seq_pooled, pooled) = run_churn_sharded(&plan, 4, 3, &control_pooled);
+    let (seq_u, u) = run_churn_sharded(&plan, 1, 1, &unpooled);
+    let (seq_p, p) = run_churn_sharded(&plan, 1, 1, &pooled);
     for (i, (name, _, _)) in plan.sessions.iter().enumerate() {
-        assert_eq!(seq_full[i], seq_pooled[i], "pooling changed {name}'s events");
+        assert_eq!(seq_u[i], seq_p[i], "pooling changed {name}'s events");
     }
-    assert!(full.parks > 0 && pooled.parks > 0);
-    // ISSUE acceptance: delta seal traffic ≤ 10% of full-image traffic
-    // per park (these guests dirty a handful of pages out of 16+).
-    assert!(
-        pooled.sealed_bytes / pooled.parks <= (full.sealed_bytes / full.parks) / 10,
-        "mean delta park not <=10% of mean full-image park: \
-         pooled {}/{} vs full {}/{}",
-        pooled.sealed_bytes,
-        pooled.parks,
-        full.sealed_bytes,
-        full.parks
-    );
-    assert!(pooled.pool_misses + pooled.pool_hits > 0);
+    assert!(u.parks > 0, "budget-1 churn must park: {u:?}");
+    assert_eq!(u.parks, p.parks);
+    assert_eq!(u.sealed_bytes, p.sealed_bytes, "the pool changed what was sealed");
+    assert!(p.pool_misses + p.pool_hits > 0);
+    assert_eq!(u.pool_hits + u.pool_misses, 0, "no pool, no checkouts");
 }
 
 /// Explicit park → invoke (auto-restore) → park cycles: guest state
@@ -605,7 +589,12 @@ fn park_restore_park_cycles_preserve_state() {
     let stats = svc.control_stats();
     assert_eq!(stats.parks, 8);
     assert_eq!(stats.restores, 8);
-    assert!(stats.sealed_bytes >= stats.parks * 64 * 1024, "whole memory image sealed");
+    // No pool, but the guest is poolable: each park seals a delta of the
+    // few pages the accumulator dirtied, not the 64 KiB+ memory.
+    assert!(
+        stats.sealed_bytes < stats.parks * 8 * 1024,
+        "unpooled parks seal deltas: {stats:?}"
+    );
     assert_eq!(stats.live_sessions, 1);
     assert_eq!(stats.parked_sessions, 0);
     // The boundary accounting is real: seal traffic landed on the
@@ -633,9 +622,7 @@ fn pooled_park_restore_cycles_preserve_state_with_delta_seals() {
     let stats = svc.control_stats();
     assert_eq!(stats.parks, 8);
     assert_eq!(stats.restores, 8);
-    // Every park sealed a delta, and every delta is tiny next to the
-    // 64 KiB+ full image the unpooled path would seal.
-    assert_eq!(stats.delta_sealed_bytes, stats.sealed_bytes);
+    // Every park sealed a delta, tiny next to the 64 KiB+ memory.
     assert!(
         stats.sealed_bytes < stats.parks * 8 * 1024,
         "deltas must stay well under the full image: {stats:?}"

@@ -108,7 +108,7 @@ fn apply_single(svc: &mut TwineService, name: &str, op: &Op) -> Event {
         }
         Op::Query(sql) => Event::Rows(svc.db_query(name, sql).expect("oracle query")),
         Op::Park => {
-            svc.db_park_session(name).expect("oracle park");
+            svc.park_session(name).expect("oracle park");
             Event::Parked
         }
     }
@@ -123,7 +123,7 @@ fn apply_sharded(svc: &ShardedService, name: &str, op: &Op) -> Event {
         ),
         Op::Query(sql) => Event::Rows(svc.db_query(name, sql).expect("sharded query")),
         Op::Park => {
-            svc.db_park_session(name).expect("sharded park");
+            svc.park_session(name).expect("sharded park");
             Event::Parked
         }
     }
@@ -296,7 +296,7 @@ fn tenants_never_observe_each_other() {
 
     // Parking Alice (sealing her database out of the enclave) leaves Bob
     // untouched, and Alice restores to exactly her own rows.
-    svc.db_park_session("alice").expect("park alice");
+    svc.park_session("alice").expect("park alice");
     assert_eq!(svc.session_parked("alice"), Some(true));
     let bob = svc.db_query("bob", "SELECT x FROM secret").expect("bob query");
     assert_eq!(bob, vec![vec![SqlValue::Int(99)]]);
@@ -349,7 +349,7 @@ fn stmt_cache_stats_survive_park_and_restore() {
     let before = svc.db_stmt_cache_stats("t").expect("stats");
     assert!(before.hits >= 4, "repeated text must hit: {before:?}");
 
-    svc.db_park_session("t").expect("park");
+    svc.park_session("t").expect("park");
     let parked = svc.db_stmt_cache_stats("t").expect("stats while parked");
     assert_eq!(parked.hits, before.hits, "folded counters survive the park");
 
@@ -517,7 +517,7 @@ fn rollbacks_leave_no_trace() {
     assert!(err.to_string().contains("constraint"), "{err}");
     assert_eq!(table_state(&mut svc), pre, "failed multi-row INSERT");
 
-    svc.db_park_session("t").expect("park");
+    svc.park_session("t").expect("park");
     assert_eq!(svc.session_parked("t"), Some(true));
     assert_eq!(table_state(&mut svc), pre, "after park and restore");
 
@@ -560,7 +560,7 @@ fn durable_db_park_recovers_after_crash() {
         ],
     )
     .expect("insert");
-    svc.db_park_session("t").expect("park");
+    svc.park_session("t").expect("park");
     assert_eq!(store.record_count(), 1, "the park wrote a durable record");
 
     // Crash: only the processor and the untrusted record store survive.
@@ -583,7 +583,7 @@ fn durable_db_park_recovers_after_crash() {
         ]
     );
     // The recovered session is a full citizen: it parks durably again.
-    revived.db_park_session("t").expect("re-park");
+    revived.park_session("t").expect("re-park");
     assert_eq!(store.record_count(), 1);
     // recover() is idempotent for sessions that are already admitted.
     assert_eq!(revived.recover().expect("second recovery"), Vec::<String>::new());

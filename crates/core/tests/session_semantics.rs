@@ -426,3 +426,140 @@ fn start_functions_cannot_run_unmetered_at_open() {
     svc.open_session("good", &stateful_wasm()).unwrap();
     assert_eq!(svc.invoke("good", "bump", &[]).unwrap()[0], Value::I32(1));
 }
+
+/// A module whose start function sets a global, grows memory to two pages
+/// and writes into both: its post-instantiation state cannot be rebuilt
+/// from the module alone, so every park of it must carry all its pages.
+/// `bump` mutates a global and cells in three 4 KiB pages; `glob` and
+/// `mem` read the state back.
+fn start_grown_wasm() -> Vec<u8> {
+    let store = |addr: i32, value: Vec<Instr>| {
+        let mut v = vec![Instr::Const(Value::I32(addr))];
+        v.extend(value);
+        v.push(Instr::Store(StoreKind::I32, MemArg { offset: 0, align: 2 }));
+        v
+    };
+    let load = |addr: Instr| vec![addr, Instr::Load(LoadKind::I32, MemArg { offset: 0, align: 2 })];
+    let mut b = ModuleBuilder::new();
+    b.memory(Limits::at_least(1));
+    let g = b.add_global(ValType::I32, true, Value::I32(0));
+    let mut start = vec![
+        Instr::Const(Value::I32(42)),
+        Instr::GlobalSet(g),
+        Instr::Const(Value::I32(1)),
+        Instr::MemoryGrow,
+        Instr::Drop,
+    ];
+    start.extend(store(0, vec![Instr::Const(Value::I32(1000))]));
+    start.extend(store(70_000, vec![Instr::Const(Value::I32(5))]));
+    let start = b.add_func(FuncType::new(vec![], vec![]), vec![], start);
+    b.start(start);
+
+    let mut bump = vec![
+        Instr::GlobalGet(g),
+        Instr::Const(Value::I32(1)),
+        Instr::IBinop(IntWidth::W32, IBinOp::Add),
+        Instr::GlobalSet(g),
+    ];
+    let mut acc = load(Instr::Const(Value::I32(0)));
+    acc.extend([
+        Instr::GlobalGet(g),
+        Instr::Const(Value::I32(7)),
+        Instr::IBinop(IntWidth::W32, IBinOp::Mul),
+        Instr::IBinop(IntWidth::W32, IBinOp::Add),
+    ]);
+    bump.extend(store(0, acc));
+    bump.extend(store(40_000, vec![Instr::GlobalGet(g)]));
+    bump.push(Instr::GlobalGet(g));
+    let i32_out = || FuncType::new(vec![], vec![ValType::I32]);
+    let f = b.add_func(i32_out(), vec![], bump);
+    b.export_func("bump", f);
+    let f = b.add_func(i32_out(), vec![], vec![Instr::GlobalGet(g)]);
+    b.export_func("glob", f);
+    let f = b.add_func(
+        FuncType::new(vec![ValType::I32], vec![ValType::I32]),
+        vec![],
+        load(Instr::LocalGet(0)),
+    );
+    b.export_func("mem", f);
+    encode(&b.build())
+}
+
+/// Everything a tenant of [`start_grown_wasm`] can observe: the global
+/// and the cells the start function and `bump` write.
+fn start_grown_state(svc: &mut twine_core::TwineService, name: &str) -> Vec<Value> {
+    let mut out = svc.invoke(name, "glob", &[]).expect("glob");
+    for addr in [0, 40_000, 70_000] {
+        out.extend(svc.invoke(name, "mem", &[Value::I32(addr)]).expect("mem"));
+    }
+    out
+}
+
+/// A start-function module parks, restores warm and recovers from a
+/// durable park after a crash, with or without a pool, and after every
+/// step its memory, globals and results equal a twin that never parked.
+/// Its parks carry every page: each seals at least the whole memory.
+#[test]
+fn start_function_session_parks_restores_and_recovers_like_a_twin() {
+    use twine_core::{ControlPlane, DurableParkStore};
+    use twine_sgx::Processor;
+
+    const MEMORY: u64 = 2 * 65_536;
+    let wasm = start_grown_wasm();
+    for pool in [None, Some(2)] {
+        let store = DurableParkStore::new();
+        let processor = Processor::new(11);
+        let build = || {
+            TwineBuilder::new()
+                .processor(processor.clone())
+                .control_plane(ControlPlane {
+                    durable_parks: Some(store.clone()),
+                    pool_slots_per_module: pool,
+                    ..ControlPlane::default()
+                })
+                .build_service()
+        };
+        let mut twin = TwineBuilder::new().build_service();
+        twin.open_session("s", &wasm).unwrap();
+        let mut svc = build();
+        svc.open_session("s", &wasm).unwrap();
+        let park = |svc: &mut twine_core::TwineService| {
+            let before = svc.control_stats();
+            svc.park_session("s").expect("park");
+            let after = svc.control_stats();
+            assert_eq!(after.parks, before.parks + 1);
+            assert!(
+                after.sealed_bytes - before.sealed_bytes >= MEMORY,
+                "{pool:?}: a start-function park carries every page: {after:?}"
+            );
+        };
+
+        let mut step = |svc: &mut twine_core::TwineService, what: &str| {
+            for _ in 0..3 {
+                assert_eq!(
+                    svc.invoke("s", "bump", &[]).expect("bump"),
+                    twin.invoke("s", "bump", &[]).expect("twin bump"),
+                    "{pool:?}: {what}"
+                );
+            }
+            assert_eq!(
+                start_grown_state(svc, "s"),
+                start_grown_state(&mut twin, "s"),
+                "{pool:?}: {what}"
+            );
+        };
+        step(&mut svc, "before any park");
+        assert_eq!(start_grown_state(&mut svc, "s")[3], Value::I32(5), "start ran");
+
+        park(&mut svc);
+        step(&mut svc, "after a warm restore");
+
+        park(&mut svc);
+        drop(svc);
+        let mut revived = build();
+        assert_eq!(revived.recover().expect("recover"), vec!["s".to_string()]);
+        step(&mut revived, "after crash recovery");
+        park(&mut revived);
+        step(&mut revived, "after a park of the recovered session");
+    }
+}

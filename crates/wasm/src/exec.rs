@@ -308,117 +308,17 @@ impl InstanceSnapshot {
     pub fn memory_bytes(&self) -> usize {
         self.memory.as_ref().map_or(0, Memory::size_bytes)
     }
+}
 
-    /// Serialize the snapshot to a self-contained byte image (memory
-    /// limits + contents, globals, table). This is what a control plane
-    /// seals when parking an idle session outside the enclave: the bytes
-    /// round-trip exactly through [`InstanceSnapshot::from_bytes`], so a
-    /// parked-and-restored instance is bit-identical to one that never
-    /// left memory.
-    #[must_use]
-    pub fn to_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(self.memory_bytes() + 64);
-        out.push(1u8); // format version
-        match &self.memory {
-            None => out.push(0),
-            Some(mem) => {
-                out.push(1);
-                let limits = mem.limits();
-                out.extend_from_slice(&limits.min.to_le_bytes());
-                match limits.max {
-                    None => out.push(0),
-                    Some(m) => {
-                        out.push(1);
-                        out.extend_from_slice(&m.to_le_bytes());
-                    }
-                }
-                let data = mem.raw_data();
-                out.extend_from_slice(&(data.len() as u64).to_le_bytes());
-                out.extend_from_slice(data);
-            }
+/// Two snapshots are equal when their guest-visible state is: memory
+/// limits and bytes, globals and table. The dirty bitmap is bookkeeping
+/// about how the memory got there, not state, so it is not compared.
+impl PartialEq for InstanceSnapshot {
+    fn eq(&self, other: &Self) -> bool {
+        fn mem(s: &InstanceSnapshot) -> Option<(crate::types::Limits, &[u8])> {
+            s.memory.as_ref().map(|m| (m.limits(), m.raw_data()))
         }
-        out.extend_from_slice(&(self.globals.len() as u64).to_le_bytes());
-        for g in &self.globals {
-            out.extend_from_slice(&g.to_le_bytes());
-        }
-        out.extend_from_slice(&(self.table.len() as u64).to_le_bytes());
-        for t in &self.table {
-            // u32::MAX is not a valid function index (far above the
-            // validation limits), so it encodes an uninitialized slot.
-            out.extend_from_slice(&t.unwrap_or(u32::MAX).to_le_bytes());
-        }
-        out
-    }
-
-    /// Reconstruct a snapshot serialized by [`InstanceSnapshot::to_bytes`].
-    /// Returns `None` on any structural corruption (truncation, bad
-    /// version, memory length that is not a whole number of pages).
-    #[must_use]
-    pub fn from_bytes(bytes: &[u8]) -> Option<Self> {
-        struct Rd<'a>(&'a [u8]);
-        impl Rd<'_> {
-            fn u8(&mut self) -> Option<u8> {
-                let (&b, rest) = self.0.split_first()?;
-                self.0 = rest;
-                Some(b)
-            }
-            fn u32(&mut self) -> Option<u32> {
-                let (head, rest) = self.0.split_at_checked(4)?;
-                self.0 = rest;
-                Some(u32::from_le_bytes(head.try_into().ok()?))
-            }
-            fn u64(&mut self) -> Option<u64> {
-                let (head, rest) = self.0.split_at_checked(8)?;
-                self.0 = rest;
-                Some(u64::from_le_bytes(head.try_into().ok()?))
-            }
-            fn take(&mut self, n: usize) -> Option<&[u8]> {
-                let (head, rest) = self.0.split_at_checked(n)?;
-                self.0 = rest;
-                Some(head)
-            }
-        }
-        let mut rd = Rd(bytes);
-        if rd.u8()? != 1 {
-            return None;
-        }
-        let memory = match rd.u8()? {
-            0 => None,
-            1 => {
-                let min = rd.u32()?;
-                let max = match rd.u8()? {
-                    0 => None,
-                    1 => Some(rd.u32()?),
-                    _ => return None,
-                };
-                let len = usize::try_from(rd.u64()?).ok()?;
-                if len % crate::memory::PAGE_SIZE != 0 {
-                    return None;
-                }
-                let data = rd.take(len)?.to_vec();
-                Some(Memory::from_raw(crate::types::Limits { min, max }, data))
-            }
-            _ => return None,
-        };
-        let n_globals = usize::try_from(rd.u64()?).ok()?;
-        let mut globals = Vec::with_capacity(n_globals.min(1 << 16));
-        for _ in 0..n_globals {
-            globals.push(rd.u64()?);
-        }
-        let n_table = usize::try_from(rd.u64()?).ok()?;
-        let mut table = Vec::with_capacity(n_table.min(1 << 16));
-        for _ in 0..n_table {
-            let v = rd.u32()?;
-            table.push(if v == u32::MAX { None } else { Some(v) });
-        }
-        if !rd.0.is_empty() {
-            return None;
-        }
-        Some(Self {
-            memory,
-            globals,
-            table,
-        })
+        mem(self) == mem(other) && self.globals == other.globals && self.table == other.table
     }
 }
 
@@ -429,10 +329,10 @@ impl InstanceSnapshot {
 ///
 /// Captured with [`Instance::snapshot_delta`] and replayed with
 /// [`Instance::apply_delta`] onto an instance sitting at the base state.
-/// This is what a control plane seals when parking a session whose module
-/// has a shared base image: instead of the whole linear memory, only the
-/// dirty working set crosses the enclave boundary — typically a 10–100×
-/// reduction in seal traffic (see `BENCH_fig8.json`'s churn axis).
+/// This is the one image a control plane seals when parking a session:
+/// against a module's shared base image only the dirty working set crosses
+/// the enclave boundary, and a module whose base cannot be rebuilt carries
+/// every page instead ([`Instance::full_delta`]).
 #[derive(Clone, Debug)]
 pub struct SnapshotDelta {
     /// Memory length in bytes at capture (`None` = module has no memory).
@@ -455,9 +355,8 @@ impl SnapshotDelta {
         self.pages.len()
     }
 
-    /// Serialize to a self-contained byte image (format version 2 — the
-    /// first byte distinguishes a delta from a full
-    /// [`InstanceSnapshot::to_bytes`] image, which starts with 1).
+    /// Serialize to a self-contained byte image (format byte 2, the tag a
+    /// control plane's image decoder dispatches on).
     #[must_use]
     pub fn to_bytes(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(self.bytes.len() + 64);
@@ -487,9 +386,10 @@ impl SnapshotDelta {
 
     /// Reconstruct a delta serialized by [`SnapshotDelta::to_bytes`].
     /// Returns `None` on any structural corruption: bad version, a memory
-    /// length that is not a whole number of Wasm pages, page indices that
-    /// are not strictly ascending or point past the recorded length, or
-    /// truncation.
+    /// length that is not a whole number of Wasm pages or exceeds the
+    /// 4 GiB Wasm limit, page indices that are not strictly ascending or
+    /// point past the recorded length, truncation, or trailing bytes. No
+    /// allocation is sized by a count larger than the input could hold.
     #[must_use]
     pub fn from_bytes(bytes: &[u8]) -> Option<Self> {
         struct Rd<'a>(&'a [u8]);
@@ -514,23 +414,31 @@ impl SnapshotDelta {
                 self.0 = rest;
                 Some(head)
             }
+            /// An element count, refused unless that many `width`-byte
+            /// elements fit in the bytes that remain.
+            fn count(&mut self, width: usize) -> Option<usize> {
+                let n = usize::try_from(self.u64()?).ok()?;
+                (n.checked_mul(width)? <= self.0.len()).then_some(n)
+            }
         }
         let mut rd = Rd(bytes);
         if rd.u8()? != 2 {
             return None;
         }
+        let max_len = u64::from(crate::memory::MAX_PAGES) * crate::memory::PAGE_SIZE as u64;
         let mem_len = match rd.u8()? {
             0 => None,
             1 => {
                 let len = rd.u64()?;
-                if len % crate::memory::PAGE_SIZE as u64 != 0 {
+                if len % crate::memory::PAGE_SIZE as u64 != 0 || len > max_len {
                     return None;
                 }
                 Some(len)
             }
             _ => return None,
         };
-        let n_pages = usize::try_from(rd.u64()?).ok()?;
+        // Each carried page costs its 8-byte index plus its contents.
+        let n_pages = rd.count(8 + crate::memory::DIRTY_PAGE_SIZE)?;
         let page_budget =
             mem_len.unwrap_or(0) / crate::memory::DIRTY_PAGE_SIZE as u64;
         if n_pages as u64 > page_budget {
@@ -545,13 +453,13 @@ impl SnapshotDelta {
             pages.push(p);
         }
         let data = rd.take(n_pages * crate::memory::DIRTY_PAGE_SIZE)?.to_vec();
-        let n_globals = usize::try_from(rd.u64()?).ok()?;
-        let mut globals = Vec::with_capacity(n_globals.min(1 << 16));
+        let n_globals = rd.count(8)?;
+        let mut globals = Vec::with_capacity(n_globals);
         for _ in 0..n_globals {
             globals.push(rd.u64()?);
         }
-        let n_table = usize::try_from(rd.u64()?).ok()?;
-        let mut table = Vec::with_capacity(n_table.min(1 << 16));
+        let n_table = rd.count(4)?;
+        let mut table = Vec::with_capacity(n_table);
         for _ in 0..n_table {
             let v = rd.u32()?;
             table.push(if v == u32::MAX { None } else { Some(v) });
@@ -721,9 +629,9 @@ impl Instance {
     /// against the linker, then memory/globals/table are installed from the
     /// snapshot **without** re-applying data segments or re-running the
     /// start function — no guest instruction retires and the meter stays
-    /// zero. This is the warm-restore path of a session control plane: a
-    /// parked session's unsealed [`InstanceSnapshot`] comes back exactly as
-    /// it was parked, bit-identical to an instance that was never evicted.
+    /// zero. This is the base instance of a session control plane's warm
+    /// restore when no pooled slot serves: the parked session's
+    /// [`SnapshotDelta`] is then applied onto it.
     ///
     /// Fuel, deadline and page sink start unset; the embedder
     /// re-attaches its own (they are service state, not guest state).
@@ -870,20 +778,42 @@ impl Instance {
         }
     }
 
+    /// The whole current state as a [`SnapshotDelta`] that carries every
+    /// 4 KiB page, so applying it onto *any* instance of the module
+    /// reproduces this one. The park image of a module with a start
+    /// function, whose base state cannot be rebuilt after a restart.
+    #[must_use]
+    pub fn full_delta(&self) -> SnapshotDelta {
+        let bytes = self.memory.as_ref().map_or_else(Vec::new, |m| m.raw_data().to_vec());
+        SnapshotDelta {
+            mem_len: self.memory.as_ref().map(|m| m.size_bytes() as u64),
+            pages: (0..(bytes.len() / crate::memory::DIRTY_PAGE_SIZE) as u64).collect(),
+            bytes,
+            globals: self.globals.clone(),
+            table: self.table.clone(),
+        }
+    }
+
     /// Replay a [`SnapshotDelta`] onto an instance sitting at the delta's
     /// base state: resize memory to the recorded length, overwrite the
     /// carried pages (marking them dirty — they differ from the base
     /// again), and install globals and table. Clears the meter, like the
     /// reset paths. Returns `false` without touching anything if the delta
-    /// carries memory but the instance has none (a delta for a different
-    /// module shape — impossible through the sealed-park path, which keys
-    /// deltas to their module).
+    /// does not fit the module's shape: it carries memory the instance
+    /// lacks (or the reverse), a memory length outside the declared
+    /// limits, or another number of globals or table slots — impossible
+    /// through the sealed-park path, which keys deltas to their module.
     #[must_use]
     pub fn apply_delta(&mut self, delta: &SnapshotDelta) -> bool {
+        if delta.globals.len() != self.globals.len() || delta.table.len() != self.table.len() {
+            return false;
+        }
         match (self.memory.as_mut(), delta.mem_len) {
             (None, None) => {}
             (Some(mem), Some(len)) => {
-                mem.resize_raw(len as usize);
+                if mem.resize_raw(len).is_none() {
+                    return false;
+                }
                 let mut off = 0;
                 for &p in &delta.pages {
                     let page = &delta.bytes[off..off + crate::memory::DIRTY_PAGE_SIZE];

@@ -90,32 +90,22 @@ impl Memory {
         }
     }
 
-    /// The declared limits (used when serializing a snapshot).
+    /// The declared limits.
     #[must_use]
     pub fn limits(&self) -> Limits {
         self.limits
     }
 
-    /// Borrow the full backing store (snapshot serialization).
+    /// Borrow the full backing store (snapshot comparison, full deltas).
     #[must_use]
     pub(crate) fn raw_data(&self) -> &[u8] {
         &self.data
     }
 
-    /// Rebuild a memory from serialized parts. The caller guarantees
-    /// `data.len()` is a whole number of pages (snapshot deserialization
-    /// validates this before calling). The dirty bitmap starts **fully
-    /// set**: a deserialized image carries no provenance, so every page
-    /// must be assumed to differ from whatever base an embedder compares
-    /// against (over-approximation is always sound).
-    pub(crate) fn from_raw(limits: Limits, data: Vec<u8>) -> Self {
-        let words = dirty_words(data.len() / DIRTY_PAGE_SIZE);
-        Self {
-            data,
-            limits,
-            dirty: vec![!0u64; words],
-            last_dirty: NO_PAGE,
-        }
+    /// The most pages this memory may ever hold: the declared maximum,
+    /// capped at the 4 GiB address space.
+    fn max_pages(&self) -> u32 {
+        self.limits.max.unwrap_or(MAX_PAGES).min(MAX_PAGES)
     }
 
     /// Current size in pages.
@@ -135,8 +125,7 @@ impl Memory {
     pub fn grow(&mut self, delta: u32) -> Option<u32> {
         let old = self.size_pages();
         let new = old.checked_add(delta)?;
-        let max = self.limits.max.unwrap_or(MAX_PAGES).min(MAX_PAGES);
-        if new > max {
+        if new > self.max_pages() {
             return None;
         }
         self.data.resize(new as usize * PAGE_SIZE, 0);
@@ -316,14 +305,20 @@ impl Memory {
         Some(())
     }
 
-    /// Resize to exactly `len` bytes (delta application: the recorded
-    /// length was reached through legal growth when the delta was
-    /// captured, so limits are not re-checked). New bytes are zeroed and
-    /// clean — matching the zeroed pages a real grow would have produced.
-    pub(crate) fn resize_raw(&mut self, len: usize) {
-        self.data.resize(len, 0);
+    /// Resize to exactly `len` bytes (delta application). New bytes are
+    /// zeroed and clean — matching the zeroed pages a real grow would have
+    /// produced. `None`, touching nothing, unless `len` is a whole number
+    /// of Wasm pages within the declared limits: a length no legal growth
+    /// could have reached is refused, not allocated.
+    pub(crate) fn resize_raw(&mut self, len: u64) -> Option<()> {
+        let pages = u32::try_from(len / PAGE_SIZE as u64).ok()?;
+        if !len.is_multiple_of(PAGE_SIZE as u64) || pages < self.limits.min || pages > self.max_pages() {
+            return None;
+        }
+        self.data.resize(len as usize, 0);
         self.dirty
             .resize(dirty_words(self.data.len() / DIRTY_PAGE_SIZE), 0);
+        Some(())
     }
 
     /// Read a NUL-terminated string (for host diagnostics).
@@ -441,12 +436,6 @@ mod tests {
         m.restore_from_dirty(&base);
         assert_eq!(m.size_pages(), 1);
         assert_eq!(m.raw_data(), base.raw_data());
-    }
-
-    #[test]
-    fn deserialized_memory_is_fully_dirty() {
-        let m = Memory::from_raw(Limits::at_least(1), vec![0; PAGE_SIZE]);
-        assert_eq!(m.dirty_page_count(), (PAGE_SIZE / DIRTY_PAGE_SIZE) as u64);
     }
 
     #[test]

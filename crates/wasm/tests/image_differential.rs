@@ -8,8 +8,14 @@
 //!    run exactly (results, traps, meter classes, fuel).
 //! 2. `snapshot_delta` → serialize → `from_bytes` → `apply_delta` onto a
 //!    fresh base-state instance must reproduce the full post-run
-//!    `snapshot()` byte-for-byte, including after mid-run out-of-fuel
-//!    traps (the preemption-park case) and after `memory.grow`.
+//!    `snapshot()` exactly, including after mid-run out-of-fuel traps (the
+//!    preemption-park case) and after `memory.grow`; a `full_delta` must
+//!    do the same onto an instance in any state.
+//! 3. The delta parser, the one sealed Wasm image format, refuses mutated
+//!    images (truncation, bit flips, a forged memory length) or yields a
+//!    delta `apply_delta` either refuses or applies within the module's
+//!    declared limits — never a panic, never an allocation the image's
+//!    own length does not pay for.
 //!
 //! The generator family follows `tier_differential.rs` but adds mutable
 //! globals, a function table and a two-page memory so deltas carry every
@@ -113,8 +119,12 @@ fn straightline_from(choices: &[(u8, i32)]) -> Vec<Instr> {
 /// Two-page memory, two mutable globals, a table with one live element —
 /// every component a `SnapshotDelta` carries is present and non-trivial.
 fn build_module(body: Vec<Instr>) -> twine_wasm::Module {
+    build_module_with(Limits::at_least(2), body)
+}
+
+fn build_module_with(memory: Limits, body: Vec<Instr>) -> twine_wasm::Module {
     let mut b = ModuleBuilder::new();
-    b.memory(Limits::at_least(2));
+    b.memory(memory);
     b.table(Limits::at_least(2));
     b.add_global(ValType::I32, true, Value::I32(7));
     b.add_global(ValType::I32, true, Value::I32(-3));
@@ -188,11 +198,7 @@ fn check_image_paths(module: &twine_wasm::Module, tier: ExecTier, fuel: Option<u
     assert!(code.poolable(), "generated modules have no start function");
     let (mut live, base) = fresh_based(&code);
     let (fresh, base2) = fresh_based(&code);
-    assert_eq!(
-        base.to_bytes(),
-        base2.to_bytes(),
-        "base image must be a pure function of the module"
-    );
+    assert_eq!(base, base2, "base image must be a pure function of the module");
     drop(fresh);
 
     let first = observe(&mut live, fuel);
@@ -210,9 +216,15 @@ fn check_image_paths(module: &twine_wasm::Module, tier: ExecTier, fuel: Option<u
     let (mut restored, _) = fresh_based(&code);
     assert!(restored.apply_delta(&rt), "delta fits its own module");
     assert_eq!(
-        restored.snapshot().to_bytes(),
-        full.to_bytes(),
-        "delta restore must reproduce the full post-run snapshot byte-for-byte"
+        restored.snapshot(),
+        full,
+        "delta restore must reproduce the full post-run snapshot exactly"
+    );
+    let whole = live.full_delta();
+    assert_eq!(
+        SnapshotDelta::from_bytes(&whole.to_bytes()).map(|d| d.to_bytes()),
+        Some(whole.to_bytes()),
+        "full delta serialization round-trip"
     );
 
     // Observational equivalence: replaying from the delta-restored state
@@ -227,21 +239,18 @@ fn check_image_paths(module: &twine_wasm::Module, tier: ExecTier, fuel: Option<u
     let delta2 = restored.snapshot_delta(&base);
     let (mut restored2, _) = fresh_based(&code);
     assert!(restored2.apply_delta(&delta2));
-    assert_eq!(
-        restored2.snapshot().to_bytes(),
-        full2.to_bytes(),
-        "second-generation delta restore diverged"
-    );
+    assert_eq!(restored2.snapshot(), full2, "second-generation delta restore diverged");
+
+    // A full delta needs no particular base: applied onto an instance two
+    // generations past it, it lands exactly on the state it was taken of.
+    assert!(restored2.apply_delta(&whole));
+    assert_eq!(restored2.snapshot(), full, "full delta restore diverged");
 
     // --- O(dirty) reset vs full reset vs pristine base.
     live.reset_to_image(&base);
     restored.reset_to(&base);
-    assert_eq!(
-        live.snapshot().to_bytes(),
-        base.to_bytes(),
-        "reset_to_image must land exactly on the base image"
-    );
-    assert_eq!(live.snapshot().to_bytes(), restored.snapshot().to_bytes());
+    assert_eq!(live.snapshot(), base, "reset_to_image must land exactly on the base image");
+    assert_eq!(live.snapshot(), restored.snapshot());
     assert_eq!(live.dirty_page_count(), 0, "reset re-bases the bitmap");
 
     // Replaying after the O(dirty) reset reproduces the original run.
@@ -316,11 +325,7 @@ fn grown_memory_delta_restores_exactly() {
 
         let (mut restored, _) = fresh_based(&code);
         assert!(restored.apply_delta(&delta), "{tier}");
-        assert_eq!(
-            restored.snapshot().to_bytes(),
-            full.to_bytes(),
-            "{tier}: grown-memory delta restore diverged"
-        );
+        assert_eq!(restored.snapshot(), full, "{tier}: grown-memory delta restore diverged");
     }
 }
 
@@ -342,7 +347,7 @@ fn corrupt_delta_images_are_rejected() {
     let good = live.snapshot_delta(&base).to_bytes();
     assert!(SnapshotDelta::from_bytes(&good).is_some());
 
-    // Wrong version byte (a full-image snapshot is not a delta).
+    // Wrong format byte.
     let mut bad = good.clone();
     bad[0] = 1;
     assert!(SnapshotDelta::from_bytes(&bad).is_none());
@@ -354,4 +359,65 @@ fn corrupt_delta_images_are_rejected() {
     let mut padded = good.clone();
     padded.push(0);
     assert!(SnapshotDelta::from_bytes(&padded).is_none());
+}
+
+/// Byte offset of the little-endian `mem_len` in a delta image of a module
+/// with memory: after the format byte and the has-memory flag.
+const MEM_LEN_AT: usize = 2;
+
+/// A mutated image must be refused by the parser, or parse to a delta
+/// that re-encodes to exactly those bytes (the encoding is canonical) and
+/// that `apply_delta` either refuses or applies within the module's
+/// declared memory limits.
+fn assert_refused_or_fits(code: &Arc<twine_wasm::CompiledModule>, image: &[u8], what: &str) {
+    let Some(delta) = SnapshotDelta::from_bytes(image) else {
+        return;
+    };
+    assert_eq!(delta.to_bytes(), image, "{what}: accepted a non-canonical image");
+    let (mut inst, _) = fresh_based(code);
+    if inst.apply_delta(&delta) {
+        let pages = inst.memory().expect("module has memory").size_pages();
+        assert!((2..=4).contains(&pages), "{what}: applied {pages} pages");
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Truncation, bit flips and a forged memory length applied to a real
+    /// delta image of a module whose memory may grow from 2 to 4 pages.
+    #[test]
+    fn mutated_delta_images_are_refused_or_fit(
+        choices in proptest::collection::vec((any::<u8>(), any::<i32>()), 0..40),
+        cut in any::<usize>(),
+        flips in proptest::collection::vec((any::<usize>(), 0u8..8), 1..4),
+        forged in any::<u64>(),
+        page_aligned in any::<bool>(),
+    ) {
+        let module = build_module_with(Limits::bounded(2, 4), straightline_from(&choices));
+        let code = Arc::new(module.into_compiled_tier(ExecTier::Reg).expect("compiles"));
+        let (mut live, base) = fresh_based(&code);
+        let _ = observe(&mut live, Some(2_000));
+        for good in [live.snapshot_delta(&base).to_bytes(), live.full_delta().to_bytes()] {
+            // Every proper prefix is missing a field the header promised.
+            prop_assert!(SnapshotDelta::from_bytes(&good[..cut % good.len()]).is_none());
+
+            let mut flipped = good.clone();
+            for &(at, bit) in &flips {
+                let at = at % flipped.len();
+                flipped[at] ^= 1 << bit;
+            }
+            assert_refused_or_fits(&code, &flipped, "bit flips");
+
+            // A forged length, page-aligned half the time so it reaches
+            // the limit checks: up to 2^17 Wasm pages, twice the 4 GiB cap.
+            let len = if page_aligned { (forged % (1 << 17)) << 16 } else { forged };
+            let mut forged_img = good.clone();
+            forged_img[MEM_LEN_AT..MEM_LEN_AT + 8].copy_from_slice(&len.to_le_bytes());
+            if len > 1 << 32 {
+                prop_assert!(SnapshotDelta::from_bytes(&forged_img).is_none());
+            }
+            assert_refused_or_fits(&code, &forged_img, "forged mem_len");
+        }
+    }
 }

@@ -16,7 +16,7 @@ use twine_wasm::instr::{BlockType, IBinOp, IRelOp, Instr, IntWidth, LoadKind, Me
 use twine_wasm::lower::ExecTier;
 use twine_wasm::meter::InstrClass;
 use twine_wasm::types::{FuncType, Limits, ValType, Value};
-use twine_wasm::{Instance, Linker, Meter, ModuleBuilder, Trap};
+use twine_wasm::{Instance, InstanceSnapshot, Linker, Meter, ModuleBuilder, Trap};
 
 const N_LOCALS: u32 = 4;
 const ALL_TIERS: [ExecTier; 2] = [ExecTier::Baseline, ExecTier::Reg];
@@ -157,9 +157,9 @@ struct RunState {
     page_transitions: u64,
     fuel_left: Option<u64>,
     deadline_left: Option<u64>,
-    /// Serialized memory + globals + table image: the same bytes the
-    /// control plane would seal when parking right after the trap.
-    image: Vec<u8>,
+    /// Memory + globals + table: the state the control plane would park
+    /// right after the trap.
+    image: InstanceSnapshot,
 }
 
 fn compile_all(module: &twine_wasm::Module) -> Vec<Arc<twine_wasm::compile::CompiledModule>> {
@@ -195,7 +195,7 @@ fn run_budgeted(
             page_transitions: meter.page_transitions,
             fuel_left: inst.fuel,
             deadline_left: inst.deadline,
-            image: inst.snapshot().to_bytes(),
+            image: inst.snapshot(),
         },
         meter,
     )
@@ -402,7 +402,7 @@ proptest! {
             .meter_total;
         let deadline = one_iter + extra;
 
-        let mut per_tier: Vec<(usize, Vec<Vec<u8>>, Vec<Value>)> = Vec::new();
+        let mut per_tier: Vec<(usize, Vec<InstanceSnapshot>, Vec<Value>)> = Vec::new();
         for code in &codes {
             let mut inst = Instance::instantiate(Arc::clone(code), Linker::new(), Box::new(()))
                 .expect("instantiate");
@@ -415,7 +415,7 @@ proptest! {
                 match inst.invoke("f", &[]) {
                     Ok(v) => break v,
                     Err(Trap::DeadlineExceeded) => {
-                        images.push(inst.snapshot().to_bytes());
+                        images.push(inst.snapshot());
                     }
                     Err(t) => prop_assert!(false, "unexpected trap {t}"),
                 }
