@@ -479,8 +479,10 @@ fn write_transaction() -> Vec<String> {
 /// file system moves the database's nodes across the boundary — the dirty
 /// data nodes, their Merkle path and the meta node sealed once at the
 /// commit, plus whatever its node cache misses on the way — one OCALL per
-/// node. The rollback journal lives in enclave memory and costs none. Any
-/// change to how many nodes a transaction seals moves this number.
+/// node. Merkle nodes stay resident once verified, and a page the pager
+/// writes whole is not read first (that took 13 to 11). The rollback
+/// journal lives in enclave memory and costs none. Any change to how many
+/// nodes a transaction reads or seals moves this number.
 #[test]
 fn write_transaction_ocalls_are_pinned() {
     let mut svc = write_session();
@@ -488,7 +490,7 @@ fn write_transaction_ocalls_are_pinned() {
     let affected = svc.db_execute_batch("t", &write_transaction()).expect("transaction");
     let ocalls = svc.enclave().stats().ocalls - before;
     assert_eq!(affected, 3);
-    assert_eq!(ocalls, 13, "OCALLs for one write transaction");
+    assert_eq!(ocalls, 11, "OCALLs for one write transaction");
     let shape = svc.db_query("t", "SELECT count(*), min(a), max(a) FROM kv").expect("shape");
     assert_eq!(shape, vec![vec![SqlValue::Int(ROWS), SqlValue::Int(1), SqlValue::Int(ROWS)]]);
 }

@@ -60,7 +60,9 @@ pub const MAX_FILE_SIZE: u64 =
 pub struct PfsOptions {
     /// Stock Intel behaviour or the paper's optimised variant.
     pub mode: PfsMode,
-    /// Node-cache capacity.
+    /// Data-node cache capacity (the SDK's 48 by default). The SDK counts
+    /// MHT nodes among them; here Merkle nodes are resident beside it from
+    /// their first load until the file is closed, ≈ 2 % of the file.
     pub cache_nodes: usize,
     /// Enclave whose boundary (and clock) the file I/O crosses. `Arc` so a
     /// protected file — session state — can be used from any thread of a
@@ -322,7 +324,9 @@ impl<S: UntrustedStorage> SgxFile<S> {
             let d = self.pos / NODE_SIZE as u64;
             let off = (self.pos % NODE_SIZE as u64) as usize;
             let chunk = (NODE_SIZE - off).min(buf.len() - done);
-            self.ensure_loaded(data_phys(d))?;
+            // A chunk of a whole node replaces every byte of it: the old
+            // node is neither read nor verified.
+            self.ensure_cached(data_phys(d), chunk < NODE_SIZE)?;
             let node = self.cache.get(data_phys(d)).expect("just loaded");
             node.plaintext[off..off + chunk].copy_from_slice(&buf[done..done + chunk]);
             node.dirty = true;
@@ -358,30 +362,19 @@ impl<S: UntrustedStorage> SgxFile<S> {
     fn flush_plain(&mut self) -> Result<(), PfsError> {
         // Deepest first: data nodes, then L2, then L1 — parents absorb the
         // children's fresh (key, tag) entries before being flushed. Within
-        // a kind, by physical index: `dirty_nodes` iterates a `HashMap`,
-        // and node keys derive from a per-file counter, so any other order
-        // makes the stored image differ from run to run.
-        loop {
-            let mut dirty = self.cache.dirty_nodes();
-            if dirty.is_empty() {
-                break;
+        // a level, by physical index: node keys derive from a per-file
+        // counter, so any other order (the cache's maps iterate in hash
+        // order) makes the stored image differ from run to run.
+        // Every parent is resident, so no write-back loads or evicts a
+        // node, and a level's dirty set is complete once the level below
+        // has been sealed.
+        for level in 0..3 {
+            for phys in self.cache.dirty_nodes(level) {
+                let (_, mut node) = self.cache.remove(phys).expect("dirty node cached");
+                let sealed = self.write_back(phys, &mut node);
+                self.cache.insert(phys, node);
+                sealed?;
             }
-            dirty.sort_by_key(|&phys| {
-                let rank = match classify(phys) {
-                    NodeKind::Data(_) => 0,
-                    NodeKind::L2(_) => 1,
-                    NodeKind::L1(_) => 2,
-                    NodeKind::Meta => 3,
-                };
-                (rank, phys)
-            });
-            let phys = dirty[0];
-            let (_, mut node) = self.cache.remove(phys).expect("dirty node cached");
-            self.write_back(phys, &mut node)?;
-            while self.cache.is_full() {
-                self.evict_one()?;
-            }
-            self.cache.insert(phys, node);
         }
         if self.meta_dirty {
             self.flush_meta()?;
@@ -572,20 +565,25 @@ impl<S: UntrustedStorage> SgxFile<S> {
 
     /// Load a node into the cache, verifying its Merkle path.
     fn ensure_loaded(&mut self, phys: u64) -> Result<(), PfsError> {
+        self.ensure_cached(phys, true)
+    }
+
+    /// Cache a node and its Merkle path. With `read_old` false the caller
+    /// overwrites every byte of the node, so its old ciphertext is neither
+    /// read nor verified, and its buffer is left as allocated.
+    fn ensure_cached(&mut self, phys: u64, read_old: bool) -> Result<(), PfsError> {
         if self.cache.contains(phys) {
             return Ok(());
         }
         let kind = classify(phys);
+        // Loads the parent, which then stays resident (see `cache`).
         let entry = self.read_parent_entry(kind)?;
-        while self.cache.is_full() {
-            self.evict_one()?;
-            // Writing back a dirty victim updates its entry in its parent,
-            // and loads that parent if need be. When the parent is `phys`,
-            // it is cached now — holding the child's new entry — and must
-            // not be loaded a second time over it.
-            if self.cache.contains(phys) {
-                return Ok(());
+        if let NodeKind::Data(_) = kind {
+            while self.cache.is_full() {
+                self.evict_one()?;
             }
+            // A write-back only updates an entry in a resident parent.
+            debug_assert!(!self.cache.contains(phys), "eviction loaded the node being loaded");
         }
         let (mut pt, mut ct) = self.cache.alloc_bufs();
         if self.opts.mode == PfsMode::Intel {
@@ -596,7 +594,9 @@ impl<S: UntrustedStorage> SgxFile<S> {
                 ct.fill(0);
             });
         }
-        if entry_is_empty(&entry) {
+        if !read_old {
+            // Whatever the recycled buffer holds is overwritten whole.
+        } else if entry_is_empty(&entry) {
             // Never-written node: semantically zero.
             if self.opts.mode == PfsMode::Optimised {
                 self.measure(PfsCategory::Memset, || pt.fill(0));
@@ -698,7 +698,7 @@ impl<S: UntrustedStorage> SgxFile<S> {
 
     /// Evict the LRU node, writing it back first if dirty.
     fn evict_one(&mut self) -> Result<(), PfsError> {
-        if self.opts.journal && self.staging.is_none() && !self.cache.dirty_nodes().is_empty() {
+        if self.opts.journal && self.staging.is_none() && self.cache.has_dirty() {
             // A dirty eviction outside a transaction would leak a
             // mid-sequence home write the journal cannot roll back. Flush
             // the whole dirty set as one journalled transaction first;

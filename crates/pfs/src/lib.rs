@@ -21,8 +21,10 @@
 //! ```
 //!
 //! Every node is encrypted with AES-GCM (Intel mode) under a key used
-//! exactly once, so the fixed zero nonce is safe. Decrypted nodes live in a
-//! bounded LRU cache (default 48 nodes, the SDK's default).
+//! exactly once, so the fixed zero nonce is safe. Decrypted data nodes live
+//! in a bounded LRU cache (default 48 nodes, the SDK's default); Merkle
+//! nodes stay in enclave memory from their first verified load until the
+//! file is closed (see [`cache`]).
 //!
 //! ## The two modes of §V-F
 //!
@@ -37,6 +39,16 @@
 //!   buffer using **AES-CCM** (MAC-then-encrypt: the MAC is verified over
 //!   plaintext already inside the enclave), eliminating the copy.
 //!
+//! Two departures from the SDK hold in both modes, because they follow from
+//! what the code can see (a node's kind, a write's extent), not from a
+//! mode: MHT nodes are resident instead of being counted among the 48
+//! cached nodes, where data nodes used to evict them; and a write that
+//! covers a whole aligned data node installs a fresh buffer instead of
+//! reading and verifying the node it replaces. What Intel mode keeps stock
+//! is the per-node work the paper profiles — the memsets, the edge copy
+//! and GCM — so a cold random read now pays it for about one node instead
+//! of one and a half.
+//!
 //! The profiler ([`PfsProfiler`]) attributes time to the same categories as
 //! the paper's Figure 7 (memset / OCALL / read / crypto), so the breakdown
 //! and the ~4× random-read speedup are *measured*, not asserted.
@@ -47,7 +59,9 @@
 //! meta and entry tampering). Exactly like real IPFS, **rollback is not
 //! detected** — swapping the whole file for an older version passes
 //! verification (§IV-D lists this as a known limitation; a test documents
-//! it).
+//! it). While a file is open, a stale node fails its parent's tag — the
+//! entry changes with every write-back — and an MHT node is never read
+//! from the host again after its first verified load.
 //!
 //! **Dependency graph**: builds on `twine-crypto` (AES-GCM/CCM) and
 //! `twine-sgx` (boundary-cost accounting). Consumed by `twine-core`'s
@@ -80,7 +94,8 @@ pub const ENTRIES_PER_L1: u64 = 100;
 /// 100 × 100 × 96 × 4 KiB ≈ 3.7 GiB).
 pub const META_L1_ENTRIES: u64 = 100;
 
-/// Default node-cache capacity (the SDK default).
+/// Default node-cache capacity (the SDK default), in data nodes: Merkle
+/// nodes are resident beside them (see [`cache`]).
 pub const DEFAULT_CACHE_NODES: usize = 48;
 
 /// Cipher/layout mode of the protected file system.
@@ -90,9 +105,12 @@ pub const DEFAULT_CACHE_NODES: usize = 48;
 /// behind one switch so every experiment can run either way.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PfsMode {
-    /// Stock Intel SDK behaviour: nodes are cleared before reuse, node
-    /// contents cross the enclave boundary through an extra bounce-buffer
-    /// copy, and every 4 KiB node is sealed with AES-GCM.
+    /// Stock Intel SDK behaviour for the work done per node: nodes are
+    /// cleared before reuse, node contents cross the enclave boundary
+    /// through an extra bounce-buffer copy, and every 4 KiB node is sealed
+    /// with AES-GCM. Not stock, in either mode: the SDK counts MHT nodes in
+    /// its 48-node cache and reads a node before any write to it; here MHT
+    /// nodes are resident and a whole-node write reads nothing.
     Intel,
     /// The paper's §V-F optimised behaviour: redundant clears removed,
     /// zero-copy node access, and AES-CCM (MAC-then-encrypt over data that

@@ -109,6 +109,19 @@ pub fn classify(phys: u64) -> NodeKind {
     }
 }
 
+/// A node's level in the tree, counted from the leaves: data 0, L2 1, L1 2,
+/// meta 3. A flush seals level by level from 0 up, so that every parent
+/// absorbs its children's fresh entries before it is sealed itself.
+#[must_use]
+pub fn level(phys: u64) -> u8 {
+    match classify(phys) {
+        NodeKind::Data(_) => 0,
+        NodeKind::L2(_) => 1,
+        NodeKind::L1(_) => 2,
+        NodeKind::Meta => 3,
+    }
+}
+
 /// Where a node's Merkle entry lives.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ParentLoc {
