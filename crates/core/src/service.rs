@@ -1566,3 +1566,55 @@ fn base_snapshot(compiled: &CompiledModule, instance: &Instance) -> Arc<Instance
         Arc::new(instance.snapshot())
     }
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The format-3 freshness wrapper under mutation: around a real delta
+    /// image and around a DB manifest, every truncation is refused, every
+    /// single-bit flip decodes or is refused without a panic, and a wrapper
+    /// spliced onto another payload decodes as that payload.
+    #[test]
+    fn mutated_freshness_wrapped_images_decode_or_are_refused() {
+        let src = "int n; int step(int x) { n = n * 31 + x; return n; }";
+        let wasm = twine_minicc::compile_to_bytes(src).expect("compiles");
+        let code = Arc::new(CompiledModule::from_bytes(&wasm).expect("valid module"));
+        let mut inst =
+            Instance::instantiate(code, Linker::new(), Box::new(())).expect("instantiates");
+        let base = inst.snapshot();
+        inst.clear_dirty();
+        inst.invoke("step", &[Value::I32(7)]).expect("runs");
+        let delta = wrap_freshness(Some(41), inst.snapshot_delta(&base).to_bytes());
+        assert!(matches!(decode_image(&delta), Some((Some(41), Image::Wasm(_)))));
+
+        let path = [&4u32.to_le_bytes()[..], b"t.db"].concat();
+        let manifest = [
+            &[DB_MANIFEST_FORMAT][..],
+            &path,
+            &1u32.to_le_bytes(),
+            &path,
+            &3u64.to_le_bytes(),
+            b"abc",
+        ]
+        .concat();
+        let wrapped = wrap_freshness(Some(42), manifest.clone());
+        assert!(matches!(decode_image(&wrapped), Some((Some(42), Image::Db(_)))));
+
+        for image in [&delta, &wrapped] {
+            for cut in 0..image.len() {
+                assert!(decode_image(&image[..cut]).is_none(), "prefix of {cut} bytes decoded");
+            }
+            for bit in 0..image.len() * 8 {
+                let mut flipped = image.clone();
+                flipped[bit / 8] ^= 1 << (bit % 8);
+                let _ = decode_image(&flipped);
+            }
+        }
+        // The Wasm image's wrapper spliced onto the manifest.
+        let spliced = [&delta[..9], &manifest[..]].concat();
+        assert!(matches!(decode_image(&spliced), Some((Some(41), Image::Db(_)))));
+        // A wrapper is never a payload.
+        assert!(decode_image(&wrap_freshness(Some(1), wrapped)).is_none());
+    }
+}

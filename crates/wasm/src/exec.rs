@@ -14,7 +14,7 @@ use crate::compile::{BranchTarget, CompiledModule, Op};
 use crate::instr::{FBinOp, FRelOp, FUnOp, FloatWidth, IBinOp, IRelOp, IUnOp, IntWidth};
 use crate::instr::{CvtOp, LoadKind, StoreKind};
 use crate::lower::ExecTier;
-use crate::memory::Memory;
+use crate::memory::{Memory, DIRTY_PAGE_SIZE};
 use crate::meter::Meter;
 use crate::module::ImportDesc;
 use crate::regalloc::RegOp;
@@ -322,17 +322,18 @@ impl PartialEq for InstanceSnapshot {
     }
 }
 
-/// The page-granular difference between an instance's current state and a
-/// base [`InstanceSnapshot`]: only the 4 KiB pages whose contents actually
-/// changed, plus the (small) globals and table in full and the memory
-/// length at capture time.
+/// The difference between an instance's current state and a base
+/// [`InstanceSnapshot`]: runs of changed bytes inside the 4 KiB pages
+/// whose contents actually changed, plus the (small) globals and table in
+/// full and the memory length at capture time.
 ///
 /// Captured with [`Instance::snapshot_delta`] and replayed with
 /// [`Instance::apply_delta`] onto an instance sitting at the base state.
 /// This is the one image a control plane seals when parking a session:
-/// against a module's shared base image only the dirty working set crosses
-/// the enclave boundary, and a module whose base cannot be rebuilt carries
-/// every page instead ([`Instance::full_delta`]).
+/// against a module's shared base image only the changed words of the
+/// dirty working set cross the enclave boundary, and a module whose base
+/// cannot be rebuilt carries every page whole instead
+/// ([`Instance::full_delta`]).
 #[derive(Clone, Debug)]
 pub struct SnapshotDelta {
     /// Memory length in bytes at capture (`None` = module has no memory).
@@ -340,26 +341,107 @@ pub struct SnapshotDelta {
     /// first, so never-written grown pages come back zeroed, exactly as
     /// `memory.grow` produced them.
     mem_len: Option<u64>,
-    /// Ascending 4 KiB page indices that differ from the base.
-    pages: Vec<u64>,
-    /// Concatenated page contents, `pages.len() * 4096` bytes.
+    /// Runs of changed bytes, ascending and disjoint, none crossing a
+    /// 4 KiB page.
+    runs: Vec<Run>,
+    /// Concatenated run contents, the sum of the runs' lengths in bytes.
     bytes: Vec<u8>,
     globals: Vec<u64>,
     table: Vec<Option<u32>>,
 }
 
+/// One run of a [`SnapshotDelta`]: `len` bytes at `offset` within 4 KiB
+/// page `page`.
+#[derive(Clone, Copy, Debug)]
+struct Run {
+    page: u64,
+    offset: u16,
+    len: u16,
+}
+
+/// Serialized size of a run header: page (u64), offset (u16), length
+/// (u16). Capture merges two runs whose gap is shorter than this, since
+/// carrying the gap's bytes then costs less than a second header.
+const RUN_HEADER: usize = 12;
+
+impl Run {
+    /// Address of the run's first byte in linear memory.
+    fn start(self) -> u64 {
+        self.page * DIRTY_PAGE_SIZE as u64 + u64::from(self.offset)
+    }
+}
+
+/// What a page past the base image's length held before it was written:
+/// `memory.grow` zero-fills it, and so does the resize on apply.
+static ZERO_PAGE: [u8; DIRTY_PAGE_SIZE] = [0; DIRTY_PAGE_SIZE];
+
+/// Bytes [`diff_page`] screens at once before comparing word by word.
+const DIFF_BLOCK: usize = 64;
+
+/// Append to `runs`/`bytes` the runs of 8-byte words in which page `page`
+/// (`cur`) differs from the same page of the base image (`old`). Two runs
+/// whose gap is shorter than [`RUN_HEADER`] become one.
+fn diff_page(page: u64, cur: &[u8], old: &[u8], runs: &mut Vec<Run>, bytes: &mut Vec<u8>) {
+    let word = |w: &[u8]| u64::from_le_bytes(w.try_into().expect("8-byte chunk"));
+    let mut emit = |start: usize, end: usize| {
+        runs.push(Run {
+            page,
+            offset: start as u16,
+            len: (end - start) as u16,
+        });
+        bytes.extend_from_slice(&cur[start..end]);
+    };
+    // The open run, as a byte range of the page.
+    let mut open: Option<(usize, usize)> = None;
+    let blocks = cur.chunks_exact(DIFF_BLOCK).zip(old.chunks_exact(DIFF_BLOCK));
+    for (b, (cb, ob)) in blocks.enumerate() {
+        // Branch-free (vectorizable) screen of a whole block; few differ.
+        if cb.iter().zip(ob).fold(0, |acc, (c, o)| acc | (c ^ o)) == 0 {
+            continue;
+        }
+        for (i, (c, o)) in cb.chunks_exact(8).zip(ob.chunks_exact(8)).enumerate() {
+            if word(c) == word(o) {
+                continue;
+            }
+            let at = b * DIFF_BLOCK + i * 8;
+            open = match open {
+                Some((start, end)) if at - end < RUN_HEADER => Some((start, at + 8)),
+                Some((start, end)) => {
+                    emit(start, end);
+                    Some((at, at + 8))
+                }
+                None => Some((at, at + 8)),
+            };
+        }
+    }
+    if let Some((start, end)) = open {
+        emit(start, end);
+    }
+}
+
 impl SnapshotDelta {
-    /// Number of 4 KiB pages carried by the delta.
+    /// Number of distinct 4 KiB pages the delta's runs touch.
     #[must_use]
     pub fn page_count(&self) -> usize {
-        self.pages.len()
+        let changes = self.runs.windows(2).filter(|w| w[0].page != w[1].page).count();
+        changes + usize::from(!self.runs.is_empty())
+    }
+
+    /// The carried runs in ascending order, as `(page, offset, len)`: `len`
+    /// bytes at byte `offset` of 4 KiB page `page`.
+    pub fn runs(&self) -> impl Iterator<Item = (u64, usize, usize)> + '_ {
+        self.runs
+            .iter()
+            .map(|r| (r.page, usize::from(r.offset), usize::from(r.len)))
     }
 
     /// Serialize to a self-contained byte image (format byte 2, the tag a
-    /// control plane's image decoder dispatches on).
+    /// control plane's image decoder dispatches on): the memory length,
+    /// each run's header (page u64, offset u16, length u16) followed by its
+    /// bytes, then globals and table, all little-endian.
     #[must_use]
     pub fn to_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(self.bytes.len() + 64);
+        let mut out = Vec::with_capacity(self.bytes.len() + RUN_HEADER * self.runs.len() + 64);
         out.push(2u8); // format version: delta image
         match self.mem_len {
             None => out.push(0),
@@ -368,11 +450,16 @@ impl SnapshotDelta {
                 out.extend_from_slice(&len.to_le_bytes());
             }
         }
-        out.extend_from_slice(&(self.pages.len() as u64).to_le_bytes());
-        for p in &self.pages {
-            out.extend_from_slice(&p.to_le_bytes());
+        out.extend_from_slice(&(self.runs.len() as u64).to_le_bytes());
+        let mut off = 0;
+        for run in &self.runs {
+            out.extend_from_slice(&run.page.to_le_bytes());
+            out.extend_from_slice(&run.offset.to_le_bytes());
+            out.extend_from_slice(&run.len.to_le_bytes());
+            let len = usize::from(run.len);
+            out.extend_from_slice(&self.bytes[off..off + len]);
+            off += len;
         }
-        out.extend_from_slice(&self.bytes);
         out.extend_from_slice(&(self.globals.len() as u64).to_le_bytes());
         for g in &self.globals {
             out.extend_from_slice(&g.to_le_bytes());
@@ -387,9 +474,10 @@ impl SnapshotDelta {
     /// Reconstruct a delta serialized by [`SnapshotDelta::to_bytes`].
     /// Returns `None` on any structural corruption: bad version, a memory
     /// length that is not a whole number of Wasm pages or exceeds the
-    /// 4 GiB Wasm limit, page indices that are not strictly ascending or
-    /// point past the recorded length, truncation, or trailing bytes. No
-    /// allocation is sized by a count larger than the input could hold.
+    /// 4 GiB Wasm limit, a run that is empty, crosses its 4 KiB page, lies
+    /// past the recorded length or does not start after the end of the run
+    /// before it, truncation, or trailing bytes. No allocation is sized by
+    /// a count larger than the input could hold.
     #[must_use]
     pub fn from_bytes(bytes: &[u8]) -> Option<Self> {
         struct Rd<'a>(&'a [u8]);
@@ -399,15 +487,14 @@ impl SnapshotDelta {
                 self.0 = rest;
                 Some(b)
             }
+            fn u16(&mut self) -> Option<u16> {
+                Some(u16::from_le_bytes(self.take(2)?.try_into().ok()?))
+            }
             fn u32(&mut self) -> Option<u32> {
-                let (head, rest) = self.0.split_at_checked(4)?;
-                self.0 = rest;
-                Some(u32::from_le_bytes(head.try_into().ok()?))
+                Some(u32::from_le_bytes(self.take(4)?.try_into().ok()?))
             }
             fn u64(&mut self) -> Option<u64> {
-                let (head, rest) = self.0.split_at_checked(8)?;
-                self.0 = rest;
-                Some(u64::from_le_bytes(head.try_into().ok()?))
+                Some(u64::from_le_bytes(self.take(8)?.try_into().ok()?))
             }
             fn take(&mut self, n: usize) -> Option<&[u8]> {
                 let (head, rest) = self.0.split_at_checked(n)?;
@@ -437,22 +524,30 @@ impl SnapshotDelta {
             }
             _ => return None,
         };
-        // Each carried page costs its 8-byte index plus its contents.
-        let n_pages = rd.count(8 + crate::memory::DIRTY_PAGE_SIZE)?;
-        let page_budget =
-            mem_len.unwrap_or(0) / crate::memory::DIRTY_PAGE_SIZE as u64;
-        if n_pages as u64 > page_budget {
-            return None;
-        }
-        let mut pages = Vec::with_capacity(n_pages);
-        for _ in 0..n_pages {
-            let p = rd.u64()?;
-            if p >= page_budget || pages.last().is_some_and(|&last| p <= last) {
+        let page_budget = mem_len.unwrap_or(0) / DIRTY_PAGE_SIZE as u64;
+        // Each run costs its header plus at least one byte.
+        let n_runs = rd.count(RUN_HEADER + 1)?;
+        let mut runs = Vec::with_capacity(n_runs);
+        let mut data = Vec::new();
+        // First address past the previous run.
+        let mut end = 0;
+        for _ in 0..n_runs {
+            let run = Run {
+                page: rd.u64()?,
+                offset: rd.u16()?,
+                len: rd.u16()?,
+            };
+            if run.len == 0
+                || usize::from(run.offset) + usize::from(run.len) > DIRTY_PAGE_SIZE
+                || run.page >= page_budget
+                || run.start() < end
+            {
                 return None;
             }
-            pages.push(p);
+            end = run.start() + u64::from(run.len);
+            data.extend_from_slice(rd.take(usize::from(run.len))?);
+            runs.push(run);
         }
-        let data = rd.take(n_pages * crate::memory::DIRTY_PAGE_SIZE)?.to_vec();
         let n_globals = rd.count(8)?;
         let mut globals = Vec::with_capacity(n_globals);
         for _ in 0..n_globals {
@@ -469,7 +564,7 @@ impl SnapshotDelta {
         }
         Some(Self {
             mem_len,
-            pages,
+            runs,
             bytes: data,
             globals,
             table,
@@ -746,32 +841,34 @@ impl Instance {
     /// Capture the difference between the current state and `base` as a
     /// [`SnapshotDelta`], touching only dirty pages. Pages the bitmap
     /// over-approximates (marked but byte-identical to the base) are
-    /// compared and skipped, so the delta is minimal even after churny
-    /// write patterns. `base` must be the snapshot the bitmap was last
-    /// re-based against ([`Instance::clear_dirty`]).
+    /// compared and skipped; within a changed page only the runs of
+    /// changed 8-byte words travel, so the delta is minimal even after
+    /// churny write patterns. A page past the base's length is compared
+    /// against zeros, which is what `memory.grow` left there. `base` must
+    /// be the snapshot the bitmap was last re-based against
+    /// ([`Instance::clear_dirty`]).
     #[must_use]
     pub fn snapshot_delta(&self, base: &InstanceSnapshot) -> SnapshotDelta {
-        let mut pages = Vec::new();
+        let mut runs = Vec::new();
         let mut bytes = Vec::new();
         if let Some(mem) = self.memory.as_ref() {
             for p in mem.dirty_pages() {
                 let cur = mem
                     .dirty_page_bytes(p)
                     .expect("dirty bitmap only covers in-bounds pages");
-                let unchanged = base
+                let old = base
                     .memory
                     .as_ref()
                     .and_then(|img| img.dirty_page_bytes(p))
-                    .is_some_and(|img_page| img_page == cur);
-                if !unchanged {
-                    pages.push(p);
-                    bytes.extend_from_slice(cur);
+                    .unwrap_or(&ZERO_PAGE);
+                if old != cur {
+                    diff_page(p, cur, old, &mut runs, &mut bytes);
                 }
             }
         }
         SnapshotDelta {
             mem_len: self.memory.as_ref().map(|m| m.size_bytes() as u64),
-            pages,
+            runs,
             bytes,
             globals: self.globals.clone(),
             table: self.table.clone(),
@@ -779,15 +876,22 @@ impl Instance {
     }
 
     /// The whole current state as a [`SnapshotDelta`] that carries every
-    /// 4 KiB page, so applying it onto *any* instance of the module
-    /// reproduces this one. The park image of a module with a start
-    /// function, whose base state cannot be rebuilt after a restart.
+    /// 4 KiB page as one whole-page run, so applying it onto *any* instance
+    /// of the module reproduces this one. The park image of a module with a
+    /// start function, whose base state cannot be rebuilt after a restart.
     #[must_use]
     pub fn full_delta(&self) -> SnapshotDelta {
         let bytes = self.memory.as_ref().map_or_else(Vec::new, |m| m.raw_data().to_vec());
+        let runs = (0..(bytes.len() / DIRTY_PAGE_SIZE) as u64)
+            .map(|page| Run {
+                page,
+                offset: 0,
+                len: DIRTY_PAGE_SIZE as u16,
+            })
+            .collect();
         SnapshotDelta {
             mem_len: self.memory.as_ref().map(|m| m.size_bytes() as u64),
-            pages: (0..(bytes.len() / crate::memory::DIRTY_PAGE_SIZE) as u64).collect(),
+            runs,
             bytes,
             globals: self.globals.clone(),
             table: self.table.clone(),
@@ -795,14 +899,17 @@ impl Instance {
     }
 
     /// Replay a [`SnapshotDelta`] onto an instance sitting at the delta's
-    /// base state: resize memory to the recorded length, overwrite the
-    /// carried pages (marking them dirty — they differ from the base
-    /// again), and install globals and table. Clears the meter, like the
-    /// reset paths. Returns `false` without touching anything if the delta
-    /// does not fit the module's shape: it carries memory the instance
-    /// lacks (or the reverse), a memory length outside the declared
-    /// limits, or another number of globals or table slots — impossible
-    /// through the sealed-park path, which keys deltas to their module.
+    /// base state: resize memory to the recorded length, write each carried
+    /// run (marking its page dirty — it differs from the base again), and
+    /// install globals and table. Bytes outside the runs are left as they
+    /// are, which is why the instance must sit at the base state (a
+    /// [`SnapshotDelta`] from [`Instance::full_delta`] covers every byte
+    /// and applies onto any state). Clears the meter, like the reset
+    /// paths. Returns `false` without touching anything if the delta does
+    /// not fit the module's shape: it carries memory the instance lacks
+    /// (or the reverse), a memory length outside the declared limits, or
+    /// another number of globals or table slots — impossible through the
+    /// sealed-park path, which keys deltas to their module.
     #[must_use]
     pub fn apply_delta(&mut self, delta: &SnapshotDelta) -> bool {
         if delta.globals.len() != self.globals.len() || delta.table.len() != self.table.len() {
@@ -815,12 +922,18 @@ impl Instance {
                     return false;
                 }
                 let mut off = 0;
-                for &p in &delta.pages {
-                    let page = &delta.bytes[off..off + crate::memory::DIRTY_PAGE_SIZE];
-                    if mem.write_dirty_page(p, page).is_none() {
+                for run in &delta.runs {
+                    // `from_bytes` keeps every run inside `mem_len`, so the
+                    // address fits the 4 GiB Wasm space.
+                    let Some(dst) = u32::try_from(run.start())
+                        .ok()
+                        .and_then(|addr| mem.slice_mut(addr, u32::from(run.len)))
+                    else {
                         return false;
-                    }
-                    off += crate::memory::DIRTY_PAGE_SIZE;
+                    };
+                    let len = usize::from(run.len);
+                    dst.copy_from_slice(&delta.bytes[off..off + len]);
+                    off += len;
                 }
             }
             _ => return false,

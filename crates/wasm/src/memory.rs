@@ -294,17 +294,6 @@ impl Memory {
         self.data.get(off..off + DIRTY_PAGE_SIZE)
     }
 
-    /// Overwrite 4 KiB page `page` and mark it dirty (delta application).
-    /// The caller validated bounds; returns `None` if they lied.
-    pub(crate) fn write_dirty_page(&mut self, page: u64, bytes: &[u8]) -> Option<()> {
-        let off = usize::try_from(page).ok()?.checked_mul(DIRTY_PAGE_SIZE)?;
-        self.data
-            .get_mut(off..off + DIRTY_PAGE_SIZE)?
-            .copy_from_slice(bytes);
-        self.mark_dirty(off, DIRTY_PAGE_SIZE);
-        Some(())
-    }
-
     /// Resize to exactly `len` bytes (delta application). New bytes are
     /// zeroed and clean — matching the zeroed pages a real grow would have
     /// produced. `None`, touching nothing, unless `len` is a whole number
@@ -318,6 +307,8 @@ impl Memory {
         self.data.resize(len as usize, 0);
         self.dirty
             .resize(dirty_words(self.data.len() / DIRTY_PAGE_SIZE), 0);
+        // A shrink may have dropped the cached page's bit.
+        self.last_dirty = NO_PAGE;
         Some(())
     }
 
@@ -436,6 +427,20 @@ mod tests {
         m.restore_from_dirty(&base);
         assert_eq!(m.size_pages(), 1);
         assert_eq!(m.raw_data(), base.raw_data());
+    }
+
+    #[test]
+    fn writes_after_a_shrinking_resize_are_marked_dirty() {
+        let mut m = Memory::new(Limits::bounded(4, 5));
+        m.grow(1).unwrap();
+        // 4 KiB page 70 lives in the second bitmap word, which the shrink
+        // below drops along with the page.
+        let addr = 70 * DIRTY_PAGE_SIZE as u32;
+        m.write::<4>(addr, 0, [1; 4]).unwrap();
+        m.resize_raw(4 * PAGE_SIZE as u64).unwrap();
+        m.grow(1).unwrap();
+        m.write::<4>(addr, 0, [2; 4]).unwrap();
+        assert_eq!(m.dirty_pages(), vec![70]);
     }
 
     #[test]

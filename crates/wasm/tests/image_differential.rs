@@ -12,10 +12,13 @@
 //!    preemption-park case) and after `memory.grow`; a `full_delta` must
 //!    do the same onto an instance in any state.
 //! 3. The delta parser, the one sealed Wasm image format, refuses mutated
-//!    images (truncation, bit flips, a forged memory length) or yields a
-//!    delta `apply_delta` either refuses or applies within the module's
-//!    declared limits — never a panic, never an allocation the image's
-//!    own length does not pay for.
+//!    images (truncation, bit flips, a forged memory length, forged runs)
+//!    or yields a delta `apply_delta` either refuses or applies within the
+//!    module's declared limits — never a panic, never an allocation the
+//!    image's own length does not pay for.
+//! 4. A delta carries runs of changed words, not whole pages: exact run
+//!    layouts for single stores, stores of the old value, page-straddling
+//!    stores, writes into grown pages and nearby writes that merge.
 //!
 //! The generator family follows `tier_differential.rs` but adds mutable
 //! globals, a function table and a two-page memory so deltas carry every
@@ -329,6 +332,83 @@ fn grown_memory_delta_restores_exactly() {
     }
 }
 
+/// Park a fresh base-state instance of `body` after one run, check that
+/// `apply_delta ∘ from_bytes ∘ to_bytes` reproduces the live snapshot,
+/// and return the delta with the number of pages the run dirtied.
+fn park_once(body: Vec<Instr>, tier: ExecTier) -> (SnapshotDelta, u64) {
+    let code = Arc::new(build_module(body).into_compiled_tier(tier).expect("compiles"));
+    let (mut live, base) = fresh_based(&code);
+    observe(&mut live, None).result.expect("runs clean");
+    let delta = live.snapshot_delta(&base);
+    let parsed = SnapshotDelta::from_bytes(&delta.to_bytes()).expect("round-trips");
+    let (mut restored, _) = fresh_based(&code);
+    assert!(restored.apply_delta(&parsed), "{tier}");
+    assert_eq!(restored.snapshot(), live.snapshot(), "{tier}: delta restore diverged");
+    (delta, live.dirty_page_count())
+}
+
+/// Store the 32-bit `value` at byte address `addr`.
+fn store_i32(addr: i32, value: i32) -> [Instr; 3] {
+    [
+        Instr::Const(Value::I32(addr)),
+        Instr::Const(Value::I32(value)),
+        Instr::Store(StoreKind::I32, MemArg::offset(0)),
+    ]
+}
+
+/// A delta carries the changed 8-byte words of each dirty page, not the
+/// page: `(page, offset, len)` runs, merged across gaps shorter than a run
+/// header, compared against zeros past the base image's length.
+#[test]
+fn sub_page_deltas_carry_only_changed_words() {
+    for tier in ALL_TIERS {
+        // One `i32.store` changes one word: one 8-byte run.
+        let (d, _) = park_once(store_i32(100, 0x1234).to_vec(), tier);
+        assert_eq!(d.runs().collect::<Vec<_>>(), [(0, 96, 8)], "{tier}");
+        assert_eq!(d.page_count(), 1, "{tier}");
+
+        // Storing the old value back leaves the page dirty, but nothing
+        // differs from the base: no run, no page.
+        let body = [store_i32(100, 7), store_i32(100, 0)].concat();
+        let (d, dirty) = park_once(body, tier);
+        assert_eq!(dirty, 1, "{tier}: the page stays dirty");
+        assert_eq!(d.runs().count(), 0, "{tier}");
+        assert_eq!(d.page_count(), 0, "{tier}");
+
+        // A store straddling two 4 KiB pages: one run in each.
+        let body = vec![
+            Instr::Const(Value::I32(4092)),
+            Instr::Const(Value::I64(-1)),
+            Instr::Store(StoreKind::I64, MemArg::offset(0)),
+        ];
+        let (d, _) = park_once(body, tier);
+        assert_eq!(d.runs().collect::<Vec<_>>(), [(0, 4088, 8), (1, 0, 8)], "{tier}");
+        assert_eq!(d.page_count(), 2, "{tier}");
+
+        // One write into a `memory.grow`n page is compared against the
+        // zeros the grow left there: one run, in 4 KiB page 32 (the first
+        // page of the third Wasm page).
+        let mut body = vec![
+            Instr::Const(Value::I32(1)),
+            Instr::MemoryGrow,
+            Instr::Drop,
+        ];
+        body.extend(store_i32(2 * 65536 + 40, -5));
+        let (d, _) = park_once(body, tier);
+        assert_eq!(d.runs().collect::<Vec<_>>(), [(32, 40, 8)], "{tier}");
+
+        // Words 8 bytes apart (one unchanged word between them) merge:
+        // carrying the gap is cheaper than a second 12-byte run header.
+        let body = [store_i32(0, 1), store_i32(16, 2)].concat();
+        let (d, _) = park_once(body, tier);
+        assert_eq!(d.runs().collect::<Vec<_>>(), [(0, 0, 24)], "{tier}");
+        // A 16-byte gap costs more than a header: two runs.
+        let body = [store_i32(0, 1), store_i32(24, 2)].concat();
+        let (d, _) = park_once(body, tier);
+        assert_eq!(d.runs().collect::<Vec<_>>(), [(0, 0, 8), (0, 24, 8)], "{tier}");
+    }
+}
+
 /// Corrupt delta images must be rejected structurally, never applied.
 #[test]
 fn corrupt_delta_images_are_rejected() {
@@ -365,6 +445,37 @@ fn corrupt_delta_images_are_rejected() {
 /// with memory: after the format byte and the has-memory flag.
 const MEM_LEN_AT: usize = 2;
 
+/// Byte offset of the run count in a delta image of a module with memory.
+const RUNS_AT: usize = MEM_LEN_AT + 8;
+
+/// A run header as written in an image: `(page, offset, len)`.
+type RunHeader = (u64, u16, u16);
+
+/// `image` with its runs replaced by `runs`, each carrying `len` bytes of
+/// `0xA5`, keeping its memory length, globals and table.
+fn with_runs(image: &[u8], runs: &[RunHeader]) -> Vec<u8> {
+    let read = |at: usize, n: usize| {
+        let mut le = [0u8; 8];
+        le[..n].copy_from_slice(&image[at..at + n]);
+        u64::from_le_bytes(le) as usize
+    };
+    // Skip the image's own runs: a 12-byte header, then `len` bytes.
+    let mut tail = RUNS_AT + 8;
+    for _ in 0..read(RUNS_AT, 8) {
+        tail += 12 + read(tail + 10, 2);
+    }
+    let mut out = image[..RUNS_AT].to_vec();
+    out.extend_from_slice(&(runs.len() as u64).to_le_bytes());
+    for &(page, offset, len) in runs {
+        out.extend_from_slice(&page.to_le_bytes());
+        out.extend_from_slice(&offset.to_le_bytes());
+        out.extend_from_slice(&len.to_le_bytes());
+        out.extend(std::iter::repeat_n(0xA5, usize::from(len)));
+    }
+    out.extend_from_slice(&image[tail..]);
+    out
+}
+
 /// A mutated image must be refused by the parser, or parse to a delta
 /// that re-encodes to exactly those bytes (the encoding is canonical) and
 /// that `apply_delta` either refuses or applies within the module's
@@ -384,8 +495,9 @@ fn assert_refused_or_fits(code: &Arc<twine_wasm::CompiledModule>, image: &[u8], 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// Truncation, bit flips and a forged memory length applied to a real
-    /// delta image of a module whose memory may grow from 2 to 4 pages.
+    /// Truncation, bit flips, a forged memory length and forged runs
+    /// applied to a real delta image of a module whose memory may grow
+    /// from 2 to 4 pages.
     #[test]
     fn mutated_delta_images_are_refused_or_fit(
         choices in proptest::collection::vec((any::<u8>(), any::<i32>()), 0..40),
@@ -393,6 +505,10 @@ proptest! {
         flips in proptest::collection::vec((any::<usize>(), 0u8..8), 1..4),
         forged in any::<u64>(),
         page_aligned in any::<bool>(),
+        run_page in 0u64..31,
+        run_offset in 0u16..4096,
+        run_len in 1u16..=4096,
+        past in any::<u64>(),
     ) {
         let module = build_module_with(Limits::bounded(2, 4), straightline_from(&choices));
         let code = Arc::new(module.into_compiled_tier(ExecTier::Reg).expect("compiles"));
@@ -418,6 +534,37 @@ proptest! {
                 prop_assert!(SnapshotDelta::from_bytes(&forged_img).is_none());
             }
             assert_refused_or_fits(&code, &forged_img, "forged mem_len");
+
+            // Forged runs. Memory is at least two Wasm pages (32 4 KiB
+            // pages), so `run_page + 1` is in bounds and a run that stays
+            // in its page is accepted: each refusal below is the rule its
+            // forgery breaks, not a bad splice.
+            let fits = run_len.min(4096 - run_offset);
+            let ok = with_runs(&good, &[(run_page, run_offset, fits)]);
+            prop_assert!(SnapshotDelta::from_bytes(&ok).is_some(), "well-formed run refused");
+            assert_refused_or_fits(&code, &ok, "well-formed run");
+            let mem_len = u64::from_le_bytes(good[MEM_LEN_AT..RUNS_AT].try_into().unwrap());
+            let pages = mem_len / 4096;
+            let forgeries: [(&str, Vec<RunHeader>); 6] = [
+                ("zero length", vec![(run_page, run_offset, 0)]),
+                ("page-crossing", vec![(run_page, run_offset, 4096 - run_offset + run_len)]),
+                (
+                    "overlapping",
+                    vec![(run_page, 0, run_len), (run_page, run_len - 1, 1)],
+                ),
+                (
+                    "descending",
+                    vec![(run_page + 1, 0, 8), (run_page, run_offset, fits)],
+                ),
+                ("past mem_len", vec![(pages + past % 64, 0, 8)]),
+                ("far past mem_len", vec![(pages.saturating_add(past), 0, 8)]),
+            ];
+            for (what, runs) in forgeries {
+                prop_assert!(
+                    SnapshotDelta::from_bytes(&with_runs(&good, &runs)).is_none(),
+                    "{} run accepted", what
+                );
+            }
         }
     }
 }
