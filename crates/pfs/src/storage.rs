@@ -116,11 +116,6 @@ impl<S: UntrustedStorage> FaultyStorage<S> {
     pub fn into_inner(self) -> S {
         self.inner
     }
-
-    /// Mutable access to the wrapped storage.
-    pub fn inner_mut(&mut self) -> &mut S {
-        &mut self.inner
-    }
 }
 
 impl<S: UntrustedStorage> UntrustedStorage for FaultyStorage<S> {

@@ -69,12 +69,6 @@ impl Epc {
         }
     }
 
-    /// EPC sized like the paper's testbed (93 MiB usable).
-    #[must_use]
-    pub fn with_paper_defaults(clock: SimClock) -> Self {
-        Self::new(costs::epc_usable_pages() as usize, clock)
-    }
-
     /// The page budget.
     #[must_use]
     pub fn limit_pages(&self) -> usize {

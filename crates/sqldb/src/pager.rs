@@ -536,12 +536,6 @@ impl Pager {
     // Transactions
     // ------------------------------------------------------------------
 
-    /// Whether a transaction is active.
-    #[must_use]
-    pub fn in_transaction(&self) -> bool {
-        self.in_txn
-    }
-
     /// Begin a transaction. The rollback journal is created lazily on the
     /// first page modification, so read-only transactions (plain SELECTs in
     /// autocommit) cost no journal I/O — matching SQLite's behaviour.

@@ -8,7 +8,7 @@
 //! simple dispatch loop with no decoding or label searching at run time.
 
 use crate::instr::{Instr, LoadKind, StoreKind};
-use crate::lower::{fuse, ExecTier};
+use crate::lower::ExecTier;
 use crate::meter::InstrClass;
 use crate::regalloc::{regalloc_func, RegFunc};
 use crate::module::Module;
@@ -191,13 +191,7 @@ impl CompiledModule {
             funcs.push(c);
         }
         let reg = if tier == ExecTier::Reg {
-            // The fused IR is only the register allocator's input: each
-            // function's is dropped as soon as its register code exists,
-            // so no cached `Arc<CompiledModule>` carries it.
-            let mut reg: Vec<RegFunc> = funcs
-                .iter()
-                .map(|f| regalloc_func(&module, f, &fuse(f)))
-                .collect();
+            let mut reg: Vec<RegFunc> = funcs.iter().map(|f| regalloc_func(&module, f)).collect();
             // Lay the per-function charge regions out in one module-wide
             // index space for the engine's region-hit counters.
             let mut base = 0u32;

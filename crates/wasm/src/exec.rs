@@ -962,11 +962,6 @@ impl Instance {
         self.page_sink = sink;
     }
 
-    /// Take back the page sink (e.g. to inspect a recording sink).
-    pub fn take_page_sink(&mut self) -> Option<Box<dyn PageSink>> {
-        self.page_sink.take()
-    }
-
     /// Flush the attached page sink's buffered accounting (no-op without a
     /// sink, or for sinks that don't buffer). Embedders that batch shared
     /// EPC accounting call this at the end of each invocation.
@@ -980,11 +975,6 @@ impl Instance {
     #[must_use]
     pub fn memory(&self) -> Option<&Memory> {
         self.memory.as_ref()
-    }
-
-    /// Mutably borrow the guest memory.
-    pub fn memory_mut(&mut self) -> Option<&mut Memory> {
-        self.memory.as_mut()
     }
 
     /// Borrow the host state.

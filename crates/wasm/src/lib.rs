@@ -10,7 +10,7 @@
 //! .wasm bytes ──decode──▶ Module ──validate──▶ CompiledModule (flattened,
 //!      ▲                                        jump-resolved "AoT" code)
 //!      │ encode                                     │ ExecTier::Reg (default):
-//! ModuleBuilder (used by twine-minicc,              │   fuse ─▶ regalloc
+//! ModuleBuilder (used by twine-minicc,              │   regalloc (one pass)
 //! the Clang/LLVM stand-in)                          │ ExecTier::Baseline:
 //!                                                   │   flattened ops as is
 //!                                                   ▼
@@ -25,14 +25,13 @@
 //!   functional analogue of WAMR's `wamrc` ahead-of-time compiler: it is run
 //!   *before* the module enters the enclave, and the enclave only executes
 //!   pre-compiled code (the paper's Twine contains no interpreter, §IV-B).
-//! * [`lower`] — the second AoT stage of the register tier: fuses the
-//!   flattened stream into superinstructions whose metering records
-//!   ([`lower::OpCost`]) keep virtual time bit-identical. The fused IR is
-//!   the register allocator's input only; nothing executes it.
-//! * [`regalloc`] — the third AoT stage: maps the fused IR's operand-stack
-//!   traffic onto a flat virtual-register frame of three-address
-//!   superinstructions, with per-basic-block fuel/metering batching —
-//!   still bit-identical virtual time (DESIGN.md §8).
+//! * [`regalloc`] — the register tier's one further AoT pass: maps the
+//!   flattened ops' operand-stack traffic onto a flat virtual-register
+//!   frame of three-address ops, with per-basic-block fuel/metering
+//!   batching — still bit-identical virtual time (DESIGN.md §8).
+//! * [`lower`] — the fusion windows that pass folds into one register op
+//!   each (superinstructions), whose metering records
+//!   ([`lower::OpCost`]) keep virtual time bit-identical.
 //! * [`exec`] — the two executors, selected by [`ExecTier`]: the register
 //!   tier every serving path runs, and the reference interpreter over the
 //!   flattened ops that every differential uses as its oracle. Both meter

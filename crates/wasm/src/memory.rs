@@ -311,13 +311,6 @@ impl Memory {
         self.last_dirty = NO_PAGE;
         Some(())
     }
-
-    /// Read a NUL-terminated string (for host diagnostics).
-    pub fn read_cstr(&self, addr: u32, max_len: u32) -> Option<String> {
-        let slice = self.slice(addr, max_len.min((self.data.len() as u64).min(u64::from(u32::MAX)) as u32 - addr.min(self.data.len() as u32)))?;
-        let end = slice.iter().position(|&b| b == 0)?;
-        String::from_utf8(slice[..end].to_vec()).ok()
-    }
 }
 
 /// Compute the effective start address of an access, checking bounds.

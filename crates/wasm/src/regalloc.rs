@@ -1,5 +1,5 @@
-//! Register allocation over the fused IR — the register tier, the
-//! executor every serving path runs.
+//! Register allocation — the register tier's one compile pass, from the
+//! compiled [`Op`] stream straight to the executor every serving path runs.
 //!
 //! The reference interpreter ([`crate::lower::ExecTier::Baseline`]) moves
 //! every operand through a `Vec` push/pop pair and pays a fuel branch plus
@@ -9,14 +9,15 @@
 //! fastest non-JIT tier:
 //!
 //! 1. **Operand-stack elimination.** Because the module is validated, the
-//!    operand-stack depth before every fused op is a static property of
-//!    its program point. The pass runs a forward depth analysis over the
-//!    fused code and maps stack position `x` to *frame slot*
+//!    operand-stack depth before every op is a static property of its
+//!    program point. The pass runs a forward depth analysis over the
+//!    compiled ops and maps stack position `x` to *frame slot*
 //!    `n_locals + x` — locals and spill slots unified in one flat `[u64]`
-//!    slab. Every fused op becomes a three-address [`RegOp`] with its
-//!    source/destination slots encoded inline, so the engine's register
-//!    loop performs zero `Vec` traffic: no length updates, no capacity
-//!    checks, no push/pop.
+//!    slab. Each fusion window (`lower::try_fuse`'s patterns, or one op)
+//!    becomes one three-address [`RegOp`] with its source/destination slots
+//!    encoded inline, taken from the depth at the window's start, so the
+//!    engine's register loop performs zero `Vec` traffic: no length
+//!    updates, no capacity checks, no push/pop.
 //! 2. **Zero-copy calls.** A call's arguments already sit in the caller's
 //!    top-of-frame slots; the callee's frame *base* is placed exactly
 //!    there, so the caller's argument slots **are** the callee's first
@@ -40,16 +41,15 @@
 //!    executed). See `run_reg` in [`crate::exec`] and the proof sketch in
 //!    DESIGN.md §8.
 //!
-//! The emitted code is **parallel** to the fused IR — one `RegOp` per
-//! fused op, same indices — so branch targets and the per-op [`OpCost`]
-//! records carry over unchanged, and the conservation invariant of
+//! Every register op carries its window's [`OpCost`], and the windows
+//! partition the compiled ops, so the conservation invariant of
 //! [`crate::lower`] (every baseline instruction metered exactly once)
 //! holds by construction.
 
 use crate::compile::{BranchTarget, CompiledFunc, Op};
 use crate::instr::{CvtOp, FBinOp, FRelOp, FUnOp, FloatWidth, IBinOp, IRelOp, IUnOp, IntWidth};
 use crate::instr::{LoadKind, StoreKind};
-use crate::lower::{LowFunc, LowOp, OpCost};
+use crate::lower::{mark_targets, try_fuse, OpCost, MAX_FUSED_WIDTH};
 use crate::meter::NUM_CLASSES;
 use crate::module::Module;
 
@@ -60,7 +60,7 @@ use crate::module::Module;
 /// stack length at run time).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RegBranch {
-    /// Destination op index (same index space as the fused IR).
+    /// Destination register-op index.
     pub target: u32,
     /// First source slot of the carried values.
     pub from: u32,
@@ -70,18 +70,31 @@ pub struct RegBranch {
     pub arity: u8,
 }
 
-impl RegBranch {
-    fn new(bt: &BranchTarget, depth_after_pops: u32, n_locals: u32) -> Self {
-        RegBranch {
-            target: bt.target,
-            from: n_locals + depth_after_pops - u32::from(bt.arity),
-            to: n_locals + bt.height,
-            arity: bt.arity,
-        }
+/// Where a window's stack operands live: the frame's local count and the
+/// operand-stack depth at the window's start (`None` in dead code, whose
+/// register ops are replaced by trapping placeholders).
+#[derive(Clone, Copy)]
+pub(crate) struct Frame {
+    n_locals: u32,
+    depth: Option<u32>,
+}
+
+impl Frame {
+    /// The slot `k` places below the window-start stack top: `top(1)` is
+    /// the top value, `top(0)` the first free slot.
+    pub(crate) fn top(self, k: u32) -> u32 {
+        self.depth.map_or(0, |d| self.n_locals + d - k)
     }
 
-    fn dest_depth(bt: &BranchTarget) -> u32 {
-        bt.height + u32::from(bt.arity)
+    /// The edge of branch `bt` taken once `k` operands are popped (its
+    /// target is still an op index).
+    pub(crate) fn br(self, bt: &BranchTarget, k: u32) -> RegBranch {
+        RegBranch {
+            target: bt.target,
+            from: self.top(k + u32::from(bt.arity)),
+            to: self.n_locals + bt.height,
+            arity: bt.arity,
+        }
     }
 }
 
@@ -89,7 +102,7 @@ impl RegBranch {
 /// frame-slot indices (relative to the frame base); locals occupy slots
 /// `0..n_locals` and former stack positions follow.
 #[derive(Debug, Clone, PartialEq)]
-#[allow(missing_docs)] // field meanings are uniform: slot operands + the same payloads as `LowOp`
+#[allow(missing_docs)] // field meanings are uniform: slot operands + the compiled ops' payloads
 pub enum RegOp {
     /// No observable effect (a `drop` — the value simply stays dead in its
     /// slot). Metering still applies through the parallel [`OpCost`].
@@ -133,7 +146,7 @@ pub enum RegOp {
     FBinop { w: FloatWidth, op: FBinOp, dst: u32, a: u32, b: u32 },
     FBinopImm { w: FloatWidth, op: FBinOp, dst: u32, a: u32, rhs: u64 },
     /// `slab[dst] = op2(slab[c], op1(slab[a], slab[b]))` — the
-    /// multiply-accumulate tail ([`LowOp::FBinop2`]).
+    /// multiply-accumulate tail (`fbinop; fbinop`).
     FBinop2 { w1: FloatWidth, op1: FBinOp, w2: FloatWidth, op2: FBinOp, dst: u32, c: u32, a: u32, b: u32 },
     FRelop { w: FloatWidth, op: FRelOp, dst: u32, a: u32, b: u32 },
     Cvt { op: CvtOp, dst: u32, src: u32 },
@@ -178,16 +191,16 @@ pub struct BlockMeter {
     pub classes: Box<[(u8, u32)]>,
 }
 
-/// A function body in the register tier, parallel to the fused [`LowFunc`]
-/// it was allocated from (same op indices, same branch-target space, same
-/// per-op costs).
+/// A function body in the register tier: one op per fusion window of its
+/// [`CompiledFunc`], with parallel per-op costs and charge-region handles.
 #[derive(Debug, Clone)]
 pub struct RegFunc {
-    /// Register code, one op per fused op.
+    /// Register code, one op per fusion window.
     pub ops: Vec<RegOp>,
-    /// Metering record per op (the fused op's [`OpCost`], verbatim).
+    /// Metering record per op (its window's [`OpCost`]).
     pub costs: Vec<OpCost>,
-    /// Frame size in slots: locals plus the maximum operand-stack depth.
+    /// Frame size in slots: locals plus the deepest operand stack at a
+    /// reachable window start.
     pub n_slots: u32,
     /// Per-op region handle: `region_idx + 1` on a leader (the only pcs a
     /// control transfer can land on), 0 elsewhere.
@@ -201,56 +214,11 @@ pub struct RegFunc {
     pub region_base: u32,
 }
 
-/// Net operand-stack effect of a non-control fused op (pops, pushes).
-/// Control ops (branches, calls, returns) are handled explicitly by the
-/// depth analysis.
-fn stack_effect(op: &LowOp) -> (u32, u32) {
-    use LowOp as L;
-    match op {
-        L::Op(Op::Drop)
-        | L::Op(Op::LocalSet(_))
-        | L::Op(Op::GlobalSet(_))
-        | L::StoreConst { .. }
-        | L::StoreLocal { .. }
-        | L::IBinopLoad { .. } => (1, 0),
-        L::Op(Op::Select) => (3, 1),
-        L::Op(Op::LocalGet(_))
-        | L::Op(Op::GlobalGet(_))
-        | L::Op(Op::MemorySize)
-        | L::Op(Op::Const(_))
-        | L::LocalsIBinop { .. }
-        | L::LocalsFBinop { .. }
-        | L::LocalConstIBinop { .. }
-        | L::LocalConstFBinop { .. }
-        | L::LocalConstLocalIBinop2 { .. }
-        | L::ConstLoad { .. }
-        | L::LocalLoad { .. } => (0, 1),
-        L::Op(Op::LocalTee(_)) | L::LocalConstIBinopSet { .. } | L::ConstLocalSet { .. } => (0, 0),
-        L::Op(Op::Load(..))
-        | L::Op(Op::MemoryGrow)
-        | L::Op(Op::ITestEqz(_))
-        | L::Op(Op::IUnop(..))
-        | L::Op(Op::FUnop(..))
-        | L::Op(Op::Cvt(_))
-        | L::ConstIBinop { .. }
-        | L::ConstFBinop { .. }
-        | L::LocalIBinop { .. }
-        | L::LocalFBinop { .. }
-        | L::LocalSetLocalGet { .. }
-        | L::TeeLoad { .. }
-        | L::ConstIBinopLoad { .. }
-        | L::LocalIBinopLoad { .. } => (1, 1),
-        L::Op(Op::Store(..)) | L::IBinopLocalSet { .. } | L::FBinopLocalSet { .. } => (2, 0),
-        L::Op(Op::MemoryCopy)
-        | L::Op(Op::MemoryFill)
-        | L::FBinopStore { .. }
-        | L::IBinopStore { .. } => (3, 0),
-        L::Op(Op::IBinop(..) | Op::IRelop(..) | Op::FBinop(..) | Op::FRelop(..)) => (2, 1),
-        L::FBinop2 { .. } => (3, 1),
-        L::ConstFBinopStore { .. } | L::LocalFBinopStore { .. } => (2, 0),
-        // Control ops never reach this function.
-        L::Op(
-            Op::Unreachable
+/// Does this op end a basic block (the following op is a leader)?
+fn is_control(op: &Op) -> bool {
+    matches!(
+        op,
+        Op::Unreachable
             | Op::Br(_)
             | Op::BrIf(_)
             | Op::BrTable(_)
@@ -259,617 +227,67 @@ fn stack_effect(op: &LowOp) -> (u32, u32) {
             | Op::Return
             | Op::End
             | Op::Call(_)
-            | Op::CallIndirect(_),
-        )
-        | L::CmpBrIf { .. }
-        | L::CmpEqzBrIf { .. }
-        | L::EqzBrIf { .. }
-        | L::CmpJumpIfNot { .. }
-        | L::LocalConstCmpBrIf { .. }
-        | L::LocalConstCmpEqzBrIf { .. }
-        | L::LocalsCmpBrIf { .. }
-        | L::LocalsCmpEqzBrIf { .. }
-        | L::LocalConstCmpJumpIfNot { .. }
-        | L::LocalsCmpJumpIfNot { .. } => unreachable!("control op in stack_effect"),
-    }
-}
-
-/// Does this op terminate a basic block (the following op is a leader)?
-fn ends_block(op: &LowOp) -> bool {
-    matches!(
-        op,
-        LowOp::Op(
-            Op::Unreachable
-                | Op::Br(_)
-                | Op::BrIf(_)
-                | Op::BrTable(_)
-                | Op::Jump(_)
-                | Op::JumpIfZero(_)
-                | Op::Return
-                | Op::End
-                | Op::Call(_)
-                | Op::CallIndirect(_)
-        ) | LowOp::CmpBrIf { .. }
-            | LowOp::CmpEqzBrIf { .. }
-            | LowOp::EqzBrIf { .. }
-            | LowOp::CmpJumpIfNot { .. }
-            | LowOp::LocalConstCmpBrIf { .. }
-            | LowOp::LocalConstCmpEqzBrIf { .. }
-            | LowOp::LocalsCmpBrIf { .. }
-            | LowOp::LocalsCmpEqzBrIf { .. }
-            | LowOp::LocalConstCmpJumpIfNot { .. }
-            | LowOp::LocalsCmpJumpIfNot { .. }
+            | Op::CallIndirect(_)
     )
 }
 
-/// Allocate registers for one fused function body.
-///
-/// `module` supplies callee signatures (argument/result arities feed the
-/// depth analysis and the zero-copy call frame bases).
-#[must_use]
-#[allow(clippy::too_many_lines)]
-pub fn regalloc_func(module: &Module, f: &CompiledFunc, low: &LowFunc) -> RegFunc {
-    let n = low.ops.len();
-    let nl = f.n_locals as u32;
-    let s = |d: u32| nl + d;
+/// Net operand-stack effect (pops, pushes) of a non-control op.
+fn stack_effect(op: &Op) -> (u32, u32) {
+    match op {
+        Op::Drop | Op::LocalSet(_) | Op::GlobalSet(_) => (1, 0),
+        Op::LocalGet(_) | Op::GlobalGet(_) | Op::MemorySize | Op::Const(_) => (0, 1),
+        Op::LocalTee(_)
+        | Op::Load(..)
+        | Op::MemoryGrow
+        | Op::ITestEqz(_)
+        | Op::IUnop(..)
+        | Op::FUnop(..)
+        | Op::Cvt(_) => (1, 1),
+        Op::Store(..) => (2, 0),
+        Op::IBinop(..) | Op::IRelop(..) | Op::FBinop(..) | Op::FRelop(..) => (2, 1),
+        Op::Select => (3, 1),
+        Op::MemoryCopy | Op::MemoryFill => (3, 0),
+        _ => unreachable!("control op in stack_effect"),
+    }
+}
 
-    // Forward depth analysis: the operand depth before each reachable op.
+/// Forward depth analysis: the operand-stack depth before every reachable
+/// op of `f`, `None` for dead code.
+fn op_depths(module: &Module, f: &CompiledFunc) -> Vec<Option<u32>> {
+    let n = f.ops.len();
     let mut depth: Vec<Option<u32>> = vec![None; n];
-    let mut ops: Vec<Option<RegOp>> = vec![None; n];
     let mut work: Vec<usize> = Vec::with_capacity(16);
-    let mut max_d = 0u32;
+    let mut succs: Vec<(u32, u32)> = Vec::with_capacity(2);
     if n > 0 {
         depth[0] = Some(0);
         work.push(0);
     }
+    let dest = |bt: &BranchTarget| (bt.target, bt.height + u32::from(bt.arity));
     while let Some(pc) = work.pop() {
         let d = depth[pc].expect("enqueued with a depth");
-        max_d = max_d.max(d);
-        let mut succs: [Option<(u32, u32)>; 2] = [None, None];
-        let mut table_succs: Vec<(u32, u32)> = Vec::new();
-        use LowOp as L;
-        let rop = match &low.ops[pc] {
-            L::Op(Op::Unreachable) => RegOp::Unreachable,
-            L::Op(Op::Br(bt)) => {
-                succs[0] = Some((bt.target, RegBranch::dest_depth(bt)));
-                RegOp::Br(RegBranch::new(bt, d, nl))
-            }
-            L::Op(Op::BrIf(bt)) => {
-                succs[0] = Some((bt.target, RegBranch::dest_depth(bt)));
-                succs[1] = Some((pc as u32 + 1, d - 1));
-                RegOp::BrIf {
-                    cond: s(d - 1),
-                    br: RegBranch::new(bt, d - 1, nl),
-                }
-            }
-            L::Op(Op::BrTable(table)) => {
-                let regs: Vec<RegBranch> = table
-                    .iter()
-                    .map(|bt| {
-                        table_succs.push((bt.target, RegBranch::dest_depth(bt)));
-                        RegBranch::new(bt, d - 1, nl)
-                    })
-                    .collect();
-                RegOp::BrTable {
-                    idx: s(d - 1),
-                    table: regs.into_boxed_slice(),
-                }
-            }
-            L::Op(Op::Jump(t)) => {
-                succs[0] = Some((*t, d));
-                RegOp::Jump(*t)
-            }
-            L::Op(Op::JumpIfZero(t)) => {
-                succs[0] = Some((*t, d - 1));
-                succs[1] = Some((pc as u32 + 1, d - 1));
-                RegOp::JumpIfZero {
-                    cond: s(d - 1),
-                    target: *t,
-                }
-            }
-            L::Op(Op::Return | Op::End) => {
-                let nr = f.n_results as u32;
-                RegOp::Ret {
-                    from: s(d - nr),
-                    n: f.n_results as u8,
-                }
-            }
-            L::Op(Op::Call(g)) => {
+        let next = pc as u32 + 1;
+        succs.clear();
+        match &f.ops[pc] {
+            Op::Unreachable | Op::Return | Op::End => {}
+            Op::Br(bt) => succs.push(dest(bt)),
+            Op::BrIf(bt) => succs.extend([dest(bt), (next, d - 1)]),
+            Op::BrTable(table) => succs.extend(table.iter().map(dest)),
+            Op::Jump(t) => succs.push((*t, d)),
+            Op::JumpIfZero(t) => succs.extend([(*t, d - 1), (next, d - 1)]),
+            Op::Call(g) => {
                 let ty = module.func_type(*g).expect("validated call");
-                let (np, nr) = (ty.params.len() as u32, ty.results.len() as u32);
-                succs[0] = Some((pc as u32 + 1, d - np + nr));
-                RegOp::Call {
-                    func: *g,
-                    base: s(d - np),
-                }
+                succs.push((next, d - ty.params.len() as u32 + ty.results.len() as u32));
             }
-            L::Op(Op::CallIndirect(type_idx)) => {
+            Op::CallIndirect(type_idx) => {
                 let ty = &module.types[*type_idx as usize];
-                let (np, nr) = (ty.params.len() as u32, ty.results.len() as u32);
-                succs[0] = Some((pc as u32 + 1, d - 1 - np + nr));
-                RegOp::CallIndirect {
-                    type_idx: *type_idx,
-                    idx: s(d - 1),
-                    base: s(d - 1 - np),
-                }
+                succs.push((next, d - 1 - ty.params.len() as u32 + ty.results.len() as u32));
             }
-            L::Op(Op::Drop) => RegOp::Nop,
-            L::Op(Op::Select) => RegOp::Select {
-                dst: s(d - 3),
-                a: s(d - 3),
-                b: s(d - 2),
-                cond: s(d - 1),
-            },
-            L::Op(Op::LocalGet(i)) => RegOp::Copy { dst: s(d), src: *i },
-            L::Op(Op::LocalSet(i) | Op::LocalTee(i)) => RegOp::Copy {
-                dst: *i,
-                src: s(d - 1),
-            },
-            L::Op(Op::GlobalGet(i)) => RegOp::GlobalGet { dst: s(d), idx: *i },
-            L::Op(Op::GlobalSet(i)) => RegOp::GlobalSet {
-                src: s(d - 1),
-                idx: *i,
-            },
-            L::Op(Op::Load(kind, off)) => RegOp::Load {
-                kind: *kind,
-                offset: *off,
-                dst: s(d - 1),
-                addr: s(d - 1),
-            },
-            L::Op(Op::Store(kind, off)) => RegOp::Store {
-                kind: *kind,
-                offset: *off,
-                addr: s(d - 2),
-                val: s(d - 1),
-            },
-            L::Op(Op::MemorySize) => RegOp::MemorySize { dst: s(d) },
-            L::Op(Op::MemoryGrow) => RegOp::MemoryGrow {
-                dst: s(d - 1),
-                delta: s(d - 1),
-            },
-            L::Op(Op::MemoryCopy) => RegOp::MemoryCopy {
-                dst: s(d - 3),
-                src: s(d - 2),
-                len: s(d - 1),
-            },
-            L::Op(Op::MemoryFill) => RegOp::MemoryFill {
-                dst: s(d - 3),
-                val: s(d - 2),
-                len: s(d - 1),
-            },
-            L::Op(Op::Const(bits)) => RegOp::Const {
-                dst: s(d),
-                bits: *bits,
-            },
-            L::Op(Op::ITestEqz(w)) => RegOp::Eqz {
-                w: *w,
-                dst: s(d - 1),
-                src: s(d - 1),
-            },
-            L::Op(Op::IUnop(w, op)) => RegOp::IUnop {
-                w: *w,
-                op: *op,
-                dst: s(d - 1),
-                src: s(d - 1),
-            },
-            L::Op(Op::IBinop(w, op)) => RegOp::IBinop {
-                w: *w,
-                op: *op,
-                dst: s(d - 2),
-                a: s(d - 2),
-                b: s(d - 1),
-            },
-            L::Op(Op::IRelop(w, op)) => RegOp::IRelop {
-                w: *w,
-                op: *op,
-                dst: s(d - 2),
-                a: s(d - 2),
-                b: s(d - 1),
-            },
-            L::Op(Op::FUnop(w, op)) => RegOp::FUnop {
-                w: *w,
-                op: *op,
-                dst: s(d - 1),
-                src: s(d - 1),
-            },
-            L::Op(Op::FBinop(w, op)) => RegOp::FBinop {
-                w: *w,
-                op: *op,
-                dst: s(d - 2),
-                a: s(d - 2),
-                b: s(d - 1),
-            },
-            L::Op(Op::FRelop(w, op)) => RegOp::FRelop {
-                w: *w,
-                op: *op,
-                dst: s(d - 2),
-                a: s(d - 2),
-                b: s(d - 1),
-            },
-            L::Op(Op::Cvt(op)) => RegOp::Cvt {
-                op: *op,
-                dst: s(d - 1),
-                src: s(d - 1),
-            },
-
-            // ---- fused ALU forms -----------------------------------------
-            L::LocalsIBinop { w, op, a, b } => RegOp::IBinop {
-                w: *w,
-                op: *op,
-                dst: s(d),
-                a: *a,
-                b: *b,
-            },
-            L::LocalsFBinop { w, op, a, b } => RegOp::FBinop {
-                w: *w,
-                op: *op,
-                dst: s(d),
-                a: *a,
-                b: *b,
-            },
-            L::LocalConstIBinop { w, op, local, rhs } => RegOp::IBinopImm {
-                w: *w,
-                op: *op,
-                dst: s(d),
-                a: *local,
-                rhs: *rhs,
-            },
-            L::LocalConstFBinop { w, op, local, rhs } => RegOp::FBinopImm {
-                w: *w,
-                op: *op,
-                dst: s(d),
-                a: *local,
-                rhs: *rhs,
-            },
-            L::ConstIBinop { w, op, rhs } => RegOp::IBinopImm {
-                w: *w,
-                op: *op,
-                dst: s(d - 1),
-                a: s(d - 1),
-                rhs: *rhs,
-            },
-            L::ConstFBinop { w, op, rhs } => RegOp::FBinopImm {
-                w: *w,
-                op: *op,
-                dst: s(d - 1),
-                a: s(d - 1),
-                rhs: *rhs,
-            },
-            L::LocalIBinop { w, op, local } => RegOp::IBinop {
-                w: *w,
-                op: *op,
-                dst: s(d - 1),
-                a: s(d - 1),
-                b: *local,
-            },
-            L::LocalFBinop { w, op, local } => RegOp::FBinop {
-                w: *w,
-                op: *op,
-                dst: s(d - 1),
-                a: s(d - 1),
-                b: *local,
-            },
-            L::LocalConstIBinopSet {
-                w,
-                op,
-                src,
-                rhs,
-                dst,
-            } => RegOp::IBinopImm {
-                w: *w,
-                op: *op,
-                dst: *dst,
-                a: *src,
-                rhs: *rhs,
-            },
-            L::ConstLocalSet { bits, dst } => RegOp::Const {
-                dst: *dst,
-                bits: *bits,
-            },
-            L::LocalConstLocalIBinop2 {
-                w,
-                op1,
-                op2,
-                a,
-                rhs,
-                b,
-            } => RegOp::IBinop2Imm {
-                w: *w,
-                op1: *op1,
-                op2: *op2,
-                dst: s(d),
-                a: *a,
-                rhs: *rhs,
-                b: *b,
-            },
-            L::FBinop2 { w1, op1, w2, op2 } => RegOp::FBinop2 {
-                w1: *w1,
-                op1: *op1,
-                w2: *w2,
-                op2: *op2,
-                dst: s(d - 3),
-                c: s(d - 3),
-                a: s(d - 2),
-                b: s(d - 1),
-            },
-            L::IBinopLocalSet { w, op, dst } => RegOp::IBinop {
-                w: *w,
-                op: *op,
-                dst: *dst,
-                a: s(d - 2),
-                b: s(d - 1),
-            },
-            L::FBinopLocalSet { w, op, dst } => RegOp::FBinop {
-                w: *w,
-                op: *op,
-                dst: *dst,
-                a: s(d - 2),
-                b: s(d - 1),
-            },
-            L::LocalSetLocalGet { set, get } => RegOp::CopyPair {
-                d1: *set,
-                s1: s(d - 1),
-                d2: s(d - 1),
-                s2: *get,
-            },
-
-            // ---- fused memory forms --------------------------------------
-            L::ConstLoad { addr, kind, offset } => RegOp::LoadConstAddr {
-                kind: *kind,
-                offset: *offset,
-                dst: s(d),
-                addr: *addr,
-            },
-            L::LocalLoad {
-                local,
-                kind,
-                offset,
-            } => RegOp::Load {
-                kind: *kind,
-                offset: *offset,
-                dst: s(d),
-                addr: *local,
-            },
-            L::TeeLoad {
-                local,
-                kind,
-                offset,
-            } => RegOp::LoadTee {
-                kind: *kind,
-                offset: *offset,
-                dst: s(d - 1),
-                addr: s(d - 1),
-                tee: *local,
-            },
-            L::ConstIBinopLoad {
-                w,
-                op,
-                rhs,
-                kind,
-                offset,
-            } => RegOp::LoadIdxImm {
-                w: *w,
-                op: *op,
-                kind: *kind,
-                offset: *offset,
-                dst: s(d - 1),
-                a: s(d - 1),
-                rhs: *rhs,
-            },
-            L::LocalIBinopLoad {
-                w,
-                op,
-                local,
-                kind,
-                offset,
-            } => RegOp::LoadIdx {
-                w: *w,
-                op: *op,
-                kind: *kind,
-                offset: *offset,
-                dst: s(d - 1),
-                a: s(d - 1),
-                b: *local,
-            },
-            L::IBinopLoad {
-                w,
-                op,
-                kind,
-                offset,
-            } => RegOp::LoadIdx {
-                w: *w,
-                op: *op,
-                kind: *kind,
-                offset: *offset,
-                dst: s(d - 2),
-                a: s(d - 2),
-                b: s(d - 1),
-            },
-            L::StoreConst { bits, kind, offset } => RegOp::StoreConst {
-                kind: *kind,
-                offset: *offset,
-                addr: s(d - 1),
-                bits: *bits,
-            },
-            L::StoreLocal {
-                local,
-                kind,
-                offset,
-            } => RegOp::Store {
-                kind: *kind,
-                offset: *offset,
-                addr: s(d - 1),
-                val: *local,
-            },
-            L::ConstFBinopStore {
-                w,
-                op,
-                rhs,
-                kind,
-                offset,
-            } => RegOp::StoreFImm {
-                w: *w,
-                op: *op,
-                kind: *kind,
-                offset: *offset,
-                addr: s(d - 2),
-                a: s(d - 1),
-                rhs: *rhs,
-            },
-            L::LocalFBinopStore {
-                w,
-                op,
-                local,
-                kind,
-                offset,
-            } => RegOp::StoreF {
-                w: *w,
-                op: *op,
-                kind: *kind,
-                offset: *offset,
-                addr: s(d - 2),
-                a: s(d - 1),
-                b: *local,
-            },
-            L::FBinopStore {
-                w,
-                op,
-                kind,
-                offset,
-            } => RegOp::StoreF {
-                w: *w,
-                op: *op,
-                kind: *kind,
-                offset: *offset,
-                addr: s(d - 3),
-                a: s(d - 2),
-                b: s(d - 1),
-            },
-            L::IBinopStore {
-                w,
-                op,
-                kind,
-                offset,
-            } => RegOp::StoreI {
-                w: *w,
-                op: *op,
-                kind: *kind,
-                offset: *offset,
-                addr: s(d - 3),
-                a: s(d - 2),
-                b: s(d - 1),
-            },
-
-            // ---- fused compare-and-branch forms --------------------------
-            L::CmpBrIf { w, op, bt } | L::CmpEqzBrIf { w, op, bt } => {
-                succs[0] = Some((bt.target, RegBranch::dest_depth(bt)));
-                succs[1] = Some((pc as u32 + 1, d - 2));
-                RegOp::CmpBr {
-                    w: *w,
-                    op: *op,
-                    a: s(d - 2),
-                    b: s(d - 1),
-                    invert: matches!(&low.ops[pc], L::CmpEqzBrIf { .. }),
-                    br: RegBranch::new(bt, d - 2, nl),
-                }
+            op => {
+                let (pops, pushes) = stack_effect(op);
+                succs.push((next, d - pops + pushes));
             }
-            L::EqzBrIf { w, bt } => {
-                succs[0] = Some((bt.target, RegBranch::dest_depth(bt)));
-                succs[1] = Some((pc as u32 + 1, d - 1));
-                RegOp::EqzBr {
-                    w: *w,
-                    v: s(d - 1),
-                    br: RegBranch::new(bt, d - 1, nl),
-                }
-            }
-            L::CmpJumpIfNot { w, op, target } => {
-                succs[0] = Some((*target, d - 2));
-                succs[1] = Some((pc as u32 + 1, d - 2));
-                RegOp::CmpJumpIfNot {
-                    w: *w,
-                    op: *op,
-                    a: s(d - 2),
-                    b: s(d - 1),
-                    target: *target,
-                }
-            }
-            L::LocalConstCmpBrIf {
-                w,
-                op,
-                local,
-                rhs,
-                bt,
-            }
-            | L::LocalConstCmpEqzBrIf {
-                w,
-                op,
-                local,
-                rhs,
-                bt,
-            } => {
-                succs[0] = Some((bt.target, RegBranch::dest_depth(bt)));
-                succs[1] = Some((pc as u32 + 1, d));
-                RegOp::CmpImmBr {
-                    w: *w,
-                    op: *op,
-                    a: *local,
-                    rhs: *rhs,
-                    invert: matches!(&low.ops[pc], L::LocalConstCmpEqzBrIf { .. }),
-                    br: RegBranch::new(bt, d, nl),
-                }
-            }
-            L::LocalsCmpBrIf { w, op, a, b, bt } | L::LocalsCmpEqzBrIf { w, op, a, b, bt } => {
-                succs[0] = Some((bt.target, RegBranch::dest_depth(bt)));
-                succs[1] = Some((pc as u32 + 1, d));
-                RegOp::CmpBr {
-                    w: *w,
-                    op: *op,
-                    a: *a,
-                    b: *b,
-                    invert: matches!(&low.ops[pc], L::LocalsCmpEqzBrIf { .. }),
-                    br: RegBranch::new(bt, d, nl),
-                }
-            }
-            L::LocalConstCmpJumpIfNot {
-                w,
-                op,
-                local,
-                rhs,
-                target,
-            } => {
-                succs[0] = Some((*target, d));
-                succs[1] = Some((pc as u32 + 1, d));
-                RegOp::CmpImmJumpIfNot {
-                    w: *w,
-                    op: *op,
-                    a: *local,
-                    rhs: *rhs,
-                    target: *target,
-                }
-            }
-            L::LocalsCmpJumpIfNot { w, op, a, b, target } => {
-                succs[0] = Some((*target, d));
-                succs[1] = Some((pc as u32 + 1, d));
-                RegOp::CmpJumpIfNot {
-                    w: *w,
-                    op: *op,
-                    a: *a,
-                    b: *b,
-                    target: *target,
-                }
-            }
-        };
-        // Non-control ops fall through to pc + 1 with their net effect.
-        let is_fallthrough_only = succs[0].is_none() && table_succs.is_empty();
-        if is_fallthrough_only
-            && !matches!(&low.ops[pc], L::Op(Op::Unreachable | Op::Return | Op::End))
-        {
-            let (pops, pushes) = stack_effect(&low.ops[pc]);
-            succs[0] = Some((pc as u32 + 1, d - pops + pushes));
         }
-        ops[pc] = Some(rop);
-        for (t, dt) in succs.iter().flatten().copied().chain(table_succs) {
-            max_d = max_d.max(dt);
+        for &(t, dt) in &succs {
             let t = t as usize;
             match depth[t] {
                 None => {
@@ -883,43 +301,230 @@ pub fn regalloc_func(module: &Module, f: &CompiledFunc, low: &LowFunc) -> RegFun
             }
         }
     }
+    depth
+}
 
-    // Unreachable ops never execute; keep them trapping if they somehow do.
-    let ops: Vec<RegOp> = ops
-        .into_iter()
-        .map(|o| o.unwrap_or(RegOp::Unreachable))
-        .collect();
-
-    // Basic blocks: leaders are op 0, every branch/jump target, and the op
-    // after any control op.
-    let mut leader = vec![false; n];
-    if n > 0 {
-        leader[0] = true;
-    }
-    for (pc, op) in low.ops.iter().enumerate() {
-        if ends_block(op) && pc + 1 < n {
-            leader[pc + 1] = true;
-        }
-        match op {
-            LowOp::Op(Op::Br(bt) | Op::BrIf(bt))
-            | LowOp::CmpBrIf { bt, .. }
-            | LowOp::CmpEqzBrIf { bt, .. }
-            | LowOp::EqzBrIf { bt, .. }
-            | LowOp::LocalConstCmpBrIf { bt, .. }
-            | LowOp::LocalConstCmpEqzBrIf { bt, .. }
-            | LowOp::LocalsCmpBrIf { bt, .. }
-            | LowOp::LocalsCmpEqzBrIf { bt, .. } => leader[bt.target as usize] = true,
-            LowOp::Op(Op::BrTable(table)) => {
-                for bt in table.iter() {
-                    leader[bt.target as usize] = true;
-                }
+/// The register op of one unfused compiled op (branch targets still op
+/// indices).
+fn lower_op(module: &Module, f: &CompiledFunc, op: &Op, at: Frame) -> RegOp {
+    let top = |k| at.top(k);
+    match op {
+        Op::Unreachable => RegOp::Unreachable,
+        Op::Br(bt) => RegOp::Br(at.br(bt, 0)),
+        Op::BrIf(bt) => RegOp::BrIf {
+            cond: top(1),
+            br: at.br(bt, 1),
+        },
+        Op::BrTable(table) => RegOp::BrTable {
+            idx: top(1),
+            table: table.iter().map(|bt| at.br(bt, 1)).collect(),
+        },
+        Op::Jump(t) => RegOp::Jump(*t),
+        Op::JumpIfZero(t) => RegOp::JumpIfZero {
+            cond: top(1),
+            target: *t,
+        },
+        Op::Return | Op::End => RegOp::Ret {
+            from: top(f.n_results as u32),
+            n: f.n_results as u8,
+        },
+        Op::Call(g) => {
+            let ty = module.func_type(*g).expect("validated call");
+            RegOp::Call {
+                func: *g,
+                base: top(ty.params.len() as u32),
             }
-            LowOp::Op(Op::Jump(t) | Op::JumpIfZero(t))
-            | LowOp::CmpJumpIfNot { target: t, .. }
-            | LowOp::LocalConstCmpJumpIfNot { target: t, .. }
-            | LowOp::LocalsCmpJumpIfNot { target: t, .. } => leader[*t as usize] = true,
+        }
+        Op::CallIndirect(type_idx) => {
+            let ty = &module.types[*type_idx as usize];
+            RegOp::CallIndirect {
+                type_idx: *type_idx,
+                idx: top(1),
+                base: top(1 + ty.params.len() as u32),
+            }
+        }
+        Op::Drop => RegOp::Nop,
+        Op::Select => RegOp::Select {
+            dst: top(3),
+            a: top(3),
+            b: top(2),
+            cond: top(1),
+        },
+        Op::LocalGet(i) => RegOp::Copy { dst: top(0), src: *i },
+        Op::LocalSet(i) | Op::LocalTee(i) => RegOp::Copy { dst: *i, src: top(1) },
+        Op::GlobalGet(i) => RegOp::GlobalGet { dst: top(0), idx: *i },
+        Op::GlobalSet(i) => RegOp::GlobalSet { src: top(1), idx: *i },
+        Op::Load(kind, off) => RegOp::Load {
+            kind: *kind,
+            offset: *off,
+            dst: top(1),
+            addr: top(1),
+        },
+        Op::Store(kind, off) => RegOp::Store {
+            kind: *kind,
+            offset: *off,
+            addr: top(2),
+            val: top(1),
+        },
+        Op::MemorySize => RegOp::MemorySize { dst: top(0) },
+        Op::MemoryGrow => RegOp::MemoryGrow {
+            dst: top(1),
+            delta: top(1),
+        },
+        Op::MemoryCopy => RegOp::MemoryCopy {
+            dst: top(3),
+            src: top(2),
+            len: top(1),
+        },
+        Op::MemoryFill => RegOp::MemoryFill {
+            dst: top(3),
+            val: top(2),
+            len: top(1),
+        },
+        Op::Const(bits) => RegOp::Const {
+            dst: top(0),
+            bits: *bits,
+        },
+        Op::ITestEqz(w) => RegOp::Eqz {
+            w: *w,
+            dst: top(1),
+            src: top(1),
+        },
+        Op::IUnop(w, op) => RegOp::IUnop {
+            w: *w,
+            op: *op,
+            dst: top(1),
+            src: top(1),
+        },
+        Op::IBinop(w, op) => RegOp::IBinop {
+            w: *w,
+            op: *op,
+            dst: top(2),
+            a: top(2),
+            b: top(1),
+        },
+        Op::IRelop(w, op) => RegOp::IRelop {
+            w: *w,
+            op: *op,
+            dst: top(2),
+            a: top(2),
+            b: top(1),
+        },
+        Op::FUnop(w, op) => RegOp::FUnop {
+            w: *w,
+            op: *op,
+            dst: top(1),
+            src: top(1),
+        },
+        Op::FBinop(w, op) => RegOp::FBinop {
+            w: *w,
+            op: *op,
+            dst: top(2),
+            a: top(2),
+            b: top(1),
+        },
+        Op::FRelop(w, op) => RegOp::FRelop {
+            w: *w,
+            op: *op,
+            dst: top(2),
+            a: top(2),
+            b: top(1),
+        },
+        Op::Cvt(op) => RegOp::Cvt {
+            op: *op,
+            dst: top(1),
+            src: top(1),
+        },
+    }
+}
+
+/// Compile one function to register code in a single pass over its ops:
+/// depth analysis, one register op per fusion window (slots taken from the
+/// depth at the window's start), branch targets remapped into the
+/// register-op index space, then the charge regions.
+///
+/// `module` supplies callee signatures (argument/result arities feed the
+/// depth analysis and the zero-copy call frame bases).
+#[must_use]
+pub fn regalloc_func(module: &Module, f: &CompiledFunc) -> RegFunc {
+    let n = f.ops.len();
+    let nl = f.n_locals as u32;
+    let depth = op_depths(module, f);
+    let is_target = mark_targets(&f.ops);
+
+    let mut ops: Vec<RegOp> = Vec::with_capacity(n);
+    let mut costs: Vec<OpCost> = Vec::with_capacity(n);
+    // Per register op: does its window end in a control op?
+    let mut ends: Vec<bool> = Vec::with_capacity(n);
+    // Op index → register-op index. Window interiors keep u32::MAX and
+    // are never branch targets.
+    let mut map = vec![u32::MAX; n];
+    // Frame depth: the deepest stack at a reachable window start. A
+    // window's interior never holds a slot of its own.
+    let mut max_d = 0u32;
+    let mut pc = 0usize;
+    while pc < n {
+        map[pc] = ops.len() as u32;
+        // A window may not contain a branch target after its first op.
+        let mut avail = 1;
+        while avail < MAX_FUSED_WIDTH && pc + avail < n && !is_target[pc + avail] {
+            avail += 1;
+        }
+        let at = Frame {
+            n_locals: nl,
+            depth: depth[pc],
+        };
+        let (op, len) = try_fuse(&f.ops, pc, avail, at)
+            .unwrap_or_else(|| (lower_op(module, f, &f.ops[pc], at), 1));
+        debug_assert!(len <= avail);
+        costs.push(OpCost::of(&f.classes[pc..pc + len]));
+        ends.push(is_control(&f.ops[pc + len - 1]));
+        // Dead code never executes; keep it trapping if it somehow does.
+        ops.push(match depth[pc] {
+            Some(d) => {
+                max_d = max_d.max(d);
+                op
+            }
+            None => RegOp::Unreachable,
+        });
+        pc += len;
+    }
+
+    let remap = |t: &mut u32| {
+        let new = map[*t as usize];
+        debug_assert_ne!(new, u32::MAX, "branch into a window interior");
+        *t = new;
+    };
+    for op in &mut ops {
+        match op {
+            RegOp::Br(br)
+            | RegOp::BrIf { br, .. }
+            | RegOp::CmpBr { br, .. }
+            | RegOp::CmpImmBr { br, .. }
+            | RegOp::EqzBr { br, .. } => remap(&mut br.target),
+            RegOp::BrTable { table, .. } => table.iter_mut().for_each(|br| remap(&mut br.target)),
+            RegOp::Jump(t)
+            | RegOp::JumpIfZero { target: t, .. }
+            | RegOp::CmpJumpIfNot { target: t, .. }
+            | RegOp::CmpImmJumpIfNot { target: t, .. } => remap(t),
             _ => {}
         }
+    }
+
+    // Basic blocks: leaders are op 0, every branch/jump target (dead code's
+    // included), and the op after any window that ends in a control op.
+    let m = ops.len();
+    let mut leader = vec![false; m];
+    if m > 0 {
+        leader[0] = true;
+    }
+    for (i, &end) in ends.iter().enumerate() {
+        if end && i + 1 < m {
+            leader[i + 1] = true;
+        }
+    }
+    for t in (0..n).filter(|&t| is_target[t]) {
+        leader[map[t] as usize] = true;
     }
     // A *region* runs from a leader through any interior leaders (targets
     // that are also reached by fall-through) up to and including the next
@@ -929,20 +534,20 @@ pub fn regalloc_func(module: &Module, f: &CompiledFunc, low: &LowFunc) -> RegFun
     // pays zero per-op accounting. Regions overlap in their suffixes;
     // every op is still charged exactly once per execution, because the
     // only way past a control op is another control transfer.
-    let mut block_of = vec![0u32; n];
+    let mut block_of = vec![0u32; m];
     let mut blocks: Vec<BlockMeter> = Vec::new();
-    for l in 0..n {
+    for l in 0..m {
         if !leader[l] {
             continue;
         }
         let mut end = l;
-        while !ends_block(&low.ops[end]) {
+        while !ends[end] {
             end += 1;
         }
         end += 1; // include the control op
         let mut fuel = 0u64;
         let mut dense = [0u32; NUM_CLASSES];
-        for cost in &low.costs[l..end] {
+        for cost in &costs[l..end] {
             fuel += u64::from(cost.len);
             for c in &cost.classes[..cost.len as usize] {
                 dense[c.index()] += 1;
@@ -964,7 +569,7 @@ pub fn regalloc_func(module: &Module, f: &CompiledFunc, low: &LowFunc) -> RegFun
 
     RegFunc {
         ops,
-        costs: low.costs.clone(),
+        costs,
         n_slots: nl + max_d,
         block_of,
         blocks,
@@ -1015,12 +620,17 @@ mod tests {
     #[test]
     fn reg_code_is_parallel_to_fused() {
         let cm = compile_reg(counted_loop_body(), vec![]);
-        let rf = &cm.reg[0];
-        // Re-derive the fused IR (the compiled module drops it).
-        let low = crate::lower::fuse(&cm.funcs[0]);
-        assert_eq!(rf.ops.len(), low.ops.len());
-        assert_eq!(rf.costs.len(), low.costs.len());
-        assert_eq!(rf.costs, low.costs, "metering records carry over verbatim");
+        let (f, rf) = (&cm.funcs[0], &cm.reg[0]);
+        // One cost and one region handle per register op, and the windows'
+        // costs concatenated are the compiled class stream verbatim.
+        assert_eq!(rf.ops.len(), rf.costs.len());
+        assert_eq!(rf.ops.len(), rf.block_of.len());
+        let replay: Vec<_> = rf
+            .costs
+            .iter()
+            .flat_map(|c| c.classes[..c.len as usize].iter().copied())
+            .collect();
+        assert_eq!(replay, f.classes, "metering records carry over verbatim");
     }
 
     #[test]
@@ -1118,6 +728,39 @@ mod tests {
         for rf in &cm.reg {
             assert_eq!(rf.region_base, expect);
             expect += rf.blocks.len() as u32;
+        }
+    }
+
+    #[test]
+    fn dead_code_keeps_its_windows_and_regions() {
+        // block { br 1 }; <dead: i += 1; const 7; drop> — the branch leaves
+        // the function, so what follows the block is compiled but never
+        // reached. The dead `i += 1` still fuses into one window and
+        // becomes one trapping placeholder carrying that window's cost,
+        // and leaders follow the compiled ops (a placeholder ends no
+        // region).
+        let body = vec![
+            Instr::Block(BlockType::Empty, vec![Instr::Br(1)]),
+            Instr::LocalGet(0),
+            Instr::Const(Value::I32(1)),
+            Instr::IBinop(IntWidth::W32, IBinOp::Add),
+            Instr::LocalSet(0),
+            Instr::Const(Value::I32(7)),
+            Instr::Drop,
+        ];
+        let cm = compile_reg(body, vec![]);
+        let (f, rf) = (&cm.funcs[0], &cm.reg[0]);
+        let lens: Vec<u8> = rf.costs.iter().map(|c| c.len).collect();
+        assert_eq!(lens, [1, 4, 1, 1, 1], "br, i += 1, const, drop, end");
+        assert!(matches!(rf.ops[1..4], [RegOp::Unreachable, RegOp::Unreachable, RegOp::Unreachable]));
+        let is_target = crate::lower::mark_targets(&f.ops);
+        let mut start = 0usize;
+        let mut prev_ends = true; // function entry is a leader
+        for (i, cost) in rf.costs.iter().enumerate() {
+            let leader = prev_ends || is_target[start];
+            assert_eq!(rf.block_of[i] > 0, leader, "leader mismatch at register op {i}");
+            start += cost.len as usize;
+            prev_ends = is_control(&f.ops[start - 1]);
         }
     }
 }

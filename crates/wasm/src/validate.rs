@@ -469,7 +469,9 @@ impl<'m> FuncValidator<'m> {
             }
             Load(kind, memarg) => {
                 self.require_memory()?;
-                if (1usize << memarg.align) > kind.width() {
+                // The alignment is a log2 straight from the binary: compare
+                // exponents, since shifting by it overflows from 64 up.
+                if memarg.align > kind.width().trailing_zeros() {
                     return err("load alignment exceeds natural alignment");
                 }
                 self.pop_expect(I32)?;
@@ -477,7 +479,7 @@ impl<'m> FuncValidator<'m> {
             }
             Store(kind, memarg) => {
                 self.require_memory()?;
-                if (1usize << memarg.align) > kind.width() {
+                if memarg.align > kind.width().trailing_zeros() {
                     return err("store alignment exceeds natural alignment");
                 }
                 self.pop_expect(kind.value_type())?;
@@ -754,6 +756,30 @@ mod tests {
             vec![],
         );
         assert!(e.is_err());
+    }
+
+    #[test]
+    fn huge_alignment_exponents_rejected() {
+        use crate::instr::{LoadKind, StoreKind};
+        for align in [32, 63, 64, u32::MAX] {
+            let m = MemArg { align, offset: 0 };
+            let load = check(
+                vec![Instr::Const(Value::I32(0)), Instr::Load(LoadKind::I64, m), Instr::Drop],
+                vec![],
+                vec![],
+            );
+            assert!(matches!(load, Err(ModuleError::Validate(_))), "load align {align}: {load:?}");
+            let store = check(
+                vec![
+                    Instr::Const(Value::I32(0)),
+                    Instr::Const(Value::I64(0)),
+                    Instr::Store(StoreKind::I64, m),
+                ],
+                vec![],
+                vec![],
+            );
+            assert!(matches!(store, Err(ModuleError::Validate(_))), "store align {align}: {store:?}");
+        }
     }
 
     #[test]

@@ -1,17 +1,16 @@
-//! Differential property tests for the fusion pass (`twine_wasm::lower`).
+//! Differential property tests for the fusion windows (`twine_wasm::lower`).
 //!
-//! The fused-superinstruction IR is no longer executed on its own: it is
-//! the register allocator's input, one register op per fused op. Its
+//! The register tier's compile pass cuts each function's compiled ops into
+//! fusion windows and emits one register op per window. The windows'
 //! contract — fusion may only change dispatch cost, never anything the
 //! virtual-time methodology (DESIGN.md §4) can see — is therefore checked
 //! in two halves on randomly generated straight-line and loop-bearing
 //! modules:
 //!
-//! * statically, on the fused IR itself: the fused costs replay the
+//! * statically, on the register code's per-op costs: they replay the
 //!   compiled function's metering-class stream verbatim and in order, no
-//!   branch lands inside a fused window, only a window's last constituent
-//!   may trap, and the register code is parallel to the fused IR (same op
-//!   count, same per-op costs);
+//!   branch lands inside a window, only a window's last constituent may
+//!   trap, and every register op has exactly one cost;
 //! * dynamically, through the tier built from it: the register tier is
 //!   observably identical to the reference interpreter — same results,
 //!   traps, metered class counts, bytes/page accounting and fuel.
@@ -22,7 +21,7 @@ use proptest::prelude::*;
 
 use twine_wasm::compile::{CompiledFunc, Op};
 use twine_wasm::instr::{BlockType, IBinOp, IRelOp, Instr, IntWidth, LoadKind, MemArg, StoreKind};
-use twine_wasm::lower::{fuse, ibinop_traps, ExecTier};
+use twine_wasm::lower::{ibinop_traps, ExecTier};
 use twine_wasm::meter::InstrClass;
 use twine_wasm::types::{FuncType, Limits, ValType, Value};
 use twine_wasm::{CompiledModule, Instance, Linker, Meter, ModuleBuilder, Trap};
@@ -185,19 +184,19 @@ fn may_trap(op: &Op) -> bool {
     }
 }
 
-/// Assert the fusion pass's static contract on every function of `code`,
+/// Assert the fusion windows' static contract on every function of `code`,
 /// which must be compiled for the register tier.
 fn assert_fusion_conserves(code: &CompiledModule) {
     assert_eq!(code.tier, ExecTier::Reg);
     assert_eq!(code.reg.len(), code.funcs.len());
     for (f, rf) in code.funcs.iter().zip(&code.reg) {
-        let low = fuse(f);
-        assert_eq!(low.ops.len(), low.costs.len());
-        assert!(low.ops.len() <= f.ops.len(), "fusion grew the code");
-        assert_eq!(low.covered_ops(), f.ops.len(), "constituents not conserved");
+        assert_eq!(rf.ops.len(), rf.costs.len(), "one cost per register op");
+        assert!(rf.ops.len() <= f.ops.len(), "fusion grew the code");
+        let covered: usize = rf.costs.iter().map(|c| c.len as usize).sum();
+        assert_eq!(covered, f.ops.len(), "constituents not conserved");
 
-        // The fused costs, concatenated, are the compiled class stream.
-        let replay: Vec<InstrClass> = low
+        // The window costs, concatenated, are the compiled class stream.
+        let replay: Vec<InstrClass> = rf
             .costs
             .iter()
             .flat_map(|c| c.classes[..c.len as usize].iter().copied())
@@ -208,7 +207,7 @@ fn assert_fusion_conserves(code: &CompiledModule) {
         // constituent may trap.
         let targets = branch_targets(f);
         let mut start = 0usize;
-        for c in &low.costs {
+        for c in &rf.costs {
             let end = start + c.len as usize;
             for pc in start + 1..end {
                 assert!(
@@ -221,11 +220,6 @@ fn assert_fusion_conserves(code: &CompiledModule) {
             }
             start = end;
         }
-
-        // The register code is allocated one op per fused op and retires
-        // each fused op's cost verbatim.
-        assert_eq!(rf.ops.len(), low.ops.len());
-        assert_eq!(rf.costs, low.costs);
     }
 }
 
@@ -247,7 +241,7 @@ fn run_code(code: Arc<CompiledModule>, fuel: Option<u64>) -> TierRun {
 }
 
 /// Assert the fusion contract statically, then assert the register tier —
-/// the executor built from the fused IR — is observably identical to the
+/// the executor built from the windows — is observably identical to the
 /// reference interpreter on `module`.
 fn assert_tiers_agree(module: &twine_wasm::Module, fuel: Option<u64>) {
     let reg_code = module
