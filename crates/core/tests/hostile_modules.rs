@@ -10,6 +10,13 @@
 //! Each case must end in `Ok` or a typed `TwineError` — never a panic —
 //! and the co-tenant must keep answering with its exact running state.
 //!
+//! The outcome is pinned too: one FNV-1a digest folds in every case's
+//! verdict (opened, `ModuleError::Decode`, `ModuleError::Validate`, or
+//! another typed error) and the stack code and register code
+//! (`CompiledModule::funcs` and `reg`) of every mutant that compiles, so a
+//! front-end refactor that changes what is refused or what is emitted —
+//! dead code included — fails here.
+//!
 //! Resource bound of the harness: the seed binaries declare a memory
 //! maximum (`min + SEED_GROWTH_PAGES`), and a mutant that no longer bounds
 //! its memory to `MEM_CAP_PAGES` (or declares a table above
@@ -17,13 +24,14 @@
 //! no-panic check, but not instantiated: Wasm lets a module grow to 4 GiB,
 //! and the service would commit that memory for real.
 
+use std::fmt::Write as _;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
-use twine_core::{ShardedService, TwineBuilder};
+use twine_core::{ShardedService, TwineBuilder, TwineError};
 use twine_polybench::{all_kernels, Scale};
 use twine_wasm::module::ImportDesc;
 use twine_wasm::types::{Limits, Value};
-use twine_wasm::CompiledModule;
+use twine_wasm::{CompiledModule, ModuleError};
 
 /// Mutated modules served.
 const CASES: u64 = 6000;
@@ -36,6 +44,8 @@ const SEED_GROWTH_PAGES: u32 = 16;
 const MEM_CAP_PAGES: u32 = 256;
 /// Largest table a mutant may declare and still be served.
 const TABLE_CAP: u32 = 4096;
+/// FNV-1a digest of every case's verdict and emitted code (module docs).
+const GOLDEN_DIGEST: u64 = 0xf45d_8844_cece_f26f;
 
 const CO_TENANT_SRC: &str = "
     int acc;
@@ -107,6 +117,29 @@ fn mutate(seeds: &[Vec<u8>], case: u64, rng: &mut Rng) -> (Vec<u8>, String) {
     }
 }
 
+/// A 64-bit FNV-1a hasher that `write!` can feed without building the
+/// rendered string.
+struct Fnv(u64);
+
+impl std::fmt::Write for Fnv {
+    fn write_str(&mut self, s: &str) -> std::fmt::Result {
+        for &b in s.as_bytes() {
+            self.0 ^= u64::from(b);
+            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+        Ok(())
+    }
+}
+
+/// The verdict class of a failed open or compile.
+fn verdict(e: &ModuleError) -> &'static str {
+    match e {
+        ModuleError::Decode(_) => "decode",
+        ModuleError::Validate(_) => "validate",
+        ModuleError::Instantiate(_) => "instantiate",
+    }
+}
+
 /// Whether the service may instantiate this mutant within the harness's
 /// memory bound (see the module docs).
 fn within_resource_bound(wasm: &[u8]) -> bool {
@@ -126,18 +159,16 @@ fn within_resource_bound(wasm: &[u8]) -> bool {
         && tables.iter().all(|l| l.min <= TABLE_CAP)
 }
 
-/// Serve one mutant: open it, call its exports, close it. Returns whether
-/// it opened. Every error on the way is a typed [`TwineError`] by
-/// construction; only a panic fails the case.
-fn serve(svc: &ShardedService, name: &str, wasm: &[u8]) -> bool {
-    if svc.open_session(name, wasm).is_err() {
-        return false;
-    }
+/// Serve one mutant: open it, call its exports, close it. Returns the
+/// open's error if it did not open. Every error on the way is a typed
+/// [`TwineError`] by construction; only a panic fails the case.
+fn serve(svc: &ShardedService, name: &str, wasm: &[u8]) -> Result<(), TwineError> {
+    svc.open_session(name, wasm)?;
     for export in ["init", "kernel", "checksum"] {
         let _ = svc.invoke(name, export, &[]);
     }
     svc.close_session(name).expect("an open session closes");
-    true
+    Ok(())
 }
 
 #[test]
@@ -159,15 +190,28 @@ fn mutated_kernels_never_panic_the_serving_gate() {
     let mut rng = Rng(0x7477_696e_6521);
     let mut panics: Vec<String> = Vec::new();
     let (mut opened, mut capped) = (0u64, 0u64);
+    let mut digest = Fnv(0xcbf2_9ce4_8422_2325);
     for case in 0..CASES {
         let (wasm, what) = mutate(&seeds, case, &mut rng);
         let outcome = catch_unwind(AssertUnwindSafe(|| {
-            if within_resource_bound(&wasm) {
-                opened += u64::from(serve(&svc, &format!("mutant-{case}"), &wasm));
+            let compiled = CompiledModule::from_bytes(&wasm);
+            if let Ok(cm) = &compiled {
+                write!(digest, "{:?}{:?}", cm.funcs, cm.reg).unwrap();
+            }
+            let v = if within_resource_bound(&wasm) {
+                match serve(&svc, &format!("mutant-{case}"), &wasm) {
+                    Ok(()) => {
+                        opened += 1;
+                        "opened"
+                    }
+                    Err(TwineError::Module(e)) => verdict(&e),
+                    Err(_) => "other",
+                }
             } else {
                 capped += 1;
-                let _ = CompiledModule::from_bytes(&wasm);
-            }
+                compiled.as_ref().map_or_else(verdict, |_| "capped")
+            };
+            write!(digest, "{case}:{v};").unwrap();
         }));
         if let Err(p) = outcome {
             let msg = p
@@ -191,4 +235,5 @@ fn mutated_kernels_never_panic_the_serving_gate() {
     );
     assert!(co_tenant_failures.is_empty(), "co-tenant stopped answering: {co_tenant_failures:#?}");
     assert!(opened >= CASES / 10, "too few mutants got past the gate to exercise execution");
+    assert_eq!(digest.0, GOLDEN_DIGEST, "verdicts or emitted code changed: digest now {:#018x}", digest.0);
 }
