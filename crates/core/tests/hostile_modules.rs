@@ -171,6 +171,56 @@ fn serve(svc: &ShardedService, name: &str, wasm: &[u8]) -> Result<(), TwineError
     Ok(())
 }
 
+/// A module of one `[] -> []` function whose body is `code`.
+fn one_func_module(code: &[u8]) -> Vec<u8> {
+    fn leb(out: &mut Vec<u8>, mut v: usize) {
+        while v >= 0x80 {
+            out.push((v & 0x7F) as u8 | 0x80);
+            v >>= 7;
+        }
+        out.push(v as u8);
+    }
+    let mut body = vec![0]; // no locals
+    body.extend_from_slice(code);
+    body.push(0x0B);
+    let mut section = vec![1];
+    leb(&mut section, body.len());
+    section.extend_from_slice(&body);
+    let mut bytes = b"\0asm\x01\0\0\0".to_vec();
+    bytes.extend_from_slice(&[1, 4, 1, 0x60, 0, 0, 3, 2, 1, 0, 10]);
+    leb(&mut bytes, section.len());
+    bytes.extend_from_slice(&section);
+    bytes
+}
+
+/// Modules whose declared sizes would have the decoder reserve gigabytes or
+/// recurse once per nesting level are refused with a decode error, and the
+/// co-tenant keeps its state.
+#[test]
+fn forged_sizes_and_nesting_are_decode_errors_at_the_serving_gate() {
+    let svc = TwineBuilder::new().fuel(FUEL).build_sharded(1);
+    let co = twine_minicc::compile_to_bytes(CO_TENANT_SRC).expect("co-tenant compiles");
+    svc.open_session("co-tenant", &co).expect("co-tenant opens");
+    assert_eq!(svc.invoke("co-tenant", "step", &[Value::I32(5)]).unwrap(), [Value::I32(5)]);
+
+    // A br_table declaring u32::MAX targets.
+    let table = one_func_module(&[0x41, 0, 0x0E, 0xFF, 0xFF, 0xFF, 0xFF, 0x0F]);
+    // An element segment declaring u32::MAX function indices.
+    let mut elems = b"\0asm\x01\0\0\0".to_vec();
+    elems.extend_from_slice(&[9, 10, 1, 0, 0x41, 0, 0x0B, 0xFF, 0xFF, 0xFF, 0xFF, 0x0F]);
+    // 10 000 nested blocks in a 30 KB module.
+    let mut code = [0x02, 0x40].repeat(10_000);
+    code.extend([0x0B; 10_000]);
+    let nested = one_func_module(&code);
+    for (name, wasm) in [("br-table-count", table), ("elem-count", elems), ("nested", nested)] {
+        match svc.open_session(name, &wasm) {
+            Err(TwineError::Module(ModuleError::Decode(_))) => {}
+            other => panic!("{name}: {other:?}"),
+        }
+    }
+    assert_eq!(svc.invoke("co-tenant", "step", &[Value::I32(1)]).unwrap(), [Value::I32(5 * 31 + 1)]);
+}
+
 #[test]
 fn mutated_kernels_never_panic_the_serving_gate() {
     let seeds = seeds();

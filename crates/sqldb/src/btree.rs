@@ -307,7 +307,14 @@ fn write_overflow(pager: &mut Pager, data: &[u8]) -> DbResult<PageId> {
 }
 
 fn read_overflow(pager: &mut Pager, mut id: PageId, total: u32) -> DbResult<Vec<u8>> {
-    let mut out = Vec::with_capacity(total as usize);
+    // `total` and the chain are read from pages the host may supply: reserve
+    // no more than the file's pages can hold, and stop at the first page
+    // whose length is empty (never written, so a chain cannot cycle) or
+    // overruns the page or the declared total.
+    let total = total as usize;
+    let fits = pager.page_count() as usize * OVERFLOW_CAP;
+    let mut out = Vec::with_capacity(total.min(fits));
+    let mismatch = || DbError::Storage("overflow chain length mismatch".into());
     while id != 0 {
         let page = pager.get(id)?;
         if page[0] != OVERFLOW {
@@ -315,11 +322,14 @@ fn read_overflow(pager: &mut Pager, mut id: PageId, total: u32) -> DbResult<Vec<
         }
         let next = u32::from_le_bytes(page[1..5].try_into().expect("4"));
         let len = u32::from_le_bytes(page[5..9].try_into().expect("4")) as usize;
+        if len == 0 || len > OVERFLOW_CAP || out.len() + len > total {
+            return Err(mismatch());
+        }
         out.extend_from_slice(&page[9..9 + len]);
         id = next;
     }
-    if out.len() != total as usize {
-        return Err(DbError::Storage("overflow chain length mismatch".into()));
+    if out.len() != total {
+        return Err(mismatch());
     }
     Ok(out)
 }
@@ -984,6 +994,24 @@ mod tests {
         let mut p = Pager::open_memory();
         p.begin().unwrap();
         p
+    }
+
+    #[test]
+    fn forged_overflow_lengths_are_storage_errors() {
+        let mut p = mem_pager();
+        let data = vec![7u8; 3 * OVERFLOW_CAP + 5];
+        let head = write_overflow(&mut p, &data).unwrap();
+        assert_eq!(read_overflow(&mut p, head, data.len() as u32).unwrap(), data);
+        // A cell claiming 4 GiB of overflow must not reserve it.
+        for total in [u32::MAX, data.len() as u32 - 1, data.len() as u32 + 1] {
+            assert!(matches!(read_overflow(&mut p, head, total), Err(DbError::Storage(_))));
+        }
+        // A page claiming more bytes than it holds, or none (which would let
+        // a chain point at itself forever).
+        for len in [OVERFLOW_CAP as u32 + 1, u32::MAX, 0] {
+            p.get_mut(head).unwrap()[5..9].copy_from_slice(&len.to_le_bytes());
+            assert!(matches!(read_overflow(&mut p, head, u32::MAX), Err(DbError::Storage(_))));
+        }
     }
 
     #[test]

@@ -7,6 +7,23 @@ use crate::sql::{BinaryOp, Expr};
 use crate::value::SqlValue;
 use crate::{DbError, DbResult};
 
+/// Longest blob a statement may ask `zeroblob`/`randomblob` for, in bytes:
+/// SQLite's `SQLITE_MAX_LENGTH`. The length comes from statement text, so
+/// past it the statement is refused instead of allocating.
+pub const MAX_BLOB_LEN: i64 = 1_000_000_000;
+
+/// The byte length argument of `zeroblob`/`randomblob`: negative (or not a
+/// number) is 0, above [`MAX_BLOB_LEN`] is refused.
+fn blob_len(n: &SqlValue) -> DbResult<usize> {
+    let len = n.as_i64().unwrap_or(0).max(0);
+    if len > MAX_BLOB_LEN {
+        return Err(DbError::Unsupported(format!(
+            "blob of {len} bytes exceeds the {MAX_BLOB_LEN}-byte limit"
+        )));
+    }
+    Ok(len as usize)
+}
+
 /// Resolves column references during evaluation.
 pub trait ColumnResolver {
     /// Value of a (possibly qualified) column in the current row.
@@ -327,12 +344,11 @@ fn eval_scalar_fn(
         }
         ("random", []) => SqlValue::Int(rand::thread_rng().gen()),
         ("randomblob", [n]) => {
-            let len = n.as_i64().unwrap_or(0).max(0) as usize;
-            let mut b = vec![0u8; len];
+            let mut b = vec![0u8; blob_len(n)?];
             rand::thread_rng().fill(&mut b[..]);
             SqlValue::Blob(b)
         }
-        ("zeroblob", [n]) => SqlValue::Blob(vec![0u8; n.as_i64().unwrap_or(0).max(0) as usize]),
+        ("zeroblob", [n]) => SqlValue::Blob(vec![0u8; blob_len(n)?]),
         ("hex", [SqlValue::Blob(b)]) => {
             SqlValue::Text(b.iter().map(|x| format!("{x:02X}")).collect())
         }
@@ -452,6 +468,19 @@ mod tests {
                 assert!(eval(e, &NoRows).is_err());
             }
         }
+    }
+
+    #[test]
+    fn oversized_blobs_are_refused() {
+        for n in ["100000000000", "9223372036854775807"] {
+            for f in ["zeroblob", "randomblob"] {
+                let sql = format!("SELECT {f}({n})");
+                let Stmt::Select(sel) = parse(&sql).unwrap() else { unreachable!() };
+                let crate::sql::SelectCol::Expr(e, _) = &sel.columns[0] else { unreachable!() };
+                assert!(matches!(eval(e, &NoRows), Err(DbError::Unsupported(_))), "{sql}");
+            }
+        }
+        assert_eq!(eval_const("length(zeroblob(-5))"), SqlValue::Int(0));
     }
 
     #[test]

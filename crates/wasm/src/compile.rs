@@ -6,13 +6,19 @@
 //! control flow is flattened into a linear [`Op`] array with pre-computed
 //! branch targets and stack-transfer metadata, so the execution engine is a
 //! simple dispatch loop with no decoding or label searching at run time.
+//!
+//! The flattening happens in the validator's walk over each function body
+//! ([`crate::validate`]), which emits the ops while it type-checks them and
+//! records the operand-stack depth before each. This module defines the
+//! code, and [`CompiledModule::compile_with_tier`] runs the module-level
+//! checks, then that walk and the register pass ([`crate::regalloc`]) once
+//! per function.
 
-use crate::instr::{Instr, LoadKind, StoreKind};
+use crate::instr::{LoadKind, StoreKind};
 use crate::lower::ExecTier;
 use crate::meter::InstrClass;
 use crate::regalloc::{regalloc_func, RegFunc};
 use crate::module::Module;
-use crate::types::{FuncType, ValType};
 use crate::ModuleError;
 use std::sync::{Arc, OnceLock};
 
@@ -182,27 +188,22 @@ impl CompiledModule {
     /// semantics and metering; the tier only changes wall-clock dispatch
     /// cost.
     pub fn compile_with_tier(module: Module, tier: ExecTier) -> Result<Self, ModuleError> {
-        crate::validate::validate(&module)?;
+        crate::validate::check_module(&module)?;
         let mut funcs = Vec::with_capacity(module.funcs.len());
-        for f in &module.funcs {
-            let ty = &module.types[f.type_idx as usize];
-            let mut c = compile_func(&module, ty, &f.locals, &f.body);
-            c.type_idx = f.type_idx;
-            funcs.push(c);
-        }
-        let reg = if tier == ExecTier::Reg {
-            let mut reg: Vec<RegFunc> = funcs.iter().map(|f| regalloc_func(&module, f)).collect();
-            // Lay the per-function charge regions out in one module-wide
-            // index space for the engine's region-hit counters.
-            let mut base = 0u32;
-            for rf in &mut reg {
-                rf.region_base = base;
-                base += rf.blocks.len() as u32;
+        let mut reg = Vec::new();
+        // Lay the per-function charge regions out in one module-wide index
+        // space for the engine's region-hit counters.
+        let mut region_base = 0u32;
+        for i in 0..module.funcs.len() {
+            let (f, depths) = crate::validate::func_code(&module, i)?;
+            if tier == ExecTier::Reg {
+                let mut rf = regalloc_func(&module, &f, &depths);
+                rf.region_base = region_base;
+                region_base += rf.blocks.len() as u32;
+                reg.push(rf);
             }
-            reg
-        } else {
-            Vec::new()
-        };
+            funcs.push(f);
+        }
         Ok(Self {
             module,
             funcs,
@@ -273,339 +274,12 @@ impl CompiledModule {
     }
 }
 
-/// A pending forward patch: op index, plus the `BrTable` slot if applicable.
-type Patch = (usize, Option<usize>);
-
-struct CtrlEntry {
-    /// For loops: branch destination (the loop head).
-    loop_start: Option<u32>,
-    /// Operand height at label (relative to frame base).
-    height: u32,
-    /// Values a branch to this label carries.
-    arity: u8,
-    /// Result arity pushed at the construct's end.
-    end_arity: u8,
-    /// Forward branches that must be patched to the construct's end.
-    patches: Vec<Patch>,
-}
-
-struct Flattener<'m> {
-    module: &'m Module,
-    ops: Vec<Op>,
-    ctrls: Vec<CtrlEntry>,
-    height: u32,
-    dead: bool,
-}
-
-fn compile_func(module: &Module, ty: &FuncType, locals: &[ValType], body: &[Instr]) -> CompiledFunc {
-    let mut fl = Flattener {
-        module,
-        ops: Vec::with_capacity(body.len() + 8),
-        ctrls: Vec::new(),
-        height: 0,
-        dead: false,
-    };
-    fl.ctrls.push(CtrlEntry {
-        loop_start: None,
-        height: 0,
-        arity: ty.results.len() as u8,
-        end_arity: ty.results.len() as u8,
-        patches: Vec::new(),
-    });
-    fl.seq(body);
-    let frame = fl.ctrls.pop().expect("function frame");
-    let end_pc = fl.ops.len() as u32;
-    apply_patches(&mut fl.ops, &frame.patches, end_pc);
-    fl.ops.push(Op::End);
-    let classes = fl.ops.iter().map(Op::class).collect();
-    CompiledFunc {
-        type_idx: 0, // fixed up by the caller
-        n_params: ty.params.len(),
-        n_locals: ty.params.len() + locals.len(),
-        n_results: ty.results.len(),
-        ops: fl.ops,
-        classes,
-    }
-}
-
-fn apply_patches(ops: &mut [Op], patches: &[Patch], end_pc: u32) {
-    for &(at, slot) in patches {
-        match (&mut ops[at], slot) {
-            (Op::Br(bt) | Op::BrIf(bt), None) => bt.target = end_pc,
-            (Op::BrTable(table), Some(s)) => table[s].target = end_pc,
-            (Op::Jump(t) | Op::JumpIfZero(t), None) => *t = end_pc,
-            (other, s) => unreachable!("bad patch {other:?} slot {s:?}"),
-        }
-    }
-}
-
-impl<'m> Flattener<'m> {
-    fn pc(&self) -> u32 {
-        self.ops.len() as u32
-    }
-
-    fn emit(&mut self, op: Op) {
-        self.ops.push(op);
-    }
-
-    fn label(&self, depth: u32) -> &CtrlEntry {
-        let n = self.ctrls.len();
-        &self.ctrls[n - 1 - depth as usize]
-    }
-
-    /// Resolve a branch to `depth`: backward branches (loops) are final;
-    /// forward branches return `true` meaning "register a patch".
-    fn branch_target(&self, depth: u32) -> (BranchTarget, bool) {
-        let entry = self.label(depth);
-        match entry.loop_start {
-            Some(start) => (
-                BranchTarget {
-                    target: start,
-                    height: entry.height,
-                    arity: 0,
-                },
-                false,
-            ),
-            None => (
-                BranchTarget {
-                    target: u32::MAX,
-                    height: entry.height,
-                    arity: entry.arity,
-                },
-                true,
-            ),
-        }
-    }
-
-    fn register_patch(&mut self, depth: u32, patch: Patch) {
-        let n = self.ctrls.len();
-        self.ctrls[n - 1 - depth as usize].patches.push(patch);
-    }
-
-    fn seq(&mut self, instrs: &[Instr]) {
-        for i in instrs {
-            if self.dead {
-                // Dead code is validated but never emitted; nested structure
-                // is skipped wholesale.
-                continue;
-            }
-            self.one(i);
-        }
-    }
-
-    #[allow(clippy::too_many_lines)]
-    fn one(&mut self, instr: &Instr) {
-        use Instr as I;
-        match instr {
-            I::Unreachable => {
-                self.emit(Op::Unreachable);
-                self.dead = true;
-            }
-            I::Nop => {}
-            I::Block(bt, body) => {
-                let arity = bt.arity() as u8;
-                self.ctrls.push(CtrlEntry {
-                    loop_start: None,
-                    height: self.height,
-                    arity,
-                    end_arity: arity,
-                    patches: Vec::new(),
-                });
-                self.seq(body);
-                self.end_ctrl();
-            }
-            I::Loop(bt, body) => {
-                let arity = bt.arity() as u8;
-                self.ctrls.push(CtrlEntry {
-                    loop_start: Some(self.pc()),
-                    height: self.height,
-                    arity: 0,
-                    end_arity: arity,
-                    patches: Vec::new(),
-                });
-                self.seq(body);
-                self.end_ctrl();
-            }
-            I::If(bt, then_body, else_body) => {
-                self.height -= 1; // condition
-                let arity = bt.arity() as u8;
-                let test_at = self.ops.len();
-                self.emit(Op::JumpIfZero(u32::MAX));
-                self.ctrls.push(CtrlEntry {
-                    loop_start: None,
-                    height: self.height,
-                    arity,
-                    end_arity: arity,
-                    patches: Vec::new(),
-                });
-                let entry_height = self.height;
-                self.seq(then_body);
-                let then_dead = self.dead;
-                self.dead = false;
-                if else_body.is_empty() {
-                    // No else: the test jumps to the construct's end.
-                    let frame = self.ctrls.last_mut().expect("if frame");
-                    frame.patches.push((test_at, None));
-                } else {
-                    if !then_dead {
-                        let jump_at = self.ops.len();
-                        self.emit(Op::Jump(u32::MAX));
-                        let frame = self.ctrls.last_mut().expect("if frame");
-                        frame.patches.push((jump_at, None));
-                    }
-                    let else_start = self.pc();
-                    if let Op::JumpIfZero(t) = &mut self.ops[test_at] {
-                        *t = else_start;
-                    }
-                    self.height = entry_height;
-                    self.seq(else_body);
-                    self.dead = false;
-                }
-                self.end_ctrl();
-            }
-            I::Br(depth) => {
-                let (bt, needs_patch) = self.branch_target(*depth);
-                let at = self.ops.len();
-                self.emit(Op::Br(bt));
-                if needs_patch {
-                    self.register_patch(*depth, (at, None));
-                }
-                self.dead = true;
-            }
-            I::BrIf(depth) => {
-                self.height -= 1; // condition
-                let (bt, needs_patch) = self.branch_target(*depth);
-                let at = self.ops.len();
-                self.emit(Op::BrIf(bt));
-                if needs_patch {
-                    self.register_patch(*depth, (at, None));
-                }
-            }
-            I::BrTable(targets, default) => {
-                self.height -= 1; // index
-                let at = self.ops.len();
-                let mut table = Vec::with_capacity(targets.len() + 1);
-                let mut pending: Vec<(u32, usize)> = Vec::new();
-                for (slot, depth) in targets
-                    .iter()
-                    .chain(std::iter::once(default))
-                    .copied()
-                    .enumerate()
-                {
-                    let (bt, needs_patch) = self.branch_target(depth);
-                    table.push(bt);
-                    if needs_patch {
-                        pending.push((depth, slot));
-                    }
-                }
-                self.emit(Op::BrTable(table.into_boxed_slice()));
-                for (depth, slot) in pending {
-                    self.register_patch(depth, (at, Some(slot)));
-                }
-                self.dead = true;
-            }
-            I::Return => {
-                self.emit(Op::Return);
-                self.dead = true;
-            }
-            I::Call(f) => {
-                let ty = self.module.func_type(*f).expect("validated call");
-                self.height = self.height - ty.params.len() as u32 + ty.results.len() as u32;
-                self.emit(Op::Call(*f));
-            }
-            I::CallIndirect(type_idx) => {
-                let ty = &self.module.types[*type_idx as usize];
-                self.height -= 1; // table index
-                self.height = self.height - ty.params.len() as u32 + ty.results.len() as u32;
-                self.emit(Op::CallIndirect(*type_idx));
-            }
-            I::Drop => {
-                self.height -= 1;
-                self.emit(Op::Drop);
-            }
-            I::Select => {
-                self.height -= 2;
-                self.emit(Op::Select);
-            }
-            I::LocalGet(i) => {
-                self.height += 1;
-                self.emit(Op::LocalGet(*i));
-            }
-            I::LocalSet(i) => {
-                self.height -= 1;
-                self.emit(Op::LocalSet(*i));
-            }
-            I::LocalTee(i) => self.emit(Op::LocalTee(*i)),
-            I::GlobalGet(i) => {
-                self.height += 1;
-                self.emit(Op::GlobalGet(*i));
-            }
-            I::GlobalSet(i) => {
-                self.height -= 1;
-                self.emit(Op::GlobalSet(*i));
-            }
-            I::Load(kind, m) => self.emit(Op::Load(*kind, m.offset)),
-            I::Store(kind, m) => {
-                self.height -= 2;
-                self.emit(Op::Store(*kind, m.offset));
-            }
-            I::MemorySize => {
-                self.height += 1;
-                self.emit(Op::MemorySize);
-            }
-            I::MemoryGrow => self.emit(Op::MemoryGrow),
-            I::MemoryCopy => {
-                self.height -= 3;
-                self.emit(Op::MemoryCopy);
-            }
-            I::MemoryFill => {
-                self.height -= 3;
-                self.emit(Op::MemoryFill);
-            }
-            I::Const(v) => {
-                self.height += 1;
-                self.emit(Op::Const(v.to_bits()));
-            }
-            I::ITestEqz(w) => self.emit(Op::ITestEqz(*w)),
-            I::IUnop(w, op) => self.emit(Op::IUnop(*w, *op)),
-            I::IBinop(w, op) => {
-                self.height -= 1;
-                self.emit(Op::IBinop(*w, *op));
-            }
-            I::IRelop(w, op) => {
-                self.height -= 1;
-                self.emit(Op::IRelop(*w, *op));
-            }
-            I::FUnop(w, op) => self.emit(Op::FUnop(*w, *op)),
-            I::FBinop(w, op) => {
-                self.height -= 1;
-                self.emit(Op::FBinop(*w, *op));
-            }
-            I::FRelop(w, op) => {
-                self.height -= 1;
-                self.emit(Op::FRelop(*w, *op));
-            }
-            I::Cvt(op) => self.emit(Op::Cvt(*op)),
-        }
-    }
-
-    /// Close the innermost construct: patch forward branches to here and
-    /// restore the post-construct stack height.
-    fn end_ctrl(&mut self) {
-        let frame = self.ctrls.pop().expect("ctrl frame");
-        let end_pc = self.pc();
-        apply_patches(&mut self.ops, &frame.patches, end_pc);
-        self.dead = false;
-        self.height = frame.height + u32::from(frame.end_arity);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::instr::{BlockType, IBinOp, IntWidth, MemArg};
+    use crate::instr::{BlockType, IBinOp, Instr, IntWidth, MemArg};
     use crate::module::ModuleBuilder;
-    use crate::types::{Limits, Value};
+    use crate::types::{FuncType, Limits, ValType, Value};
 
     fn compile_body(body: Vec<Instr>, results: Vec<ValType>) -> CompiledFunc {
         let mut b = ModuleBuilder::new();

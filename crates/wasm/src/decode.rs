@@ -16,6 +16,11 @@ use crate::module::{
 use crate::types::{ExternKind, FuncType, Limits, ValType, Value};
 use crate::ModuleError;
 
+/// Deepest nesting of `block`/`loop`/`if` a function body may have. Real
+/// compilers nest `block`s as deep as a `switch` has cases, so the cap is
+/// generous; past it a module is refused with [`ModuleError::Decode`].
+const MAX_NESTING: usize = 1024;
+
 /// Decode a binary module.
 pub fn decode(bytes: &[u8]) -> Result<Module, ModuleError> {
     Decoder::new(bytes).module()
@@ -179,7 +184,7 @@ impl<'a> Decoder<'a> {
                         }
                         let offset = self.const_expr()?;
                         let count = self.u32()?;
-                        let mut funcs = Vec::with_capacity(count as usize);
+                        let mut funcs = self.vec_for(count as usize);
                         for _ in 0..count {
                             funcs.push(self.u32()?);
                         }
@@ -207,7 +212,7 @@ impl<'a> Decoder<'a> {
                             }
                             locals.extend(std::iter::repeat_n(ty, count as usize));
                         }
-                        let body = self.instr_seq_until_end()?;
+                        let body = self.body()?;
                         if self.pos != body_end {
                             return err("code body size mismatch");
                         }
@@ -252,6 +257,13 @@ impl<'a> Decoder<'a> {
         let s = &self.bytes[self.pos..self.pos + n];
         self.pos += n;
         Ok(s)
+    }
+
+    /// A vector for `n` elements a LEB count declares. Each element takes
+    /// at least one byte, so the reservation is bounded by the bytes that
+    /// remain: a forged count cannot make the decoder ask for gigabytes.
+    fn vec_for<T>(&self, n: usize) -> Vec<T> {
+        Vec::with_capacity(n.min(self.bytes.len() - self.pos))
     }
 
     fn byte(&mut self) -> DResult<u8> {
@@ -320,7 +332,7 @@ impl<'a> Decoder<'a> {
 
     fn valtype_vec(&mut self) -> DResult<Vec<ValType>> {
         let n = self.u32()? as usize;
-        let mut v = Vec::with_capacity(n.min(64));
+        let mut v = self.vec_for(n);
         for _ in 0..n {
             v.push(self.valtype()?);
         }
@@ -381,23 +393,55 @@ impl<'a> Decoder<'a> {
         })
     }
 
-    /// Decode instructions up to and including an `end` (0x0B).
-    fn instr_seq_until_end(&mut self) -> DResult<Vec<Instr>> {
-        let (seq, terminator) = self.instr_seq(&[0x0B])?;
-        debug_assert_eq!(terminator, 0x0B);
-        Ok(seq)
-    }
-
-    /// Decode instructions until one of `stops` (0x0B end / 0x05 else) is
-    /// consumed; returns the sequence and which terminator appeared.
-    fn instr_seq(&mut self, stops: &[u8]) -> DResult<(Vec<Instr>, u8)> {
-        let mut out = Vec::new();
+    /// Decode a function body up to and including its final `end` (0x0B).
+    ///
+    /// Nested bodies are built with an explicit stack of open constructs,
+    /// not by recursion, and at most [`MAX_NESTING`] may be open at once:
+    /// a body's nesting comes from tenant bytes, and must neither overflow
+    /// the decoding thread's stack nor build a tree too deep for the
+    /// recursive drop that frees it.
+    fn body(&mut self) -> DResult<Vec<Instr>> {
+        /// A `block`/`loop`/`if` whose `end` has not been read yet.
+        struct Open {
+            op: u8,
+            bt: BlockType,
+            /// The enclosing sequence, up to the construct.
+            outer: Vec<Instr>,
+            /// An `if`'s `then` arm, once its `else` has been read.
+            then_arm: Option<Vec<Instr>>,
+        }
+        let mut open: Vec<Open> = Vec::new();
+        let mut seq = Vec::new();
         loop {
             let op = self.byte()?;
-            if stops.contains(&op) {
-                return Ok((out, op));
+            match op {
+                0x02..=0x04 => {
+                    if open.len() == MAX_NESTING {
+                        return err(format!("blocks nested deeper than {MAX_NESTING}"));
+                    }
+                    let bt = self.blocktype()?;
+                    let outer = std::mem::take(&mut seq);
+                    open.push(Open { op, bt, outer, then_arm: None });
+                }
+                0x05 if matches!(open.last(), Some(o) if o.op == 0x04 && o.then_arm.is_none()) => {
+                    if let Some(o) = open.last_mut() {
+                        o.then_arm = Some(std::mem::take(&mut seq));
+                    }
+                }
+                0x0B => {
+                    let Some(o) = open.pop() else {
+                        return Ok(seq);
+                    };
+                    let body = std::mem::replace(&mut seq, o.outer);
+                    seq.push(match (o.op, o.then_arm) {
+                        (0x02, _) => Instr::Block(o.bt, body),
+                        (0x03, _) => Instr::Loop(o.bt, body),
+                        (_, Some(then_arm)) => Instr::If(o.bt, then_arm, body),
+                        (_, None) => Instr::If(o.bt, body, Vec::new()),
+                    });
+                }
+                _ => seq.push(self.instr(op)?),
             }
-            out.push(self.instr(op)?);
         }
     }
 
@@ -406,31 +450,11 @@ impl<'a> Decoder<'a> {
         Ok(match op {
             0x00 => I::Unreachable,
             0x01 => I::Nop,
-            0x02 => {
-                let bt = self.blocktype()?;
-                let body = self.instr_seq_until_end()?;
-                I::Block(bt, body)
-            }
-            0x03 => {
-                let bt = self.blocktype()?;
-                let body = self.instr_seq_until_end()?;
-                I::Loop(bt, body)
-            }
-            0x04 => {
-                let bt = self.blocktype()?;
-                let (then_body, term) = self.instr_seq(&[0x0B, 0x05])?;
-                let else_body = if term == 0x05 {
-                    self.instr_seq_until_end()?
-                } else {
-                    Vec::new()
-                };
-                I::If(bt, then_body, else_body)
-            }
             0x0C => I::Br(self.u32()?),
             0x0D => I::BrIf(self.u32()?),
             0x0E => {
                 let n = self.u32()? as usize;
-                let mut targets = Vec::with_capacity(n);
+                let mut targets = self.vec_for(n);
                 for _ in 0..n {
                     targets.push(self.u32()?);
                 }
@@ -731,6 +755,75 @@ mod tests {
             let m = b.build();
             assert_eq!(decode(&encode(&m)).unwrap(), m, "v={v}");
         }
+    }
+
+    /// A module of one `[] -> []` function whose body is `code` (after an
+    /// empty locals vector and before the closing `end`).
+    fn one_func_module(code: &[u8]) -> Vec<u8> {
+        let mut body = vec![0]; // no locals
+        body.extend_from_slice(code);
+        body.push(0x0B);
+        let mut bytes = crate::encode::HEADER.to_vec();
+        bytes.extend_from_slice(&[1, 4, 1, 0x60, 0, 0]); // type section
+        bytes.extend_from_slice(&[3, 2, 1, 0]); // function section
+        let mut code_section = vec![1];
+        leb(&mut code_section, body.len() as u32);
+        code_section.extend_from_slice(&body);
+        bytes.push(10);
+        leb(&mut bytes, code_section.len() as u32);
+        bytes.extend_from_slice(&code_section);
+        bytes
+    }
+
+    fn leb(out: &mut Vec<u8>, mut v: u32) {
+        loop {
+            let b = (v & 0x7F) as u8;
+            v >>= 7;
+            if v == 0 {
+                out.push(b);
+                return;
+            }
+            out.push(b | 0x80);
+        }
+    }
+
+    #[test]
+    fn forged_counts_are_refused_without_reserving_them() {
+        // br_table declaring u32::MAX targets, then the body ends.
+        let table = one_func_module(&[0x41, 0, 0x0E, 0xFF, 0xFF, 0xFF, 0xFF, 0x0F]);
+        // An element segment declaring u32::MAX function indices.
+        let mut elems = crate::encode::HEADER.to_vec();
+        elems.extend_from_slice(&[9, 9, 1, 0, 0x41, 0, 0x0B, 0xFF, 0xFF, 0xFF, 0xFF, 0x0F]);
+        elems[9] = (elems.len() - 10) as u8;
+        // A parameter vector of u32::MAX value types.
+        let mut params = crate::encode::HEADER.to_vec();
+        params.extend_from_slice(&[1, 7, 1, 0x60, 0xFF, 0xFF, 0xFF, 0xFF, 0x0F]);
+        for bytes in [table, elems, params] {
+            assert!(matches!(decode(&bytes), Err(ModuleError::Decode(_))), "{bytes:02x?}");
+        }
+    }
+
+    #[test]
+    fn nesting_is_capped_and_decoded_without_recursion() {
+        let nested = |depth: usize| {
+            let mut code = [0x02, 0x40].repeat(depth);
+            code.extend(std::iter::repeat_n(0x0B, depth));
+            one_func_module(&code)
+        };
+        let (at_cap, past_cap) = (nested(MAX_NESTING), nested(MAX_NESTING + 1));
+        // Decode, validate, compile and drop on a small thread stack: none
+        // of them may recurse once per nesting level.
+        std::thread::Builder::new()
+            .stack_size(2 << 20)
+            .spawn(move || {
+                let cm = crate::CompiledModule::from_bytes(&at_cap).expect("nesting at the cap compiles");
+                assert_eq!(cm.funcs[0].ops.len(), 1);
+                drop(cm);
+                assert!(matches!(decode(&past_cap), Err(ModuleError::Decode(_))));
+            })
+            .unwrap()
+            .join()
+            .unwrap();
     }
 
     #[test]

@@ -1,8 +1,9 @@
 //! The WebAssembly instruction AST.
 //!
 //! Instructions are decoded into a *structured* tree (blocks contain their
-//! bodies), matching the grammar of the binary format. The [`crate::compile`]
-//! pass flattens this tree into linear, jump-resolved code for execution.
+//! bodies), matching the grammar of the binary format. The validator's walk
+//! ([`crate::validate`]) flattens this tree into linear, jump-resolved
+//! [`crate::compile::Op`] code for execution.
 
 use crate::types::{ValType, Value};
 
@@ -16,12 +17,12 @@ pub enum BlockType {
 }
 
 impl BlockType {
-    /// Number of result values.
+    /// The result value, if any.
     #[must_use]
-    pub fn arity(self) -> usize {
+    pub fn result(self) -> Option<ValType> {
         match self {
-            BlockType::Empty => 0,
-            BlockType::Value(_) => 1,
+            BlockType::Empty => None,
+            BlockType::Value(t) => Some(t),
         }
     }
 }
@@ -443,7 +444,7 @@ mod tests {
 
     #[test]
     fn blocktype_arity() {
-        assert_eq!(BlockType::Empty.arity(), 0);
-        assert_eq!(BlockType::Value(ValType::F64).arity(), 1);
+        assert_eq!(BlockType::Empty.result(), None);
+        assert_eq!(BlockType::Value(ValType::F64).result(), Some(ValType::F64));
     }
 }

@@ -20,8 +20,10 @@
 //! * [`module`] — structural representation of a module and a builder API.
 //! * [`instr`] — the instruction AST produced by the decoder.
 //! * [`decode`] / [`encode`] — the binary format (LEB128, sections).
-//! * [`validate`] — full stack-polymorphic type checking.
-//! * [`compile`] — flattening to linear, jump-resolved opcodes. This is the
+//! * [`validate`] — full stack-polymorphic type checking, in one walk per
+//!   function body that also emits its flattened ops and their stack depths.
+//! * [`compile`] — the linear, jump-resolved opcodes that walk emits, and
+//!   [`CompiledModule`]. This is the
 //!   functional analogue of WAMR's `wamrc` ahead-of-time compiler: it is run
 //!   *before* the module enters the enclave, and the enclave only executes
 //!   pre-compiled code (the paper's Twine contains no interpreter, §IV-B).

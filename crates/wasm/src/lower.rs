@@ -4,7 +4,7 @@
 //! The [`crate::compile`] pass produces linear, jump-resolved [`Op`] code in
 //! which every Wasm instruction is still a separate op; the reference
 //! interpreter ([`ExecTier::Baseline`]) dispatches it exactly that way. The
-//! register tier's one compile pass ([`crate::regalloc::regalloc_func`])
+//! register tier's one compile pass ([`crate::regalloc`])
 //! cuts that stream into *windows* and emits one [`RegOp`] per window.
 //! `try_fuse` recognises the short idiomatic sequences that dominate hot
 //! loops and emits their superinstruction directly:

@@ -10,8 +10,9 @@
 //!
 //! 1. **Operand-stack elimination.** Because the module is validated, the
 //!    operand-stack depth before every op is a static property of its
-//!    program point. The pass runs a forward depth analysis over the
-//!    compiled ops and maps stack position `x` to *frame slot*
+//!    program point; the validator records it while it emits the ops
+//!    ([`crate::validate`]), `None` for unreachable ones. The pass maps
+//!    stack position `x` to *frame slot*
 //!    `n_locals + x` — locals and spill slots unified in one flat `[u64]`
 //!    slab. Each fusion window (`lower::try_fuse`'s patterns, or one op)
 //!    becomes one three-address [`RegOp`] with its source/destination slots
@@ -231,79 +232,6 @@ fn is_control(op: &Op) -> bool {
     )
 }
 
-/// Net operand-stack effect (pops, pushes) of a non-control op.
-fn stack_effect(op: &Op) -> (u32, u32) {
-    match op {
-        Op::Drop | Op::LocalSet(_) | Op::GlobalSet(_) => (1, 0),
-        Op::LocalGet(_) | Op::GlobalGet(_) | Op::MemorySize | Op::Const(_) => (0, 1),
-        Op::LocalTee(_)
-        | Op::Load(..)
-        | Op::MemoryGrow
-        | Op::ITestEqz(_)
-        | Op::IUnop(..)
-        | Op::FUnop(..)
-        | Op::Cvt(_) => (1, 1),
-        Op::Store(..) => (2, 0),
-        Op::IBinop(..) | Op::IRelop(..) | Op::FBinop(..) | Op::FRelop(..) => (2, 1),
-        Op::Select => (3, 1),
-        Op::MemoryCopy | Op::MemoryFill => (3, 0),
-        _ => unreachable!("control op in stack_effect"),
-    }
-}
-
-/// Forward depth analysis: the operand-stack depth before every reachable
-/// op of `f`, `None` for dead code.
-fn op_depths(module: &Module, f: &CompiledFunc) -> Vec<Option<u32>> {
-    let n = f.ops.len();
-    let mut depth: Vec<Option<u32>> = vec![None; n];
-    let mut work: Vec<usize> = Vec::with_capacity(16);
-    let mut succs: Vec<(u32, u32)> = Vec::with_capacity(2);
-    if n > 0 {
-        depth[0] = Some(0);
-        work.push(0);
-    }
-    let dest = |bt: &BranchTarget| (bt.target, bt.height + u32::from(bt.arity));
-    while let Some(pc) = work.pop() {
-        let d = depth[pc].expect("enqueued with a depth");
-        let next = pc as u32 + 1;
-        succs.clear();
-        match &f.ops[pc] {
-            Op::Unreachable | Op::Return | Op::End => {}
-            Op::Br(bt) => succs.push(dest(bt)),
-            Op::BrIf(bt) => succs.extend([dest(bt), (next, d - 1)]),
-            Op::BrTable(table) => succs.extend(table.iter().map(dest)),
-            Op::Jump(t) => succs.push((*t, d)),
-            Op::JumpIfZero(t) => succs.extend([(*t, d - 1), (next, d - 1)]),
-            Op::Call(g) => {
-                let ty = module.func_type(*g).expect("validated call");
-                succs.push((next, d - ty.params.len() as u32 + ty.results.len() as u32));
-            }
-            Op::CallIndirect(type_idx) => {
-                let ty = &module.types[*type_idx as usize];
-                succs.push((next, d - 1 - ty.params.len() as u32 + ty.results.len() as u32));
-            }
-            op => {
-                let (pops, pushes) = stack_effect(op);
-                succs.push((next, d - pops + pushes));
-            }
-        }
-        for &(t, dt) in &succs {
-            let t = t as usize;
-            match depth[t] {
-                None => {
-                    depth[t] = Some(dt);
-                    work.push(t);
-                }
-                // Hard assert (compile-time cost only, one compare per
-                // edge): a depth mismatch at a join would silently emit
-                // wrong slot assignments in release builds otherwise.
-                Some(prev) => assert_eq!(prev, dt, "inconsistent depth at join {t}"),
-            }
-        }
-    }
-    depth
-}
-
 /// The register op of one unfused compiled op (branch targets still op
 /// indices).
 fn lower_op(module: &Module, f: &CompiledFunc, op: &Op, at: Frame) -> RegOp {
@@ -328,21 +256,17 @@ fn lower_op(module: &Module, f: &CompiledFunc, op: &Op, at: Frame) -> RegOp {
             from: top(f.n_results as u32),
             n: f.n_results as u8,
         },
-        Op::Call(g) => {
-            let ty = module.func_type(*g).expect("validated call");
-            RegOp::Call {
-                func: *g,
-                base: top(ty.params.len() as u32),
-            }
-        }
-        Op::CallIndirect(type_idx) => {
-            let ty = &module.types[*type_idx as usize];
-            RegOp::CallIndirect {
-                type_idx: *type_idx,
-                idx: top(1),
-                base: top(1 + ty.params.len() as u32),
-            }
-        }
+        // Validation resolved both signatures; the arguments start below
+        // the parameters (and the table index).
+        Op::Call(g) => RegOp::Call {
+            func: *g,
+            base: top(module.func_type(*g).map_or(0, |t| t.params.len() as u32)),
+        },
+        Op::CallIndirect(type_idx) => RegOp::CallIndirect {
+            type_idx: *type_idx,
+            idx: top(1),
+            base: top(1 + module.types.get(*type_idx as usize).map_or(0, |t| t.params.len() as u32)),
+        },
         Op::Drop => RegOp::Nop,
         Op::Select => RegOp::Select {
             dst: top(3),
@@ -439,17 +363,17 @@ fn lower_op(module: &Module, f: &CompiledFunc, op: &Op, at: Frame) -> RegOp {
 }
 
 /// Compile one function to register code in a single pass over its ops:
-/// depth analysis, one register op per fusion window (slots taken from the
-/// depth at the window's start), branch targets remapped into the
-/// register-op index space, then the charge regions.
+/// one register op per fusion window (slots taken from the depth at the
+/// window's start), branch targets remapped into the register-op index
+/// space, then the charge regions.
 ///
-/// `module` supplies callee signatures (argument/result arities feed the
-/// depth analysis and the zero-copy call frame bases).
-#[must_use]
-pub fn regalloc_func(module: &Module, f: &CompiledFunc) -> RegFunc {
+/// `depth` is the operand-stack depth before each op of `f`, `None` where
+/// the op is unreachable, as [`crate::validate`] records it while emitting
+/// `f`. `module` supplies callee signatures for the zero-copy call frame
+/// bases.
+pub(crate) fn regalloc_func(module: &Module, f: &CompiledFunc, depth: &[Option<u32>]) -> RegFunc {
     let n = f.ops.len();
     let nl = f.n_locals as u32;
-    let depth = op_depths(module, f);
     let is_target = mark_targets(&f.ops);
 
     let mut ops: Vec<RegOp> = Vec::with_capacity(n);

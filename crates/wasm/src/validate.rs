@@ -1,14 +1,31 @@
-//! Module validation: full stack-polymorphic type checking per the spec's
-//! validation algorithm, plus module-level index/limit checks.
+//! Module validation, and the one walk from a function body to stack code.
 //!
 //! Validation runs before a module may be compiled or instantiated — the
 //! Twine enclave refuses unvalidated code, which is the software half of the
 //! paper's double-sandbox argument (§IV): SGX protects the enclave from the
 //! host, validation + bounds-checked memory protect the host from the guest.
+//!
+//! `check_module` makes the module-level index and limit checks. Then
+//! `func_code` walks each function body once, with an explicit control
+//! stack instead of recursion, and for every instruction:
+//!
+//! * type-checks it with the spec's stack-polymorphic algorithm;
+//! * emits its flattened [`Op`] with branch targets resolved — backward
+//!   branches at once, forward ones patched when their construct ends —
+//!   and each [`BranchTarget`]'s label height and arity;
+//! * records the operand-stack depth before each emitted op, `None` where no
+//!   control path reaches it: code after a construct whose end neither falls
+//!   through nor is branched to by reachable code.
+//!
+//! Code after an unconditional transfer (`unreachable`, `br`, `br_table`,
+//! `return`) in the same construct is checked but not emitted. The register
+//! pass ([`crate::regalloc`]) takes the depths as they are, so no later pass
+//! re-derives stack heights or trusts this one through a panic.
 
+use crate::compile::{BranchTarget, CompiledFunc, Op};
 use crate::instr::{BlockType, Instr};
 use crate::module::{ImportDesc, Module};
-use crate::types::{ExternKind, FuncType, ValType};
+use crate::types::{ExternKind, ValType};
 use crate::ModuleError;
 
 type VResult<T> = Result<T, ModuleError>;
@@ -20,6 +37,17 @@ fn err<T>(msg: impl Into<String>) -> VResult<T> {
 /// Validate a module. Returns `Ok(())` when the module is type-correct and
 /// all indices/limits are in range.
 pub fn validate(module: &Module) -> VResult<()> {
+    check_module(module)?;
+    for i in 0..module.funcs.len() {
+        func_code(module, i)?;
+    }
+    Ok(())
+}
+
+/// The module-level checks: types, imports, limits, globals, function type
+/// indices, start, exports and segments. Function bodies are checked by
+/// [`func_code`], which relies on these.
+pub(crate) fn check_module(module: &Module) -> VResult<()> {
     // -- types ------------------------------------------------------------
     for (i, t) in module.types.iter().enumerate() {
         if t.results.len() > 1 {
@@ -126,21 +154,6 @@ pub fn validate(module: &Module) -> VResult<()> {
             return err(format!("data segment {i}: offset must be i32"));
         }
     }
-
-    // -- function bodies -----------------------------------------------------
-    let n_imports = module.num_imported_funcs();
-    for (i, f) in module.funcs.iter().enumerate() {
-        let ty = &module.types[f.type_idx as usize];
-        FuncValidator::new(module, ty, &f.locals)
-            .check_body(&f.body)
-            .map_err(|e| match e {
-                ModuleError::Validate(m) => {
-                    ModuleError::Validate(format!("function {} (idx {}): {m}", i, n_imports as usize + i))
-                }
-                other => other,
-            })?;
-    }
-
     Ok(())
 }
 
@@ -159,64 +172,125 @@ fn check_limits(l: &crate::types::Limits, hard_max: u32, what: &str) -> VResult<
     Ok(())
 }
 
+/// Type-check local function `i` of a module that passed [`check_module`]
+/// and emit its stack code, with the operand-stack depth before each op
+/// (`None` where the op is unreachable).
+pub(crate) fn func_code(module: &Module, i: usize) -> VResult<(CompiledFunc, Vec<Option<u32>>)> {
+    let f = &module.funcs[i];
+    let ty = &module.types[f.type_idx as usize];
+    let mut v = FuncValidator {
+        module,
+        locals: ty.params.iter().chain(&f.locals).copied().collect(),
+        results: ty.results.first().copied(),
+        opds: Vec::new(),
+        ctrls: Vec::new(),
+        cur: CtrlFrame {
+            result: ty.results.first().copied(),
+            rest: f.body.iter(),
+            emit: true,
+            ..CtrlFrame::default()
+        },
+        ops: Vec::with_capacity(f.body.len() + 8),
+        depths: Vec::with_capacity(f.body.len() + 8),
+        live: true,
+    };
+    v.walk().map_err(|e| match e {
+        ModuleError::Validate(m) => {
+            let idx = module.num_imported_funcs() as usize + i;
+            ModuleError::Validate(format!("function {i} (idx {idx}): {m}"))
+        }
+        other => other,
+    })?;
+    let classes = v.ops.iter().map(Op::class).collect();
+    let code = CompiledFunc {
+        type_idx: f.type_idx,
+        n_params: ty.params.len(),
+        n_locals: v.locals.len(),
+        n_results: ty.results.len(),
+        ops: v.ops,
+        classes,
+    };
+    Ok((code, v.depths))
+}
+
 /// `None` stands for the polymorphic "unknown" type that arises after
 /// unconditional control transfer.
 type OpdType = Option<ValType>;
 
-struct CtrlFrame {
-    /// True for `loop` (branch target is the start → label types are the
-    /// block's *parameter* types, which are empty in MVP).
-    is_loop: bool,
-    /// Result types of the construct.
-    end_types: Vec<ValType>,
+/// What opened a control frame.
+#[derive(Default)]
+enum Kind<'a> {
+    /// The function body (or a `block`).
+    #[default]
+    Block,
+    /// A `loop`: branches to it go back to `head`, the op index of its body.
+    Loop { head: u32 },
+    /// An `if` walking its `then` arm: `test` is the op index of its entry
+    /// test, `live` whether that test is reachable.
+    If { test: usize, live: bool, else_arm: &'a [Instr] },
+    /// An `if` walking its `else` arm.
+    Else,
+}
+
+#[derive(Default)]
+struct CtrlFrame<'a> {
+    kind: Kind<'a>,
+    /// Result type of the construct (MVP: at most one value).
+    result: Option<ValType>,
     /// Operand-stack height at entry.
     height: usize,
     /// Set once the remainder of the frame is unreachable.
     unreachable: bool,
+    /// The frame's instructions not walked yet.
+    rest: std::slice::Iter<'a, Instr>,
+    /// Whether the frame's code is emitted: false inside a construct that
+    /// follows an unconditional transfer.
+    emit: bool,
+    /// Forward branches to patch to the construct's end: op index and
+    /// `br_table` slot.
+    patches: Vec<(usize, usize)>,
+    /// Whether reachable code branches to the construct's end.
+    reached: bool,
 }
 
-impl CtrlFrame {
-    fn label_types(&self) -> &[ValType] {
-        if self.is_loop {
-            &[]
-        } else {
-            &self.end_types
+impl CtrlFrame<'_> {
+    /// The values a branch to this frame's label carries: none for a loop
+    /// (its label is its start), else the construct's result.
+    fn label_type(&self) -> Option<ValType> {
+        match self.kind {
+            Kind::Loop { .. } => None,
+            _ => self.result,
         }
     }
 }
 
-struct FuncValidator<'m> {
-    module: &'m Module,
+struct FuncValidator<'a> {
+    module: &'a Module,
     locals: Vec<ValType>,
-    results: Vec<ValType>,
+    results: Option<ValType>,
     opds: Vec<OpdType>,
-    ctrls: Vec<CtrlFrame>,
+    /// The frames enclosing `cur`, outermost first.
+    ctrls: Vec<CtrlFrame<'a>>,
+    /// The innermost control frame.
+    cur: CtrlFrame<'a>,
+    ops: Vec<Op>,
+    /// Operand-stack depth before each op in `ops`.
+    depths: Vec<Option<u32>>,
+    /// Whether the next emitted op is reachable.
+    live: bool,
 }
 
-impl<'m> FuncValidator<'m> {
-    fn new(module: &'m Module, ty: &FuncType, locals: &[ValType]) -> Self {
-        let mut all_locals = ty.params.clone();
-        all_locals.extend_from_slice(locals);
-        Self {
-            module,
-            locals: all_locals,
-            results: ty.results.clone(),
-            opds: Vec::new(),
-            ctrls: Vec::new(),
+impl<'a> FuncValidator<'a> {
+    /// Walk the body to its final `end`, one instruction or one `end` at a
+    /// time.
+    fn walk(&mut self) -> VResult<()> {
+        loop {
+            match self.cur.rest.next() {
+                Some(instr) => self.instr(instr)?,
+                None if self.end()? => return Ok(()),
+                None => {}
+            }
         }
-    }
-
-    fn check_body(mut self, body: &[Instr]) -> VResult<()> {
-        self.ctrls.push(CtrlFrame {
-            is_loop: false,
-            end_types: self.results.clone(),
-            height: 0,
-            unreachable: false,
-        });
-        self.check_seq(body)?;
-        let results = self.results.clone();
-        self.pop_ctrl_expect(&results)?;
-        Ok(())
     }
 
     // ---- operand stack ---------------------------------------------------
@@ -225,21 +299,20 @@ impl<'m> FuncValidator<'m> {
         self.opds.push(Some(t));
     }
 
-    fn push_many(&mut self, ts: &[ValType]) {
-        for t in ts {
-            self.push(*t);
+    fn push_opt(&mut self, t: Option<ValType>) {
+        if let Some(t) = t {
+            self.push(t);
         }
     }
 
     fn pop_any(&mut self) -> VResult<OpdType> {
-        let frame = self.ctrls.last().expect("ctrl frame");
-        if self.opds.len() == frame.height {
-            if frame.unreachable {
+        if self.opds.len() == self.cur.height {
+            if self.cur.unreachable {
                 return Ok(None);
             }
             return err("operand stack underflow");
         }
-        Ok(self.opds.pop().expect("non-empty"))
+        Ok(self.opds.pop().flatten())
     }
 
     fn pop_expect(&mut self, t: ValType) -> VResult<()> {
@@ -248,6 +321,10 @@ impl<'m> FuncValidator<'m> {
             Some(actual) if actual == t => Ok(()),
             Some(actual) => err(format!("expected {t}, found {actual}")),
         }
+    }
+
+    fn pop_opt(&mut self, t: Option<ValType>) -> VResult<()> {
+        t.map_or(Ok(()), |t| self.pop_expect(t))
     }
 
     fn pop_many(&mut self, ts: &[ValType]) -> VResult<()> {
@@ -259,45 +336,118 @@ impl<'m> FuncValidator<'m> {
 
     // ---- control stack -----------------------------------------------------
 
-    fn push_ctrl(&mut self, is_loop: bool, end_types: Vec<ValType>) {
-        self.ctrls.push(CtrlFrame {
-            is_loop,
-            end_types,
-            height: self.opds.len(),
-            unreachable: false,
-        });
+    /// Whether the instruction being walked is emitted.
+    fn emitting(&self) -> bool {
+        self.cur.emit && !self.cur.unreachable
     }
 
-    fn pop_ctrl_expect(&mut self, expect: &[ValType]) -> VResult<Vec<ValType>> {
-        let frame = match self.ctrls.last() {
-            Some(f) => f,
-            None => return err("control stack underflow"),
+    /// Emit `op`, reachable iff `live`, at operand-stack depth `depth`.
+    fn emit(&mut self, op: Op, depth: usize) {
+        self.ops.push(op);
+        self.depths.push(self.live.then_some(depth as u32));
+    }
+
+    fn push_ctrl(&mut self, kind: Kind<'a>, bt: BlockType, body: &'a [Instr]) {
+        let frame = CtrlFrame {
+            kind,
+            result: bt.result(),
+            height: self.opds.len(),
+            rest: body.iter(),
+            emit: self.emitting(),
+            ..CtrlFrame::default()
         };
-        let height = frame.height;
-        let end_types = frame.end_types.clone();
-        if end_types != expect {
-            return err("block result type mismatch");
-        }
-        self.pop_many(&end_types)?;
-        if self.opds.len() != height {
+        self.ctrls.push(std::mem::replace(&mut self.cur, frame));
+    }
+
+    /// The innermost frame's instructions are exhausted: check its results,
+    /// then switch an `if` to its `else` arm or close the construct,
+    /// patching forward branches to here. Returns true once the function
+    /// body closes.
+    fn end(&mut self) -> VResult<bool> {
+        self.pop_opt(self.cur.result)?;
+        if self.opds.len() != self.cur.height {
             return err("values left on stack at end of block");
         }
-        self.ctrls.pop();
-        Ok(end_types)
+        let fall = self.emitting() && self.live;
+        let end_depth = self.cur.height + usize::from(self.cur.result.is_some());
+        if let Kind::If { test, live, else_arm } = self.cur.kind {
+            if !else_arm.is_empty() {
+                if self.emitting() {
+                    // The `then` arm falls through: jump over the `else` arm.
+                    self.cur.patches.push((self.ops.len(), 0));
+                    self.cur.reached |= fall;
+                    self.emit(Op::Jump(u32::MAX), end_depth);
+                }
+                if self.cur.emit {
+                    let else_start = self.ops.len() as u32;
+                    if let Op::JumpIfZero(t) = &mut self.ops[test] {
+                        *t = else_start;
+                    }
+                }
+                self.cur.kind = Kind::Else;
+                self.cur.unreachable = false;
+                self.cur.rest = else_arm.iter();
+                self.live = live;
+                return Ok(false);
+            }
+            // No `else`: the entry test jumps to the construct's end.
+            if self.cur.emit {
+                self.cur.patches.push((test, 0));
+                self.cur.reached |= live;
+            }
+        }
+        let outermost = self.ctrls.is_empty();
+        let frame = std::mem::replace(&mut self.cur, self.ctrls.pop().unwrap_or_default());
+        if frame.emit {
+            let end = self.ops.len() as u32;
+            for &(at, slot) in &frame.patches {
+                match &mut self.ops[at] {
+                    Op::Br(bt) | Op::BrIf(bt) => bt.target = end,
+                    Op::BrTable(table) => table[slot].target = end,
+                    Op::Jump(t) | Op::JumpIfZero(t) => *t = end,
+                    _ => {}
+                }
+            }
+            self.live = fall || frame.reached;
+        }
+        self.push_opt(frame.result);
+        if outermost {
+            self.emit(Op::End, end_depth);
+        }
+        Ok(outermost)
     }
 
     fn mark_unreachable(&mut self) {
-        let frame = self.ctrls.last_mut().expect("ctrl frame");
-        self.opds.truncate(frame.height);
-        frame.unreachable = true;
+        self.opds.truncate(self.cur.height);
+        self.cur.unreachable = true;
     }
 
-    fn label(&self, depth: u32) -> VResult<&CtrlFrame> {
+    /// Check that label `depth` exists and return its branch descriptor and
+    /// carried type. A forward branch emitted at `(op index, br_table slot)`
+    /// is queued on the label's frame for patching; one from reachable code
+    /// marks the label's end reached.
+    fn branch(&mut self, depth: u32, slot: usize) -> VResult<(BranchTarget, Option<ValType>)> {
+        let (emit, live, at) = (self.emitting(), self.live, self.ops.len());
         let n = self.ctrls.len();
-        if depth as usize >= n {
-            return err(format!("branch depth {depth} out of range"));
-        }
-        Ok(&self.ctrls[n - 1 - depth as usize])
+        let label = match depth as usize {
+            0 => &mut self.cur,
+            d if d <= n => &mut self.ctrls[n - d],
+            _ => return err(format!("branch depth {depth} out of range")),
+        };
+        let height = label.height as u32;
+        let ty = label.label_type();
+        let target = match label.kind {
+            Kind::Loop { head } => head,
+            _ => {
+                if emit {
+                    label.patches.push((at, slot));
+                    label.reached |= live;
+                }
+                u32::MAX
+            }
+        };
+        let arity = u8::from(ty.is_some());
+        Ok((BranchTarget { target, height, arity }, ty))
     }
 
     // ---- memory/table presence ------------------------------------------
@@ -309,109 +459,113 @@ impl<'m> FuncValidator<'m> {
         Ok(())
     }
 
-    // ---- instruction sequence ----------------------------------------------
+    // ---- one instruction ---------------------------------------------------
 
-    fn check_seq(&mut self, instrs: &[Instr]) -> VResult<()> {
-        for i in instrs {
-            self.check_instr(i)?;
-        }
-        Ok(())
+    fn local(&self, i: u32) -> VResult<ValType> {
+        self.locals
+            .get(i as usize)
+            .copied()
+            .ok_or_else(|| ModuleError::Validate(format!("local {i} out of range")))
     }
 
+    fn global(&self, i: u32) -> VResult<&'a crate::module::GlobalType> {
+        self.module
+            .globals
+            .get(i as usize)
+            .map(|g| &g.ty)
+            .ok_or_else(|| ModuleError::Validate(format!("global {i} out of range")))
+    }
+
+    /// Type-check `instr` and, unless it follows an unconditional transfer,
+    /// emit its op.
     #[allow(clippy::too_many_lines)]
-    fn check_instr(&mut self, instr: &Instr) -> VResult<()> {
+    fn instr(&mut self, instr: &'a Instr) -> VResult<()> {
         use Instr::*;
         use ValType::*;
-        match instr {
-            Unreachable => self.mark_unreachable(),
-            Nop => {}
+        let (emit, depth) = (self.emitting(), self.opds.len());
+        let op = match instr {
+            Unreachable => {
+                self.mark_unreachable();
+                Op::Unreachable
+            }
+            Nop => return Ok(()),
             Block(bt, body) => {
-                let end: Vec<ValType> = match bt {
-                    BlockType::Empty => vec![],
-                    BlockType::Value(t) => vec![*t],
-                };
-                self.push_ctrl(false, end.clone());
-                self.check_seq(body)?;
-                let got = self.pop_ctrl_expect(&end)?;
-                self.push_many(&got);
+                self.push_ctrl(Kind::Block, *bt, body);
+                return Ok(());
             }
             Loop(bt, body) => {
-                let end: Vec<ValType> = match bt {
-                    BlockType::Empty => vec![],
-                    BlockType::Value(t) => vec![*t],
-                };
-                self.push_ctrl(true, end.clone());
-                self.check_seq(body)?;
-                let got = self.pop_ctrl_expect(&end)?;
-                self.push_many(&got);
+                self.push_ctrl(Kind::Loop { head: self.ops.len() as u32 }, *bt, body);
+                return Ok(());
             }
-            If(bt, then_body, else_body) => {
+            If(bt, then_arm, else_arm) => {
                 self.pop_expect(I32)?;
-                let end: Vec<ValType> = match bt {
-                    BlockType::Empty => vec![],
-                    BlockType::Value(t) => vec![*t],
-                };
-                if !end.is_empty() && else_body.is_empty() {
+                if *bt != BlockType::Empty && else_arm.is_empty() {
                     return err("if with result type requires an else branch");
                 }
-                self.push_ctrl(false, end.clone());
-                self.check_seq(then_body)?;
-                self.pop_ctrl_expect(&end)?;
-                self.push_ctrl(false, end.clone());
-                self.check_seq(else_body)?;
-                let got = self.pop_ctrl_expect(&end)?;
-                self.push_many(&got);
+                let (test, live) = (self.ops.len(), self.live);
+                if emit {
+                    self.emit(Op::JumpIfZero(u32::MAX), depth);
+                }
+                self.push_ctrl(Kind::If { test, live, else_arm }, *bt, then_arm);
+                return Ok(());
             }
-            Br(depth) => {
-                let label_types = self.label(*depth)?.label_types().to_vec();
-                self.pop_many(&label_types)?;
+            Br(label) => {
+                let (bt, ty) = self.branch(*label, 0)?;
+                self.pop_opt(ty)?;
                 self.mark_unreachable();
+                Op::Br(bt)
             }
-            BrIf(depth) => {
+            BrIf(label) => {
                 self.pop_expect(I32)?;
-                let label_types = self.label(*depth)?.label_types().to_vec();
-                self.pop_many(&label_types)?;
-                self.push_many(&label_types);
+                let (bt, ty) = self.branch(*label, 0)?;
+                self.pop_opt(ty)?;
+                self.push_opt(ty);
+                Op::BrIf(bt)
             }
-            BrTable(targets, default) => {
+            BrTable(labels, default) => {
                 self.pop_expect(I32)?;
-                let default_types = self.label(*default)?.label_types().to_vec();
-                for t in targets {
-                    let tt = self.label(*t)?.label_types();
-                    if tt != default_types.as_slice() {
+                let (default_bt, ty) = self.branch(*default, labels.len())?;
+                let mut table = Vec::with_capacity(labels.len() + 1);
+                for (slot, label) in labels.iter().enumerate() {
+                    let (bt, t) = self.branch(*label, slot)?;
+                    if t != ty {
                         return err("br_table label arity mismatch");
                     }
+                    table.push(bt);
                 }
-                self.pop_many(&default_types)?;
+                table.push(default_bt);
+                self.pop_opt(ty)?;
                 self.mark_unreachable();
+                Op::BrTable(table.into_boxed_slice())
             }
             Return => {
-                let results = self.results.clone();
-                self.pop_many(&results)?;
+                self.pop_opt(self.results)?;
                 self.mark_unreachable();
+                Op::Return
             }
             Call(f) => {
-                let ty = match self.module.func_type(*f) {
-                    Some(t) => t.clone(),
-                    None => return err(format!("call: function index {f} out of range")),
+                let Some(ty) = self.module.func_type(*f) else {
+                    return err(format!("call: function index {f} out of range"));
                 };
                 self.pop_many(&ty.params)?;
-                self.push_many(&ty.results);
+                self.push_opt(ty.results.first().copied());
+                Op::Call(*f)
             }
             CallIndirect(type_idx) => {
                 if self.module.table.is_none() {
                     return err("call_indirect without a table");
                 }
-                let ty = match self.module.types.get(*type_idx as usize) {
-                    Some(t) => t.clone(),
-                    None => return err("call_indirect: type index out of range"),
+                let Some(ty) = self.module.types.get(*type_idx as usize) else {
+                    return err("call_indirect: type index out of range");
                 };
                 self.pop_expect(I32)?;
                 self.pop_many(&ty.params)?;
-                self.push_many(&ty.results);
+                self.push_opt(ty.results.first().copied());
+                Op::CallIndirect(*type_idx)
             }
             Drop => {
                 self.pop_any()?;
+                Op::Drop
             }
             Select => {
                 self.pop_expect(I32)?;
@@ -421,51 +575,39 @@ impl<'m> FuncValidator<'m> {
                     (Some(x), Some(y)) if x != y => {
                         return err("select operands must have the same type")
                     }
-                    (Some(x), _) => self.push(x),
-                    (None, Some(y)) => self.push(y),
+                    (Some(x), _) | (None, Some(x)) => self.push(x),
                     (None, None) => self.opds.push(None),
                 }
+                Op::Select
             }
             LocalGet(i) => {
-                let t = *self
-                    .locals
-                    .get(*i as usize)
-                    .ok_or_else(|| ModuleError::Validate(format!("local {i} out of range")))?;
+                let t = self.local(*i)?;
                 self.push(t);
+                Op::LocalGet(*i)
             }
             LocalSet(i) => {
-                let t = *self
-                    .locals
-                    .get(*i as usize)
-                    .ok_or_else(|| ModuleError::Validate(format!("local {i} out of range")))?;
+                let t = self.local(*i)?;
                 self.pop_expect(t)?;
+                Op::LocalSet(*i)
             }
             LocalTee(i) => {
-                let t = *self
-                    .locals
-                    .get(*i as usize)
-                    .ok_or_else(|| ModuleError::Validate(format!("local {i} out of range")))?;
+                let t = self.local(*i)?;
                 self.pop_expect(t)?;
                 self.push(t);
+                Op::LocalTee(*i)
             }
             GlobalGet(i) => {
-                let g = self
-                    .module
-                    .globals
-                    .get(*i as usize)
-                    .ok_or_else(|| ModuleError::Validate(format!("global {i} out of range")))?;
-                self.push(g.ty.ty);
+                let g = self.global(*i)?;
+                self.push(g.ty);
+                Op::GlobalGet(*i)
             }
             GlobalSet(i) => {
-                let g = self
-                    .module
-                    .globals
-                    .get(*i as usize)
-                    .ok_or_else(|| ModuleError::Validate(format!("global {i} out of range")))?;
-                if !g.ty.mutable {
+                let g = self.global(*i)?;
+                if !g.mutable {
                     return err(format!("global {i} is immutable"));
                 }
-                self.pop_expect(g.ty.ty)?;
+                self.pop_expect(g.ty)?;
+                Op::GlobalSet(*i)
             }
             Load(kind, memarg) => {
                 self.require_memory()?;
@@ -476,6 +618,7 @@ impl<'m> FuncValidator<'m> {
                 }
                 self.pop_expect(I32)?;
                 self.push(kind.result_type());
+                Op::Load(*kind, memarg.offset)
             }
             Store(kind, memarg) => {
                 self.require_memory()?;
@@ -484,66 +627,88 @@ impl<'m> FuncValidator<'m> {
                 }
                 self.pop_expect(kind.value_type())?;
                 self.pop_expect(I32)?;
+                Op::Store(*kind, memarg.offset)
             }
             MemorySize => {
                 self.require_memory()?;
                 self.push(I32);
+                Op::MemorySize
             }
             MemoryGrow => {
                 self.require_memory()?;
                 self.pop_expect(I32)?;
                 self.push(I32);
+                Op::MemoryGrow
             }
             MemoryCopy | MemoryFill => {
                 self.require_memory()?;
                 self.pop_expect(I32)?;
                 self.pop_expect(I32)?;
                 self.pop_expect(I32)?;
+                if let MemoryCopy = instr {
+                    Op::MemoryCopy
+                } else {
+                    Op::MemoryFill
+                }
             }
-            Const(v) => self.push(v.ty()),
+            Const(v) => {
+                self.push(v.ty());
+                Op::Const(v.to_bits())
+            }
             ITestEqz(w) => {
                 self.pop_expect(int_ty(*w))?;
                 self.push(I32);
+                Op::ITestEqz(*w)
             }
-            IUnop(w, _) => {
+            IUnop(w, op) => {
                 let t = int_ty(*w);
                 self.pop_expect(t)?;
                 self.push(t);
+                Op::IUnop(*w, *op)
             }
-            IBinop(w, _) => {
+            IBinop(w, op) => {
                 let t = int_ty(*w);
                 self.pop_expect(t)?;
                 self.pop_expect(t)?;
                 self.push(t);
+                Op::IBinop(*w, *op)
             }
-            IRelop(w, _) => {
+            IRelop(w, op) => {
                 let t = int_ty(*w);
                 self.pop_expect(t)?;
                 self.pop_expect(t)?;
                 self.push(I32);
+                Op::IRelop(*w, *op)
             }
-            FUnop(w, _) => {
+            FUnop(w, op) => {
                 let t = float_ty(*w);
                 self.pop_expect(t)?;
                 self.push(t);
+                Op::FUnop(*w, *op)
             }
-            FBinop(w, _) => {
+            FBinop(w, op) => {
                 let t = float_ty(*w);
                 self.pop_expect(t)?;
                 self.pop_expect(t)?;
                 self.push(t);
+                Op::FBinop(*w, *op)
             }
-            FRelop(w, _) => {
+            FRelop(w, op) => {
                 let t = float_ty(*w);
                 self.pop_expect(t)?;
                 self.pop_expect(t)?;
                 self.push(I32);
+                Op::FRelop(*w, *op)
             }
             Cvt(op) => {
                 let (from, to) = op.signature();
                 self.pop_expect(from)?;
                 self.push(to);
+                Op::Cvt(*op)
             }
+        };
+        if emit {
+            self.emit(op, depth);
         }
         Ok(())
     }
