@@ -10,7 +10,7 @@ use crate::{DbError, DbResult};
 /// Longest blob a statement may ask `zeroblob`/`randomblob` for, in bytes:
 /// SQLite's `SQLITE_MAX_LENGTH`. The length comes from statement text, so
 /// past it the statement is refused instead of allocating.
-pub const MAX_BLOB_LEN: i64 = 1_000_000_000;
+const MAX_BLOB_LEN: i64 = 1_000_000_000;
 
 /// The byte length argument of `zeroblob`/`randomblob`: negative (or not a
 /// number) is 0, above [`MAX_BLOB_LEN`] is refused.

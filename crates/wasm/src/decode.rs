@@ -423,11 +423,12 @@ impl<'a> Decoder<'a> {
                     let outer = std::mem::take(&mut seq);
                     open.push(Open { op, bt, outer, then_arm: None });
                 }
-                0x05 if matches!(open.last(), Some(o) if o.op == 0x04 && o.then_arm.is_none()) => {
-                    if let Some(o) = open.last_mut() {
+                0x05 => match open.last_mut() {
+                    Some(o) if o.op == 0x04 && o.then_arm.is_none() => {
                         o.then_arm = Some(std::mem::take(&mut seq));
                     }
-                }
+                    _ => seq.push(self.instr(op)?),
+                },
                 0x0B => {
                     let Some(o) = open.pop() else {
                         return Ok(seq);

@@ -645,7 +645,7 @@ impl<'a> FuncValidator<'a> {
                 self.pop_expect(I32)?;
                 self.pop_expect(I32)?;
                 self.pop_expect(I32)?;
-                if let MemoryCopy = instr {
+                if matches!(instr, MemoryCopy) {
                     Op::MemoryCopy
                 } else {
                     Op::MemoryFill
