@@ -62,10 +62,6 @@ pub enum Node {
 }
 
 impl Node {
-    fn is_leaf(&self) -> bool {
-        matches!(self, Node::TableLeaf { .. } | Node::IndexLeaf { .. })
-    }
-
     /// Serialised size (must fit `PAGE_SIZE`).
     fn encoded_size(&self) -> usize {
         let mut n = 8;
@@ -140,58 +136,40 @@ impl Node {
         }
     }
 
+    /// Decode a whole page: a collect over [`NodeReader`], so a page is
+    /// accepted or refused exactly as the in-place reads accept or refuse it.
     fn decode(data: &[u8]) -> DbResult<Node> {
-        let mut r = Reader { data, pos: 0 };
-        let ty = r.u8()?;
-        let n = r.u16()? as usize;
-        Ok(match ty {
-            TABLE_LEAF => {
-                let mut cells = Vec::with_capacity(n);
-                for _ in 0..n {
-                    let rowid = r.varint()? as i64;
-                    let local_len = r.varint()? as usize;
-                    let overflow_len = r.varint()? as u32;
-                    let overflow = if overflow_len > 0 { r.u32()? } else { 0 };
-                    let local = r.take(local_len)?.to_vec();
-                    cells.push(TableCell {
-                        rowid,
-                        local,
-                        overflow_len,
-                        overflow,
-                    });
-                }
-                Node::TableLeaf { cells }
-            }
+        let mut r = NodeReader::new(data)?;
+        let n = r.len;
+        Ok(match r.ty {
+            TABLE_LEAF => Node::TableLeaf {
+                cells: (0..n).map(|_| r.cell().map(CellRef::into_cell)).collect::<DbResult<_>>()?,
+            },
             TABLE_INTERIOR => {
                 let mut children = Vec::with_capacity(n + 1);
                 let mut keys = Vec::with_capacity(n);
                 for _ in 0..n {
-                    children.push(r.u32()?);
-                    keys.push(r.varint()? as i64);
+                    let (child, key) = r.table_sep()?;
+                    children.push(child);
+                    keys.push(key);
                 }
-                children.push(r.u32()?);
+                children.push(r.last_child()?);
                 Node::TableInterior { children, keys }
             }
-            INDEX_LEAF => {
-                let mut keys = Vec::with_capacity(n);
-                for _ in 0..n {
-                    let len = r.varint()? as usize;
-                    keys.push(r.take(len)?.to_vec());
-                }
-                Node::IndexLeaf { keys }
-            }
-            INDEX_INTERIOR => {
+            INDEX_LEAF => Node::IndexLeaf {
+                keys: (0..n).map(|_| r.key().map(<[u8]>::to_vec)).collect::<DbResult<_>>()?,
+            },
+            _ => {
                 let mut children = Vec::with_capacity(n + 1);
                 let mut keys = Vec::with_capacity(n);
                 for _ in 0..n {
-                    children.push(r.u32()?);
-                    let len = r.varint()? as usize;
-                    keys.push(r.take(len)?.to_vec());
+                    let (child, key) = r.index_sep()?;
+                    children.push(child);
+                    keys.push(key.to_vec());
                 }
-                children.push(r.u32()?);
+                children.push(r.last_child()?);
                 Node::IndexInterior { children, keys }
             }
-            other => return Err(DbError::Storage(format!("bad page type 0x{other:02x}"))),
         })
     }
 }
@@ -225,6 +203,10 @@ impl Writer<'_> {
     }
 }
 
+// ---------------------------------------------------------------------
+// Reading pages in place
+// ---------------------------------------------------------------------
+
 struct Reader<'a> {
     data: &'a [u8],
     pos: usize,
@@ -232,20 +214,15 @@ struct Reader<'a> {
 
 impl<'a> Reader<'a> {
     fn u8(&mut self) -> DbResult<u8> {
-        let v = *self
-            .data
-            .get(self.pos)
-            .ok_or_else(|| DbError::Storage("page truncated".into()))?;
-        self.pos += 1;
-        Ok(v)
+        Ok(self.take(1)?[0])
     }
     fn u16(&mut self) -> DbResult<u16> {
         let s = self.take(2)?;
-        Ok(u16::from_le_bytes(s.try_into().expect("2")))
+        Ok(u16::from_le_bytes([s[0], s[1]]))
     }
     fn u32(&mut self) -> DbResult<u32> {
         let s = self.take(4)?;
-        Ok(u32::from_le_bytes(s.try_into().expect("4")))
+        Ok(u32::from_le_bytes([s[0], s[1], s[2], s[3]]))
     }
     fn varint(&mut self) -> DbResult<u64> {
         let (v, n) = read_varint(&self.data[self.pos..])?;
@@ -253,7 +230,8 @@ impl<'a> Reader<'a> {
         Ok(v)
     }
     fn take(&mut self, n: usize) -> DbResult<&'a [u8]> {
-        if self.pos + n > self.data.len() {
+        // `n` may be a length read from the page: compare without adding.
+        if n > self.data.len() - self.pos {
             return Err(DbError::Storage("page truncated".into()));
         }
         let s = &self.data[self.pos..self.pos + n];
@@ -262,6 +240,229 @@ impl<'a> Reader<'a> {
     }
 }
 
+/// The one parser of the node format, borrowing the page bytes: the page
+/// type and entry count, then the entries in page order — table-leaf
+/// cells, index-leaf keys, or an interior page's `(child, separator)`
+/// pairs followed by its last child. Every read is bounds-checked, and a
+/// key that is not strictly above the one before it is refused: a lookup
+/// that picks the first separator ≥ its key, or stops at the first cell
+/// that matches, is only right on an ordered page, and a page from the
+/// host may be in any order.
+struct NodeReader<'a> {
+    r: Reader<'a>,
+    ty: u8,
+    /// Entries on the page (interior pages have one more child).
+    len: usize,
+    last_rowid: Option<i64>,
+    last_key: Option<&'a [u8]>,
+}
+
+/// A table-leaf cell as it sits on the page.
+struct CellRef<'a> {
+    rowid: i64,
+    local: &'a [u8],
+    overflow_len: u32,
+    overflow: PageId,
+}
+
+impl CellRef<'_> {
+    fn into_cell(self) -> TableCell {
+        TableCell {
+            rowid: self.rowid,
+            local: self.local.to_vec(),
+            overflow_len: self.overflow_len,
+            overflow: self.overflow,
+        }
+    }
+}
+
+fn out_of_order() -> DbError {
+    DbError::Storage("page keys out of order".into())
+}
+
+impl<'a> NodeReader<'a> {
+    fn new(data: &'a [u8]) -> DbResult<Self> {
+        let mut r = Reader { data, pos: 0 };
+        let ty = r.u8()?;
+        let len = r.u16()? as usize;
+        if !matches!(ty, TABLE_LEAF | TABLE_INTERIOR | INDEX_LEAF | INDEX_INTERIOR) {
+            return Err(DbError::Storage(format!("bad page type 0x{ty:02x}")));
+        }
+        Ok(Self {
+            r,
+            ty,
+            len,
+            last_rowid: None,
+            last_key: None,
+        })
+    }
+
+    fn ascending_rowid(&mut self, rowid: i64) -> DbResult<i64> {
+        if self.last_rowid.is_some_and(|last| rowid <= last) {
+            return Err(out_of_order());
+        }
+        self.last_rowid = Some(rowid);
+        Ok(rowid)
+    }
+
+    fn ascending_key(&mut self, key: &'a [u8]) -> DbResult<&'a [u8]> {
+        if self.last_key.is_some_and(|last| key <= last) {
+            return Err(out_of_order());
+        }
+        self.last_key = Some(key);
+        Ok(key)
+    }
+
+    /// Next cell of a table leaf.
+    fn cell(&mut self) -> DbResult<CellRef<'a>> {
+        let rowid = self.r.varint()? as i64;
+        let local_len = self.r.varint()? as usize;
+        let overflow_len = self.r.varint()? as u32;
+        let overflow = if overflow_len > 0 { self.r.u32()? } else { 0 };
+        let local = self.r.take(local_len)?;
+        Ok(CellRef {
+            rowid: self.ascending_rowid(rowid)?,
+            local,
+            overflow_len,
+            overflow,
+        })
+    }
+
+    /// Next key of an index leaf.
+    fn key(&mut self) -> DbResult<&'a [u8]> {
+        let len = self.r.varint()? as usize;
+        let key = self.r.take(len)?;
+        self.ascending_key(key)
+    }
+
+    /// Next `(child, separator)` of a table interior page.
+    fn table_sep(&mut self) -> DbResult<(PageId, i64)> {
+        let child = self.r.u32()?;
+        let key = self.r.varint()? as i64;
+        Ok((child, self.ascending_rowid(key)?))
+    }
+
+    /// Next `(child, separator)` of an index interior page.
+    fn index_sep(&mut self) -> DbResult<(PageId, &'a [u8])> {
+        let child = self.r.u32()?;
+        let len = self.r.varint()? as usize;
+        let key = self.r.take(len)?;
+        Ok((child, self.ascending_key(key)?))
+    }
+
+    /// The last child of an interior page, after its `len` pairs.
+    fn last_child(&mut self) -> DbResult<PageId> {
+        self.r.u32()
+    }
+}
+
+/// Where a read-only descent goes at each interior page.
+#[derive(Clone, Copy)]
+enum Toward<'k> {
+    /// The subtree that may hold this rowid (table trees).
+    Rowid(i64),
+    /// The subtree that may hold this key (index trees).
+    Key(&'k [u8]),
+    /// Child `i`, or the last child when there are fewer (either tree).
+    Child(usize),
+    /// The last child (table trees: toward the largest rowid).
+    Last,
+}
+
+/// Deepest descent any operation makes before it reports a page cycle.
+///
+/// A tree gains a level only when its root splits, and a node splits only
+/// when it overflows its 4 KiB page. An interior page with one more entry
+/// than fits holds at least 4 children: index keys are at most
+/// `MAX_INDEX_KEY` = 1 500 bytes, so 3 separators already overflow the
+/// page (table entries take at most 14 bytes, so a table page splits at
+/// 292 separators). A split cuts at the middle separator, so each half
+/// keeps at least 2 children (table: 146), and a tree grown by inserts has
+/// at least 2^(h−1) leaves at height h: with 32-bit page ids, at most 33
+/// levels (table trees: 6). Deletes never add a level. 64 leaves that
+/// margin twice over and costs nothing: only a cycle in the pages — a page
+/// the host forged or corrupted — descends that far.
+const MAX_DEPTH: usize = 64;
+
+fn too_deep() -> DbError {
+    DbError::Storage(format!("B-tree deeper than {MAX_DEPTH} levels (a page cycle)"))
+}
+
+/// Read one node in place — every entry, so the page is checked exactly
+/// as [`Node::decode`] checks it — and pick the child `toward` leads to:
+/// `None` at a leaf, else `(index, child page)`.
+fn step(page: &[u8], toward: Toward<'_>) -> DbResult<Option<(usize, PageId)>> {
+    let mut r = NodeReader::new(page)?;
+    let n = r.len;
+    let mut pick = None;
+    match (r.ty, toward) {
+        (TABLE_LEAF, Toward::Rowid(_) | Toward::Child(_) | Toward::Last)
+        | (INDEX_LEAF, Toward::Key(_) | Toward::Child(_)) => return Ok(None),
+        (TABLE_INTERIOR, Toward::Rowid(_) | Toward::Child(_) | Toward::Last) => {
+            for i in 0..n {
+                let (child, key) = r.table_sep()?;
+                let here = match toward {
+                    Toward::Rowid(rowid) => key >= rowid,
+                    Toward::Child(c) => c == i,
+                    _ => false,
+                };
+                if here && pick.is_none() {
+                    pick = Some((i, child));
+                }
+            }
+        }
+        (INDEX_INTERIOR, Toward::Key(_) | Toward::Child(_)) => {
+            for i in 0..n {
+                let (child, key) = r.index_sep()?;
+                let here = match toward {
+                    Toward::Key(target) => key >= target,
+                    Toward::Child(c) => c == i,
+                    _ => false,
+                };
+                if here && pick.is_none() {
+                    pick = Some((i, child));
+                }
+            }
+        }
+        _ => {
+            // Refused for its type; a page that is malformed as well
+            // reports that first, as it would to the code that decodes it.
+            Node::decode(page)?;
+            let tree = if let Toward::Key(_) = toward { "not an index tree" } else { "not a table tree" };
+            return Err(DbError::Storage(tree.into()));
+        }
+    }
+    let last = r.last_child()?;
+    Ok(Some(pick.unwrap_or((n, last))))
+}
+
+/// Walk from `page` down to a leaf along `toward`, reading each interior
+/// page in place, and hand the leaf's id and bytes to `at_leaf` — one
+/// page access per level. When `path` is given (a cursor's stack), each
+/// `(page, child index)` taken is pushed onto it and the levels already on
+/// it count toward [`MAX_DEPTH`].
+fn descend<R>(
+    pager: &mut Pager,
+    mut page: PageId,
+    toward: Toward<'_>,
+    mut path: Option<&mut Vec<(PageId, usize)>>,
+    at_leaf: impl FnOnce(PageId, &[u8]) -> DbResult<R>,
+) -> DbResult<R> {
+    let above = path.as_ref().map_or(0, |p| p.len());
+    for _ in above..MAX_DEPTH {
+        let bytes = pager.get(page)?;
+        let Some((idx, child)) = step(bytes, toward)? else {
+            return at_leaf(page, bytes);
+        };
+        if let Some(p) = path.as_deref_mut() {
+            p.push((page, idx));
+        }
+        page = child;
+    }
+    Err(too_deep())
+}
+
+/// Decode a page for code that modifies it (insert, delete, free).
 fn load(pager: &mut Pager, id: PageId) -> DbResult<Node> {
     Node::decode(pager.get(id)?)
 }
@@ -320,8 +521,8 @@ fn read_overflow(pager: &mut Pager, mut id: PageId, total: u32) -> DbResult<Vec<
         if page[0] != OVERFLOW {
             return Err(DbError::Storage("bad overflow page".into()));
         }
-        let next = u32::from_le_bytes(page[1..5].try_into().expect("4"));
-        let len = u32::from_le_bytes(page[5..9].try_into().expect("4")) as usize;
+        let next = u32::from_le_bytes([page[1], page[2], page[3], page[4]]);
+        let len = u32::from_le_bytes([page[5], page[6], page[7], page[8]]) as usize;
         if len == 0 || len > OVERFLOW_CAP || out.len() + len > total {
             return Err(mismatch());
         }
@@ -335,15 +536,17 @@ fn read_overflow(pager: &mut Pager, mut id: PageId, total: u32) -> DbResult<Vec<
 }
 
 fn free_overflow(pager: &mut Pager, mut id: PageId) -> DbResult<()> {
-    while id != 0 {
-        let next = {
-            let page = pager.get(id)?;
-            u32::from_le_bytes(page[1..5].try_into().expect("4"))
-        };
+    // A chain longer than the file has pages can only be a cycle.
+    for _ in 0..pager.page_count() {
+        if id == 0 {
+            return Ok(());
+        }
+        let page = pager.get(id)?;
+        let next = u32::from_le_bytes([page[1], page[2], page[3], page[4]]);
         pager.free_page(id)?;
         id = next;
     }
-    Ok(())
+    Err(DbError::Storage("overflow chain cycles".into()))
 }
 
 fn make_cell(pager: &mut Pager, rowid: i64, payload: &[u8]) -> DbResult<TableCell> {
@@ -395,7 +598,7 @@ enum Split {
 /// Insert (or replace) `rowid → payload` in a table tree.
 pub fn table_insert(pager: &mut Pager, root: PageId, rowid: i64, payload: &[u8]) -> DbResult<()> {
     let cell = make_cell(pager, rowid, payload)?;
-    match insert_rec(pager, root, InsertKey::Rowid(rowid, cell))? {
+    match insert_rec(pager, root, InsertKey::Rowid(rowid, cell), 0)? {
         Split::None => Ok(()),
         split => split_root(pager, root, split),
     }
@@ -415,7 +618,7 @@ pub fn index_insert(pager: &mut Pager, root: PageId, key: Vec<u8>) -> DbResult<b
     }
     // Duplicate check first (full key incl. rowid is unique by
     // construction; uniqueness constraints check the prefix upstream).
-    match insert_rec(pager, root, InsertKey::Index(key))? {
+    match insert_rec(pager, root, InsertKey::Index(key), 0)? {
         Split::None => Ok(true),
         split => {
             split_root(pager, root, split)?;
@@ -444,8 +647,12 @@ fn split_root(pager: &mut Pager, root: PageId, split: Split) -> DbResult<()> {
     store(pager, root, &new_root)
 }
 
+/// Insert below `page`, which lies `depth` levels under the root.
 #[allow(clippy::too_many_lines)]
-fn insert_rec(pager: &mut Pager, page: PageId, key: InsertKey) -> DbResult<Split> {
+fn insert_rec(pager: &mut Pager, page: PageId, key: InsertKey, depth: usize) -> DbResult<Split> {
+    if depth == MAX_DEPTH {
+        return Err(too_deep());
+    }
     let mut node = load(pager, page)?;
     match (&mut node, key) {
         (Node::TableLeaf { cells }, InsertKey::Rowid(rowid, cell)) => {
@@ -472,7 +679,7 @@ fn insert_rec(pager: &mut Pager, page: PageId, key: InsertKey) -> DbResult<Split
         (Node::TableInterior { children, keys }, InsertKey::Rowid(rowid, cell)) => {
             let idx = keys.partition_point(|k| *k < rowid);
             let child = children[idx];
-            let split = insert_rec(pager, child, InsertKey::Rowid(rowid, cell))?;
+            let split = insert_rec(pager, child, InsertKey::Rowid(rowid, cell), depth + 1)?;
             if let Split::TableAt(sep, right) = split {
                 keys.insert(idx, sep);
                 children.insert(idx + 1, right);
@@ -490,7 +697,7 @@ fn insert_rec(pager: &mut Pager, page: PageId, key: InsertKey) -> DbResult<Split
             let child = children[idx];
             let need_sep_update = idx < keys.len() && keys[idx] < key;
             let key_clone = key.clone();
-            let split = insert_rec(pager, child, InsertKey::Index(key))?;
+            let split = insert_rec(pager, child, InsertKey::Index(key), depth + 1)?;
             if let Split::IndexAt(sep, right) = split {
                 keys.insert(idx, sep);
                 children.insert(idx + 1, right);
@@ -581,6 +788,13 @@ fn finish_interior(pager: &mut Pager, page: PageId, mut node: Node) -> DbResult<
     }
 }
 
+/// Where to split an overfull leaf whose entries encode to `sizes` bytes:
+/// after the entry that crosses the middle, unless that leaves the left
+/// half over a page — a cell of up to `MAX_LOCAL` bytes can cross it — and
+/// then before it. The right half still fits: the entries before the
+/// crossing one then hold more than a page less one entry, and the leaf
+/// held at most a page before the insert added one entry, so the right
+/// half holds less than two entries (2 × 2 024 bytes).
 fn split_point(sizes: impl Iterator<Item = usize>) -> usize {
     let sizes: Vec<usize> = sizes.collect();
     let total: usize = sizes.iter().sum();
@@ -588,7 +802,8 @@ fn split_point(sizes: impl Iterator<Item = usize>) -> usize {
     for (i, s) in sizes.iter().enumerate() {
         acc += s;
         if acc >= total / 2 {
-            return (i + 1).min(sizes.len() - 1).max(1);
+            let cut = if 8 + acc > PAGE_SIZE { i } else { i + 1 };
+            return cut.min(sizes.len() - 1).max(1);
         }
     }
     sizes.len() / 2
@@ -598,25 +813,28 @@ fn split_point(sizes: impl Iterator<Item = usize>) -> usize {
 // Lookup / delete
 // ---------------------------------------------------------------------
 
-/// Fetch the record for `rowid`, if present.
+/// Fetch the record for `rowid`, if present. The pages are read in place:
+/// the leaf's cells are all parsed and only the matching one is copied
+/// out (with its overflow chain).
 pub fn table_get(pager: &mut Pager, root: PageId, rowid: i64) -> DbResult<Option<Vec<u8>>> {
-    let mut page = root;
-    loop {
-        let node = load(pager, page)?;
-        match node {
-            Node::TableLeaf { cells } => {
-                return match cells.binary_search_by_key(&rowid, |c| c.rowid) {
-                    Ok(i) => Ok(Some(cell_payload(pager, &cells[i])?)),
-                    Err(_) => Ok(None),
-                };
+    let hit = descend(pager, root, Toward::Rowid(rowid), None, |_, leaf| {
+        let mut r = NodeReader::new(leaf)?;
+        let mut hit = None;
+        for _ in 0..r.len {
+            let cell = r.cell()?;
+            if cell.rowid == rowid {
+                hit = Some((cell.local.to_vec(), cell.overflow_len, cell.overflow));
             }
-            Node::TableInterior { children, keys } => {
-                let idx = keys.partition_point(|k| *k < rowid);
-                page = children[idx];
-            }
-            _ => return Err(DbError::Storage("not a table tree".into())),
         }
+        Ok(hit)
+    })?;
+    let Some((mut payload, overflow_len, overflow)) = hit else {
+        return Ok(None);
+    };
+    if overflow_len > 0 {
+        payload.extend(read_overflow(pager, overflow, overflow_len)?);
     }
+    Ok(Some(payload))
 }
 
 /// Delete `rowid`; returns whether it existed.
@@ -632,7 +850,7 @@ pub fn table_get(pager: &mut Pager, root: PageId, rowid: i64) -> DbResult<Option
 pub fn table_delete(pager: &mut Pager, root: PageId, rowid: i64) -> DbResult<bool> {
     let mut path = Vec::new();
     let mut page = root;
-    loop {
+    while path.len() < MAX_DEPTH {
         let mut node = load(pager, page)?;
         match &mut node {
             Node::TableLeaf { cells } => {
@@ -659,6 +877,7 @@ pub fn table_delete(pager: &mut Pager, root: PageId, rowid: i64) -> DbResult<boo
             _ => return Err(DbError::Storage("not a table tree".into())),
         }
     }
+    Err(too_deep())
 }
 
 /// Delete an exact key from an index tree; returns whether it existed.
@@ -666,7 +885,7 @@ pub fn table_delete(pager: &mut Pager, root: PageId, rowid: i64) -> DbResult<boo
 pub fn index_delete(pager: &mut Pager, root: PageId, key: &[u8]) -> DbResult<bool> {
     let mut path = Vec::new();
     let mut page = root;
-    loop {
+    while path.len() < MAX_DEPTH {
         let mut node = load(pager, page)?;
         match &mut node {
             Node::IndexLeaf { keys } => {
@@ -689,6 +908,7 @@ pub fn index_delete(pager: &mut Pager, root: PageId, key: &[u8]) -> DbResult<boo
             _ => return Err(DbError::Storage("not an index tree".into())),
         }
     }
+    Err(too_deep())
 }
 
 /// `page` — reached from the root through `path`, a list of (interior
@@ -697,6 +917,7 @@ pub fn index_delete(pager: &mut Pager, root: PageId, key: &[u8]) -> DbResult<boo
 /// (the last separator when it was the unbounded last child). A parent
 /// left without children goes the same way, up to the root, whose page id
 /// is referenced from the catalog and must stay: it becomes `empty_leaf`.
+/// The path comes from a descent, so it is at most [`MAX_DEPTH`] long.
 fn unlink_emptied(
     pager: &mut Pager,
     path: &[(PageId, usize)],
@@ -731,25 +952,28 @@ fn unlink_emptied(
     store(pager, page, empty_leaf)
 }
 
-/// Largest rowid in the table (for auto-increment).
+/// Largest rowid in the table (for auto-increment), read in place.
 pub fn table_max_rowid(pager: &mut Pager, root: PageId) -> DbResult<Option<i64>> {
-    let mut page = root;
-    loop {
-        let node = load(pager, page)?;
-        match node {
-            Node::TableLeaf { cells } => return Ok(cells.last().map(|c| c.rowid)),
-            Node::TableInterior { children, .. } => {
-                page = *children.last().expect("interior has children");
-            }
-            _ => return Err(DbError::Storage("not a table tree".into())),
+    descend(pager, root, Toward::Last, None, |_, leaf| {
+        let mut r = NodeReader::new(leaf)?;
+        let mut max = None;
+        for _ in 0..r.len {
+            max = Some(r.cell()?.rowid);
         }
-    }
+        Ok(max)
+    })
 }
 
 /// Free every page of a tree (DROP TABLE / DROP INDEX).
 pub fn free_tree(pager: &mut Pager, root: PageId) -> DbResult<()> {
-    let node = load(pager, root)?;
-    match node {
+    free_subtree(pager, root, 0)
+}
+
+fn free_subtree(pager: &mut Pager, page: PageId, depth: usize) -> DbResult<()> {
+    if depth == MAX_DEPTH {
+        return Err(too_deep());
+    }
+    match load(pager, page)? {
         Node::TableLeaf { cells } => {
             for c in cells {
                 if c.overflow_len > 0 {
@@ -759,12 +983,12 @@ pub fn free_tree(pager: &mut Pager, root: PageId) -> DbResult<()> {
         }
         Node::TableInterior { children, .. } | Node::IndexInterior { children, .. } => {
             for child in children {
-                free_tree(pager, child)?;
+                free_subtree(pager, child, depth + 1)?;
             }
         }
         Node::IndexLeaf { .. } => {}
     }
-    pager.free_page(root)
+    pager.free_page(page)
 }
 
 // ---------------------------------------------------------------------
@@ -806,132 +1030,63 @@ impl Cursor {
     /// Cursor positioned at the first entry.
     pub fn first(pager: &mut Pager, root: PageId) -> DbResult<Self> {
         let mut c = Self::open(pager);
-        c.descend_leftmost(pager, root)?;
+        let (leaf, node) = descend(pager, root, Toward::Child(0), Some(&mut c.stack), decode_leaf)?;
+        c.settle(pager, leaf, node, 0)?;
         Ok(c)
     }
 
     /// Cursor positioned at the first table entry with `rowid ≥ target`.
     pub fn seek_rowid(pager: &mut Pager, root: PageId, target: i64) -> DbResult<Self> {
         let mut c = Self::open(pager);
-        let mut page = root;
-        loop {
-            let node = load(pager, page)?;
-            match node {
-                Node::TableInterior { ref children, ref keys } => {
-                    let idx = keys.partition_point(|k| *k < target);
-                    c.stack.push((page, idx));
-                    page = children[idx];
-                }
-                Node::TableLeaf { ref cells } => {
-                    let idx = cells.partition_point(|cell| cell.rowid < target);
-                    let at_end = idx >= cells.len();
-                    c.leaf = Some((page, node, idx));
-                    if at_end {
-                        c.advance_leaf(pager)?;
-                    }
-                    return Ok(c);
-                }
-                _ => return Err(DbError::Storage("not a table tree".into())),
-            }
-        }
+        let (leaf, node) = descend(pager, root, Toward::Rowid(target), Some(&mut c.stack), decode_leaf)?;
+        let Node::TableLeaf { cells } = &node else {
+            return Err(DbError::Storage("not a table tree".into()));
+        };
+        let idx = cells.partition_point(|cell| cell.rowid < target);
+        c.settle(pager, leaf, node, idx)?;
+        Ok(c)
     }
 
     /// Cursor positioned at the first index key ≥ `target`.
     pub fn seek_key(pager: &mut Pager, root: PageId, target: &[u8]) -> DbResult<Self> {
         let mut c = Self::open(pager);
-        let mut page = root;
-        loop {
-            let node = load(pager, page)?;
-            match node {
-                Node::IndexInterior { ref children, ref keys } => {
-                    let idx = keys.partition_point(|k| k.as_slice() < target);
-                    c.stack.push((page, idx));
-                    page = children[idx];
-                }
-                Node::IndexLeaf { ref keys } => {
-                    let idx = keys.partition_point(|k| k.as_slice() < target);
-                    let at_end = idx >= keys.len();
-                    c.leaf = Some((page, node, idx));
-                    if at_end {
-                        c.advance_leaf(pager)?;
-                    }
-                    return Ok(c);
-                }
-                _ => return Err(DbError::Storage("not an index tree".into())),
-            }
-        }
+        let (leaf, node) = descend(pager, root, Toward::Key(target), Some(&mut c.stack), decode_leaf)?;
+        let Node::IndexLeaf { keys } = &node else {
+            return Err(DbError::Storage("not an index tree".into()));
+        };
+        let idx = keys.partition_point(|k| k.as_slice() < target);
+        c.settle(pager, leaf, node, idx)?;
+        Ok(c)
     }
 
-    fn descend_leftmost(&mut self, pager: &mut Pager, mut page: PageId) -> DbResult<()> {
-        loop {
-            let node = load(pager, page)?;
-            if node.is_leaf() {
-                self.leaf = Some((page, node, 0));
-                // Skip empty leaves.
-                if self.current_len() == 0 {
-                    self.advance_leaf(pager)?;
-                }
-                return Ok(());
-            }
-            let child = match &node {
-                Node::TableInterior { children, .. } | Node::IndexInterior { children, .. } => {
-                    children[0]
-                }
-                _ => unreachable!(),
-            };
-            self.stack.push((page, 0));
-            page = child;
+    /// Stand on entry `idx` of the decoded `leaf`, or on the first entry
+    /// of the next non-empty leaf when `idx` is past its end.
+    fn settle(&mut self, pager: &mut Pager, leaf: PageId, node: Node, idx: usize) -> DbResult<()> {
+        let at_end = idx >= leaf_len(&node);
+        self.leaf = Some((leaf, node, idx));
+        if at_end {
+            self.advance_leaf(pager)?;
         }
+        Ok(())
     }
 
-    fn current_len(&self) -> usize {
-        match &self.leaf {
-            Some((_, Node::TableLeaf { cells }, _)) => cells.len(),
-            Some((_, Node::IndexLeaf { keys }, _)) => keys.len(),
-            _ => 0,
-        }
-    }
-
-    /// Move to the first entry of the next non-empty leaf.
+    /// Move to the first entry of the next non-empty leaf. The interior
+    /// pages on the stack are read in place; only the leaf is decoded.
     fn advance_leaf(&mut self, pager: &mut Pager) -> DbResult<()> {
         self.assert_no_page_freed_since_open(pager);
         self.leaf = None;
         while let Some((page, idx)) = self.stack.pop() {
-            let node = load(pager, page)?;
-            let children = match &node {
-                Node::TableInterior { children, .. } | Node::IndexInterior { children, .. } => {
-                    children.clone()
-                }
-                _ => return Err(DbError::Storage("corrupt cursor stack".into())),
+            let Some((next, child)) = step(pager.get(page)?, Toward::Child(idx + 1))? else {
+                return Err(DbError::Storage("corrupt cursor stack".into()));
             };
-            if idx + 1 < children.len() {
-                self.stack.push((page, idx + 1));
-                let mut child = children[idx + 1];
-                // Descend leftmost from this child.
-                loop {
-                    let node = load(pager, child)?;
-                    if node.is_leaf() {
-                        let len = match &node {
-                            Node::TableLeaf { cells } => cells.len(),
-                            Node::IndexLeaf { keys } => keys.len(),
-                            _ => 0,
-                        };
-                        self.leaf = Some((child, node, 0));
-                        if len == 0 {
-                            break; // empty leaf: continue the outer search
-                        }
-                        return Ok(());
-                    }
-                    let first = match &node {
-                        Node::TableInterior { children, .. }
-                        | Node::IndexInterior { children, .. } => children[0],
-                        _ => unreachable!(),
-                    };
-                    self.stack.push((child, 0));
-                    child = first;
-                }
-                // Fell through on empty leaf: keep popping.
-                self.leaf = None;
+            if next != idx + 1 {
+                continue; // `idx` was the last child: go up a level
+            }
+            self.stack.push((page, next));
+            let (leaf, node) = descend(pager, child, Toward::Child(0), Some(&mut self.stack), decode_leaf)?;
+            if leaf_len(&node) > 0 {
+                self.leaf = Some((leaf, node, 0));
+                return Ok(());
             }
         }
         Ok(())
@@ -940,11 +1095,7 @@ impl Cursor {
     /// Whether the cursor points at an entry.
     #[must_use]
     pub fn valid(&self) -> bool {
-        match &self.leaf {
-            Some((_, Node::TableLeaf { cells }, idx)) => *idx < cells.len(),
-            Some((_, Node::IndexLeaf { keys }, idx)) => *idx < keys.len(),
-            _ => false,
-        }
+        self.leaf.as_ref().is_some_and(|(_, node, idx)| *idx < leaf_len(node))
     }
 
     /// Current table entry `(rowid, payload)`.
@@ -971,18 +1122,27 @@ impl Cursor {
     pub fn next(&mut self, pager: &mut Pager) -> DbResult<bool> {
         if let Some((_, node, idx)) = &mut self.leaf {
             *idx += 1;
-            let len = match node {
-                Node::TableLeaf { cells } => cells.len(),
-                Node::IndexLeaf { keys } => keys.len(),
-                _ => 0,
-            };
-            if *idx < len {
+            if *idx < leaf_len(node) {
                 return Ok(true);
             }
             self.advance_leaf(pager)?;
             return Ok(self.valid());
         }
         Ok(false)
+    }
+}
+
+/// A cursor keeps its current leaf decoded.
+fn decode_leaf(id: PageId, page: &[u8]) -> DbResult<(PageId, Node)> {
+    Ok((id, Node::decode(page)?))
+}
+
+/// Entries on a decoded leaf (0 for an interior node).
+fn leaf_len(node: &Node) -> usize {
+    match node {
+        Node::TableLeaf { cells } => cells.len(),
+        Node::IndexLeaf { keys } => keys.len(),
+        _ => 0,
     }
 }
 
@@ -1012,6 +1172,22 @@ mod tests {
             p.get_mut(head).unwrap()[5..9].copy_from_slice(&len.to_le_bytes());
             assert!(matches!(read_overflow(&mut p, head, u32::MAX), Err(DbError::Storage(_))));
         }
+    }
+
+    /// Three cells that just fit a leaf, then a full-size local cell
+    /// between the last two: the middle falls inside the new cell, and
+    /// cutting after it would leave 4 556 bytes on the left page.
+    #[test]
+    fn leaf_split_never_overflows_a_page() {
+        let mut p = mem_pager();
+        let root = create_table_tree(&mut p).unwrap();
+        for (rowid, len) in [(1, 1500), (2, 976), (4, 1500), (3, MAX_LOCAL)] {
+            table_insert(&mut p, root, rowid, &vec![rowid as u8; len]).unwrap();
+        }
+        for (rowid, len) in [(1, 1500), (2, 976), (3, MAX_LOCAL), (4, 1500)] {
+            assert_eq!(table_get(&mut p, root, rowid).unwrap(), Some(vec![rowid as u8; len]));
+        }
+        assert_no_empty_node_below_root(&mut p, root);
     }
 
     #[test]
@@ -1319,9 +1495,48 @@ mod tests {
         }
     }
 
+    /// The lookup the in-place reads replaced: decode every page on the
+    /// path and binary-search it.
+    fn decoded_table_get(p: &mut Pager, root: PageId, rowid: i64) -> DbResult<Option<Vec<u8>>> {
+        let mut page = root;
+        loop {
+            match load(p, page)? {
+                Node::TableLeaf { cells } => {
+                    return match cells.binary_search_by_key(&rowid, |c| c.rowid) {
+                        Ok(i) => Ok(Some(cell_payload(p, &cells[i])?)),
+                        Err(_) => Ok(None),
+                    };
+                }
+                Node::TableInterior { children, keys } => page = children[keys.partition_point(|k| *k < rowid)],
+                _ => return Err(DbError::Storage("not a table tree".into())),
+            }
+        }
+    }
+
+    /// Every `(rowid, payload)` of a table tree in key order, through
+    /// decoded pages.
+    fn decoded_entries(p: &mut Pager, page: PageId, out: &mut Vec<(i64, Vec<u8>)>) {
+        match load(p, page).unwrap() {
+            Node::TableLeaf { cells } => {
+                for c in &cells {
+                    out.push((c.rowid, cell_payload(p, c).unwrap()));
+                }
+            }
+            Node::TableInterior { children, .. } => {
+                for child in children {
+                    decoded_entries(p, child, out);
+                }
+            }
+            _ => panic!("not a table tree"),
+        }
+    }
+
     /// A seeded insert/delete mix against a `BTreeMap`, with deletes in
-    /// runs so that leaves and whole subtrees empty: scan order, point
-    /// lookups and the shape invariant hold after every step.
+    /// runs so that leaves and whole subtrees empty, some payloads on
+    /// overflow chains and some runs at the ends of the `i64` range: scan
+    /// order and the shape invariant hold after every step, and every
+    /// step's in-place lookups, seeks and maximum agree with the decoded
+    /// pages and with the model, on hits and misses alike.
     #[test]
     fn insert_delete_mix_matches_model_and_keeps_no_empty_leaf() {
         use rand::{Rng, SeedableRng};
@@ -1331,26 +1546,185 @@ mod tests {
         let root = create_table_tree(&mut p).unwrap();
         let mut model: BTreeMap<i64, Vec<u8>> = BTreeMap::new();
         for step in 0..1500 {
-            let at = rng.gen_range(0..400i64);
+            let at = match rng.gen_range(0..24) {
+                0 => i64::MIN,
+                1 => i64::MAX - 6,
+                2 => -20,
+                _ => rng.gen_range(0..400i64),
+            };
+            let run = |n: i64| (0..n).map_while(move |i| at.checked_add(i));
             if rng.gen_range(0..100) < 45 {
-                // Insert a run of fat rows (a handful fill a leaf).
-                for rowid in at..at + rng.gen_range(1..12) {
-                    let payload = vec![rng.gen::<u8>(); rng.gen_range(1..900)];
+                // Insert a run of fat rows (a handful fill a leaf); one in
+                // ten spills into an overflow chain.
+                for rowid in run(rng.gen_range(1..12)) {
+                    let len = if rng.gen_range(0..10) == 0 {
+                        rng.gen_range(MAX_LOCAL + 1..3 * OVERFLOW_CAP)
+                    } else {
+                        rng.gen_range(1..900)
+                    };
+                    let seed = rng.gen::<u8>();
+                    let payload: Vec<u8> = (0..len).map(|i| seed ^ i as u8).collect();
                     table_insert(&mut p, root, rowid, &payload).unwrap();
                     model.insert(rowid, payload);
                 }
             } else {
-                for rowid in at..at + rng.gen_range(1..40) {
+                for rowid in run(rng.gen_range(1..40)) {
                     let existed = table_delete(&mut p, root, rowid).unwrap();
                     assert_eq!(existed, model.remove(&rowid).is_some(), "step {step} rowid {rowid}");
                 }
             }
             assert_no_empty_node_below_root(&mut p, root);
             assert_eq!(scan_rowids(&mut p, root), model.keys().copied().collect::<Vec<_>>(), "step {step}");
-            assert_eq!(table_max_rowid(&mut p, root).unwrap(), model.keys().next_back().copied());
-            let probe = rng.gen_range(0..440i64);
-            assert_eq!(table_get(&mut p, root, probe).unwrap(), model.get(&probe).cloned(), "step {step}");
+            let mut decoded = Vec::new();
+            decoded_entries(&mut p, root, &mut decoded);
+            let max = table_max_rowid(&mut p, root).unwrap();
+            assert_eq!(max, decoded.last().map(|e| e.0), "step {step}");
+            assert_eq!(max, model.keys().next_back().copied());
+            let mut probes = vec![i64::MIN, i64::MIN + 1, -1, 0, i64::MAX - 1, i64::MAX];
+            probes.extend([rng.gen_range(0..440i64), rng.gen_range(-30..0i64)]);
+            probes.extend(model.keys().next().copied());
+            probes.extend(max);
+            for probe in probes {
+                let got = table_get(&mut p, root, probe).unwrap();
+                assert_eq!(got, decoded_table_get(&mut p, root, probe).unwrap(), "step {step} probe {probe}");
+                assert_eq!(got, model.get(&probe).cloned(), "step {step} probe {probe}");
+                let c = Cursor::seek_rowid(&mut p, root, probe).unwrap();
+                let sought = c.valid().then(|| c.table_entry(&mut p).unwrap());
+                let expected = decoded.iter().find(|e| e.0 >= probe).cloned();
+                assert_eq!(sought, expected, "step {step} seek {probe}");
+            }
         }
+    }
+
+    /// Run `op` on a fresh thread with a 2 MiB stack and wait at most 10 s
+    /// for it: a recursion that never ends aborts the process, and a loop
+    /// that never ends fails here instead of hanging the test run.
+    fn run_bounded(name: &str, op: impl FnOnce() -> DbResult<()> + Send + 'static) -> DbResult<()> {
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::Builder::new()
+            .stack_size(2 << 20)
+            .spawn(move || tx.send(op()).unwrap())
+            .unwrap();
+        rx.recv_timeout(std::time::Duration::from_secs(10))
+            .unwrap_or_else(|_| panic!("{name}: no answer within 10 s"))
+    }
+
+    /// Forged pages a host may serve: an interior root whose only child
+    /// is itself, for both tree kinds, and a table root whose second child
+    /// is itself behind a real leaf (so a scan reaches the cycle only by
+    /// moving on from the leaf). Every lookup, seek, scan, insert, delete
+    /// and free stops at `MAX_DEPTH` with a storage error.
+    #[test]
+    fn page_cycles_are_storage_errors() {
+        type Op = fn(&mut Pager, PageId) -> DbResult<()>;
+        fn scan(p: &mut Pager, open: impl FnOnce(&mut Pager) -> DbResult<Cursor>) -> DbResult<()> {
+            let mut c = open(p)?;
+            while c.valid() {
+                c.next(p)?;
+            }
+            Ok(())
+        }
+        let table_ops: [(&str, Op); 8] = [
+            ("table_get", |p, r| table_get(p, r, 50).map(drop)),
+            ("Cursor::first", |p, r| scan(p, |p| Cursor::first(p, r))),
+            ("Cursor::seek_rowid", |p, r| scan(p, |p| Cursor::seek_rowid(p, r, 50))),
+            ("table_max_rowid", |p, r| table_max_rowid(p, r).map(drop)),
+            ("table_insert", |p, r| table_insert(p, r, 50, b"row")),
+            ("table_insert (overflow)", |p, r| table_insert(p, r, 50, &[1; 3 * MAX_LOCAL])),
+            ("table_delete", |p, r| table_delete(p, r, 50).map(drop)),
+            ("free_tree", free_tree),
+        ];
+        let index_ops: [(&str, Op); 5] = [
+            ("Cursor::seek_key", |p, r| scan(p, |p| Cursor::seek_key(p, r, b"k"))),
+            ("Cursor::first (index)", |p, r| scan(p, |p| Cursor::first(p, r))),
+            ("index_insert", |p, r| index_insert(p, r, b"k".to_vec()).map(drop)),
+            ("index_delete", |p, r| index_delete(p, r, b"k").map(drop)),
+            ("free_tree (index)", free_tree),
+        ];
+        type Forge = fn(&mut Pager) -> PageId;
+        let self_loop: Forge = |p| {
+            let root = create_table_tree(p).unwrap();
+            store(p, root, &Node::TableInterior { children: vec![root], keys: vec![] }).unwrap();
+            root
+        };
+        let behind_a_leaf: Forge = |p| {
+            let root = create_table_tree(p).unwrap();
+            let leaf = create_table_tree(p).unwrap();
+            table_insert(p, leaf, 1, b"one").unwrap();
+            store(p, root, &Node::TableInterior { children: vec![leaf, root], keys: vec![1] }).unwrap();
+            root
+        };
+        let index_loop: Forge = |p| {
+            let root = create_index_tree(p).unwrap();
+            store(p, root, &Node::IndexInterior { children: vec![root], keys: vec![] }).unwrap();
+            root
+        };
+        let cases = table_ops
+            .iter()
+            .flat_map(|&op| [(op, self_loop), (op, behind_a_leaf)])
+            .chain(index_ops.iter().map(|&op| (op, index_loop)));
+        for ((name, op), forge) in cases {
+            let got = run_bounded(name, move || {
+                let mut p = mem_pager();
+                let root = forge(&mut p);
+                op(&mut p, root)
+            });
+            assert!(matches!(got, Err(DbError::Storage(_))), "{name}: {got:?}");
+        }
+    }
+
+    /// Pages whose keys are not strictly ascending — a hidden or duplicate
+    /// row, separators that would send a lookup down the wrong child — are
+    /// refused by every read and write, not searched.
+    #[test]
+    fn out_of_order_pages_are_storage_errors() {
+        fn cell(rowid: i64) -> TableCell {
+            TableCell { rowid, local: rowid.to_le_bytes().to_vec(), overflow_len: 0, overflow: 0 }
+        }
+        let storage = |r: DbResult<()>| matches!(r, Err(DbError::Storage(_)));
+        for rowids in [vec![1, 3, 2], vec![2, 2], vec![-1, -3], vec![i64::MAX, i64::MIN]] {
+            let mut p = mem_pager();
+            let root = create_table_tree(&mut p).unwrap();
+            let leaf = Node::TableLeaf { cells: rowids.iter().map(|&r| cell(r)).collect() };
+            store(&mut p, root, &leaf).unwrap();
+            assert!(storage(Node::decode(p.get(root).unwrap()).map(drop)), "{rowids:?}");
+            for &rowid in &rowids {
+                assert!(storage(table_get(&mut p, root, rowid).map(drop)), "{rowids:?} get {rowid}");
+                assert!(storage(Cursor::seek_rowid(&mut p, root, rowid).map(drop)), "{rowids:?}");
+            }
+            assert!(storage(Cursor::first(&mut p, root).map(drop)), "{rowids:?}");
+            assert!(storage(table_max_rowid(&mut p, root).map(drop)), "{rowids:?}");
+            assert!(storage(table_insert(&mut p, root, 7, b"x")), "{rowids:?}");
+            assert!(storage(table_delete(&mut p, root, rowids[0]).map(drop)), "{rowids:?}");
+        }
+        // Separators out of order: rowid 7 would be routed to the first
+        // leaf's sibling, which holds nothing at or below 5.
+        let mut p = mem_pager();
+        let root = create_table_tree(&mut p).unwrap();
+        let (a, b, c) = (create_table_tree(&mut p).unwrap(), create_table_tree(&mut p).unwrap(), create_table_tree(&mut p).unwrap());
+        for (page, rowid) in [(a, 7), (b, 3), (c, 20)] {
+            table_insert(&mut p, page, rowid, b"row").unwrap();
+        }
+        store(&mut p, root, &Node::TableInterior { children: vec![a, b, c], keys: vec![10, 5] }).unwrap();
+        assert!(storage(table_get(&mut p, root, 7).map(drop)));
+        assert!(storage(table_max_rowid(&mut p, root).map(drop)));
+        assert!(storage(Cursor::first(&mut p, root).map(drop)));
+        assert!(storage(table_insert(&mut p, root, 8, b"x")));
+        // Index leaves and separators.
+        let mut p = mem_pager();
+        let root = create_index_tree(&mut p).unwrap();
+        let keys = vec![b"b".to_vec(), b"a".to_vec()];
+        store(&mut p, root, &Node::IndexLeaf { keys }).unwrap();
+        assert!(storage(Cursor::seek_key(&mut p, root, b"a").map(drop)));
+        assert!(storage(Cursor::first(&mut p, root).map(drop)));
+        assert!(storage(index_insert(&mut p, root, b"c".to_vec()).map(drop)));
+        assert!(storage(index_delete(&mut p, root, b"a").map(drop)));
+        let (a, b) = (create_index_tree(&mut p).unwrap(), create_index_tree(&mut p).unwrap());
+        let seps = vec![b"m".to_vec(), b"m".to_vec()];
+        store(&mut p, root, &Node::IndexInterior { children: vec![a, b, a], keys: seps }).unwrap();
+        assert!(storage(Cursor::seek_key(&mut p, root, b"a").map(drop)));
+        assert!(storage(Cursor::first(&mut p, root).map(drop)));
+        assert!(storage(index_delete(&mut p, root, b"a").map(drop)));
     }
 
     #[test]

@@ -417,13 +417,9 @@ fn plan_rowids(pager: &mut Pager, table: &Table, plan: &Plan) -> DbResult<Vec<i6
                 c.next(pager)?;
             }
         }
-        Plan::RowidEq(v) => {
-            if let Some(rowid) = v.as_i64() {
-                if btree::table_get(pager, table.root, rowid)?.is_some() {
-                    out.push(rowid);
-                }
-            }
-        }
+        // Not probed here: every caller fetches each rowid next and skips
+        // one that is missing, so a point read walks the tree once.
+        Plan::RowidEq(v) => out.extend(v.as_i64()),
         Plan::RowidRange { lo, hi } => {
             let mut c = Cursor::seek_rowid(pager, table.root, lo.unwrap_or(i64::MIN))?;
             while c.valid() {

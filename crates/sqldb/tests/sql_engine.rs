@@ -379,3 +379,50 @@ fn micro_workloads_run() {
     let bytes = speedtest::micro_random_read(&mut db, 50, &mut rng).unwrap();
     assert_eq!(bytes, 50 * 1024);
 }
+
+/// Page accesses (cache hits plus reads) one statement makes.
+fn page_accesses(db: &mut Connection, sql: &str) -> u64 {
+    let accesses = |db: &Connection| db.stats().cache_hits + db.stats().page_reads;
+    let before = accesses(db);
+    db.execute(sql).unwrap();
+    accesses(db) - before
+}
+
+/// A point statement walks the table tree once. Rows of 1 000-byte blobs
+/// fit three to a leaf, and a table interior page holds about 290
+/// children: 2 rows are one leaf (depth 1), 100 rows sit under one
+/// interior root (depth 2), 2 000 rows need a middle level (depth 3). A
+/// point SELECT, hit or miss, reads one page per level. An UPDATE or
+/// DELETE by rowid reads the row once to test WHERE and once to change
+/// it, walks down again to write the leaf (`depth` + 1 accesses), and its
+/// commit reads the header's pre-image for the journal (1 more); a miss
+/// stops after the first read.
+#[test]
+fn point_statements_walk_the_tree_once() {
+    for (rows, depth) in [(2u64, 1u64), (100, 2), (2_000, 3)] {
+        let mut db = Connection::open(Box::new(MemVfs::new()), "depth.db").unwrap();
+        db.execute("CREATE TABLE kv(a INTEGER PRIMARY KEY, b BLOB)").unwrap();
+        db.execute("BEGIN").unwrap();
+        for i in 1..=rows {
+            db.execute(&format!("INSERT INTO kv VALUES ({i}, zeroblob(1000))")).unwrap();
+        }
+        db.execute("COMMIT").unwrap();
+        let (hit, miss) = (rows / 2, rows + 10);
+        for k in [hit, miss, 1, rows] {
+            let sql = format!("SELECT b FROM kv WHERE a = {k}");
+            assert_eq!(page_accesses(&mut db, &sql), depth, "{rows} rows: {sql}");
+        }
+        for sql in [
+            format!("UPDATE kv SET b = zeroblob(1000) WHERE a = {hit}"),
+            format!("DELETE FROM kv WHERE a = {}", hit + 1),
+        ] {
+            assert_eq!(page_accesses(&mut db, &sql), 3 * depth + 2, "{rows} rows: {sql}");
+        }
+        for sql in [
+            format!("UPDATE kv SET b = zeroblob(1000) WHERE a = {miss}"),
+            format!("DELETE FROM kv WHERE a = {miss}"),
+        ] {
+            assert_eq!(page_accesses(&mut db, &sql), depth, "{rows} rows: {sql}");
+        }
+    }
+}
