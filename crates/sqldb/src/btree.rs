@@ -2,6 +2,17 @@
 //! (serialised key → implicit rowid), with overflow chains for payloads
 //! that don't fit a page (the 1 KiB blobs of §V-D fit locally; larger
 //! values spill).
+//!
+//! One parser reads the node format, `NodeReader`, over the page bytes
+//! in place. Lookups, seeks and cursor moves walk interior pages with it
+//! and never decode them (`descend`); a point lookup copies out only the
+//! cell it matched. `Node::decode` is a collect over the same reader,
+//! used by the code that changes pages (insert, delete, free) and for a
+//! cursor's current leaf. Pages may come from the host
+//! (`FsChoice::UntrustedHost`), so the reader refuses keys that are not
+//! strictly ascending, and every descent stops at `MAX_DEPTH` levels:
+//! a forged page is a `DbError::Storage`, never a wrong answer, a hang or
+//! a stack overflow.
 
 use crate::pager::{PageId, Pager};
 use crate::record::{read_varint, write_varint};
@@ -159,6 +170,7 @@ impl Node {
             INDEX_LEAF => Node::IndexLeaf {
                 keys: (0..n).map(|_| r.key().map(<[u8]>::to_vec)).collect::<DbResult<_>>()?,
             },
+            // INDEX_INTERIOR: `NodeReader::new` refused every other type.
             _ => {
                 let mut children = Vec::with_capacity(n + 1);
                 let mut keys = Vec::with_capacity(n);
