@@ -1612,13 +1612,23 @@ mod tests {
     /// for it: a recursion that never ends aborts the process, and a loop
     /// that never ends fails here instead of hanging the test run.
     fn run_bounded(name: &str, op: impl FnOnce() -> DbResult<()> + Send + 'static) -> DbResult<()> {
+        use std::sync::mpsc::RecvTimeoutError;
         let (tx, rx) = std::sync::mpsc::channel();
-        std::thread::Builder::new()
+        let worker = std::thread::Builder::new()
             .stack_size(2 << 20)
             .spawn(move || tx.send(op()).unwrap())
             .unwrap();
-        rx.recv_timeout(std::time::Duration::from_secs(10))
-            .unwrap_or_else(|_| panic!("{name}: no answer within 10 s"))
+        match rx.recv_timeout(std::time::Duration::from_secs(10)) {
+            Ok(got) => {
+                worker.join().unwrap();
+                got
+            }
+            // A hung thread cannot be joined; it is left to the process exit.
+            Err(RecvTimeoutError::Timeout) => panic!("{name}: no answer within 10 s"),
+            Err(RecvTimeoutError::Disconnected) => {
+                std::panic::resume_unwind(worker.join().expect_err("sender dropped unsent"))
+            }
+        }
     }
 
     /// Forged pages a host may serve: an interior root whose only child
