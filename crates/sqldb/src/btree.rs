@@ -1719,8 +1719,9 @@ mod tests {
             assert!(storage(table_insert(&mut p, root, 7, b"x")), "{rowids:?}");
             assert!(storage(table_delete(&mut p, root, rowids[0]).map(drop)), "{rowids:?}");
         }
-        // Separators out of order: rowid 7 would be routed to the first
-        // leaf's sibling, which holds nothing at or below 5.
+        // Separators out of order: a binary search over [10, 5] sends
+        // rowid 7 to the last child and misses it, a scan for the first
+        // separator ≥ 7 finds it in the first; neither may answer.
         let mut p = mem_pager();
         let root = create_table_tree(&mut p).unwrap();
         let (a, b, c) = (create_table_tree(&mut p).unwrap(), create_table_tree(&mut p).unwrap(), create_table_tree(&mut p).unwrap());
