@@ -8,8 +8,8 @@
 //! **persistent tenant sessions** on [`ShardedService`]: every tenant owns
 //! a private protected database (`db_open_session`), statements ride the
 //! shard queues (non-query statements batched into `db_execute_batch`
-//! round trips, queries individually), warm SQL text is served from the
-//! per-session prepared-statement cache, and each tenant is parked and
+//! round trips, queries individually), warm statement shapes are served
+//! from the per-session plan cache, and each tenant is parked and
 //! transparently restored mid-workload. The axis sweeps 1→N shards and
 //! records, per shard count:
 //!

@@ -140,8 +140,8 @@ pub struct ControlStats {
     /// SQL statements executed across every DB session (each statement of
     /// a batch counts once).
     pub db_statements: u64,
-    /// DB-session statements served from a per-session prepared-statement
-    /// cache — zero parser work (the warm path of the plan-cache fix).
+    /// DB-session statements served from a per-session plan cache keyed
+    /// by statement shape — zero parser work.
     pub stmt_cache_hits: u64,
     /// DB-session statements that had to be parsed and planned.
     pub stmt_cache_misses: u64,

@@ -29,8 +29,8 @@
 //! module holds only what is particular to the kind:
 //!
 //! * the **live state** — a [`Connection`] with its per-session
-//!   prepared-statement cache, so repeated SQL text does zero parser work
-//!   (counters surface in
+//!   plan cache, so a statement whose shape (its text with the literals
+//!   taken out) was seen before does zero parser work (counters surface in
 //!   [`ControlStats::stmt_cache_hits`](crate::ControlStats));
 //! * the **image** — a *manifest* of the backend's database file (format
 //!   byte 4), taken after committing whatever the connection still holds;
@@ -288,9 +288,9 @@ impl TwineService {
         Ok(())
     }
 
-    /// Execute one SQL statement on a session's database (warm path:
-    /// repeated SQL text is served from the session's plan cache with
-    /// zero parser work). Returns the number of affected rows.
+    /// Execute one SQL statement on a session's database (warm path: a
+    /// statement of a shape seen before is served from the session's plan
+    /// cache with zero parser work). Returns the number of affected rows.
     ///
     /// # Errors
     /// [`TwineError::Session`] for an unknown name,

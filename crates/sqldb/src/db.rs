@@ -1,5 +1,12 @@
 //! The connection: statement dispatch, autocommit, plan caching, and
 //! configuration.
+//!
+//! Plans are cached by the statement's *shape*: its token stream with
+//! every literal replaced by a slot. `SELECT b FROM kv WHERE a = 7` and
+//! `… WHERE a = 8` share one parsed statement; [`Connection::prepare`]
+//! lexes the text, looks its shape up and binds the text's literals to
+//! the cached statement's [`Expr::Param`](crate::sql::Expr::Param)
+//! slots, so a warm statement skips the parser whatever its literals.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -7,12 +14,12 @@ use std::sync::Arc;
 use crate::exec::{execute, ExecResult};
 use crate::pager::{PageHook, Pager, PagerStats};
 use crate::schema::{self, Schema};
-use crate::sql::{parse, Stmt};
-use crate::value::Row;
+use crate::sql::{lex, parse_tokens, Lexed, Stmt};
+use crate::value::{Row, SqlValue};
 use crate::vfs::Vfs;
 use crate::{DbError, DbResult};
 
-/// Default bound on cached prepared statements per connection.
+/// Default bound on cached statement shapes per connection.
 pub const DEFAULT_PLAN_CACHE: usize = 64;
 
 /// Plan-cache counters (the warm-path replanning gauge).
@@ -20,7 +27,7 @@ pub const DEFAULT_PLAN_CACHE: usize = 64;
 pub struct StmtCacheStats {
     /// Executions served from the plan cache (no parser work).
     pub hits: u64,
-    /// Executions whose SQL text was not cached.
+    /// Executions whose statement shape was not cached.
     pub misses: u64,
     /// Actual parser invocations — tests pin "zero parser work on warm
     /// statements" on this counter.
@@ -29,15 +36,24 @@ pub struct StmtCacheStats {
     pub evictions: u64,
 }
 
+/// A statement ready to execute: the parsed statement, shared with the
+/// plan cache, and the literals of the text it was prepared from, bound to
+/// its parameter slots.
+#[derive(Debug, Clone)]
+pub struct Prepared {
+    stmt: Arc<Stmt>,
+    params: Vec<SqlValue>,
+}
+
 /// A database connection (single-threaded, like an SQLite handle).
 pub struct Connection {
     pager: Pager,
     schema: Schema,
     explicit_txn: bool,
-    /// Prepared-statement cache: SQL text → (plan, last-use tick). Plans
-    /// are schema-independent ASTs (name binding happens at execution),
-    /// so no invalidation is needed on DDL.
-    plans: HashMap<String, (Arc<Stmt>, u64)>,
+    /// Plan cache: statement shape → (plan, last-use tick). Plans are
+    /// schema-independent ASTs (name binding and access paths are worked
+    /// out at execution), so no invalidation is needed on DDL.
+    plans: HashMap<Box<[u8]>, (Arc<Stmt>, u64)>,
     plan_tick: u64,
     plan_cache_cap: usize,
     stmt_stats: StmtCacheStats,
@@ -116,57 +132,70 @@ impl Connection {
         self.stmt_stats
     }
 
-    /// Number of plans currently cached.
+    /// Number of plans (statement shapes) currently cached.
     #[must_use]
     pub fn cached_plans(&self) -> usize {
         self.plans.len()
     }
 
-    /// Bound the plan cache (0 disables caching entirely).
+    /// Bound the plan cache, in statement shapes (0 disables caching
+    /// entirely).
     pub fn set_plan_cache_capacity(&mut self, cap: usize) {
         self.plan_cache_cap = cap;
         while self.plans.len() > cap {
-            if let Some(victim) = self
-                .plans
-                .iter()
-                .min_by_key(|(_, (_, t))| *t)
-                .map(|(k, _)| k.clone())
-            {
-                self.plans.remove(&victim);
-                self.stmt_stats.evictions += 1;
-            }
+            self.evict_oldest();
         }
     }
 
-    /// Prepare one statement, fetching from the plan cache when the SQL
-    /// text was seen before — warm executions skip the lexer and parser
-    /// entirely.
-    pub fn prepare(&mut self, sql: &str) -> DbResult<Arc<Stmt>> {
+    /// Drop the least recently used plan.
+    fn evict_oldest(&mut self) {
+        if let Some(victim) = self
+            .plans
+            .iter()
+            .min_by_key(|(_, (_, t))| *t)
+            .map(|(k, _)| k.clone())
+        {
+            self.plans.remove(&victim);
+            self.stmt_stats.evictions += 1;
+        }
+    }
+
+    /// Prepare one statement. Its text is lexed; when a statement of the
+    /// same shape was parsed before, the cached plan is reused with this
+    /// text's literals bound, and the parser does not run.
+    ///
+    /// The cache compares whole shapes, not hashes of them: a collision
+    /// must not hand one statement another's plan. Statements whose
+    /// parse reads a literal outside an expression (a `PRAGMA` value, a
+    /// `VARCHAR(n)` length) are parsed every time and never cached.
+    pub fn prepare(&mut self, sql: &str) -> DbResult<Prepared> {
+        let Lexed {
+            toks,
+            shape,
+            params,
+        } = lex(sql)?;
         self.plan_tick += 1;
         let tick = self.plan_tick;
-        if let Some((stmt, last)) = self.plans.get_mut(sql) {
+        if let Some((stmt, last)) = self.plans.get_mut(shape.as_slice()) {
             *last = tick;
             self.stmt_stats.hits += 1;
-            return Ok(stmt.clone());
+            return Ok(Prepared {
+                stmt: Arc::clone(stmt),
+                params,
+            });
         }
         self.stmt_stats.misses += 1;
         self.stmt_stats.parses += 1;
-        let stmt = Arc::new(parse(sql)?);
-        if self.plan_cache_cap > 0 {
+        let (stmt, cacheable) = parse_tokens(toks, &params)?;
+        let stmt = Arc::new(stmt);
+        if cacheable && self.plan_cache_cap > 0 {
             if self.plans.len() >= self.plan_cache_cap {
-                if let Some(victim) = self
-                    .plans
-                    .iter()
-                    .min_by_key(|(_, (_, t))| *t)
-                    .map(|(k, _)| k.clone())
-                {
-                    self.plans.remove(&victim);
-                    self.stmt_stats.evictions += 1;
-                }
+                self.evict_oldest();
             }
-            self.plans.insert(sql.to_string(), (stmt.clone(), tick));
+            self.plans
+                .insert(shape.into_boxed_slice(), (Arc::clone(&stmt), tick));
         }
-        Ok(stmt)
+        Ok(Prepared { stmt, params })
     }
 
     /// Execute one statement, returning the full result.
@@ -176,8 +205,8 @@ impl Connection {
     }
 
     /// Execute a prepared statement (see [`Connection::prepare`]).
-    pub fn execute_stmt(&mut self, stmt: &Stmt) -> DbResult<ExecResult> {
-        match stmt {
+    pub fn execute_stmt(&mut self, prepared: &Prepared) -> DbResult<ExecResult> {
+        match &*prepared.stmt {
             Stmt::Begin => {
                 if self.explicit_txn {
                     return Err(DbError::Unsupported("nested BEGIN".into()));
@@ -212,17 +241,17 @@ impl Connection {
                 }
                 Ok(ExecResult::default())
             }
-            other => self.run_dml(other),
+            other => self.run_dml(other, &prepared.params),
         }
     }
 
-    fn run_dml(&mut self, stmt: &Stmt) -> DbResult<ExecResult> {
+    fn run_dml(&mut self, stmt: &Stmt, params: &[SqlValue]) -> DbResult<ExecResult> {
         if self.explicit_txn {
-            return execute(&mut self.pager, &mut self.schema, stmt);
+            return execute(&mut self.pager, &mut self.schema, stmt, params);
         }
         // Autocommit: wrap the statement in its own transaction.
         self.pager.begin()?;
-        match execute(&mut self.pager, &mut self.schema, stmt) {
+        match execute(&mut self.pager, &mut self.schema, stmt, params) {
             Ok(r) => {
                 self.commit()?;
                 Ok(r)
@@ -261,7 +290,7 @@ impl Connection {
     }
 
     /// Execute and return the single scalar result.
-    pub fn query_scalar(&mut self, sql: &str) -> DbResult<crate::value::SqlValue> {
+    pub fn query_scalar(&mut self, sql: &str) -> DbResult<SqlValue> {
         let rows = self.query(sql)?;
         rows.first()
             .and_then(|r| r.first())
@@ -288,7 +317,6 @@ impl Connection {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::value::SqlValue;
 
     #[test]
     fn warm_execution_skips_parser() {
@@ -311,11 +339,52 @@ mod tests {
         let mut db = Connection::open_memory();
         db.set_plan_cache_capacity(4);
         db.execute("CREATE TABLE t (a INTEGER)").unwrap();
+        // 40 shapes: each alias is a different name.
         for i in 0..40 {
-            db.execute(&format!("INSERT INTO t VALUES({i})")).unwrap();
+            db.execute(&format!("SELECT a AS c{i} FROM t")).unwrap();
         }
         assert!(db.cached_plans() <= 4);
         assert!(db.stmt_cache_stats().evictions > 0);
+        // 40 texts that differ only in a literal are one shape.
+        let before = db.stmt_cache_stats();
+        for i in 0..40 {
+            db.execute(&format!("INSERT INTO t VALUES({i})")).unwrap();
+        }
+        let after = db.stmt_cache_stats();
+        assert_eq!(after.parses - before.parses, 1);
+        assert_eq!(after.hits - before.hits, 39);
+        assert_eq!(
+            db.query_scalar("SELECT sum(a) FROM t").unwrap(),
+            SqlValue::Int((0..40).sum())
+        );
+    }
+
+    #[test]
+    fn uncacheable_statements_parse_every_time() {
+        let mut db = Connection::open_memory();
+        for _ in 0..3 {
+            db.execute("PRAGMA plan_cache_size = 8").unwrap();
+            db.execute("CREATE TABLE IF NOT EXISTS t (a VARCHAR(10))").unwrap();
+        }
+        let stats = db.stmt_cache_stats();
+        assert_eq!((stats.hits, stats.parses), (0, 6));
+        assert_eq!(db.cached_plans(), 0);
+        // A cached plan takes the literals of the text it is run for.
+        db.execute("PRAGMA plan_cache_size = 2").unwrap();
+        for v in ["'x'", "2", "NULL", "x'ff'", "'y'"] {
+            db.execute(&format!("INSERT INTO t VALUES ({v})")).unwrap();
+        }
+        assert_eq!(db.stmt_cache_stats().hits, 3, "NULL is a different shape");
+        assert_eq!(
+            db.query("SELECT a FROM t").unwrap(),
+            [
+                vec![SqlValue::Text("x".into())],
+                vec![SqlValue::Text("2".into())],
+                vec![SqlValue::Null],
+                vec![SqlValue::Blob(vec![0xff])],
+                vec![SqlValue::Text("y".into())],
+            ]
+        );
     }
 
     #[test]

@@ -4,7 +4,7 @@
 use std::collections::HashMap;
 
 use crate::btree::{self, Cursor};
-use crate::expr::{eval, is_aggregate, ColumnResolver, NoRows};
+use crate::expr::{bound_param, eval, is_aggregate, ColumnResolver, NoRows};
 use crate::pager::Pager;
 use crate::record::{
     decode_record, encode_index_key, encode_record, index_key_prefix, index_key_rowid,
@@ -25,9 +25,15 @@ pub struct ExecResult {
     pub affected: u64,
 }
 
-/// Execute one parsed statement. Transaction control (`Begin`/`Commit`/
+/// Execute one parsed statement with `params` bound to its
+/// [`Expr::Param`] slots. Transaction control (`Begin`/`Commit`/
 /// `Rollback`) is handled by the connection, not here.
-pub fn execute(pager: &mut Pager, schema: &mut Schema, stmt: &Stmt) -> DbResult<ExecResult> {
+pub fn execute(
+    pager: &mut Pager,
+    schema: &mut Schema,
+    stmt: &Stmt,
+    params: &[SqlValue],
+) -> DbResult<ExecResult> {
     match stmt {
         Stmt::CreateTable {
             name,
@@ -46,14 +52,14 @@ pub fn execute(pager: &mut Pager, schema: &mut Schema, stmt: &Stmt) -> DbResult<
             table,
             columns,
             rows,
-        } => insert(pager, schema, table, columns.as_deref(), rows),
-        Stmt::Select(sel) => select(pager, schema, sel),
+        } => insert(pager, schema, table, columns.as_deref(), rows, params),
+        Stmt::Select(sel) => select(pager, schema, sel, params),
         Stmt::Update {
             table,
             sets,
             where_,
-        } => update(pager, schema, table, sets, where_.as_ref()),
-        Stmt::Delete { table, where_ } => delete(pager, schema, table, where_.as_ref()),
+        } => update(pager, schema, table, sets, where_.as_ref(), params),
+        Stmt::Delete { table, where_ } => delete(pager, schema, table, where_.as_ref(), params),
         Stmt::Analyze => analyze(pager, schema),
         Stmt::Pragma { .. } => Ok(ExecResult::default()),
         Stmt::Begin | Stmt::Commit | Stmt::Rollback => {
@@ -190,14 +196,16 @@ fn materialize(table: &Table, rowid: i64, mut vals: Vec<SqlValue>) -> Vec<SqlVal
     vals
 }
 
-struct Binding {
+struct Binding<'t> {
     alias: String,
-    table: Table,
+    table: &'t Table,
 }
 
-/// Evaluation context: one bound row per FROM table.
+/// Evaluation context: one bound row per FROM table, and the statement's
+/// parameters.
 struct RowCtx<'a> {
-    bindings: &'a [Binding],
+    bindings: &'a [Binding<'a>],
+    params: &'a [SqlValue],
     /// (rowid, materialised values) per binding; None while unbound.
     rows: Vec<Option<(i64, Vec<SqlValue>)>>,
     /// Aggregate outputs (aggregation phase only), addressed as `#agg.N`.
@@ -212,7 +220,6 @@ impl ColumnResolver for RowCtx<'_> {
                 .map_err(|_| DbError::Schema("bad agg ref".into()))?;
             return Ok(self.agg_values[i].clone());
         }
-        let lname = name.to_ascii_lowercase();
         for (b, row) in self.bindings.iter().zip(self.rows.iter()) {
             if let Some(t) = table {
                 if !t.eq_ignore_ascii_case(&b.alias) && !t.eq_ignore_ascii_case(&b.table.name) {
@@ -220,10 +227,10 @@ impl ColumnResolver for RowCtx<'_> {
                 }
             }
             let Some((rowid, vals)) = row else { continue };
-            if lname == "rowid" {
+            if name.eq_ignore_ascii_case("rowid") {
                 return Ok(SqlValue::Int(*rowid));
             }
-            if let Some(i) = b.table.column_index(&lname) {
+            if let Some(i) = b.table.column_index(name) {
                 return Ok(vals[i].clone());
             }
             if table.is_some() {
@@ -232,6 +239,10 @@ impl ColumnResolver for RowCtx<'_> {
         }
         Err(DbError::Schema(format!("no such column: {name}")))
     }
+
+    fn param(&self, slot: usize) -> DbResult<SqlValue> {
+        bound_param(self.params, slot)
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -239,6 +250,8 @@ impl ColumnResolver for RowCtx<'_> {
 // ---------------------------------------------------------------------
 
 enum Plan {
+    /// No row can match (a rowid bound past the `i64` range).
+    Nothing,
     FullScan,
     RowidEq(SqlValue),
     RowidRange {
@@ -282,13 +295,13 @@ fn is_col_ref(e: &Expr, alias: &str, table: &Table, col_name: &str) -> bool {
     }
 }
 
-/// Does this column name denote the rowid for the table?
-fn rowid_col_names(table: &Table) -> Vec<String> {
-    let mut v = vec!["rowid".to_string()];
-    if let Some(i) = table.rowid_alias {
-        v.push(table.columns[i].name.clone());
-    }
-    v
+/// Is `e` the rowid of the table bound as `alias`: `rowid` or the
+/// table's INTEGER PRIMARY KEY column?
+fn is_rowid_ref(e: &Expr, alias: &str, table: &Table) -> bool {
+    is_col_ref(e, alias, table, "rowid")
+        || table
+            .rowid_alias
+            .is_some_and(|i| is_col_ref(e, alias, table, &table.columns[i].name))
 }
 
 /// Evaluate an expression that must not reference the target table (it may
@@ -299,66 +312,70 @@ fn eval_outer(e: &Expr, ctx: &RowCtx<'_>) -> Option<SqlValue> {
 
 /// Choose an access path for `binding` given the applicable conjuncts.
 fn plan_table(
-    binding: &Binding,
+    binding: &Binding<'_>,
     schema: &Schema,
     where_conjuncts: &[&Expr],
     ctx: &RowCtx<'_>,
 ) -> Plan {
-    let table = &binding.table;
-    let rowid_names = rowid_col_names(table);
+    let table = binding.table;
+    let is_rowid = |e: &Expr| is_rowid_ref(e, &binding.alias, table);
     // 1. rowid equality.
     for c in where_conjuncts {
         if let Expr::Binary(BinaryOp::Eq, a, b) = c {
             for (l, r) in [(a, b), (b, a)] {
-                for rn in &rowid_names {
-                    if is_col_ref(l, &binding.alias, table, rn) {
-                        if let Some(v) = eval_outer(r, ctx) {
-                            return Plan::RowidEq(v);
-                        }
+                if is_rowid(l) {
+                    if let Some(v) = eval_outer(r, ctx) {
+                        return Plan::RowidEq(v);
                     }
                 }
             }
         }
     }
-    // 2. rowid range (BETWEEN or inequalities).
-    let mut lo: Option<i64> = None;
-    let mut hi: Option<i64> = None;
+    // 2. rowid range (BETWEEN or inequalities). Only an integer narrows
+    // it: `as_i64` would truncate a real toward zero, and text sorts above
+    // every integer, so either could leave out rows that the WHERE
+    // re-check keeps.
+    let int = |e: &Expr| match eval_outer(e, ctx) {
+        Some(SqlValue::Int(v)) => Some(v),
+        _ => None,
+    };
+    // (bound, is it a lower bound); `None` is past the `i64` range, which
+    // `< i64::MIN` and `> i64::MAX` are, so no rowid matches.
+    let mut bounds: Vec<(Option<i64>, bool)> = Vec::new();
     for c in where_conjuncts {
         match c {
             Expr::Between {
                 expr,
-                lo: l,
-                hi: h,
+                lo,
+                hi,
                 negated: false,
-            } => {
-                for rn in &rowid_names {
-                    if is_col_ref(expr, &binding.alias, table, rn) {
-                        if let (Some(lv), Some(hv)) = (eval_outer(l, ctx), eval_outer(h, ctx)) {
-                            lo = lv.as_i64().map(|v| lo.map_or(v, |x: i64| x.max(v)));
-                            hi = hv.as_i64().map(|v| hi.map_or(v, |x: i64| x.min(v)));
-                        }
-                    }
-                }
+            } if is_rowid(expr) => {
+                bounds.extend(int(lo).map(|v| (Some(v), true)));
+                bounds.extend(int(hi).map(|v| (Some(v), false)));
             }
-            Expr::Binary(op @ (BinaryOp::Lt | BinaryOp::Le | BinaryOp::Gt | BinaryOp::Ge), a, b) => {
-                for rn in &rowid_names {
-                    if is_col_ref(a, &binding.alias, table, rn) {
-                        if let Some(v) = eval_outer(b, ctx).and_then(|v| v.as_i64()) {
-                            match op {
-                                BinaryOp::Lt => hi = Some(hi.map_or(v - 1, |x| x.min(v - 1))),
-                                BinaryOp::Le => hi = Some(hi.map_or(v, |x| x.min(v))),
-                                BinaryOp::Gt => lo = Some(lo.map_or(v + 1, |x| x.max(v + 1))),
-                                BinaryOp::Ge => lo = Some(lo.map_or(v, |x| x.max(v))),
-                                _ => {}
-                            }
-                        }
-                    }
-                }
+            Expr::Binary(op @ (BinaryOp::Lt | BinaryOp::Le | BinaryOp::Gt | BinaryOp::Ge), a, b)
+                if is_rowid(a) =>
+            {
+                bounds.extend(int(b).map(|v| match op {
+                    BinaryOp::Lt => (v.checked_sub(1), false),
+                    BinaryOp::Le => (Some(v), false),
+                    BinaryOp::Gt => (v.checked_add(1), true),
+                    _ => (Some(v), true),
+                }));
             }
             _ => {}
         }
     }
-    if lo.is_some() || hi.is_some() {
+    if !bounds.is_empty() {
+        let mut lo: Option<i64> = None;
+        let mut hi: Option<i64> = None;
+        for (bound, is_lo) in bounds {
+            match (bound, is_lo) {
+                (None, _) => return Plan::Nothing,
+                (Some(v), true) => lo = Some(lo.map_or(v, |x| x.max(v))),
+                (Some(v), false) => hi = Some(hi.map_or(v, |x| x.min(v))),
+            }
+        }
         return Plan::RowidRange { lo, hi };
     }
     // 3. index equality / range on the first indexed column.
@@ -410,6 +427,7 @@ fn plan_table(
 fn plan_rowids(pager: &mut Pager, table: &Table, plan: &Plan) -> DbResult<Vec<i64>> {
     let mut out = Vec::new();
     match plan {
+        Plan::Nothing => {}
         Plan::FullScan => {
             let mut c = Cursor::first(pager, table.root)?;
             while c.valid() {
@@ -563,14 +581,25 @@ fn remove_index_entries(
     Ok(())
 }
 
+/// The next automatic rowid of `table`, or an error once it holds
+/// `i64::MAX` (`next` is `None`).
+fn take_rowid(table: &Table, next: &mut Option<i64>) -> DbResult<i64> {
+    let rowid = next.ok_or_else(|| {
+        DbError::Constraint(format!("rowid overflow: {} holds rowid {}", table.name, i64::MAX))
+    })?;
+    *next = rowid.checked_add(1);
+    Ok(rowid)
+}
+
 fn insert(
     pager: &mut Pager,
-    schema: &mut Schema,
+    schema: &Schema,
     table: &str,
     columns: Option<&[String]>,
     rows: &[Vec<Expr>],
+    params: &[SqlValue],
 ) -> DbResult<ExecResult> {
-    let t = schema.table(table)?.clone();
+    let t = schema.table(table)?;
     let col_map: Vec<usize> = match columns {
         Some(cols) => cols
             .iter()
@@ -582,7 +611,10 @@ fn insert(
         None => (0..t.columns.len()).collect(),
     };
     let mut affected = 0u64;
-    let mut next_rowid = btree::table_max_rowid(pager, t.root)?.unwrap_or(0) + 1;
+    // `None` once a row holds `i64::MAX`: no rowid is left to assign.
+    let mut next_rowid = btree::table_max_rowid(pager, t.root)?
+        .unwrap_or(0)
+        .checked_add(1);
     for row in rows {
         if row.len() != col_map.len() {
             return Err(DbError::Schema(format!(
@@ -593,17 +625,13 @@ fn insert(
         }
         let mut vals = vec![SqlValue::Null; t.columns.len()];
         for (expr, &col) in row.iter().zip(col_map.iter()) {
-            let v = eval(expr, &NoRows)?;
+            let v = eval(expr, &NoRows(params))?;
             vals[col] = coerce(t.columns[col].affinity, v);
         }
         // Resolve the rowid.
         let rowid = match t.rowid_alias {
             Some(i) => match &vals[i] {
-                SqlValue::Null => {
-                    let r = next_rowid;
-                    next_rowid += 1;
-                    r
-                }
+                SqlValue::Null => take_rowid(t, &mut next_rowid)?,
                 SqlValue::Int(v) => {
                     let v = *v;
                     if btree::table_get(pager, t.root, v)?.is_some() {
@@ -612,7 +640,7 @@ fn insert(
                             t.name, t.columns[i].name
                         )));
                     }
-                    next_rowid = next_rowid.max(v + 1);
+                    next_rowid = next_rowid.zip(v.checked_add(1)).map(|(n, w)| n.max(w));
                     v
                 }
                 other => {
@@ -621,19 +649,15 @@ fn insert(
                     )))
                 }
             },
-            None => {
-                let r = next_rowid;
-                next_rowid += 1;
-                r
-            }
+            None => take_rowid(t, &mut next_rowid)?,
         };
         // Store NULL in the alias slot (reconstructed on read).
         let mut stored = vals.clone();
         if let Some(i) = t.rowid_alias {
             stored[i] = SqlValue::Null;
         }
-        let materialized = materialize(&t, rowid, stored.clone());
-        add_index_entries(pager, schema, &t, rowid, &materialized, true)?;
+        let materialized = materialize(t, rowid, stored.clone());
+        add_index_entries(pager, schema, t, rowid, &materialized, true)?;
         btree::table_insert(pager, t.root, rowid, &encode_record(&stored))?;
         affected += 1;
     }
@@ -770,7 +794,7 @@ fn rewrite_aggs(e: &Expr, specs: &mut Vec<AggSpec>) -> Expr {
 /// Expand `*` and rewrite aggregates; returns (labels, exprs, agg specs).
 fn projection(
     sel: &SelectStmt,
-    bindings: &[Binding],
+    bindings: &[Binding<'_>],
 ) -> DbResult<(Vec<String>, Vec<Expr>, Vec<AggSpec>)> {
     let mut labels = Vec::new();
     let mut exprs = Vec::new();
@@ -810,7 +834,7 @@ fn expr_label(e: &Expr) -> String {
 fn join_rows(
     pager: &mut Pager,
     schema: &Schema,
-    bindings: &[Binding],
+    bindings: &[Binding<'_>],
     from: &[FromTable],
     where_: Option<&Expr>,
     level: usize,
@@ -837,12 +861,12 @@ fn join_rows(
         planning_conjuncts.extend(conjuncts(w));
     }
     let plan = plan_table(binding, schema, &planning_conjuncts, ctx);
-    let rowids = plan_rowids(pager, &binding.table, &plan)?;
+    let rowids = plan_rowids(pager, binding.table, &plan)?;
     for rowid in rowids {
         let Some(rec) = btree::table_get(pager, binding.table.root, rowid)? else {
             continue;
         };
-        let vals = materialize(&binding.table, rowid, decode_record(&rec)?);
+        let vals = materialize(binding.table, rowid, decode_record(&rec)?);
         ctx.rows[level] = Some((rowid, vals));
         // Apply this level's ON condition as soon as it is evaluable.
         if let Some(on) = &from[level].on {
@@ -858,7 +882,12 @@ fn join_rows(
 }
 
 #[allow(clippy::too_many_lines)]
-fn select(pager: &mut Pager, schema: &mut Schema, sel: &SelectStmt) -> DbResult<ExecResult> {
+fn select(
+    pager: &mut Pager,
+    schema: &Schema,
+    sel: &SelectStmt,
+    params: &[SqlValue],
+) -> DbResult<ExecResult> {
     // Bindings.
     let bindings: Vec<Binding> = sel
         .from
@@ -869,7 +898,7 @@ fn select(pager: &mut Pager, schema: &mut Schema, sel: &SelectStmt) -> DbResult<
                     .alias
                     .clone()
                     .unwrap_or_else(|| f.name.to_ascii_lowercase()),
-                table: schema.table(&f.name)?.clone(),
+                table: schema.table(&f.name)?,
             })
         })
         .collect::<DbResult<_>>()?;
@@ -887,6 +916,7 @@ fn select(pager: &mut Pager, schema: &mut Schema, sel: &SelectStmt) -> DbResult<
     if bindings.is_empty() {
         let ctx = RowCtx {
             bindings: &bindings,
+            params,
             rows: Vec::new(),
             agg_values: Vec::new(),
         };
@@ -911,6 +941,7 @@ fn select(pager: &mut Pager, schema: &mut Schema, sel: &SelectStmt) -> DbResult<
         {
             let mut ctx = RowCtx {
                 bindings: &bindings,
+                params,
                 rows: vec![None; bindings.len()],
                 agg_values: Vec::new(),
             };
@@ -976,6 +1007,7 @@ fn select(pager: &mut Pager, schema: &mut Schema, sel: &SelectStmt) -> DbResult<
                 .collect();
             let ctx = RowCtx {
                 bindings: &bindings,
+                params,
                 rows: rep
                     .as_ref()
                     .map_or_else(|| vec![None; bindings.len()], |(_, r)| r.clone()),
@@ -994,6 +1026,7 @@ fn select(pager: &mut Pager, schema: &mut Schema, sel: &SelectStmt) -> DbResult<
     } else {
         let mut ctx = RowCtx {
             bindings: &bindings,
+            params,
             rows: vec![None; bindings.len()],
             agg_values: Vec::new(),
         };
@@ -1043,11 +1076,11 @@ fn select(pager: &mut Pager, schema: &mut Schema, sel: &SelectStmt) -> DbResult<
     }
     // LIMIT / OFFSET.
     let offset = match &sel.offset {
-        Some(e) => eval(e, &NoRows)?.as_i64().unwrap_or(0).max(0) as usize,
+        Some(e) => eval(e, &NoRows(params))?.as_i64().unwrap_or(0).max(0) as usize,
         None => 0,
     };
     let limit = match &sel.limit {
-        Some(e) => eval(e, &NoRows)?.as_i64().unwrap_or(i64::MAX).max(0) as usize,
+        Some(e) => eval(e, &NoRows(params))?.as_i64().unwrap_or(i64::MAX).max(0) as usize,
         None => usize::MAX,
     };
     let rows: Vec<Row> = out
@@ -1072,13 +1105,15 @@ fn collect_target_rowids(
     schema: &Schema,
     table: &Table,
     where_: Option<&Expr>,
+    params: &[SqlValue],
 ) -> DbResult<Vec<i64>> {
     let binding = Binding {
         alias: table.name.clone(),
-        table: table.clone(),
+        table,
     };
     let empty_ctx = RowCtx {
         bindings: std::slice::from_ref(&binding),
+        params,
         rows: vec![None],
         agg_values: Vec::new(),
     };
@@ -1093,6 +1128,7 @@ fn collect_target_rowids(
         let vals = materialize(table, rowid, decode_record(&rec)?);
         let ctx = RowCtx {
             bindings: std::slice::from_ref(&binding),
+            params,
             rows: vec![Some((rowid, vals))],
             agg_values: Vec::new(),
         };
@@ -1109,12 +1145,13 @@ fn collect_target_rowids(
 
 fn update(
     pager: &mut Pager,
-    schema: &mut Schema,
+    schema: &Schema,
     table: &str,
     sets: &[(String, Expr)],
     where_: Option<&Expr>,
+    params: &[SqlValue],
 ) -> DbResult<ExecResult> {
-    let t = schema.table(table)?.clone();
+    let t = schema.table(table)?;
     let set_cols: Vec<(usize, &Expr)> = sets
         .iter()
         .map(|(c, e)| {
@@ -1129,19 +1166,20 @@ fn update(
             Ok((i, e))
         })
         .collect::<DbResult<_>>()?;
-    let rowids = collect_target_rowids(pager, schema, &t, where_)?;
+    let rowids = collect_target_rowids(pager, schema, t, where_, params)?;
     let binding = Binding {
         alias: t.name.clone(),
-        table: t.clone(),
+        table: t,
     };
     let mut affected = 0;
     for rowid in rowids {
         let Some(rec) = btree::table_get(pager, t.root, rowid)? else {
             continue;
         };
-        let old_vals = materialize(&t, rowid, decode_record(&rec)?);
+        let old_vals = materialize(t, rowid, decode_record(&rec)?);
         let ctx = RowCtx {
             bindings: std::slice::from_ref(&binding),
+            params,
             rows: vec![Some((rowid, old_vals.clone()))],
             agg_values: Vec::new(),
         };
@@ -1149,7 +1187,7 @@ fn update(
         for (i, e) in &set_cols {
             new_vals[*i] = coerce(t.columns[*i].affinity, eval(e, &ctx)?);
         }
-        remove_index_entries(pager, schema, &t, rowid, &old_vals)?;
+        remove_index_entries(pager, schema, t, rowid, &old_vals)?;
         // Unique re-checks exclude our own (removed) entries.
         for index in schema.indexes_of(&t.name) {
             if index.unique {
@@ -1158,7 +1196,7 @@ fn update(
                 check_unique(pager, index, &key_vals, Some(rowid))?;
             }
         }
-        add_index_entries(pager, schema, &t, rowid, &new_vals, false)?;
+        add_index_entries(pager, schema, t, rowid, &new_vals, false)?;
         let mut stored = new_vals;
         if let Some(i) = t.rowid_alias {
             stored[i] = SqlValue::Null;
@@ -1174,19 +1212,20 @@ fn update(
 
 fn delete(
     pager: &mut Pager,
-    schema: &mut Schema,
+    schema: &Schema,
     table: &str,
     where_: Option<&Expr>,
+    params: &[SqlValue],
 ) -> DbResult<ExecResult> {
-    let t = schema.table(table)?.clone();
-    let rowids = collect_target_rowids(pager, schema, &t, where_)?;
+    let t = schema.table(table)?;
+    let rowids = collect_target_rowids(pager, schema, t, where_, params)?;
     let mut affected = 0;
     for rowid in rowids {
         let Some(rec) = btree::table_get(pager, t.root, rowid)? else {
             continue;
         };
-        let vals = materialize(&t, rowid, decode_record(&rec)?);
-        remove_index_entries(pager, schema, &t, rowid, &vals)?;
+        let vals = materialize(t, rowid, decode_record(&rec)?);
+        remove_index_entries(pager, schema, t, rowid, &vals)?;
         btree::table_delete(pager, t.root, rowid)?;
         affected += 1;
     }
@@ -1219,7 +1258,7 @@ fn analyze(pager: &mut Pager, schema: &mut Schema) -> DbResult<ExecResult> {
             false,
         )?;
     }
-    delete(pager, schema, "twine_stats", None)?;
+    delete(pager, schema, "twine_stats", None, &[])?;
     let tables: Vec<Table> = schema
         .tables
         .values()

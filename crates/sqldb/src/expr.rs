@@ -24,20 +24,35 @@ fn blob_len(n: &SqlValue) -> DbResult<usize> {
     Ok(len as usize)
 }
 
-/// Resolves column references during evaluation.
+/// Resolves column references and bound parameters during evaluation.
 pub trait ColumnResolver {
     /// Value of a (possibly qualified) column in the current row.
     fn column(&self, table: Option<&str>, name: &str) -> DbResult<SqlValue>;
+    /// Value bound to [`Expr::Param`] `slot`.
+    fn param(&self, slot: usize) -> DbResult<SqlValue>;
 }
 
-/// A resolver for contexts without rows (INSERT values, LIMIT).
-pub struct NoRows;
+/// The value of parameter `slot` in a statement's bound values.
+pub(crate) fn bound_param(params: &[SqlValue], slot: usize) -> DbResult<SqlValue> {
+    params
+        .get(slot)
+        .cloned()
+        .ok_or_else(|| DbError::Parse(format!("parameter {slot} is not bound")))
+}
 
-impl ColumnResolver for NoRows {
+/// A resolver for contexts without rows (INSERT values, LIMIT): only the
+/// statement's bound parameters.
+pub struct NoRows<'a>(pub &'a [SqlValue]);
+
+impl ColumnResolver for NoRows<'_> {
     fn column(&self, _table: Option<&str>, name: &str) -> DbResult<SqlValue> {
         Err(DbError::Schema(format!(
             "column {name:?} not allowed in this context"
         )))
+    }
+
+    fn param(&self, slot: usize) -> DbResult<SqlValue> {
+        bound_param(self.0, slot)
     }
 }
 
@@ -45,7 +60,8 @@ impl ColumnResolver for NoRows {
 /// away by the executor before this runs.
 pub fn eval(expr: &Expr, row: &dyn ColumnResolver) -> DbResult<SqlValue> {
     Ok(match expr {
-        Expr::Lit(v) => v.clone(),
+        Expr::Null => SqlValue::Null,
+        Expr::Param(slot) => row.param(*slot)?,
         Expr::Column { table, name } => row.column(table.as_deref(), name)?,
         Expr::Neg(e) => match eval(e, row)? {
             SqlValue::Null => SqlValue::Null,
@@ -372,15 +388,20 @@ mod tests {
     use crate::sql::parse;
     use crate::sql::Stmt;
 
-    fn eval_const(sql_expr: &str) -> SqlValue {
-        let stmt = parse(&format!("SELECT {sql_expr}")).unwrap();
+    /// Parse `SELECT {sql_expr}` and evaluate the column.
+    fn try_eval(sql_expr: &str) -> DbResult<SqlValue> {
+        let (stmt, params) = parse(&format!("SELECT {sql_expr}")).unwrap();
         match stmt {
             Stmt::Select(sel) => match &sel.columns[0] {
-                crate::sql::SelectCol::Expr(e, _) => eval(e, &NoRows).unwrap(),
+                crate::sql::SelectCol::Expr(e, _) => eval(e, &NoRows(&params)),
                 crate::sql::SelectCol::Star => panic!("star"),
             },
             _ => panic!("not select"),
         }
+    }
+
+    fn eval_const(sql_expr: &str) -> SqlValue {
+        try_eval(sql_expr).unwrap()
     }
 
     #[test]
@@ -462,22 +483,15 @@ mod tests {
 
     #[test]
     fn aggregates_rejected_without_group() {
-        let stmt = parse("SELECT count(*)").unwrap();
-        if let Stmt::Select(sel) = stmt {
-            if let crate::sql::SelectCol::Expr(e, _) = &sel.columns[0] {
-                assert!(eval(e, &NoRows).is_err());
-            }
-        }
+        assert!(try_eval("count(*)").is_err());
     }
 
     #[test]
     fn oversized_blobs_are_refused() {
         for n in ["100000000000", "9223372036854775807"] {
             for f in ["zeroblob", "randomblob"] {
-                let sql = format!("SELECT {f}({n})");
-                let Stmt::Select(sel) = parse(&sql).unwrap() else { unreachable!() };
-                let crate::sql::SelectCol::Expr(e, _) = &sel.columns[0] else { unreachable!() };
-                assert!(matches!(eval(e, &NoRows), Err(DbError::Unsupported(_))), "{sql}");
+                let call = format!("{f}({n})");
+                assert!(matches!(try_eval(&call), Err(DbError::Unsupported(_))), "{call}");
             }
         }
         assert_eq!(eval_const("length(zeroblob(-5))"), SqlValue::Int(0));

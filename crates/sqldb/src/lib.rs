@@ -55,7 +55,7 @@ pub mod value;
 pub mod vfs;
 
 pub use backend_vfs::{BackendVfs, SharedBackend};
-pub use db::{Connection, StmtCacheStats};
+pub use db::{Connection, Prepared, StmtCacheStats};
 pub use pager::journal_path;
 pub use speedtest::SqlExecutor;
 pub use value::SqlValue;

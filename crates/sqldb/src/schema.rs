@@ -43,8 +43,11 @@ impl Table {
     /// Position of a column by (case-insensitive) name.
     #[must_use]
     pub fn column_index(&self, name: &str) -> Option<usize> {
-        let lower = name.to_ascii_lowercase();
-        self.columns.iter().position(|c| c.name == lower)
+        // `c.name == name.to_ascii_lowercase()`, without the copy.
+        self.columns.iter().position(|c| {
+            c.name.len() == name.len()
+                && c.name.bytes().zip(name.bytes()).all(|(s, n)| s == n.to_ascii_lowercase())
+        })
     }
 }
 

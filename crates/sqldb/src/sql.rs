@@ -10,14 +10,13 @@ use crate::{DbError, DbResult};
 // Tokens
 // ---------------------------------------------------------------------
 
-#[derive(Debug, Clone, PartialEq)]
-pub(crate) enum Tok {
-    Ident(String),
-    Keyword(String),
-    Int(i64),
-    Real(f64),
-    Str(String),
-    Blob(Vec<u8>),
+/// One token. Names borrow from the statement text; a literal is a slot
+/// in the values the lexer pulled out of it.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) enum Tok<'a> {
+    Ident(&'a str),
+    Keyword(&'static str),
+    Lit(usize),
     Punct(&'static str),
     Eof,
 }
@@ -31,75 +30,99 @@ const KEYWORDS: &[&str] = &[
     "float", "bigint", "char", "default", "case", "when", "then", "else", "end",
 ];
 
-fn lex(sql: &str) -> DbResult<Vec<Tok>> {
+/// Punctuation, two-byte operators first so that `<=` is not read as `<`.
+const PUNCTS: &[&str] = &[
+    "<=", ">=", "<>", "!=", "||", "(", ")", ",", ";", "=", "<", ">", "+", "-", "*", "/", "%", ".",
+];
+
+/// Tags of the shape key, one per token kind.
+const SHAPE_KEYWORD: u8 = 1;
+const SHAPE_IDENT: u8 = 2;
+const SHAPE_PUNCT: u8 = 3;
+const SHAPE_LIT: u8 = 4;
+
+/// A lexed statement: its tokens, its shape and its literal values.
+///
+/// The shape is the token stream with every literal replaced by a slot:
+/// keyword and punctuation indexes, length-prefixed names, one tag per
+/// literal. Two texts with the same shape parse to the same statement,
+/// except where a literal is read outside an expression (see
+/// [`parse_tokens`]). `params` holds the literals in lexical order, so
+/// `Tok::Lit(i)` is `params[i]`.
+pub(crate) struct Lexed<'a> {
+    pub(crate) toks: Vec<Tok<'a>>,
+    pub(crate) shape: Vec<u8>,
+    pub(crate) params: Vec<SqlValue>,
+}
+
+impl<'a> Lexed<'a> {
+    fn keyword(&mut self, k: usize) {
+        self.toks.push(Tok::Keyword(KEYWORDS[k]));
+        self.shape.extend_from_slice(&[SHAPE_KEYWORD, k as u8]);
+    }
+
+    fn ident(&mut self, name: &'a str) {
+        self.toks.push(Tok::Ident(name));
+        self.shape.push(SHAPE_IDENT);
+        self.shape.extend_from_slice(&name.len().to_le_bytes());
+        self.shape.extend_from_slice(name.as_bytes());
+    }
+
+    fn punct(&mut self, p: usize) {
+        self.toks.push(Tok::Punct(PUNCTS[p]));
+        self.shape.extend_from_slice(&[SHAPE_PUNCT, p as u8]);
+    }
+
+    fn literal(&mut self, v: SqlValue) {
+        self.toks.push(Tok::Lit(self.params.len()));
+        self.params.push(v);
+        self.shape.push(SHAPE_LIT);
+    }
+}
+
+/// Tokenize a statement in one pass. Nothing is allocated per token except
+/// the values of text and blob literals.
+pub(crate) fn lex(sql: &str) -> DbResult<Lexed<'_>> {
     let b = sql.as_bytes();
-    let mut out = Vec::new();
+    let mut out = Lexed {
+        toks: Vec::with_capacity(16),
+        shape: Vec::with_capacity(64),
+        params: Vec::new(),
+    };
+    // `i` only stops on ASCII bytes, so every slice below is on a char
+    // boundary.
     let mut i = 0;
     while i < b.len() {
-        let c = b[i];
-        match c {
+        match b[i] {
             b' ' | b'\t' | b'\n' | b'\r' => i += 1,
-            b'-' if i + 1 < b.len() && b[i + 1] == b'-' => {
+            b'-' if b.get(i + 1) == Some(&b'-') => {
                 while i < b.len() && b[i] != b'\n' {
                     i += 1;
                 }
             }
             b'\'' => {
-                // String literal with '' escaping.
-                let mut s = String::new();
-                i += 1;
-                loop {
-                    if i >= b.len() {
-                        return Err(DbError::Parse("unterminated string".into()));
-                    }
-                    if b[i] == b'\'' {
-                        if i + 1 < b.len() && b[i + 1] == b'\'' {
-                            s.push('\'');
-                            i += 2;
-                            continue;
-                        }
-                        i += 1;
-                        break;
-                    }
-                    s.push(b[i] as char);
-                    i += 1;
-                }
-                out.push(Tok::Str(s));
+                let (text, end) = string_literal(sql, i + 1)?;
+                out.literal(SqlValue::Text(text));
+                i = end;
             }
             b'"' => {
-                let mut s = String::new();
-                i += 1;
-                while i < b.len() && b[i] != b'"' {
-                    s.push(b[i] as char);
-                    i += 1;
-                }
-                if i >= b.len() {
-                    return Err(DbError::Parse("unterminated quoted identifier".into()));
-                }
-                i += 1;
-                out.push(Tok::Ident(s));
+                let start = i + 1;
+                let len = b[start..]
+                    .iter()
+                    .position(|&c| c == b'"')
+                    .ok_or_else(|| DbError::Parse("unterminated quoted identifier".into()))?;
+                out.ident(&sql[start..start + len]);
+                i = start + len + 1;
             }
-            b'x' | b'X' if i + 1 < b.len() && b[i + 1] == b'\'' => {
+            b'x' | b'X' if b.get(i + 1) == Some(&b'\'') => {
                 // Blob literal x'AB01'.
-                i += 2;
-                let start = i;
-                while i < b.len() && b[i] != b'\'' {
-                    i += 1;
-                }
-                if i >= b.len() {
-                    return Err(DbError::Parse("unterminated blob literal".into()));
-                }
-                let hexs = &sql[start..i];
-                i += 1;
-                if !hexs.len().is_multiple_of(2) {
-                    return Err(DbError::Parse("odd-length blob literal".into()));
-                }
-                let bytes = (0..hexs.len())
-                    .step_by(2)
-                    .map(|k| u8::from_str_radix(&hexs[k..k + 2], 16))
-                    .collect::<Result<Vec<u8>, _>>()
-                    .map_err(|_| DbError::Parse("bad blob literal".into()))?;
-                out.push(Tok::Blob(bytes));
+                let start = i + 2;
+                let len = b[start..]
+                    .iter()
+                    .position(|&c| c == b'\'')
+                    .ok_or_else(|| DbError::Parse("unterminated blob literal".into()))?;
+                out.literal(SqlValue::Blob(hex_blob(&b[start..start + len])?));
+                i = start + len + 1;
             }
             b'0'..=b'9' => {
                 let start = i;
@@ -111,7 +134,7 @@ fn lex(sql: &str) -> DbResult<Vec<Tok>> {
                             is_real = true;
                             i += 1;
                         }
-                        b'e' | b'E' if i > start => {
+                        b'e' | b'E' => {
                             is_real = true;
                             i += 1;
                             if i < b.len() && (b[i] == b'+' || b[i] == b'-') {
@@ -122,15 +145,12 @@ fn lex(sql: &str) -> DbResult<Vec<Tok>> {
                     }
                 }
                 let text = &sql[start..i];
-                if is_real {
-                    out.push(Tok::Real(text.parse().map_err(|_| {
-                        DbError::Parse(format!("bad number {text:?}"))
-                    })?));
+                let bad = || DbError::Parse(format!("bad number {text:?}"));
+                out.literal(if is_real {
+                    SqlValue::Real(text.parse().map_err(|_| bad())?)
                 } else {
-                    out.push(Tok::Int(text.parse().map_err(|_| {
-                        DbError::Parse(format!("bad number {text:?}"))
-                    })?));
-                }
+                    SqlValue::Int(text.parse().map_err(|_| bad())?)
+                });
             }
             b'a'..=b'z' | b'A'..=b'Z' | b'_' => {
                 let start = i;
@@ -138,35 +158,60 @@ fn lex(sql: &str) -> DbResult<Vec<Tok>> {
                     i += 1;
                 }
                 let word = &sql[start..i];
-                let lower = word.to_ascii_lowercase();
-                if KEYWORDS.contains(&lower.as_str()) {
-                    out.push(Tok::Keyword(lower));
-                } else {
-                    out.push(Tok::Ident(word.to_string()));
+                match KEYWORDS.iter().position(|k| k.eq_ignore_ascii_case(word)) {
+                    Some(k) => out.keyword(k),
+                    None => out.ident(word),
                 }
             }
             _ => {
-                let rest = &sql[i..];
-                const P2: [&str; 5] = ["<=", ">=", "<>", "!=", "||"];
-                const P1: [&str; 13] =
-                    ["(", ")", ",", ";", "=", "<", ">", "+", "-", "*", "/", "%", "."];
-                if let Some(p) = P2.iter().find(|p| rest.starts_with(**p)) {
-                    out.push(Tok::Punct(p));
-                    i += 2;
-                } else if let Some(p) = P1.iter().find(|p| rest.starts_with(**p)) {
-                    out.push(Tok::Punct(p));
-                    i += 1;
-                } else {
-                    return Err(DbError::Parse(format!(
-                        "unexpected character {:?}",
-                        rest.chars().next().unwrap()
-                    )));
-                }
+                let Some(p) = PUNCTS.iter().position(|p| b[i..].starts_with(p.as_bytes())) else {
+                    let c = sql[i..].chars().next().unwrap_or(char::REPLACEMENT_CHARACTER);
+                    return Err(DbError::Parse(format!("unexpected character {c:?}")));
+                };
+                out.punct(p);
+                i += PUNCTS[p].len();
             }
         }
     }
-    out.push(Tok::Eof);
+    out.toks.push(Tok::Eof);
     Ok(out)
+}
+
+/// The string literal whose body starts at `start`: its text, with `''`
+/// read as one quote, and the index just past its closing quote.
+fn string_literal(sql: &str, start: usize) -> DbResult<(String, usize)> {
+    let b = sql.as_bytes();
+    let mut text = String::new();
+    let mut from = start;
+    loop {
+        let Some(q) = b[from..].iter().position(|&c| c == b'\'').map(|q| from + q) else {
+            return Err(DbError::Parse("unterminated string".into()));
+        };
+        if b.get(q + 1) == Some(&b'\'') {
+            text.push_str(&sql[from..=q]);
+            from = q + 2;
+        } else {
+            text.push_str(&sql[from..q]);
+            return Ok((text, q + 1));
+        }
+    }
+}
+
+/// The bytes of a blob literal's hex digits, checked byte by byte.
+fn hex_blob(hex: &[u8]) -> DbResult<Vec<u8>> {
+    if !hex.len().is_multiple_of(2) {
+        return Err(DbError::Parse("odd-length blob literal".into()));
+    }
+    let digit = |c: u8| {
+        char::from(c)
+            .to_digit(16)
+            .ok_or_else(|| DbError::Parse("bad blob literal".into()))
+    };
+    let mut bytes = Vec::with_capacity(hex.len() / 2);
+    for pair in hex.chunks_exact(2) {
+        bytes.push(((digit(pair[0])? << 4) | digit(pair[1])?) as u8);
+    }
+    Ok(bytes)
 }
 
 // ---------------------------------------------------------------------
@@ -220,8 +265,12 @@ pub enum BinaryOp {
 /// Expressions.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Expr {
-    /// Literal value.
-    Lit(SqlValue),
+    /// `NULL`.
+    Null,
+    /// A literal of the statement text, bound at execution: slot `i` is
+    /// the text's `i`-th literal, so one parsed statement serves every
+    /// text of its shape.
+    Param(usize),
     /// Column reference, optionally qualified.
     Column {
         /// Table qualifier.
@@ -407,37 +456,64 @@ pub enum Stmt {
     },
 }
 
-/// Parse one SQL statement (a trailing `;` is allowed).
-pub fn parse(sql: &str) -> DbResult<Stmt> {
-    let toks = lex(sql)?;
-    let mut p = P { toks, pos: 0 };
+/// Parse one SQL statement (a trailing `;` is allowed). Each literal in
+/// expression position becomes an [`Expr::Param`]; the literals come back
+/// beside the statement, in the order the text holds them.
+pub fn parse(sql: &str) -> DbResult<(Stmt, Vec<SqlValue>)> {
+    let Lexed { toks, params, .. } = lex(sql)?;
+    let (stmt, _) = parse_tokens(toks, &params)?;
+    Ok((stmt, params))
+}
+
+/// Parse a lexed statement. Also says whether the statement may be cached
+/// by its shape: not when the parser read a literal outside an expression
+/// (a `PRAGMA` value, the skipped length of `VARCHAR(n)`), because the
+/// statement would then hold, or ignore, a value that a later text of the
+/// same shape changes.
+pub(crate) fn parse_tokens(toks: Vec<Tok<'_>>, params: &[SqlValue]) -> DbResult<(Stmt, bool)> {
+    let mut p = P {
+        toks,
+        pos: 0,
+        params,
+        cacheable: true,
+    };
     let stmt = p.stmt()?;
     p.eat_punct(";");
     if !matches!(p.peek(), Tok::Eof) {
         return Err(DbError::Parse(format!(
-            "trailing input after statement: {:?}",
-            p.peek()
+            "trailing input after statement: {}",
+            p.show(p.peek())
         )));
     }
-    Ok(stmt)
+    Ok((stmt, p.cacheable))
 }
 
-struct P {
-    toks: Vec<Tok>,
+struct P<'a, 'p> {
+    toks: Vec<Tok<'a>>,
     pos: usize,
+    params: &'p [SqlValue],
+    cacheable: bool,
 }
 
-impl P {
-    fn peek(&self) -> &Tok {
-        &self.toks[self.pos]
+impl<'a> P<'a, '_> {
+    fn peek(&self) -> Tok<'a> {
+        self.toks[self.pos]
     }
 
-    fn bump(&mut self) -> Tok {
-        let t = self.toks[self.pos].clone();
+    fn bump(&mut self) -> Tok<'a> {
+        let t = self.toks[self.pos];
         if self.pos + 1 < self.toks.len() {
             self.pos += 1;
         }
         t
+    }
+
+    /// A token for an error message, with a literal's value.
+    fn show(&self, t: Tok<'_>) -> String {
+        match t {
+            Tok::Lit(slot) if slot < self.params.len() => format!("{:?}", self.params[slot]),
+            other => format!("{other:?}"),
+        }
     }
 
     fn eat_kw(&mut self, kw: &str) -> bool {
@@ -454,14 +530,14 @@ impl P {
             Ok(())
         } else {
             Err(DbError::Parse(format!(
-                "expected {kw:?}, found {:?}",
-                self.peek()
+                "expected {kw:?}, found {}",
+                self.show(self.peek())
             )))
         }
     }
 
     fn eat_punct(&mut self, p: &str) -> bool {
-        if matches!(self.peek(), Tok::Punct(q) if *q == p) {
+        if matches!(self.peek(), Tok::Punct(q) if q == p) {
             self.bump();
             true
         } else {
@@ -474,8 +550,8 @@ impl P {
             Ok(())
         } else {
             Err(DbError::Parse(format!(
-                "expected {p:?}, found {:?}",
-                self.peek()
+                "expected {p:?}, found {}",
+                self.show(self.peek())
             )))
         }
     }
@@ -483,10 +559,11 @@ impl P {
     /// Identifier (non-reserved keywords also accepted as names).
     fn ident(&mut self) -> DbResult<String> {
         match self.bump() {
-            Tok::Ident(s) => Ok(s),
-            Tok::Keyword(k) => Ok(k),
+            Tok::Ident(s) => Ok(s.to_string()),
+            Tok::Keyword(k) => Ok(k.to_string()),
             other => Err(DbError::Parse(format!(
-                "expected identifier, found {other:?}"
+                "expected identifier, found {}",
+                self.show(other)
             ))),
         }
     }
@@ -545,18 +622,26 @@ impl P {
         if self.eat_kw("pragma") {
             let name = self.ident()?;
             let value = if self.eat_punct("=") {
+                let bad = |p: &Self, t| DbError::Parse(format!("bad pragma value {}", p.show(t)));
                 Some(match self.bump() {
-                    Tok::Ident(s) | Tok::Str(s) => s,
-                    Tok::Keyword(s) => s,
-                    Tok::Int(v) => v.to_string(),
-                    other => return Err(DbError::Parse(format!("bad pragma value {other:?}"))),
+                    Tok::Ident(s) => s.to_string(),
+                    Tok::Keyword(s) => s.to_string(),
+                    t @ Tok::Lit(slot) => {
+                        self.cacheable = false;
+                        match self.params.get(slot) {
+                            Some(SqlValue::Text(s)) => s.clone(),
+                            Some(SqlValue::Int(v)) => v.to_string(),
+                            _ => return Err(bad(self, t)),
+                        }
+                    }
+                    t => return Err(bad(self, t)),
                 })
             } else {
                 None
             };
             return Ok(Stmt::Pragma { name, value });
         }
-        Err(DbError::Parse(format!("unexpected token {:?}", self.peek())))
+        Err(DbError::Parse(format!("unexpected token {}", self.show(self.peek()))))
     }
 
     fn create_table(&mut self) -> DbResult<Stmt> {
@@ -574,15 +659,13 @@ impl P {
             let col_name = self.ident()?;
             let mut type_words = Vec::new();
             while let Tok::Keyword(k) = self.peek() {
-                match k.as_str() {
+                match k {
                     "integer" | "int" | "bigint" | "text" | "real" | "double" | "float"
                     | "blob" | "numeric" | "varchar" | "char" => {
-                        type_words.push(k.clone());
+                        type_words.push(k);
                         self.bump();
                         if self.eat_punct("(") {
-                            while !self.eat_punct(")") {
-                                self.bump();
-                            }
+                            self.skip_type_args()?;
                         }
                     }
                     _ => break,
@@ -619,6 +702,19 @@ impl P {
             columns,
             if_not_exists,
         })
+    }
+
+    /// Skip a type's `(n)` or `(p, s)` up to its `)`. The values are not
+    /// kept, so a statement holding one is not cached.
+    fn skip_type_args(&mut self) -> DbResult<()> {
+        loop {
+            match self.bump() {
+                Tok::Punct(")") => return Ok(()),
+                Tok::Eof => return Err(DbError::Parse("unterminated type arguments".into())),
+                Tok::Lit(_) => self.cacheable = false,
+                _ => {}
+            }
+        }
     }
 
     fn create_index(&mut self, unique: bool) -> DbResult<Stmt> {
@@ -745,7 +841,7 @@ impl P {
                 if !self.eat_punct(",") {
                     // allow chained JOIN via loop continuation below
                 }
-                if !matches!(self.peek(), Tok::Keyword(k) if k == "join" || k == "inner") {
+                if !matches!(self.peek(), Tok::Keyword("join" | "inner")) {
                     break;
                 }
             }
@@ -861,10 +957,9 @@ impl P {
     /// Comparison-level: handles =, <, LIKE, BETWEEN, IN, IS NULL.
     fn predicate(&mut self) -> DbResult<Expr> {
         let lhs = self.additive()?;
-        let negated = if matches!(self.peek(), Tok::Keyword(k) if k == "not") {
+        let negated = if matches!(self.peek(), Tok::Keyword("not")) {
             let next = self.toks.get(self.pos + 1);
-            if matches!(next, Some(Tok::Keyword(k)) if k == "like" || k == "between" || k == "in")
-            {
+            if matches!(next, Some(Tok::Keyword("like" | "between" | "in"))) {
                 self.bump();
                 true
             } else {
@@ -978,12 +1073,9 @@ impl P {
     #[allow(clippy::too_many_lines)]
     fn primary(&mut self) -> DbResult<Expr> {
         match self.bump() {
-            Tok::Int(v) => Ok(Expr::Lit(SqlValue::Int(v))),
-            Tok::Real(v) => Ok(Expr::Lit(SqlValue::Real(v))),
-            Tok::Str(s) => Ok(Expr::Lit(SqlValue::Text(s))),
-            Tok::Blob(b) => Ok(Expr::Lit(SqlValue::Blob(b))),
-            Tok::Keyword(k) if k == "null" => Ok(Expr::Lit(SqlValue::Null)),
-            Tok::Keyword(k) if k == "case" => {
+            Tok::Lit(slot) => Ok(Expr::Param(slot)),
+            Tok::Keyword("null") => Ok(Expr::Null),
+            Tok::Keyword("case") => {
                 let mut arms = Vec::new();
                 while self.eat_kw("when") {
                     let cond = self.expr()?;
@@ -1005,6 +1097,7 @@ impl P {
                 Ok(e)
             }
             Tok::Ident(name) => {
+                let name = name.to_string();
                 if self.eat_punct("(") {
                     if self.eat_punct("*") {
                         self.expect_punct(")")?;
@@ -1039,12 +1132,12 @@ impl P {
                 }
                 Ok(Expr::Column { table: None, name })
             }
-            other => Err(DbError::Parse(format!("unexpected token {other:?}"))),
+            other => Err(DbError::Parse(format!("unexpected token {}", self.show(other)))),
         }
     }
 }
 
-fn affinity_of(type_words: &[String]) -> Affinity {
+fn affinity_of(type_words: &[&str]) -> Affinity {
     let joined = type_words.join(" ");
     if joined.contains("int") {
         Affinity::Integer
@@ -1062,13 +1155,23 @@ fn affinity_of(type_words: &[String]) -> Affinity {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::expr::{eval, NoRows};
+
+    /// Parse a statement that must parse, dropping its bound values.
+    fn stmt(sql: &str) -> Stmt {
+        parse(sql).unwrap().0
+    }
+
+    /// The value an expression takes under the statement's bound values.
+    fn bound(e: &Expr, params: &[SqlValue]) -> SqlValue {
+        eval(e, &NoRows(params)).unwrap()
+    }
 
     #[test]
     fn parse_create_table() {
-        let s = parse(
+        let s = stmt(
             "CREATE TABLE t1(a INTEGER PRIMARY KEY, b INT NOT NULL, c VARCHAR(100), d DOUBLE)",
-        )
-        .unwrap();
+        );
         match s {
             Stmt::CreateTable { name, columns, .. } => {
                 assert_eq!(name, "t1");
@@ -1084,7 +1187,7 @@ mod tests {
 
     #[test]
     fn parse_insert_multi_row() {
-        let s = parse("INSERT INTO t(a,b) VALUES (1,'x'), (2,'y''z')").unwrap();
+        let (s, params) = parse("INSERT INTO t(a,b) VALUES (1,'x'), (2,'y''z')").unwrap();
         match s {
             Stmt::Insert {
                 table,
@@ -1094,7 +1197,9 @@ mod tests {
                 assert_eq!(table, "t");
                 assert_eq!(columns.unwrap(), vec!["a", "b"]);
                 assert_eq!(rows.len(), 2);
-                assert_eq!(rows[1][1], Expr::Lit(SqlValue::Text("y'z".into())));
+                assert_eq!(rows[1][1], Expr::Param(3));
+                assert_eq!(bound(&rows[1][1], &params), SqlValue::Text("y'z".into()));
+                assert_eq!(bound(&rows[1][0], &params), SqlValue::Int(2));
             }
             other => panic!("{other:?}"),
         }
@@ -1102,11 +1207,10 @@ mod tests {
 
     #[test]
     fn parse_select_full() {
-        let s = parse(
+        let s = stmt(
             "SELECT DISTINCT a, count(*) AS n FROM t WHERE b BETWEEN 1 AND 10 \
              GROUP BY a ORDER BY n DESC, a LIMIT 5 OFFSET 2",
-        )
-        .unwrap();
+        );
         match s {
             Stmt::Select(sel) => {
                 assert!(sel.distinct);
@@ -1124,8 +1228,7 @@ mod tests {
 
     #[test]
     fn parse_join() {
-        let s =
-            parse("SELECT t1.a, t2.b FROM t1 JOIN t2 ON t1.id = t2.ref WHERE t2.b > 5").unwrap();
+        let s = stmt("SELECT t1.a, t2.b FROM t1 JOIN t2 ON t1.id = t2.ref WHERE t2.b > 5");
         match s {
             Stmt::Select(sel) => {
                 assert_eq!(sel.from.len(), 2);
@@ -1139,18 +1242,18 @@ mod tests {
     #[test]
     fn parse_update_delete() {
         assert!(matches!(
-            parse("UPDATE t SET a = a + 1, b = 'x' WHERE rowid = 5").unwrap(),
+            stmt("UPDATE t SET a = a + 1, b = 'x' WHERE rowid = 5"),
             Stmt::Update { .. }
         ));
         assert!(matches!(
-            parse("DELETE FROM t WHERE a IN (1,2,3)").unwrap(),
+            stmt("DELETE FROM t WHERE a IN (1,2,3)"),
             Stmt::Delete { .. }
         ));
     }
 
     #[test]
     fn parse_expression_precedence() {
-        let s = parse("SELECT 1 + 2 * 3").unwrap();
+        let s = stmt("SELECT 1 + 2 * 3");
         match s {
             Stmt::Select(sel) => match &sel.columns[0] {
                 SelectCol::Expr(Expr::Binary(BinaryOp::Add, _, rhs), _) => {
@@ -1165,36 +1268,37 @@ mod tests {
     #[test]
     fn parse_not_like_and_is_null() {
         assert!(matches!(
-            parse("SELECT * FROM t WHERE a NOT LIKE '%x%'").unwrap(),
+            stmt("SELECT * FROM t WHERE a NOT LIKE '%x%'"),
             Stmt::Select(_)
         ));
         assert!(matches!(
-            parse("SELECT * FROM t WHERE a IS NOT NULL AND b IS NULL").unwrap(),
+            stmt("SELECT * FROM t WHERE a IS NOT NULL AND b IS NULL"),
             Stmt::Select(_)
         ));
     }
 
     #[test]
     fn parse_txn_and_misc() {
-        assert_eq!(parse("BEGIN").unwrap(), Stmt::Begin);
-        assert_eq!(parse("BEGIN TRANSACTION;").unwrap(), Stmt::Begin);
-        assert_eq!(parse("COMMIT").unwrap(), Stmt::Commit);
-        assert_eq!(parse("ROLLBACK").unwrap(), Stmt::Rollback);
-        assert_eq!(parse("ANALYZE").unwrap(), Stmt::Analyze);
+        assert_eq!(stmt("BEGIN"), Stmt::Begin);
+        assert_eq!(stmt("BEGIN TRANSACTION;"), Stmt::Begin);
+        assert_eq!(stmt("COMMIT"), Stmt::Commit);
+        assert_eq!(stmt("ROLLBACK"), Stmt::Rollback);
+        assert_eq!(stmt("ANALYZE"), Stmt::Analyze);
         assert!(matches!(
-            parse("PRAGMA cache_size = 2048").unwrap(),
+            stmt("PRAGMA cache_size = 2048"),
             Stmt::Pragma { .. }
         ));
     }
 
     #[test]
     fn parse_blob_literal() {
-        let s = parse("INSERT INTO t VALUES (x'DEADBEEF')").unwrap();
+        let (s, params) = parse("INSERT INTO t VALUES (x'DEADBEEF')").unwrap();
         match s {
             Stmt::Insert { rows, .. } => {
+                assert_eq!(rows[0][0], Expr::Param(0));
                 assert_eq!(
-                    rows[0][0],
-                    Expr::Lit(SqlValue::Blob(vec![0xDE, 0xAD, 0xBE, 0xEF]))
+                    bound(&rows[0][0], &params),
+                    SqlValue::Blob(vec![0xDE, 0xAD, 0xBE, 0xEF])
                 );
             }
             other => panic!("{other:?}"),
@@ -1204,7 +1308,7 @@ mod tests {
     #[test]
     fn parse_case_expression() {
         assert!(matches!(
-            parse("SELECT CASE WHEN a > 0 THEN 'pos' ELSE 'neg' END FROM t").unwrap(),
+            stmt("SELECT CASE WHEN a > 0 THEN 'pos' ELSE 'neg' END FROM t"),
             Stmt::Select(_)
         ));
     }
@@ -1216,5 +1320,86 @@ mod tests {
         assert!(parse("INSERT INTO").is_err());
         assert!(parse("SELECT 1 SELECT 2").is_err());
         assert!(parse("CREATE UNIQUE TABLE t(a)").is_err());
+        assert!(parse("CREATE TABLE t(a VARCHAR(10").is_err());
+    }
+
+    #[test]
+    fn literals_become_params_and_share_a_shape() {
+        let a = lex("select B from T where A = 7 and c = 'x'").unwrap();
+        let b = lex("SELECT B FROM T WHERE A = -2.5 AND c = NULL").unwrap();
+        let c = lex("SELECT B FROM T WHERE A = x'00' AND c = 'it''s'").unwrap();
+        assert_ne!(a.shape, b.shape, "a literal and NULL are different shapes");
+        assert_eq!(a.shape, c.shape);
+        assert_eq!(c.params, [SqlValue::Blob(vec![0]), SqlValue::Text("it's".into())]);
+        // Names keep their case and quoting does not hide a keyword.
+        assert_ne!(lex("SELECT b FROM t").unwrap().shape, lex("SELECT B FROM t").unwrap().shape);
+        assert_ne!(
+            lex("SELECT a FROM t").unwrap().shape,
+            lex("SELECT \"select\" FROM t").unwrap().shape
+        );
+        // Names are length-prefixed: no two token streams share a shape.
+        assert_ne!(lex("SELECT \"a b\"").unwrap().shape, lex("SELECT a b").unwrap().shape);
+        let (s, params) = parse("SELECT b FROM t WHERE a = 7 LIMIT 3 OFFSET 1").unwrap();
+        let Stmt::Select(sel) = s else { panic!("{s:?}") };
+        assert_eq!(params, [SqlValue::Int(7), SqlValue::Int(3), SqlValue::Int(1)]);
+        assert_eq!(sel.limit, Some(Expr::Param(1)));
+        assert_eq!(sel.offset, Some(Expr::Param(2)));
+    }
+
+    #[test]
+    fn literals_outside_expressions_are_not_cacheable() {
+        let cacheable = |sql: &str| {
+            let Lexed { toks, params, .. } = lex(sql).unwrap();
+            parse_tokens(toks, &params).unwrap().1
+        };
+        assert!(!cacheable("PRAGMA cache_size = 2048"));
+        assert!(!cacheable("PRAGMA journal_mode = 'delete'"));
+        assert!(cacheable("PRAGMA journal_mode = delete"));
+        assert!(!cacheable("CREATE TABLE t(a VARCHAR(100))"));
+        assert!(cacheable("CREATE TABLE t(a TEXT DEFAULT 'x')"));
+        assert!(cacheable("SELECT 1"));
+        assert!(matches!(
+            parse("PRAGMA cache_size = 2048").unwrap().0,
+            Stmt::Pragma { value: Some(v), .. } if v == "2048"
+        ));
+        assert!(parse("PRAGMA cache_size = 1.5").is_err());
+    }
+
+    #[test]
+    fn non_ascii_text_is_kept_intact() {
+        let (s, params) = parse("SELECT 'é', \"naïve\" FROM t WHERE x = 'ü''ß'").unwrap();
+        assert_eq!(params, [SqlValue::Text("é".into()), SqlValue::Text("ü'ß".into())]);
+        let Stmt::Select(sel) = s else { panic!("{s:?}") };
+        assert!(matches!(
+            &sel.columns[1],
+            SelectCol::Expr(Expr::Column { name, .. }, None) if name == "naïve"
+        ));
+        let mut db = crate::Connection::open_memory();
+        db.execute("CREATE TABLE \"tâble\" (\"cølumn\" TEXT)").unwrap();
+        db.execute("INSERT INTO \"tâble\" VALUES ('héllo ''wörld'' — 日本')").unwrap();
+        let r = db.execute("SELECT \"cølumn\", 'é' FROM \"tâble\"").unwrap();
+        assert_eq!(r.columns[0], "cølumn");
+        assert_eq!(
+            r.rows,
+            [vec![SqlValue::Text("héllo 'wörld' — 日本".into()), SqlValue::Text("é".into())]]
+        );
+    }
+
+    #[test]
+    fn malformed_hex_blobs_are_parse_errors() {
+        for sql in [
+            "SELECT x'aé0'",
+            "SELECT x'é'",
+            "SELECT x'0g'",
+            "SELECT x'+1'",
+            "SELECT x' 1'",
+            "SELECT x'abc'",
+            "SELECT x'ab",
+            "SELECT X'日本'",
+        ] {
+            assert!(matches!(parse(sql), Err(DbError::Parse(_))), "{sql}");
+        }
+        assert_eq!(parse("SELECT x'aB0f'").unwrap().1, [SqlValue::Blob(vec![0xab, 0x0f])]);
+        assert_eq!(parse("SELECT X''").unwrap().1, [SqlValue::Blob(vec![])]);
     }
 }

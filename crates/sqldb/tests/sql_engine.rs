@@ -426,3 +426,86 @@ fn point_statements_walk_the_tree_once() {
         }
     }
 }
+
+/// Rowid bounds past the ends of the `i64` range plan an empty range
+/// instead of overflowing, and an INSERT that needs a rowid after a row at
+/// `i64::MAX` is refused with a typed error (both used to panic in debug
+/// builds).
+#[test]
+fn rowid_extremes_do_not_overflow() {
+    const MAX: i64 = i64::MAX;
+    let mut db = mem();
+    db.execute("CREATE TABLE t(a INTEGER PRIMARY KEY, b TEXT)").unwrap();
+    db.execute("INSERT INTO t VALUES (-9223372036854775807, 'min'), (1, 'one')").unwrap();
+    db.execute("INSERT INTO t VALUES (9223372036854775807, 'max')").unwrap();
+    for (sql, want) in [
+        ("SELECT a FROM t WHERE a > 9223372036854775807", vec![]),
+        ("SELECT a FROM t WHERE a > 1e19", vec![]),
+        ("SELECT a FROM t WHERE a >= 1e19", vec![]),
+        ("SELECT a FROM t WHERE a < -1e19", vec![]),
+        ("SELECT a FROM t WHERE a < -9223372036854775807 - 1", vec![]),
+        ("SELECT a FROM t WHERE a > 1 AND a > 9223372036854775807", vec![]),
+        ("SELECT a FROM t WHERE a > 9223372036854775806", vec![MAX]),
+        ("SELECT a FROM t WHERE a >= 9223372036854775807", vec![MAX]),
+        ("SELECT a FROM t WHERE a < -9223372036854775806", vec![-MAX]),
+        ("SELECT a FROM t WHERE a <= -9223372036854775807", vec![-MAX]),
+        ("SELECT a FROM t WHERE a < 2 AND a > -9223372036854775807", vec![1]),
+    ] {
+        assert_eq!(ints(&db.query(sql).unwrap()), want, "{sql}");
+    }
+    for sql in [
+        "UPDATE t SET b = 'x' WHERE a > 9223372036854775807",
+        "DELETE FROM t WHERE a < -9223372036854775807 - 1",
+    ] {
+        assert_eq!(db.execute(sql).unwrap().affected, 0, "{sql}");
+    }
+    for sql in [
+        "INSERT INTO t(b) VALUES ('next')",
+        "INSERT INTO t VALUES (NULL, 'next')",
+        "INSERT INTO t VALUES (2, 'two'), (NULL, 'next')",
+    ] {
+        assert!(matches!(db.execute(sql), Err(DbError::Constraint(_))), "{sql}");
+    }
+    // An explicit rowid still goes in; the refused statements left nothing.
+    db.execute("INSERT INTO t VALUES (5, 'five')").unwrap();
+    assert_eq!(ints(&db.query("SELECT a FROM t").unwrap()), [-MAX, 1, 5, MAX]);
+    // The last rowid is taken by an explicit insert inside one statement.
+    db.execute("CREATE TABLE u(a INTEGER PRIMARY KEY)").unwrap();
+    assert!(matches!(
+        db.execute("INSERT INTO u VALUES (9223372036854775807), (NULL)"),
+        Err(DbError::Constraint(_))
+    ));
+    assert_eq!(db.query("SELECT a FROM u").unwrap().len(), 0);
+}
+
+/// A rowid range planned from a bound that is not an integer keeps every
+/// row the WHERE clause accepts: each predicate returns what the same
+/// predicate over `a + 0`, which no plan uses, returns from a full scan.
+/// (A real bound was truncated toward zero, and text, which sorts above
+/// every integer, was read as a number.)
+#[test]
+fn rowid_ranges_with_non_integer_bounds_match_a_full_scan() {
+    let mut db = mem();
+    db.execute("CREATE TABLE t(a INTEGER PRIMARY KEY, b TEXT)").unwrap();
+    db.execute("INSERT INTO t VALUES (-3, 'p'), (-1, 'q'), (1, 'r'), (2, 's'), (7, 't')").unwrap();
+    for (pred, want) in [
+        ("{a} < 1.5", vec![-3, -1, 1]),
+        ("{a} > -1.5", vec![-1, 1, 2, 7]),
+        ("{a} <= '5'", vec![-3, -1, 1, 2, 7]),
+        ("{a} > '5'", vec![]),
+        ("{a} < x'00'", vec![-3, -1, 1, 2, 7]),
+        ("{a} BETWEEN 1 AND '5'", vec![1, 2, 7]),
+        ("{a} BETWEEN -1.5 AND 1.5", vec![-1, 1]),
+        ("{a} >= 1.0 AND {a} < 2.5", vec![1, 2]),
+        ("{a} > 1 AND {a} <= 7.5 AND {a} < 7", vec![2]),
+    ] {
+        let planned = format!("SELECT a FROM t WHERE {}", pred.replace("{a}", "a"));
+        let scanned = format!("SELECT a FROM t WHERE {}", pred.replace("{a}", "(a + 0)"));
+        assert_eq!(ints(&db.query(&scanned).unwrap()), want, "{scanned}");
+        assert_eq!(ints(&db.query(&planned).unwrap()), want, "{planned}");
+    }
+    let r = db.execute("UPDATE t SET b = 'u' WHERE a <= '0'").unwrap();
+    assert_eq!(r.affected, 5);
+    let r = db.execute("DELETE FROM t WHERE a < 1.5").unwrap();
+    assert_eq!(r.affected, 3);
+}
