@@ -14,14 +14,28 @@
 //! pager journals exactly as it does over any VFS (pre-images on first
 //! touch, the count + `sync` commit point, replay on `ROLLBACK` or a
 //! failed statement or commit, delete at commit); only the file's home
-//! differs. Its plaintext never leaves the enclave, and each write
-//! transaction seals one protected file — the database's dirty nodes, their
-//! Merkle path and its meta node, once — instead of two. The journal
-//! guards against no crash a session survives in the backend: every
-//! session backend lives in process memory and dies with the enclave,
-//! after which `recover()` rebuilds the database from its sealed park
-//! manifest, and a crash inside the database file's own protected-FS flush
-//! leaves that file failing authentication with or without a journal.
+//! differs. Its plaintext never leaves the enclave. The journal guards
+//! against no crash a session survives in the backend: every session
+//! backend lives in process memory and dies with the enclave, after which
+//! `recover()` rebuilds the database from its sealed park manifest, and a
+//! crash inside the database file's own protected-FS flush leaves that
+//! file failing authentication with or without a journal.
+//!
+//! For the same reason the **database file syncs when the session
+//! settles**, not at every commit. The pager reaches the file through a
+//! [`SettledFile`], whose `sync` does nothing, so a commit writes its
+//! pages into the protected file's node cache and seals nothing. Dirty
+//! nodes stay there; one the cache evicts is sealed and written as ever,
+//! its fresh tag kept in its resident L2 node. [`DbSession::settle`] —
+//! run by a park, before the manifest reads the file back through a
+//! second handle, and by `db_close_session`, before the backend is handed
+//! to the embedder — commits what the connection holds and flushes the
+//! file: the dirty data nodes, their Merkle path and the meta node, once.
+//! Between settles the host's copy of a live database is not
+//! self-consistent (its meta node is older than some of its data nodes),
+//! and nothing reads it: the connection reads through its own handle,
+//! whose Merkle nodes in enclave memory verify every node it loads, so a
+//! host that serves an older or a foreign node is still caught.
 //!
 //! A DB session is a session like any other: it lives in the service's one
 //! session table and goes through the one park → seal → restore →
@@ -40,7 +54,7 @@
 //! * **recovery** — after a simulated enclave restart, rebuilding a fresh
 //!   backend from the manifest's file images.
 
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
 
 use twine_sgx::Enclave;
 use twine_sqldb::backend_vfs::BackendVfs;
@@ -79,6 +93,9 @@ pub(crate) struct DbCommon {
 /// prepared-statement cache, over the session's private backend.
 pub(crate) struct DbSession {
     conn: Connection,
+    /// The one handle on the database file, shared with the connection's
+    /// [`SettledFile`]; [`settle`](Self::settle) syncs it.
+    db_file: SharedFile,
     common: DbCommon,
 }
 
@@ -86,11 +103,17 @@ fn db_err(e: DbError) -> TwineError {
     TwineError::Db(e.to_string())
 }
 
+/// An open file shared by the connection and its session.
+type SharedFile = Arc<Mutex<Box<dyn VfsFile>>>;
+
 /// The namespace a DB session's connection sees: the database file in the
-/// session's protected backend, its rollback journal in enclave memory
-/// (module docs).
+/// session's protected backend, reached through one handle whose `sync`
+/// waits for the session to settle, and its rollback journal in enclave
+/// memory (module docs).
 struct SessionVfs {
     backend: BackendVfs,
+    db_path: String,
+    db_file: SharedFile,
     journal_path: String,
     journal: MemVfs,
 }
@@ -107,6 +130,9 @@ impl SessionVfs {
 
 impl Vfs for SessionVfs {
     fn open(&mut self, name: &str) -> DbResult<Box<dyn VfsFile>> {
+        if name == self.db_path {
+            return Ok(Box::new(SettledFile(self.db_file.clone())));
+        }
         self.home_of(name).open(name)
     }
 
@@ -116,6 +142,41 @@ impl Vfs for SessionVfs {
 
     fn exists(&mut self, name: &str) -> bool {
         self.home_of(name).exists(name)
+    }
+}
+
+/// The database file as a session's pager sees it: every call goes to the
+/// session's one handle, except `sync`, which does nothing. The pager's
+/// commit point therefore seals no node; the protected file system keeps
+/// dirty nodes in its cache (sealing one only to evict it) until
+/// [`DbSession::settle`] flushes the file (module docs).
+struct SettledFile(SharedFile);
+
+/// The shared handle, locked. Only the session's own thread of control
+/// ever holds it, for one call.
+fn lock(file: &SharedFile) -> MutexGuard<'_, Box<dyn VfsFile>> {
+    file.lock().expect("no panic while the database file is locked")
+}
+
+impl VfsFile for SettledFile {
+    fn read_at(&mut self, offset: u64, buf: &mut [u8]) -> DbResult<()> {
+        lock(&self.0).read_at(offset, buf)
+    }
+
+    fn write_at(&mut self, offset: u64, data: &[u8]) -> DbResult<()> {
+        lock(&self.0).write_at(offset, data)
+    }
+
+    fn truncate(&mut self, size: u64) -> DbResult<()> {
+        lock(&self.0).truncate(size)
+    }
+
+    fn sync(&mut self) -> DbResult<()> {
+        Ok(())
+    }
+
+    fn size(&mut self) -> DbResult<u64> {
+        lock(&self.0).size()
     }
 }
 
@@ -140,8 +201,15 @@ impl DbSession {
         common: DbCommon,
         epc_base_page: u64,
     ) -> Result<Self, (TwineError, DbCommon)> {
+        let mut backend = BackendVfs::from_shared(common.backend.clone());
+        let db_file: SharedFile = match backend.open(&common.db_path) {
+            Ok(f) => Arc::new(Mutex::new(f)),
+            Err(e) => return Err((db_err(e), common)),
+        };
         let vfs = SessionVfs {
-            backend: BackendVfs::from_shared(common.backend.clone()),
+            backend,
+            db_path: common.db_path.clone(),
+            db_file: db_file.clone(),
             journal_path: journal_path(&common.db_path),
             journal: MemVfs::new(),
         };
@@ -153,19 +221,22 @@ impl DbSession {
         conn.set_page_hook(Some(Box::new(move |page, _write| {
             epc.touch(epc_base_page + u64::from(page));
         })));
-        Ok(Self { conn, common })
+        Ok(Self { conn, db_file, common })
     }
 
     /// Bring the database to rest: commit whatever the connection still
-    /// holds — or roll it back if that commit fails — so that the backend
-    /// alone is the database and no journal exists. Also returns the
+    /// holds — or roll it back if that commit fails — so that no journal
+    /// exists, then flush the database file, so that the backend's copy
+    /// alone is the database. The file is flushed whatever the commit did:
+    /// a rollback writes pre-images back through it too. Also returns the
     /// EPC pages of the session's private range the pager's cache may hold
     /// resident (+1 for the header page the hook also touches via page id
     /// offsets).
     pub(crate) fn settle(&mut self) -> (u64, Result<(), TwineError>) {
         let pages = u64::from(self.conn.page_count()) + 1;
         let flushed = self.conn.flush();
-        (pages, flushed.map_err(db_err))
+        let synced = lock(&self.db_file).sync();
+        (pages, flushed.and(synced).map_err(db_err))
     }
 
     /// The park image: the manifest of the backend's database file. The
@@ -393,7 +464,9 @@ impl TwineService {
 
     /// Close a DB session (live or parked), returning its backend so the
     /// embedder can persist or migrate the tenant's protected database.
-    /// Retires any durable record (a replay is then rejected as stale).
+    /// A live session settles first, so the backend holds every committed
+    /// row and no journal. Retires any durable record (a replay is then
+    /// rejected as stale).
     pub fn db_close_session(&mut self, name: &str) -> Option<SharedBackend> {
         match self.close(name, true)? {
             ParkedBody::Db(common) => Some(common.backend),

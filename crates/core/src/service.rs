@@ -320,7 +320,7 @@ pub(crate) enum Live {
 impl Live {
     /// Bring the session to rest — fold a Wasm session's buffered page
     /// transitions into the EPC model, commit what a database connection
-    /// still holds — and report how many pages of its private EPC range it
+    /// still holds and flush its database file — and report how many pages of its private EPC range it
     /// may hold resident, whether or not coming to rest succeeded.
     fn settle(&mut self) -> (u64, Result<(), TwineError>) {
         match self {

@@ -25,7 +25,8 @@
 use std::sync::Arc;
 
 use twine_core::{
-    ControlPlane, ControlStats, DurableParkStore, ShardedService, TwineBuilder, TwineService,
+    ControlPlane, ControlStats, DurableParkStore, ShardedService, TwineBuilder, TwineError,
+    TwineService,
 };
 use twine_sgx::{FaultConfig, FaultPlan, Processor};
 use twine_sqldb::backend_vfs::BackendVfs;
@@ -428,9 +429,15 @@ const ROWS: i64 = 200;
 /// each — the shape of `twine_bench`'s `sql_write`, smaller.
 fn write_session() -> TwineService {
     let mut svc = TwineBuilder::new().build_service();
-    svc.db_open_session("t").expect("open");
+    populate(&mut svc, "t");
+    svc
+}
+
+/// Open DB session `name` on `svc` and fill it as [`write_session`] does.
+fn populate(svc: &mut TwineService, name: &str) {
+    svc.db_open_session(name).expect("open");
     svc.db_execute_batch(
-        "t",
+        name,
         &[
             "CREATE TABLE kv(a INTEGER PRIMARY KEY, tag TEXT, b TEXT)".into(),
             "CREATE UNIQUE INDEX kv_tag ON kv(tag)".into(),
@@ -439,10 +446,9 @@ fn write_session() -> TwineService {
     .expect("ddl");
     let rows: Vec<String> = (0..ROWS).map(row_values).collect();
     for chunk in rows.chunks(25) {
-        svc.db_execute("t", &format!("INSERT INTO kv VALUES {}", chunk.join(", ")))
+        svc.db_execute(name, &format!("INSERT INTO kv VALUES {}", chunk.join(", ")))
             .expect("populate");
     }
-    svc
 }
 
 /// The `VALUES` tuple of row `a`.
@@ -475,14 +481,16 @@ fn write_transaction() -> Vec<String> {
     ]
 }
 
-/// One write transaction costs exactly this many OCALLs: the protected
-/// file system moves the database's nodes across the boundary — the dirty
-/// data nodes, their Merkle path and the meta node sealed once at the
-/// commit, plus whatever its node cache misses on the way — one OCALL per
-/// node. Merkle nodes stay resident once verified, and a page the pager
-/// writes whole is not read first (that took 13 to 11). The rollback
-/// journal lives in enclave memory and costs none. Any change to how many
-/// nodes a transaction reads or seals moves this number.
+/// One write transaction costs exactly this many OCALLs: one per node the
+/// protected file system moves across the boundary. The commit point seals
+/// nothing — a DB session syncs its database file when it settles, at a
+/// park or close — so what is left is the node cache's traffic: data
+/// nodes it misses on the way, and dirty data nodes it evicts, each sealed
+/// and written into its resident L2 entry. It read 11 while every commit
+/// flushed the file, sealing the dirty data nodes, their Merkle path and
+/// the meta node; that flush is now paid once per park or close (next
+/// test). Any change to how many nodes a transaction reads or seals moves
+/// this number.
 #[test]
 fn write_transaction_ocalls_are_pinned() {
     let mut svc = write_session();
@@ -490,9 +498,104 @@ fn write_transaction_ocalls_are_pinned() {
     let affected = svc.db_execute_batch("t", &write_transaction()).expect("transaction");
     let ocalls = svc.enclave().stats().ocalls - before;
     assert_eq!(affected, 3);
-    assert_eq!(ocalls, 11, "OCALLs for one write transaction");
+    assert_eq!(ocalls, 3, "OCALLs for one write transaction");
     let shape = svc.db_query("t", "SELECT count(*), min(a), max(a) FROM kv").expect("shape");
     assert_eq!(shape, vec![vec![SqlValue::Int(ROWS), SqlValue::Int(1), SqlValue::Int(ROWS)]]);
+}
+
+/// The park after a write transaction pays the flushes that every commit
+/// since the session opened deferred — the populating INSERTs' as well as
+/// the transaction's: each data node still dirty in the node cache, its L2
+/// and L1 nodes and the meta node are sealed and written, once. Then the
+/// manifest reads the whole database file back through a second handle:
+/// its meta, L1 and L2 nodes and every data node. One OCALL per node
+/// either way: 52 for the flush and 109 for the read-back. While every
+/// commit flushed, this park read back the same 109 nodes and had nothing
+/// left to flush.
+#[test]
+fn park_after_a_write_transaction_ocalls_are_pinned() {
+    let mut svc = write_session();
+    svc.db_execute_batch("t", &write_transaction()).expect("transaction");
+    let before = svc.enclave().stats().ocalls;
+    svc.park_session("t").expect("park");
+    let ocalls = svc.enclave().stats().ocalls - before;
+    assert_eq!(ocalls, 161, "OCALLs for the park after one write transaction");
+}
+
+/// Many commits with no settle between them, then a close: the backend
+/// handed out holds every committed row, read by a fresh connection over
+/// [`BackendVfs`] — the configuration that syncs at every commit. Two
+/// tenants take the two ways to rest. `live` is closed live. `parked` is
+/// parked durably, the enclave crashes, and it is closed after
+/// `recover()` rebuilt its backend from the park manifest — which the
+/// park read through a second handle on the file while the connection was
+/// still open, so had the settle not flushed the file, the manifest would
+/// hold the file as it was when the session opened, and the rows would be
+/// gone.
+#[test]
+fn deferred_commits_reach_the_closed_backend() {
+    const COMMITS: i64 = 60;
+    let store = DurableParkStore::new();
+    let processor = Processor::new(36);
+    let control = ControlPlane {
+        durable_parks: Some(store.clone()),
+        ..ControlPlane::default()
+    };
+    let build = || {
+        TwineBuilder::new()
+            .processor(processor.clone())
+            .control_plane(control.clone())
+            .build_service()
+    };
+    let all = "SELECT a, tag, b FROM kv ORDER BY a";
+    let mut svc = build();
+    let mut want = Vec::new();
+    for name in ["live", "parked"] {
+        populate(&mut svc, name);
+        for a in ROWS..ROWS + COMMITS {
+            let tx = [
+                "BEGIN".into(),
+                format!("INSERT INTO kv VALUES {}", row_values(a)),
+                format!("UPDATE kv SET tag = 'u{a}' WHERE a = {}", a - ROWS),
+                "COMMIT".into(),
+            ];
+            svc.db_execute_batch(name, &tx).expect("transaction");
+        }
+        let rows = svc.db_query(name, all).expect("rows");
+        assert_eq!(rows.len() as i64, ROWS + COMMITS);
+        assert_eq!(rows[0][1], SqlValue::Text(format!("u{ROWS}")));
+        want.push(rows);
+    }
+    let live = svc.db_close_session("live").expect("close live");
+    svc.park_session("parked").expect("park");
+    drop(svc);
+    let mut revived = build();
+    assert_eq!(revived.recover().expect("recover"), vec!["parked".to_string()]);
+    let parked = revived.db_close_session("parked").expect("close parked");
+    for (backend, want) in [live, parked].into_iter().zip(want) {
+        let vfs = BackendVfs::from_shared(backend);
+        let mut conn = Connection::open(Box::new(vfs), "/data/tenant.db").expect("reopen");
+        assert_eq!(conn.query(all).expect("read back"), want);
+    }
+}
+
+/// Tenant SQL cannot resize the enclave: the cache-sizing pragmas are
+/// refused with a typed error, whatever the value; the embedder sizes the
+/// caches through the `Connection` setters.
+#[test]
+fn tenant_sql_cannot_resize_caches() {
+    let mut svc = TwineBuilder::new().build_service();
+    svc.db_open_session("t").expect("open");
+    for pragma in ["cache_size", "plan_cache_size"] {
+        let err = svc
+            .db_execute("t", &format!("PRAGMA {pragma} = 9223372036854775807"))
+            .expect_err("refused");
+        assert!(
+            matches!(&err, TwineError::Db(m) if m.starts_with("unsupported:")),
+            "{pragma}: {err}"
+        );
+    }
+    svc.db_execute("t", "CREATE TABLE kv(a INTEGER)").expect("the session still serves");
 }
 
 /// A rolled-back transaction leaves no trace — neither an explicit

@@ -6,8 +6,13 @@
 //! costs that node alone. A write covering a whole aligned data node never
 //! reads the old node: it replaces every byte, so there is nothing to
 //! verify — while a partial write still loads and verifies it.
+//!
+//! Because the Merkle path is resident, a file that is never flushed is
+//! still fresh: an evicted dirty data node is sealed under a new key and
+//! its tag lands in the resident L2 node, so a host that later serves an
+//! older ciphertext of that node, or another node's, is refused.
 
-use std::cell::Cell;
+use std::cell::{Cell, RefCell};
 use std::collections::BTreeSet;
 use std::rc::Rc;
 
@@ -82,14 +87,18 @@ fn open_counted(store: MemStorage, mode: PfsMode) -> (SgxFile<Counting>, Rc<Cell
     (SgxFile::open(counting, KEY, opts(mode)).unwrap(), reads)
 }
 
-fn read_node(f: &mut SgxFile<Counting>, d: u64) -> Result<Vec<u8>, PfsError> {
+fn read_node<S: UntrustedStorage>(f: &mut SgxFile<S>, d: u64) -> Result<Vec<u8>, PfsError> {
     f.seek(d * NODE_SIZE as u64)?;
     let mut buf = vec![0u8; NODE_SIZE];
     assert_eq!(f.read(&mut buf)?, NODE_SIZE);
     Ok(buf)
 }
 
-fn write_node(f: &mut SgxFile<Counting>, d: u64, bytes: &[u8]) -> Result<usize, PfsError> {
+fn write_node<S: UntrustedStorage>(
+    f: &mut SgxFile<S>,
+    d: u64,
+    bytes: &[u8],
+) -> Result<usize, PfsError> {
     f.seek(d * NODE_SIZE as u64)?;
     f.write(bytes)
 }
@@ -156,5 +165,70 @@ fn whole_node_overwrite_reads_nothing() {
         let (mut f, _) = open_counted(store, mode);
         f.seek(20 * NODE_SIZE as u64 + 100).unwrap();
         assert!(matches!(f.write(&[0xEE; 50]), Err(PfsError::Tampered(_))), "{mode:?}");
+    }
+}
+
+/// Storage the test keeps a handle on while the file writes through it:
+/// the host side, able to rewrite any node behind the file's back.
+#[derive(Clone, Default)]
+struct Host(Rc<RefCell<MemStorage>>);
+
+impl Host {
+    fn node(&self, idx: u64) -> [u8; NODE_SIZE] {
+        *self.0.borrow_mut().raw_node_mut(idx).expect("node on storage")
+    }
+
+    fn replace(&self, idx: u64, bytes: &[u8; NODE_SIZE]) {
+        *self.0.borrow_mut().raw_node_mut(idx).expect("node on storage") = *bytes;
+    }
+}
+
+impl UntrustedStorage for Host {
+    fn read_node(&mut self, idx: u64, buf: &mut [u8; NODE_SIZE]) -> Result<bool, PfsError> {
+        self.0.borrow_mut().read_node(idx, buf)
+    }
+
+    fn write_node(&mut self, idx: u64, buf: &[u8; NODE_SIZE]) -> Result<(), PfsError> {
+        self.0.borrow_mut().write_node(idx, buf)
+    }
+
+    fn node_count(&self) -> u64 {
+        self.0.borrow().node_count()
+    }
+
+    fn truncate(&mut self, nodes: u64) -> Result<(), PfsError> {
+        self.0.borrow_mut().truncate(nodes)
+    }
+}
+
+#[test]
+fn unflushed_file_refuses_replayed_evicted_nodes() {
+    for mode in [PfsMode::Intel, PfsMode::Optimised] {
+        let host = Host::default();
+        let mut f = SgxFile::create(host.clone(), KEY, opts(mode)).unwrap();
+        // Write past the 4-node cache, never flushing: every data node but
+        // the last few is evicted, sealed and written to the host.
+        let fill = |f: &mut SgxFile<Host>, generation: u8| {
+            for d in 0..2 * ENTRIES_PER_L2 {
+                assert_eq!(write_node(f, d, &block(d, generation)).unwrap(), NODE_SIZE);
+            }
+        };
+        fill(&mut f, 0);
+        let old = host.node(data_phys(3));
+        // Rewrite everything; node 3 is evicted again, under a new key.
+        fill(&mut f, 1);
+        assert_ne!(host.node(data_phys(3)), old, "{mode:?}: node 3 was rewritten");
+        let other = host.node(data_phys(4));
+
+        // The host replays node 3's older ciphertext: refused.
+        let current = host.node(data_phys(3));
+        host.replace(data_phys(3), &old);
+        assert!(matches!(read_node(&mut f, 3), Err(PfsError::Tampered(_))), "{mode:?}");
+        // Another node's current ciphertext in its place: refused too.
+        host.replace(data_phys(3), &other);
+        assert!(matches!(read_node(&mut f, 3), Err(PfsError::Tampered(_))), "{mode:?}");
+        // The honest node still reads back.
+        host.replace(data_phys(3), &current);
+        assert_eq!(read_node(&mut f, 3).unwrap(), block(3, 1), "{mode:?}");
     }
 }

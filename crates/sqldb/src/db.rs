@@ -98,7 +98,8 @@ impl Connection {
         })
     }
 
-    /// Configure the page-cache size in pages (PRAGMA cache_size analogue).
+    /// Configure the page-cache size in pages (SQLite's `PRAGMA
+    /// cache_size`, which tenant SQL may not send here).
     pub fn set_cache_pages(&mut self, pages: usize) {
         self.pager.set_cache_pages(pages);
     }
@@ -229,18 +230,18 @@ impl Connection {
                 self.roll_back()?;
                 Ok(ExecResult::default())
             }
-            Stmt::Pragma { name, value } => {
-                if name.eq_ignore_ascii_case("cache_size") {
-                    if let Some(v) = value.as_ref().and_then(|v| v.parse::<i64>().ok()) {
-                        self.set_cache_pages(v.unsigned_abs() as usize);
-                    }
-                } else if name.eq_ignore_ascii_case("plan_cache_size") {
-                    if let Some(v) = value.as_ref().and_then(|v| v.parse::<i64>().ok()) {
-                        self.set_plan_cache_capacity(v.unsigned_abs() as usize);
-                    }
-                }
-                Ok(ExecResult::default())
+            // The caches are enclave memory, sized by the embedder through
+            // `set_cache_pages` and `set_plan_cache_capacity`; the SQL text
+            // is the tenant's, so it may not resize them.
+            Stmt::Pragma { name, .. }
+                if name.eq_ignore_ascii_case("cache_size")
+                    || name.eq_ignore_ascii_case("plan_cache_size") =>
+            {
+                Err(DbError::Unsupported(format!(
+                    "PRAGMA {name}: cache sizes are set by the embedding"
+                )))
             }
+            Stmt::Pragma { .. } => Ok(ExecResult::default()),
             other => self.run_dml(other, &prepared.params),
         }
     }
@@ -363,14 +364,14 @@ mod tests {
     fn uncacheable_statements_parse_every_time() {
         let mut db = Connection::open_memory();
         for _ in 0..3 {
-            db.execute("PRAGMA plan_cache_size = 8").unwrap();
+            db.execute("PRAGMA journal_mode = 'delete'").unwrap();
             db.execute("CREATE TABLE IF NOT EXISTS t (a VARCHAR(10))").unwrap();
         }
         let stats = db.stmt_cache_stats();
         assert_eq!((stats.hits, stats.parses), (0, 6));
         assert_eq!(db.cached_plans(), 0);
         // A cached plan takes the literals of the text it is run for.
-        db.execute("PRAGMA plan_cache_size = 2").unwrap();
+        db.set_plan_cache_capacity(2);
         for v in ["'x'", "2", "NULL", "x'ff'", "'y'"] {
             db.execute(&format!("INSERT INTO t VALUES ({v})")).unwrap();
         }
@@ -385,6 +386,20 @@ mod tests {
                 vec![SqlValue::Text("y".into())],
             ]
         );
+    }
+
+    #[test]
+    fn cache_size_pragmas_are_unsupported() {
+        let mut db = Connection::open_memory();
+        for sql in [
+            "PRAGMA cache_size = 9223372036854775807",
+            "PRAGMA CACHE_SIZE = 2000",
+            "PRAGMA plan_cache_size = 9223372036854775807",
+            "PRAGMA plan_cache_size",
+        ] {
+            assert!(matches!(db.execute(sql), Err(DbError::Unsupported(_))), "{sql}");
+        }
+        db.execute("PRAGMA journal_mode = delete").unwrap();
     }
 
     #[test]

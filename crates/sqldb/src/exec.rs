@@ -250,10 +250,11 @@ impl ColumnResolver for RowCtx<'_> {
 // ---------------------------------------------------------------------
 
 enum Plan {
-    /// No row can match (a rowid bound past the `i64` range).
+    /// No row can match (a rowid bound past the `i64` range, or a rowid
+    /// equal to a value no integer equals).
     Nothing,
     FullScan,
-    RowidEq(SqlValue),
+    RowidEq(i64),
     RowidRange {
         lo: Option<i64>,
         hi: Option<i64>,
@@ -319,13 +320,26 @@ fn plan_table(
 ) -> Plan {
     let table = binding.table;
     let is_rowid = |e: &Expr| is_rowid_ref(e, &binding.alias, table);
-    // 1. rowid equality.
+    // 1. rowid equality, on a key that equals exactly one `i64`: an
+    // integer, or a real that is a whole number below 2^53 in magnitude.
+    // A larger real equals every rowid that rounds to it (both
+    // `i64::MAX` and `i64::MAX - 1` equal 2^63), so it narrows nothing.
+    // A real with a fraction equals no rowid, and neither does a value of
+    // any other class (text sorts above every number, and NULL equals
+    // nothing).
+    const EXACT: f64 = (1u64 << 53) as f64;
     for c in where_conjuncts {
         if let Expr::Binary(BinaryOp::Eq, a, b) = c {
             for (l, r) in [(a, b), (b, a)] {
                 if is_rowid(l) {
-                    if let Some(v) = eval_outer(r, ctx) {
-                        return Plan::RowidEq(v);
+                    match eval_outer(r, ctx) {
+                        Some(SqlValue::Int(v)) => return Plan::RowidEq(v),
+                        Some(SqlValue::Real(v)) if v.abs() >= EXACT => {}
+                        Some(SqlValue::Real(v)) if v.fract() == 0.0 => {
+                            return Plan::RowidEq(v as i64)
+                        }
+                        Some(_) => return Plan::Nothing,
+                        None => {}
                     }
                 }
             }
@@ -437,7 +451,7 @@ fn plan_rowids(pager: &mut Pager, table: &Table, plan: &Plan) -> DbResult<Vec<i6
         }
         // Not probed here: every caller fetches each rowid next and skips
         // one that is missing, so a point read walks the tree once.
-        Plan::RowidEq(v) => out.extend(v.as_i64()),
+        Plan::RowidEq(v) => out.push(*v),
         Plan::RowidRange { lo, hi } => {
             let mut c = Cursor::seek_rowid(pager, table.root, lo.unwrap_or(i64::MIN))?;
             while c.valid() {

@@ -72,12 +72,21 @@ pub fn encode_record(values: &[SqlValue]) -> Vec<u8> {
 }
 
 /// Deserialise a record.
+///
+/// The lengths come from page bytes the host may have forged, so every
+/// offset is computed checked: one past `usize` is an overrun like any
+/// other, never a wrapped offset.
 pub fn decode_record(data: &[u8]) -> DbResult<Vec<SqlValue>> {
-    let (types_len, mut pos) = read_varint(data)?;
-    let types_end = pos + types_len as usize;
-    if types_end > data.len() {
-        return Err(DbError::Storage("record header overruns".into()));
+    /// The end of the `len` bytes at `start`, if they lie inside `data`.
+    fn span_end(data: &[u8], start: usize, len: u64) -> Option<usize> {
+        usize::try_from(len)
+            .ok()
+            .and_then(|len| start.checked_add(len))
+            .filter(|&end| end <= data.len())
     }
+    let (types_len, mut pos) = read_varint(data)?;
+    let types_end = span_end(data, pos, types_len)
+        .ok_or_else(|| DbError::Storage("record header overruns".into()))?;
     let mut serials = Vec::new();
     while pos < types_end {
         let (t, n) = read_varint(&data[pos..])?;
@@ -87,50 +96,30 @@ pub fn decode_record(data: &[u8]) -> DbResult<Vec<SqlValue>> {
     let mut body = types_end;
     let mut out = Vec::with_capacity(serials.len());
     for t in serials {
-        let v = match t {
-            0 => SqlValue::Null,
-            1 => {
-                let end = body + 8;
-                if end > data.len() {
-                    return Err(DbError::Storage("record int overruns".into()));
-                }
-                let x = i64::from_be_bytes(data[body..end].try_into().expect("8"));
-                body = end;
-                SqlValue::Int(x)
+        let (len, what) = match t {
+            0 => {
+                out.push(SqlValue::Null);
+                continue;
             }
-            7 => {
-                let end = body + 8;
-                if end > data.len() {
-                    return Err(DbError::Storage("record real overruns".into()));
-                }
-                let x = f64::from_be_bytes(data[body..end].try_into().expect("8"));
-                body = end;
-                SqlValue::Real(x)
-            }
-            t if t >= 12 && t % 2 == 0 => {
-                let len = ((t - 12) / 2) as usize;
-                let end = body + len;
-                if end > data.len() {
-                    return Err(DbError::Storage("record blob overruns".into()));
-                }
-                let b = data[body..end].to_vec();
-                body = end;
-                SqlValue::Blob(b)
-            }
-            t if t >= 13 => {
-                let len = ((t - 13) / 2) as usize;
-                let end = body + len;
-                if end > data.len() {
-                    return Err(DbError::Storage("record text overruns".into()));
-                }
-                let s = String::from_utf8(data[body..end].to_vec())
-                    .map_err(|_| DbError::Storage("record text not UTF-8".into()))?;
-                body = end;
-                SqlValue::Text(s)
-            }
+            1 => (8, "int"),
+            7 => (8, "real"),
+            t if t >= 12 && t % 2 == 0 => ((t - 12) / 2, "blob"),
+            t if t >= 13 => ((t - 13) / 2, "text"),
             other => return Err(DbError::Storage(format!("bad serial type {other}"))),
         };
-        out.push(v);
+        let end = span_end(data, body, len)
+            .ok_or_else(|| DbError::Storage(format!("record {what} overruns")))?;
+        let bytes = &data[body..end];
+        body = end;
+        out.push(match t {
+            1 => SqlValue::Int(i64::from_be_bytes(bytes.try_into().expect("8"))),
+            7 => SqlValue::Real(f64::from_be_bytes(bytes.try_into().expect("8"))),
+            t if t % 2 == 0 => SqlValue::Blob(bytes.to_vec()),
+            _ => SqlValue::Text(
+                String::from_utf8(bytes.to_vec())
+                    .map_err(|_| DbError::Storage("record text not UTF-8".into()))?,
+            ),
+        });
     }
     Ok(out)
 }
@@ -237,6 +226,38 @@ mod tests {
             let _ = decode_record(&enc[..cut]);
         }
         assert!(decode_record(&[0x05]).is_err());
+    }
+
+    /// A forged header length or body length near `u64::MAX` is a
+    /// storage error: the offset it would add runs past `usize`, and a
+    /// wrapped offset would slice out of order (or, in a debug build,
+    /// overflow).
+    #[test]
+    fn forged_record_lengths_are_storage_errors() {
+        let varint = |v: u64| {
+            let mut out = Vec::new();
+            write_varint(&mut out, v);
+            out
+        };
+        let mut forged = Vec::new();
+        // Header lengths that overflow `pos + len`.
+        for len in [u64::MAX, u64::MAX - 1, usize::MAX as u64 - 1, 1 << 63] {
+            forged.push([varint(len), vec![0; 4]].concat());
+        }
+        // Blob and text lengths that overflow `body + len`, after a
+        // header of one or two serial types.
+        for t in [u64::MAX - 1, u64::MAX, u64::MAX - 3, (1 << 63) + 12, (1 << 63) + 13] {
+            let types = varint(t);
+            forged.push([varint(types.len() as u64), types.clone(), vec![7; 3]].concat());
+            let types = [varint(1), varint(t)].concat();
+            forged.push([varint(types.len() as u64), types, vec![7; 9]].concat());
+        }
+        for rec in &forged {
+            assert!(
+                matches!(decode_record(rec), Err(DbError::Storage(_))),
+                "{rec:02x?}"
+            );
+        }
     }
 
     #[test]

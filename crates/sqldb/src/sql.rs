@@ -447,7 +447,8 @@ pub enum Stmt {
     Rollback,
     /// ANALYZE (statistics gathering, Speedtest1 test 990).
     Analyze,
-    /// PRAGMA name [= value] (accepted, applied where meaningful).
+    /// PRAGMA name [= value] (accepted and ignored; `Connection` refuses
+    /// the cache-sizing ones).
     Pragma {
         /// Pragma name.
         name: String,

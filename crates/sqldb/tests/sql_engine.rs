@@ -509,3 +509,58 @@ fn rowid_ranges_with_non_integer_bounds_match_a_full_scan() {
     let r = db.execute("DELETE FROM t WHERE a < 1.5").unwrap();
     assert_eq!(r.affected, 3);
 }
+
+/// A rowid equality returns what the same equality over `a + 0`, which
+/// no plan uses, returns from a full scan — for keys near `±i64::MAX` and
+/// `±2^53`, where one real equals several rowids (`a = 9.2e18` matched
+/// only `i64::MAX` and missed `i64::MAX - 1`, which rounds to the same
+/// real), and for keys that equal no rowid at all.
+#[test]
+fn rowid_equality_matches_a_full_scan_near_the_ends_of_exact_reals() {
+    const MAX: i64 = i64::MAX;
+    const EXACT: i64 = 1 << 53;
+    let rowids = [
+        MAX, MAX - 1, MAX - 2, MAX - 1024, i64::MIN, i64::MIN + 1, i64::MIN + 1024,
+        EXACT - 1, EXACT, EXACT + 1, EXACT + 2, -EXACT + 1, -EXACT, -EXACT - 1, -EXACT - 2,
+        -1, 0, 1, 2,
+    ];
+    let mut db = mem();
+    db.execute("CREATE TABLE t(a INTEGER PRIMARY KEY, b TEXT)").unwrap();
+    for a in rowids {
+        // `i64::MIN` has no integer literal: its magnitude is past `i64`.
+        let key = if a == i64::MIN { format!("{} - 1", a + 1) } else { a.to_string() };
+        db.execute(&format!("INSERT INTO t VALUES ({key}, 'r')")).unwrap();
+    }
+    let mut keys: Vec<String> = [
+        "9.223372036854775807e18", "9223372036854775806.0", "9223372036854775807",
+        "9223372036854775806", "-9.223372036854775808e18", "-9223372036854775807.0",
+        "-9223372036854775807 - 1", "-9223372036854775807", "9007199254740992.0",
+        "9007199254740993.0", "9007199254740991.0", "9007199254740994.0",
+        "9007199254740993", "-9007199254740992.0", "-9007199254740993.0",
+        "-9007199254740991.0", "-9007199254740993", "1e19", "-1e19", "0.0", "-0.0", "1.0",
+        "1.5", "'1'", "x'01'", "NULL", "2 + 0.0",
+    ]
+    .map(String::from)
+    .to_vec();
+    keys.extend(rowids.iter().map(|a| format!("{a}.0")));
+    for key in &keys {
+        for (planned, scanned) in [
+            (format!("a = {key}"), format!("(a + 0) = {key}")),
+            (format!("{key} = a"), format!("{key} = (a + 0)")),
+        ] {
+            let select = |w: &str| format!("SELECT a FROM t WHERE {w}");
+            let want = ints(&db.query(&select(&scanned)).unwrap());
+            assert_eq!(ints(&db.query(&select(&planned)).unwrap()), want, "{planned}");
+            let update = |w: &str| format!("UPDATE t SET b = 'u' WHERE {w}");
+            let affected = db.execute(&update(&scanned)).unwrap().affected;
+            assert_eq!(affected, want.len() as u64, "{scanned}");
+            assert_eq!(db.execute(&update(&planned)).unwrap().affected, affected, "{planned}");
+        }
+    }
+    // Every rowid that rounds to 2^63 is matched, and deleted.
+    let r = db.execute("DELETE FROM t WHERE a = 9223372036854775806.0").unwrap();
+    assert_eq!(r.affected, 3);
+    assert_eq!(ints(&db.query("SELECT a FROM t WHERE a > 2").unwrap()), [
+        EXACT - 1, EXACT, EXACT + 1, EXACT + 2, MAX - 1024
+    ]);
+}
