@@ -63,9 +63,16 @@ impl DbVariant {
 }
 
 /// In-memory vs persisted database (the paper's "mem." vs "file" series).
+///
+/// Both are the same pager — page cache and rollback journal — over a
+/// different file stack. `Memory` is a fresh `MemVfs`, which charges
+/// nothing for I/O, and so is the Native and WAMR `File` stack: their
+/// "mem." and "file" series run the same code and differ only by noise.
+/// Twine's and SGX-LKL's `File` stacks add the protected FS or the disk
+/// image. The page hook charges EPC touches the same way for both.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DbStorage {
-    /// Records live in (enclave) memory only.
+    /// Records live in (enclave) memory only, on a fresh `MemVfs`.
     Memory,
     /// Records persisted through the variant's file stack.
     File,

@@ -510,11 +510,12 @@ fn main() {
     );
 
     let wasm = twine_minicc::compile_to_bytes(GUEST_SRC).expect("guest compiles");
-    let mut builder = TwineBuilder::new();
-    if let Some(n) = pool {
-        builder = builder.pool_slots_per_module(n);
-    }
-    let mut svc = builder.build_service();
+    let mut svc = TwineBuilder::new()
+        .control_plane(ControlPlane {
+            pool_slots_per_module: pool,
+            ..ControlPlane::default()
+        })
+        .build_service();
 
     // The one-time module compile (decode + validate + AoT-lower) is paid
     // once per module *content*, not per session — report it separately

@@ -285,25 +285,6 @@ impl TwineBuilder {
         self
     }
 
-    /// Convenience: park least-recently-used sessions beyond `n` live ones
-    /// per service/shard (the eviction budget).
-    #[must_use]
-    pub fn max_live_sessions(mut self, n: usize) -> Self {
-        self.control.max_live_sessions = Some(n);
-        self
-    }
-
-    /// Convenience: enable instance pooling with up to `n` pre-instantiated
-    /// slots per module. Session opens and post-evict restores of
-    /// poolable modules become slot checkout + O(dirty pages) patching, and
-    /// parks seal only the delta against the module's shared base image.
-    /// See [`ControlPlane::pool_slots_per_module`](crate::ControlPlane).
-    #[must_use]
-    pub fn pool_slots_per_module(mut self, n: usize) -> Self {
-        self.control.pool_slots_per_module = Some(n);
-        self
-    }
-
     /// Install a deterministic fault-injection plan on the enclave (chaos
     /// testing, DESIGN.md §12). Every trust-boundary crossing — ECALL and
     /// OCALL transitions, seal and unseal — consults the plan's seeded

@@ -610,7 +610,12 @@ fn park_restore_park_cycles_preserve_state() {
 #[test]
 fn pooled_park_restore_cycles_preserve_state_with_delta_seals() {
     let wasm = twine_minicc::compile_to_bytes(STATEFUL_SRC).unwrap();
-    let mut svc = TwineBuilder::new().pool_slots_per_module(2).build_service();
+    let mut svc = TwineBuilder::new()
+        .control_plane(ControlPlane {
+            pool_slots_per_module: Some(2),
+            ..ControlPlane::default()
+        })
+        .build_service();
     svc.open_session("s", &wasm).unwrap();
     let mut expect = 0i32;
     for (k, x) in [5i32, -2, 11, 7, 0, 3, 42, -9].into_iter().enumerate() {
@@ -646,7 +651,12 @@ fn pooled_park_restore_cycles_preserve_state_with_delta_seals() {
 #[test]
 fn close_recycles_instance_for_next_open() {
     let wasm = twine_minicc::compile_to_bytes(STATEFUL_SRC).unwrap();
-    let mut svc = TwineBuilder::new().pool_slots_per_module(2).build_service();
+    let mut svc = TwineBuilder::new()
+        .control_plane(ControlPlane {
+            pool_slots_per_module: Some(2),
+            ..ControlPlane::default()
+        })
+        .build_service();
     svc.open_session("a", &wasm).unwrap();
     assert_eq!(svc.invoke("a", "step", &[Value::I32(3)]).unwrap()[0], Value::I32(3));
     svc.close_session("a");
@@ -666,7 +676,12 @@ fn close_recycles_instance_for_next_open() {
 #[test]
 fn eviction_races_in_flight_invoke_without_corruption() {
     let wasm = twine_minicc::compile_to_bytes(STATEFUL_SRC).unwrap();
-    let mut svc = TwineBuilder::new().max_live_sessions(1).build_service();
+    let mut svc = TwineBuilder::new()
+        .control_plane(ControlPlane {
+            max_live_sessions: Some(1),
+            ..ControlPlane::default()
+        })
+        .build_service();
     svc.open_session("a", &wasm).unwrap();
     svc.open_session("b", &wasm).unwrap();
     let (mut ea, mut eb) = (0i32, 0i32);

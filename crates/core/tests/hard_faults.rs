@@ -28,7 +28,7 @@
 
 use std::sync::Arc;
 
-use twine_core::{TwineBuilder, TwineError, TwineService};
+use twine_core::{ControlPlane, TwineBuilder, TwineError, TwineService};
 use twine_sgx::{FaultConfig, FaultKind, FaultPlan};
 use twine_sqldb::backend_vfs::BackendVfs;
 use twine_sqldb::value::SqlValue;
@@ -52,7 +52,10 @@ fn service_failing(kind: FaultKind, tenant: Tenant) -> TwineService {
     let plan = FaultPlan::new(FaultConfig::new(7).rate(kind, 1024).max_consecutive(64));
     let mut b = TwineBuilder::new().faults(Arc::new(plan));
     if let Tenant::Wasm { pooled: true } = tenant {
-        b = b.pool_slots_per_module(2);
+        b = b.control_plane(ControlPlane {
+            pool_slots_per_module: Some(2),
+            ..ControlPlane::default()
+        });
     }
     b.build_service()
 }

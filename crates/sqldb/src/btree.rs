@@ -10,9 +10,13 @@
 //! used by the code that changes pages (insert, delete, free) and for a
 //! cursor's current leaf. Pages may come from the host
 //! (`FsChoice::UntrustedHost`), so the reader refuses keys that are not
-//! strictly ascending, and every descent stops at `MAX_DEPTH` levels:
-//! a forged page is a `DbError::Storage`, never a wrong answer, a hang or
-//! a stack overflow.
+//! strictly ascending — within a page, and from one leaf a cursor leaves
+//! to the next it reaches — every descent stops at `MAX_DEPTH` levels,
+//! and freeing a tree refuses a page it already freed: a forged page is a
+//! `DbError::Storage`, never a wrong answer, a hang, a stack overflow or a
+//! page handed out twice.
+
+use std::collections::HashSet;
 
 use crate::pager::{PageId, Pager};
 use crate::record::{read_varint, write_varint};
@@ -976,14 +980,19 @@ pub fn table_max_rowid(pager: &mut Pager, root: PageId) -> DbResult<Option<i64>>
     })
 }
 
-/// Free every page of a tree (DROP TABLE / DROP INDEX).
+/// Free every page of a tree (DROP TABLE / DROP INDEX). A page reached
+/// twice — a forged subtree shared by two parents — is refused before it
+/// can go on the freelist twice.
 pub fn free_tree(pager: &mut Pager, root: PageId) -> DbResult<()> {
-    free_subtree(pager, root, 0)
+    free_subtree(pager, root, 0, &mut HashSet::new())
 }
 
-fn free_subtree(pager: &mut Pager, page: PageId, depth: usize) -> DbResult<()> {
+fn free_subtree(pager: &mut Pager, page: PageId, depth: usize, freed: &mut HashSet<PageId>) -> DbResult<()> {
     if depth == MAX_DEPTH {
         return Err(too_deep());
+    }
+    if !freed.insert(page) {
+        return Err(DbError::Storage(format!("page {page} is in the tree twice")));
     }
     match load(pager, page)? {
         Node::TableLeaf { cells } => {
@@ -995,7 +1004,7 @@ fn free_subtree(pager: &mut Pager, page: PageId, depth: usize) -> DbResult<()> {
         }
         Node::TableInterior { children, .. } | Node::IndexInterior { children, .. } => {
             for child in children {
-                free_subtree(pager, child, depth + 1)?;
+                free_subtree(pager, child, depth + 1, freed)?;
             }
         }
         Node::IndexLeaf { .. } => {}
@@ -1083,10 +1092,13 @@ impl Cursor {
     }
 
     /// Move to the first entry of the next non-empty leaf. The interior
-    /// pages on the stack are read in place; only the leaf is decoded.
+    /// pages on the stack are read in place; only the leaf is decoded. Its
+    /// first key must be above the last key of the leaf the cursor leaves:
+    /// a forged interior page that names one leaf twice would otherwise
+    /// replay it (and hide the leaf it stands in for).
     fn advance_leaf(&mut self, pager: &mut Pager) -> DbResult<()> {
         self.assert_no_page_freed_since_open(pager);
-        self.leaf = None;
+        let left = self.leaf.take();
         while let Some((page, idx)) = self.stack.pop() {
             let Some((next, child)) = step(pager.get(page)?, Toward::Child(idx + 1))? else {
                 return Err(DbError::Storage("corrupt cursor stack".into()));
@@ -1097,6 +1109,11 @@ impl Cursor {
             self.stack.push((page, next));
             let (leaf, node) = descend(pager, child, Toward::Child(0), Some(&mut self.stack), decode_leaf)?;
             if leaf_len(&node) > 0 {
+                if let Some((_, left, _)) = &left {
+                    if !follows(left, &node) {
+                        return Err(DbError::Storage(format!("leaf {leaf} repeats keys of an earlier leaf")));
+                    }
+                }
                 self.leaf = Some((leaf, node, 0));
                 return Ok(());
             }
@@ -1149,6 +1166,18 @@ fn decode_leaf(id: PageId, page: &[u8]) -> DbResult<(PageId, Node)> {
     Ok((id, Node::decode(page)?))
 }
 
+/// Whether every key of leaf `right` is above every key of leaf `left`
+/// (each already strictly ascending): `left`'s last below `right`'s first.
+fn follows(left: &Node, right: &Node) -> bool {
+    match (left, right) {
+        (Node::TableLeaf { cells: l }, Node::TableLeaf { cells: r }) => {
+            l.last().map(|c| c.rowid) < r.first().map(|c| c.rowid)
+        }
+        (Node::IndexLeaf { keys: l }, Node::IndexLeaf { keys: r }) => l.last() < r.first(),
+        _ => false,
+    }
+}
+
 /// Entries on a decoded leaf (0 for an interior node).
 fn leaf_len(node: &Node) -> usize {
     match node {
@@ -1163,7 +1192,7 @@ mod tests {
     use super::*;
 
     fn mem_pager() -> Pager {
-        let mut p = Pager::open_memory();
+        let mut p = Pager::open_file(Box::new(crate::vfs::MemVfs::new()), "btree.db").unwrap();
         p.begin().unwrap();
         p
     }
@@ -1631,6 +1660,15 @@ mod tests {
         }
     }
 
+    /// Move a cursor `open` returns over every entry it can reach.
+    fn scan(p: &mut Pager, open: impl FnOnce(&mut Pager) -> DbResult<Cursor>) -> DbResult<()> {
+        let mut c = open(p)?;
+        while c.valid() {
+            c.next(p)?;
+        }
+        Ok(())
+    }
+
     /// Forged pages a host may serve: an interior root whose only child
     /// is itself, for both tree kinds, and a table root whose second child
     /// is itself behind a real leaf (so a scan reaches the cycle only by
@@ -1639,13 +1677,6 @@ mod tests {
     #[test]
     fn page_cycles_are_storage_errors() {
         type Op = fn(&mut Pager, PageId) -> DbResult<()>;
-        fn scan(p: &mut Pager, open: impl FnOnce(&mut Pager) -> DbResult<Cursor>) -> DbResult<()> {
-            let mut c = open(p)?;
-            while c.valid() {
-                c.next(p)?;
-            }
-            Ok(())
-        }
         let table_ops: [(&str, Op); 8] = [
             ("table_get", |p, r| table_get(p, r, 50).map(drop)),
             ("Cursor::first", |p, r| scan(p, |p| Cursor::first(p, r))),
@@ -1686,6 +1717,66 @@ mod tests {
             .flat_map(|&op| [(op, self_loop), (op, behind_a_leaf)])
             .chain(index_ops.iter().map(|&op| (op, index_loop)));
         for ((name, op), forge) in cases {
+            let got = run_bounded(name, move || {
+                let mut p = mem_pager();
+                let root = forge(&mut p);
+                op(&mut p, root)
+            });
+            assert!(matches!(got, Err(DbError::Storage(_))), "{name}: {got:?}");
+        }
+    }
+
+    /// A forged root whose last child is its first leaf: a DAG, not a
+    /// cycle, so every descent ends. A scan used to read that leaf twice
+    /// and never reach the one it replaced (for the table here: rowids
+    /// 1–36, then 1–3 again, and 37–40 missing), and `free_tree` put it on
+    /// the freelist twice (14 entries for 13 pages), for the allocator to
+    /// hand out twice. Both now stop at the repeated leaf, for table and
+    /// index trees alike.
+    #[test]
+    fn shared_subtrees_are_storage_errors() {
+        type Op = fn(&mut Pager, PageId) -> DbResult<()>;
+        type Forge = fn(&mut Pager) -> PageId;
+        fn share_first_leaf(p: &mut Pager, root: PageId) -> PageId {
+            let node = match load(p, root).unwrap() {
+                Node::TableInterior { mut children, keys } => {
+                    let last = children.len() - 1;
+                    children[last] = children[0];
+                    Node::TableInterior { children, keys }
+                }
+                Node::IndexInterior { mut children, keys } => {
+                    let last = children.len() - 1;
+                    children[last] = children[0];
+                    Node::IndexInterior { children, keys }
+                }
+                leaf => panic!("root is a leaf: {leaf:?}"),
+            };
+            store(p, root, &node).unwrap();
+            root
+        }
+        let table: Forge = |p| {
+            let root = create_table_tree(p).unwrap();
+            for rowid in 1..=40 {
+                table_insert(p, root, rowid, &[rowid as u8; 700]).unwrap();
+            }
+            share_first_leaf(p, root)
+        };
+        let index: Forge = |p| {
+            let root = create_index_tree(p).unwrap();
+            for k in 1..=40u8 {
+                index_insert(p, root, vec![k; 700]).unwrap();
+            }
+            share_first_leaf(p, root)
+        };
+        let cases: [(&str, Op, Forge); 6] = [
+            ("Cursor::first", |p, r| scan(p, |p| Cursor::first(p, r)), table),
+            ("Cursor::seek_rowid", |p, r| scan(p, |p| Cursor::seek_rowid(p, r, 1)), table),
+            ("free_tree", free_tree, table),
+            ("Cursor::first (index)", |p, r| scan(p, |p| Cursor::first(p, r)), index),
+            ("Cursor::seek_key", |p, r| scan(p, |p| Cursor::seek_key(p, r, &[1])), index),
+            ("free_tree (index)", free_tree, index),
+        ];
+        for (name, op, forge) in cases {
             let got = run_bounded(name, move || {
                 let mut p = mem_pager();
                 let root = forge(&mut p);

@@ -16,7 +16,7 @@ use crate::pager::{PageHook, Pager, PagerStats};
 use crate::schema::{self, Schema};
 use crate::sql::{lex, parse_tokens, Lexed, Stmt};
 use crate::value::{Row, SqlValue};
-use crate::vfs::Vfs;
+use crate::vfs::{MemVfs, Vfs};
 use crate::{DbError, DbResult};
 
 /// Default bound on cached statement shapes per connection.
@@ -60,22 +60,12 @@ pub struct Connection {
 }
 
 impl Connection {
-    /// Open an in-memory database.
+    /// Open an in-memory database: a database like any other — the
+    /// default page cache, a rollback journal — on a fresh [`MemVfs`].
     #[must_use]
     pub fn open_memory() -> Self {
-        let mut pager = Pager::open_memory();
-        pager.begin().expect("fresh txn");
-        schema::init_catalog(&mut pager).expect("catalog init");
-        pager.commit().expect("catalog commit");
-        Self {
-            pager,
-            schema: Schema::default(),
-            explicit_txn: false,
-            plans: HashMap::new(),
-            plan_tick: 0,
-            plan_cache_cap: DEFAULT_PLAN_CACHE,
-            stmt_stats: StmtCacheStats::default(),
-        }
+        Self::open(Box::new(MemVfs::new()), "memory.db")
+            .expect("a fresh MemVfs holds no database to refuse")
     }
 
     /// Open (or create) a file-backed database through a VFS.

@@ -9,9 +9,10 @@
 //!   seam the paper exploits (`test_demovfs` → WASI): the engine performs
 //!   all file I/O through a small trait that `twine-baselines` implements
 //!   over the protected file system, the host FS, or WASI.
-//! * **Pager** ([`pager`]) — 4 KiB pages, a 2048-page LRU cache (8 MiB, the
-//!   paper's configured SQLite cache), and a delete-mode rollback journal
-//!   (the paper's default journal mode).
+//! * **Pager** ([`pager`]) — 4 KiB pages, a 2048-page clock cache (8 MiB,
+//!   the paper's configured SQLite cache), and a delete-mode rollback
+//!   journal (the paper's default journal mode), for in-memory databases
+//!   too: [`Connection::open_memory`] is the pager over a [`MemVfs`].
 //! * **B+trees** ([`btree`]) — table trees keyed by rowid with overflow
 //!   chains for large payloads (the 1 KiB blobs of §V-D), plus index trees.
 //! * **Record format** ([`record`]) — SQLite-style serial-type encoding.

@@ -1,6 +1,11 @@
 //! The pager: page cache, transactions, and the delete-mode rollback
 //! journal (SQLite's default journal mode, used by the paper's benchmarks).
 //!
+//! Every database takes the same path: a clock page cache over one
+//! [`Vfs`] file, with the rollback journal beside it in the same [`Vfs`].
+//! An in-memory database is this pager over a fresh
+//! [`MemVfs`](crate::MemVfs), journal included.
+//!
 //! The cache holds 2048 4-KiB pages by default — the 8 MiB SQLite page
 //! cache the paper configures (§V-C). Figure 5b's "sharp increase up to
 //! twice the cache size" behaviour comes from exactly this structure.
@@ -32,7 +37,23 @@ const TRUNK_CAP: usize = (PAGE_SIZE - 12) / 4;
 type PageBuf = Box<[u8; PAGE_SIZE]>;
 
 fn new_page() -> PageBuf {
-    vec![0u8; PAGE_SIZE].into_boxed_slice().try_into().expect("size")
+    Box::new([0u8; PAGE_SIZE])
+}
+
+/// Byte offset of page `id` in the database file.
+fn page_offset(id: PageId) -> u64 {
+    u64::from(id - 1) * PAGE_SIZE as u64
+}
+
+/// Byte offset of journal entry `n`: a 16-byte header, then `(page id,
+/// pre-image)` entries.
+fn journal_entry_offset(n: u32) -> u64 {
+    16 + u64::from(n) * (4 + PAGE_SIZE as u64)
+}
+
+/// The little-endian `u32` at `buf[at..at + 4]`.
+fn le_u32(buf: &[u8], at: usize) -> u32 {
+    u32::from_le_bytes([buf[at], buf[at + 1], buf[at + 2], buf[at + 3]])
 }
 
 /// The rollback journal's file name for the database named `db` — the one
@@ -43,9 +64,10 @@ pub fn journal_path(db: &str) -> String {
     format!("{db}-journal")
 }
 
-/// Observation hook: `(page_id, is_write)` for every cache miss/flush —
-/// the seam the EPC simulator and I/O accounting attach to. `Send` so a
-/// connection (hook included) can be used by successive caller threads.
+/// Observation hook: `(page_id, is_write)` for every page access, before
+/// the cache is consulted — the seam the EPC simulator and I/O accounting
+/// attach to. `Send` so a connection (hook included) can be used by
+/// successive caller threads.
 pub type PageHook = Box<dyn FnMut(PageId, bool) + Send>;
 
 struct CacheSlot {
@@ -77,21 +99,21 @@ pub struct PagerStats {
 
 /// The pager.
 pub struct Pager {
-    /// `None` for a pure in-memory database.
-    file: Option<Box<dyn VfsFile>>,
-    vfs: Option<Box<dyn Vfs>>,
+    /// The database file.
+    file: Box<dyn VfsFile>,
+    /// The namespace the database file and its journal live in.
+    vfs: Box<dyn Vfs>,
     journal_name: String,
+    /// The rollback journal, open from the first change of a transaction
+    /// to its end: a transaction that changes nothing never opens it.
     journal: Option<Box<dyn VfsFile>>,
+    /// Entries in the open journal (0 while none is open).
     journal_count: u32,
-    /// Clock-hand page cache (file-backed mode).
+    /// Clock-hand page cache.
     slots: Vec<CacheSlot>,
     map: HashMap<PageId, usize>,
     hand: usize,
     cache_limit: usize,
-    /// In-memory mode backing store.
-    mem_pages: Vec<Option<PageBuf>>,
-    /// Rollback copies for in-memory transactions.
-    mem_undo: HashMap<PageId, Option<PageBuf>>,
     n_pages: u32,
     freelist: Vec<PageId>,
     /// Pages currently holding overflow freelist storage (the on-disk
@@ -101,47 +123,26 @@ pub struct Pager {
     /// See [`Self::pages_freed`].
     pages_freed: u64,
     in_txn: bool,
+    /// Pages that need no journal entry before a change: those whose
+    /// pre-image this transaction journaled, and those it allocated (their
+    /// old content is dead).
     journaled: HashSet<PageId>,
+    /// The page count the journal truncates the file back to.
     txn_start_n_pages: u32,
-    txn_start_freelist: Vec<PageId>,
     /// Statistics.
     pub stats: PagerStats,
     hook: Option<PageHook>,
 }
 
 impl Pager {
-    /// Pure in-memory database.
-    #[must_use]
-    pub fn open_memory() -> Self {
-        let mut p = Self::base(None, None, String::new());
-        p.init_fresh();
-        p
-    }
-
-    /// File-backed database named `name` on `vfs` (journal:
-    /// [`journal_path`]`(name)`).
+    /// The database named `name` on `vfs` (journal:
+    /// [`journal_path`]`(name)`), created empty if the file is; a journal
+    /// left by an interrupted transaction is rolled back first.
     pub fn open_file(mut vfs: Box<dyn Vfs>, name: &str) -> DbResult<Self> {
         let journal_name = journal_path(name);
         let hot_journal = vfs.exists(&journal_name);
         let file = vfs.open(name)?;
-        let mut p = Self::base(Some(file), Some(vfs), journal_name);
-        if hot_journal {
-            p.recover_hot_journal()?;
-        }
-        let size = p.file.as_mut().expect("file").size()?;
-        if size == 0 {
-            p.init_fresh();
-            p.write_header()?;
-            let file = p.file.as_mut().expect("file");
-            file.sync()?;
-        } else {
-            p.read_header()?;
-        }
-        Ok(p)
-    }
-
-    fn base(file: Option<Box<dyn VfsFile>>, vfs: Option<Box<dyn Vfs>>, journal_name: String) -> Self {
-        Self {
+        let mut p = Self {
             file,
             vfs,
             journal_name,
@@ -151,31 +152,26 @@ impl Pager {
             map: HashMap::new(),
             hand: 0,
             cache_limit: DEFAULT_CACHE_PAGES,
-            mem_pages: vec![None],
-            mem_undo: HashMap::new(),
-            n_pages: 0,
+            n_pages: 1, // the header page
             freelist: Vec::new(),
             freelist_trunks: Vec::new(),
             pages_freed: 0,
             in_txn: false,
             journaled: HashSet::new(),
             txn_start_n_pages: 0,
-            txn_start_freelist: Vec::new(),
             stats: PagerStats::default(),
             hook: None,
+        };
+        if hot_journal {
+            p.recover_hot_journal()?;
         }
-    }
-
-    fn init_fresh(&mut self) {
-        self.n_pages = 1; // header page
-        self.freelist.clear();
-        self.freelist_trunks.clear();
-    }
-
-    /// Whether this is an in-memory database.
-    #[must_use]
-    pub fn is_memory(&self) -> bool {
-        self.file.is_none()
+        if p.file.size()? == 0 {
+            p.write_header()?;
+            p.file.sync()?;
+        } else {
+            p.read_header()?;
+        }
+        Ok(p)
     }
 
     /// Set the page-cache capacity (in pages).
@@ -194,12 +190,6 @@ impl Pager {
         self.n_pages
     }
 
-    fn touch_hook(&mut self, id: PageId, write: bool) {
-        if let Some(h) = self.hook.as_mut() {
-            h(id, write);
-        }
-    }
-
     // ------------------------------------------------------------------
     // Header
     // ------------------------------------------------------------------
@@ -211,11 +201,8 @@ impl Pager {
     /// no-op, which keeps the post-commit in-memory state bit-identical
     /// to what `read_header` reconstructs after a reopen.
     fn plan_spill(&mut self) {
-        if self.is_memory() {
-            return;
-        }
         while self.freelist.len() > MAX_FREELIST + self.freelist_trunks.len() * TRUNK_CAP {
-            let t = self.freelist.pop().expect("overflowing freelist is non-empty");
+            let Some(t) = self.freelist.pop() else { break };
             self.freelist_trunks.push(t);
         }
         while let Some(&last) = self.freelist_trunks.last() {
@@ -240,19 +227,14 @@ impl Pager {
         for (i, id) in self.freelist.iter().take(in_header).enumerate() {
             buf[64 + i * 4..64 + i * 4 + 4].copy_from_slice(&id.to_le_bytes());
         }
-        if self.file.is_none() {
-            self.mem_pages[0] = Some(buf);
-            return Ok(());
-        }
         // Spill freelist[MAX_FREELIST..] across the trunk chain, in order,
         // so reopen reconstructs the exact allocation order.
-        let trunks = self.freelist_trunks.clone();
-        for (i, &t) in trunks.iter().enumerate() {
+        for (i, &t) in self.freelist_trunks.iter().enumerate() {
             let lo = (MAX_FREELIST + i * TRUNK_CAP).min(self.freelist.len());
             let hi = (MAX_FREELIST + (i + 1) * TRUNK_CAP).min(self.freelist.len());
             let mut tb = new_page();
             tb[..4].copy_from_slice(TRUNK_MAGIC);
-            let next = trunks.get(i + 1).copied().unwrap_or(0);
+            let next = self.freelist_trunks.get(i + 1).copied().unwrap_or(0);
             tb[4..8].copy_from_slice(&next.to_le_bytes());
             tb[8..12].copy_from_slice(&((hi - lo) as u32).to_le_bytes());
             for (k, id) in self.freelist[lo..hi].iter().enumerate() {
@@ -263,59 +245,49 @@ impl Pager {
                 self.slots[slot].occupied = false;
                 self.slots[slot].dirty = false;
             }
-            let f = self.file.as_mut().expect("file");
-            f.write_at(u64::from(t - 1) * PAGE_SIZE as u64, &tb[..])?;
+            self.file.write_at(page_offset(t), &tb[..])?;
             self.stats.page_writes += 1;
         }
-        let f = self.file.as_mut().expect("file");
-        f.write_at(0, &buf[..])?;
+        self.file.write_at(0, &buf[..])?;
         self.stats.page_writes += 1;
         Ok(())
     }
 
     fn read_header(&mut self) -> DbResult<()> {
         let mut buf = new_page();
-        let f = self.file.as_mut().expect("file-backed");
-        f.read_at(0, &mut buf[..])?;
+        self.file.read_at(0, &mut buf[..])?;
         self.stats.page_reads += 1;
         if &buf[..16] != HEADER_MAGIC {
             return Err(DbError::Storage("bad database header".into()));
         }
-        self.n_pages = u32::from_le_bytes(buf[16..20].try_into().expect("4"));
-        let n_free = u32::from_le_bytes(buf[20..24].try_into().expect("4")) as usize;
+        self.n_pages = le_u32(&buf[..], 16);
+        let n_free = le_u32(&buf[..], 20) as usize;
         if n_free > MAX_FREELIST {
             return Err(DbError::Storage("corrupt freelist".into()));
         }
-        self.freelist = (0..n_free)
-            .map(|i| u32::from_le_bytes(buf[64 + i * 4..64 + i * 4 + 4].try_into().expect("4")))
-            .collect();
+        self.freelist = (0..n_free).map(|i| le_u32(&buf[..], 64 + i * 4)).collect();
         // Walk the overflow trunk chain. A zero head pointer means no
         // overflow — also the value found in pre-chain files, which keeps
         // them readable.
         self.freelist_trunks.clear();
-        let mut t = u32::from_le_bytes(buf[24..28].try_into().expect("4"));
+        let mut t = le_u32(&buf[..], 24);
         let mut tb = new_page();
         while t != 0 {
             if t > self.n_pages || self.freelist_trunks.len() as u32 >= self.n_pages {
                 return Err(DbError::Storage("corrupt freelist trunk chain".into()));
             }
-            let f = self.file.as_mut().expect("file-backed");
-            f.read_at(u64::from(t - 1) * PAGE_SIZE as u64, &mut tb[..])?;
+            self.file.read_at(page_offset(t), &mut tb[..])?;
             self.stats.page_reads += 1;
             if &tb[..4] != TRUNK_MAGIC {
                 return Err(DbError::Storage("corrupt freelist trunk page".into()));
             }
-            let next = u32::from_le_bytes(tb[4..8].try_into().expect("4"));
-            let count = u32::from_le_bytes(tb[8..12].try_into().expect("4")) as usize;
+            let count = le_u32(&tb[..], 8) as usize;
             if count > TRUNK_CAP {
                 return Err(DbError::Storage("corrupt freelist trunk count".into()));
             }
-            for k in 0..count {
-                let id = u32::from_le_bytes(tb[12 + k * 4..12 + k * 4 + 4].try_into().expect("4"));
-                self.freelist.push(id);
-            }
+            self.freelist.extend((0..count).map(|k| le_u32(&tb[..], 12 + k * 4)));
             self.freelist_trunks.push(t);
-            t = next;
+            t = le_u32(&tb[..], 4);
         }
         Ok(())
     }
@@ -326,8 +298,8 @@ impl Pager {
 
     /// Read-only page view.
     pub fn get(&mut self, id: PageId) -> DbResult<&[u8]> {
-        self.load(id, false)?;
-        Ok(self.page_ref(id))
+        let slot = self.load(id, false)?;
+        Ok(&self.slots[slot].buf[..])
     }
 
     /// Writable page view (journals the original on first touch).
@@ -335,54 +307,35 @@ impl Pager {
         if !self.in_txn {
             return Err(DbError::Storage("write outside transaction".into()));
         }
-        self.load(id, true)?;
-        self.journal_page(id)?;
-        if self.is_memory() {
-            let buf = self.mem_pages[id as usize - 1].as_deref_mut().expect("loaded");
-            Ok(&mut buf[..])
-        } else {
-            let slot = self.map[&id];
-            self.slots[slot].dirty = true;
-            self.slots[slot].referenced = true;
-            Ok(&mut self.slots[slot].buf[..])
+        let slot = self.load(id, true)?;
+        if !self.journaled.contains(&id) {
+            let pre = self.slots[slot].buf.clone();
+            self.append_journal(id, &pre[..])?;
         }
+        let slot = &mut self.slots[slot];
+        slot.dirty = true;
+        Ok(&mut slot.buf[..])
     }
 
-    fn page_ref(&self, id: PageId) -> &[u8] {
-        if self.is_memory() {
-            self.mem_pages[id as usize - 1].as_deref().expect("loaded")
-        } else {
-            &self.slots[self.map[&id]].buf[..]
-        }
-    }
-
-    fn load(&mut self, id: PageId, for_write: bool) -> DbResult<()> {
+    /// Bring page `id` into the cache and return its slot. The hook sees
+    /// every access, hit or miss.
+    fn load(&mut self, id: PageId, for_write: bool) -> DbResult<usize> {
         if id == 0 || id > self.n_pages {
             return Err(DbError::Storage(format!("page {id} out of range")));
         }
-        self.touch_hook(id, for_write);
-        if self.is_memory() {
-            let idx = id as usize - 1;
-            if self.mem_pages.len() <= idx {
-                self.mem_pages.resize_with(idx + 1, || None);
-            }
-            if self.mem_pages[idx].is_none() {
-                self.mem_pages[idx] = Some(new_page());
-            }
-            return Ok(());
+        if let Some(h) = self.hook.as_mut() {
+            h(id, for_write);
         }
         if let Some(&slot) = self.map.get(&id) {
             self.slots[slot].referenced = true;
             self.stats.cache_hits += 1;
-            return Ok(());
+            return Ok(slot);
         }
         // Miss: read from file into a (possibly evicted) slot.
         let mut buf = self.take_slot_buf()?;
-        let f = self.file.as_mut().expect("file-backed");
-        f.read_at(u64::from(id - 1) * PAGE_SIZE as u64, &mut buf[..])?;
+        self.file.read_at(page_offset(id), &mut buf[..])?;
         self.stats.page_reads += 1;
-        self.insert_slot(id, buf, false);
-        Ok(())
+        Ok(self.insert_slot(id, buf, false))
     }
 
     /// Obtain a free buffer, evicting if the cache is full.
@@ -413,37 +366,31 @@ impl Pager {
             if dirty {
                 // Spill: legal mid-transaction because the original page is
                 // already in the journal.
-                let f = self.file.as_mut().expect("file-backed");
-                f.write_at(u64::from(id - 1) * PAGE_SIZE as u64, &buf[..])?;
+                self.file.write_at(page_offset(id), &buf[..])?;
                 self.stats.page_writes += 1;
             }
             return Ok(buf);
         }
     }
 
-    fn insert_slot(&mut self, id: PageId, buf: PageBuf, dirty: bool) {
-        // Reuse an unoccupied slot if available.
-        for (i, s) in self.slots.iter_mut().enumerate() {
-            if !s.occupied {
-                *s = CacheSlot {
-                    id,
-                    buf,
-                    dirty,
-                    referenced: true,
-                    occupied: true,
-                };
-                self.map.insert(id, i);
-                return;
-            }
-        }
-        self.slots.push(CacheSlot {
+    /// Cache `buf` as page `id` in the first free slot; returns the slot.
+    fn insert_slot(&mut self, id: PageId, buf: PageBuf, dirty: bool) -> usize {
+        let slot = CacheSlot {
             id,
             buf,
             dirty,
             referenced: true,
             occupied: true,
-        });
-        self.map.insert(id, self.slots.len() - 1);
+        };
+        let i = if let Some(i) = self.slots.iter().position(|s| !s.occupied) {
+            self.slots[i] = slot;
+            i
+        } else {
+            self.slots.push(slot);
+            self.slots.len() - 1
+        };
+        self.map.insert(id, i);
+        i
     }
 
     // ------------------------------------------------------------------
@@ -461,34 +408,19 @@ impl Pager {
             self.n_pages += 1;
             self.n_pages
         };
-        if self.is_memory() {
-            let idx = id as usize - 1;
-            if self.mem_pages.len() <= idx {
-                self.mem_pages.resize_with(idx + 1, || None);
-            }
-            self.mem_undo.entry(id).or_insert(None);
-            self.mem_pages[idx] = Some(new_page());
+        self.ensure_journal()?; // growth must be recoverable
+        self.journaled.insert(id); // fresh page: no prior image needed
+        if let Some(&slot) = self.map.get(&id) {
+            let slot = &mut self.slots[slot];
+            slot.buf.fill(0);
+            slot.dirty = true;
+            slot.referenced = true;
         } else {
-            self.ensure_journal()?; // growth must be recoverable
-            self.journaled.insert(id); // fresh page: no prior image needed
-            self.insert_or_reset_slot(id)?;
+            let mut buf = self.take_slot_buf()?;
+            buf.fill(0);
+            self.insert_slot(id, buf, true);
         }
         Ok(id)
-    }
-
-    fn insert_or_reset_slot(&mut self, id: PageId) -> DbResult<()> {
-        if let Some(&slot) = self.map.get(&id) {
-            self.slots[slot].buf.fill(0);
-            self.slots[slot].dirty = true;
-            self.slots[slot].referenced = true;
-            return Ok(());
-        }
-        let buf = self.take_slot_buf().map(|mut b| {
-            b.fill(0);
-            b
-        })?;
-        self.insert_slot(id, buf, true);
-        Ok(())
     }
 
     /// Return a page to the freelist. Never drops an id: past
@@ -501,11 +433,9 @@ impl Pager {
         if id == 0 || id > self.n_pages {
             return Err(DbError::Storage(format!("free of page {id} out of range")));
         }
-        if !self.is_memory() {
-            // The freelist change must reach the header at commit even if
-            // no page content was modified this transaction.
-            self.ensure_journal()?;
-        }
+        // The freelist change must reach the header at commit even if no
+        // page content was modified this transaction.
+        self.ensure_journal()?;
         self.freelist.push(id);
         self.pages_freed += 1;
         Ok(())
@@ -545,60 +475,32 @@ impl Pager {
         }
         self.in_txn = true;
         self.txn_start_n_pages = self.n_pages;
-        self.txn_start_freelist = self.freelist.clone();
-        self.journaled.clear();
-        self.mem_undo.clear();
         Ok(())
     }
 
-    /// Open the journal file (first write of the transaction).
-    fn ensure_journal(&mut self) -> DbResult<()> {
-        if self.is_memory() || self.journal.is_some() {
-            return Ok(());
-        }
-        let vfs = self.vfs.as_mut().expect("vfs");
-        let mut j = vfs.open(&self.journal_name)?;
-        let mut head = Vec::with_capacity(16);
-        head.extend_from_slice(JOURNAL_MAGIC);
-        head.extend_from_slice(&self.txn_start_n_pages.to_le_bytes());
-        head.extend_from_slice(&0u32.to_le_bytes()); // entry count, patched
-        j.write_at(0, &head)?;
-        self.journal = Some(j);
-        self.journal_count = 0;
-        Ok(())
-    }
-
-    /// Whether the current transaction has modified anything.
-    fn txn_dirty(&self) -> bool {
-        if self.is_memory() {
-            !self.mem_undo.is_empty() || self.n_pages != self.txn_start_n_pages
-        } else {
-            self.journal.is_some()
-        }
-    }
-
-    /// Write the pre-image of `id` to the journal (first touch only).
-    fn journal_page(&mut self, id: PageId) -> DbResult<()> {
-        if self.journaled.contains(&id) || (self.is_memory() && self.mem_undo.contains_key(&id)) {
-            return Ok(());
-        }
-        if self.is_memory() {
-            let pre = self.mem_pages[id as usize - 1].clone();
-            self.mem_undo.insert(id, pre);
-            return Ok(());
-        }
-        self.ensure_journal()?;
-        // Copy the current (pre-modification) content.
-        let pre: PageBuf = {
-            let slot = self.map.get(&id).copied().expect("loaded before journal");
-            let mut b = new_page();
-            b.copy_from_slice(&self.slots[slot].buf[..]);
-            b
+    /// The transaction's journal, opened on its first change.
+    fn ensure_journal(&mut self) -> DbResult<&mut Box<dyn VfsFile>> {
+        let j = match self.journal.take() {
+            Some(j) => j,
+            None => {
+                let mut j = self.vfs.open(&self.journal_name)?;
+                let mut head = [0u8; 16];
+                head[..8].copy_from_slice(JOURNAL_MAGIC);
+                head[8..12].copy_from_slice(&self.txn_start_n_pages.to_le_bytes());
+                // head[12..16]: the entry count, written at the commit point.
+                j.write_at(0, &head)?;
+                j
+            }
         };
-        let j = self.journal.as_mut().expect("journal open in txn");
-        let off = 16 + u64::from(self.journal_count) * (4 + PAGE_SIZE as u64);
+        Ok(self.journal.insert(j))
+    }
+
+    /// Append `pre`, the pre-transaction image of page `id`, to the journal.
+    fn append_journal(&mut self, id: PageId, pre: &[u8]) -> DbResult<()> {
+        let off = journal_entry_offset(self.journal_count);
+        let j = self.ensure_journal()?;
         j.write_at(off, &id.to_le_bytes())?;
-        j.write_at(off + 4, &pre[..])?;
+        j.write_at(off + 4, pre)?;
         self.journal_count += 1;
         self.stats.journal_writes += 1;
         self.journaled.insert(id);
@@ -611,22 +513,13 @@ impl Pager {
     /// fresh — are skipped, since their file content is not the
     /// pre-transaction image.
     fn journal_raw_preimage(&mut self, id: PageId) -> DbResult<()> {
-        if self.is_memory() || self.journaled.contains(&id) {
+        if self.journaled.contains(&id) {
             return Ok(());
         }
-        self.ensure_journal()?;
         let mut pre = new_page();
-        let f = self.file.as_mut().expect("file-backed");
-        f.read_at(u64::from(id - 1) * PAGE_SIZE as u64, &mut pre[..])?;
+        self.file.read_at(page_offset(id), &mut pre[..])?;
         self.stats.page_reads += 1;
-        let j = self.journal.as_mut().expect("journal open in txn");
-        let off = 16 + u64::from(self.journal_count) * (4 + PAGE_SIZE as u64);
-        j.write_at(off, &id.to_le_bytes())?;
-        j.write_at(off + 4, &pre[..])?;
-        self.journal_count += 1;
-        self.stats.journal_writes += 1;
-        self.journaled.insert(id);
-        Ok(())
+        self.append_journal(id, &pre[..])
     }
 
     /// Commit: flush dirty pages, sync, drop the journal. Read-only
@@ -635,20 +528,8 @@ impl Pager {
         if !self.in_txn {
             return Err(DbError::Storage("commit outside transaction".into()));
         }
-        if !self.txn_dirty() {
-            self.in_txn = false;
-            self.journaled.clear();
-            self.mem_undo.clear();
-            self.txn_start_freelist.clear();
-            return Ok(());
-        }
-        if self.is_memory() {
-            self.write_header()?;
-            self.in_txn = false;
-            self.journaled.clear();
-            self.mem_undo.clear();
-            self.txn_start_freelist.clear();
-            return Ok(());
+        if self.journal.is_none() {
+            return self.end_txn();
         }
         // The commit overwrites pages outside the cache's journal
         // protection: the header and any freelist trunk pages. Fix the
@@ -657,14 +538,12 @@ impl Pager {
         // header chain intact.
         self.plan_spill();
         self.journal_raw_preimage(1)?;
-        let trunks = self.freelist_trunks.clone();
-        for t in trunks {
+        for t in self.freelist_trunks.clone() {
             self.journal_raw_preimage(t)?;
         }
         // Commit point: persist the journal entry count, then sync it.
-        let count = self.journal_count;
         if let Some(j) = self.journal.as_mut() {
-            j.write_at(12, &count.to_le_bytes())?;
+            j.write_at(12, &self.journal_count.to_le_bytes())?;
             j.sync()?;
         }
         self.stats.syncs += 1;
@@ -672,25 +551,14 @@ impl Pager {
         self.write_header()?;
         for slot in &mut self.slots {
             if slot.occupied && slot.dirty {
-                let f = self.file.as_mut().expect("file");
-                f.write_at(u64::from(slot.id - 1) * PAGE_SIZE as u64, &slot.buf[..])?;
+                self.file.write_at(page_offset(slot.id), &slot.buf[..])?;
                 self.stats.page_writes += 1;
                 slot.dirty = false;
             }
         }
-        let f = self.file.as_mut().expect("file");
-        f.sync()?;
+        self.file.sync()?;
         self.stats.syncs += 1;
-        self.journal = None;
-        let vfs = self.vfs.as_mut().expect("vfs");
-        if vfs.exists(&self.journal_name) {
-            vfs.delete(&self.journal_name)?;
-        }
-        self.in_txn = false;
-        self.journaled.clear();
-        self.mem_undo.clear();
-        self.txn_start_freelist.clear();
-        Ok(())
+        self.end_txn()
     }
 
     /// Roll back the current transaction.
@@ -698,43 +566,38 @@ impl Pager {
         if !self.in_txn {
             return Err(DbError::Storage("rollback outside transaction".into()));
         }
-        let start_freelist = std::mem::take(&mut self.txn_start_freelist);
-        if !self.txn_dirty() {
-            // Even a "clean" transaction may have freed pages (memory
-            // mode): restore the freelist it started with.
-            self.freelist = start_freelist;
-            self.in_txn = false;
-            self.journaled.clear();
-            self.mem_undo.clear();
-            return Ok(());
-        }
-        if self.is_memory() {
-            let undo = std::mem::take(&mut self.mem_undo);
-            for (id, pre) in undo {
-                self.mem_pages[id as usize - 1] = pre;
-            }
-            self.freelist = start_freelist;
-        } else {
-            // Restore pre-images from the journal into cache + file.
-            self.replay_journal_into_file()?;
-            // Drop all cached state (simplest correct invalidation).
+        if self.journal.is_some() {
+            // Restore pre-images from the journal into the file, drop all
+            // cached state (simplest correct invalidation), and reload the
+            // page count and freelist the transaction started from. Every
+            // entry is replayed, not only the count the journal's header
+            // holds (written at the commit point): a page evicted dirty
+            // before then is in the file with its change.
+            self.replay_journal_into_file(self.journal_count)?;
             self.slots.clear();
             self.map.clear();
             self.hand = 0;
-            self.journal = None;
-            let vfs = self.vfs.as_mut().expect("vfs");
-            if vfs.exists(&self.journal_name) {
-                vfs.delete(&self.journal_name)?;
-            }
             self.read_header()?;
         }
-        self.n_pages = self.txn_start_n_pages;
-        self.in_txn = false;
+        self.end_txn()
+    }
+
+    /// Close and delete the journal, if one is open, and leave the
+    /// transaction — the one way every commit, rollback and hot-journal
+    /// recovery ends.
+    fn end_txn(&mut self) -> DbResult<()> {
+        if self.journal.take().is_some() && self.vfs.exists(&self.journal_name) {
+            self.vfs.delete(&self.journal_name)?;
+        }
+        self.journal_count = 0;
         self.journaled.clear();
+        self.in_txn = false;
         Ok(())
     }
 
-    fn replay_journal_into_file(&mut self) -> DbResult<()> {
+    /// Write the journal's first `entries` pre-images back into the file
+    /// and truncate it to the page count the journal recorded.
+    fn replay_journal_into_file(&mut self, entries: u32) -> DbResult<()> {
         let Some(j) = self.journal.as_mut() else {
             return Ok(());
         };
@@ -743,46 +606,35 @@ impl Pager {
         if &head[..8] != JOURNAL_MAGIC {
             return Err(DbError::Storage("bad journal header".into()));
         }
-        let n_pages = u32::from_le_bytes(head[8..12].try_into().expect("4"));
-        let count = u32::from_le_bytes(head[12..16].try_into().expect("4"));
         let mut buf = new_page();
-        for i in 0..count {
-            let off = 16 + u64::from(i) * (4 + PAGE_SIZE as u64);
+        for i in 0..entries {
+            let off = journal_entry_offset(i);
             let mut idb = [0u8; 4];
             j.read_at(off, &mut idb)?;
             j.read_at(off + 4, &mut buf[..])?;
             let id = u32::from_le_bytes(idb);
-            let f = self.file.as_mut().expect("file");
-            f.write_at(u64::from(id - 1) * PAGE_SIZE as u64, &buf[..])?;
+            self.file.write_at(page_offset(id), &buf[..])?;
             self.stats.page_writes += 1;
         }
-        let f = self.file.as_mut().expect("file");
-        f.truncate(u64::from(n_pages) * PAGE_SIZE as u64)?;
-        f.sync()?;
+        self.file.truncate(u64::from(le_u32(&head, 8)) * PAGE_SIZE as u64)?;
+        self.file.sync()?;
         Ok(())
     }
 
     /// Crash recovery: a journal file exists from an interrupted
     /// transaction — roll the database back before use.
     fn recover_hot_journal(&mut self) -> DbResult<()> {
-        let vfs = self.vfs.as_mut().expect("vfs");
-        let j = vfs.open(&self.journal_name)?;
-        self.journal = Some(j);
+        let mut j = self.vfs.open(&self.journal_name)?;
         // Only replay if the journal header is complete (a torn journal
         // header means the transaction never reached its commit point and
         // the main file was not yet touched).
-        let ok = {
-            let j = self.journal.as_mut().expect("journal");
-            let mut head = [0u8; 16];
-            j.read_at(0, &mut head).is_ok() && &head[..8] == JOURNAL_MAGIC
-        };
-        if ok {
-            self.replay_journal_into_file()?;
+        let mut head = [0u8; 16];
+        let complete = j.read_at(0, &mut head).is_ok() && &head[..8] == JOURNAL_MAGIC;
+        self.journal = Some(j);
+        if complete {
+            self.replay_journal_into_file(le_u32(&head, 12))?;
         }
-        self.journal = None;
-        let vfs = self.vfs.as_mut().expect("vfs");
-        vfs.delete(&self.journal_name)?;
-        Ok(())
+        self.end_txn()
     }
 
     /// Flush everything (used at clean close).
@@ -807,7 +659,7 @@ mod tests {
 
     #[test]
     fn memory_alloc_write_read() {
-        let mut p = Pager::open_memory();
+        let (mut p, _) = file_pager();
         p.begin().unwrap();
         let id = p.allocate().unwrap();
         p.get_mut(id).unwrap()[0] = 0xAB;
@@ -833,7 +685,7 @@ mod tests {
 
     #[test]
     fn rollback_restores_content_memory() {
-        let mut p = Pager::open_memory();
+        let (mut p, _) = file_pager();
         p.begin().unwrap();
         let id = p.allocate().unwrap();
         p.get_mut(id).unwrap()[0] = 1;
@@ -856,6 +708,30 @@ mod tests {
         assert_eq!(p.get(id).unwrap()[7], 70);
         p.rollback().unwrap();
         assert_eq!(p.get(id).unwrap()[7], 7);
+    }
+
+    /// Pages evicted dirty in the middle of a transaction are in the file
+    /// with their change; a rollback must put every one of them back.
+    #[test]
+    fn rollback_restores_spilled_pages() {
+        let (mut p, _) = file_pager();
+        p.set_cache_pages(16);
+        p.begin().unwrap();
+        let ids: Vec<PageId> = (0..100).map(|_| p.allocate().unwrap()).collect();
+        for (i, &id) in ids.iter().enumerate() {
+            p.get_mut(id).unwrap()[0] = i as u8;
+        }
+        p.commit().unwrap();
+        let written = p.stats.page_writes;
+        p.begin().unwrap();
+        for &id in &ids {
+            p.get_mut(id).unwrap()[0] = 0xEE;
+        }
+        assert!(p.stats.page_writes > written, "the cache spilled mid-transaction");
+        p.rollback().unwrap();
+        for (i, &id) in ids.iter().enumerate() {
+            assert_eq!(p.get(id).unwrap()[0], i as u8, "page {id}");
+        }
     }
 
     #[test]
@@ -897,7 +773,7 @@ mod tests {
             for slot in &p.slots {
                 if slot.occupied && slot.dirty {
                     let off = u64::from(slot.id - 1) * PAGE_SIZE as u64;
-                    p.file.as_mut().unwrap().write_at(off, &slot.buf[..]).unwrap();
+                    p.file.write_at(off, &slot.buf[..]).unwrap();
                 }
             }
             // ... crash: no commit, journal remains.
@@ -936,7 +812,7 @@ mod tests {
 
     #[test]
     fn write_outside_txn_rejected() {
-        let mut p = Pager::open_memory();
+        let (mut p, _) = file_pager();
         p.begin().unwrap();
         let id = p.allocate().unwrap();
         p.commit().unwrap();
@@ -949,7 +825,7 @@ mod tests {
         use std::sync::{Arc, Mutex};
         let touches = Arc::new(Mutex::new(Vec::new()));
         let t2 = touches.clone();
-        let mut p = Pager::open_memory();
+        let (mut p, _) = file_pager();
         p.set_hook(Some(Box::new(move |id, w| t2.lock().unwrap().push((id, w)))));
         p.begin().unwrap();
         let id = p.allocate().unwrap();
@@ -1082,7 +958,7 @@ mod tests {
 
     #[test]
     fn rollback_restores_freelist_memory() {
-        let mut p = Pager::open_memory();
+        let (mut p, _) = file_pager();
         p.begin().unwrap();
         let a = p.allocate().unwrap();
         p.free_page(a).unwrap();

@@ -303,6 +303,7 @@ pub fn load_schema(pager: &mut Pager) -> DbResult<Schema> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::vfs::MemVfs;
 
     fn defs() -> Vec<ColumnDef> {
         vec![
@@ -321,7 +322,7 @@ mod tests {
 
     #[test]
     fn persist_and_load_roundtrip() {
-        let mut p = Pager::open_memory();
+        let mut p = Pager::open_file(Box::new(MemVfs::new()), "schema.db").unwrap();
         p.begin().unwrap();
         init_catalog(&mut p).unwrap();
         let data_root = btree::create_table_tree(&mut p).unwrap();
@@ -367,7 +368,7 @@ mod tests {
 
     #[test]
     fn unpersist_removes() {
-        let mut p = Pager::open_memory();
+        let mut p = Pager::open_file(Box::new(MemVfs::new()), "schema.db").unwrap();
         p.begin().unwrap();
         init_catalog(&mut p).unwrap();
         let data_root = btree::create_table_tree(&mut p).unwrap();

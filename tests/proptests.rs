@@ -140,7 +140,7 @@ proptest! {
     )) {
         use twine::sqldb::btree;
         use twine::sqldb::pager::Pager;
-        let mut p = Pager::open_memory();
+        let mut p = Pager::open_file(Box::new(twine::sqldb::MemVfs::new()), "prop.db").unwrap();
         p.begin().unwrap();
         let root = btree::create_table_tree(&mut p).unwrap();
         let mut model = std::collections::BTreeMap::new();
