@@ -1037,7 +1037,7 @@ impl Cursor {
         }
     }
 
-    /// Statement execution collects its target rowids before it deletes or
+    /// Statement execution collects its target rows before it deletes or
     /// replaces anything, so no cursor is ever moved or read after a page
     /// was freed under it. Every page access of a cursor checks that.
     fn assert_no_page_freed_since_open(&self, pager: &Pager) {

@@ -10,7 +10,7 @@ use crate::record::{
     decode_record, encode_index_key, encode_record, index_key_prefix, index_key_rowid,
 };
 use crate::schema::{self, Column, Index, Schema, Table};
-use crate::sql::{Affinity, BinaryOp, ColumnDef, Expr, FromTable, SelectCol, SelectStmt, Stmt};
+use crate::sql::{Affinity, BinaryOp, ColumnDef, Expr, SelectCol, SelectStmt, Stmt};
 use crate::value::{Row, SqlValue};
 use crate::{DbError, DbResult};
 
@@ -136,17 +136,8 @@ fn create_index(
         root,
     };
     // Populate from existing rows.
-    let mut cursor = Cursor::first(pager, t.root)?;
-    while cursor.valid() {
-        let (rowid, rec) = cursor.table_entry(pager)?;
-        let vals = materialize(&t, rowid, decode_record(&rec)?);
-        let key_vals: Vec<SqlValue> = index.columns.iter().map(|&i| vals[i].clone()).collect();
-        if index.unique {
-            check_unique(pager, &index, &key_vals, None)?;
-        }
-        btree::index_insert(pager, index.root, encode_index_key(&key_vals, rowid))?;
-        cursor.next(pager)?;
-    }
+    let all = Plan::RowidRange { lo: None, hi: None };
+    plan_rows(pager, &t, &all, &mut |pager, rowid, vals| add_index_entry(pager, &index, rowid, &vals, true))?;
     schema::persist_index(pager, &index)?;
     schema.indexes.insert(lower, index);
     Ok(ExecResult::default())
@@ -199,17 +190,35 @@ fn materialize(table: &Table, rowid: i64, mut vals: Vec<SqlValue>) -> Vec<SqlVal
 struct Binding<'t> {
     alias: String,
     table: &'t Table,
+    /// The join's ON condition (none for the first FROM table, nor for
+    /// the one table an UPDATE or DELETE binds).
+    on: Option<&'t Expr>,
 }
+
+/// A table row: its rowid and its materialised values.
+type BoundRow = (i64, Vec<SqlValue>);
 
 /// Evaluation context: one bound row per FROM table, and the statement's
 /// parameters.
 struct RowCtx<'a> {
     bindings: &'a [Binding<'a>],
     params: &'a [SqlValue],
-    /// (rowid, materialised values) per binding; None while unbound.
-    rows: Vec<Option<(i64, Vec<SqlValue>)>>,
+    /// One row per binding; None while unbound.
+    rows: Vec<Option<BoundRow>>,
     /// Aggregate outputs (aggregation phase only), addressed as `#agg.N`.
     agg_values: Vec<SqlValue>,
+}
+
+impl<'a> RowCtx<'a> {
+    /// A context with no row bound.
+    fn new(bindings: &'a [Binding<'a>], params: &'a [SqlValue]) -> Self {
+        Self {
+            bindings,
+            params,
+            rows: vec![None; bindings.len()],
+            agg_values: Vec::new(),
+        }
+    }
 }
 
 impl ColumnResolver for RowCtx<'_> {
@@ -253,8 +262,8 @@ enum Plan {
     /// No row can match (a rowid bound past the `i64` range, or a rowid
     /// equal to a value no integer equals).
     Nothing,
-    FullScan,
     RowidEq(i64),
+    /// Rowids in `lo..=hi`; with neither bound, a full scan.
     RowidRange {
         lo: Option<i64>,
         hi: Option<i64>,
@@ -434,76 +443,98 @@ fn plan_table(
             }
         }
     }
-    Plan::FullScan
+    Plan::RowidRange { lo: None, hi: None }
 }
 
-/// Collect the rowids selected by a plan (filters still applied later).
-fn plan_rowids(pager: &mut Pager, table: &Table, plan: &Plan) -> DbResult<Vec<i64>> {
-    let mut out = Vec::new();
+/// Where a row source hands each row: `(pager, rowid, materialised values)`.
+type RowSink<'s> = dyn FnMut(&mut Pager, i64, Vec<SqlValue>) -> DbResult<()> + 's;
+
+/// Hand each row `plan` selects from `table` to `each`, once and in the
+/// plan's order; WHERE is the caller's. A rowid range reads each row from
+/// the cursor it walks, a rowid equality is one point lookup, and an index
+/// plan looks each rowid up as its index cursor yields it. `each` may read
+/// pages and insert into other trees, but must free none: a cursor is open
+/// while it runs.
+fn plan_rows(
+    pager: &mut Pager,
+    table: &Table,
+    plan: &Plan,
+    each: &mut RowSink<'_>,
+) -> DbResult<()> {
     match plan {
-        Plan::Nothing => {}
-        Plan::FullScan => {
-            let mut c = Cursor::first(pager, table.root)?;
-            while c.valid() {
-                out.push(c.table_entry(pager)?.0);
-                c.next(pager)?;
-            }
-        }
-        // Not probed here: every caller fetches each rowid next and skips
-        // one that is missing, so a point read walks the tree once.
-        Plan::RowidEq(v) => out.push(*v),
+        Plan::Nothing => Ok(()),
+        Plan::RowidEq(rowid) => point_row(pager, table, *rowid, each),
         Plan::RowidRange { lo, hi } => {
             let mut c = Cursor::seek_rowid(pager, table.root, lo.unwrap_or(i64::MIN))?;
             while c.valid() {
-                let (rowid, _) = c.table_entry(pager)?;
-                if let Some(h) = hi {
-                    if rowid > *h {
-                        break;
-                    }
-                }
-                out.push(rowid);
-                c.next(pager)?;
-            }
-        }
-        Plan::IndexEq { index, value } => {
-            let start = encode_index_key(std::slice::from_ref(value), i64::MIN);
-            let end = encode_index_key(std::slice::from_ref(value), i64::MAX);
-            let mut c = Cursor::seek_key(pager, index.root, &start)?;
-            while c.valid() {
-                let key = c.index_entry()?;
-                if key > end.as_slice() {
+                let (rowid, rec) = c.table_entry(pager)?;
+                if hi.is_some_and(|h| rowid > h) {
                     break;
                 }
-                out.push(index_key_rowid(key)?);
+                each(pager, rowid, materialize(table, rowid, decode_record(&rec)?))?;
                 c.next(pager)?;
             }
+            Ok(())
+        }
+        Plan::IndexEq { index, value } => {
+            let first = first_value_key(value);
+            index_rows(pager, table, index, &first, |key| !key.starts_with(&first), each)
         }
         Plan::IndexRange { index, lo, hi } => {
-            let start = match lo {
-                Some(v) => encode_index_key(std::slice::from_ref(v), i64::MIN),
-                None => Vec::new(),
+            let start = lo.as_ref().map_or_else(Vec::new, first_value_key);
+            let end = hi.as_ref().map(first_value_key);
+            // Past the end once the key's first value sorts above `hi`.
+            let past_end = |key: &[u8]| {
+                end.as_ref()
+                    .is_some_and(|e| key > e.as_slice() && !key.starts_with(e))
             };
-            let end = hi
-                .as_ref()
-                .map(|v| encode_index_key(std::slice::from_ref(v), i64::MAX));
-            let mut c = Cursor::seek_key(pager, index.root, &start)?;
-            while c.valid() {
-                let key = c.index_entry()?;
-                if let Some(e) = &end {
-                    // Compare only the first encoded value; multi-column
-                    // keys extend beyond it but sort within the bound.
-                    if index_key_prefix(key) > index_key_prefix(e)
-                        || (!e.is_empty() && key > e.as_slice() && !key.starts_with(index_key_prefix(e)))
-                    {
-                        break;
-                    }
-                }
-                out.push(index_key_rowid(key)?);
-                c.next(pager)?;
-            }
+            index_rows(pager, table, index, &start, past_end, each)
         }
     }
-    Ok(out)
+}
+
+/// `v` encoded as an index key's first value. Each value's encoding ends
+/// itself, so a key starts with it exactly when its first value is `v`,
+/// whatever columns and rowid follow.
+fn first_value_key(v: &SqlValue) -> Vec<u8> {
+    let mut key = encode_index_key(std::slice::from_ref(v), 0);
+    key.truncate(index_key_prefix(&key).len());
+    key
+}
+
+/// Hand row `rowid` of `table` to `each`, if the table holds it.
+fn point_row(
+    pager: &mut Pager,
+    table: &Table,
+    rowid: i64,
+    each: &mut RowSink<'_>,
+) -> DbResult<()> {
+    match btree::table_get(pager, table.root, rowid)? {
+        Some(rec) => each(pager, rowid, materialize(table, rowid, decode_record(&rec)?)),
+        None => Ok(()),
+    }
+}
+
+/// Hand the rows `index` names from `start` on, up to the first key
+/// `past_end` refuses, to `each`.
+fn index_rows(
+    pager: &mut Pager,
+    table: &Table,
+    index: &Index,
+    start: &[u8],
+    past_end: impl Fn(&[u8]) -> bool,
+    each: &mut RowSink<'_>,
+) -> DbResult<()> {
+    let mut c = Cursor::seek_key(pager, index.root, start)?;
+    while c.valid() {
+        let key = c.index_entry()?;
+        if past_end(key) {
+            break;
+        }
+        point_row(pager, table, index_key_rowid(key)?, each)?;
+        c.next(pager)?;
+    }
+    Ok(())
 }
 
 // ---------------------------------------------------------------------
@@ -563,6 +594,26 @@ fn check_unique(
     Ok(())
 }
 
+/// The values `index` keys a row with.
+fn index_key_vals(index: &Index, vals: &[SqlValue]) -> Vec<SqlValue> {
+    index.columns.iter().map(|&i| vals[i].clone()).collect()
+}
+
+fn add_index_entry(
+    pager: &mut Pager,
+    index: &Index,
+    rowid: i64,
+    vals: &[SqlValue],
+    check_uniques: bool,
+) -> DbResult<()> {
+    let key_vals = index_key_vals(index, vals);
+    if check_uniques && index.unique {
+        check_unique(pager, index, &key_vals, None)?;
+    }
+    btree::index_insert(pager, index.root, encode_index_key(&key_vals, rowid))?;
+    Ok(())
+}
+
 fn add_index_entries(
     pager: &mut Pager,
     schema: &Schema,
@@ -572,11 +623,7 @@ fn add_index_entries(
     check_uniques: bool,
 ) -> DbResult<()> {
     for index in schema.indexes_of(&table.name) {
-        let key_vals: Vec<SqlValue> = index.columns.iter().map(|&i| vals[i].clone()).collect();
-        if check_uniques && index.unique {
-            check_unique(pager, index, &key_vals, None)?;
-        }
-        btree::index_insert(pager, index.root, encode_index_key(&key_vals, rowid))?;
+        add_index_entry(pager, index, rowid, vals, check_uniques)?;
     }
     Ok(())
 }
@@ -589,8 +636,7 @@ fn remove_index_entries(
     vals: &[SqlValue],
 ) -> DbResult<()> {
     for index in schema.indexes_of(&table.name) {
-        let key_vals: Vec<SqlValue> = index.columns.iter().map(|&i| vals[i].clone()).collect();
-        btree::index_delete(pager, index.root, &encode_index_key(&key_vals, rowid))?;
+        btree::index_delete(pager, index.root, &encode_index_key(&index_key_vals(index, vals), rowid))?;
     }
     Ok(())
 }
@@ -843,19 +889,20 @@ fn expr_label(e: &Expr) -> String {
     }
 }
 
-/// Enumerate joined rows, invoking `cb` for each complete binding.
-#[allow(clippy::too_many_arguments)] // recursive enumerator threads the full query state
+/// Enumerate joined rows: bind each level's table to the rows its plan
+/// selects ([`plan_rows`]), apply its ON as soon as it is bound, and hand
+/// each complete binding that passes WHERE to `cb`, which may take the
+/// bound rows out of `ctx`.
 fn join_rows(
     pager: &mut Pager,
     schema: &Schema,
-    bindings: &[Binding<'_>],
-    from: &[FromTable],
     where_: Option<&Expr>,
     level: usize,
     ctx: &mut RowCtx<'_>,
-    cb: &mut dyn FnMut(&mut Pager, &RowCtx<'_>) -> DbResult<()>,
+    cb: &mut dyn FnMut(&mut Pager, &mut RowCtx<'_>) -> DbResult<()>,
 ) -> DbResult<()> {
-    if level == bindings.len() {
+    let bindings = ctx.bindings;
+    let Some(binding) = bindings.get(level) else {
         // All bound: apply WHERE.
         if let Some(w) = where_ {
             if !eval(w, ctx)?.is_truthy() {
@@ -863,39 +910,30 @@ fn join_rows(
             }
         }
         return cb(pager, ctx);
-    }
-    let binding = &bindings[level];
+    };
     // Conditions available at this level: the table's ON plus WHERE
     // conjuncts (used for planning only; full filters re-checked later).
-    let mut planning_conjuncts: Vec<&Expr> = Vec::new();
-    if let Some(on) = &from[level].on {
-        planning_conjuncts.extend(conjuncts(on));
-    }
-    if let Some(w) = where_ {
-        planning_conjuncts.extend(conjuncts(w));
-    }
-    let plan = plan_table(binding, schema, &planning_conjuncts, ctx);
-    let rowids = plan_rowids(pager, binding.table, &plan)?;
-    for rowid in rowids {
-        let Some(rec) = btree::table_get(pager, binding.table.root, rowid)? else {
-            continue;
-        };
-        let vals = materialize(binding.table, rowid, decode_record(&rec)?);
+    let planning: Vec<&Expr> = binding.on.into_iter().chain(where_).flat_map(conjuncts).collect();
+    let plan = plan_table(binding, schema, &planning, ctx);
+    plan_rows(pager, binding.table, &plan, &mut |pager, rowid, vals| {
         ctx.rows[level] = Some((rowid, vals));
-        // Apply this level's ON condition as soon as it is evaluable.
-        if let Some(on) = &from[level].on {
-            if !eval(on, ctx)?.is_truthy() {
-                ctx.rows[level] = None;
-                continue;
-            }
+        if binding.on.map_or(Ok(true), |on| eval(on, ctx).map(|v| v.is_truthy()))? {
+            join_rows(pager, schema, where_, level + 1, ctx, &mut *cb)?;
         }
-        join_rows(pager, schema, bindings, from, where_, level + 1, ctx, cb)?;
         ctx.rows[level] = None;
-    }
-    Ok(())
+        Ok(())
+    })
 }
 
-#[allow(clippy::too_many_lines)]
+/// One output row: its ORDER BY keys, and its projected values.
+type OutRow = (Vec<SqlValue>, Row);
+
+fn project(exprs: &[Expr], order_exprs: &[Expr], ctx: &RowCtx<'_>) -> DbResult<OutRow> {
+    let eval_all = |es: &[Expr]| es.iter().map(|e| eval(e, ctx)).collect::<DbResult<Vec<_>>>();
+    let row = eval_all(exprs)?;
+    Ok((eval_all(order_exprs)?, row))
+}
+
 fn select(
     pager: &mut Pager,
     schema: &Schema,
@@ -913,160 +951,61 @@ fn select(
                     .clone()
                     .unwrap_or_else(|| f.name.to_ascii_lowercase()),
                 table: schema.table(&f.name)?,
+                on: f.on.as_ref(),
             })
         })
         .collect::<DbResult<_>>()?;
-    let (labels, exprs, agg_specs) = projection(sel, &bindings)?;
+    let (labels, exprs, mut specs) = projection(sel, &bindings)?;
     // Rewrite aggregates in ORDER BY too (e.g. ORDER BY count(*)).
-    let mut order_specs = agg_specs.clone();
     let order_exprs: Vec<Expr> = sel
         .order_by
         .iter()
-        .map(|(e, _)| rewrite_aggs(e, &mut order_specs))
+        .map(|(e, _)| rewrite_aggs(e, &mut specs))
         .collect();
-    let grouped = !sel.group_by.is_empty() || !order_specs.is_empty();
+    let grouped = !sel.group_by.is_empty() || !specs.is_empty();
 
-    // No FROM: evaluate once.
-    if bindings.is_empty() {
+    // Without aggregation each joined row is projected as it comes; with
+    // it, rows are grouped and accumulated, and each group is projected
+    // from its first row and its aggregates. With no FROM the one empty
+    // binding is one row.
+    let mut out: Vec<OutRow> = Vec::new();
+    let mut groups: Vec<(Vec<AggState>, Vec<Option<BoundRow>>)> = Vec::new();
+    let mut group_of: HashMap<Vec<u8>, usize> = HashMap::new();
+    let mut ctx = RowCtx::new(&bindings, params);
+    join_rows(pager, schema, sel.where_.as_ref(), 0, &mut ctx, &mut |_, ctx| {
+        if !grouped {
+            out.push(project(&exprs, &order_exprs, ctx)?);
+            return Ok(());
+        }
+        let key_vals: Vec<SqlValue> = sel.group_by.iter().map(|e| eval(e, ctx)).collect::<DbResult<_>>()?;
+        let g = *group_of.entry(encode_record(&key_vals)).or_insert_with(|| {
+            groups.push((vec![AggState::new(); specs.len()], ctx.rows.clone()));
+            groups.len() - 1
+        });
+        for (spec, state) in specs.iter().zip(groups[g].0.iter_mut()) {
+            match spec.arg.as_ref().filter(|_| !spec.star) {
+                Some(arg) => state.update(&eval(arg, ctx)?),
+                None => {
+                    state.count += 1;
+                    state.seen = true;
+                }
+            }
+        }
+        Ok(())
+    })?;
+    // Aggregate with no GROUP BY over an empty input: one empty group.
+    if grouped && groups.is_empty() && sel.group_by.is_empty() {
+        groups.push((vec![AggState::new(); specs.len()], vec![None; bindings.len()]));
+    }
+    for (states, rows) in groups {
+        let agg_values = specs.iter().zip(&states).map(|(spec, st)| st.result(spec)).collect();
         let ctx = RowCtx {
             bindings: &bindings,
             params,
-            rows: Vec::new(),
-            agg_values: Vec::new(),
+            rows,
+            agg_values,
         };
-        let row: Row = exprs
-            .iter()
-            .map(|e| eval(e, &ctx))
-            .collect::<DbResult<_>>()?;
-        return Ok(ExecResult {
-            columns: labels,
-            rows: vec![row],
-            affected: 0,
-        });
-    }
-
-    let mut out: Vec<(Vec<SqlValue>, Row)> = Vec::new(); // (order keys, row)
-
-    if grouped {
-        // Aggregation: group rows, accumulate, then project per group.
-        type GroupEntry = (Vec<SqlValue>, Vec<AggState>, Option<(usize, Vec<Option<(i64, Vec<SqlValue>)>>)>);
-        let mut groups: HashMap<Vec<u8>, GroupEntry> = HashMap::new();
-        let mut group_order: Vec<Vec<u8>> = Vec::new();
-        {
-            let mut ctx = RowCtx {
-                bindings: &bindings,
-                params,
-                rows: vec![None; bindings.len()],
-                agg_values: Vec::new(),
-            };
-            let group_by = sel.group_by.clone();
-            let specs = order_specs.clone();
-            join_rows(
-                pager,
-                schema,
-                &bindings,
-                &sel.from,
-                sel.where_.as_ref(),
-                0,
-                &mut ctx,
-                &mut |_pager, ctx| {
-                    let key_vals: Vec<SqlValue> = group_by
-                        .iter()
-                        .map(|e| eval(e, ctx))
-                        .collect::<DbResult<_>>()?;
-                    let key = encode_record(&key_vals);
-                    let entry = groups.entry(key.clone()).or_insert_with(|| {
-                        group_order.push(key);
-                        (
-                            key_vals,
-                            specs.iter().map(|_| AggState::new()).collect(),
-                            Some((0, ctx.rows.clone())),
-                        )
-                    });
-                    for (spec, state) in specs.iter().zip(entry.1.iter_mut()) {
-                        if spec.star {
-                            state.count += 1;
-                            state.seen = true;
-                        } else if let Some(arg) = &spec.arg {
-                            let v = eval(arg, ctx)?;
-                            state.update(&v);
-                        } else {
-                            state.count += 1;
-                            state.seen = true;
-                        }
-                    }
-                    Ok(())
-                },
-            )?;
-        }
-        // Aggregate with no GROUP BY over an empty input: one empty group.
-        if groups.is_empty() && sel.group_by.is_empty() {
-            let key = encode_record(&[]);
-            group_order.push(key.clone());
-            groups.insert(
-                key,
-                (
-                    Vec::new(),
-                    order_specs.iter().map(|_| AggState::new()).collect(),
-                    None,
-                ),
-            );
-        }
-        for key in group_order {
-            let (_, states, rep) = &groups[&key];
-            let agg_values: Vec<SqlValue> = order_specs
-                .iter()
-                .zip(states.iter())
-                .map(|(spec, st)| st.result(spec))
-                .collect();
-            let ctx = RowCtx {
-                bindings: &bindings,
-                params,
-                rows: rep
-                    .as_ref()
-                    .map_or_else(|| vec![None; bindings.len()], |(_, r)| r.clone()),
-                agg_values,
-            };
-            let row: Row = exprs
-                .iter()
-                .map(|e| eval(e, &ctx))
-                .collect::<DbResult<_>>()?;
-            let order_keys: Vec<SqlValue> = order_exprs
-                .iter()
-                .map(|e| eval(e, &ctx))
-                .collect::<DbResult<_>>()?;
-            out.push((order_keys, row));
-        }
-    } else {
-        let mut ctx = RowCtx {
-            bindings: &bindings,
-            params,
-            rows: vec![None; bindings.len()],
-            agg_values: Vec::new(),
-        };
-        let exprs_ref = &exprs;
-        let order_ref = &order_exprs;
-        join_rows(
-            pager,
-            schema,
-            &bindings,
-            &sel.from,
-            sel.where_.as_ref(),
-            0,
-            &mut ctx,
-            &mut |_pager, ctx| {
-                let row: Row = exprs_ref
-                    .iter()
-                    .map(|e| eval(e, ctx))
-                    .collect::<DbResult<_>>()?;
-                let order_keys: Vec<SqlValue> = order_ref
-                    .iter()
-                    .map(|e| eval(e, ctx))
-                    .collect::<DbResult<_>>()?;
-                out.push((order_keys, row));
-                Ok(())
-            },
-        )?;
+        out.push(project(&exprs, &order_exprs, &ctx)?);
     }
 
     // DISTINCT.
@@ -1114,46 +1053,32 @@ fn select(
 // UPDATE / DELETE / ANALYZE
 // ---------------------------------------------------------------------
 
-fn collect_target_rowids(
-    pager: &mut Pager,
-    schema: &Schema,
-    table: &Table,
-    where_: Option<&Expr>,
-    params: &[SqlValue],
-) -> DbResult<Vec<i64>> {
-    let binding = Binding {
+/// The one table an UPDATE or DELETE changes, bound under its own name.
+fn dml_binding(table: &Table) -> Binding<'_> {
+    Binding {
         alias: table.name.clone(),
         table,
-    };
-    let empty_ctx = RowCtx {
-        bindings: std::slice::from_ref(&binding),
-        params,
-        rows: vec![None],
-        agg_values: Vec::new(),
-    };
-    let planning: Vec<&Expr> = where_.map(conjuncts).unwrap_or_default();
-    let plan = plan_table(&binding, schema, &planning, &empty_ctx);
-    let candidates = plan_rowids(pager, table, &plan)?;
-    let mut out = Vec::new();
-    for rowid in candidates {
-        let Some(rec) = btree::table_get(pager, table.root, rowid)? else {
-            continue;
-        };
-        let vals = materialize(table, rowid, decode_record(&rec)?);
-        let ctx = RowCtx {
-            bindings: std::slice::from_ref(&binding),
-            params,
-            rows: vec![Some((rowid, vals))],
-            agg_values: Vec::new(),
-        };
-        let keep = match where_ {
-            Some(w) => eval(w, &ctx)?.is_truthy(),
-            None => true,
-        };
-        if keep {
-            out.push(rowid);
-        }
+        on: None,
     }
+}
+
+/// The rows of `binding`'s table that `where_` keeps, picked as a SELECT
+/// picks them ([`join_rows`]) and all read before the statement changes
+/// anything: no cursor is open when a change frees a page. The statement
+/// holds every matched row's values until it is done.
+fn target_rows(
+    pager: &mut Pager,
+    schema: &Schema,
+    binding: &Binding<'_>,
+    where_: Option<&Expr>,
+    params: &[SqlValue],
+) -> DbResult<Vec<BoundRow>> {
+    let mut out = Vec::new();
+    let mut ctx = RowCtx::new(std::slice::from_ref(binding), params);
+    join_rows(pager, schema, where_, 0, &mut ctx, &mut |_, ctx| {
+        out.extend(ctx.rows[0].take());
+        Ok(())
+    })?;
     Ok(out)
 }
 
@@ -1180,23 +1105,12 @@ fn update(
             Ok((i, e))
         })
         .collect::<DbResult<_>>()?;
-    let rowids = collect_target_rowids(pager, schema, t, where_, params)?;
-    let binding = Binding {
-        alias: t.name.clone(),
-        table: t,
-    };
-    let mut affected = 0;
-    for rowid in rowids {
-        let Some(rec) = btree::table_get(pager, t.root, rowid)? else {
-            continue;
-        };
-        let old_vals = materialize(t, rowid, decode_record(&rec)?);
-        let ctx = RowCtx {
-            bindings: std::slice::from_ref(&binding),
-            params,
-            rows: vec![Some((rowid, old_vals.clone()))],
-            agg_values: Vec::new(),
-        };
+    let binding = dml_binding(t);
+    let targets = target_rows(pager, schema, &binding, where_, params)?;
+    let affected = targets.len() as u64;
+    for (rowid, old_vals) in targets {
+        let mut ctx = RowCtx::new(std::slice::from_ref(&binding), params);
+        ctx.rows[0] = Some((rowid, old_vals.clone()));
         let mut new_vals = old_vals.clone();
         for (i, e) in &set_cols {
             new_vals[*i] = coerce(t.columns[*i].affinity, eval(e, &ctx)?);
@@ -1205,9 +1119,7 @@ fn update(
         // Unique re-checks exclude our own (removed) entries.
         for index in schema.indexes_of(&t.name) {
             if index.unique {
-                let key_vals: Vec<SqlValue> =
-                    index.columns.iter().map(|&i| new_vals[i].clone()).collect();
-                check_unique(pager, index, &key_vals, Some(rowid))?;
+                check_unique(pager, index, &index_key_vals(index, &new_vals), Some(rowid))?;
             }
         }
         add_index_entries(pager, schema, t, rowid, &new_vals, false)?;
@@ -1216,7 +1128,6 @@ fn update(
             stored[i] = SqlValue::Null;
         }
         btree::table_insert(pager, t.root, rowid, &encode_record(&stored))?;
-        affected += 1;
     }
     Ok(ExecResult {
         affected,
@@ -1232,16 +1143,11 @@ fn delete(
     params: &[SqlValue],
 ) -> DbResult<ExecResult> {
     let t = schema.table(table)?;
-    let rowids = collect_target_rowids(pager, schema, t, where_, params)?;
-    let mut affected = 0;
-    for rowid in rowids {
-        let Some(rec) = btree::table_get(pager, t.root, rowid)? else {
-            continue;
-        };
-        let vals = materialize(t, rowid, decode_record(&rec)?);
+    let targets = target_rows(pager, schema, &dml_binding(t), where_, params)?;
+    let affected = targets.len() as u64;
+    for (rowid, vals) in targets {
         remove_index_entries(pager, schema, t, rowid, &vals)?;
         btree::table_delete(pager, t.root, rowid)?;
-        affected += 1;
     }
     Ok(ExecResult {
         affected,

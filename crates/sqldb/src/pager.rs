@@ -10,7 +10,7 @@
 //! cache the paper configures (§V-C). Figure 5b's "sharp increase up to
 //! twice the cache size" behaviour comes from exactly this structure.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 
 use crate::vfs::{Vfs, VfsFile};
 use crate::{DbError, DbResult, PAGE_SIZE};
@@ -109,6 +109,9 @@ pub struct Pager {
     journal: Option<Box<dyn VfsFile>>,
     /// Entries in the open journal (0 while none is open).
     journal_count: u32,
+    /// The entry count the journal's header holds, synced: what a
+    /// hot-journal recovery would replay.
+    journal_synced: u32,
     /// Clock-hand page cache.
     slots: Vec<CacheSlot>,
     map: HashMap<PageId, usize>,
@@ -124,9 +127,9 @@ pub struct Pager {
     pages_freed: u64,
     in_txn: bool,
     /// Pages that need no journal entry before a change: those whose
-    /// pre-image this transaction journaled, and those it allocated (their
-    /// old content is dead).
-    journaled: HashSet<PageId>,
+    /// pre-image this transaction journaled (with the entry's index), and
+    /// those it allocated (`None`: their old content is dead).
+    journaled: HashMap<PageId, Option<u32>>,
     /// The page count the journal truncates the file back to.
     txn_start_n_pages: u32,
     /// Statistics.
@@ -148,6 +151,7 @@ impl Pager {
             journal_name,
             journal: None,
             journal_count: 0,
+            journal_synced: 0,
             slots: Vec::new(),
             map: HashMap::new(),
             hand: 0,
@@ -157,7 +161,7 @@ impl Pager {
             freelist_trunks: Vec::new(),
             pages_freed: 0,
             in_txn: false,
-            journaled: HashSet::new(),
+            journaled: HashMap::new(),
             txn_start_n_pages: 0,
             stats: PagerStats::default(),
             hook: None,
@@ -308,7 +312,7 @@ impl Pager {
             return Err(DbError::Storage("write outside transaction".into()));
         }
         let slot = self.load(id, true)?;
-        if !self.journaled.contains(&id) {
+        if !self.journaled.contains_key(&id) {
             let pre = self.slots[slot].buf.clone();
             self.append_journal(id, &pre[..])?;
         }
@@ -359,17 +363,22 @@ impl Pager {
             }
             // Victim found.
             let id = slot.id;
-            let dirty = slot.dirty;
-            let buf = std::mem::replace(&mut slot.buf, new_page());
-            slot.occupied = false;
-            self.map.remove(&id);
-            if dirty {
+            if slot.dirty {
                 // Spill: legal mid-transaction because the original page is
-                // already in the journal.
-                self.file.write_at(page_offset(id), &buf[..])?;
+                // already in the journal — once the journal's header counts
+                // its entry, as a hot-journal recovery replays only those.
+                // The page leaves the cache only after it reached the file,
+                // so a failed spill leaves it cached and dirty.
+                if self.journaled.get(&id).copied().flatten() >= Some(self.journal_synced) {
+                    self.sync_journal_count()?;
+                }
+                self.file.write_at(page_offset(id), &self.slots[self.hand].buf[..])?;
                 self.stats.page_writes += 1;
             }
-            return Ok(buf);
+            let slot = &mut self.slots[self.hand];
+            slot.occupied = false;
+            self.map.remove(&id);
+            return Ok(std::mem::replace(&mut slot.buf, new_page()));
         }
     }
 
@@ -409,7 +418,9 @@ impl Pager {
             self.n_pages
         };
         self.ensure_journal()?; // growth must be recoverable
-        self.journaled.insert(id); // fresh page: no prior image needed
+        // Fresh page: no prior image needed (unless it was journaled
+        // before this transaction freed it).
+        self.journaled.entry(id).or_insert(None);
         if let Some(&slot) = self.map.get(&id) {
             let slot = &mut self.slots[slot];
             slot.buf.fill(0);
@@ -501,9 +512,26 @@ impl Pager {
         let j = self.ensure_journal()?;
         j.write_at(off, &id.to_le_bytes())?;
         j.write_at(off + 4, pre)?;
+        self.journaled.insert(id, Some(self.journal_count));
         self.journal_count += 1;
         self.stats.journal_writes += 1;
-        self.journaled.insert(id);
+        Ok(())
+    }
+
+    /// Write the journal's entry count into its header and sync it, unless
+    /// the header already holds that count. Before a changed page reaches
+    /// the file — spilled mid-transaction or written at commit — a
+    /// hot-journal recovery must replay its pre-image.
+    fn sync_journal_count(&mut self) -> DbResult<()> {
+        if self.journal_count == self.journal_synced {
+            return Ok(());
+        }
+        let count = self.journal_count;
+        let j = self.ensure_journal()?;
+        j.write_at(12, &count.to_le_bytes())?;
+        j.sync()?;
+        self.stats.syncs += 1;
+        self.journal_synced = count;
         Ok(())
     }
 
@@ -513,7 +541,7 @@ impl Pager {
     /// fresh — are skipped, since their file content is not the
     /// pre-transaction image.
     fn journal_raw_preimage(&mut self, id: PageId) -> DbResult<()> {
-        if self.journaled.contains(&id) {
+        if self.journaled.contains_key(&id) {
             return Ok(());
         }
         let mut pre = new_page();
@@ -542,11 +570,7 @@ impl Pager {
             self.journal_raw_preimage(t)?;
         }
         // Commit point: persist the journal entry count, then sync it.
-        if let Some(j) = self.journal.as_mut() {
-            j.write_at(12, &self.journal_count.to_le_bytes())?;
-            j.sync()?;
-        }
-        self.stats.syncs += 1;
+        self.sync_journal_count()?;
         // Only now mutate the main file: header + trunks, then dirty pages.
         self.write_header()?;
         for slot in &mut self.slots {
@@ -590,6 +614,7 @@ impl Pager {
             self.vfs.delete(&self.journal_name)?;
         }
         self.journal_count = 0;
+        self.journal_synced = 0;
         self.journaled.clear();
         self.in_txn = false;
         Ok(())
@@ -648,6 +673,9 @@ impl Pager {
 
 #[cfg(test)]
 mod tests {
+    use std::sync::atomic::{AtomicBool, Ordering};
+    use std::sync::Arc;
+
     use super::*;
     use crate::vfs::MemVfs;
 
@@ -731,6 +759,145 @@ mod tests {
         p.rollback().unwrap();
         for (i, &id) in ids.iter().enumerate() {
             assert_eq!(p.get(id).unwrap()[0], i as u8, "page {id}");
+        }
+    }
+
+    /// A crash after pages spilled mid-transaction leaves them in the file
+    /// with their change; the hot journal must put every one back, so its
+    /// header must count their entries before they are written.
+    #[test]
+    fn hot_journal_restores_spilled_pages() {
+        let vfs = MemVfs::new();
+        let ids: Vec<PageId>;
+        {
+            let mut p = Pager::open_file(Box::new(vfs.clone()), "spill.db").unwrap();
+            p.set_cache_pages(16);
+            p.begin().unwrap();
+            ids = (0..100).map(|_| p.allocate().unwrap()).collect();
+            for (i, &id) in ids.iter().enumerate() {
+                p.get_mut(id).unwrap()[0] = i as u8;
+            }
+            p.commit().unwrap();
+            let written = p.stats.page_writes;
+            p.begin().unwrap();
+            for &id in &ids {
+                p.get_mut(id).unwrap()[0] = 0xEE;
+            }
+            assert!(p.stats.page_writes > written, "the cache spilled mid-transaction");
+            // Crash: the pager goes without a commit or a rollback.
+        }
+        let mut p = Pager::open_file(Box::new(vfs), "spill.db").unwrap();
+        for (i, &id) in ids.iter().enumerate() {
+            assert_eq!(p.get(id).unwrap()[0], i as u8, "page {id}");
+        }
+    }
+
+    /// A transaction that changes more existing pages than the cache
+    /// holds syncs the journal once per cache-full of spilled pages, not
+    /// once per page: a victim whose entry the header already counts
+    /// needs no sync.
+    #[test]
+    fn spills_sync_only_for_uncounted_entries() {
+        let (mut p, _) = file_pager();
+        p.set_cache_pages(16);
+        p.begin().unwrap();
+        let ids: Vec<PageId> = (0..100).map(|_| p.allocate().unwrap()).collect();
+        p.commit().unwrap();
+        let syncs = p.stats.syncs;
+        p.begin().unwrap();
+        for &id in &ids {
+            p.get_mut(id).unwrap()[0] = 0xEE;
+        }
+        assert_eq!(p.stats.syncs - syncs, 6, "spill syncs");
+        p.commit().unwrap();
+    }
+
+    /// A spill whose journal sync fails leaves the page cached and dirty,
+    /// so the commit that follows still writes it.
+    #[test]
+    fn failed_spill_keeps_the_page() {
+        let vfs = MemVfs::new();
+        let fail = Arc::new(AtomicBool::new(false));
+        let mut p = Pager::open_file(
+            Box::new(FailSync {
+                inner: vfs.clone(),
+                fail: fail.clone(),
+            }),
+            "spill.db",
+        )
+        .unwrap();
+        p.set_cache_pages(16);
+        p.begin().unwrap();
+        let ids: Vec<PageId> = (0..40).map(|_| p.allocate().unwrap()).collect();
+        p.commit().unwrap();
+        p.begin().unwrap();
+        fail.store(true, Ordering::SeqCst);
+        let mut failed = 0;
+        for &id in &ids {
+            if p.get_mut(id).is_err() {
+                failed += 1;
+            }
+            p.get_mut(id).unwrap()[0] = 0xEE;
+        }
+        assert_eq!(failed, 1, "one spill failed");
+        p.commit().unwrap();
+        drop(p);
+        let mut p = Pager::open_file(Box::new(vfs), "spill.db").unwrap();
+        for &id in &ids {
+            assert_eq!(p.get(id).unwrap()[0], 0xEE, "page {id}");
+        }
+    }
+
+    /// A [`MemVfs`] whose next `sync` fails once `fail` is set.
+    struct FailSync {
+        inner: MemVfs,
+        fail: Arc<AtomicBool>,
+    }
+
+    impl Vfs for FailSync {
+        fn open(&mut self, name: &str) -> DbResult<Box<dyn VfsFile>> {
+            Ok(Box::new(FailSyncFile {
+                inner: self.inner.open(name)?,
+                fail: self.fail.clone(),
+            }))
+        }
+
+        fn delete(&mut self, name: &str) -> DbResult<()> {
+            self.inner.delete(name)
+        }
+
+        fn exists(&mut self, name: &str) -> bool {
+            self.inner.exists(name)
+        }
+    }
+
+    struct FailSyncFile {
+        inner: Box<dyn VfsFile>,
+        fail: Arc<AtomicBool>,
+    }
+
+    impl VfsFile for FailSyncFile {
+        fn read_at(&mut self, offset: u64, buf: &mut [u8]) -> DbResult<()> {
+            self.inner.read_at(offset, buf)
+        }
+
+        fn write_at(&mut self, offset: u64, data: &[u8]) -> DbResult<()> {
+            self.inner.write_at(offset, data)
+        }
+
+        fn truncate(&mut self, size: u64) -> DbResult<()> {
+            self.inner.truncate(size)
+        }
+
+        fn sync(&mut self) -> DbResult<()> {
+            if self.fail.swap(false, Ordering::SeqCst) {
+                return Err(DbError::Storage("injected sync failure".into()));
+            }
+            self.inner.sync()
+        }
+
+        fn size(&mut self) -> DbResult<u64> {
+            self.inner.size()
         }
     }
 

@@ -393,13 +393,20 @@ fn page_accesses(db: &mut Connection, sql: &str) -> u64 {
 /// children: 2 rows are one leaf (depth 1), 100 rows sit under one
 /// interior root (depth 2), 2 000 rows need a middle level (depth 3). A
 /// point SELECT, hit or miss, reads one page per level. An UPDATE or
-/// DELETE by rowid reads the row once to test WHERE and once to change
-/// it, walks down again to write the leaf (`depth` + 1 accesses), and its
-/// commit reads the header's pre-image for the journal (1 more); a miss
-/// stops after the first read.
+/// DELETE by rowid reads the row once, to test WHERE and to keep its old
+/// values, walks down again to write the leaf (`depth` + 1 accesses), and
+/// its commit reads the header's pre-image for the journal (1 more); a
+/// miss stops after the first read.
+///
+/// A range scan reads each row from the cursor that walks the leaves, not
+/// again from the root: it reads every page of the tree once, and an
+/// interior page once more for each child the cursor leaves
+/// (`2 × pages − 1`; these sequential inserts leave two rows to a leaf).
+/// Fig. 5's sequential read grows with the leaf count, not with
+/// `rows × depth`.
 #[test]
 fn point_statements_walk_the_tree_once() {
-    for (rows, depth) in [(2u64, 1u64), (100, 2), (2_000, 3)] {
+    for (rows, depth, scan) in [(2u64, 1u64, 1u64), (100, 2, 101), (2_000, 3, 2_013)] {
         let mut db = Connection::open(Box::new(MemVfs::new()), "depth.db").unwrap();
         db.execute("CREATE TABLE kv(a INTEGER PRIMARY KEY, b BLOB)").unwrap();
         db.execute("BEGIN").unwrap();
@@ -407,6 +414,8 @@ fn point_statements_walk_the_tree_once() {
             db.execute(&format!("INSERT INTO kv VALUES ({i}, zeroblob(1000))")).unwrap();
         }
         db.execute("COMMIT").unwrap();
+        let sql = "SELECT sum(length(b)) FROM kv WHERE a >= 0";
+        assert_eq!(page_accesses(&mut db, sql), scan, "{rows} rows: {sql}");
         let (hit, miss) = (rows / 2, rows + 10);
         for k in [hit, miss, 1, rows] {
             let sql = format!("SELECT b FROM kv WHERE a = {k}");
@@ -416,7 +425,7 @@ fn point_statements_walk_the_tree_once() {
             format!("UPDATE kv SET b = zeroblob(1000) WHERE a = {hit}"),
             format!("DELETE FROM kv WHERE a = {}", hit + 1),
         ] {
-            assert_eq!(page_accesses(&mut db, &sql), 3 * depth + 2, "{rows} rows: {sql}");
+            assert_eq!(page_accesses(&mut db, &sql), 2 * depth + 2, "{rows} rows: {sql}");
         }
         for sql in [
             format!("UPDATE kv SET b = zeroblob(1000) WHERE a = {miss}"),
@@ -563,4 +572,74 @@ fn rowid_equality_matches_a_full_scan_near_the_ends_of_exact_reals() {
     assert_eq!(ints(&db.query("SELECT a FROM t WHERE a > 2").unwrap()), [
         EXACT - 1, EXACT, EXACT + 1, EXACT + 2, MAX - 1024
     ]);
+}
+
+/// UPDATE and DELETE change exactly the rows a full scan would: for one
+/// predicate per access plan (rowid equality, rowid range, index
+/// equality, index range — on a one-column and on a two-column index —,
+/// a rowid no row can equal, a comparison no plan takes), the planned statement
+/// and the same statement over `(a + 0)`, `(b || '')` and `(c + 0)`, which
+/// no plan narrows, report the same count and leave the same table, read
+/// in rowid order and through each index.
+#[test]
+fn dml_agrees_with_an_unplannable_rewrite() {
+    fn setup() -> Connection {
+        let mut db = mem();
+        db.execute("CREATE TABLE t(a INTEGER PRIMARY KEY, b TEXT, c INTEGER)").unwrap();
+        db.execute("CREATE INDEX t_b ON t(b)").unwrap();
+        db.execute("CREATE INDEX t_cb ON t(c, b)").unwrap();
+        for a in 1..=40 {
+            let b = if a % 9 == 0 { "NULL".to_string() } else { format!("'k{}'", a % 7) };
+            db.execute(&format!("INSERT INTO t VALUES ({a}, {b}, {})", a * 3 % 11)).unwrap();
+        }
+        db
+    }
+    fn dump(db: &mut Connection) -> [Vec<Vec<SqlValue>>; 3] {
+        let rows = db.query("SELECT a, b, c FROM t").unwrap();
+        let by_b = db.query("SELECT a, b FROM t WHERE b BETWEEN '' AND 'z'").unwrap();
+        let by_cb = db.query("SELECT a, c FROM t WHERE c BETWEEN 0 AND 1000").unwrap();
+        [rows, by_b, by_cb]
+    }
+    for (pred, want) in [
+        ("{a} = 17", 1),
+        ("{a} = 99", 0),
+        ("{a} > 12 AND {a} <= 30", 18),
+        ("{a} BETWEEN 5 AND 9 AND {c} > 3", 4),
+        ("{b} = 'k3'", 6),
+        ("{b} = 'k3' AND {c} < 6", 2),
+        ("{b} BETWEEN 'k2' AND 'k4'", 16),
+        ("{a} = 2.5", 0),
+        ("{a} > 9223372036854775807", 0),
+        ("{c} >= 6", 19),
+        ("{c} = 6", 4),
+        ("{c} BETWEEN 3 AND 5", 11),
+    ] {
+        let planned = pred.replace("{a}", "a").replace("{b}", "b").replace("{c}", "c");
+        let scanned = pred.replace("{a}", "(a + 0)").replace("{b}", "(b || '')").replace("{c}", "(c + 0)");
+        for stmt in ["UPDATE t SET c = c + 100, b = b || '.' WHERE {p}", "DELETE FROM t WHERE {p}"] {
+            let (mut p, mut s) = (setup(), setup());
+            let planned = stmt.replace("{p}", &planned);
+            let scanned = stmt.replace("{p}", &scanned);
+            assert_eq!(s.execute(&scanned).unwrap().affected, want, "{scanned}");
+            assert_eq!(p.execute(&planned).unwrap().affected, want, "{planned}");
+            assert_eq!(dump(&mut p), dump(&mut s), "{planned}");
+        }
+    }
+}
+
+/// A SELECT without FROM is a query over one empty row: WHERE, LIMIT and
+/// aggregates apply to it as to any other (an aggregate panicked, and
+/// WHERE and LIMIT were ignored, while it took a path of its own).
+#[test]
+fn select_without_from_is_one_row() {
+    let mut db = mem();
+    for (sql, want) in [
+        ("SELECT 1 + 1", vec![vec![SqlValue::Int(2)]]),
+        ("SELECT count(*)", vec![vec![SqlValue::Int(1)]]),
+        ("SELECT count(*), max(3) WHERE 0", vec![vec![SqlValue::Int(0), SqlValue::Null]]),
+        ("SELECT 1 WHERE 0", vec![]),
+        ("SELECT 1 LIMIT 0", vec![]),
+    ] {
+        assert_eq!(db.query(sql).unwrap(), want, "{sql}");
+    }
 }
