@@ -6,11 +6,15 @@
 //! An in-memory database is this pager over a fresh
 //! [`MemVfs`](crate::MemVfs), journal included.
 //!
+//! Every page, the header (page 1) and freelist trunks included, moves
+//! through the cache. A page's first change journals its pre-image unless
+//! its content is dead: allocated past the file's end, or long free.
+//!
 //! The cache holds 2048 4-KiB pages by default — the 8 MiB SQLite page
 //! cache the paper configures (§V-C). Figure 5b's "sharp increase up to
 //! twice the cache size" behaviour comes from exactly this structure.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 
 use crate::vfs::{Vfs, VfsFile};
 use crate::{DbError, DbResult, PAGE_SIZE};
@@ -64,18 +68,21 @@ pub fn journal_path(db: &str) -> String {
     format!("{db}-journal")
 }
 
-/// Observation hook: `(page_id, is_write)` for every page access, before
-/// the cache is consulted — the seam the EPC simulator and I/O accounting
-/// attach to. `Send` so a connection (hook included) can be used by
-/// successive caller threads.
+/// Observation hook: `(page_id, is_write)` for every page a caller asks
+/// for through [`Pager::get`] or [`Pager::get_mut`], before the cache is
+/// consulted — the seam the EPC simulator and I/O accounting attach to.
+/// The pager's own header and freelist-trunk accesses are not reported.
+/// `Send` so a connection (hook included) can be used by successive
+/// caller threads.
 pub type PageHook = Box<dyn FnMut(PageId, bool) + Send>;
 
 struct CacheSlot {
+    /// The page held; 0 while the slot is being refilled (and after a
+    /// refill whose read failed), which no lookup maps to.
     id: PageId,
     buf: PageBuf,
     dirty: bool,
     referenced: bool,
-    occupied: bool,
 }
 
 /// I/O statistics (drives the harness' virtual-time I/O model).
@@ -112,7 +119,8 @@ pub struct Pager {
     /// The entry count the journal's header holds, synced: what a
     /// hot-journal recovery would replay.
     journal_synced: u32,
-    /// Clock-hand page cache.
+    /// Clock-hand page cache; every slot holds a page (an evicted slot is
+    /// refilled in place), and `map` finds it by id.
     slots: Vec<CacheSlot>,
     map: HashMap<PageId, usize>,
     hand: usize,
@@ -128,8 +136,11 @@ pub struct Pager {
     in_txn: bool,
     /// Pages that need no journal entry before a change: those whose
     /// pre-image this transaction journaled (with the entry's index), and
-    /// those it allocated (`None`: their old content is dead).
+    /// those it allocated with dead content (`None`).
     journaled: HashMap<PageId, Option<u32>>,
+    /// Pages this transaction freed before journaling them (SQLite's
+    /// `pHasContent`): `allocate` journals one before reusing it.
+    freed: HashSet<PageId>,
     /// The page count the journal truncates the file back to.
     txn_start_n_pages: u32,
     /// Statistics.
@@ -156,12 +167,13 @@ impl Pager {
             map: HashMap::new(),
             hand: 0,
             cache_limit: DEFAULT_CACHE_PAGES,
-            n_pages: 1, // the header page
+            n_pages: 0,
             freelist: Vec::new(),
             freelist_trunks: Vec::new(),
             pages_freed: 0,
             in_txn: false,
             journaled: HashMap::new(),
+            freed: HashSet::new(),
             txn_start_n_pages: 0,
             stats: PagerStats::default(),
             hook: None,
@@ -170,8 +182,10 @@ impl Pager {
             p.recover_hot_journal()?;
         }
         if p.file.size()? == 0 {
-            p.write_header()?;
-            p.file.sync()?;
+            // A fresh file's header is page 1, allocated like any page.
+            p.begin()?;
+            p.allocate()?;
+            p.commit()?;
         } else {
             p.read_header()?;
         }
@@ -219,24 +233,30 @@ impl Pager {
         }
     }
 
+    /// Write the header and the trunk chain into their cache pages, each
+    /// journaled on first touch like a [`Self::get_mut`].
     fn write_header(&mut self) -> DbResult<()> {
         self.plan_spill();
-        let mut buf = new_page();
+        let slot = self.touch(1)?;
+        let buf = &mut self.slots[slot].buf;
+        buf.fill(0);
         buf[..16].copy_from_slice(HEADER_MAGIC);
         buf[16..20].copy_from_slice(&self.n_pages.to_le_bytes());
         let in_header = self.freelist.len().min(MAX_FREELIST);
         buf[20..24].copy_from_slice(&(in_header as u32).to_le_bytes());
         let trunk_head = self.freelist_trunks.first().copied().unwrap_or(0);
         buf[24..28].copy_from_slice(&trunk_head.to_le_bytes());
-        for (i, id) in self.freelist.iter().take(in_header).enumerate() {
+        for (i, id) in self.freelist[..in_header].iter().enumerate() {
             buf[64 + i * 4..64 + i * 4 + 4].copy_from_slice(&id.to_le_bytes());
         }
         // Spill freelist[MAX_FREELIST..] across the trunk chain, in order,
         // so reopen reconstructs the exact allocation order.
-        for (i, &t) in self.freelist_trunks.iter().enumerate() {
+        for i in 0..self.freelist_trunks.len() {
             let lo = (MAX_FREELIST + i * TRUNK_CAP).min(self.freelist.len());
             let hi = (MAX_FREELIST + (i + 1) * TRUNK_CAP).min(self.freelist.len());
-            let mut tb = new_page();
+            let slot = self.touch(self.freelist_trunks[i])?;
+            let tb = &mut self.slots[slot].buf;
+            tb.fill(0);
             tb[..4].copy_from_slice(TRUNK_MAGIC);
             let next = self.freelist_trunks.get(i + 1).copied().unwrap_or(0);
             tb[4..8].copy_from_slice(&next.to_le_bytes());
@@ -244,55 +264,50 @@ impl Pager {
             for (k, id) in self.freelist[lo..hi].iter().enumerate() {
                 tb[12 + k * 4..12 + k * 4 + 4].copy_from_slice(&id.to_le_bytes());
             }
-            // A stale cached copy of this page must not shadow the write.
-            if let Some(slot) = self.map.remove(&t) {
-                self.slots[slot].occupied = false;
-                self.slots[slot].dirty = false;
-            }
-            self.file.write_at(page_offset(t), &tb[..])?;
-            self.stats.page_writes += 1;
         }
-        self.file.write_at(0, &buf[..])?;
-        self.stats.page_writes += 1;
         Ok(())
     }
 
+    /// Load the header and the trunk chain through the cache. The file is
+    /// host-supplied: every free id must name a page past the header and
+    /// within the page count, once across both lists, or the header is
+    /// refused — one page handed to two trees would corrupt both.
     fn read_header(&mut self) -> DbResult<()> {
-        let mut buf = new_page();
-        self.file.read_at(0, &mut buf[..])?;
-        self.stats.page_reads += 1;
-        if &buf[..16] != HEADER_MAGIC {
+        let slot = self.load(1)?;
+        let buf = &self.slots[slot].buf;
+        let n_pages = le_u32(&buf[..], 16);
+        let n_free = le_u32(&buf[..], 20) as usize;
+        if &buf[..16] != HEADER_MAGIC || n_free > MAX_FREELIST {
             return Err(DbError::Storage("bad database header".into()));
         }
-        self.n_pages = le_u32(&buf[..], 16);
-        let n_free = le_u32(&buf[..], 20) as usize;
-        if n_free > MAX_FREELIST {
-            return Err(DbError::Storage("corrupt freelist".into()));
-        }
-        self.freelist = (0..n_free).map(|i| le_u32(&buf[..], 64 + i * 4)).collect();
+        let mut freelist: Vec<PageId> = (0..n_free).map(|i| le_u32(&buf[..], 64 + i * 4)).collect();
+        let mut seen = HashSet::new();
+        let mut fresh = |id: PageId| (2..=n_pages).contains(&id) && seen.insert(id);
         // Walk the overflow trunk chain. A zero head pointer means no
         // overflow — also the value found in pre-chain files, which keeps
         // them readable.
-        self.freelist_trunks.clear();
+        let mut trunks = Vec::new();
         let mut t = le_u32(&buf[..], 24);
-        let mut tb = new_page();
         while t != 0 {
-            if t > self.n_pages || self.freelist_trunks.len() as u32 >= self.n_pages {
+            if !fresh(t) {
                 return Err(DbError::Storage("corrupt freelist trunk chain".into()));
             }
-            self.file.read_at(page_offset(t), &mut tb[..])?;
-            self.stats.page_reads += 1;
-            if &tb[..4] != TRUNK_MAGIC {
+            let slot = self.load(t)?;
+            let tb = &self.slots[slot].buf;
+            let count = le_u32(&tb[..], 8) as usize;
+            if &tb[..4] != TRUNK_MAGIC || count > TRUNK_CAP {
                 return Err(DbError::Storage("corrupt freelist trunk page".into()));
             }
-            let count = le_u32(&tb[..], 8) as usize;
-            if count > TRUNK_CAP {
-                return Err(DbError::Storage("corrupt freelist trunk count".into()));
-            }
-            self.freelist.extend((0..count).map(|k| le_u32(&tb[..], 12 + k * 4)));
-            self.freelist_trunks.push(t);
+            freelist.extend((0..count).map(|k| le_u32(&tb[..], 12 + k * 4)));
+            trunks.push(t);
             t = le_u32(&tb[..], 4);
         }
+        if !freelist.iter().all(|&id| fresh(id)) {
+            return Err(DbError::Storage("corrupt freelist page id".into()));
+        }
+        self.n_pages = n_pages;
+        self.freelist = freelist;
+        self.freelist_trunks = trunks;
         Ok(())
     }
 
@@ -302,7 +317,8 @@ impl Pager {
 
     /// Read-only page view.
     pub fn get(&mut self, id: PageId) -> DbResult<&[u8]> {
-        let slot = self.load(id, false)?;
+        self.observe(id, false)?;
+        let slot = self.load(id)?;
         Ok(&self.slots[slot].buf[..])
     }
 
@@ -311,52 +327,59 @@ impl Pager {
         if !self.in_txn {
             return Err(DbError::Storage("write outside transaction".into()));
         }
-        let slot = self.load(id, true)?;
-        if !self.journaled.contains_key(&id) {
-            let pre = self.slots[slot].buf.clone();
-            self.append_journal(id, &pre[..])?;
-        }
-        let slot = &mut self.slots[slot];
-        slot.dirty = true;
-        Ok(&mut slot.buf[..])
+        self.observe(id, true)?;
+        let slot = self.touch(id)?;
+        Ok(&mut self.slots[slot].buf[..])
     }
 
-    /// Bring page `id` into the cache and return its slot. The hook sees
-    /// every access, hit or miss.
-    fn load(&mut self, id: PageId, for_write: bool) -> DbResult<usize> {
+    /// Check that a caller's page `id` exists and report it to the hook
+    /// (the pager's own header and trunk accesses skip this).
+    fn observe(&mut self, id: PageId, for_write: bool) -> DbResult<()> {
         if id == 0 || id > self.n_pages {
             return Err(DbError::Storage(format!("page {id} out of range")));
         }
         if let Some(h) = self.hook.as_mut() {
             h(id, for_write);
         }
+        Ok(())
+    }
+
+    /// Load page `id` for a change: journal its pre-image on first touch,
+    /// then mark it dirty. Returns its slot.
+    fn touch(&mut self, id: PageId) -> DbResult<usize> {
+        let slot = self.load(id)?;
+        if !self.journaled.contains_key(&id) {
+            let pre = self.slots[slot].buf.clone();
+            self.append_journal(id, &pre[..])?;
+        }
+        self.slots[slot].dirty = true;
+        Ok(slot)
+    }
+
+    /// Bring page `id` into the cache and return its slot.
+    fn load(&mut self, id: PageId) -> DbResult<usize> {
         if let Some(&slot) = self.map.get(&id) {
             self.slots[slot].referenced = true;
             self.stats.cache_hits += 1;
             return Ok(slot);
         }
-        // Miss: read from file into a (possibly evicted) slot.
-        let mut buf = self.take_slot_buf()?;
-        self.file.read_at(page_offset(id), &mut buf[..])?;
+        let slot = self.take_slot()?;
+        self.file.read_at(page_offset(id), &mut self.slots[slot].buf[..])?;
         self.stats.page_reads += 1;
-        Ok(self.insert_slot(id, buf, false))
+        Ok(self.fill_slot(slot, id))
     }
 
-    /// Obtain a free buffer, evicting if the cache is full.
-    fn take_slot_buf(&mut self) -> DbResult<PageBuf> {
-        if self.map.len() < self.cache_limit {
-            return Ok(new_page());
+    /// A slot to refill, unmapped and clean: a new one while the cache has
+    /// room, else the clock's victim, written back first if dirty.
+    fn take_slot(&mut self) -> DbResult<usize> {
+        if self.slots.len() < self.cache_limit {
+            self.slots.push(CacheSlot { id: 0, buf: new_page(), dirty: false, referenced: false });
+            return Ok(self.slots.len() - 1);
         }
         // Clock (second chance) eviction.
         loop {
-            if self.slots.is_empty() {
-                return Ok(new_page());
-            }
             self.hand = (self.hand + 1) % self.slots.len();
             let slot = &mut self.slots[self.hand];
-            if !slot.occupied {
-                continue;
-            }
             if slot.referenced {
                 slot.referenced = false;
                 continue;
@@ -372,34 +395,29 @@ impl Pager {
                 if self.journaled.get(&id).copied().flatten() >= Some(self.journal_synced) {
                     self.sync_journal_count()?;
                 }
-                self.file.write_at(page_offset(id), &self.slots[self.hand].buf[..])?;
-                self.stats.page_writes += 1;
+                self.write_back(self.hand)?;
             }
-            let slot = &mut self.slots[self.hand];
-            slot.occupied = false;
+            self.slots[self.hand].id = 0;
             self.map.remove(&id);
-            return Ok(std::mem::replace(&mut slot.buf, new_page()));
+            return Ok(self.hand);
         }
     }
 
-    /// Cache `buf` as page `id` in the first free slot; returns the slot.
-    fn insert_slot(&mut self, id: PageId, buf: PageBuf, dirty: bool) -> usize {
-        let slot = CacheSlot {
-            id,
-            buf,
-            dirty,
-            referenced: true,
-            occupied: true,
-        };
-        let i = if let Some(i) = self.slots.iter().position(|s| !s.occupied) {
-            self.slots[i] = slot;
-            i
-        } else {
-            self.slots.push(slot);
-            self.slots.len() - 1
-        };
-        self.map.insert(id, i);
-        i
+    /// Map `slot`, just filled, to page `id`; returns the slot.
+    fn fill_slot(&mut self, slot: usize, id: PageId) -> usize {
+        self.slots[slot].id = id;
+        self.slots[slot].referenced = true;
+        self.map.insert(id, slot);
+        slot
+    }
+
+    /// Write the dirty page in `slot` to the file; it is clean after.
+    fn write_back(&mut self, slot: usize) -> DbResult<()> {
+        let s = &mut self.slots[slot];
+        self.file.write_at(page_offset(s.id), &s.buf[..])?;
+        s.dirty = false;
+        self.stats.page_writes += 1;
+        Ok(())
     }
 
     // ------------------------------------------------------------------
@@ -418,19 +436,25 @@ impl Pager {
             self.n_pages
         };
         self.ensure_journal()?; // growth must be recoverable
-        // Fresh page: no prior image needed (unless it was journaled
-        // before this transaction freed it).
-        self.journaled.entry(id).or_insert(None);
-        if let Some(&slot) = self.map.get(&id) {
-            let slot = &mut self.slots[slot];
-            slot.buf.fill(0);
-            slot.dirty = true;
-            slot.referenced = true;
-        } else {
-            let mut buf = self.take_slot_buf()?;
-            buf.fill(0);
-            self.insert_slot(id, buf, true);
+        if self.freed.remove(&id) {
+            // Freed by this transaction with its pre-transaction content:
+            // journal that first, as a first `get_mut` would.
+            self.touch(id)?;
         }
+        // Otherwise fresh or free since before the transaction: its old
+        // content is dead and needs no pre-image.
+        self.journaled.entry(id).or_insert(None);
+        let slot = match self.map.get(&id) {
+            Some(&slot) => slot,
+            None => {
+                let slot = self.take_slot()?;
+                self.fill_slot(slot, id)
+            }
+        };
+        let slot = &mut self.slots[slot];
+        slot.buf.fill(0);
+        slot.dirty = true;
+        slot.referenced = true;
         Ok(id)
     }
 
@@ -447,6 +471,9 @@ impl Pager {
         // The freelist change must reach the header at commit even if no
         // page content was modified this transaction.
         self.ensure_journal()?;
+        if !self.journaled.contains_key(&id) {
+            self.freed.insert(id);
+        }
         self.freelist.push(id);
         self.pages_freed += 1;
         Ok(())
@@ -535,23 +562,9 @@ impl Pager {
         Ok(())
     }
 
-    /// Journal the on-disk pre-image of `id` straight from the file (used
-    /// for pages the commit itself overwrites: the header and freelist
-    /// trunks). Pages the transaction already journaled — or allocated
-    /// fresh — are skipped, since their file content is not the
-    /// pre-transaction image.
-    fn journal_raw_preimage(&mut self, id: PageId) -> DbResult<()> {
-        if self.journaled.contains_key(&id) {
-            return Ok(());
-        }
-        let mut pre = new_page();
-        self.file.read_at(page_offset(id), &mut pre[..])?;
-        self.stats.page_reads += 1;
-        self.append_journal(id, &pre[..])
-    }
-
-    /// Commit: flush dirty pages, sync, drop the journal. Read-only
-    /// transactions commit for free.
+    /// Commit: header into the cache, sync the journal's count (the commit
+    /// point), write every dirty page, sync the file, drop the journal.
+    /// Read-only transactions commit for free.
     pub fn commit(&mut self) -> DbResult<()> {
         if !self.in_txn {
             return Err(DbError::Storage("commit outside transaction".into()));
@@ -559,25 +572,11 @@ impl Pager {
         if self.journal.is_none() {
             return self.end_txn();
         }
-        // The commit overwrites pages outside the cache's journal
-        // protection: the header and any freelist trunk pages. Fix the
-        // trunk layout now and journal their pre-images so an interrupted
-        // commit (hot-journal replay) or a rollback restores the previous
-        // header chain intact.
-        self.plan_spill();
-        self.journal_raw_preimage(1)?;
-        for t in self.freelist_trunks.clone() {
-            self.journal_raw_preimage(t)?;
-        }
-        // Commit point: persist the journal entry count, then sync it.
-        self.sync_journal_count()?;
-        // Only now mutate the main file: header + trunks, then dirty pages.
         self.write_header()?;
-        for slot in &mut self.slots {
-            if slot.occupied && slot.dirty {
-                self.file.write_at(page_offset(slot.id), &slot.buf[..])?;
-                self.stats.page_writes += 1;
-                slot.dirty = false;
+        self.sync_journal_count()?;
+        for slot in 0..self.slots.len() {
+            if self.slots[slot].dirty {
+                self.write_back(slot)?;
             }
         }
         self.file.sync()?;
@@ -591,12 +590,11 @@ impl Pager {
             return Err(DbError::Storage("rollback outside transaction".into()));
         }
         if self.journal.is_some() {
-            // Restore pre-images from the journal into the file, drop all
-            // cached state (simplest correct invalidation), and reload the
-            // page count and freelist the transaction started from. Every
-            // entry is replayed, not only the count the journal's header
-            // holds (written at the commit point): a page evicted dirty
-            // before then is in the file with its change.
+            // Restore pre-images from the journal into the file, drop the
+            // cache, and reload the header the transaction started from.
+            // Every entry is replayed, not only the count the journal's
+            // header holds: a page evicted dirty before the commit point
+            // is in the file with its change.
             self.replay_journal_into_file(self.journal_count)?;
             self.slots.clear();
             self.map.clear();
@@ -616,6 +614,7 @@ impl Pager {
         self.journal_count = 0;
         self.journal_synced = 0;
         self.journaled.clear();
+        self.freed.clear();
         self.in_txn = false;
         Ok(())
     }
@@ -938,7 +937,7 @@ mod tests {
                 j.write_at(12, &count.to_le_bytes()).unwrap();
             }
             for slot in &p.slots {
-                if slot.occupied && slot.dirty {
+                if slot.dirty {
                     let off = u64::from(slot.id - 1) * PAGE_SIZE as u64;
                     p.file.write_at(off, &slot.buf[..]).unwrap();
                 }
@@ -1136,5 +1135,99 @@ mod tests {
         p.begin().unwrap();
         assert_eq!(p.allocate().unwrap(), a, "rollback returned the page to the freelist");
         p.commit().unwrap();
+    }
+
+    /// A page this transaction freed still holds its pre-transaction
+    /// content until it is reused: `allocate` must journal it, or once the
+    /// cache spills it a rollback leaves the transaction's bytes in it.
+    #[test]
+    fn reusing_a_page_freed_this_transaction_journals_it() {
+        let (mut p, _) = file_pager();
+        p.set_cache_pages(16);
+        p.begin().unwrap();
+        let ids: Vec<PageId> = (0..40).map(|_| p.allocate().unwrap()).collect();
+        for &id in &ids {
+            p.get_mut(id).unwrap()[0] = 7;
+        }
+        p.commit().unwrap();
+        p.begin().unwrap();
+        p.free_page(ids[0]).unwrap();
+        assert_eq!(p.allocate().unwrap(), ids[0]);
+        for &id in &ids {
+            p.get_mut(id).unwrap()[0] = 0xEE;
+        }
+        p.rollback().unwrap();
+        for &id in &ids {
+            assert_eq!(p.get(id).unwrap()[0], 7, "page {id}");
+        }
+    }
+
+    /// A page free since before the transaction holds dead content:
+    /// reusing it journals nothing, so a transaction that allocates only
+    /// such pages journals the header alone.
+    #[test]
+    fn reusing_long_free_pages_journals_only_the_header() {
+        let (mut p, _) = file_pager();
+        p.set_cache_pages(16);
+        p.begin().unwrap();
+        let ids: Vec<PageId> = (0..40).map(|_| p.allocate().unwrap()).collect();
+        for &id in &ids {
+            p.free_page(id).unwrap();
+        }
+        p.commit().unwrap();
+        let before = p.stats.journal_writes;
+        p.begin().unwrap();
+        for _ in &ids {
+            let id = p.allocate().unwrap();
+            p.get_mut(id).unwrap()[0] = 1;
+        }
+        p.commit().unwrap();
+        assert_eq!(p.stats.journal_writes - before, 1);
+    }
+
+    /// A header whose freelist or trunk chain names the header, a page
+    /// past the end, or one page twice is refused: reusing such an id
+    /// would hand one page to two trees.
+    #[test]
+    fn forged_freelists_are_storage_errors() {
+        let vfs = MemVfs::new();
+        let mut p = Pager::open_file(Box::new(vfs.clone()), "f.db").unwrap();
+        p.begin().unwrap();
+        let ids: Vec<PageId> = (0..MAX_FREELIST + 20).map(|_| p.allocate().unwrap()).collect();
+        for &id in &ids {
+            p.free_page(id).unwrap();
+        }
+        p.commit().unwrap();
+        assert_eq!(p.freelist_trunk_pages(), 1);
+        let n = p.page_count();
+        drop(p);
+        let mut f = vfs.clone().open("f.db").unwrap();
+        let mut image = vec![0u8; f.size().unwrap() as usize];
+        f.read_at(0, &mut image).unwrap();
+        let trunk = le_u32(&image, 24) as usize;
+        let (free0, trunk0) = (64, page_offset(trunk as PageId) as usize + 12);
+        let head_id = le_u32(&image, free0);
+        let forgeries: [(&str, usize, u32); 9] = [
+            ("free id 0", free0, 0),
+            ("free id 1", free0, 1),
+            ("free id past the end", free0, n + 1),
+            ("free id twice", free0 + 4, head_id),
+            ("free id that is the trunk", free0, trunk as u32),
+            ("trunk id also in the header", trunk0, head_id),
+            ("trunk chain cycle", trunk0 - 8, trunk as u32),
+            ("trunk head 1", 24, 1),
+            ("trunk head past the end", 24, n + 1),
+        ];
+        for (what, at, id) in forgeries {
+            let forged = MemVfs::new();
+            let mut bytes = image.clone();
+            bytes[at..at + 4].copy_from_slice(&id.to_le_bytes());
+            forged.clone().open("f.db").unwrap().write_at(0, &bytes).unwrap();
+            let opened = Pager::open_file(Box::new(forged), "f.db");
+            assert!(matches!(opened, Err(DbError::Storage(_))), "{what}");
+        }
+        let honest = MemVfs::new();
+        honest.clone().open("f.db").unwrap().write_at(0, &image).unwrap();
+        assert!(Pager::open_file(Box::new(honest), "f.db").is_ok());
     }
 }

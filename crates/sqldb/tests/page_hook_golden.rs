@@ -1,10 +1,13 @@
 //! Golden digest of the page-hook stream of an in-memory connection.
 //!
 //! The page hook is what Fig. 5's EPC model sees of a database: every
-//! `(page, is_write)` the pager is asked for, before its cache is
-//! consulted. This test runs one fixed script on
-//! `Connection::open_memory()` — a table and a unique index, enough 3 KiB
-//! rows (each spills an overflow page) to pass the 2 048-page cache,
+//! `(page, is_write)` a caller asks the pager for through `get` and
+//! `get_mut`, before its cache is consulted. The pager's own reads and
+//! writes of the header and the freelist trunk pages are not in the
+//! stream, though those pages pass through the same cache. This test
+//! runs one fixed script on `Connection::open_memory()` — a table and a
+//! unique index, enough 3 KiB rows (each spills an overflow page) to pass
+//! the 2 048-page cache,
 //! UPDATEs that shrink rows and free their overflow pages, DELETEs,
 //! inserts that reuse the freed pages, a multi-row INSERT that fails on
 //! its unique index after changing pages, a BEGIN … ROLLBACK, and DROP

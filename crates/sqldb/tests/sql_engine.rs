@@ -395,7 +395,7 @@ fn page_accesses(db: &mut Connection, sql: &str) -> u64 {
 /// point SELECT, hit or miss, reads one page per level. An UPDATE or
 /// DELETE by rowid reads the row once, to test WHERE and to keep its old
 /// values, walks down again to write the leaf (`depth` + 1 accesses), and
-/// its commit reads the header's pre-image for the journal (1 more); a
+/// its commit loads the header page to rewrite it (1 more); a
 /// miss stops after the first read.
 ///
 /// A range scan reads each row from the cursor that walks the leaves, not
@@ -642,4 +642,66 @@ fn select_without_from_is_one_row() {
     ] {
         assert_eq!(db.query(sql).unwrap(), want, "{sql}");
     }
+}
+
+/// Row `a` of `big`: 3 KiB of text, which spills an overflow page.
+fn big_text(a: i64) -> String {
+    format!("{a:06}").repeat(512)
+}
+
+fn big_rows() -> Vec<Vec<SqlValue>> {
+    (1..=200).map(|a| vec![SqlValue::Int(a), SqlValue::Text(big_text(a))]).collect()
+}
+
+/// A database on `vfs` holding `big`, behind a 16-page cache.
+fn with_big_table(vfs: &MemVfs) -> Connection {
+    let mut db = Connection::open(Box::new(vfs.clone()), "reuse.db").unwrap();
+    db.set_cache_pages(16);
+    db.execute("CREATE TABLE big(a INTEGER PRIMARY KEY, b TEXT)").unwrap();
+    db.execute("BEGIN").unwrap();
+    for a in 1..=200 {
+        db.execute(&format!("INSERT INTO big VALUES ({a}, '{}')", big_text(a))).unwrap();
+    }
+    db.execute("COMMIT").unwrap();
+    db
+}
+
+/// Drop `big` and fill the pages it freed with a new table's rows, far
+/// more pages than the cache holds, inside one open transaction.
+fn drop_and_reuse(db: &mut Connection) {
+    db.execute("BEGIN").unwrap();
+    db.execute("DROP TABLE big").unwrap();
+    db.execute("CREATE TABLE x(a INTEGER PRIMARY KEY, b BLOB)").unwrap();
+    for a in 1..=200 {
+        db.execute(&format!("INSERT INTO x VALUES ({a}, zeroblob(3072))")).unwrap();
+    }
+}
+
+fn assert_big_intact(db: &mut Connection) {
+    assert_eq!(db.query("SELECT a, b FROM big ORDER BY a").unwrap(), big_rows());
+    assert!(db.query("SELECT a FROM x").is_err(), "x was never committed");
+}
+
+/// A transaction that frees pages and then reuses them holds their
+/// pre-transaction content only in the file once the cache spills them;
+/// a rollback puts every one back.
+#[test]
+fn rollback_restores_pages_freed_and_reused_in_one_transaction() {
+    let vfs = MemVfs::new();
+    let mut db = with_big_table(&vfs);
+    drop_and_reuse(&mut db);
+    db.execute("ROLLBACK").unwrap();
+    assert_big_intact(&mut db);
+}
+
+/// The same transaction cut by a crash: the hot journal puts every freed
+/// and reused page back when the database is reopened.
+#[test]
+fn hot_journal_restores_pages_freed_and_reused_in_one_transaction() {
+    let vfs = MemVfs::new();
+    let mut db = with_big_table(&vfs);
+    drop_and_reuse(&mut db);
+    drop(db); // crash: no COMMIT, no ROLLBACK, the journal stays
+    let mut db = Connection::open(Box::new(vfs), "reuse.db").unwrap();
+    assert_big_intact(&mut db);
 }
