@@ -4,22 +4,28 @@
 //! values spill).
 //!
 //! One parser reads the node format, `NodeReader`, over the page bytes
-//! in place. Lookups, seeks and cursor moves walk interior pages with it
-//! and never decode them (`descend`); a point lookup copies out only the
-//! cell it matched. `Node::decode` is a collect over the same reader,
-//! used by the code that changes pages (insert, delete, free) and for a
-//! cursor's current leaf. Pages may come from the host
-//! (`FsChoice::UntrustedHost`), so the reader refuses keys that are not
-//! strictly ascending — within a page, and from one leaf a cursor leaves
-//! to the next it reaches — every descent stops at `MAX_DEPTH` levels,
-//! and freeing a tree refuses a page it already freed: a forged page is a
-//! `DbError::Storage`, never a wrong answer, a hang, a stack overflow or a
-//! page handed out twice.
+//! in place. `Node::decode` is a collect over it, used by the code that
+//! changes pages (insert, delete, free) and for a cursor's current leaf.
+//! Pages may come from the host (`FsChoice::UntrustedHost`), so the reader
+//! refuses keys that are not strictly ascending — within a page, and from
+//! one leaf a cursor leaves to the next it reaches — every descent stops
+//! at `MAX_DEPTH` levels, and freeing a tree refuses a page it already
+//! freed: a forged page is a `DbError::Storage`, never a wrong answer, a
+//! hang, a stack overflow or a page handed out twice.
+//!
+//! Reads check a page once, when its bytes enter or change in the pager's
+//! cache: `index_page` runs the reader over every entry and records where
+//! each interior entry starts, and the pager keeps that index beside the
+//! bytes and drops it when they are reloaded or changed
+//! ([`Pager::get_indexed`]). Lookups, seeks and cursor moves then pick
+//! each child by bisection over the index (`descend`, `pick`) and never
+//! decode an interior page; a point lookup parses its leaf only up to the
+//! cell it wants and copies out only a match.
 
 use std::collections::HashSet;
 
 use crate::pager::{PageId, Pager};
-use crate::record::{read_varint, write_varint};
+use crate::record::read_varint;
 use crate::{DbError, DbResult, PAGE_SIZE};
 
 const TABLE_LEAF: u8 = 0x0D;
@@ -208,10 +214,16 @@ impl Writer<'_> {
         self.out[self.pos..self.pos + 4].copy_from_slice(&v.to_le_bytes());
         self.pos += 4;
     }
-    fn varint(&mut self, v: u64) {
-        let mut tmp = Vec::with_capacity(10);
-        write_varint(&mut tmp, v);
-        self.bytes(&tmp);
+    /// [`crate::record::write_varint`]'s encoding, written in place.
+    fn varint(&mut self, mut v: u64) {
+        loop {
+            let b = (v & 0x7F) as u8;
+            v >>= 7;
+            if v == 0 {
+                return self.u8(b);
+            }
+            self.u8(b | 0x80);
+        }
     }
     fn bytes(&mut self, b: &[u8]) {
         self.out[self.pos..self.pos + b.len()].copy_from_slice(b);
@@ -261,9 +273,10 @@ impl<'a> Reader<'a> {
 /// cells, index-leaf keys, or an interior page's `(child, separator)`
 /// pairs followed by its last child. Every read is bounds-checked, and a
 /// key that is not strictly above the one before it is refused: a lookup
-/// that picks the first separator ≥ its key, or stops at the first cell
-/// that matches, is only right on an ordered page, and a page from the
-/// host may be in any order.
+/// that bisects for the first separator ≥ its key, or stops at the first
+/// cell at or above it, is only right on an ordered page, and a page from
+/// the host may be in any order. [`index_page`] runs it over a whole page
+/// before any lookup relies on that order.
 struct NodeReader<'a> {
     r: Reader<'a>,
     ty: u8,
@@ -404,59 +417,99 @@ fn too_deep() -> DbError {
     DbError::Storage(format!("B-tree deeper than {MAX_DEPTH} levels (a page cycle)"))
 }
 
-/// Read one node in place — every entry, so the page is checked exactly
-/// as [`Node::decode`] checks it — and pick the child `toward` leads to:
-/// `None` at a leaf, else `(index, child page)`.
-fn step(page: &[u8], toward: Toward<'_>) -> DbResult<Option<(usize, PageId)>> {
+/// Check a page and index it, for [`Pager::get_indexed`]: read every entry
+/// with [`NodeReader`] — so a page is accepted or refused exactly as
+/// [`Node::decode`] accepts or refuses it — and record where each
+/// `(child, separator)` of an interior page starts, then where its last
+/// child does. A leaf's index is empty.
+fn index_page(page: &[u8]) -> DbResult<Vec<u16>> {
     let mut r = NodeReader::new(page)?;
-    let n = r.len;
-    let mut pick = None;
-    match (r.ty, toward) {
+    let mut index = Vec::new();
+    match r.ty {
+        TABLE_LEAF => {
+            for _ in 0..r.len {
+                r.cell()?;
+            }
+        }
+        INDEX_LEAF => {
+            for _ in 0..r.len {
+                r.key()?;
+            }
+        }
+        // An interior page: `NodeReader::new` refused every other type.
+        ty => {
+            index.reserve_exact(r.len + 1);
+            for _ in 0..r.len {
+                index.push(r.r.pos as u16);
+                if ty == TABLE_INTERIOR {
+                    r.table_sep()?;
+                } else {
+                    r.index_sep()?;
+                }
+            }
+            index.push(r.r.pos as u16);
+            r.last_child()?;
+        }
+    }
+    Ok(index)
+}
+
+/// The first `i < n` at which `at_least(i)` holds, or `n`, by bisection:
+/// `at_least` must be false and then true along `0..n`.
+fn first_at_least(n: usize, mut at_least: impl FnMut(usize) -> DbResult<bool>) -> DbResult<usize> {
+    let (mut lo, mut hi) = (0, n);
+    while lo < hi {
+        let mid = lo + (hi - lo) / 2;
+        if at_least(mid)? {
+            hi = mid;
+        } else {
+            lo = mid + 1;
+        }
+    }
+    Ok(lo)
+}
+
+/// Pick the child `toward` leads to on a page and the `index` that
+/// [`index_page`] made of it: `None` at a leaf, else `(index, child
+/// page)`. A rowid or key takes the first separator ≥ it (the last child
+/// when there is none), found by bisection — right because the page's
+/// separators were checked strictly ascending when its bytes entered the
+/// cache; `Child` and `Last` pick by position.
+fn pick(page: &[u8], index: &[u16], toward: Toward<'_>) -> DbResult<Option<(usize, PageId)>> {
+    // A reader at entry `i`; entry `n` is the last child.
+    let entry = |i: usize| Reader { data: page, pos: usize::from(index[i]) };
+    let n = index.len().saturating_sub(1);
+    let at = match (page[0], toward) {
         (TABLE_LEAF, Toward::Rowid(_) | Toward::Child(_) | Toward::Last)
         | (INDEX_LEAF, Toward::Key(_) | Toward::Child(_)) => return Ok(None),
-        (TABLE_INTERIOR, Toward::Rowid(_) | Toward::Child(_) | Toward::Last) => {
-            for i in 0..n {
-                let (child, key) = r.table_sep()?;
-                let here = match toward {
-                    Toward::Rowid(rowid) => key >= rowid,
-                    Toward::Child(c) => c == i,
-                    _ => false,
-                };
-                if here && pick.is_none() {
-                    pick = Some((i, child));
-                }
-            }
-        }
-        (INDEX_INTERIOR, Toward::Key(_) | Toward::Child(_)) => {
-            for i in 0..n {
-                let (child, key) = r.index_sep()?;
-                let here = match toward {
-                    Toward::Key(target) => key >= target,
-                    Toward::Child(c) => c == i,
-                    _ => false,
-                };
-                if here && pick.is_none() {
-                    pick = Some((i, child));
-                }
-            }
-        }
+        (TABLE_INTERIOR, Toward::Rowid(rowid)) => first_at_least(n, |i| {
+            let mut r = entry(i);
+            r.u32()?;
+            Ok(r.varint()? as i64 >= rowid)
+        })?,
+        (INDEX_INTERIOR, Toward::Key(target)) => first_at_least(n, |i| {
+            let mut r = entry(i);
+            r.u32()?;
+            let len = r.varint()? as usize;
+            Ok(r.take(len)? >= target)
+        })?,
+        (TABLE_INTERIOR | INDEX_INTERIOR, Toward::Child(c)) => c.min(n),
+        (TABLE_INTERIOR, Toward::Last) => n,
         _ => {
-            // Refused for its type; a page that is malformed as well
-            // reports that first, as it would to the code that decodes it.
-            Node::decode(page)?;
             let tree = if let Toward::Key(_) = toward { "not an index tree" } else { "not a table tree" };
             return Err(DbError::Storage(tree.into()));
         }
-    }
-    let last = r.last_child()?;
-    Ok(Some(pick.unwrap_or((n, last))))
+    };
+    Ok(Some((at, entry(at).u32()?)))
 }
 
-/// Walk from `page` down to a leaf along `toward`, reading each interior
-/// page in place, and hand the leaf's id and bytes to `at_leaf` — one
-/// page access per level. When `path` is given (a cursor's stack), each
-/// `(page, child index)` taken is pushed onto it and the levels already on
-/// it count toward [`MAX_DEPTH`].
+/// Walk from `page` down to a leaf along `toward`, picking each child in
+/// place with [`pick`], and hand the leaf's id and bytes to `at_leaf` —
+/// one page access per level. Each page, the leaf included, is checked
+/// once, by [`index_page`], when its bytes enter or change in the cache.
+/// When `path` is given (a cursor's stack), each `(page, child index)`
+/// taken is pushed onto it and the levels already on it count toward
+/// [`MAX_DEPTH`].
 fn descend<R>(
     pager: &mut Pager,
     mut page: PageId,
@@ -466,8 +519,8 @@ fn descend<R>(
 ) -> DbResult<R> {
     let above = path.as_ref().map_or(0, |p| p.len());
     for _ in above..MAX_DEPTH {
-        let bytes = pager.get(page)?;
-        let Some((idx, child)) = step(bytes, toward)? else {
+        let (bytes, index) = pager.get_indexed(page, index_page)?;
+        let Some((idx, child)) = pick(bytes, index, toward)? else {
             return at_leaf(page, bytes);
         };
         if let Some(p) = path.as_deref_mut() {
@@ -830,19 +883,19 @@ fn split_point(sizes: impl Iterator<Item = usize>) -> usize {
 // ---------------------------------------------------------------------
 
 /// Fetch the record for `rowid`, if present. The pages are read in place:
-/// the leaf's cells are all parsed and only the matching one is copied
-/// out (with its overflow chain).
+/// the leaf, checked when its bytes entered the cache, is parsed up to
+/// the first cell at or above `rowid`, and only a match is copied out
+/// (with its overflow chain).
 pub fn table_get(pager: &mut Pager, root: PageId, rowid: i64) -> DbResult<Option<Vec<u8>>> {
     let hit = descend(pager, root, Toward::Rowid(rowid), None, |_, leaf| {
         let mut r = NodeReader::new(leaf)?;
-        let mut hit = None;
         for _ in 0..r.len {
             let cell = r.cell()?;
-            if cell.rowid == rowid {
-                hit = Some((cell.local.to_vec(), cell.overflow_len, cell.overflow));
+            if cell.rowid >= rowid {
+                return Ok((cell.rowid == rowid).then(|| (cell.local.to_vec(), cell.overflow_len, cell.overflow)));
             }
         }
-        Ok(hit)
+        Ok(None)
     })?;
     let Some((mut payload, overflow_len, overflow)) = hit else {
         return Ok(None);
@@ -1092,15 +1145,17 @@ impl Cursor {
     }
 
     /// Move to the first entry of the next non-empty leaf. The interior
-    /// pages on the stack are read in place; only the leaf is decoded. Its
-    /// first key must be above the last key of the leaf the cursor leaves:
-    /// a forged interior page that names one leaf twice would otherwise
-    /// replay it (and hide the leaf it stands in for).
+    /// pages on the stack pick the next child in place ([`pick`]); only the
+    /// leaf is decoded. Its first key must be above the last key of the
+    /// leaf the cursor leaves: a forged interior page that names one leaf
+    /// twice would otherwise replay it (and hide the leaf it stands in
+    /// for).
     fn advance_leaf(&mut self, pager: &mut Pager) -> DbResult<()> {
         self.assert_no_page_freed_since_open(pager);
         let left = self.leaf.take();
         while let Some((page, idx)) = self.stack.pop() {
-            let Some((next, child)) = step(pager.get(page)?, Toward::Child(idx + 1))? else {
+            let (bytes, index) = pager.get_indexed(page, index_page)?;
+            let Some((next, child)) = pick(bytes, index, Toward::Child(idx + 1))? else {
                 return Err(DbError::Storage("corrupt cursor stack".into()));
             };
             if next != idx + 1 {
@@ -1908,5 +1963,234 @@ mod tests {
                 format!("v{i}").as_bytes()
             );
         }
+    }
+
+    /// The child pick [`pick`] replaced, kept as its oracle: read one node
+    /// in place — every entry, so the page is checked exactly as
+    /// [`Node::decode`] checks it — and pick the first separator ≥ the
+    /// target by a linear scan. `None` at a leaf, else `(index, child page)`.
+    fn step(page: &[u8], toward: Toward<'_>) -> DbResult<Option<(usize, PageId)>> {
+        let mut r = NodeReader::new(page)?;
+        let n = r.len;
+        let mut pick = None;
+        match (r.ty, toward) {
+            (TABLE_LEAF, Toward::Rowid(_) | Toward::Child(_) | Toward::Last)
+            | (INDEX_LEAF, Toward::Key(_) | Toward::Child(_)) => return Ok(None),
+            (TABLE_INTERIOR, Toward::Rowid(_) | Toward::Child(_) | Toward::Last) => {
+                for i in 0..n {
+                    let (child, key) = r.table_sep()?;
+                    let here = match toward {
+                        Toward::Rowid(rowid) => key >= rowid,
+                        Toward::Child(c) => c == i,
+                        _ => false,
+                    };
+                    if here && pick.is_none() {
+                        pick = Some((i, child));
+                    }
+                }
+            }
+            (INDEX_INTERIOR, Toward::Key(_) | Toward::Child(_)) => {
+                for i in 0..n {
+                    let (child, key) = r.index_sep()?;
+                    let here = match toward {
+                        Toward::Key(target) => key >= target,
+                        Toward::Child(c) => c == i,
+                        _ => false,
+                    };
+                    if here && pick.is_none() {
+                        pick = Some((i, child));
+                    }
+                }
+            }
+            _ => {
+                // Refused for its type; a page that is malformed as well
+                // reports that first, as it would to the code that decodes it.
+                Node::decode(page)?;
+                let tree = if let Toward::Key(_) = toward { "not an index tree" } else { "not a table tree" };
+                return Err(DbError::Storage(tree.into()));
+            }
+        }
+        let last = r.last_child()?;
+        Ok(Some(pick.unwrap_or((n, last))))
+    }
+
+    #[test]
+    fn in_place_varints_match_the_record_encoding() {
+        let values = [0, 127, 128, 1 << 56, u64::MAX, -1i64 as u64, i64::MIN as u64, -300i64 as u64];
+        for v in values {
+            let mut want = Vec::new();
+            crate::record::write_varint(&mut want, v);
+            let mut page = [0xAAu8; 16];
+            let mut w = Writer { out: &mut page, pos: 3 };
+            w.varint(v);
+            let end = w.pos;
+            assert_eq!(end, 3 + want.len(), "{v}");
+            assert_eq!(&page[3..end], &want[..], "{v}");
+            assert!(page[end..].iter().all(|&b| b == 0xAA), "{v} wrote past its bytes");
+        }
+    }
+
+    /// Seeded random valid pages of all four kinds: the bisecting [`pick`]
+    /// over [`index_page`]'s index answers every `Toward` exactly as the
+    /// linear [`step`] does — the same child, the same error for a tree of
+    /// the other kind — for targets below, on, between and above the
+    /// separators, the `i64` extremes and negative rowids among them.
+    #[test]
+    fn bisecting_pick_matches_the_linear_step() {
+        use rand::{Rng, SeedableRng};
+        use std::collections::BTreeSet;
+        let mut rng = rand::rngs::StdRng::seed_from_u64(0x5E9A);
+        let mut pages = 0;
+        for round in 0..200 {
+            let children = |rng: &mut rand::rngs::StdRng, n: usize| -> Vec<PageId> { (0..=n).map(|_| rng.gen()).collect() };
+            // Table trees: separators anywhere in i64, up to a full page.
+            let n = [0, 1, 2, rng.gen_range(0..300)][round % 4].min(290);
+            let mut keys = BTreeSet::new();
+            while keys.len() < n {
+                keys.insert(match rng.gen_range(0..8) {
+                    0 => i64::MIN + rng.gen_range(0..3),
+                    1 => i64::MAX - rng.gen_range(0..3),
+                    2 => rng.gen_range(-50..50),
+                    _ => rng.gen(),
+                });
+            }
+            let keys: Vec<i64> = keys.into_iter().collect();
+            let mut rowids = vec![i64::MIN, i64::MIN + 1, -1, 0, 1, i64::MAX - 1, i64::MAX, rng.gen()];
+            for &k in &keys {
+                rowids.extend([k.saturating_sub(1), k, k.saturating_add(1)]);
+            }
+            let interior = Node::TableInterior { children: children(&mut rng, n), keys: keys.clone() };
+            let cells = keys.iter().map(|&rowid| TableCell { rowid, local: vec![1; 3], overflow_len: 0, overflow: 0 });
+            let leaf = Node::TableLeaf { cells: cells.take(140).collect() };
+            // Index trees: short keys, some prefixes of others.
+            let m = [0, 1, 2, rng.gen_range(0..120)][round % 4];
+            let mut ikeys = BTreeSet::new();
+            while ikeys.len() < m {
+                let len = rng.gen_range(0..6);
+                ikeys.insert((0..len).map(|_| rng.gen_range(0..4u8) * 0x55).collect::<Vec<u8>>());
+            }
+            let ikeys: Vec<Vec<u8>> = ikeys.into_iter().collect();
+            let mut targets = vec![vec![], vec![0xFF; 8]];
+            for k in &ikeys {
+                let mut between = k.clone();
+                between.push(0x01);
+                targets.extend([k.clone(), between, k[..k.len() / 2].to_vec()]);
+            }
+            let iinterior = Node::IndexInterior { children: children(&mut rng, m), keys: ikeys.clone() };
+            let ileaf = Node::IndexLeaf { keys: ikeys };
+            for node in [interior, leaf, iinterior, ileaf] {
+                let mut page = [0u8; PAGE_SIZE];
+                assert!(node.encoded_size() <= PAGE_SIZE);
+                node.encode(&mut page);
+                // An interior page's index has an entry per child.
+                let index = index_page(&page).unwrap();
+                let towards = rowids
+                    .iter()
+                    .map(|&r| Toward::Rowid(r))
+                    .chain(targets.iter().map(|k| Toward::Key(k)))
+                    .chain((0..index.len() + 2).map(Toward::Child))
+                    .chain([Toward::Last]);
+                for toward in towards {
+                    assert_eq!(pick(&page, &index, toward), step(&page, toward), "round {round} {node:?}");
+                }
+                pages += 1;
+            }
+        }
+        assert_eq!(pages, 800);
+    }
+
+    /// Rowids 1–5 in leaf `a`, 11–15 in `b` and 21–25 in `c`, under a root
+    /// that names `children` with separators `keys`.
+    fn three_leaves(p: &mut Pager) -> (PageId, [PageId; 3]) {
+        let root = create_table_tree(p).unwrap();
+        let leaves = [(); 3].map(|()| create_table_tree(p).unwrap());
+        for (leaf, base) in leaves.iter().zip([0, 10, 20]) {
+            for rowid in base + 1..=base + 5 {
+                table_insert(p, *leaf, rowid, &rowid.to_le_bytes()).unwrap();
+            }
+        }
+        (root, leaves)
+    }
+
+    fn found(p: &mut Pager, root: PageId, rowid: i64) -> bool {
+        table_get(p, root, rowid).unwrap().is_some_and(|v| v == rowid.to_le_bytes())
+    }
+
+    /// A checked interior page leaves a small cache, and the host rewrites
+    /// its separators out of order in the file: the lookup that loads it
+    /// again checks it again and refuses it, and so does every one after.
+    /// Lookups in a second tree of the same shape evict it, so every slot
+    /// it may come back to held a checked page of that tree.
+    #[test]
+    fn reloaded_pages_are_checked_again() {
+        use crate::vfs::Vfs;
+        let mut vfs = crate::vfs::MemVfs::new();
+        let mut p = Pager::open_file(Box::new(vfs.clone()), "evict.db").unwrap();
+        p.set_cache_pages(16);
+        p.begin().unwrap();
+        let [root, other] = [(); 2].map(|()| create_table_tree(&mut p).unwrap());
+        for rowid in 0..300i64 {
+            table_insert(&mut p, root, rowid, &[rowid as u8; 500]).unwrap();
+            table_insert(&mut p, other, rowid, &[rowid as u8; 500]).unwrap();
+        }
+        p.commit().unwrap();
+        assert_eq!(table_get(&mut p, root, 150).unwrap(), Some(vec![150; 500]));
+        for rowid in 0..300i64 {
+            assert_eq!(table_get(&mut p, other, rowid).unwrap(), Some(vec![rowid as u8; 500]));
+        }
+        let mut file = vfs.open("evict.db").unwrap();
+        let at = u64::from(root - 1) * PAGE_SIZE as u64;
+        let mut page = [0u8; PAGE_SIZE];
+        file.read_at(at, &mut page).unwrap();
+        let Node::TableInterior { children, mut keys } = Node::decode(&page).unwrap() else {
+            panic!("root is a leaf");
+        };
+        assert!(keys.len() > 8, "{} separators", keys.len());
+        let last = keys.len() - 3;
+        keys.swap(2, last);
+        Node::TableInterior { children, keys }.encode(&mut page);
+        file.write_at(at, &page).unwrap();
+        let reads = p.stats.page_reads;
+        for rowid in [150, 0, 299, 40, 260] {
+            let got = table_get(&mut p, root, rowid);
+            assert!(matches!(got, Err(DbError::Storage(_))), "rowid {rowid}: {got:?}");
+        }
+        assert!(p.stats.page_reads > reads, "the root was still cached");
+    }
+
+    /// `store` rewrites a checked root: lookups and scans route by its new
+    /// separators, not by where the old ones sat.
+    #[test]
+    fn rewritten_pages_route_by_their_new_separators() {
+        let mut p = mem_pager();
+        let (root, [a, b, c]) = three_leaves(&mut p);
+        store(&mut p, root, &Node::TableInterior { children: vec![a, c], keys: vec![5] }).unwrap();
+        assert!(!found(&mut p, root, 13) && found(&mut p, root, 23));
+        store(&mut p, root, &Node::TableInterior { children: vec![a, b, c], keys: vec![5, 15] }).unwrap();
+        for rowid in [3, 13, 23] {
+            assert!(found(&mut p, root, rowid), "rowid {rowid}");
+        }
+        let all: Vec<i64> = [1, 11, 21].iter().flat_map(|&lo| lo..lo + 5).collect();
+        assert_eq!(scan_rowids(&mut p, root), all);
+    }
+
+    /// A ROLLBACK puts a root's committed bytes back after a lookup read
+    /// the transaction's: lookups and scans route by the restored bytes.
+    #[test]
+    fn rolled_back_pages_route_by_their_restored_separators() {
+        let mut p = mem_pager();
+        let (root, [a, b, c]) = three_leaves(&mut p);
+        store(&mut p, root, &Node::TableInterior { children: vec![a, b, c], keys: vec![5, 15] }).unwrap();
+        p.commit().unwrap();
+        assert!(found(&mut p, root, 13) && found(&mut p, root, 23));
+        p.begin().unwrap();
+        store(&mut p, root, &Node::TableInterior { children: vec![a, c], keys: vec![5] }).unwrap();
+        assert!(!found(&mut p, root, 13) && found(&mut p, root, 23));
+        p.rollback().unwrap();
+        for rowid in [3, 13, 23] {
+            assert!(found(&mut p, root, rowid), "rowid {rowid}");
+        }
+        let all: Vec<i64> = [1, 11, 21].iter().flat_map(|&lo| lo..lo + 5).collect();
+        assert_eq!(scan_rowids(&mut p, root), all);
     }
 }

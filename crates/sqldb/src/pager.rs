@@ -10,6 +10,13 @@
 //! through the cache. A page's first change journals its pre-image unless
 //! its content is dead: allocated past the file's end, or long free.
 //!
+//! A slot may also keep an index its reader made of the page's bytes
+//! ([`Pager::get_indexed`]: the B-tree's check of a node). Bytes enter a
+//! slot only through a load from the file and change only through
+//! `touch` (every [`Pager::get_mut`]) and [`Pager::allocate`]; each of
+//! those drops the index, and a rollback empties the cache. An index is
+//! therefore always about the bytes beside it.
+//!
 //! The cache holds 2048 4-KiB pages by default — the 8 MiB SQLite page
 //! cache the paper configures (§V-C). Figure 5b's "sharp increase up to
 //! twice the cache size" behaviour comes from exactly this structure.
@@ -83,6 +90,10 @@ struct CacheSlot {
     buf: PageBuf,
     dirty: bool,
     referenced: bool,
+    /// What [`Pager::get_indexed`]'s caller recorded when it last checked
+    /// `buf`; dropped whenever `buf` is refilled or handed out for a
+    /// change, so it only ever describes the bytes the slot holds.
+    index: Option<Vec<u16>>,
 }
 
 /// I/O statistics (drives the harness' virtual-time I/O model).
@@ -332,6 +343,28 @@ impl Pager {
         Ok(&mut self.slots[slot].buf[..])
     }
 
+    /// Read-only page view with the index `index` makes of it: the index
+    /// the slot keeps when it has one, else `index(bytes)`, kept until the
+    /// bytes change or are reloaded. A failed `index` keeps nothing, so
+    /// the next access runs it again. The page is observed exactly as by
+    /// [`Self::get`]; what the index means is the caller's (the B-tree
+    /// records where a checked node's entries start).
+    pub fn get_indexed(
+        &mut self,
+        id: PageId,
+        index: impl FnOnce(&[u8]) -> DbResult<Vec<u16>>,
+    ) -> DbResult<(&[u8], &[u16])> {
+        self.observe(id, false)?;
+        let slot = self.load(id)?;
+        let s = &mut self.slots[slot];
+        let ix = match s.index.take() {
+            Some(ix) => ix,
+            None => index(&s.buf[..])?,
+        };
+        let ix = s.index.insert(ix);
+        Ok((&s.buf[..], &ix[..]))
+    }
+
     /// Check that a caller's page `id` exists and report it to the hook
     /// (the pager's own header and trunk accesses skip this).
     fn observe(&mut self, id: PageId, for_write: bool) -> DbResult<()> {
@@ -352,7 +385,9 @@ impl Pager {
             let pre = self.slots[slot].buf.clone();
             self.append_journal(id, &pre[..])?;
         }
-        self.slots[slot].dirty = true;
+        let s = &mut self.slots[slot];
+        s.dirty = true;
+        s.index = None;
         Ok(slot)
     }
 
@@ -373,7 +408,7 @@ impl Pager {
     /// room, else the clock's victim, written back first if dirty.
     fn take_slot(&mut self) -> DbResult<usize> {
         if self.slots.len() < self.cache_limit {
-            self.slots.push(CacheSlot { id: 0, buf: new_page(), dirty: false, referenced: false });
+            self.slots.push(CacheSlot { id: 0, buf: new_page(), dirty: false, referenced: false, index: None });
             return Ok(self.slots.len() - 1);
         }
         // Clock (second chance) eviction.
@@ -405,8 +440,10 @@ impl Pager {
 
     /// Map `slot`, just filled, to page `id`; returns the slot.
     fn fill_slot(&mut self, slot: usize, id: PageId) -> usize {
-        self.slots[slot].id = id;
-        self.slots[slot].referenced = true;
+        let s = &mut self.slots[slot];
+        s.id = id;
+        s.referenced = true;
+        s.index = None;
         self.map.insert(id, slot);
         slot
     }
@@ -455,6 +492,7 @@ impl Pager {
         slot.buf.fill(0);
         slot.dirty = true;
         slot.referenced = true;
+        slot.index = None;
         Ok(id)
     }
 
@@ -591,7 +629,8 @@ impl Pager {
         }
         if self.journal.is_some() {
             // Restore pre-images from the journal into the file, drop the
-            // cache, and reload the header the transaction started from.
+            // cache (every page's index with it), and reload the header
+            // the transaction started from.
             // Every entry is replayed, not only the count the journal's
             // header holds: a page evicted dirty before the commit point
             // is in the file with its change.
