@@ -4,8 +4,10 @@
 //! values spill).
 //!
 //! One parser reads the node format, `NodeReader`, over the page bytes
-//! in place. `Node::decode` is a collect over it, used by the code that
-//! changes pages (insert, delete, free) and for a cursor's current leaf.
+//! in place. `Node::decode` is a collect over it, used only for a page a
+//! change edits — the leaf an insert or delete changes, a parent that
+//! adopts a split or drops an emptied child, a tree being freed — and for
+//! a cursor's current leaf.
 //! Pages may come from the host (`FsChoice::UntrustedHost`), so the reader
 //! refuses keys that are not strictly ascending — within a page, and from
 //! one leaf a cursor leaves to the next it reaches — every descent stops
@@ -17,10 +19,12 @@
 //! cache: `index_page` runs the reader over every entry and records where
 //! each interior entry starts, and the pager keeps that index beside the
 //! bytes and drops it when they are reloaded or changed
-//! ([`Pager::get_indexed`]). Lookups, seeks and cursor moves then pick
-//! each child by bisection over the index (`descend`, `pick`) and never
-//! decode an interior page; a point lookup parses its leaf only up to the
-//! cell it wants and copies out only a match.
+//! ([`Pager::get_indexed`]). Lookups, seeks, cursor moves, inserts and
+//! deletes then pick each child by bisection over the index (`descend`,
+//! `pick`); a point lookup parses its leaf only up to the cell it wants
+//! and copies out only a match. A write decodes its leaf, edits it and
+//! hands it to `store_splitting`, which carries a split up the path the
+//! descent recorded: an interior page is decoded only when it changes.
 
 use std::collections::HashSet;
 
@@ -154,6 +158,58 @@ impl Node {
                 }
                 w.u32(*children.last().expect("interior has children"));
             }
+        }
+    }
+
+    /// Split an overfull node: keep the left half and return the
+    /// separator that goes up with the right half. A leaf splits at
+    /// [`split_point`] and its largest key is copied up; an interior node
+    /// splits at its middle separator, which moves up.
+    fn split(&mut self) -> (Sep, Node) {
+        /// The entries after the middle separator, and the separator.
+        fn halve<K>(children: &mut Vec<PageId>, keys: &mut Vec<K>) -> (K, Vec<PageId>, Vec<K>) {
+            let mid = keys.len() / 2;
+            let right_keys = keys.split_off(mid + 1);
+            (keys.remove(mid), children.split_off(mid + 1), right_keys)
+        }
+        match self {
+            Node::TableLeaf { cells } => {
+                let cut = split_point(cells.iter().map(|c| 24 + c.local.len()));
+                let right = cells.split_off(cut);
+                (Sep::Rowid(cells[cut - 1].rowid), Node::TableLeaf { cells: right })
+            }
+            Node::IndexLeaf { keys } => {
+                let cut = split_point(keys.iter().map(|k| 5 + k.len()));
+                let right = keys.split_off(cut);
+                (Sep::Key(keys[cut - 1].clone()), Node::IndexLeaf { keys: right })
+            }
+            Node::TableInterior { children, keys } => {
+                let (sep, children, keys) = halve(children, keys);
+                (Sep::Rowid(sep), Node::TableInterior { children, keys })
+            }
+            Node::IndexInterior { children, keys } => {
+                let (sep, children, keys) = halve(children, keys);
+                (Sep::Key(sep), Node::IndexInterior { children, keys })
+            }
+        }
+    }
+
+    /// Take in what a split of child `idx` sent up: `sep` now bounds child
+    /// `idx`, and `right` follows it.
+    fn adopt(&mut self, idx: usize, sep: Sep, right: PageId) -> DbResult<()> {
+        fn put<K>(children: &mut Vec<PageId>, keys: &mut Vec<K>, idx: usize, sep: K, right: PageId) -> DbResult<()> {
+            // The parent's bytes may have been reloaded since the descent.
+            if idx >= children.len() {
+                return Err(DbError::Storage("split child is not on its parent".into()));
+            }
+            keys.insert(idx, sep);
+            children.insert(idx + 1, right);
+            Ok(())
+        }
+        match (self, sep) {
+            (Node::TableInterior { children, keys }, Sep::Rowid(sep)) => put(children, keys, idx, sep, right),
+            (Node::IndexInterior { children, keys }, Sep::Key(sep)) => put(children, keys, idx, sep, right),
+            _ => Err(DbError::Storage("tree type mismatch".into())),
         }
     }
 
@@ -507,9 +563,9 @@ fn pick(page: &[u8], index: &[u16], toward: Toward<'_>) -> DbResult<Option<(usiz
 /// place with [`pick`], and hand the leaf's id and bytes to `at_leaf` —
 /// one page access per level. Each page, the leaf included, is checked
 /// once, by [`index_page`], when its bytes enter or change in the cache.
-/// When `path` is given (a cursor's stack), each `(page, child index)`
-/// taken is pushed onto it and the levels already on it count toward
-/// [`MAX_DEPTH`].
+/// When `path` is given (a cursor's stack, or the path a write carries a
+/// split or an unlink up), each `(page, child index)` taken is pushed
+/// onto it and the levels already on it count toward [`MAX_DEPTH`].
 fn descend<R>(
     pager: &mut Pager,
     mut page: PageId,
@@ -531,7 +587,8 @@ fn descend<R>(
     Err(too_deep())
 }
 
-/// Decode a page for code that modifies it (insert, delete, free).
+/// Decode a page for code that modifies it (unlinking an emptied child,
+/// freeing a tree).
 fn load(pager: &mut Pager, id: PageId) -> DbResult<Node> {
     Node::decode(pager.get(id)?)
 }
@@ -648,212 +705,103 @@ pub fn cell_payload(pager: &mut Pager, cell: &TableCell) -> DbResult<Vec<u8>> {
 }
 
 // ---------------------------------------------------------------------
-// Insert (recursive, with splits)
+// Insert (with splits)
 // ---------------------------------------------------------------------
-
-enum InsertKey {
-    Rowid(i64, TableCell),
-    Index(Vec<u8>),
-}
-
-enum Split {
-    None,
-    /// (separator, new right sibling) — for table trees the separator is
-    /// the max rowid of the left node; for index trees the max key.
-    TableAt(i64, PageId),
-    IndexAt(Vec<u8>, PageId),
-}
 
 /// Insert (or replace) `rowid → payload` in a table tree.
 pub fn table_insert(pager: &mut Pager, root: PageId, rowid: i64, payload: &[u8]) -> DbResult<()> {
     let cell = make_cell(pager, rowid, payload)?;
-    match insert_rec(pager, root, InsertKey::Rowid(rowid, cell), 0)? {
-        Split::None => Ok(()),
-        split => split_root(pager, root, split),
+    let mut path = Vec::new();
+    let (page, mut node) = descend(pager, root, Toward::Rowid(rowid), Some(&mut path), decode_leaf)?;
+    let Node::TableLeaf { cells } = &mut node else {
+        return Err(DbError::Storage("not a table tree".into()));
+    };
+    match cells.binary_search_by_key(&rowid, |c| c.rowid) {
+        Ok(i) => {
+            // Replace: free the old overflow chain.
+            let old = std::mem::replace(&mut cells[i], cell);
+            if old.overflow_len > 0 {
+                free_overflow(pager, old.overflow)?;
+            }
+        }
+        Err(i) => cells.insert(i, cell),
     }
+    store_splitting(pager, &path, page, node)
 }
 
 /// Largest supported index key (a node must hold at least two keys).
 pub const MAX_INDEX_KEY: usize = 1500;
 
-/// Insert a key into an index tree. Returns false if the key was already
-/// present (duplicate).
-pub fn index_insert(pager: &mut Pager, root: PageId, key: Vec<u8>) -> DbResult<bool> {
+/// Insert a key into an index tree. A key already present is left as it
+/// is: every index key ends in its row's rowid, so an equal key is the
+/// same entry (uniqueness constraints check the prefix upstream).
+pub fn index_insert(pager: &mut Pager, root: PageId, key: Vec<u8>) -> DbResult<()> {
     if key.len() > MAX_INDEX_KEY {
         return Err(DbError::Unsupported(format!(
             "index key of {} bytes exceeds the {MAX_INDEX_KEY}-byte limit",
             key.len()
         )));
     }
-    // Duplicate check first (full key incl. rowid is unique by
-    // construction; uniqueness constraints check the prefix upstream).
-    match insert_rec(pager, root, InsertKey::Index(key), 0)? {
-        Split::None => Ok(true),
-        split => {
-            split_root(pager, root, split)?;
-            Ok(true)
-        }
-    }
-}
-
-/// When the root splits, keep the root page id stable: move the old root's
-/// content to a fresh page and make the root an interior node.
-fn split_root(pager: &mut Pager, root: PageId, split: Split) -> DbResult<()> {
-    let old = load(pager, root)?;
-    let left = pager.allocate()?;
-    store(pager, left, &old)?;
-    let new_root = match split {
-        Split::TableAt(sep, right) => Node::TableInterior {
-            children: vec![left, right],
-            keys: vec![sep],
-        },
-        Split::IndexAt(sep, right) => Node::IndexInterior {
-            children: vec![left, right],
-            keys: vec![sep],
-        },
-        Split::None => unreachable!(),
+    let mut path = Vec::new();
+    let (page, mut node) = descend(pager, root, Toward::Key(&key), Some(&mut path), decode_leaf)?;
+    let Node::IndexLeaf { keys } = &mut node else {
+        return Err(DbError::Storage("not an index tree".into()));
     };
-    store(pager, root, &new_root)
+    let Err(i) = keys.binary_search(&key) else {
+        return Ok(());
+    };
+    keys.insert(i, key);
+    store_splitting(pager, &path, page, node)
 }
 
-/// Insert below `page`, which lies `depth` levels under the root.
-#[allow(clippy::too_many_lines)]
-fn insert_rec(pager: &mut Pager, page: PageId, key: InsertKey, depth: usize) -> DbResult<Split> {
-    if depth == MAX_DEPTH {
-        return Err(too_deep());
-    }
-    let mut node = load(pager, page)?;
-    match (&mut node, key) {
-        (Node::TableLeaf { cells }, InsertKey::Rowid(rowid, cell)) => {
-            match cells.binary_search_by_key(&rowid, |c| c.rowid) {
-                Ok(i) => {
-                    // Replace: free the old overflow chain first.
-                    if cells[i].overflow_len > 0 {
-                        let of = cells[i].overflow;
-                        free_overflow(pager, of)?;
-                    }
-                    cells[i] = cell;
-                }
-                Err(i) => cells.insert(i, cell),
-            }
-            finish_leaf(pager, page, node)
-        }
-        (Node::IndexLeaf { keys }, InsertKey::Index(key)) => {
-            match keys.binary_search(&key) {
-                Ok(_) => return Ok(Split::None), // exact duplicate: no-op
-                Err(i) => keys.insert(i, key),
-            }
-            finish_leaf(pager, page, node)
-        }
-        (Node::TableInterior { children, keys }, InsertKey::Rowid(rowid, cell)) => {
-            let idx = keys.partition_point(|k| *k < rowid);
-            let child = children[idx];
-            let split = insert_rec(pager, child, InsertKey::Rowid(rowid, cell), depth + 1)?;
-            if let Split::TableAt(sep, right) = split {
-                keys.insert(idx, sep);
-                children.insert(idx + 1, right);
-                return finish_interior(pager, page, node);
-            }
-            // Maintain separator if we inserted past the subtree max.
-            if idx < keys.len() && keys[idx] < rowid {
-                keys[idx] = rowid;
-                store(pager, page, &node)?;
-            }
-            Ok(Split::None)
-        }
-        (Node::IndexInterior { children, keys }, InsertKey::Index(key)) => {
-            let idx = keys.partition_point(|k| k.as_slice() < key.as_slice());
-            let child = children[idx];
-            let need_sep_update = idx < keys.len() && keys[idx] < key;
-            let key_clone = key.clone();
-            let split = insert_rec(pager, child, InsertKey::Index(key), depth + 1)?;
-            if let Split::IndexAt(sep, right) = split {
-                keys.insert(idx, sep);
-                children.insert(idx + 1, right);
-                return finish_interior(pager, page, node);
-            }
-            if need_sep_update {
-                keys[idx] = key_clone;
-                store(pager, page, &node)?;
-            }
-            Ok(Split::None)
-        }
-        _ => Err(DbError::Storage("tree type mismatch".into())),
-    }
-}
-
-fn finish_leaf(pager: &mut Pager, page: PageId, mut node: Node) -> DbResult<Split> {
-    if node.encoded_size() <= PAGE_SIZE {
+/// Store `node`, the edited content of `page`, which [`descend`] reached
+/// through `path` (its `(interior page, child index)` pairs from the
+/// root down). A node that overflows its page splits ([`Node::split`]),
+/// and its parent adopts the separator and the new right sibling: the
+/// parent is decoded from the `get_mut` borrow that rewrites it and
+/// encoded back into that borrow when it fits, else it splits in turn.
+/// The root keeps its page id, which the catalog holds: when it splits,
+/// its left half moves to a new page, allocated after the right sibling,
+/// and the root becomes the interior node over the two.
+fn store_splitting(pager: &mut Pager, path: &[(PageId, usize)], mut page: PageId, mut node: Node) -> DbResult<()> {
+    let mut parents = path.iter().rev();
+    while node.encoded_size() > PAGE_SIZE {
+        let (sep, half) = node.split();
+        let right = pager.allocate()?;
+        store(pager, right, &half)?;
+        let Some(&(parent, idx)) = parents.next() else {
+            let left = pager.allocate()?;
+            store(pager, left, &node)?;
+            return store(pager, page, &sep.root_over(left, right));
+        };
         store(pager, page, &node)?;
-        return Ok(Split::None);
-    }
-    // Split roughly in half by byte size.
-    match &mut node {
-        Node::TableLeaf { cells } => {
-            let cut = split_point(cells.iter().map(|c| 24 + c.local.len()));
-            let right_cells = cells.split_off(cut);
-            let sep = cells.last().expect("non-empty left").rowid;
-            let right = pager.allocate()?;
-            store(pager, right, &Node::TableLeaf { cells: right_cells })?;
-            store(pager, page, &node)?;
-            Ok(Split::TableAt(sep, right))
+        let bytes = pager.get_mut(parent)?;
+        let mut up = Node::decode(bytes)?;
+        up.adopt(idx, sep, right)?;
+        if up.encoded_size() <= PAGE_SIZE {
+            up.encode(bytes);
+            return Ok(());
         }
-        Node::IndexLeaf { keys } => {
-            let cut = split_point(keys.iter().map(|k| 5 + k.len()));
-            let right_keys = keys.split_off(cut);
-            let sep = keys.last().expect("non-empty left").clone();
-            let right = pager.allocate()?;
-            store(pager, right, &Node::IndexLeaf { keys: right_keys })?;
-            store(pager, page, &node)?;
-            Ok(Split::IndexAt(sep, right))
-        }
-        _ => unreachable!(),
+        (page, node) = (parent, up);
     }
+    store(pager, page, &node)
 }
 
-fn finish_interior(pager: &mut Pager, page: PageId, mut node: Node) -> DbResult<Split> {
-    if node.encoded_size() <= PAGE_SIZE {
-        store(pager, page, &node)?;
-        return Ok(Split::None);
-    }
-    match &mut node {
-        Node::TableInterior { children, keys } => {
-            let mid = keys.len() / 2;
-            let sep = keys[mid];
-            let right_keys = keys.split_off(mid + 1);
-            keys.pop(); // the separator moves up
-            let right_children = children.split_off(mid + 1);
-            let right = pager.allocate()?;
-            store(
-                pager,
-                right,
-                &Node::TableInterior {
-                    children: right_children,
-                    keys: right_keys,
-                },
-            )?;
-            store(pager, page, &node)?;
-            Ok(Split::TableAt(sep, right))
+/// The separator a split sends up: the bound of its left half (a leaf's
+/// largest key, or an interior node's middle separator).
+enum Sep {
+    Rowid(i64),
+    Key(Vec<u8>),
+}
+
+impl Sep {
+    /// The interior node over a split root's two halves.
+    fn root_over(self, left: PageId, right: PageId) -> Node {
+        let children = vec![left, right];
+        match self {
+            Sep::Rowid(key) => Node::TableInterior { children, keys: vec![key] },
+            Sep::Key(key) => Node::IndexInterior { children, keys: vec![key] },
         }
-        Node::IndexInterior { children, keys } => {
-            let mid = keys.len() / 2;
-            let sep = keys[mid].clone();
-            let right_keys = keys.split_off(mid + 1);
-            keys.pop();
-            let right_children = children.split_off(mid + 1);
-            let right = pager.allocate()?;
-            store(
-                pager,
-                right,
-                &Node::IndexInterior {
-                    children: right_children,
-                    keys: right_keys,
-                },
-            )?;
-            store(pager, page, &node)?;
-            Ok(Split::IndexAt(sep, right))
-        }
-        _ => unreachable!(),
     }
 }
 
@@ -917,67 +865,56 @@ pub fn table_get(pager: &mut Pager, root: PageId, rowid: i64) -> DbResult<Option
 /// leaves behind and the file grows without bound. Cursors hold page ids:
 /// none may be open across a delete ([`Cursor`] asserts it).
 pub fn table_delete(pager: &mut Pager, root: PageId, rowid: i64) -> DbResult<bool> {
-    let mut path = Vec::new();
-    let mut page = root;
-    while path.len() < MAX_DEPTH {
-        let mut node = load(pager, page)?;
-        match &mut node {
-            Node::TableLeaf { cells } => {
-                let Ok(i) = cells.binary_search_by_key(&rowid, |c| c.rowid) else {
-                    return Ok(false);
-                };
-                if cells[i].overflow_len > 0 {
-                    let of = cells[i].overflow;
-                    free_overflow(pager, of)?;
-                }
-                cells.remove(i);
-                if cells.is_empty() && !path.is_empty() {
-                    unlink_emptied(pager, &path, page, &node)?;
-                } else {
-                    store(pager, page, &node)?;
-                }
-                return Ok(true);
-            }
-            Node::TableInterior { children, keys } => {
-                let idx = keys.partition_point(|k| *k < rowid);
-                path.push((page, idx));
-                page = children[idx];
-            }
-            _ => return Err(DbError::Storage("not a table tree".into())),
+    delete(pager, root, Toward::Rowid(rowid), |pager, leaf| {
+        let Node::TableLeaf { cells } = leaf else {
+            return Err(DbError::Storage("not a table tree".into()));
+        };
+        let Ok(i) = cells.binary_search_by_key(&rowid, |c| c.rowid) else {
+            return Ok(false);
+        };
+        let cell = cells.remove(i);
+        if cell.overflow_len > 0 {
+            free_overflow(pager, cell.overflow)?;
         }
-    }
-    Err(too_deep())
+        Ok(true)
+    })
 }
 
 /// Delete an exact key from an index tree; returns whether it existed.
 /// Emptied leaves are unlinked and freed as in [`table_delete`].
 pub fn index_delete(pager: &mut Pager, root: PageId, key: &[u8]) -> DbResult<bool> {
+    delete(pager, root, Toward::Key(key), |_, leaf| {
+        let Node::IndexLeaf { keys } = leaf else {
+            return Err(DbError::Storage("not an index tree".into()));
+        };
+        let Ok(i) = keys.binary_search_by(|k| k.as_slice().cmp(key)) else {
+            return Ok(false);
+        };
+        keys.remove(i);
+        Ok(true)
+    })
+}
+
+/// Descend `toward` a leaf and let `remove` take an entry out of it
+/// (returning whether there was one); then store the leaf, or unlink it
+/// when that emptied a leaf below the root.
+fn delete(
+    pager: &mut Pager,
+    root: PageId,
+    toward: Toward<'_>,
+    remove: impl FnOnce(&mut Pager, &mut Node) -> DbResult<bool>,
+) -> DbResult<bool> {
     let mut path = Vec::new();
-    let mut page = root;
-    while path.len() < MAX_DEPTH {
-        let mut node = load(pager, page)?;
-        match &mut node {
-            Node::IndexLeaf { keys } => {
-                let Ok(i) = keys.binary_search_by(|k| k.as_slice().cmp(key)) else {
-                    return Ok(false);
-                };
-                keys.remove(i);
-                if keys.is_empty() && !path.is_empty() {
-                    unlink_emptied(pager, &path, page, &node)?;
-                } else {
-                    store(pager, page, &node)?;
-                }
-                return Ok(true);
-            }
-            Node::IndexInterior { children, keys } => {
-                let idx = keys.partition_point(|k| k.as_slice() < key);
-                path.push((page, idx));
-                page = children[idx];
-            }
-            _ => return Err(DbError::Storage("not an index tree".into())),
-        }
+    let (page, mut leaf) = descend(pager, root, toward, Some(&mut path), decode_leaf)?;
+    if !remove(pager, &mut leaf)? {
+        return Ok(false);
     }
-    Err(too_deep())
+    if leaf_len(&leaf) == 0 && !path.is_empty() {
+        unlink_emptied(pager, &path, page, &leaf)?;
+    } else {
+        store(pager, page, &leaf)?;
+    }
+    Ok(true)
 }
 
 /// `page` — reached from the root through `path`, a list of (interior
@@ -1216,7 +1153,7 @@ impl Cursor {
     }
 }
 
-/// A cursor keeps its current leaf decoded.
+/// The leaf a cursor stands on, or a write edits, decoded.
 fn decode_leaf(id: PageId, page: &[u8]) -> DbResult<(PageId, Node)> {
     Ok((id, Node::decode(page)?))
 }
@@ -1688,6 +1625,123 @@ mod tests {
                 let sought = c.valid().then(|| c.table_entry(&mut p).unwrap());
                 let expected = decoded.iter().find(|e| e.0 >= probe).cloned();
                 assert_eq!(sought, expected, "step {step} seek {probe}");
+            }
+        }
+    }
+
+    /// Levels from `root` down to its first leaf (1 for a leaf root).
+    fn height(p: &mut Pager, root: PageId) -> usize {
+        let mut page = root;
+        for level in 1.. {
+            match load(p, page).unwrap() {
+                Node::TableInterior { children, .. } | Node::IndexInterior { children, .. } => page = children[0],
+                _ => return level,
+            }
+        }
+        unreachable!()
+    }
+
+    /// The index-tree twin of the mix above: seeded keys of up to
+    /// `MAX_INDEX_KEY` bytes (a few to a page, so the tree is soon four
+    /// levels deep), duplicates among them, inserted and deleted in runs
+    /// of neighbouring keys so that leaves and whole interior pages empty,
+    /// against a `BTreeSet`: the shape invariant, the scan and seeks at,
+    /// between and around the keys hold after every step.
+    #[test]
+    fn index_insert_delete_mix_matches_model_and_keeps_no_empty_leaf() {
+        use rand::{Rng, SeedableRng};
+        use std::collections::BTreeSet;
+        let mut rng = rand::rngs::StdRng::seed_from_u64(0x1DE7);
+        let mut p = mem_pager();
+        let root = create_index_tree(&mut p).unwrap();
+        let mut model: BTreeSet<Vec<u8>> = BTreeSet::new();
+        // Key `(k, variant)`: a sortable prefix and a length that the pair
+        // fixes, from a few bytes up to the limit.
+        let key = |k: u32, variant: u32| {
+            let len = [8, 60, 400, MAX_INDEX_KEY][((k * 7 + variant) % 4) as usize];
+            let mut key = format!("{k:05}/{variant}").into_bytes();
+            key.resize(len, (k ^ variant) as u8);
+            key
+        };
+        let mut tallest = 0;
+        for step in 0..700 {
+            let at = rng.gen_range(0..300u32);
+            if rng.gen_range(0..100) < 55 {
+                // Inserts, a key already present now and then.
+                for k in at..at + rng.gen_range(1..10) {
+                    let variant = rng.gen_range(0..3);
+                    index_insert(&mut p, root, key(k, variant)).unwrap();
+                    model.insert(key(k, variant));
+                }
+            } else {
+                for k in at..at + rng.gen_range(1..30) {
+                    for variant in 0..3 {
+                        let existed = index_delete(&mut p, root, &key(k, variant)).unwrap();
+                        assert_eq!(existed, model.remove(&key(k, variant)), "step {step} key {k}/{variant}");
+                    }
+                }
+            }
+            tallest = tallest.max(height(&mut p, root));
+            assert_no_empty_node_below_root(&mut p, root);
+            let mut c = Cursor::first(&mut p, root).unwrap();
+            let mut scanned = Vec::new();
+            while c.valid() {
+                scanned.push(c.index_entry().unwrap().to_vec());
+                c.next(&mut p).unwrap();
+            }
+            assert!(scanned.iter().eq(model.iter()), "step {step}");
+            let k = rng.gen_range(0..310u32);
+            let mut probes = vec![vec![], vec![0xFF; 4], key(k, 0), key(k, 2), format!("{k:05}").into_bytes()];
+            let mut between = key(k, 1);
+            between.push(0);
+            probes.push(between);
+            for probe in probes {
+                let c = Cursor::seek_key(&mut p, root, &probe).unwrap();
+                let sought = c.valid().then(|| c.index_entry().unwrap().to_vec());
+                assert_eq!(sought.as_ref(), model.range(probe.clone()..).next(), "step {step}");
+            }
+        }
+        assert!(tallest >= 4, "the tree reached {tallest} levels");
+    }
+
+    /// Rows of ≈ 1.5 KiB, two to a leaf, in a seeded shuffled order: the
+    /// root passes a page of separators (292), so interior pages split
+    /// and the tree grows a third level. Every row reads back, replaced or
+    /// not, and the scan and the maximum match a `BTreeMap`, before and
+    /// after deletes of every third row.
+    #[test]
+    fn shuffled_fat_rows_split_interior_pages_and_match_model() {
+        use rand::seq::SliceRandom;
+        use rand::SeedableRng;
+        use std::collections::BTreeMap;
+        let mut rng = rand::rngs::StdRng::seed_from_u64(0xFA7);
+        let mut p = mem_pager();
+        let root = create_table_tree(&mut p).unwrap();
+        let mut model: BTreeMap<i64, Vec<u8>> = BTreeMap::new();
+        let row = |rowid: i64, version: u8| vec![(rowid as u8) ^ version; 1500];
+        let mut ids: Vec<i64> = (0..1200).collect();
+        ids.shuffle(&mut rng);
+        for &rowid in &ids {
+            table_insert(&mut p, root, rowid, &row(rowid, 0)).unwrap();
+            model.insert(rowid, row(rowid, 0));
+        }
+        // Replace a shuffled tenth.
+        for &rowid in ids.iter().step_by(10) {
+            table_insert(&mut p, root, rowid, &row(rowid, 1)).unwrap();
+            model.insert(rowid, row(rowid, 1));
+        }
+        assert_eq!(height(&mut p, root), 3);
+        // A leaf holds at most two rows.
+        assert!(model.len() / 2 >= 293, "{} rows", model.len());
+        for round in 0..2 {
+            assert_no_empty_node_below_root(&mut p, root);
+            assert_eq!(scan_rowids(&mut p, root), model.keys().copied().collect::<Vec<_>>(), "round {round}");
+            assert_eq!(table_max_rowid(&mut p, root).unwrap(), model.keys().next_back().copied());
+            for rowid in -1..1201 {
+                assert_eq!(table_get(&mut p, root, rowid).unwrap().as_ref(), model.get(&rowid), "rowid {rowid}");
+            }
+            for &rowid in ids.iter().step_by(3) {
+                assert_eq!(table_delete(&mut p, root, rowid).unwrap(), model.remove(&rowid).is_some());
             }
         }
     }
