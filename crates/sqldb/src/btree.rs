@@ -3,15 +3,16 @@
 //! that don't fit a page (the 1 KiB blobs of §V-D fit locally; larger
 //! values spill).
 //!
-//! One parser reads the node format, `NodeReader`, over the page bytes
-//! in place. `Node::decode` is a collect over it, used only for a page a
-//! change edits — the leaf an insert or delete changes, a parent that
-//! adopts a split or drops an emptied child, a tree being freed — and for
-//! a cursor's current leaf.
+//! A page has one form: its bytes. One parser reads the node format,
+//! `NodeReader`, over the bytes in place, and one small editor writes it:
+//! a `Splice` moves the bytes after an edit and writes the new entry (or
+//! none) in between, and `write_node` lays out a split's halves and a new
+//! root.
 //! Pages may come from the host (`FsChoice::UntrustedHost`), so the reader
 //! refuses keys that are not strictly ascending — within a page, and from
 //! one leaf a cursor leaves to the next it reaches — every descent stops
-//! at `MAX_DEPTH` levels, and freeing a tree refuses a page it already
+//! at `MAX_DEPTH` levels, freeing a tree refuses a page it already freed,
+//! and an overflow chain is checked whole before any of it is read or
 //! freed: a forged page is a `DbError::Storage`, never a wrong answer, a
 //! hang, a stack overflow or a page handed out twice.
 //!
@@ -22,14 +23,19 @@
 //! ([`Pager::get_indexed`]). Lookups, seeks, cursor moves, inserts and
 //! deletes then pick each child by bisection over the index (`descend`,
 //! `pick`); a point lookup parses its leaf only up to the cell it wants
-//! and copies out only a match. A write decodes its leaf, edits it and
-//! hands it to `store_splitting`, which carries a split up the path the
-//! descent recorded: an interior page is decoded only when it changes.
+//! and copies out only a match, and a cursor copies each leaf it stands on
+//! once and reads its entries from the copy. A write works its edit out on
+//! the leaf the descent holds (`edit_leaf`) and splices it into the leaf's
+//! bytes. A leaf that would overflow is built in a two-page scratch
+//! buffer instead, and `store_splitting` writes its halves and carries the
+//! split up the path the descent recorded, splicing each separator into
+//! its parent.
 
 use std::collections::HashSet;
+use std::ops::Range;
 
 use crate::pager::{PageId, Pager};
-use crate::record::read_varint;
+use crate::record::{read_varint, write_varint};
 use crate::{DbError, DbResult, PAGE_SIZE};
 
 const TABLE_LEAF: u8 = 0x0D;
@@ -37,255 +43,13 @@ const TABLE_INTERIOR: u8 = 0x05;
 const INDEX_LEAF: u8 = 0x0A;
 const INDEX_INTERIOR: u8 = 0x02;
 const OVERFLOW: u8 = 0x0F;
+/// The bit that sets a leaf's type apart from its tree's interior type.
+const LEAF: u8 = 0x08;
 
 /// Payload bytes kept in-page before spilling to an overflow chain.
 pub const MAX_LOCAL: usize = 2000;
 /// Usable bytes per overflow page.
 const OVERFLOW_CAP: usize = PAGE_SIZE - 9;
-
-/// A table-leaf cell.
-#[derive(Debug, Clone, PartialEq)]
-pub struct TableCell {
-    /// Row key.
-    pub rowid: i64,
-    /// Local prefix of the payload.
-    pub local: Vec<u8>,
-    /// Remaining payload length beyond `local`.
-    pub overflow_len: u32,
-    /// First overflow page, when `overflow_len > 0`.
-    pub overflow: PageId,
-}
-
-/// Decoded node.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Node {
-    /// Leaf of a table tree.
-    TableLeaf {
-        /// Cells sorted by rowid.
-        cells: Vec<TableCell>,
-    },
-    /// Interior of a table tree: `children.len() == keys.len() + 1`;
-    /// subtree `i` holds rowids ≤ `keys[i]` (last subtree unbounded).
-    TableInterior {
-        /// Child pages.
-        children: Vec<PageId>,
-        /// Separator keys.
-        keys: Vec<i64>,
-    },
-    /// Leaf of an index tree: sorted, unique key blobs.
-    IndexLeaf {
-        /// Keys.
-        keys: Vec<Vec<u8>>,
-    },
-    /// Interior of an index tree.
-    IndexInterior {
-        /// Child pages.
-        children: Vec<PageId>,
-        /// Separator keys (copies of the max key of each left subtree).
-        keys: Vec<Vec<u8>>,
-    },
-}
-
-impl Node {
-    /// Serialised size (must fit `PAGE_SIZE`).
-    fn encoded_size(&self) -> usize {
-        let mut n = 8;
-        match self {
-            Node::TableLeaf { cells } => {
-                for c in cells {
-                    n += 10 + 5 + 5 + c.local.len() + 4;
-                }
-            }
-            Node::TableInterior { children, keys } => {
-                n += children.len() * 4 + keys.len() * 10;
-            }
-            Node::IndexLeaf { keys } => {
-                for k in keys {
-                    n += 5 + k.len();
-                }
-            }
-            Node::IndexInterior { children, keys } => {
-                n += children.len() * 4;
-                for k in keys {
-                    n += 5 + k.len();
-                }
-            }
-        }
-        n
-    }
-
-    fn encode(&self, out: &mut [u8]) {
-        out.fill(0);
-        let mut w = Writer { out, pos: 0 };
-        match self {
-            Node::TableLeaf { cells } => {
-                w.u8(TABLE_LEAF);
-                w.u16(cells.len() as u16);
-                for c in cells {
-                    w.varint(c.rowid as u64);
-                    w.varint(c.local.len() as u64);
-                    w.varint(u64::from(c.overflow_len));
-                    if c.overflow_len > 0 {
-                        w.u32(c.overflow);
-                    }
-                    w.bytes(&c.local);
-                }
-            }
-            Node::TableInterior { children, keys } => {
-                w.u8(TABLE_INTERIOR);
-                w.u16(keys.len() as u16);
-                for (i, k) in keys.iter().enumerate() {
-                    w.u32(children[i]);
-                    w.varint(*k as u64);
-                }
-                w.u32(*children.last().expect("interior has children"));
-            }
-            Node::IndexLeaf { keys } => {
-                w.u8(INDEX_LEAF);
-                w.u16(keys.len() as u16);
-                for k in keys {
-                    w.varint(k.len() as u64);
-                    w.bytes(k);
-                }
-            }
-            Node::IndexInterior { children, keys } => {
-                w.u8(INDEX_INTERIOR);
-                w.u16(keys.len() as u16);
-                for (i, k) in keys.iter().enumerate() {
-                    w.u32(children[i]);
-                    w.varint(k.len() as u64);
-                    w.bytes(k);
-                }
-                w.u32(*children.last().expect("interior has children"));
-            }
-        }
-    }
-
-    /// Split an overfull node: keep the left half and return the
-    /// separator that goes up with the right half. A leaf splits at
-    /// [`split_point`] and its largest key is copied up; an interior node
-    /// splits at its middle separator, which moves up.
-    fn split(&mut self) -> (Sep, Node) {
-        /// The entries after the middle separator, and the separator.
-        fn halve<K>(children: &mut Vec<PageId>, keys: &mut Vec<K>) -> (K, Vec<PageId>, Vec<K>) {
-            let mid = keys.len() / 2;
-            let right_keys = keys.split_off(mid + 1);
-            (keys.remove(mid), children.split_off(mid + 1), right_keys)
-        }
-        match self {
-            Node::TableLeaf { cells } => {
-                let cut = split_point(cells.iter().map(|c| 24 + c.local.len()));
-                let right = cells.split_off(cut);
-                (Sep::Rowid(cells[cut - 1].rowid), Node::TableLeaf { cells: right })
-            }
-            Node::IndexLeaf { keys } => {
-                let cut = split_point(keys.iter().map(|k| 5 + k.len()));
-                let right = keys.split_off(cut);
-                (Sep::Key(keys[cut - 1].clone()), Node::IndexLeaf { keys: right })
-            }
-            Node::TableInterior { children, keys } => {
-                let (sep, children, keys) = halve(children, keys);
-                (Sep::Rowid(sep), Node::TableInterior { children, keys })
-            }
-            Node::IndexInterior { children, keys } => {
-                let (sep, children, keys) = halve(children, keys);
-                (Sep::Key(sep), Node::IndexInterior { children, keys })
-            }
-        }
-    }
-
-    /// Take in what a split of child `idx` sent up: `sep` now bounds child
-    /// `idx`, and `right` follows it.
-    fn adopt(&mut self, idx: usize, sep: Sep, right: PageId) -> DbResult<()> {
-        fn put<K>(children: &mut Vec<PageId>, keys: &mut Vec<K>, idx: usize, sep: K, right: PageId) -> DbResult<()> {
-            // The parent's bytes may have been reloaded since the descent.
-            if idx >= children.len() {
-                return Err(DbError::Storage("split child is not on its parent".into()));
-            }
-            keys.insert(idx, sep);
-            children.insert(idx + 1, right);
-            Ok(())
-        }
-        match (self, sep) {
-            (Node::TableInterior { children, keys }, Sep::Rowid(sep)) => put(children, keys, idx, sep, right),
-            (Node::IndexInterior { children, keys }, Sep::Key(sep)) => put(children, keys, idx, sep, right),
-            _ => Err(DbError::Storage("tree type mismatch".into())),
-        }
-    }
-
-    /// Decode a whole page: a collect over [`NodeReader`], so a page is
-    /// accepted or refused exactly as the in-place reads accept or refuse it.
-    fn decode(data: &[u8]) -> DbResult<Node> {
-        let mut r = NodeReader::new(data)?;
-        let n = r.len;
-        Ok(match r.ty {
-            TABLE_LEAF => Node::TableLeaf {
-                cells: (0..n).map(|_| r.cell().map(CellRef::into_cell)).collect::<DbResult<_>>()?,
-            },
-            TABLE_INTERIOR => {
-                let mut children = Vec::with_capacity(n + 1);
-                let mut keys = Vec::with_capacity(n);
-                for _ in 0..n {
-                    let (child, key) = r.table_sep()?;
-                    children.push(child);
-                    keys.push(key);
-                }
-                children.push(r.last_child()?);
-                Node::TableInterior { children, keys }
-            }
-            INDEX_LEAF => Node::IndexLeaf {
-                keys: (0..n).map(|_| r.key().map(<[u8]>::to_vec)).collect::<DbResult<_>>()?,
-            },
-            // INDEX_INTERIOR: `NodeReader::new` refused every other type.
-            _ => {
-                let mut children = Vec::with_capacity(n + 1);
-                let mut keys = Vec::with_capacity(n);
-                for _ in 0..n {
-                    let (child, key) = r.index_sep()?;
-                    children.push(child);
-                    keys.push(key.to_vec());
-                }
-                children.push(r.last_child()?);
-                Node::IndexInterior { children, keys }
-            }
-        })
-    }
-}
-
-struct Writer<'a> {
-    out: &'a mut [u8],
-    pos: usize,
-}
-
-impl Writer<'_> {
-    fn u8(&mut self, v: u8) {
-        self.out[self.pos] = v;
-        self.pos += 1;
-    }
-    fn u16(&mut self, v: u16) {
-        self.out[self.pos..self.pos + 2].copy_from_slice(&v.to_le_bytes());
-        self.pos += 2;
-    }
-    fn u32(&mut self, v: u32) {
-        self.out[self.pos..self.pos + 4].copy_from_slice(&v.to_le_bytes());
-        self.pos += 4;
-    }
-    /// [`crate::record::write_varint`]'s encoding, written in place.
-    fn varint(&mut self, mut v: u64) {
-        loop {
-            let b = (v & 0x7F) as u8;
-            v >>= 7;
-            if v == 0 {
-                return self.u8(b);
-            }
-            self.u8(b | 0x80);
-        }
-    }
-    fn bytes(&mut self, b: &[u8]) {
-        self.out[self.pos..self.pos + b.len()].copy_from_slice(b);
-        self.pos += b.len();
-    }
-}
 
 // ---------------------------------------------------------------------
 // Reading pages in place
@@ -350,17 +114,6 @@ struct CellRef<'a> {
     overflow: PageId,
 }
 
-impl CellRef<'_> {
-    fn into_cell(self) -> TableCell {
-        TableCell {
-            rowid: self.rowid,
-            local: self.local.to_vec(),
-            overflow_len: self.overflow_len,
-            overflow: self.overflow,
-        }
-    }
-}
-
 fn out_of_order() -> DbError {
     DbError::Storage("page keys out of order".into())
 }
@@ -380,6 +133,18 @@ impl<'a> NodeReader<'a> {
             last_rowid: None,
             last_key: None,
         })
+    }
+
+    /// A reader of the entry at byte `pos` of a page that a [`Layout`]
+    /// has read whole (it has no order to check against).
+    fn at(page: &'a [u8], pos: usize) -> Self {
+        Self {
+            r: Reader { data: page, pos },
+            ty: page[0],
+            len: 0,
+            last_rowid: None,
+            last_key: None,
+        }
     }
 
     fn ascending_rowid(&mut self, rowid: i64) -> DbResult<i64> {
@@ -439,6 +204,103 @@ impl<'a> NodeReader<'a> {
     fn last_child(&mut self) -> DbResult<PageId> {
         self.r.u32()
     }
+
+    /// Next entry of any page, by what it adds to the page's size as a
+    /// split reckons it: 24 bytes and the local payload for a table cell,
+    /// 5 and the key for an index key; 4 for an interior entry's child,
+    /// and 10 for its rowid or 5 and its key.
+    fn entry(&mut self) -> DbResult<usize> {
+        Ok(match self.ty {
+            TABLE_LEAF => 24 + self.cell()?.local.len(),
+            INDEX_LEAF => 5 + self.key()?.len(),
+            TABLE_INTERIOR => {
+                self.table_sep()?;
+                14
+            }
+            _ => 9 + self.index_sep()?.1.len(),
+        })
+    }
+
+    /// Next entry of a leaf, by its key.
+    fn leaf_key(&mut self) -> DbResult<Key<'a>> {
+        match self.ty {
+            TABLE_LEAF => Ok(Key::Rowid(self.cell()?.rowid)),
+            INDEX_LEAF => Ok(Key::Bytes(self.key()?)),
+            _ => Err(DbError::Storage("not a leaf".into())),
+        }
+    }
+}
+
+/// A leaf entry's key: a table cell's rowid, or an index key.
+#[derive(Clone, Copy, PartialEq, PartialOrd)]
+enum Key<'a> {
+    Rowid(i64),
+    Bytes(&'a [u8]),
+}
+
+impl<'a> Key<'a> {
+    /// The descent toward the leaf that holds, or would hold, the key.
+    fn toward(self) -> Toward<'a> {
+        match self {
+            Key::Rowid(rowid) => Toward::Rowid(rowid),
+            Key::Bytes(key) => Toward::Key(key),
+        }
+    }
+}
+
+/// Where the entries of a page lie, read whole by [`NodeReader`]: what an
+/// edit, a split or a cursor works from.
+struct Layout {
+    ty: u8,
+    /// Where each entry starts, then where the last one ends (an interior
+    /// page's last child sits there).
+    at: Vec<usize>,
+    /// Where the page's bytes in use end.
+    used: usize,
+    /// The page's size as a split reckons it: 8 bytes, each entry's
+    /// [`NodeReader::entry`], and an interior page's last child.
+    size: usize,
+}
+
+impl Layout {
+    fn of(page: &[u8]) -> DbResult<Self> {
+        let mut r = NodeReader::new(page)?;
+        let mut at = Vec::with_capacity(r.len + 1);
+        let mut size = 8;
+        for _ in 0..r.len {
+            at.push(r.r.pos);
+            size += r.entry()?;
+        }
+        at.push(r.r.pos);
+        if r.ty & LEAF == 0 {
+            r.last_child()?;
+            size += 4;
+        }
+        Ok(Self { ty: r.ty, at, used: r.r.pos, size })
+    }
+
+    /// Entries on the page.
+    fn len(&self) -> usize {
+        self.at.len() - 1
+    }
+
+    /// The first entry of leaf `page` whose key is ≥ `target`, found by
+    /// bisection, and whether its key is `target`.
+    fn find(&self, page: &[u8], target: Key<'_>) -> DbResult<(usize, bool)> {
+        let key = |i: usize| NodeReader::at(page, self.at[i]).leaf_key();
+        let i = first_at_least(self.len(), |i| Ok(key(i)? >= target))?;
+        Ok((i, i < self.len() && key(i)? == target))
+    }
+
+    /// The overflow chain `(head, length)` of entry `i`: a table cell's,
+    /// else none (length 0).
+    fn chain(&self, page: &[u8], i: usize) -> DbResult<(PageId, u32)> {
+        if self.ty != TABLE_LEAF {
+            return Ok((0, 0));
+        }
+        let cell = NodeReader::at(page, self.at[i]).cell()?;
+        Ok((cell.overflow, cell.overflow_len))
+    }
 }
 
 /// Where a read-only descent goes at each interior page.
@@ -474,10 +336,10 @@ fn too_deep() -> DbError {
 }
 
 /// Check a page and index it, for [`Pager::get_indexed`]: read every entry
-/// with [`NodeReader`] — so a page is accepted or refused exactly as
-/// [`Node::decode`] accepts or refuses it — and record where each
-/// `(child, separator)` of an interior page starts, then where its last
-/// child does. A leaf's index is empty.
+/// with [`NodeReader`] — so a page is accepted or refused exactly as an
+/// edit or a cursor ([`Layout::of`]) accepts or refuses it — and record
+/// where each `(child, separator)` of an interior page starts, then where
+/// its last child does. A leaf's index is empty.
 fn index_page(page: &[u8]) -> DbResult<Vec<u16>> {
     let mut r = NodeReader::new(page)?;
     let mut index = Vec::new();
@@ -587,29 +449,89 @@ fn descend<R>(
     Err(too_deep())
 }
 
-/// Decode a page for code that modifies it (unlinking an emptied child,
-/// freeing a tree).
-fn load(pager: &mut Pager, id: PageId) -> DbResult<Node> {
-    Node::decode(pager.get(id)?)
+// ---------------------------------------------------------------------
+// Editing pages in place
+// ---------------------------------------------------------------------
+
+/// One edit of a page's bytes: `range` gives way to `new`, after which the
+/// page holds `count` entries. `used` is where its bytes in use ended.
+struct Splice<'n> {
+    range: Range<usize>,
+    new: &'n [u8],
+    used: usize,
+    count: usize,
 }
 
-fn store(pager: &mut Pager, id: PageId, node: &Node) -> DbResult<()> {
-    debug_assert!(node.encoded_size() <= PAGE_SIZE, "node overflows page");
-    node.encode(pager.get_mut(id)?);
+/// An edit as [`Splice::plan`] leaves it.
+enum Edit<'n> {
+    /// The edited page fits: splice it in place.
+    Fits(Splice<'n>),
+    /// The edited page, built in a two-page scratch buffer, for
+    /// [`store_splitting`] to split.
+    Overfull(Vec<u8>),
+}
+
+impl<'n> Splice<'n> {
+    /// Make the edit in `page`: shift the bytes after `range`, write `new`
+    /// and the entry count, and zero what the bytes in use no longer
+    /// cover. A page the host padded (long varints) may not have room.
+    fn apply(&self, page: &mut [u8]) -> DbResult<()> {
+        let Range { start, end } = self.range;
+        let used = self.used - (end - start) + self.new.len();
+        if used > page.len() {
+            return Err(DbError::Storage("edit overflows the page".into()));
+        }
+        page.copy_within(end..self.used, start + self.new.len());
+        page[start..start + self.new.len()].copy_from_slice(self.new);
+        if used < self.used {
+            page[used..self.used].fill(0);
+        }
+        page[1..3].copy_from_slice(&(self.count as u16).to_le_bytes());
+        Ok(())
+    }
+
+    /// The edit of `page` in place when the page is then `size` bytes as a
+    /// split reckons them ([`Layout::size`]) and that fits, else the
+    /// edited page built in a scratch buffer of two pages.
+    fn plan(self, page: &[u8], size: usize) -> DbResult<Edit<'n>> {
+        if size <= PAGE_SIZE {
+            return Ok(Edit::Fits(self));
+        }
+        let mut buf = vec![0; 2 * PAGE_SIZE];
+        buf[..self.used].copy_from_slice(&page[..self.used]);
+        self.apply(&mut buf)?;
+        Ok(Edit::Overfull(buf))
+    }
+}
+
+/// Lay out a node over `page`: type `ty`, `count` entries, whose bytes are
+/// `parts` one after the other, and zeros after them.
+fn write_node(page: &mut [u8], ty: u8, count: usize, parts: &[&[u8]]) -> DbResult<()> {
+    let mut pos = 3;
+    if pos + parts.iter().map(|p| p.len()).sum::<usize>() > page.len() {
+        return Err(DbError::Storage("split half overflows a page".into()));
+    }
+    page[0] = ty;
+    page[1..3].copy_from_slice(&(count as u16).to_le_bytes());
+    for part in parts {
+        page[pos..pos + part.len()].copy_from_slice(part);
+        pos += part.len();
+    }
+    page[pos..].fill(0);
     Ok(())
 }
 
 /// Create an empty table tree; returns its root page.
 pub fn create_table_tree(pager: &mut Pager) -> DbResult<PageId> {
     let id = pager.allocate()?;
-    store(pager, id, &Node::TableLeaf { cells: Vec::new() })?;
+    write_node(pager.get_mut(id)?, TABLE_LEAF, 0, &[])?;
     Ok(id)
 }
 
 /// Create an empty index tree; returns its root page.
 pub fn create_index_tree(pager: &mut Pager) -> DbResult<PageId> {
     let id = pager.allocate()?;
-    store(pager, id, &Node::IndexLeaf { keys: Vec::new() })?;
+    write_node(pager.get_mut(id)?, INDEX_LEAF, 0, &[])?;
     Ok(id)
 }
 
@@ -633,75 +555,71 @@ fn write_overflow(pager: &mut Pager, data: &[u8]) -> DbResult<PageId> {
     Ok(next)
 }
 
-fn read_overflow(pager: &mut Pager, mut id: PageId, total: u32) -> DbResult<Vec<u8>> {
-    // `total` and the chain are read from pages the host may supply: reserve
-    // no more than the file's pages can hold, and stop at the first page
-    // whose length is empty (never written, so a chain cannot cycle) or
-    // overruns the page or the declared total.
+/// Walk the overflow chain from `id` of a cell that spills `total` bytes,
+/// handing each page's id and bytes to `each`, and check it whole: every
+/// page an overflow page holding 1 to `OVERFLOW_CAP` bytes, the bytes
+/// adding up to `total`, and no more pages than the file has, so a cycle
+/// ends too. The cell and the chain may come from the host: a caller that
+/// frees the chain frees nothing until the walk is done.
+fn walk_overflow(pager: &mut Pager, mut id: PageId, total: u32, mut each: impl FnMut(PageId, &[u8])) -> DbResult<()> {
     let total = total as usize;
-    let fits = pager.page_count() as usize * OVERFLOW_CAP;
-    let mut out = Vec::with_capacity(total.min(fits));
     let mismatch = || DbError::Storage("overflow chain length mismatch".into());
-    while id != 0 {
+    let mut seen = 0;
+    for _ in 0..pager.page_count() {
+        if id == 0 {
+            break;
+        }
         let page = pager.get(id)?;
         if page[0] != OVERFLOW {
             return Err(DbError::Storage("bad overflow page".into()));
         }
         let next = u32::from_le_bytes([page[1], page[2], page[3], page[4]]);
         let len = u32::from_le_bytes([page[5], page[6], page[7], page[8]]) as usize;
-        if len == 0 || len > OVERFLOW_CAP || out.len() + len > total {
+        if len == 0 || len > OVERFLOW_CAP || seen + len > total {
             return Err(mismatch());
         }
-        out.extend_from_slice(&page[9..9 + len]);
+        each(id, &page[9..9 + len]);
+        seen += len;
         id = next;
     }
-    if out.len() != total {
+    if id != 0 {
+        return Err(DbError::Storage("overflow chain cycles".into()));
+    }
+    if seen != total {
         return Err(mismatch());
     }
-    Ok(out)
+    Ok(())
 }
 
-fn free_overflow(pager: &mut Pager, mut id: PageId) -> DbResult<()> {
-    // A chain longer than the file has pages can only be a cycle.
-    for _ in 0..pager.page_count() {
-        if id == 0 {
-            return Ok(());
-        }
-        let page = pager.get(id)?;
-        let next = u32::from_le_bytes([page[1], page[2], page[3], page[4]]);
-        pager.free_page(id)?;
-        id = next;
-    }
-    Err(DbError::Storage("overflow chain cycles".into()))
+/// Append the `total` bytes of the overflow chain from `id` to `out`.
+fn append_overflow(pager: &mut Pager, id: PageId, total: u32, out: &mut Vec<u8>) -> DbResult<()> {
+    // `total` is read from a page the host may supply: reserve no more
+    // than the file's pages can hold.
+    out.reserve((total as usize).min(pager.page_count() as usize * OVERFLOW_CAP));
+    walk_overflow(pager, id, total, |_, chunk| out.extend_from_slice(chunk))
 }
 
-fn make_cell(pager: &mut Pager, rowid: i64, payload: &[u8]) -> DbResult<TableCell> {
-    if payload.len() <= MAX_LOCAL {
-        Ok(TableCell {
-            rowid,
-            local: payload.to_vec(),
-            overflow_len: 0,
-            overflow: 0,
-        })
-    } else {
-        let overflow = write_overflow(pager, &payload[MAX_LOCAL..])?;
-        Ok(TableCell {
-            rowid,
-            local: payload[..MAX_LOCAL].to_vec(),
-            overflow_len: (payload.len() - MAX_LOCAL) as u32,
-            overflow,
-        })
-    }
+/// Free the overflow chain from `id` of a cell that spills `total` bytes.
+fn free_overflow(pager: &mut Pager, id: PageId, total: u32) -> DbResult<()> {
+    let mut pages = Vec::new();
+    walk_overflow(pager, id, total, |page, _| pages.push(page))?;
+    pages.into_iter().try_for_each(|page| pager.free_page(page))
 }
 
-/// Read the full payload of a cell.
-pub fn cell_payload(pager: &mut Pager, cell: &TableCell) -> DbResult<Vec<u8>> {
-    if cell.overflow_len == 0 {
-        return Ok(cell.local.clone());
+/// The table cell for `rowid → payload` and its size as a split reckons
+/// it; a payload past `MAX_LOCAL` bytes spills its tail to a new overflow
+/// chain.
+fn encode_cell(pager: &mut Pager, rowid: i64, payload: &[u8]) -> DbResult<(Vec<u8>, usize)> {
+    let (local, spill) = payload.split_at(payload.len().min(MAX_LOCAL));
+    let mut cell = Vec::with_capacity(24 + local.len());
+    write_varint(&mut cell, rowid as u64);
+    write_varint(&mut cell, local.len() as u64);
+    write_varint(&mut cell, spill.len() as u64);
+    if !spill.is_empty() {
+        cell.extend(write_overflow(pager, spill)?.to_le_bytes());
     }
-    let mut out = cell.local.clone();
-    out.extend(read_overflow(pager, cell.overflow, cell.overflow_len)?);
-    Ok(out)
+    cell.extend_from_slice(local);
+    Ok((cell, 24 + local.len()))
 }
 
 // ---------------------------------------------------------------------
@@ -710,23 +628,8 @@ pub fn cell_payload(pager: &mut Pager, cell: &TableCell) -> DbResult<Vec<u8>> {
 
 /// Insert (or replace) `rowid → payload` in a table tree.
 pub fn table_insert(pager: &mut Pager, root: PageId, rowid: i64, payload: &[u8]) -> DbResult<()> {
-    let cell = make_cell(pager, rowid, payload)?;
-    let mut path = Vec::new();
-    let (page, mut node) = descend(pager, root, Toward::Rowid(rowid), Some(&mut path), decode_leaf)?;
-    let Node::TableLeaf { cells } = &mut node else {
-        return Err(DbError::Storage("not a table tree".into()));
-    };
-    match cells.binary_search_by_key(&rowid, |c| c.rowid) {
-        Ok(i) => {
-            // Replace: free the old overflow chain.
-            let old = std::mem::replace(&mut cells[i], cell);
-            if old.overflow_len > 0 {
-                free_overflow(pager, old.overflow)?;
-            }
-        }
-        Err(i) => cells.insert(i, cell),
-    }
-    store_splitting(pager, &path, page, node)
+    let (cell, size) = encode_cell(pager, rowid, payload)?;
+    write_leaf(pager, root, Key::Rowid(rowid), Some((&cell, size))).map(drop)
 }
 
 /// Largest supported index key (a node must hold at least two keys).
@@ -742,67 +645,158 @@ pub fn index_insert(pager: &mut Pager, root: PageId, key: Vec<u8>) -> DbResult<(
             key.len()
         )));
     }
-    let mut path = Vec::new();
-    let (page, mut node) = descend(pager, root, Toward::Key(&key), Some(&mut path), decode_leaf)?;
-    let Node::IndexLeaf { keys } = &mut node else {
-        return Err(DbError::Storage("not an index tree".into()));
-    };
-    let Err(i) = keys.binary_search(&key) else {
-        return Ok(());
-    };
-    keys.insert(i, key);
-    store_splitting(pager, &path, page, node)
+    let mut entry = Vec::with_capacity(key.len() + 2);
+    write_varint(&mut entry, key.len() as u64);
+    entry.extend_from_slice(&key);
+    write_leaf(pager, root, Key::Bytes(&key), Some((&entry, 5 + key.len()))).map(drop)
 }
 
-/// Store `node`, the edited content of `page`, which [`descend`] reached
-/// through `path` (its `(interior page, child index)` pairs from the
-/// root down). A node that overflows its page splits ([`Node::split`]),
-/// and its parent adopts the separator and the new right sibling: the
-/// parent is decoded from the `get_mut` borrow that rewrites it and
-/// encoded back into that borrow when it fits, else it splits in turn.
-/// The root keeps its page id, which the catalog holds: when it splits,
-/// its left half moves to a new page, allocated after the right sibling,
-/// and the root becomes the interior node over the two.
-fn store_splitting(pager: &mut Pager, path: &[(PageId, usize)], mut page: PageId, mut node: Node) -> DbResult<()> {
+/// The edit of `leaf` at `target`'s entry: `put` — an encoded entry and
+/// its size as a split reckons it — goes in, over a table cell with the
+/// same rowid; with no `put`, the entry goes. `None` when there is nothing
+/// to do: an index key already present stays, and an entry that is not
+/// there cannot go. Also returns the overflow chain `(head, length)` of
+/// the cell that goes.
+fn edit_leaf<'n>(
+    leaf: &[u8],
+    target: Key<'_>,
+    put: Option<(&'n [u8], usize)>,
+) -> DbResult<Option<(Edit<'n>, (PageId, u32))>> {
+    let lay = Layout::of(leaf)?;
+    let (i, found) = lay.find(leaf, target)?;
+    let idle = if put.is_some() { found && lay.ty == INDEX_LEAF } else { !found };
+    if idle {
+        return Ok(None);
+    }
+    let (new, size) = put.unwrap_or((&[], 0));
+    let (old, chain) = if found {
+        (NodeReader::at(leaf, lay.at[i]).entry()?, lay.chain(leaf, i)?)
+    } else {
+        (0, (0, 0))
+    };
+    let splice = Splice {
+        range: lay.at[i]..lay.at[i + usize::from(found)],
+        new,
+        used: lay.used,
+        count: lay.len() + usize::from(put.is_some()) - usize::from(found),
+    };
+    Ok(Some((splice.plan(leaf, lay.size - old + size)?, chain)))
+}
+
+/// Descend toward `target`'s leaf and edit it ([`edit_leaf`]); free the
+/// overflow chain of a cell the edit took off, then store the leaf — or
+/// split it ([`store_splitting`]), or unlink it when the edit emptied a
+/// leaf below the root. Returns whether there was anything to do.
+///
+/// The edit is worked out on the bytes the descent holds and spliced into
+/// them through `get_mut`. Only the chain walk comes between, and a leaf
+/// it evicts and reloads from the host gets the same splice: whatever
+/// that leaves is checked again at its next read, since `get_mut` drops
+/// the page's index.
+fn write_leaf(pager: &mut Pager, root: PageId, target: Key<'_>, put: Option<(&[u8], usize)>) -> DbResult<bool> {
+    let mut path = Vec::new();
+    let hit = descend(pager, root, target.toward(), Some(&mut path), |page, leaf| {
+        Ok(edit_leaf(leaf, target, put)?.map(|(edit, chain)| (page, edit, chain)))
+    })?;
+    let Some((page, edit, (head, len))) = hit else {
+        return Ok(false);
+    };
+    if len > 0 {
+        free_overflow(pager, head, len)?;
+    }
+    match edit {
+        Edit::Fits(splice) if splice.count == 0 && !path.is_empty() => {
+            let ty = if let Key::Rowid(_) = target { TABLE_LEAF } else { INDEX_LEAF };
+            unlink_emptied(pager, &path, page, ty)?;
+        }
+        edit => store_splitting(pager, &path, page, edit)?,
+    }
+    Ok(true)
+}
+
+/// Store `edit` of `page`, which [`descend`] reached through `path` (its
+/// `(interior page, child index)` pairs from the root down). An overfull
+/// page splits ([`halves`]): its right half goes to a new page, its left
+/// half stays, and its parent takes the separator and the new right
+/// sibling in ([`adopt`]), spliced in the `get_mut` borrow that holds it
+/// when it fits, else built overfull and split in turn. The root keeps its
+/// page id, which the catalog holds: when it splits, its left half moves
+/// to a new page, allocated after the right sibling, and the root becomes
+/// the interior node over the two.
+fn store_splitting(pager: &mut Pager, path: &[(PageId, usize)], mut page: PageId, edit: Edit<'_>) -> DbResult<()> {
+    let mut buf = match edit {
+        Edit::Fits(splice) => return splice.apply(pager.get_mut(page)?),
+        Edit::Overfull(buf) => buf,
+    };
     let mut parents = path.iter().rev();
-    while node.encoded_size() > PAGE_SIZE {
-        let (sep, half) = node.split();
+    loop {
+        let ty = buf[0];
+        let h = halves(&buf)?;
         let right = pager.allocate()?;
-        store(pager, right, &half)?;
+        write_node(pager.get_mut(right)?, ty, h.right_len, &[&buf[h.right]])?;
         let Some(&(parent, idx)) = parents.next() else {
             let left = pager.allocate()?;
-            store(pager, left, &node)?;
-            return store(pager, page, &sep.root_over(left, right));
+            write_node(pager.get_mut(left)?, ty, h.left_len, &[&buf[h.left]])?;
+            let over = [&left.to_le_bytes()[..], &buf[h.sep], &right.to_le_bytes()];
+            return write_node(pager.get_mut(page)?, ty & !LEAF, 1, &over);
         };
-        store(pager, page, &node)?;
+        write_node(pager.get_mut(page)?, ty, h.left_len, &[&buf[h.left]])?;
+        let mut new = buf[h.sep].to_vec();
+        new.extend(right.to_le_bytes());
         let bytes = pager.get_mut(parent)?;
-        let mut up = Node::decode(bytes)?;
-        up.adopt(idx, sep, right)?;
-        if up.encoded_size() <= PAGE_SIZE {
-            up.encode(bytes);
-            return Ok(());
-        }
-        (page, node) = (parent, up);
-    }
-    store(pager, page, &node)
-}
-
-/// The separator a split sends up: the bound of its left half (a leaf's
-/// largest key, or an interior node's middle separator).
-enum Sep {
-    Rowid(i64),
-    Key(Vec<u8>),
-}
-
-impl Sep {
-    /// The interior node over a split root's two halves.
-    fn root_over(self, left: PageId, right: PageId) -> Node {
-        let children = vec![left, right];
-        match self {
-            Sep::Rowid(key) => Node::TableInterior { children, keys: vec![key] },
-            Sep::Key(key) => Node::IndexInterior { children, keys: vec![key] },
+        match adopt(bytes, ty, idx, &new, h.sep_size)? {
+            Edit::Fits(splice) => return splice.apply(bytes),
+            Edit::Overfull(up) => (page, buf) = (parent, up),
         }
     }
+}
+
+/// How an overfull page splits, as byte ranges of it: each half's entries
+/// (an interior left half ends with the child that becomes its last), and
+/// the separator that goes up, encoded as an interior entry holds it.
+struct Halves {
+    left: Range<usize>,
+    left_len: usize,
+    right: Range<usize>,
+    right_len: usize,
+    sep: Range<usize>,
+    /// What the separator's entry adds to the parent's size.
+    sep_size: usize,
+}
+
+/// Split the overfull page in `buf`: a leaf at [`split_point`], its left
+/// half's largest key copied up; an interior page at its middle
+/// separator, which moves up.
+fn halves(buf: &[u8]) -> DbResult<Halves> {
+    let lay = Layout::of(buf)?;
+    let (at, n) = (&lay.at, lay.len());
+    if lay.ty & LEAF == 0 {
+        let mid = n / 2;
+        return Ok(Halves {
+            left: 3..at[mid] + 4,
+            left_len: mid,
+            right: at[mid + 1]..lay.used,
+            right_len: n - mid - 1,
+            sep: at[mid] + 4..at[mid + 1],
+            sep_size: NodeReader::at(buf, at[mid]).entry()?,
+        });
+    }
+    let sizes = at[..n].iter().map(|&pos| NodeReader::at(buf, pos).entry()).collect::<DbResult<Vec<_>>>()?;
+    let cut = split_point(sizes.iter().copied());
+    let last = at[cut - 1];
+    let (sep_end, sep_size) = if lay.ty == TABLE_LEAF {
+        (last + read_varint(&buf[last..])?.1, 14)
+    } else {
+        (at[cut], 4 + sizes[cut - 1])
+    };
+    Ok(Halves {
+        left: 3..at[cut],
+        left_len: cut,
+        right: at[cut]..lay.used,
+        right_len: n - cut,
+        sep: last..sep_end,
+        sep_size,
+    })
 }
 
 /// Where to split an overfull leaf whose entries encode to `sizes` bytes:
@@ -824,6 +818,24 @@ fn split_point(sizes: impl Iterator<Item = usize>) -> usize {
         }
     }
     sizes.len() / 2
+}
+
+/// The edit by which interior page `parent` takes in a split of its child
+/// `idx`, a page of type `ty`: before entry `idx` goes `(child idx,
+/// separator)`, and the next child — or the last — becomes the new right
+/// sibling. `new` is the separator, as an interior entry encodes it,
+/// followed by the right sibling's id; its entry adds `sep_size`.
+fn adopt<'n>(parent: &[u8], ty: u8, idx: usize, new: &'n [u8], sep_size: usize) -> DbResult<Edit<'n>> {
+    let lay = Layout::of(parent)?;
+    if lay.ty != ty & !LEAF {
+        return Err(DbError::Storage("tree type mismatch".into()));
+    }
+    // The parent's bytes may have been reloaded since the descent.
+    let Some(&at) = lay.at.get(idx) else {
+        return Err(DbError::Storage("split child is not on its parent".into()));
+    };
+    let splice = Splice { range: at + 4..at + 4, new, used: lay.used, count: lay.len() + 1 };
+    splice.plan(parent, lay.size + sep_size)
 }
 
 // ---------------------------------------------------------------------
@@ -849,7 +861,7 @@ pub fn table_get(pager: &mut Pager, root: PageId, rowid: i64) -> DbResult<Option
         return Ok(None);
     };
     if overflow_len > 0 {
-        payload.extend(read_overflow(pager, overflow, overflow_len)?);
+        append_overflow(pager, overflow, overflow_len, &mut payload)?;
     }
     Ok(Some(payload))
 }
@@ -865,97 +877,50 @@ pub fn table_get(pager: &mut Pager, root: PageId, rowid: i64) -> DbResult<Option
 /// leaves behind and the file grows without bound. Cursors hold page ids:
 /// none may be open across a delete ([`Cursor`] asserts it).
 pub fn table_delete(pager: &mut Pager, root: PageId, rowid: i64) -> DbResult<bool> {
-    delete(pager, root, Toward::Rowid(rowid), |pager, leaf| {
-        let Node::TableLeaf { cells } = leaf else {
-            return Err(DbError::Storage("not a table tree".into()));
-        };
-        let Ok(i) = cells.binary_search_by_key(&rowid, |c| c.rowid) else {
-            return Ok(false);
-        };
-        let cell = cells.remove(i);
-        if cell.overflow_len > 0 {
-            free_overflow(pager, cell.overflow)?;
-        }
-        Ok(true)
-    })
+    write_leaf(pager, root, Key::Rowid(rowid), None)
 }
 
 /// Delete an exact key from an index tree; returns whether it existed.
 /// Emptied leaves are unlinked and freed as in [`table_delete`].
 pub fn index_delete(pager: &mut Pager, root: PageId, key: &[u8]) -> DbResult<bool> {
-    delete(pager, root, Toward::Key(key), |_, leaf| {
-        let Node::IndexLeaf { keys } = leaf else {
-            return Err(DbError::Storage("not an index tree".into()));
-        };
-        let Ok(i) = keys.binary_search_by(|k| k.as_slice().cmp(key)) else {
-            return Ok(false);
-        };
-        keys.remove(i);
-        Ok(true)
-    })
-}
-
-/// Descend `toward` a leaf and let `remove` take an entry out of it
-/// (returning whether there was one); then store the leaf, or unlink it
-/// when that emptied a leaf below the root.
-fn delete(
-    pager: &mut Pager,
-    root: PageId,
-    toward: Toward<'_>,
-    remove: impl FnOnce(&mut Pager, &mut Node) -> DbResult<bool>,
-) -> DbResult<bool> {
-    let mut path = Vec::new();
-    let (page, mut leaf) = descend(pager, root, toward, Some(&mut path), decode_leaf)?;
-    if !remove(pager, &mut leaf)? {
-        return Ok(false);
-    }
-    if leaf_len(&leaf) == 0 && !path.is_empty() {
-        unlink_emptied(pager, &path, page, &leaf)?;
-    } else {
-        store(pager, page, &leaf)?;
-    }
-    Ok(true)
+    write_leaf(pager, root, Key::Bytes(key), None)
 }
 
 /// `page` — reached from the root through `path`, a list of (interior
 /// page, child index taken) — has just lost its last entry: free it and
-/// drop it from its parent, together with the separator that bounded it
-/// (the last separator when it was the unbounded last child). A parent
-/// left without children goes the same way, up to the root, whose page id
-/// is referenced from the catalog and must stay: it becomes `empty_leaf`.
+/// drop it from its parent ([`drop_child`]). A parent left without
+/// children goes the same way, up to the root, whose page id is referenced
+/// from the catalog and must stay: it becomes an empty leaf of type `ty`.
 /// The path comes from a descent, so it is at most [`MAX_DEPTH`] long.
-fn unlink_emptied(
-    pager: &mut Pager,
-    path: &[(PageId, usize)],
-    mut page: PageId,
-    empty_leaf: &Node,
-) -> DbResult<()> {
-    fn remove_child<K>(children: &mut Vec<PageId>, keys: &mut Vec<K>, idx: usize) {
-        children.remove(idx);
-        if !keys.is_empty() {
-            keys.remove(idx.min(keys.len() - 1));
-        }
-    }
+fn unlink_emptied(pager: &mut Pager, path: &[(PageId, usize)], mut page: PageId, ty: u8) -> DbResult<()> {
     for &(parent, idx) in path.iter().rev() {
         pager.free_page(page)?;
-        let mut node = load(pager, parent)?;
-        let childless = match &mut node {
-            Node::TableInterior { children, keys } => {
-                remove_child(children, keys, idx);
-                children.is_empty()
-            }
-            Node::IndexInterior { children, keys } => {
-                remove_child(children, keys, idx);
-                children.is_empty()
-            }
-            _ => return Err(DbError::Storage("leaf on the path to a leaf".into())),
-        };
-        if !childless {
-            return store(pager, parent, &node);
+        let bytes = pager.get_mut(parent)?;
+        if let Some(splice) = drop_child(bytes, idx)? {
+            return splice.apply(bytes);
         }
         page = parent;
     }
-    store(pager, page, empty_leaf)
+    write_node(pager.get_mut(page)?, ty, 0, &[])
+}
+
+/// The edit that takes child `idx` off interior page `parent`, together
+/// with the separator that bounded it (the last separator when it was the
+/// unbounded last child); `None` when it was the only child.
+fn drop_child(parent: &[u8], idx: usize) -> DbResult<Option<Splice<'static>>> {
+    let lay = Layout::of(parent)?;
+    let n = lay.len();
+    if lay.ty & LEAF != 0 {
+        return Err(DbError::Storage("leaf on the path to a leaf".into()));
+    }
+    if idx > n {
+        return Err(DbError::Storage("emptied child is not on its parent".into()));
+    }
+    if n == 0 {
+        return Ok(None);
+    }
+    let range = if idx < n { lay.at[idx]..lay.at[idx + 1] } else { lay.at[n - 1] + 4..lay.used };
+    Ok(Some(Splice { range, new: &[], used: lay.used, count: n - 1 }))
 }
 
 /// Largest rowid in the table (for auto-increment), read in place.
@@ -984,20 +949,27 @@ fn free_subtree(pager: &mut Pager, page: PageId, depth: usize, freed: &mut HashS
     if !freed.insert(page) {
         return Err(DbError::Storage(format!("page {page} is in the tree twice")));
     }
-    match load(pager, page)? {
-        Node::TableLeaf { cells } => {
-            for c in cells {
-                if c.overflow_len > 0 {
-                    free_overflow(pager, c.overflow)?;
-                }
-            }
+    // What hangs below the page, read in place: a leaf's overflow chains,
+    // or an interior page's children.
+    let bytes = pager.get(page)?;
+    let lay = Layout::of(bytes)?;
+    let (mut chains, mut children) = (Vec::new(), Vec::new());
+    if lay.ty & LEAF != 0 {
+        for i in 0..lay.len() {
+            chains.push(lay.chain(bytes, i)?);
         }
-        Node::TableInterior { children, .. } | Node::IndexInterior { children, .. } => {
-            for child in children {
-                free_subtree(pager, child, depth + 1, freed)?;
-            }
+    } else {
+        for &pos in &lay.at {
+            children.push(Reader { data: bytes, pos }.u32()?);
         }
-        Node::IndexLeaf { .. } => {}
+    }
+    for (head, len) in chains {
+        if len > 0 {
+            free_overflow(pager, head, len)?;
+        }
+    }
+    for child in children {
+        free_subtree(pager, child, depth + 1, freed)?;
     }
     pager.free_page(page)
 }
@@ -1010,21 +982,68 @@ fn free_subtree(pager: &mut Pager, page: PageId, depth: usize, freed: &mut HashS
 pub struct Cursor {
     /// Path of (page, child index) from the root (interior levels).
     stack: Vec<(PageId, usize)>,
-    /// Current decoded leaf and position.
-    leaf: Option<(PageId, Node, usize)>,
+    /// The leaf the cursor stands on.
+    leaf: Option<Leaf>,
+    /// The buffer of the leaf the cursor left last, for the next copy.
+    spare: Vec<u8>,
     /// [`Pager::pages_freed`] when the cursor was opened. The stack and
-    /// the decoded leaf name pages by id; a page freed since (an emptied
-    /// leaf, a replaced overflow chain) may already hold something else.
+    /// the leaf name pages by id; a page freed since (an emptied leaf, a
+    /// replaced overflow chain) may already hold something else.
     pages_freed_at_open: u64,
 }
 
+/// A cursor's leaf: a copy of its checked bytes, taken once from the
+/// descent's borrow, and the entry the cursor is at. Entries are read from
+/// the copy, so the pager — and Fig. 5's page hook — sees one access per
+/// leaf.
+struct Leaf {
+    page: PageId,
+    bytes: Vec<u8>,
+    lay: Layout,
+    idx: usize,
+}
+
+impl Leaf {
+    /// Copy leaf `page`'s checked `bytes` into `buf`, a buffer a leaf the
+    /// cursor left gave up (so a scan allocates none per leaf).
+    fn copy(page: PageId, bytes: &[u8], mut buf: Vec<u8>) -> DbResult<Self> {
+        let lay = Layout::of(bytes)?;
+        buf.clear();
+        buf.extend_from_slice(&bytes[..lay.used]);
+        Ok(Self { page, bytes: buf, lay, idx: 0 })
+    }
+
+    fn key(&self, i: usize) -> DbResult<Key<'_>> {
+        NodeReader::at(&self.bytes, self.lay.at[i]).leaf_key()
+    }
+
+    /// Whether every key of `right` is above every key of this leaf (each
+    /// already strictly ascending): this leaf's last below `right`'s first.
+    fn precedes(&self, right: &Leaf) -> DbResult<bool> {
+        let last = self.lay.len().checked_sub(1).map(|i| self.key(i)).transpose()?;
+        Ok(self.lay.ty == right.lay.ty && last < Some(right.key(0)?))
+    }
+}
+
 impl Cursor {
-    fn open(pager: &Pager) -> Self {
-        Self {
-            stack: Vec::new(),
-            leaf: None,
-            pages_freed_at_open: pager.pages_freed(),
+    /// Descend to `target`'s leaf (the first leaf with no target) and stand
+    /// on its first entry ≥ `target`, or on the first entry of the next
+    /// non-empty leaf when there is none.
+    fn open(pager: &mut Pager, root: PageId, target: Option<Key<'_>>) -> DbResult<Self> {
+        let pages_freed_at_open = pager.pages_freed();
+        let mut stack = Vec::new();
+        let toward = target.map_or(Toward::Child(0), Key::toward);
+        let copy = |page, bytes: &[u8]| Leaf::copy(page, bytes, Vec::new());
+        let mut leaf = descend(pager, root, toward, Some(&mut stack), copy)?;
+        if let Some(target) = target {
+            leaf.idx = leaf.lay.find(&leaf.bytes, target)?.0;
         }
+        let at_end = leaf.idx >= leaf.lay.len();
+        let mut c = Self { stack, leaf: Some(leaf), spare: Vec::new(), pages_freed_at_open };
+        if at_end {
+            c.advance_leaf(pager)?;
+        }
+        Ok(c)
     }
 
     /// Statement execution collects its target rows before it deletes or
@@ -1040,50 +1059,22 @@ impl Cursor {
 
     /// Cursor positioned at the first entry.
     pub fn first(pager: &mut Pager, root: PageId) -> DbResult<Self> {
-        let mut c = Self::open(pager);
-        let (leaf, node) = descend(pager, root, Toward::Child(0), Some(&mut c.stack), decode_leaf)?;
-        c.settle(pager, leaf, node, 0)?;
-        Ok(c)
+        Self::open(pager, root, None)
     }
 
     /// Cursor positioned at the first table entry with `rowid ≥ target`.
     pub fn seek_rowid(pager: &mut Pager, root: PageId, target: i64) -> DbResult<Self> {
-        let mut c = Self::open(pager);
-        let (leaf, node) = descend(pager, root, Toward::Rowid(target), Some(&mut c.stack), decode_leaf)?;
-        let Node::TableLeaf { cells } = &node else {
-            return Err(DbError::Storage("not a table tree".into()));
-        };
-        let idx = cells.partition_point(|cell| cell.rowid < target);
-        c.settle(pager, leaf, node, idx)?;
-        Ok(c)
+        Self::open(pager, root, Some(Key::Rowid(target)))
     }
 
     /// Cursor positioned at the first index key ≥ `target`.
     pub fn seek_key(pager: &mut Pager, root: PageId, target: &[u8]) -> DbResult<Self> {
-        let mut c = Self::open(pager);
-        let (leaf, node) = descend(pager, root, Toward::Key(target), Some(&mut c.stack), decode_leaf)?;
-        let Node::IndexLeaf { keys } = &node else {
-            return Err(DbError::Storage("not an index tree".into()));
-        };
-        let idx = keys.partition_point(|k| k.as_slice() < target);
-        c.settle(pager, leaf, node, idx)?;
-        Ok(c)
-    }
-
-    /// Stand on entry `idx` of the decoded `leaf`, or on the first entry
-    /// of the next non-empty leaf when `idx` is past its end.
-    fn settle(&mut self, pager: &mut Pager, leaf: PageId, node: Node, idx: usize) -> DbResult<()> {
-        let at_end = idx >= leaf_len(&node);
-        self.leaf = Some((leaf, node, idx));
-        if at_end {
-            self.advance_leaf(pager)?;
-        }
-        Ok(())
+        Self::open(pager, root, Some(Key::Bytes(target)))
     }
 
     /// Move to the first entry of the next non-empty leaf. The interior
     /// pages on the stack pick the next child in place ([`pick`]); only the
-    /// leaf is decoded. Its first key must be above the last key of the
+    /// leaf is copied. Its first key must be above the last key of the
     /// leaf the cursor leaves: a forged interior page that names one leaf
     /// twice would otherwise replay it (and hide the leaf it stands in
     /// for).
@@ -1099,16 +1090,23 @@ impl Cursor {
                 continue; // `idx` was the last child: go up a level
             }
             self.stack.push((page, next));
-            let (leaf, node) = descend(pager, child, Toward::Child(0), Some(&mut self.stack), decode_leaf)?;
-            if leaf_len(&node) > 0 {
-                if let Some((_, left, _)) = &left {
-                    if !follows(left, &node) {
-                        return Err(DbError::Storage(format!("leaf {leaf} repeats keys of an earlier leaf")));
-                    }
-                }
-                self.leaf = Some((leaf, node, 0));
-                return Ok(());
+            let spare = std::mem::take(&mut self.spare);
+            let copy = |page, bytes: &[u8]| Leaf::copy(page, bytes, spare);
+            let leaf = descend(pager, child, Toward::Child(0), Some(&mut self.stack), copy)?;
+            if leaf.lay.len() == 0 {
+                self.spare = leaf.bytes;
+                continue;
             }
+            if let Some(left) = &left {
+                if !left.precedes(&leaf)? {
+                    return Err(DbError::Storage(format!("leaf {} repeats keys of an earlier leaf", leaf.page)));
+                }
+            }
+            self.leaf = Some(leaf);
+            break;
+        }
+        if let Some(left) = left {
+            self.spare = left.bytes;
         }
         Ok(())
     }
@@ -1116,72 +1114,409 @@ impl Cursor {
     /// Whether the cursor points at an entry.
     #[must_use]
     pub fn valid(&self) -> bool {
-        self.leaf.as_ref().is_some_and(|(_, node, idx)| *idx < leaf_len(node))
+        self.leaf.as_ref().is_some_and(|leaf| leaf.idx < leaf.lay.len())
+    }
+
+    /// A reader at the entry the cursor points at, on a leaf of type `ty`.
+    fn entry(&self, ty: u8) -> Option<NodeReader<'_>> {
+        let leaf = self.leaf.as_ref()?;
+        (leaf.lay.ty == ty && leaf.idx < leaf.lay.len()).then(|| NodeReader::at(&leaf.bytes, leaf.lay.at[leaf.idx]))
     }
 
     /// Current table entry `(rowid, payload)`.
     pub fn table_entry(&self, pager: &mut Pager) -> DbResult<(i64, Vec<u8>)> {
-        match &self.leaf {
-            Some((_, Node::TableLeaf { cells }, idx)) if *idx < cells.len() => {
-                self.assert_no_page_freed_since_open(pager);
-                let cell = &cells[*idx];
-                Ok((cell.rowid, cell_payload(pager, cell)?))
-            }
-            _ => Err(DbError::Storage("cursor not on a table entry".into())),
+        let Some(mut r) = self.entry(TABLE_LEAF) else {
+            return Err(DbError::Storage("cursor not on a table entry".into()));
+        };
+        self.assert_no_page_freed_since_open(pager);
+        let cell = r.cell()?;
+        let mut payload = cell.local.to_vec();
+        if cell.overflow_len > 0 {
+            append_overflow(pager, cell.overflow, cell.overflow_len, &mut payload)?;
         }
+        Ok((cell.rowid, payload))
     }
 
     /// Current index key.
     pub fn index_entry(&self) -> DbResult<&[u8]> {
-        match &self.leaf {
-            Some((_, Node::IndexLeaf { keys }, idx)) if *idx < keys.len() => Ok(&keys[*idx]),
-            _ => Err(DbError::Storage("cursor not on an index entry".into())),
+        match self.entry(INDEX_LEAF) {
+            Some(mut r) => r.key(),
+            None => Err(DbError::Storage("cursor not on an index entry".into())),
         }
     }
 
     /// Advance; returns whether the cursor is still valid.
     pub fn next(&mut self, pager: &mut Pager) -> DbResult<bool> {
-        if let Some((_, node, idx)) = &mut self.leaf {
-            *idx += 1;
-            if *idx < leaf_len(node) {
-                return Ok(true);
-            }
-            self.advance_leaf(pager)?;
-            return Ok(self.valid());
+        let Some(leaf) = &mut self.leaf else {
+            return Ok(false);
+        };
+        leaf.idx += 1;
+        if leaf.idx < leaf.lay.len() {
+            return Ok(true);
         }
-        Ok(false)
-    }
-}
-
-/// The leaf a cursor stands on, or a write edits, decoded.
-fn decode_leaf(id: PageId, page: &[u8]) -> DbResult<(PageId, Node)> {
-    Ok((id, Node::decode(page)?))
-}
-
-/// Whether every key of leaf `right` is above every key of leaf `left`
-/// (each already strictly ascending): `left`'s last below `right`'s first.
-fn follows(left: &Node, right: &Node) -> bool {
-    match (left, right) {
-        (Node::TableLeaf { cells: l }, Node::TableLeaf { cells: r }) => {
-            l.last().map(|c| c.rowid) < r.first().map(|c| c.rowid)
-        }
-        (Node::IndexLeaf { keys: l }, Node::IndexLeaf { keys: r }) => l.last() < r.first(),
-        _ => false,
-    }
-}
-
-/// Entries on a decoded leaf (0 for an interior node).
-fn leaf_len(node: &Node) -> usize {
-    match node {
-        Node::TableLeaf { cells } => cells.len(),
-        Node::IndexLeaf { keys } => keys.len(),
-        _ => 0,
+        self.advance_leaf(pager)?;
+        Ok(self.valid())
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// A table-leaf cell of the test model.
+    #[derive(Debug, Clone, PartialEq)]
+    struct TableCell {
+        /// Row key.
+        rowid: i64,
+        /// Local prefix of the payload.
+        local: Vec<u8>,
+        /// Remaining payload length beyond `local`.
+        overflow_len: u32,
+        /// First overflow page, when `overflow_len > 0`.
+        overflow: PageId,
+    }
+
+    /// A decoded node: the fixture builder of the forged-page tests, and
+    /// the model the byte editor is held to.
+    #[derive(Debug, Clone, PartialEq)]
+    enum Node {
+        /// Leaf of a table tree.
+        TableLeaf {
+            /// Cells sorted by rowid.
+            cells: Vec<TableCell>,
+        },
+        /// Interior of a table tree: `children.len() == keys.len() + 1`;
+        /// subtree `i` holds rowids ≤ `keys[i]` (last subtree unbounded).
+        TableInterior {
+            /// Child pages.
+            children: Vec<PageId>,
+            /// Separator keys.
+            keys: Vec<i64>,
+        },
+        /// Leaf of an index tree: sorted, unique key blobs.
+        IndexLeaf {
+            /// Keys.
+            keys: Vec<Vec<u8>>,
+        },
+        /// Interior of an index tree.
+        IndexInterior {
+            /// Child pages.
+            children: Vec<PageId>,
+            /// Separator keys (copies of the max key of each left subtree).
+            keys: Vec<Vec<u8>>,
+        },
+    }
+
+    /// The separator a split sends up: the bound of its left half (a leaf's
+    /// largest key, or an interior node's middle separator).
+    #[derive(Debug)]
+    enum Sep {
+        Rowid(i64),
+        Key(Vec<u8>),
+    }
+
+    impl Sep {
+        /// The separator as an interior entry encodes it, and what that
+        /// entry adds to its page's size.
+        fn encoded(&self) -> (Vec<u8>, usize) {
+            let mut out = Vec::new();
+            match self {
+                Sep::Rowid(key) => {
+                    write_varint(&mut out, *key as u64);
+                    (out, 14)
+                }
+                Sep::Key(key) => {
+                    write_varint(&mut out, key.len() as u64);
+                    out.extend_from_slice(key);
+                    (out, 9 + key.len())
+                }
+            }
+        }
+    }
+
+    impl Node {
+        /// Serialised size (must fit `PAGE_SIZE`).
+        fn encoded_size(&self) -> usize {
+            let mut n = 8;
+            match self {
+                Node::TableLeaf { cells } => {
+                    for c in cells {
+                        n += 10 + 5 + 5 + c.local.len() + 4;
+                    }
+                }
+                Node::TableInterior { children, keys } => {
+                    n += children.len() * 4 + keys.len() * 10;
+                }
+                Node::IndexLeaf { keys } => {
+                    for k in keys {
+                        n += 5 + k.len();
+                    }
+                }
+                Node::IndexInterior { children, keys } => {
+                    n += children.len() * 4;
+                    for k in keys {
+                        n += 5 + k.len();
+                    }
+                }
+            }
+            n
+        }
+
+        /// Encode over `out`, zeroing the rest; returns the bytes written.
+        fn encode(&self, out: &mut [u8]) -> usize {
+            out.fill(0);
+            let mut w = Writer { out, pos: 0 };
+            match self {
+                Node::TableLeaf { cells } => {
+                    w.u8(TABLE_LEAF);
+                    w.u16(cells.len() as u16);
+                    for c in cells {
+                        w.varint(c.rowid as u64);
+                        w.varint(c.local.len() as u64);
+                        w.varint(u64::from(c.overflow_len));
+                        if c.overflow_len > 0 {
+                            w.u32(c.overflow);
+                        }
+                        w.bytes(&c.local);
+                    }
+                }
+                Node::TableInterior { children, keys } => {
+                    w.u8(TABLE_INTERIOR);
+                    w.u16(keys.len() as u16);
+                    for (i, k) in keys.iter().enumerate() {
+                        w.u32(children[i]);
+                        w.varint(*k as u64);
+                    }
+                    w.u32(*children.last().expect("interior has children"));
+                }
+                Node::IndexLeaf { keys } => {
+                    w.u8(INDEX_LEAF);
+                    w.u16(keys.len() as u16);
+                    for k in keys {
+                        w.varint(k.len() as u64);
+                        w.bytes(k);
+                    }
+                }
+                Node::IndexInterior { children, keys } => {
+                    w.u8(INDEX_INTERIOR);
+                    w.u16(keys.len() as u16);
+                    for (i, k) in keys.iter().enumerate() {
+                        w.u32(children[i]);
+                        w.varint(k.len() as u64);
+                        w.bytes(k);
+                    }
+                    w.u32(*children.last().expect("interior has children"));
+                }
+            }
+            w.pos
+        }
+
+        /// Split an overfull node: keep the left half and return the
+        /// separator that goes up with the right half. A leaf splits at
+        /// [`split_point`] and its largest key is copied up; an interior
+        /// node splits at its middle separator, which moves up.
+        fn split(&mut self) -> (Sep, Node) {
+            /// The entries after the middle separator, and the separator.
+            fn halve<K>(children: &mut Vec<PageId>, keys: &mut Vec<K>) -> (K, Vec<PageId>, Vec<K>) {
+                let mid = keys.len() / 2;
+                let right_keys = keys.split_off(mid + 1);
+                (keys.remove(mid), children.split_off(mid + 1), right_keys)
+            }
+            match self {
+                Node::TableLeaf { cells } => {
+                    let cut = split_point(cells.iter().map(|c| 24 + c.local.len()));
+                    let right = cells.split_off(cut);
+                    (Sep::Rowid(cells[cut - 1].rowid), Node::TableLeaf { cells: right })
+                }
+                Node::IndexLeaf { keys } => {
+                    let cut = split_point(keys.iter().map(|k| 5 + k.len()));
+                    let right = keys.split_off(cut);
+                    (Sep::Key(keys[cut - 1].clone()), Node::IndexLeaf { keys: right })
+                }
+                Node::TableInterior { children, keys } => {
+                    let (sep, children, keys) = halve(children, keys);
+                    (Sep::Rowid(sep), Node::TableInterior { children, keys })
+                }
+                Node::IndexInterior { children, keys } => {
+                    let (sep, children, keys) = halve(children, keys);
+                    (Sep::Key(sep), Node::IndexInterior { children, keys })
+                }
+            }
+        }
+
+        /// Take in what a split of child `idx` sent up: `sep` now bounds
+        /// child `idx`, and `right` follows it.
+        fn adopt(&mut self, idx: usize, sep: Sep, right: PageId) {
+            fn put<K>(children: &mut Vec<PageId>, keys: &mut Vec<K>, idx: usize, sep: K, right: PageId) {
+                keys.insert(idx, sep);
+                children.insert(idx + 1, right);
+            }
+            match (self, sep) {
+                (Node::TableInterior { children, keys }, Sep::Rowid(sep)) => put(children, keys, idx, sep, right),
+                (Node::IndexInterior { children, keys }, Sep::Key(sep)) => put(children, keys, idx, sep, right),
+                (node, sep) => panic!("{sep:?} on {node:?}"),
+            }
+        }
+
+        /// Drop child `idx` and the separator that bounded it (the last
+        /// separator for the last child); returns whether children are left.
+        fn remove_child(&mut self, idx: usize) -> bool {
+            fn remove<K>(children: &mut Vec<PageId>, keys: &mut Vec<K>, idx: usize) -> bool {
+                children.remove(idx);
+                if !keys.is_empty() {
+                    keys.remove(idx.min(keys.len() - 1));
+                }
+                !children.is_empty()
+            }
+            match self {
+                Node::TableInterior { children, keys } => remove(children, keys, idx),
+                Node::IndexInterior { children, keys } => remove(children, keys, idx),
+                leaf => panic!("not an interior node: {leaf:?}"),
+            }
+        }
+
+        /// Decode a whole page: a collect over [`NodeReader`], so a page is
+        /// accepted or refused exactly as the in-place reads accept or
+        /// refuse it.
+        fn decode(data: &[u8]) -> DbResult<Node> {
+            let mut r = NodeReader::new(data)?;
+            let n = r.len;
+            Ok(match r.ty {
+                TABLE_LEAF => Node::TableLeaf {
+                    cells: (0..n)
+                        .map(|_| {
+                            r.cell().map(|c| TableCell {
+                                rowid: c.rowid,
+                                local: c.local.to_vec(),
+                                overflow_len: c.overflow_len,
+                                overflow: c.overflow,
+                            })
+                        })
+                        .collect::<DbResult<_>>()?,
+                },
+                TABLE_INTERIOR => {
+                    let mut children = Vec::with_capacity(n + 1);
+                    let mut keys = Vec::with_capacity(n);
+                    for _ in 0..n {
+                        let (child, key) = r.table_sep()?;
+                        children.push(child);
+                        keys.push(key);
+                    }
+                    children.push(r.last_child()?);
+                    Node::TableInterior { children, keys }
+                }
+                INDEX_LEAF => Node::IndexLeaf {
+                    keys: (0..n).map(|_| r.key().map(<[u8]>::to_vec)).collect::<DbResult<_>>()?,
+                },
+                _ => {
+                    let mut children = Vec::with_capacity(n + 1);
+                    let mut keys = Vec::with_capacity(n);
+                    for _ in 0..n {
+                        let (child, key) = r.index_sep()?;
+                        children.push(child);
+                        keys.push(key.to_vec());
+                    }
+                    children.push(r.last_child()?);
+                    Node::IndexInterior { children, keys }
+                }
+            })
+        }
+    }
+
+    struct Writer<'a> {
+        out: &'a mut [u8],
+        pos: usize,
+    }
+
+    impl Writer<'_> {
+        fn u8(&mut self, v: u8) {
+            self.out[self.pos] = v;
+            self.pos += 1;
+        }
+        fn u16(&mut self, v: u16) {
+            self.out[self.pos..self.pos + 2].copy_from_slice(&v.to_le_bytes());
+            self.pos += 2;
+        }
+        fn u32(&mut self, v: u32) {
+            self.out[self.pos..self.pos + 4].copy_from_slice(&v.to_le_bytes());
+            self.pos += 4;
+        }
+        /// [`crate::record::write_varint`]'s encoding, written in place.
+        fn varint(&mut self, mut v: u64) {
+            loop {
+                let b = (v & 0x7F) as u8;
+                v >>= 7;
+                if v == 0 {
+                    return self.u8(b);
+                }
+                self.u8(b | 0x80);
+            }
+        }
+        fn bytes(&mut self, b: &[u8]) {
+            self.out[self.pos..self.pos + b.len()].copy_from_slice(b);
+            self.pos += b.len();
+        }
+    }
+
+    /// Decode a page through the model.
+    fn load(pager: &mut Pager, id: PageId) -> DbResult<Node> {
+        Node::decode(pager.get(id)?)
+    }
+
+    /// Write a model node over a page.
+    fn store(pager: &mut Pager, id: PageId, node: &Node) -> DbResult<()> {
+        debug_assert!(node.encoded_size() <= PAGE_SIZE, "node overflows page");
+        node.encode(pager.get_mut(id)?);
+        Ok(())
+    }
+
+    fn read_overflow(pager: &mut Pager, id: PageId, total: u32) -> DbResult<Vec<u8>> {
+        let mut out = Vec::new();
+        append_overflow(pager, id, total, &mut out)?;
+        Ok(out)
+    }
+
+    /// The full payload of a model cell.
+    fn cell_payload(pager: &mut Pager, cell: &TableCell) -> DbResult<Vec<u8>> {
+        let mut out = cell.local.clone();
+        if cell.overflow_len > 0 {
+            append_overflow(pager, cell.overflow, cell.overflow_len, &mut out)?;
+        }
+        Ok(out)
+    }
+
+    /// Every page in `2..=page_count` is either reached exactly once from
+    /// `roots` — through tree pages and overflow chains — or free (on the
+    /// freelist or one of its trunk pages), and none is both.
+    fn assert_pages_accounted(p: &mut Pager, roots: &[PageId]) {
+        let mut reached = HashSet::new();
+        let mut todo = roots.to_vec();
+        while let Some(page) = todo.pop() {
+            assert!(reached.insert(page), "page {page} reached twice");
+            match load(p, page).unwrap() {
+                Node::TableLeaf { cells } => {
+                    for c in cells.iter().filter(|c| c.overflow_len > 0) {
+                        let mut chain = Vec::new();
+                        walk_overflow(p, c.overflow, c.overflow_len, |id, _| chain.push(id)).unwrap();
+                        for id in chain {
+                            assert!(reached.insert(id), "overflow page {id} reached twice");
+                        }
+                    }
+                }
+                Node::TableInterior { children, .. } | Node::IndexInterior { children, .. } => todo.extend(children),
+                Node::IndexLeaf { .. } => {}
+            }
+        }
+        let mut free = HashSet::new();
+        for page in p.free_pages() {
+            assert!(free.insert(page), "page {page} is free twice");
+            assert!(!reached.contains(&page), "page {page} is reached and free");
+        }
+        for page in 2..=p.page_count() {
+            assert!(reached.contains(&page) || free.contains(&page), "page {page} is neither reached nor free");
+        }
+        assert_eq!(1 + reached.len() + free.len(), p.page_count() as usize, "pages out of range");
+    }
 
     fn mem_pager() -> Pager {
         let mut p = Pager::open_file(Box::new(crate::vfs::MemVfs::new()), "btree.db").unwrap();
@@ -1488,6 +1823,7 @@ mod tests {
         let reachable = assert_no_empty_node_below_root(&mut p, root);
         // Header page + tree + freelist account for the whole file.
         assert_eq!(1 + reachable + p.freelist_len(), p.page_count() as usize);
+        assert_pages_accounted(&mut p, &[root]);
     }
 
     #[test]
@@ -1627,6 +1963,7 @@ mod tests {
                 assert_eq!(sought, expected, "step {step} seek {probe}");
             }
         }
+        assert_pages_accounted(&mut p, &[root]);
     }
 
     /// Levels from `root` down to its first leaf (1 for a leaf root).
@@ -1702,6 +2039,7 @@ mod tests {
             }
         }
         assert!(tallest >= 4, "the tree reached {tallest} levels");
+        assert_pages_accounted(&mut p, &[root]);
     }
 
     /// Rows of ≈ 1.5 KiB, two to a leaf, in a seeded shuffled order: the
@@ -1744,6 +2082,7 @@ mod tests {
                 assert_eq!(table_delete(&mut p, root, rowid).unwrap(), model.remove(&rowid).is_some());
             }
         }
+        assert_pages_accounted(&mut p, &[root]);
     }
 
     /// Run `op` on a fresh thread with a 2 MiB stack and wait at most 10 s
@@ -2246,5 +2585,258 @@ mod tests {
         }
         let all: Vec<i64> = [1, 11, 21].iter().flat_map(|&lo| lo..lo + 5).collect();
         assert_eq!(scan_rowids(&mut p, root), all);
+    }
+
+    /// Check what the byte editor's `edit` of `page` leaves against the
+    /// model edited the same way: the page's bytes when it fits, else the
+    /// halves and the separator of [`Node::split`]. A half whose bytes are
+    /// over a page — an interior page split at its middle separator, its
+    /// keys of very different sizes — is refused, where the model's
+    /// encoder runs past the page. Returns `[fits, split, halves refused]`.
+    fn assert_edit_matches(page: &[u8], edit: Edit<'_>, mut model: Node) -> [usize; 3] {
+        /// The node's bytes, in a buffer of two pages, and their length.
+        fn encode(node: &Node) -> ([u8; 2 * PAGE_SIZE], usize) {
+            let mut out = [0u8; 2 * PAGE_SIZE];
+            let len = node.encode(&mut out);
+            (out, len)
+        }
+        let mut got = [0u8; PAGE_SIZE];
+        match edit {
+            Edit::Fits(splice) => {
+                assert!(model.encoded_size() <= PAGE_SIZE, "{model:?}");
+                got.copy_from_slice(page);
+                splice.apply(&mut got).unwrap();
+                assert_eq!(got[..], encode(&model).0[..PAGE_SIZE], "{model:?}");
+                [1, 0, 0]
+            }
+            Edit::Overfull(buf) => {
+                assert!(model.encoded_size() > PAGE_SIZE, "{model:?}");
+                let (sep, right) = model.split();
+                let h = halves(&buf).unwrap();
+                assert_eq!((buf[h.sep].to_vec(), h.sep_size), sep.encoded());
+                let mut refused = 0;
+                for (bytes, count, half) in [(h.left, h.left_len, &model), (h.right, h.right_len, &right)] {
+                    let (want, len) = encode(half);
+                    match write_node(&mut got, buf[0], count, &[&buf[bytes]]) {
+                        Ok(()) => assert_eq!(got[..], want[..PAGE_SIZE], "{half:?}"),
+                        Err(_) => {
+                            assert!(len > PAGE_SIZE, "{half:?}");
+                            refused += 1;
+                        }
+                    }
+                }
+                [0, 1, refused]
+            }
+        }
+    }
+
+    /// Seeded pages of all four kinds, filled up to a page and often to
+    /// the brim — table cells with and without overflow chains, index keys
+    /// of up to `MAX_INDEX_KEY` bytes — edited by the byte editor and by
+    /// the model (`Node::decode` → edit → `encode`): every insert, replace
+    /// and delete on a leaf, every adoption of a split child's separator
+    /// and every removal of a child leaves the model's bytes, and an edit
+    /// that overfills its page splits into the model's halves and
+    /// separator. The size a split reckons is the model's `encoded_size`.
+    #[test]
+    fn in_place_edits_match_the_decoded_model() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        /// A cell for `rowid`: a short, a mid-size or a full local payload,
+        /// one in eight with an overflow chain.
+        fn cell(rng: &mut StdRng, rowid: i64) -> TableCell {
+            let len = [rng.gen_range(0..40), rng.gen_range(100..900), MAX_LOCAL][rng.gen_range(0..3)];
+            let overflow_len = if rng.gen_range(0..8) == 0 { rng.gen_range(1..50_000) } else { 0 };
+            let overflow = if overflow_len > 0 { rng.gen_range(1..u32::MAX) } else { 0 };
+            TableCell { rowid, local: vec![rng.gen(); len], overflow_len, overflow }
+        }
+        /// A key of a few bytes, a few hundred or `MAX_INDEX_KEY`, with no
+        /// zero byte: `k` followed by a zero sorts right after `k`.
+        fn key(rng: &mut StdRng) -> Vec<u8> {
+            let len = [rng.gen_range(1..20), rng.gen_range(100..400), MAX_INDEX_KEY][rng.gen_range(0..3)];
+            (0..len).map(|_| rng.gen_range(1..=255u8)).collect()
+        }
+        /// Entries from `next` while `node(entries)` fits in `fill` bytes.
+        fn filled<T>(fill: usize, mut next: impl FnMut(usize) -> T, node: impl Fn(Vec<T>) -> Node) -> Node
+        where
+            T: Clone,
+        {
+            let mut entries = Vec::new();
+            loop {
+                entries.push(next(entries.len()));
+                if node(entries.clone()).encoded_size() > fill {
+                    entries.pop();
+                    return node(entries);
+                }
+            }
+        }
+        let encode = |node: &Node| {
+            let mut page = [0u8; PAGE_SIZE];
+            node.encode(&mut page);
+            page
+        };
+        let tally = |seen: &mut [usize; 3], got: [usize; 3]| (0..3).for_each(|i| seen[i] += got[i]);
+        let mut rng = StdRng::seed_from_u64(0xED17);
+        let mut seen = [0usize; 3];
+        for round in 0..300 {
+            let fill = if round % 3 == 0 { PAGE_SIZE } else { rng.gen_range(16..=PAGE_SIZE) };
+            // Rowids and separators three apart, so one fits between two.
+            let base = rng.gen_range(-1000..1000i64) * 3;
+            let table_leaf = filled(fill, |i| cell(&mut rng, base + 3 * i as i64), |cells| Node::TableLeaf { cells });
+            let table_interior = filled(fill, |i| (base + 3 * i as i64, rng.gen()), |entries: Vec<(i64, PageId)>| {
+                let (keys, mut children): (Vec<_>, Vec<_>) = entries.into_iter().unzip();
+                children.push(7);
+                Node::TableInterior { children, keys }
+            });
+            let mut ikeys: Vec<Vec<u8>> = (0..300).map(|_| key(&mut rng)).collect();
+            ikeys.sort();
+            ikeys.dedup();
+            let index_leaf = filled(fill, |i| ikeys[i].clone(), |keys| Node::IndexLeaf { keys });
+            let index_interior = filled(fill, |i| (ikeys[i].clone(), rng.gen()), |entries: Vec<(Vec<u8>, PageId)>| {
+                let (keys, mut children): (Vec<_>, Vec<_>) = entries.into_iter().unzip();
+                children.push(7);
+                Node::IndexInterior { children, keys }
+            });
+            for model in [table_leaf, table_interior, index_leaf, index_interior] {
+                let page = encode(&model);
+                let lay = Layout::of(&page).unwrap();
+                assert_eq!(lay.size, model.encoded_size(), "{model:?}");
+                let n = lay.len();
+                let at = rng.gen_range(0..=n);
+                match model.clone() {
+                    Node::TableLeaf { cells } => {
+                        let bytes = |c: &TableCell| {
+                            let mut page = [0u8; PAGE_SIZE];
+                            let end = Node::TableLeaf { cells: vec![c.clone()] }.encode(&mut page);
+                            page[3..end].to_vec()
+                        };
+                        // Insert before entry `at` (or last), then replace and
+                        // delete entry `at` (when there is one).
+                        let rowid = cells.get(at).map_or(base + 3 * n as i64, |c| c.rowid - 1);
+                        let mut edits = vec![(Key::Rowid(rowid), Some(cell(&mut rng, rowid)), None)];
+                        if let Some(old) = cells.get(at) {
+                            edits.push((Key::Rowid(old.rowid), Some(cell(&mut rng, old.rowid)), Some(old)));
+                            edits.push((Key::Rowid(old.rowid), None, Some(old)));
+                        }
+                        assert!(edit_leaf(&page, Key::Rowid(rowid), None).unwrap().is_none(), "delete of an absent rowid");
+                        for (target, put, old) in edits {
+                            let new = put.as_ref().map(|c| (bytes(c), 24 + c.local.len()));
+                            let (edit, chain) = edit_leaf(&page, target, new.as_ref().map(|(b, s)| (&b[..], *s))).unwrap().unwrap();
+                            assert_eq!(chain, old.map_or((0, 0), |c| (c.overflow, c.overflow_len)));
+                            let mut cells = cells.clone();
+                            match (put, old) {
+                                (Some(c), Some(_)) => cells[at] = c,
+                                (Some(c), None) => cells.insert(at, c),
+                                (None, _) => drop(cells.remove(at)),
+                            }
+                            tally(&mut seen, assert_edit_matches(&page, edit, Node::TableLeaf { cells }));
+                        }
+                    }
+                    Node::IndexLeaf { keys } => {
+                        let mut new = if at == 0 { Vec::new() } else { keys[at - 1].clone() };
+                        if at > 0 {
+                            new.push(0);
+                        }
+                        let mut entry = Vec::new();
+                        write_varint(&mut entry, new.len() as u64);
+                        entry.extend_from_slice(&new);
+                        let (edit, _) = edit_leaf(&page, Key::Bytes(&new), Some((&entry, 5 + new.len()))).unwrap().unwrap();
+                        let mut inserted = keys.clone();
+                        inserted.insert(at, new.clone());
+                        tally(&mut seen, assert_edit_matches(&page, edit, Node::IndexLeaf { keys: inserted }));
+                        assert!(edit_leaf(&page, Key::Bytes(&new), None).unwrap().is_none(), "delete of an absent key");
+                        if let Some(old) = keys.get(at) {
+                            assert!(edit_leaf(&page, Key::Bytes(old), Some((&entry, 5 + new.len()))).unwrap().is_none());
+                            let (edit, chain) = edit_leaf(&page, Key::Bytes(old), None).unwrap().unwrap();
+                            assert_eq!(chain, (0, 0));
+                            let mut kept = keys.clone();
+                            kept.remove(at);
+                            tally(&mut seen, assert_edit_matches(&page, edit, Node::IndexLeaf { keys: kept }));
+                        }
+                    }
+                    interior => {
+                        // Adopt a split of child `at`, whose separator sorts
+                        // between the ones around it.
+                        let sep = match &interior {
+                            Node::TableInterior { keys, .. } => Sep::Rowid(keys.get(at).map_or(base + 3 * n as i64, |k| k - 1)),
+                            Node::IndexInterior { keys, .. } => {
+                                let mut sep = if at == 0 { Vec::new() } else { keys[at - 1].clone() };
+                                if at > 0 {
+                                    sep.push(0);
+                                }
+                                Sep::Key(sep)
+                            }
+                            leaf => unreachable!("{leaf:?}"),
+                        };
+                        let right: PageId = rng.gen();
+                        let (mut new, sep_size) = sep.encoded();
+                        new.extend(right.to_le_bytes());
+                        let child_ty = if rng.gen() { page[0] } else { page[0] | LEAF };
+                        let edit = adopt(&page, child_ty, at, &new, sep_size).unwrap();
+                        let mut adopted = interior.clone();
+                        adopted.adopt(at, sep, right);
+                        tally(&mut seen, assert_edit_matches(&page, edit, adopted));
+                        assert!(adopt(&page, child_ty, n + 1, &new, sep_size).is_err(), "a child past the last");
+                        // Drop child `at`, with the separator that bounded it.
+                        let mut dropped = interior.clone();
+                        match drop_child(&page, at).unwrap() {
+                            Some(splice) => {
+                                assert!(dropped.remove_child(at));
+                                assert_eq!(assert_edit_matches(&page, Edit::Fits(splice), dropped), [1, 0, 0]);
+                            }
+                            None => assert!(!dropped.remove_child(at)),
+                        }
+                    }
+                }
+            }
+        }
+        let [fits, split, refused] = seen;
+        assert!(fits >= 900 && split >= 150 && refused < 20, "{fits} edits fit, {split} split, {refused} halves refused");
+    }
+
+    /// A cell whose overflow head the host forged — another table's live
+    /// root leaf (an empty leaf, whose bytes 1..5 read as "no next page"),
+    /// the header page, a live interior page — or whose chain is shorter
+    /// or longer than it claims. Deleting or replacing its row is a
+    /// storage error that frees nothing: before, a delete put the live
+    /// root on the freelist and returned `Ok(true)`, and the next
+    /// `allocate` handed it out again. With the cell mended, the delete
+    /// frees exactly its chain.
+    #[test]
+    fn forged_overflow_chains_free_nothing() {
+        type Forge = fn(&TableCell, PageId, PageId) -> (PageId, u32);
+        let forgeries: [(&str, Forge); 6] = [
+            ("a live root leaf", |c, other, _| (other, c.overflow_len)),
+            ("the header page", |c, _, _| (1, c.overflow_len)),
+            ("a live interior page", |c, _, interior| (interior, c.overflow_len)),
+            ("a chain a byte longer than claimed", |c, _, _| (c.overflow, c.overflow_len - 1)),
+            ("a chain a byte shorter than claimed", |c, _, _| (c.overflow, c.overflow_len + 1)),
+            ("a chain a page shorter than claimed", |c, _, _| (c.overflow, c.overflow_len + OVERFLOW_CAP as u32)),
+        ];
+        for (name, forge) in forgeries {
+            for replace in [false, true] {
+                let mut p = mem_pager();
+                let [root, other, big] = [(); 3].map(|()| create_table_tree(&mut p).unwrap());
+                for rowid in 0..40 {
+                    table_insert(&mut p, big, rowid, &[rowid as u8; 500]).unwrap();
+                }
+                assert!(matches!(load(&mut p, big).unwrap(), Node::TableInterior { .. }));
+                let payload = vec![9u8; MAX_LOCAL + 2 * OVERFLOW_CAP + 10];
+                table_insert(&mut p, root, 7, &payload).unwrap();
+                let honest = load(&mut p, root).unwrap();
+                let Node::TableLeaf { mut cells } = honest.clone() else { panic!("root is not a leaf") };
+                (cells[0].overflow, cells[0].overflow_len) = forge(&cells[0], other, big);
+                store(&mut p, root, &Node::TableLeaf { cells }).unwrap();
+                let free = p.freelist_len();
+                let got = if replace { table_insert(&mut p, root, 7, b"short") } else { table_delete(&mut p, root, 7).map(drop) };
+                assert!(matches!(got, Err(DbError::Storage(_))), "{name}: {got:?}");
+                assert_eq!(p.freelist_len(), free, "{name}: pages were freed");
+                store(&mut p, root, &honest).unwrap();
+                assert_eq!(table_get(&mut p, root, 7).unwrap(), Some(payload), "{name}");
+                assert!(table_delete(&mut p, root, 7).unwrap());
+                assert_eq!(p.freelist_len(), free + 3, "{name}");
+                assert_pages_accounted(&mut p, &[root, other, big]);
+            }
+        }
     }
 }

@@ -710,6 +710,15 @@ impl Pager {
 }
 
 #[cfg(test)]
+impl Pager {
+    /// Every free page: the freelist, then the trunk pages that hold what
+    /// the header has no room for.
+    pub(crate) fn free_pages(&self) -> Vec<PageId> {
+        self.freelist.iter().chain(&self.freelist_trunks).copied().collect()
+    }
+}
+
+#[cfg(test)]
 mod tests {
     use std::sync::atomic::{AtomicBool, Ordering};
     use std::sync::Arc;
