@@ -114,6 +114,31 @@ mod tests {
         assert_ne!(report, pfs);
     }
 
+    /// The derivation's outputs, pinned: every key the simulator has ever
+    /// derived (sealed blobs, protected files, durable records) depends on
+    /// them. Four key names × extras of 0, 7, 41 and 200 bytes.
+    #[test]
+    fn derive_key_128_outputs_are_pinned() {
+        let mut all = Vec::new();
+        for name in [KeyName::Seal, KeyName::Report, KeyName::Provision, KeyName::ProtectedFs] {
+            for len in [0usize, 7, 41, 200] {
+                let extra: Vec<u8> = (0..len).map(|i| (i * 31 + 5) as u8).collect();
+                all.extend(derive_key_128(&ROOT_A, name, &MEAS, &extra));
+            }
+        }
+        assert_eq!(crate::to_hex(&crate::sha256::Sha256::digest(&all)),
+            "2066e7ab5227ebad77bc97282a628e2f166f4e695f842d224695645a86fc6368"
+        );
+        assert_eq!(
+            crate::to_hex(&derive_key_128(&ROOT_B, KeyName::Seal, &MEAS, b"seal-v1")),
+            "17aab18823d3d35f7a76cc1a18273a33"
+        );
+        assert_eq!(
+            crate::to_hex(&derive_key_256(&ROOT_A, KeyName::Provision, &MEAS, b"platform")),
+            "11b2c18d935717e6b4fff0d8bde15f16ce82d771e8c53db1b10dcb56623c24dc"
+        );
+    }
+
     #[test]
     fn extra_separation() {
         let k1 = derive_key_128(&ROOT_A, KeyName::ProtectedFs, &MEAS, b"file-1");

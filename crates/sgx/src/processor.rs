@@ -149,6 +149,25 @@ mod tests {
         );
     }
 
+    /// `EGETKEY` derives what the key derivation function derives from the
+    /// processor's root key, whatever the processor keeps prepared: every
+    /// key name, with extras of several lengths (none, under a block,
+    /// across blocks, many blocks).
+    #[test]
+    fn derive_key_128_is_the_kdf_over_the_root_key() {
+        for id in [1, 7] {
+            let p = Processor::new(id);
+            let m = [id as u8 ^ 0x5a; 32];
+            for name in [KeyName::Seal, KeyName::Report, KeyName::Provision, KeyName::ProtectedFs] {
+                for len in [0usize, 7, 41, 200] {
+                    let extra: Vec<u8> = (0..len).map(|i| (i * 13 + 1) as u8).collect();
+                    assert_eq!(p.derive_key_128(name, &m, &extra), derive_key_128(&p.root_key, name, &m, &extra));
+                    assert_eq!(p.derive_key_256(name, &m, &extra), derive_key_256(&p.root_key, name, &m, &extra));
+                }
+            }
+        }
+    }
+
     #[test]
     fn provisioning_key_differs_from_seal() {
         let p = Processor::new(7);
