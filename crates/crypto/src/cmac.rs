@@ -7,6 +7,7 @@ use crate::aes::Aes;
 use crate::xor_in_place;
 
 /// AES-128 CMAC context.
+#[derive(Clone)]
 pub struct Cmac {
     aes: Aes,
     k1: [u8; 16],

@@ -12,7 +12,10 @@
 //!
 //! The simulator reproduces that contract: derivation is deterministic in
 //! (root key, key name, measurement, extra), and two simulated "processors"
-//! with different root keys derive unrelated keys.
+//! with different root keys derive unrelated keys. A processor keeps its
+//! root prepared in a [`KeyDeriver`] (folded and CMAC-expanded once), so
+//! each `EGETKEY` after that is one CMAC over the request block;
+//! [`derive_key_128`] is the one-shot form and derives the same keys.
 
 use crate::cmac::Cmac;
 use crate::hmac::HmacSha256;
@@ -30,8 +33,45 @@ pub enum KeyName {
     ProtectedFs = 0x04,
 }
 
+/// The processor's half of `EGETKEY`, prepared once: the 256-bit root key
+/// folded into a 128-bit CMAC key (via SHA-256 — real hardware keeps
+/// several independent 128-bit keys; a one-way fold is an adequate
+/// stand-in and never collapses for structured root keys), and that
+/// CMAC's key schedule and subkeys. A derivation is then one CMAC over the
+/// request block.
+#[derive(Clone)]
+pub struct KeyDeriver {
+    cmac: Cmac,
+}
+
+impl KeyDeriver {
+    /// Fold `root_key` and expand the CMAC keyed with it.
+    #[must_use]
+    pub fn new(root_key: &[u8; 32]) -> Self {
+        let digest = crate::sha256::Sha256::digest(root_key);
+        let mut folded = [0u8; 16];
+        folded.copy_from_slice(&digest[..16]);
+        Self {
+            cmac: Cmac::new(&folded),
+        }
+    }
+
+    /// Derive a 128-bit key: AES-CMAC over the request block
+    /// `name || measurement || extra`.
+    #[must_use]
+    pub fn derive_128(&self, name: KeyName, measurement: &[u8; 32], extra: &[u8]) -> [u8; 16] {
+        let mut req = Vec::with_capacity(1 + 32 + extra.len());
+        req.push(name as u8);
+        req.extend_from_slice(measurement);
+        req.extend_from_slice(extra);
+        self.cmac.mac(&req)
+    }
+}
+
 /// Derive a 128-bit key the way `EGETKEY` does: AES-CMAC over a fixed-layout
 /// request block keyed with (a key folded from) the processor root key.
+/// One-shot: a [`KeyDeriver`] kept for `root_key` derives the same keys
+/// without folding and expanding the root again.
 #[must_use]
 pub fn derive_key_128(
     root_key: &[u8; 32],
@@ -39,17 +79,7 @@ pub fn derive_key_128(
     measurement: &[u8; 32],
     extra: &[u8],
 ) -> [u8; 16] {
-    // Fold the 256-bit root into a 128-bit CMAC key via SHA-256 (real
-    // hardware keeps several independent 128-bit keys; a one-way fold is an
-    // adequate stand-in and never collapses for structured root keys).
-    let digest = crate::sha256::Sha256::digest(root_key);
-    let mut folded = [0u8; 16];
-    folded.copy_from_slice(&digest[..16]);
-    let mut req = Vec::with_capacity(1 + 32 + extra.len());
-    req.push(name as u8);
-    req.extend_from_slice(measurement);
-    req.extend_from_slice(extra);
-    Cmac::new(&folded).mac(&req)
+    KeyDeriver::new(root_key).derive_128(name, measurement, extra)
 }
 
 /// Derive a 256-bit key (sealing) using HMAC-SHA-256 in an HKDF-expand-like
@@ -120,13 +150,19 @@ mod tests {
     #[test]
     fn derive_key_128_outputs_are_pinned() {
         let mut all = Vec::new();
-        for name in [KeyName::Seal, KeyName::Report, KeyName::Provision, KeyName::ProtectedFs] {
+        for name in [
+            KeyName::Seal,
+            KeyName::Report,
+            KeyName::Provision,
+            KeyName::ProtectedFs,
+        ] {
             for len in [0usize, 7, 41, 200] {
                 let extra: Vec<u8> = (0..len).map(|i| (i * 31 + 5) as u8).collect();
                 all.extend(derive_key_128(&ROOT_A, name, &MEAS, &extra));
             }
         }
-        assert_eq!(crate::to_hex(&crate::sha256::Sha256::digest(&all)),
+        assert_eq!(
+            crate::to_hex(&crate::sha256::Sha256::digest(&all)),
             "2066e7ab5227ebad77bc97282a628e2f166f4e695f842d224695645a86fc6368"
         );
         assert_eq!(
@@ -134,7 +170,12 @@ mod tests {
             "17aab18823d3d35f7a76cc1a18273a33"
         );
         assert_eq!(
-            crate::to_hex(&derive_key_256(&ROOT_A, KeyName::Provision, &MEAS, b"platform")),
+            crate::to_hex(&derive_key_256(
+                &ROOT_A,
+                KeyName::Provision,
+                &MEAS,
+                b"platform"
+            )),
             "11b2c18d935717e6b4fff0d8bde15f16ce82d771e8c53db1b10dcb56623c24dc"
         );
     }

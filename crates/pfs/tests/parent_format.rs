@@ -2,10 +2,14 @@
 //! cipher core wrote (byte-wise table AES, Shoup GHASH, two-pass CCM, a
 //! CMAC context rebuilt per node): a sealed node, a sealed park image and
 //! a whole protected file produced by that code must still open, and the
-//! same inputs must still produce the same bytes. The constants and the
+//! same inputs must still produce the same bytes — except a sealed park
+//! image, whose nonce each enclave incarnation now draws at random, so a
+//! fresh seal keeps only its length and layout. The constants and the
 //! files under `fixtures/` were generated by running that commit.
 
 use twine_crypto::cmac::Cmac;
+use twine_crypto::gcm::{AesGcm, NONCE_LEN, TAG_LEN};
+use twine_crypto::kdf::KeyName;
 use twine_crypto::sha256::Sha256;
 use twine_crypto::{hex, to_hex};
 use twine_pfs::{node, MemStorage, PfsMode, PfsOptions, SgxFile, UntrustedStorage, NODE_SIZE};
@@ -51,7 +55,7 @@ fn ccm_node_and_node_key_derivation_match_the_parent_commit() {
 }
 
 #[test]
-fn enclave_seal_blob_of_the_parent_commit_unseals_and_reseals_identically() {
+fn enclave_seal_blob_of_the_parent_commit_unseals_and_reseals_under_a_fresh_nonce() {
     const BLOB: &str = "00000000000000000000000027e75649bd8088bb87d204b3134363bc5eb17aae\
                         b96afea4d2b716baae2afcb953c063c2ea9c9c2c037598143ce56ca614123df3\
                         3dcf91f1619dcc635114871aa5";
@@ -61,8 +65,28 @@ fn enclave_seal_blob_of_the_parent_commit_unseals_and_reseals_identically() {
         enclave.unseal(&hex(BLOB)).expect("parent's blob unseals"),
         plain
     );
-    // First seal of a fresh enclave: same nonce counter as when pinned.
-    assert_eq!(to_hex(&enclave.seal(plain)), BLOB);
+    // A fresh enclave seals the same plaintext into a blob of the same
+    // length and layout (nonce || tag || ciphertext, GCM under the sealing
+    // key with the measurement as AAD), but under a nonce of its own: an
+    // incarnation draws its nonce base at random, so it never repeats the
+    // first nonce (all zero) of the incarnation that sealed `BLOB`.
+    let parent = hex(BLOB);
+    let fresh = enclave.seal(plain);
+    assert_eq!(enclave.unseal(&fresh).expect("fresh blob unseals"), plain);
+    assert_eq!(fresh.len(), parent.len());
+    let m = enclave.measurement();
+    let key = Processor::new(7).derive_key_128(KeyName::Seal, &m, b"seal-v1");
+    let (nonce, rest) = fresh.split_at(NONCE_LEN);
+    let (tag, ct) = rest.split_at(TAG_LEN);
+    let opened = AesGcm::new_128(&key)
+        .decrypt(nonce.try_into().unwrap(), &m, ct, tag.try_into().unwrap())
+        .expect("fresh blob is GCM laid out nonce || tag || ciphertext");
+    assert_eq!(opened, plain);
+    assert_ne!(
+        nonce,
+        &parent[..NONCE_LEN],
+        "a fresh enclave reused the parent's nonce"
+    );
 }
 
 /// A whole protected file as the parent commit left it on untrusted

@@ -12,10 +12,12 @@
 
 use std::collections::HashMap;
 
+use twine_crypto::gcm::AesGcm;
 use twine_crypto::hmac::HmacSha256;
 use twine_crypto::kdf::KeyName;
 
 use crate::processor::Processor;
+use crate::seal;
 use crate::SgxError;
 
 /// Size of the user-data field in a report (matches SGX's 64 bytes).
@@ -158,7 +160,8 @@ impl AttestationService {
         })?;
         let mut key = [0u8; 16];
         key.copy_from_slice(&pk[..16]);
-        Ok(crate::seal::seal(&key, nonce, aad, secret))
+        let nonce = seal::counter_nonce(nonce, 0);
+        Ok(seal::seal(&AesGcm::new_128(&key), &nonce, aad, secret))
     }
 
     /// Enclave-side unwrap of a secret wrapped with [`Self::wrap_secret`].
@@ -170,7 +173,7 @@ impl AttestationService {
         let pk = processor.provisioning_key();
         let mut key = [0u8; 16];
         key.copy_from_slice(&pk[..16]);
-        crate::seal::unseal(&key, aad, blob)
+        seal::unseal(&AesGcm::new_128(&key), aad, blob)
     }
 
     /// Verify a quote and (optionally) the expected enclave measurement.

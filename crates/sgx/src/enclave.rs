@@ -1,8 +1,24 @@
 //! Enclave lifecycle, boundary crossings, and the per-enclave key facade.
+//!
+//! Each enclave incarnation has one sealing context, set up by
+//! [`EnclaveBuilder::build`]: the sealing key (`EGETKEY` for `Seal`, the
+//! measurement, `b"seal-v1"`), expanded once into an [`AesGcm`], and a
+//! nonce base drawn at random (the simulator's `RDRAND`): a 32-bit tag in
+//! nonce bytes 8..12 and a start for the 64-bit counter in bytes 0..8. The
+//! n-th seal of the incarnation uses the base with n added to its counter,
+//! so no two seals under one key share a nonce — not within an
+//! incarnation, nor across incarnations of one measurement on one
+//! processor (two services, or a service and its restart), which derive
+//! the same key. [`Enclave::seal`] and [`Enclave::unseal`] still charge
+//! one `EGETKEY` each on the virtual clock, as the Intel SDK's
+//! `sgx_seal_data` issues one per blob; only the host-side emulation of
+//! the derivation and the key expansion are not repeated.
 
+use std::hash::{BuildHasher, RandomState};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
+use twine_crypto::gcm::AesGcm;
 use twine_crypto::kdf::KeyName;
 use twine_crypto::sha256::Sha256;
 
@@ -138,6 +154,12 @@ impl EnclaveBuilder {
         if let Some(plan) = &self.faults {
             epc.install_faults(plan.clone());
         }
+        let key = processor.derive_key_128(KeyName::Seal, &measurement, b"seal-v1");
+        let sealer = Sealer {
+            gcm: AesGcm::new_128(&key),
+            tag: random_u64() as u32,
+            next: AtomicU64::new(random_u64()),
+        };
         Enclave {
             measurement,
             mode: self.mode,
@@ -145,17 +167,35 @@ impl EnclaveBuilder {
             clock: self.clock,
             epc,
             stats: Arc::new(BoundaryCounters::default()),
-            seal_counter: Arc::new(AtomicU64::new(0)),
+            sealer,
             processor: processor.clone(),
             faults: self.faults,
         }
     }
 }
 
+/// A random 64-bit draw, the simulator's stand-in for `RDRAND`: each
+/// `RandomState` hashes under fresh SipHash keys (seeded from the OS once
+/// per thread, then stepped on every call).
+fn random_u64() -> u64 {
+    RandomState::new().hash_one(0u8)
+}
+
+/// An incarnation's sealing context (see the module docs).
+struct Sealer {
+    /// The sealing key, expanded.
+    gcm: AesGcm,
+    /// Nonce bytes 8..12, random per incarnation.
+    tag: u32,
+    /// The next seal's nonce counter (bytes 0..8): a random start, then
+    /// one up per seal.
+    next: AtomicU64,
+}
+
 /// A simulated enclave instance.
 ///
 /// `Send + Sync`: every piece of shared mutable state (the virtual clock,
-/// EPC residency, boundary counters, seal counter) is atomic or
+/// EPC residency, boundary counters, seal nonce counter) is atomic or
 /// lock-protected, so one enclave can host sessions served from many
 /// threads — the foundation of `twine-core`'s sharded service.
 pub struct Enclave {
@@ -165,7 +205,7 @@ pub struct Enclave {
     clock: SimClock,
     epc: EpcHandle,
     stats: Arc<BoundaryCounters>,
-    seal_counter: Arc<AtomicU64>,
+    sealer: Sealer,
     processor: Processor,
     faults: Option<Arc<FaultPlan>>,
 }
@@ -330,21 +370,23 @@ impl Enclave {
         self.processor.derive_key_128(name, &self.measurement, extra)
     }
 
-    /// Seal data to this enclave identity.
+    /// Seal data to this enclave identity, under the incarnation's
+    /// sealing context; charges one `EGETKEY`.
     #[must_use]
     pub fn seal(&self, plaintext: &[u8]) -> Vec<u8> {
-        let key = self.get_key(KeyName::Seal, b"seal-v1");
-        // fetch_add hands every concurrent sealer a unique, never-reused
-        // nonce counter — the property the old `Cell` only gave a single
-        // thread.
-        let n = self.seal_counter.fetch_add(1, Ordering::Relaxed);
-        seal::seal(&key, n, &self.measurement, plaintext)
+        self.clock.add_cycles(costs::EGETKEY_CYCLES);
+        // fetch_add hands every concurrent sealer its own counter; it wraps
+        // past u64::MAX, and 2^64 seals do not come round to a used one.
+        let n = self.sealer.next.fetch_add(1, Ordering::Relaxed);
+        let nonce = seal::counter_nonce(n, self.sealer.tag);
+        seal::seal(&self.sealer.gcm, &nonce, &self.measurement, plaintext)
     }
 
-    /// Unseal data sealed by (this enclave, this processor).
+    /// Unseal data sealed by (this enclave, this processor) — by this
+    /// incarnation or any earlier one; charges one `EGETKEY`.
     pub fn unseal(&self, blob: &[u8]) -> Result<Vec<u8>, SgxError> {
-        let key = self.get_key(KeyName::Seal, b"seal-v1");
-        seal::unseal(&key, &self.measurement, blob)
+        self.clock.add_cycles(costs::EGETKEY_CYCLES);
+        seal::unseal(&self.sealer.gcm, &self.measurement, blob)
     }
 
     /// Produce a local attestation report carrying `user_data`, MAC'd with

@@ -6,11 +6,18 @@
 //! distinct simulated machines derive unrelated sealing keys — reproducing
 //! the paper's observation that an IPFS file key "generated by a specific
 //! enclave in a given processor cannot be regenerated elsewhere" (§IV-E).
+//!
+//! The root key is folded and its CMAC expanded once, in
+//! [`Processor::new`] (a [`KeyDeriver`]): each 128-bit derivation after
+//! that — a protected file's key at every database-session connect, a
+//! durable record's key, an enclave's sealing key at build — is one CMAC
+//! over the request, with the outputs of
+//! [`derive_key_128`](twine_crypto::kdf::derive_key_128).
 
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 
-use twine_crypto::kdf::{derive_key_128, derive_key_256, KeyName};
+use twine_crypto::kdf::{derive_key_256, KeyDeriver, KeyName};
 use twine_crypto::sha256::Sha256;
 
 /// A simulated processor with a fused root key.
@@ -18,6 +25,8 @@ use twine_crypto::sha256::Sha256;
 pub struct Processor {
     id: u64,
     root_key: [u8; 32],
+    /// `root_key`, prepared for 128-bit derivations.
+    deriver: KeyDeriver,
 }
 
 impl Processor {
@@ -28,9 +37,11 @@ impl Processor {
         let mut h = Sha256::new();
         h.update(b"twine-sgx-sim processor root key v1");
         h.update(&id.to_le_bytes());
+        let root_key = h.finalize();
         Self {
             id,
-            root_key: h.finalize(),
+            root_key,
+            deriver: KeyDeriver::new(&root_key),
         }
     }
 
@@ -44,7 +55,7 @@ impl Processor {
     /// Derive a 128-bit key for an enclave on this processor (`EGETKEY`).
     #[must_use]
     pub fn derive_key_128(&self, name: KeyName, measurement: &[u8; 32], extra: &[u8]) -> [u8; 16] {
-        derive_key_128(&self.root_key, name, measurement, extra)
+        self.deriver.derive_128(name, measurement, extra)
     }
 
     /// Derive a 256-bit key for an enclave on this processor.
@@ -116,6 +127,7 @@ impl MonotonicCounters {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use twine_crypto::kdf::derive_key_128;
 
     #[test]
     fn monotonic_counters_survive_cloning() {
@@ -158,11 +170,23 @@ mod tests {
         for id in [1, 7] {
             let p = Processor::new(id);
             let m = [id as u8 ^ 0x5a; 32];
-            for name in [KeyName::Seal, KeyName::Report, KeyName::Provision, KeyName::ProtectedFs] {
+            for name in [
+                KeyName::Seal,
+                KeyName::Report,
+                KeyName::Provision,
+                KeyName::ProtectedFs,
+            ] {
                 for len in [0usize, 7, 41, 200] {
                     let extra: Vec<u8> = (0..len).map(|i| (i * 13 + 1) as u8).collect();
-                    assert_eq!(p.derive_key_128(name, &m, &extra), derive_key_128(&p.root_key, name, &m, &extra));
-                    assert_eq!(p.derive_key_256(name, &m, &extra), derive_key_256(&p.root_key, name, &m, &extra));
+                    let root = &p.root_key;
+                    assert_eq!(
+                        p.derive_key_128(name, &m, &extra),
+                        derive_key_128(root, name, &m, &extra)
+                    );
+                    assert_eq!(
+                        p.derive_key_256(name, &m, &extra),
+                        derive_key_256(root, name, &m, &extra)
+                    );
                 }
             }
         }
