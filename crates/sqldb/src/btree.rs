@@ -765,23 +765,23 @@ struct Halves {
 }
 
 /// Split the overfull page in `buf`: a leaf at [`split_point`], its left
-/// half's largest key copied up; an interior page at its middle
-/// separator, which moves up.
+/// half's largest key copied up; an interior page at
+/// [`interior_split_point`]'s separator, which moves up.
 fn halves(buf: &[u8]) -> DbResult<Halves> {
     let lay = Layout::of(buf)?;
     let (at, n) = (&lay.at, lay.len());
+    let sizes = at[..n].iter().map(|&pos| NodeReader::at(buf, pos).entry()).collect::<DbResult<Vec<_>>>()?;
     if lay.ty & LEAF == 0 {
-        let mid = n / 2;
+        let mid = interior_split_point(&sizes);
         return Ok(Halves {
             left: 3..at[mid] + 4,
             left_len: mid,
             right: at[mid + 1]..lay.used,
             right_len: n - mid - 1,
             sep: at[mid] + 4..at[mid + 1],
-            sep_size: NodeReader::at(buf, at[mid]).entry()?,
+            sep_size: sizes[mid],
         });
     }
-    let sizes = at[..n].iter().map(|&pos| NodeReader::at(buf, pos).entry()).collect::<DbResult<Vec<_>>>()?;
     let cut = split_point(sizes.iter().copied());
     let last = at[cut - 1];
     let (sep_end, sep_size) = if lay.ty == TABLE_LEAF {
@@ -818,6 +818,27 @@ fn split_point(sizes: impl Iterator<Item = usize>) -> usize {
         }
     }
     sizes.len() / 2
+}
+
+/// The separator that moves up when an overfull interior page whose
+/// entries encode to `sizes` bytes splits: the one whose entry holds the
+/// byte middle of the entries — the last one with at most half the bytes
+/// before it. Equal entries (every table interior page) split at the
+/// middle by count. Both halves fit a page: each holds the page's 12
+/// bytes of header and last child and at most half of the entries' bytes,
+/// and an overfull page holds at most a page plus one entry of up to
+/// `9 + MAX_INDEX_KEY` bytes. (The middle separator by count could leave
+/// a half of three keys of `MAX_INDEX_KEY` bytes, over a page.)
+fn interior_split_point(sizes: &[usize]) -> usize {
+    let total: usize = sizes.iter().sum();
+    let mut before = 0;
+    for (i, s) in sizes.iter().enumerate() {
+        if 2 * (before + s) > total {
+            return i;
+        }
+        before += s;
+    }
+    sizes.len() - 1
 }
 
 /// The edit by which interior page `parent` takes in a split of its child
@@ -1314,11 +1335,13 @@ mod tests {
         /// Split an overfull node: keep the left half and return the
         /// separator that goes up with the right half. A leaf splits at
         /// [`split_point`] and its largest key is copied up; an interior
-        /// node splits at its middle separator, which moves up.
+        /// node splits at [`interior_split_point`]'s separator, which moves
+        /// up.
         fn split(&mut self) -> (Sep, Node) {
-            /// The entries after the middle separator, and the separator.
-            fn halve<K>(children: &mut Vec<PageId>, keys: &mut Vec<K>) -> (K, Vec<PageId>, Vec<K>) {
-                let mid = keys.len() / 2;
+            /// The entries after the separator at the byte middle of
+            /// entries of `size(key)` bytes each, and the separator.
+            fn halve<K>(children: &mut Vec<PageId>, keys: &mut Vec<K>, size: impl Fn(&K) -> usize) -> (K, Vec<PageId>, Vec<K>) {
+                let mid = interior_split_point(&keys.iter().map(size).collect::<Vec<_>>());
                 let right_keys = keys.split_off(mid + 1);
                 (keys.remove(mid), children.split_off(mid + 1), right_keys)
             }
@@ -1334,11 +1357,11 @@ mod tests {
                     (Sep::Key(keys[cut - 1].clone()), Node::IndexLeaf { keys: right })
                 }
                 Node::TableInterior { children, keys } => {
-                    let (sep, children, keys) = halve(children, keys);
+                    let (sep, children, keys) = halve(children, keys, |_| 14);
                     (Sep::Rowid(sep), Node::TableInterior { children, keys })
                 }
                 Node::IndexInterior { children, keys } => {
-                    let (sep, children, keys) = halve(children, keys);
+                    let (sep, children, keys) = halve(children, keys, |k| 9 + k.len());
                     (Sep::Key(sep), Node::IndexInterior { children, keys })
                 }
             }
@@ -2791,7 +2814,7 @@ mod tests {
             }
         }
         let [fits, split, refused] = seen;
-        assert!(fits >= 900 && split >= 150 && refused < 20, "{fits} edits fit, {split} split, {refused} halves refused");
+        assert!(fits >= 900 && split >= 150 && refused == 0, "{fits} edits fit, {split} split, {refused} halves refused");
     }
 
     /// A cell whose overflow head the host forged — another table's live

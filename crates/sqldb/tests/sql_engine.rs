@@ -705,3 +705,33 @@ fn hot_journal_restores_pages_freed_and_reused_in_one_transaction() {
     let mut db = Connection::open(Box::new(vfs), "reuse.db").unwrap();
     assert_big_intact(&mut db);
 }
+
+/// An index whose interior page holds a few separators of almost
+/// `MAX_INDEX_KEY` bytes ahead of many short ones. Split at its middle
+/// separator by count, such a page left its long separators in one half,
+/// over a page, and the insert failed with `DbError::Storage`; split at
+/// the byte middle, both halves fit and every key stays reachable.
+#[test]
+fn index_interior_pages_split_at_the_byte_middle() {
+    let mut db = mem();
+    db.execute("CREATE TABLE t(k TEXT)").unwrap();
+    db.execute("CREATE INDEX tk ON t(k)").unwrap();
+    // Short keys first: a few leaves, so the root has a few short
+    // separators. Then long keys, which sort before them: each pair fills
+    // a leaf and sends a long separator up ahead of the short ones.
+    let short: Vec<String> = (0..1000).map(|i| format!("z{i:05}")).collect();
+    let long: Vec<String> = (0..16).map(|i| format!("a{i:04}{}", "x".repeat(1480))).collect();
+    for k in short.iter().chain(&long) {
+        db.execute(&format!("INSERT INTO t VALUES ('{k}')"))
+            .unwrap_or_else(|e| panic!("insert of a {}-byte key: {e:?}", k.len()));
+    }
+    for k in long.iter().chain(short.iter().step_by(97)) {
+        let n = db.query_scalar(&format!("SELECT count(*) FROM t WHERE k = '{k}'")).unwrap();
+        assert_eq!(n, SqlValue::Int(1), "{}", &k[..5]);
+    }
+    let mut want: Vec<&String> = long.iter().chain(&short).collect();
+    want.sort();
+    let rows = db.query("SELECT k FROM t WHERE k >= 'a' ORDER BY k").unwrap();
+    let want: Vec<Vec<SqlValue>> = want.into_iter().map(|k| vec![SqlValue::Text(k.clone())]).collect();
+    assert!(rows == want, "the index scan lost or misordered keys");
+}
