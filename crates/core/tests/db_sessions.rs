@@ -486,11 +486,18 @@ fn write_transaction() -> Vec<String> {
 /// nothing — a DB session syncs its database file when it settles, at a
 /// park or close — so what is left is the node cache's traffic: data
 /// nodes it misses on the way, and dirty data nodes it evicts, each sealed
-/// and written into its resident L2 entry. It read 11 while every commit
-/// flushed the file, sealing the dirty data nodes, their Merkle path and
-/// the meta node; that flush is now paid once per park or close (next
-/// test). Any change to how many nodes a transaction reads or seals moves
-/// this number.
+/// and written into its resident L2 entry. The commit writes back seven
+/// pages of the 55-page database: the header, the table root, the index
+/// leaf, the leaves of rows 0 and 100, the last leaf and the one the
+/// appended row opens. Five are among the 48 data nodes the node cache
+/// holds; the first leaf, written by the first INSERT and evicted since,
+/// and the new page each take a slot whose dirty node is sealed and
+/// written: 2. With two rows to a leaf the database was 104 pages, the
+/// leaf of row 100 was out of the cache too, and it read 3; it read 11
+/// while every commit flushed the file, sealing the dirty data nodes,
+/// their Merkle path and the meta node; that flush is now paid once per
+/// park or close (next test). Any change to how many nodes a transaction
+/// reads or seals moves this number.
 #[test]
 fn write_transaction_ocalls_are_pinned() {
     let mut svc = write_session();
@@ -498,7 +505,7 @@ fn write_transaction_ocalls_are_pinned() {
     let affected = svc.db_execute_batch("t", &write_transaction()).expect("transaction");
     let ocalls = svc.enclave().stats().ocalls - before;
     assert_eq!(affected, 3);
-    assert_eq!(ocalls, 3, "OCALLs for one write transaction");
+    assert_eq!(ocalls, 2, "OCALLs for one write transaction");
     let shape = svc.db_query("t", "SELECT count(*), min(a), max(a) FROM kv").expect("shape");
     assert_eq!(shape, vec![vec![SqlValue::Int(ROWS), SqlValue::Int(1), SqlValue::Int(ROWS)]]);
 }
@@ -509,9 +516,13 @@ fn write_transaction_ocalls_are_pinned() {
 /// and L1 nodes and the meta node are sealed and written, once. Then the
 /// manifest reads the whole database file back through a second handle:
 /// its meta, L1 and L2 nodes and every data node. One OCALL per node
-/// either way: 52 for the flush and 109 for the read-back. While every
-/// commit flushed, this park read back the same 109 nodes and had nothing
-/// left to flush.
+/// either way, and one more hands the sealed manifest to the host: 51 for
+/// the flush (48 dirty data nodes, the file's one L2 node, its L1 node
+/// and the meta node), 58 for the read-back (the meta, L1 and L2 nodes
+/// and the 55 data nodes) and 1. With two rows to a leaf the database was
+/// 104 pages under two L2 nodes, and it read 52 + 108 + 1 = 161. While
+/// every commit flushed, this park read back the same nodes and had
+/// nothing left to flush.
 #[test]
 fn park_after_a_write_transaction_ocalls_are_pinned() {
     let mut svc = write_session();
@@ -519,7 +530,7 @@ fn park_after_a_write_transaction_ocalls_are_pinned() {
     let before = svc.enclave().stats().ocalls;
     svc.park_session("t").expect("park");
     let ocalls = svc.enclave().stats().ocalls - before;
-    assert_eq!(ocalls, 161, "OCALLs for the park after one write transaction");
+    assert_eq!(ocalls, 110, "OCALLs for the park after one write transaction");
 }
 
 /// Many commits with no settle between them, then a close: the backend

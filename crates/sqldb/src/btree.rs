@@ -26,10 +26,16 @@
 //! and copies out only a match, and a cursor copies each leaf it stands on
 //! once and reads its entries from the copy. A write works its edit out on
 //! the leaf the descent holds (`edit_leaf`) and splices it into the leaf's
-//! bytes. A leaf that would overflow is built in a two-page scratch
+//! bytes. A page's size is its bytes in use — the 3-byte header, the
+//! entries and an interior page's last child — and it fits when they fit
+//! the page. A leaf that would overflow is built in a two-page scratch
 //! buffer instead, and `store_splitting` writes its halves and carries the
 //! split up the path the descent recorded, splicing each separator into
-//! its parent.
+//! its parent. A leaf splits at its byte middle, but an append — an entry
+//! past the last of a leaf on the tree's right edge, as rows in key order
+//! arrive — leaves the full leaf behind and opens the right sibling with
+//! the new entry alone (SQLite's `balance_quick`), so a load in key order
+//! fills its pages.
 
 use std::collections::HashSet;
 use std::ops::Range;
@@ -205,20 +211,14 @@ impl<'a> NodeReader<'a> {
         self.r.u32()
     }
 
-    /// Next entry of any page, by what it adds to the page's size as a
-    /// split reckons it: 24 bytes and the local payload for a table cell,
-    /// 5 and the key for an index key; 4 for an interior entry's child,
-    /// and 10 for its rowid or 5 and its key.
-    fn entry(&mut self) -> DbResult<usize> {
-        Ok(match self.ty {
-            TABLE_LEAF => 24 + self.cell()?.local.len(),
-            INDEX_LEAF => 5 + self.key()?.len(),
-            TABLE_INTERIOR => {
-                self.table_sep()?;
-                14
-            }
-            _ => 9 + self.index_sep()?.1.len(),
-        })
+    /// Step over the next entry of any page.
+    fn entry(&mut self) -> DbResult<()> {
+        match self.ty {
+            TABLE_LEAF => self.cell().map(drop),
+            INDEX_LEAF => self.key().map(drop),
+            TABLE_INTERIOR => self.table_sep().map(drop),
+            _ => self.index_sep().map(drop),
+        }
     }
 
     /// Next entry of a leaf, by its key.
@@ -255,28 +255,23 @@ struct Layout {
     /// Where each entry starts, then where the last one ends (an interior
     /// page's last child sits there).
     at: Vec<usize>,
-    /// Where the page's bytes in use end.
+    /// Where the page's bytes in use end: the page's size.
     used: usize,
-    /// The page's size as a split reckons it: 8 bytes, each entry's
-    /// [`NodeReader::entry`], and an interior page's last child.
-    size: usize,
 }
 
 impl Layout {
     fn of(page: &[u8]) -> DbResult<Self> {
         let mut r = NodeReader::new(page)?;
         let mut at = Vec::with_capacity(r.len + 1);
-        let mut size = 8;
         for _ in 0..r.len {
             at.push(r.r.pos);
-            size += r.entry()?;
+            r.entry()?;
         }
         at.push(r.r.pos);
         if r.ty & LEAF == 0 {
             r.last_child()?;
-            size += 4;
         }
-        Ok(Self { ty: r.ty, at, used: r.r.pos, size })
+        Ok(Self { ty: r.ty, at, used: r.r.pos })
     }
 
     /// Entries on the page.
@@ -319,16 +314,17 @@ enum Toward<'k> {
 /// Deepest descent any operation makes before it reports a page cycle.
 ///
 /// A tree gains a level only when its root splits, and a node splits only
-/// when it overflows its 4 KiB page. An interior page with one more entry
-/// than fits holds at least 4 children: index keys are at most
-/// `MAX_INDEX_KEY` = 1 500 bytes, so 3 separators already overflow the
-/// page (table entries take at most 14 bytes, so a table page splits at
-/// 292 separators). A split cuts at the middle separator, so each half
-/// keeps at least 2 children (table: 146), and a tree grown by inserts has
-/// at least 2^(h−1) leaves at height h: with 32-bit page ids, at most 33
-/// levels (table trees: 6). Deletes never add a level. 64 leaves that
-/// margin twice over and costs nothing: only a cycle in the pages — a page
-/// the host forged or corrupted — descends that far.
+/// when its bytes overflow its 4 KiB page. An interior page with one more
+/// entry than fits holds at least 4 children: an index entry takes at most
+/// `6 + MAX_INDEX_KEY` = 1 506 bytes, so it takes 3 separators to
+/// overflow the page (table entries take 5–14 bytes, so a table page
+/// splits at 293 separators or more). A split cuts at the byte middle,
+/// and no entry holds half an overfull page, so each half keeps at
+/// least 2 children (table: 146), and a tree grown by inserts has at least
+/// 2^(h−1) leaves at height h: with 32-bit page ids, at most 33 levels
+/// (table trees: 6). Deletes never add a level. 64 leaves that margin
+/// twice over and costs nothing: only a cycle in the pages — a page the
+/// host forged or corrupted — descends that far.
 const MAX_DEPTH: usize = 64;
 
 fn too_deep() -> DbError {
@@ -423,24 +419,28 @@ fn pick(page: &[u8], index: &[u16], toward: Toward<'_>) -> DbResult<Option<(usiz
 
 /// Walk from `page` down to a leaf along `toward`, picking each child in
 /// place with [`pick`], and hand the leaf's id and bytes to `at_leaf` —
-/// one page access per level. Each page, the leaf included, is checked
-/// once, by [`index_page`], when its bytes enter or change in the cache.
-/// When `path` is given (a cursor's stack, or the path a write carries a
-/// split or an unlink up), each `(page, child index)` taken is pushed
-/// onto it and the levels already on it count toward [`MAX_DEPTH`].
+/// one page access per level — with whether the walk took the last child
+/// at every level (the leaf is on the right edge of the subtree under
+/// `page`). Each page, the leaf included, is checked once, by
+/// [`index_page`], when its bytes enter or change in the cache. When
+/// `path` is given (a cursor's stack, or the path a write carries a split
+/// or an unlink up), each `(page, child index)` taken is pushed onto it
+/// and the levels already on it count toward [`MAX_DEPTH`].
 fn descend<R>(
     pager: &mut Pager,
     mut page: PageId,
     toward: Toward<'_>,
     mut path: Option<&mut Vec<(PageId, usize)>>,
-    at_leaf: impl FnOnce(PageId, &[u8]) -> DbResult<R>,
+    at_leaf: impl FnOnce(PageId, &[u8], bool) -> DbResult<R>,
 ) -> DbResult<R> {
     let above = path.as_ref().map_or(0, |p| p.len());
+    let mut edge = true;
     for _ in above..MAX_DEPTH {
         let (bytes, index) = pager.get_indexed(page, index_page)?;
         let Some((idx, child)) = pick(bytes, index, toward)? else {
-            return at_leaf(page, bytes);
+            return at_leaf(page, bytes, edge);
         };
+        edge &= idx + 1 == index.len();
         if let Some(p) = path.as_deref_mut() {
             p.push((page, idx));
         }
@@ -467,8 +467,10 @@ enum Edit<'n> {
     /// The edited page fits: splice it in place.
     Fits(Splice<'n>),
     /// The edited page, built in a two-page scratch buffer, for
-    /// [`store_splitting`] to split.
-    Overfull(Vec<u8>),
+    /// [`store_splitting`] to split; `append` when it is a leaf on the
+    /// tree's right edge whose last entry was added past its old last, and
+    /// the split then falls before that entry ([`halves`]).
+    Overfull { buf: Vec<u8>, append: bool },
 }
 
 impl<'n> Splice<'n> {
@@ -477,7 +479,7 @@ impl<'n> Splice<'n> {
     /// cover. A page the host padded (long varints) may not have room.
     fn apply(&self, page: &mut [u8]) -> DbResult<()> {
         let Range { start, end } = self.range;
-        let used = self.used - (end - start) + self.new.len();
+        let used = self.end();
         if used > page.len() {
             return Err(DbError::Storage("edit overflows the page".into()));
         }
@@ -490,17 +492,22 @@ impl<'n> Splice<'n> {
         Ok(())
     }
 
-    /// The edit of `page` in place when the page is then `size` bytes as a
-    /// split reckons them ([`Layout::size`]) and that fits, else the
-    /// edited page built in a scratch buffer of two pages.
-    fn plan(self, page: &[u8], size: usize) -> DbResult<Edit<'n>> {
-        if size <= PAGE_SIZE {
+    /// Where the page's bytes in use end after the edit.
+    fn end(&self) -> usize {
+        self.used - self.range.len() + self.new.len()
+    }
+
+    /// The edit of `page` in place when its bytes in use then fit the
+    /// page, else the edited page built in a scratch buffer of two pages,
+    /// marked `append` ([`Edit::Overfull`]).
+    fn plan(self, page: &[u8], append: bool) -> DbResult<Edit<'n>> {
+        if self.end() <= PAGE_SIZE {
             return Ok(Edit::Fits(self));
         }
         let mut buf = vec![0; 2 * PAGE_SIZE];
         buf[..self.used].copy_from_slice(&page[..self.used]);
         self.apply(&mut buf)?;
-        Ok(Edit::Overfull(buf))
+        Ok(Edit::Overfull { buf, append })
     }
 }
 
@@ -606,12 +613,11 @@ fn free_overflow(pager: &mut Pager, id: PageId, total: u32) -> DbResult<()> {
     pages.into_iter().try_for_each(|page| pager.free_page(page))
 }
 
-/// The table cell for `rowid → payload` and its size as a split reckons
-/// it; a payload past `MAX_LOCAL` bytes spills its tail to a new overflow
-/// chain.
-fn encode_cell(pager: &mut Pager, rowid: i64, payload: &[u8]) -> DbResult<(Vec<u8>, usize)> {
+/// The table cell for `rowid → payload`; a payload past `MAX_LOCAL` bytes
+/// spills its tail to a new overflow chain.
+fn encode_cell(pager: &mut Pager, rowid: i64, payload: &[u8]) -> DbResult<Vec<u8>> {
     let (local, spill) = payload.split_at(payload.len().min(MAX_LOCAL));
-    let mut cell = Vec::with_capacity(24 + local.len());
+    let mut cell = Vec::with_capacity(21 + local.len());
     write_varint(&mut cell, rowid as u64);
     write_varint(&mut cell, local.len() as u64);
     write_varint(&mut cell, spill.len() as u64);
@@ -619,7 +625,7 @@ fn encode_cell(pager: &mut Pager, rowid: i64, payload: &[u8]) -> DbResult<(Vec<u
         cell.extend(write_overflow(pager, spill)?.to_le_bytes());
     }
     cell.extend_from_slice(local);
-    Ok((cell, 24 + local.len()))
+    Ok(cell)
 }
 
 // ---------------------------------------------------------------------
@@ -628,8 +634,8 @@ fn encode_cell(pager: &mut Pager, rowid: i64, payload: &[u8]) -> DbResult<(Vec<u
 
 /// Insert (or replace) `rowid → payload` in a table tree.
 pub fn table_insert(pager: &mut Pager, root: PageId, rowid: i64, payload: &[u8]) -> DbResult<()> {
-    let (cell, size) = encode_cell(pager, rowid, payload)?;
-    write_leaf(pager, root, Key::Rowid(rowid), Some((&cell, size))).map(drop)
+    let cell = encode_cell(pager, rowid, payload)?;
+    write_leaf(pager, root, Key::Rowid(rowid), Some(&cell)).map(drop)
 }
 
 /// Largest supported index key (a node must hold at least two keys).
@@ -648,19 +654,21 @@ pub fn index_insert(pager: &mut Pager, root: PageId, key: Vec<u8>) -> DbResult<(
     let mut entry = Vec::with_capacity(key.len() + 2);
     write_varint(&mut entry, key.len() as u64);
     entry.extend_from_slice(&key);
-    write_leaf(pager, root, Key::Bytes(&key), Some((&entry, 5 + key.len()))).map(drop)
+    write_leaf(pager, root, Key::Bytes(&key), Some(&entry)).map(drop)
 }
 
-/// The edit of `leaf` at `target`'s entry: `put` — an encoded entry and
-/// its size as a split reckons it — goes in, over a table cell with the
-/// same rowid; with no `put`, the entry goes. `None` when there is nothing
-/// to do: an index key already present stays, and an entry that is not
-/// there cannot go. Also returns the overflow chain `(head, length)` of
-/// the cell that goes.
+/// The edit of `leaf` at `target`'s entry: `put`, an encoded entry, goes
+/// in, over a table cell with the same rowid; with no `put`, the entry
+/// goes. `None` when there is nothing to do: an index key already present
+/// stays, and an entry that is not there cannot go. Also returns the
+/// overflow chain `(head, length)` of the cell that goes. An entry put
+/// past the last of a leaf on the tree's right `edge` is an append: a
+/// leaf it overfills keeps its entries and the new one starts a page.
 fn edit_leaf<'n>(
     leaf: &[u8],
     target: Key<'_>,
-    put: Option<(&'n [u8], usize)>,
+    put: Option<&'n [u8]>,
+    edge: bool,
 ) -> DbResult<Option<(Edit<'n>, (PageId, u32))>> {
     let lay = Layout::of(leaf)?;
     let (i, found) = lay.find(leaf, target)?;
@@ -668,19 +676,15 @@ fn edit_leaf<'n>(
     if idle {
         return Ok(None);
     }
-    let (new, size) = put.unwrap_or((&[], 0));
-    let (old, chain) = if found {
-        (NodeReader::at(leaf, lay.at[i]).entry()?, lay.chain(leaf, i)?)
-    } else {
-        (0, (0, 0))
-    };
+    let chain = if found { lay.chain(leaf, i)? } else { (0, 0) };
     let splice = Splice {
         range: lay.at[i]..lay.at[i + usize::from(found)],
-        new,
+        new: put.unwrap_or_default(),
         used: lay.used,
         count: lay.len() + usize::from(put.is_some()) - usize::from(found),
     };
-    Ok(Some((splice.plan(leaf, lay.size - old + size)?, chain)))
+    let append = edge && i == lay.len() && put.is_some();
+    Ok(Some((splice.plan(leaf, append)?, chain)))
 }
 
 /// Descend toward `target`'s leaf and edit it ([`edit_leaf`]); free the
@@ -693,10 +697,10 @@ fn edit_leaf<'n>(
 /// it evicts and reloads from the host gets the same splice: whatever
 /// that leaves is checked again at its next read, since `get_mut` drops
 /// the page's index.
-fn write_leaf(pager: &mut Pager, root: PageId, target: Key<'_>, put: Option<(&[u8], usize)>) -> DbResult<bool> {
+fn write_leaf(pager: &mut Pager, root: PageId, target: Key<'_>, put: Option<&[u8]>) -> DbResult<bool> {
     let mut path = Vec::new();
-    let hit = descend(pager, root, target.toward(), Some(&mut path), |page, leaf| {
-        Ok(edit_leaf(leaf, target, put)?.map(|(edit, chain)| (page, edit, chain)))
+    let hit = descend(pager, root, target.toward(), Some(&mut path), |page, leaf, edge| {
+        Ok(edit_leaf(leaf, target, put, edge)?.map(|(edit, chain)| (page, edit, chain)))
     })?;
     let Some((page, edit, (head, len))) = hit else {
         return Ok(false);
@@ -719,19 +723,21 @@ fn write_leaf(pager: &mut Pager, root: PageId, target: Key<'_>, put: Option<(&[u
 /// page splits ([`halves`]): its right half goes to a new page, its left
 /// half stays, and its parent takes the separator and the new right
 /// sibling in ([`adopt`]), spliced in the `get_mut` borrow that holds it
-/// when it fits, else built overfull and split in turn. The root keeps its
-/// page id, which the catalog holds: when it splits, its left half moves
-/// to a new page, allocated after the right sibling, and the root becomes
-/// the interior node over the two.
+/// when it fits, else built overfull and split in turn. An append leaves
+/// its leaf full and opens the right sibling with the new entry alone; the
+/// parents split as any page does. The root keeps its page id, which the
+/// catalog holds: when it splits, its left half moves to a new page,
+/// allocated after the right sibling, and the root becomes the interior
+/// node over the two.
 fn store_splitting(pager: &mut Pager, path: &[(PageId, usize)], mut page: PageId, edit: Edit<'_>) -> DbResult<()> {
-    let mut buf = match edit {
+    let (mut buf, mut append) = match edit {
         Edit::Fits(splice) => return splice.apply(pager.get_mut(page)?),
-        Edit::Overfull(buf) => buf,
+        Edit::Overfull { buf, append } => (buf, append),
     };
     let mut parents = path.iter().rev();
     loop {
         let ty = buf[0];
-        let h = halves(&buf)?;
+        let h = halves(&buf, std::mem::take(&mut append))?;
         let right = pager.allocate()?;
         write_node(pager.get_mut(right)?, ty, h.right_len, &[&buf[h.right]])?;
         let Some(&(parent, idx)) = parents.next() else {
@@ -744,9 +750,9 @@ fn store_splitting(pager: &mut Pager, path: &[(PageId, usize)], mut page: PageId
         let mut new = buf[h.sep].to_vec();
         new.extend(right.to_le_bytes());
         let bytes = pager.get_mut(parent)?;
-        match adopt(bytes, ty, idx, &new, h.sep_size)? {
+        match adopt(bytes, ty, idx, &new)? {
             Edit::Fits(splice) => return splice.apply(bytes),
-            Edit::Overfull(up) => (page, buf) = (parent, up),
+            Edit::Overfull { buf: up, .. } => (page, buf) = (parent, up),
         }
     }
 }
@@ -760,17 +766,16 @@ struct Halves {
     right: Range<usize>,
     right_len: usize,
     sep: Range<usize>,
-    /// What the separator's entry adds to the parent's size.
-    sep_size: usize,
 }
 
-/// Split the overfull page in `buf`: a leaf at [`split_point`], its left
-/// half's largest key copied up; an interior page at
+/// Split the overfull page in `buf`: a leaf at [`split_point`], or before
+/// its last entry when that entry is an `append` ([`Edit::Overfull`]), its
+/// left half's largest key copied up; an interior page at
 /// [`interior_split_point`]'s separator, which moves up.
-fn halves(buf: &[u8]) -> DbResult<Halves> {
+fn halves(buf: &[u8], append: bool) -> DbResult<Halves> {
     let lay = Layout::of(buf)?;
     let (at, n) = (&lay.at, lay.len());
-    let sizes = at[..n].iter().map(|&pos| NodeReader::at(buf, pos).entry()).collect::<DbResult<Vec<_>>>()?;
+    let sizes: Vec<usize> = at.windows(2).map(|w| w[1] - w[0]).collect();
     if lay.ty & LEAF == 0 {
         let mid = interior_split_point(&sizes);
         return Ok(Halves {
@@ -779,41 +784,35 @@ fn halves(buf: &[u8]) -> DbResult<Halves> {
             right: at[mid + 1]..lay.used,
             right_len: n - mid - 1,
             sep: at[mid] + 4..at[mid + 1],
-            sep_size: sizes[mid],
         });
     }
-    let cut = split_point(sizes.iter().copied());
+    let cut = if append { n - 1 } else { split_point(&sizes) };
     let last = at[cut - 1];
-    let (sep_end, sep_size) = if lay.ty == TABLE_LEAF {
-        (last + read_varint(&buf[last..])?.1, 14)
-    } else {
-        (at[cut], 4 + sizes[cut - 1])
-    };
+    let sep_end = if lay.ty == TABLE_LEAF { last + read_varint(&buf[last..])?.1 } else { at[cut] };
     Ok(Halves {
         left: 3..at[cut],
         left_len: cut,
         right: at[cut]..lay.used,
         right_len: n - cut,
         sep: last..sep_end,
-        sep_size,
     })
 }
 
-/// Where to split an overfull leaf whose entries encode to `sizes` bytes:
-/// after the entry that crosses the middle, unless that leaves the left
-/// half over a page — a cell of up to `MAX_LOCAL` bytes can cross it — and
-/// then before it. The right half still fits: the entries before the
-/// crossing one then hold more than a page less one entry, and the leaf
-/// held at most a page before the insert added one entry, so the right
-/// half holds less than two entries (2 × 2 024 bytes).
-fn split_point(sizes: impl Iterator<Item = usize>) -> usize {
-    let sizes: Vec<usize> = sizes.collect();
+/// Where to split an overfull leaf whose entries take `sizes` bytes: after
+/// the entry that crosses the middle, unless that leaves the left half
+/// over a page — a cell of up to `MAX_LOCAL` local bytes can cross it —
+/// and then before it. The right half still fits: the entries before the
+/// crossing one then hold more than a page less the 3-byte header and one
+/// entry, and the leaf held at most a page before the insert added one
+/// entry, so the right half holds less than two entries (a cell takes at
+/// most 2 021 bytes).
+fn split_point(sizes: &[usize]) -> usize {
     let total: usize = sizes.iter().sum();
     let mut acc = 0;
     for (i, s) in sizes.iter().enumerate() {
         acc += s;
         if acc >= total / 2 {
-            let cut = if 8 + acc > PAGE_SIZE { i } else { i + 1 };
+            let cut = if 3 + acc > PAGE_SIZE { i } else { i + 1 };
             return cut.min(sizes.len() - 1).max(1);
         }
     }
@@ -821,14 +820,14 @@ fn split_point(sizes: impl Iterator<Item = usize>) -> usize {
 }
 
 /// The separator that moves up when an overfull interior page whose
-/// entries encode to `sizes` bytes splits: the one whose entry holds the
-/// byte middle of the entries — the last one with at most half the bytes
-/// before it. Equal entries (every table interior page) split at the
-/// middle by count. Both halves fit a page: each holds the page's 12
-/// bytes of header and last child and at most half of the entries' bytes,
-/// and an overfull page holds at most a page plus one entry of up to
-/// `9 + MAX_INDEX_KEY` bytes. (The middle separator by count could leave
-/// a half of three keys of `MAX_INDEX_KEY` bytes, over a page.)
+/// entries take `sizes` bytes splits: the one whose entry holds the byte
+/// middle of the entries — the last one with at most half the bytes
+/// before it. Equal entries split at the middle by count. Both halves fit
+/// a page: each holds the page's 7 bytes of header and last child and at
+/// most half of the entries' bytes, and an overfull page holds at most a
+/// page plus one entry of up to `6 + MAX_INDEX_KEY` bytes. (The middle
+/// separator by count could leave a half of three keys of `MAX_INDEX_KEY`
+/// bytes, over a page.)
 fn interior_split_point(sizes: &[usize]) -> usize {
     let total: usize = sizes.iter().sum();
     let mut before = 0;
@@ -845,8 +844,8 @@ fn interior_split_point(sizes: &[usize]) -> usize {
 /// `idx`, a page of type `ty`: before entry `idx` goes `(child idx,
 /// separator)`, and the next child — or the last — becomes the new right
 /// sibling. `new` is the separator, as an interior entry encodes it,
-/// followed by the right sibling's id; its entry adds `sep_size`.
-fn adopt<'n>(parent: &[u8], ty: u8, idx: usize, new: &'n [u8], sep_size: usize) -> DbResult<Edit<'n>> {
+/// followed by the right sibling's id.
+fn adopt<'n>(parent: &[u8], ty: u8, idx: usize, new: &'n [u8]) -> DbResult<Edit<'n>> {
     let lay = Layout::of(parent)?;
     if lay.ty != ty & !LEAF {
         return Err(DbError::Storage("tree type mismatch".into()));
@@ -856,7 +855,7 @@ fn adopt<'n>(parent: &[u8], ty: u8, idx: usize, new: &'n [u8], sep_size: usize) 
         return Err(DbError::Storage("split child is not on its parent".into()));
     };
     let splice = Splice { range: at + 4..at + 4, new, used: lay.used, count: lay.len() + 1 };
-    splice.plan(parent, lay.size + sep_size)
+    splice.plan(parent, false)
 }
 
 // ---------------------------------------------------------------------
@@ -868,7 +867,7 @@ fn adopt<'n>(parent: &[u8], ty: u8, idx: usize, new: &'n [u8], sep_size: usize) 
 /// the first cell at or above `rowid`, and only a match is copied out
 /// (with its overflow chain).
 pub fn table_get(pager: &mut Pager, root: PageId, rowid: i64) -> DbResult<Option<Vec<u8>>> {
-    let hit = descend(pager, root, Toward::Rowid(rowid), None, |_, leaf| {
+    let hit = descend(pager, root, Toward::Rowid(rowid), None, |_, leaf, _| {
         let mut r = NodeReader::new(leaf)?;
         for _ in 0..r.len {
             let cell = r.cell()?;
@@ -946,7 +945,7 @@ fn drop_child(parent: &[u8], idx: usize) -> DbResult<Option<Splice<'static>>> {
 
 /// Largest rowid in the table (for auto-increment), read in place.
 pub fn table_max_rowid(pager: &mut Pager, root: PageId) -> DbResult<Option<i64>> {
-    descend(pager, root, Toward::Last, None, |_, leaf| {
+    descend(pager, root, Toward::Last, None, |_, leaf, _| {
         let mut r = NodeReader::new(leaf)?;
         let mut max = None;
         for _ in 0..r.len {
@@ -1054,7 +1053,7 @@ impl Cursor {
         let pages_freed_at_open = pager.pages_freed();
         let mut stack = Vec::new();
         let toward = target.map_or(Toward::Child(0), Key::toward);
-        let copy = |page, bytes: &[u8]| Leaf::copy(page, bytes, Vec::new());
+        let copy = |page, bytes: &[u8], _| Leaf::copy(page, bytes, Vec::new());
         let mut leaf = descend(pager, root, toward, Some(&mut stack), copy)?;
         if let Some(target) = target {
             leaf.idx = leaf.lay.find(&leaf.bytes, target)?.0;
@@ -1112,7 +1111,7 @@ impl Cursor {
             }
             self.stack.push((page, next));
             let spare = std::mem::take(&mut self.spare);
-            let copy = |page, bytes: &[u8]| Leaf::copy(page, bytes, spare);
+            let copy = |page, bytes: &[u8], _| Leaf::copy(page, bytes, spare);
             let leaf = descend(pager, child, Toward::Child(0), Some(&mut self.stack), copy)?;
             if leaf.lay.len() == 0 {
                 self.spare = leaf.bytes;
@@ -1237,50 +1236,55 @@ mod tests {
     }
 
     impl Sep {
-        /// The separator as an interior entry encodes it, and what that
-        /// entry adds to its page's size.
-        fn encoded(&self) -> (Vec<u8>, usize) {
+        /// The separator as an interior entry encodes it.
+        fn encoded(&self) -> Vec<u8> {
             let mut out = Vec::new();
             match self {
-                Sep::Rowid(key) => {
-                    write_varint(&mut out, *key as u64);
-                    (out, 14)
-                }
+                Sep::Rowid(key) => write_varint(&mut out, *key as u64),
                 Sep::Key(key) => {
                     write_varint(&mut out, key.len() as u64);
                     out.extend_from_slice(key);
-                    (out, 9 + key.len())
                 }
             }
+            out
         }
     }
 
+    /// Bytes of `v` as a varint.
+    fn varint_len(v: u64) -> usize {
+        let mut out = Vec::new();
+        write_varint(&mut out, v);
+        out.len()
+    }
+
     impl Node {
-        /// Serialised size (must fit `PAGE_SIZE`).
-        fn encoded_size(&self) -> usize {
-            let mut n = 8;
+        /// The bytes each entry takes on the page, in page order (an
+        /// interior entry's child included).
+        fn entry_sizes(&self) -> Vec<usize> {
+            let key = |k: &Vec<u8>| varint_len(k.len() as u64) + k.len();
             match self {
-                Node::TableLeaf { cells } => {
-                    for c in cells {
-                        n += 10 + 5 + 5 + c.local.len() + 4;
-                    }
-                }
-                Node::TableInterior { children, keys } => {
-                    n += children.len() * 4 + keys.len() * 10;
-                }
-                Node::IndexLeaf { keys } => {
-                    for k in keys {
-                        n += 5 + k.len();
-                    }
-                }
-                Node::IndexInterior { children, keys } => {
-                    n += children.len() * 4;
-                    for k in keys {
-                        n += 5 + k.len();
-                    }
-                }
+                Node::TableLeaf { cells } => cells
+                    .iter()
+                    .map(|c| {
+                        let chain = if c.overflow_len > 0 { 4 } else { 0 };
+                        let lens = varint_len(c.local.len() as u64) + varint_len(u64::from(c.overflow_len));
+                        varint_len(c.rowid as u64) + lens + chain + c.local.len()
+                    })
+                    .collect(),
+                Node::TableInterior { keys, .. } => keys.iter().map(|&k| 4 + varint_len(k as u64)).collect(),
+                Node::IndexLeaf { keys } => keys.iter().map(key).collect(),
+                Node::IndexInterior { keys, .. } => keys.iter().map(|k| 4 + key(k)).collect(),
             }
-            n
+        }
+
+        /// Serialised size, its bytes in use (must fit `PAGE_SIZE`): the
+        /// 3-byte header, the entries and an interior node's last child.
+        fn encoded_size(&self) -> usize {
+            let last_child = match self {
+                Node::TableInterior { .. } | Node::IndexInterior { .. } => 4,
+                _ => 0,
+            };
+            3 + self.entry_sizes().iter().sum::<usize>() + last_child
         }
 
         /// Encode over `out`, zeroing the rest; returns the bytes written.
@@ -1334,34 +1338,33 @@ mod tests {
 
         /// Split an overfull node: keep the left half and return the
         /// separator that goes up with the right half. A leaf splits at
-        /// [`split_point`] and its largest key is copied up; an interior
-        /// node splits at [`interior_split_point`]'s separator, which moves
-        /// up.
-        fn split(&mut self) -> (Sep, Node) {
-            /// The entries after the separator at the byte middle of
-            /// entries of `size(key)` bytes each, and the separator.
-            fn halve<K>(children: &mut Vec<PageId>, keys: &mut Vec<K>, size: impl Fn(&K) -> usize) -> (K, Vec<PageId>, Vec<K>) {
-                let mid = interior_split_point(&keys.iter().map(size).collect::<Vec<_>>());
+        /// [`split_point`], or before its last entry when that entry is an
+        /// `append`, and its largest key is copied up; an interior node
+        /// splits at [`interior_split_point`]'s separator, which moves up.
+        fn split(&mut self, append: bool) -> (Sep, Node) {
+            /// The entries after the separator `mid`, and the separator.
+            fn halve<K>(children: &mut Vec<PageId>, keys: &mut Vec<K>, mid: usize) -> (K, Vec<PageId>, Vec<K>) {
                 let right_keys = keys.split_off(mid + 1);
                 (keys.remove(mid), children.split_off(mid + 1), right_keys)
             }
+            let sizes = self.entry_sizes();
+            let cut = if append { sizes.len() - 1 } else { split_point(&sizes) };
+            let mid = interior_split_point(&sizes);
             match self {
                 Node::TableLeaf { cells } => {
-                    let cut = split_point(cells.iter().map(|c| 24 + c.local.len()));
                     let right = cells.split_off(cut);
                     (Sep::Rowid(cells[cut - 1].rowid), Node::TableLeaf { cells: right })
                 }
                 Node::IndexLeaf { keys } => {
-                    let cut = split_point(keys.iter().map(|k| 5 + k.len()));
                     let right = keys.split_off(cut);
                     (Sep::Key(keys[cut - 1].clone()), Node::IndexLeaf { keys: right })
                 }
                 Node::TableInterior { children, keys } => {
-                    let (sep, children, keys) = halve(children, keys, |_| 14);
+                    let (sep, children, keys) = halve(children, keys, mid);
                     (Sep::Rowid(sep), Node::TableInterior { children, keys })
                 }
                 Node::IndexInterior { children, keys } => {
-                    let (sep, children, keys) = halve(children, keys, |k| 9 + k.len());
+                    let (sep, children, keys) = halve(children, keys, mid);
                     (Sep::Key(sep), Node::IndexInterior { children, keys })
                 }
             }
@@ -1565,9 +1568,9 @@ mod tests {
         }
     }
 
-    /// Three cells that just fit a leaf, then a full-size local cell
-    /// between the last two: the middle falls inside the new cell, and
-    /// cutting after it would leave 4 556 bytes on the left page.
+    /// Three cells that fit a leaf, then a full-size local cell between
+    /// the last two: the middle falls inside the new cell, and cutting
+    /// after it would leave 4 491 bytes on the left page.
     #[test]
     fn leaf_split_never_overflows_a_page() {
         let mut p = mem_pager();
@@ -2066,8 +2069,8 @@ mod tests {
     }
 
     /// Rows of ≈ 1.5 KiB, two to a leaf, in a seeded shuffled order: the
-    /// root passes a page of separators (292), so interior pages split
-    /// and the tree grows a third level. Every row reads back, replaced or
+    /// root passes a page of separators (681 of 6 bytes), so interior
+    /// pages split and the tree grows a third level. Every row reads back, replaced or
     /// not, and the scan and the maximum match a `BTreeMap`, before and
     /// after deletes of every third row.
     #[test]
@@ -2080,7 +2083,7 @@ mod tests {
         let root = create_table_tree(&mut p).unwrap();
         let mut model: BTreeMap<i64, Vec<u8>> = BTreeMap::new();
         let row = |rowid: i64, version: u8| vec![(rowid as u8) ^ version; 1500];
-        let mut ids: Vec<i64> = (0..1200).collect();
+        let mut ids: Vec<i64> = (0..1500).collect();
         ids.shuffle(&mut rng);
         for &rowid in &ids {
             table_insert(&mut p, root, rowid, &row(rowid, 0)).unwrap();
@@ -2093,18 +2096,141 @@ mod tests {
         }
         assert_eq!(height(&mut p, root), 3);
         // A leaf holds at most two rows.
-        assert!(model.len() / 2 >= 293, "{} rows", model.len());
+        assert!(model.len() / 2 >= 682, "{} rows", model.len());
         for round in 0..2 {
             assert_no_empty_node_below_root(&mut p, root);
             assert_eq!(scan_rowids(&mut p, root), model.keys().copied().collect::<Vec<_>>(), "round {round}");
             assert_eq!(table_max_rowid(&mut p, root).unwrap(), model.keys().next_back().copied());
-            for rowid in -1..1201 {
+            for rowid in -1..1501 {
                 assert_eq!(table_get(&mut p, root, rowid).unwrap().as_ref(), model.get(&rowid), "rowid {rowid}");
             }
             for &rowid in ids.iter().step_by(3) {
                 assert_eq!(table_delete(&mut p, root, rowid).unwrap(), model.remove(&rowid).is_some());
             }
         }
+        assert_pages_accounted(&mut p, &[root]);
+    }
+
+    /// The rowids of each leaf of a table tree, leaves in key order.
+    fn leaf_rowids(p: &mut Pager, page: PageId) -> Vec<Vec<i64>> {
+        match load(p, page).unwrap() {
+            Node::TableLeaf { cells } => vec![cells.iter().map(|c| c.rowid).collect()],
+            Node::TableInterior { children, .. } => children.into_iter().flat_map(|c| leaf_rowids(p, c)).collect(),
+            node => panic!("not a table tree: {node:?}"),
+        }
+    }
+
+    /// Rows in key order leave their leaves full: 1 000-byte rows (1 004
+    /// bytes a cell) four to a page, 1 024-byte rows (1 028) three, and
+    /// only the last leaf holds fewer. A split at the byte middle left two.
+    #[test]
+    fn rows_in_key_order_fill_their_leaves() {
+        for (len, per_leaf) in [(1000, 4), (1024, 3)] {
+            let mut p = mem_pager();
+            let root = create_table_tree(&mut p).unwrap();
+            for rowid in 0..2000i64 {
+                table_insert(&mut p, root, rowid, &vec![rowid as u8; len]).unwrap();
+            }
+            let leaves = leaf_rowids(&mut p, root);
+            let (last, full) = leaves.split_last().unwrap();
+            let filled = full.iter().filter(|l| l.len() == per_leaf).count();
+            assert_eq!(filled, full.len(), "{len}-byte rows: {filled} of {} leaves hold {per_leaf}", leaves.len());
+            assert!((1..=per_leaf).contains(&last.len()));
+            assert_eq!(leaves.concat(), (0..2000).collect::<Vec<_>>());
+            // The header, the leaves and one interior root.
+            assert_eq!(p.page_count() as usize, 2 + leaves.len(), "{len}-byte rows");
+            assert_pages_accounted(&mut p, &[root]);
+        }
+    }
+
+    /// Shuffled inserts seldom land past the largest row, but a leaf is
+    /// sized by its bytes, so it holds up to four 1 000-byte rows where a
+    /// worst case per cell let it hold three: 3 000 seeded shuffled rows
+    /// took 1 302 pages then, and take fewer now.
+    #[test]
+    fn shuffled_rows_take_fewer_pages() {
+        use rand::seq::SliceRandom;
+        use rand::SeedableRng;
+        let mut rng = rand::rngs::StdRng::seed_from_u64(0x5F1);
+        let mut p = mem_pager();
+        let root = create_table_tree(&mut p).unwrap();
+        let mut ids: Vec<i64> = (0..3000).collect();
+        ids.shuffle(&mut rng);
+        for &rowid in &ids {
+            table_insert(&mut p, root, rowid, &[rowid as u8; 1000]).unwrap();
+        }
+        let pages = p.page_count();
+        assert!(pages < 1302, "{pages} pages");
+        assert_eq!(scan_rowids(&mut p, root), (0..3000).collect::<Vec<_>>());
+        assert_pages_accounted(&mut p, &[root]);
+    }
+
+    /// A leaf whose bytes in use come to exactly a page — the 3-byte
+    /// header and three cells of 1 364, 1 364 and 1 365 bytes — is edited
+    /// in place, whether the last cell is appended or replaced; a cell one
+    /// byte longer splits it.
+    #[test]
+    fn a_leaf_of_exactly_a_page_is_edited_in_place() {
+        let mut p = mem_pager();
+        let root = create_table_tree(&mut p).unwrap();
+        // A cell is its rowid, two length varints (1 + 2 + 1 bytes) and
+        // the payload.
+        for (rowid, len) in [(1, 1360), (2, 1360), (3, 1361)] {
+            table_insert(&mut p, root, rowid, &vec![rowid as u8; len]).unwrap();
+        }
+        let pages = p.page_count();
+        assert_eq!(Layout::of(p.get(root).unwrap()).unwrap().used, PAGE_SIZE);
+        table_insert(&mut p, root, 3, &[9; 1361]).unwrap();
+        table_insert(&mut p, root, 2, &[8; 1360]).unwrap();
+        assert_eq!(leaf_rowids(&mut p, root), [vec![1, 2, 3]]);
+        assert_eq!(p.page_count(), pages);
+        table_insert(&mut p, root, 2, &[8; 1361]).unwrap();
+        assert_eq!(leaf_rowids(&mut p, root), [vec![1, 2], vec![3]]);
+        assert_eq!(table_get(&mut p, root, 2).unwrap(), Some(vec![8; 1361]));
+        assert_pages_accounted(&mut p, &[root]);
+    }
+
+    /// An insert past the last row of a leaf below the right edge — the
+    /// leaf's largest row was deleted, so its separator is above what it
+    /// holds — is no append: the leaf splits at its byte middle, and the
+    /// right edge still fills.
+    #[test]
+    fn an_insert_into_a_gap_below_the_right_edge_splits_at_the_middle() {
+        let mut p = mem_pager();
+        let root = create_table_tree(&mut p).unwrap();
+        for rowid in (0..80).step_by(10) {
+            table_insert(&mut p, root, rowid, &[1; 1000]).unwrap();
+        }
+        assert_eq!(leaf_rowids(&mut p, root), [vec![0, 10, 20, 30], vec![40, 50, 60, 70]]);
+        assert!(table_delete(&mut p, root, 30).unwrap());
+        for rowid in [22, 24] {
+            table_insert(&mut p, root, rowid, &[2; 1000]).unwrap();
+        }
+        assert_eq!(leaf_rowids(&mut p, root), [vec![0, 10, 20], vec![22, 24], vec![40, 50, 60, 70]]);
+        assert_eq!(scan_rowids(&mut p, root), [0, 10, 20, 22, 24, 40, 50, 60, 70]);
+        assert_pages_accounted(&mut p, &[root]);
+    }
+
+    /// Deleting the largest rows — the last leaf empties and is unlinked,
+    /// so the leaf before it becomes the right edge — and appending again
+    /// keeps filling leaves four to a page.
+    #[test]
+    fn appends_after_deleting_the_largest_rows_keep_filling() {
+        let mut p = mem_pager();
+        let root = create_table_tree(&mut p).unwrap();
+        for rowid in 0..13 {
+            table_insert(&mut p, root, rowid, &[3; 1000]).unwrap();
+        }
+        assert_eq!(leaf_rowids(&mut p, root).last(), Some(&vec![12]));
+        for rowid in [12, 11] {
+            assert!(table_delete(&mut p, root, rowid).unwrap());
+        }
+        for rowid in 11..40 {
+            table_insert(&mut p, root, rowid, &[4; 1000]).unwrap();
+        }
+        let leaves = leaf_rowids(&mut p, root);
+        assert!(leaves.iter().all(|l| l.len() == 4), "{leaves:?}");
+        assert_eq!(leaves.concat(), (0..40).collect::<Vec<_>>());
         assert_pages_accounted(&mut p, &[root]);
     }
 
@@ -2612,11 +2738,11 @@ mod tests {
 
     /// Check what the byte editor's `edit` of `page` leaves against the
     /// model edited the same way: the page's bytes when it fits, else the
-    /// halves and the separator of [`Node::split`]. A half whose bytes are
-    /// over a page — an interior page split at its middle separator, its
-    /// keys of very different sizes — is refused, where the model's
-    /// encoder runs past the page. Returns `[fits, split, halves refused]`.
-    fn assert_edit_matches(page: &[u8], edit: Edit<'_>, mut model: Node) -> [usize; 3] {
+    /// halves and the separator of [`Node::split`], before the new entry
+    /// when the edit is an `append`. A half whose bytes are over a page is
+    /// refused, where the model's encoder runs past the page. Returns
+    /// `[fits, split, of them appends, halves refused]`.
+    fn assert_edit_matches(page: &[u8], edit: Edit<'_>, mut model: Node, append: bool) -> [usize; 4] {
         /// The node's bytes, in a buffer of two pages, and their length.
         fn encode(node: &Node) -> ([u8; 2 * PAGE_SIZE], usize) {
             let mut out = [0u8; 2 * PAGE_SIZE];
@@ -2630,13 +2756,14 @@ mod tests {
                 got.copy_from_slice(page);
                 splice.apply(&mut got).unwrap();
                 assert_eq!(got[..], encode(&model).0[..PAGE_SIZE], "{model:?}");
-                [1, 0, 0]
+                [1, 0, 0, 0]
             }
-            Edit::Overfull(buf) => {
+            Edit::Overfull { buf, append: edit_append } => {
                 assert!(model.encoded_size() > PAGE_SIZE, "{model:?}");
-                let (sep, right) = model.split();
-                let h = halves(&buf).unwrap();
-                assert_eq!((buf[h.sep].to_vec(), h.sep_size), sep.encoded());
+                assert_eq!(edit_append, append, "{model:?}");
+                let (sep, right) = model.split(append);
+                let h = halves(&buf, append).unwrap();
+                assert_eq!(buf[h.sep].to_vec(), sep.encoded());
                 let mut refused = 0;
                 for (bytes, count, half) in [(h.left, h.left_len, &model), (h.right, h.right_len, &right)] {
                     let (want, len) = encode(half);
@@ -2648,7 +2775,7 @@ mod tests {
                         }
                     }
                 }
-                [0, 1, refused]
+                [0, 1, usize::from(append), refused]
             }
         }
     }
@@ -2660,7 +2787,9 @@ mod tests {
     /// and delete on a leaf, every adoption of a split child's separator
     /// and every removal of a child leaves the model's bytes, and an edit
     /// that overfills its page splits into the model's halves and
-    /// separator. The size a split reckons is the model's `encoded_size`.
+    /// separator — an insert past the last entry of a leaf on the right
+    /// edge before the new entry. A page's size is its bytes in use, the
+    /// model's `encoded_size`.
     #[test]
     fn in_place_edits_match_the_decoded_model() {
         use rand::rngs::StdRng;
@@ -2698,9 +2827,9 @@ mod tests {
             node.encode(&mut page);
             page
         };
-        let tally = |seen: &mut [usize; 3], got: [usize; 3]| (0..3).for_each(|i| seen[i] += got[i]);
+        let tally = |seen: &mut [usize; 4], got: [usize; 4]| (0..4).for_each(|i| seen[i] += got[i]);
         let mut rng = StdRng::seed_from_u64(0xED17);
-        let mut seen = [0usize; 3];
+        let mut seen = [0usize; 4];
         for round in 0..300 {
             let fill = if round % 3 == 0 { PAGE_SIZE } else { rng.gen_range(16..=PAGE_SIZE) };
             // Rowids and separators three apart, so one fits between two.
@@ -2723,9 +2852,10 @@ mod tests {
             for model in [table_leaf, table_interior, index_leaf, index_interior] {
                 let page = encode(&model);
                 let lay = Layout::of(&page).unwrap();
-                assert_eq!(lay.size, model.encoded_size(), "{model:?}");
+                assert_eq!(lay.used, model.encoded_size(), "{model:?}");
                 let n = lay.len();
-                let at = rng.gen_range(0..=n);
+                // One edit in four past the last entry, where appends split.
+                let at = if rng.gen_range(0..4) == 0 { n } else { rng.gen_range(0..=n) };
                 match model.clone() {
                     Node::TableLeaf { cells } => {
                         let bytes = |c: &TableCell| {
@@ -2741,18 +2871,20 @@ mod tests {
                             edits.push((Key::Rowid(old.rowid), Some(cell(&mut rng, old.rowid)), Some(old)));
                             edits.push((Key::Rowid(old.rowid), None, Some(old)));
                         }
-                        assert!(edit_leaf(&page, Key::Rowid(rowid), None).unwrap().is_none(), "delete of an absent rowid");
+                        let edge = rng.gen();
+                        assert!(edit_leaf(&page, Key::Rowid(rowid), None, edge).unwrap().is_none(), "delete of an absent rowid");
                         for (target, put, old) in edits {
-                            let new = put.as_ref().map(|c| (bytes(c), 24 + c.local.len()));
-                            let (edit, chain) = edit_leaf(&page, target, new.as_ref().map(|(b, s)| (&b[..], *s))).unwrap().unwrap();
+                            let new = put.as_ref().map(bytes);
+                            let (edit, chain) = edit_leaf(&page, target, new.as_deref(), edge).unwrap().unwrap();
                             assert_eq!(chain, old.map_or((0, 0), |c| (c.overflow, c.overflow_len)));
                             let mut cells = cells.clone();
+                            let append = edge && at == n && old.is_none();
                             match (put, old) {
                                 (Some(c), Some(_)) => cells[at] = c,
                                 (Some(c), None) => cells.insert(at, c),
                                 (None, _) => drop(cells.remove(at)),
                             }
-                            tally(&mut seen, assert_edit_matches(&page, edit, Node::TableLeaf { cells }));
+                            tally(&mut seen, assert_edit_matches(&page, edit, Node::TableLeaf { cells }, append));
                         }
                     }
                     Node::IndexLeaf { keys } => {
@@ -2763,18 +2895,19 @@ mod tests {
                         let mut entry = Vec::new();
                         write_varint(&mut entry, new.len() as u64);
                         entry.extend_from_slice(&new);
-                        let (edit, _) = edit_leaf(&page, Key::Bytes(&new), Some((&entry, 5 + new.len()))).unwrap().unwrap();
+                        let edge = rng.gen();
+                        let (edit, _) = edit_leaf(&page, Key::Bytes(&new), Some(&entry), edge).unwrap().unwrap();
                         let mut inserted = keys.clone();
                         inserted.insert(at, new.clone());
-                        tally(&mut seen, assert_edit_matches(&page, edit, Node::IndexLeaf { keys: inserted }));
-                        assert!(edit_leaf(&page, Key::Bytes(&new), None).unwrap().is_none(), "delete of an absent key");
+                        tally(&mut seen, assert_edit_matches(&page, edit, Node::IndexLeaf { keys: inserted }, edge && at == n));
+                        assert!(edit_leaf(&page, Key::Bytes(&new), None, edge).unwrap().is_none(), "delete of an absent key");
                         if let Some(old) = keys.get(at) {
-                            assert!(edit_leaf(&page, Key::Bytes(old), Some((&entry, 5 + new.len()))).unwrap().is_none());
-                            let (edit, chain) = edit_leaf(&page, Key::Bytes(old), None).unwrap().unwrap();
+                            assert!(edit_leaf(&page, Key::Bytes(old), Some(&entry), edge).unwrap().is_none());
+                            let (edit, chain) = edit_leaf(&page, Key::Bytes(old), None, edge).unwrap().unwrap();
                             assert_eq!(chain, (0, 0));
                             let mut kept = keys.clone();
                             kept.remove(at);
-                            tally(&mut seen, assert_edit_matches(&page, edit, Node::IndexLeaf { keys: kept }));
+                            tally(&mut seen, assert_edit_matches(&page, edit, Node::IndexLeaf { keys: kept }, false));
                         }
                     }
                     interior => {
@@ -2792,20 +2925,20 @@ mod tests {
                             leaf => unreachable!("{leaf:?}"),
                         };
                         let right: PageId = rng.gen();
-                        let (mut new, sep_size) = sep.encoded();
+                        let mut new = sep.encoded();
                         new.extend(right.to_le_bytes());
                         let child_ty = if rng.gen() { page[0] } else { page[0] | LEAF };
-                        let edit = adopt(&page, child_ty, at, &new, sep_size).unwrap();
+                        let edit = adopt(&page, child_ty, at, &new).unwrap();
                         let mut adopted = interior.clone();
                         adopted.adopt(at, sep, right);
-                        tally(&mut seen, assert_edit_matches(&page, edit, adopted));
-                        assert!(adopt(&page, child_ty, n + 1, &new, sep_size).is_err(), "a child past the last");
+                        tally(&mut seen, assert_edit_matches(&page, edit, adopted, false));
+                        assert!(adopt(&page, child_ty, n + 1, &new).is_err(), "a child past the last");
                         // Drop child `at`, with the separator that bounded it.
                         let mut dropped = interior.clone();
                         match drop_child(&page, at).unwrap() {
                             Some(splice) => {
                                 assert!(dropped.remove_child(at));
-                                assert_eq!(assert_edit_matches(&page, Edit::Fits(splice), dropped), [1, 0, 0]);
+                                assert_eq!(assert_edit_matches(&page, Edit::Fits(splice), dropped, false), [1, 0, 0, 0]);
                             }
                             None => assert!(!dropped.remove_child(at)),
                         }
@@ -2813,8 +2946,11 @@ mod tests {
                 }
             }
         }
-        let [fits, split, refused] = seen;
-        assert!(fits >= 900 && split >= 150 && refused == 0, "{fits} edits fit, {split} split, {refused} halves refused");
+        let [fits, split, appended, refused] = seen;
+        assert!(
+            fits >= 900 && split >= 150 && appended >= 15 && refused == 0,
+            "{fits} edits fit, {split} split ({appended} appends), {refused} halves refused"
+        );
     }
 
     /// A cell whose overflow head the host forged — another table's live

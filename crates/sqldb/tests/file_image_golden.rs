@@ -23,7 +23,7 @@
 use twine_sqldb::{Connection, MemVfs, Vfs};
 
 /// `(FNV-1a digest, length in bytes)` of the file the script leaves.
-const GOLDEN: (u64, u64) = (0x6cb7_b711_5f00_9b1e, 8_052_736);
+const GOLDEN: (u64, u64) = (0x365d_3c82_d2ec_ba11, 7_950_336);
 
 const ROWS: u64 = 1_800;
 

@@ -389,10 +389,12 @@ fn page_accesses(db: &mut Connection, sql: &str) -> u64 {
 }
 
 /// A point statement walks the table tree once. Rows of 1 000-byte blobs
-/// fit three to a leaf, and a table interior page holds about 290
-/// children: 2 rows are one leaf (depth 1), 100 rows sit under one
-/// interior root (depth 2), 2 000 rows need a middle level (depth 3). A
-/// point SELECT, hit or miss, reads one page per level. An UPDATE or
+/// fill leaves four to a page when they arrive in key order, and a table
+/// interior page holds 682 children (681 separators of a child and a
+/// two-byte rowid, 6 bytes each): 2 rows
+/// are one leaf (depth 1), 100 and 2 000 rows sit under one interior root
+/// (depth 2), 3 000 rows need a middle level (depth 3). A point SELECT,
+/// hit or miss, reads one page per level. An UPDATE or
 /// DELETE by rowid reads the row once, to test WHERE and to keep its old
 /// values, walks down again to write the leaf (`depth` + 1 accesses), and
 /// its commit loads the header page to rewrite it (1 more); a
@@ -401,12 +403,12 @@ fn page_accesses(db: &mut Connection, sql: &str) -> u64 {
 /// A range scan reads each row from the cursor that walks the leaves, not
 /// again from the root: it reads every page of the tree once, and an
 /// interior page once more for each child the cursor leaves
-/// (`2 × pages − 1`; these sequential inserts leave two rows to a leaf).
+/// (`2 × pages − 1`; these sequential inserts leave four rows to a leaf).
 /// Fig. 5's sequential read grows with the leaf count, not with
 /// `rows × depth`.
 #[test]
 fn point_statements_walk_the_tree_once() {
-    for (rows, depth, scan) in [(2u64, 1u64, 1u64), (100, 2, 101), (2_000, 3, 2_013)] {
+    for (rows, depth, scan) in [(2u64, 1u64, 1u64), (100, 2, 51), (2_000, 2, 1_001), (3_000, 3, 1_505)] {
         let mut db = Connection::open(Box::new(MemVfs::new()), "depth.db").unwrap();
         db.execute("CREATE TABLE kv(a INTEGER PRIMARY KEY, b BLOB)").unwrap();
         db.execute("BEGIN").unwrap();
